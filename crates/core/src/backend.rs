@@ -4,11 +4,11 @@
 //! without caring whether time is simulated cycle-accurately or just
 //! accounted. [`StorageBackend`] is that seam: the engine plus a clock.
 //!
-//! * [`TimedBackend`] is the cycle-accurate twin — the same
-//!   `TimingSink`/DRAM/crypto plumbing as [`crate::TimingDriver`], minus the
-//!   trace-driven CPU: the caller supplies request arrival times and reads
-//!   back completion times, so a load generator measures real queueing
-//!   latency on the simulated memory system.
+//! * [`TimedBackend`] is the cycle-accurate twin — the same access
+//!   controller (sink, DRAM twin, crypto model, in-flight window) as
+//!   [`crate::TimingDriver`], minus the trace-driven CPU: the caller supplies
+//!   request arrival times and reads back completion times, so a load
+//!   generator measures real queueing latency on the simulated memory system.
 //! * [`UntimedBackend`] runs the identical protocol over a
 //!   [`CountingSink`] and charges a fixed cost per 64 B transfer — orders
 //!   of magnitude faster, with the same access *pattern* and the same
@@ -20,14 +20,13 @@
 //! covers the online reads plus the crypto pipeline.
 
 use crate::config::OramConfig;
+use crate::controller::{AccessController, ControllerSink};
 use crate::error::OramError;
 use crate::ring::{AccessKind, PayloadMutator, RingOram};
-use crate::sink::{CountingSink, InflightAccess, TimingSink};
+use crate::sink::CountingSink;
 use crate::{BlockId, BLOCK_BYTES};
-use aboram_crypto::CryptoLatency;
 use aboram_dram::{DramConfig, MemorySystem};
 use aboram_tree::PathId;
-use std::collections::VecDeque;
 
 /// Timing outcome of one backend access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,7 +105,14 @@ pub trait StorageBackend {
     fn free_at(&self) -> u64;
 
     /// Sets the access-pipeline depth: the maximum number of concurrently
-    /// in-flight accesses (see [`TimedBackend::set_pipeline_depth`]).
+    /// in-flight accesses. Depth 1 (the default, and `0` clamps to it) is
+    /// the classic serialized controller: an access begins only after the
+    /// previous one's maintenance traffic drained. Depth > 1 lets an
+    /// access's read phase issue while up to `depth - 1` earlier accesses'
+    /// eviction/writeback and decrypt/verify traffic drain, bounded by the
+    /// same true-dependency gates as
+    /// [`crate::TimingDriver::set_pipeline_depth`]. Lowering the depth
+    /// quiesces the window first, so the switch never reorders requests.
     /// Backends without a cycle-level pipeline ignore the knob.
     fn set_pipeline_depth(&mut self, _depth: u8) {}
 
@@ -120,23 +126,7 @@ pub trait StorageBackend {
 #[derive(Debug)]
 pub struct TimedBackend {
     oram: RingOram,
-    sink: TimingSink,
-    crypto: CryptoLatency,
-    free_at: u64,
-    /// Access-pipeline depth; 1 = the classic serialized controller.
-    depth: u8,
-    /// In-flight accesses whose maintenance traffic is still draining.
-    window: VecDeque<InflightAccess>,
-    /// Previous access's release cycle (arrival order is non-decreasing).
-    last_start: u64,
-    /// Previous access's last online DRAM reply — the stash hand-off gate.
-    prev_online_done: u64,
-    /// The crypto pipeline's last exit cycle, carried across accesses.
-    crypto_exit: u64,
-    /// Scratch for online-read completion times.
-    completions: Vec<u64>,
-    /// Scratch for the staged write footprint.
-    footprint: Vec<(u8, u16, u64)>,
+    ctl: AccessController,
 }
 
 impl TimedBackend {
@@ -149,136 +139,36 @@ impl TimedBackend {
         Ok(Self::from_oram(RingOram::new(cfg)?, dram))
     }
 
-    /// Wraps an existing (e.g. pre-warmed) engine. The sink's issue mode
-    /// follows the engine's scheme ([`crate::Scheme::issue_mode`]), so an
+    /// Wraps an existing (e.g. pre-warmed) engine. The issue mode follows
+    /// the engine's scheme ([`crate::Scheme::issue_mode`]), so an
     /// `AbChannelPar` tenant gets the channel-parallel drain end to end.
     pub fn from_oram(oram: RingOram, dram: DramConfig) -> Self {
-        let mut sink = TimingSink::new(MemorySystem::new(dram));
-        sink.set_issue_mode(oram.config().scheme.issue_mode());
-        TimedBackend {
-            oram,
-            sink,
-            crypto: CryptoLatency::default(),
-            free_at: 0,
-            depth: 1,
-            window: VecDeque::new(),
-            last_start: 0,
-            prev_online_done: 0,
-            crypto_exit: 0,
-            completions: Vec::new(),
-            footprint: Vec::new(),
-        }
-    }
-
-    /// Sets the access-pipeline depth. Depth 1 (the default, and `0`
-    /// clamps to it) is the classic serialized controller: an access
-    /// begins only after the previous one's maintenance traffic drained.
-    /// Depth > 1 lets an access's read phase issue while up to `depth - 1`
-    /// earlier accesses' eviction/writeback and decrypt/verify traffic
-    /// drain, bounded by the same true-dependency gates as
-    /// [`crate::TimingDriver::set_pipeline_depth`]. Lowering the depth
-    /// quiesces the window first, so the switch never reorders requests.
-    pub fn set_pipeline_depth(&mut self, depth: u8) {
-        let depth = depth.max(1);
-        if depth == 1 {
-            self.quiesce();
-        }
-        self.depth = depth;
-        self.sink.set_pipelined(depth > 1);
-    }
-
-    /// The access-pipeline depth in force.
-    pub fn pipeline_depth(&self) -> u8 {
-        self.depth
+        let ctl = AccessController::new(MemorySystem::new(dram), oram.config().scheme.issue_mode());
+        TimedBackend { oram, ctl }
     }
 
     /// Resolves every in-flight access and folds the completions into
     /// `free_at` — end-of-run draining and pre-switch quiescing.
     pub fn quiesce(&mut self) -> u64 {
-        let mut free = self.free_at.max(self.prev_online_done).max(self.crypto_exit);
-        while let Some(entry) = self.window.pop_front() {
-            free = free.max(self.sink.resolve_inflight(entry));
-        }
-        self.free_at = free;
-        free
+        self.ctl.quiesce()
     }
 
-    fn finish(&mut self, start: u64, data: Option<[u8; BLOCK_BYTES]>) -> BackendReply {
-        if self.depth > 1 {
-            return self.finish_pipelined(start, data);
-        }
-        let done = match self.sink.issue_mode() {
-            crate::IssueMode::Serial => {
-                let (mut done, online_count) = self.sink.drain_online_reads(start);
-                done += self.crypto.burst_cycles(online_count);
-                done
-            }
-            crate::IssueMode::ChannelParallel => {
-                let mut completions = Vec::new();
-                self.sink.drain_online_read_times(&mut completions);
-                self.crypto.overlapped_exit(&mut completions).max(start)
-            }
-        };
-        self.free_at = self.sink.drain_all_requests(done);
-        BackendReply { data, done, free_at: self.free_at }
-    }
-
-    /// The pipelined completion path: the whole access is already staged;
-    /// resolve its dependency gates, release it, and leave its maintenance
-    /// traffic draining in the in-flight window. `free_at` stays at the
-    /// floor the window opened on — the reply's `free_at` reports this
-    /// access's own completion instead of a global drain.
-    fn finish_pipelined(&mut self, start: u64, data: Option<[u8; BLOCK_BYTES]>) -> BackendReply {
-        let mut footprint = std::mem::take(&mut self.footprint);
-        self.sink.staged_write_footprint(&mut footprint);
-
-        let mut gate = start.max(self.last_start).max(self.prev_online_done).max(self.free_at);
-        while self.window.len() >= usize::from(self.depth) {
-            let old = self.window.pop_front().expect("non-empty window");
-            gate = gate.max(self.sink.resolve_inflight(old));
-        }
-        for entry in &self.window {
-            gate = gate.max(self.sink.conflict_gate(entry, &footprint));
-        }
-        self.footprint = footprint;
-        self.sink.release_at(gate);
-        let at = gate;
-        self.last_start = at;
-
-        let mut completions = std::mem::take(&mut self.completions);
-        self.sink.drain_online_read_times(&mut completions);
-        let n = completions.len() as u64;
-        let last = completions.iter().max().copied().unwrap_or(0).max(at);
-        let done = if n == 0 {
-            at
-        } else {
-            let done = match self.sink.issue_mode() {
-                crate::IssueMode::Serial => (last + self.crypto.burst_cycles(n))
-                    .max(self.crypto_exit + n * self.crypto.per_block),
-                crate::IssueMode::ChannelParallel => {
-                    self.crypto.overlapped_exit_from(self.crypto_exit, &mut completions).max(at)
-                }
-            };
-            self.crypto_exit = done;
-            done
-        };
-        self.prev_online_done = last;
-        self.completions = completions;
-
-        let reqs = self.sink.take_tagged_requests();
-        self.window.push_back(InflightAccess::from_tagged(reqs));
-        BackendReply { data, done, free_at: done }
-    }
-
-    fn begin(&mut self, start: u64) -> u64 {
-        if self.depth > 1 {
-            // The arrival cycle is fixed only after the access is staged
-            // and its footprint inspected (finish_pipelined).
-            return start;
-        }
-        let at = start.max(self.free_at);
-        self.sink.set_now(at);
-        at
+    /// Runs one engine access under the controller. At depth > 1 the
+    /// controller's `free_at` stays at the floor the window opened on, so
+    /// the reply's `free_at` reports this access's own completion instead
+    /// of a global drain.
+    fn timed(
+        &mut self,
+        arrival: u64,
+        access: impl FnOnce(
+            &mut RingOram,
+            &mut ControllerSink,
+        ) -> Result<Option<[u8; BLOCK_BYTES]>, OramError>,
+    ) -> Result<BackendReply, OramError> {
+        self.ctl.begin(arrival);
+        let data = access(&mut self.oram, self.ctl.sink_mut())?;
+        let (_, done) = self.ctl.finish(arrival);
+        Ok(BackendReply { data, done, free_at: self.ctl.free_at().max(done) })
     }
 }
 
@@ -290,9 +180,7 @@ impl StorageBackend for TimedBackend {
         block: BlockId,
         new_data: Option<[u8; BLOCK_BYTES]>,
     ) -> Result<BackendReply, OramError> {
-        let at = self.begin(start);
-        let data = self.oram.access(kind, block, new_data, &mut self.sink)?;
-        Ok(self.finish(at, data))
+        self.timed(start, |oram, sink| oram.access(kind, block, new_data, sink))
     }
 
     fn access_managed(
@@ -302,15 +190,13 @@ impl StorageBackend for TimedBackend {
         new_position: Option<PathId>,
         mutate: &mut PayloadMutator<'_>,
     ) -> Result<BackendReply, OramError> {
-        let at = self.begin(start);
-        let data = self.oram.access_managed(block, new_position, mutate, &mut self.sink)?;
-        Ok(self.finish(at, Some(data)))
+        self.timed(start, |oram, sink| {
+            oram.access_managed(block, new_position, mutate, sink).map(Some)
+        })
     }
 
     fn dummy_access(&mut self, start: u64) -> Result<BackendReply, OramError> {
-        let at = self.begin(start);
-        self.oram.dummy_access(&mut self.sink)?;
-        Ok(self.finish(at, None))
+        self.timed(start, |oram, sink| oram.dummy_access(sink).map(|_| None))
     }
 
     fn engine(&self) -> &RingOram {
@@ -322,15 +208,15 @@ impl StorageBackend for TimedBackend {
     }
 
     fn free_at(&self) -> u64 {
-        self.free_at
+        self.ctl.free_at()
     }
 
     fn set_pipeline_depth(&mut self, depth: u8) {
-        TimedBackend::set_pipeline_depth(self, depth);
+        self.ctl.set_depth(depth);
     }
 
     fn pipeline_depth(&self) -> u8 {
-        self.depth
+        self.ctl.depth()
     }
 }
 
@@ -488,6 +374,62 @@ mod tests {
         let serial = run(1);
         let piped = run(4);
         assert!(piped < serial, "pipelining saved nothing: depth4 {piped} vs depth1 {serial}");
+    }
+
+    #[test]
+    fn timed_backend_matches_a_bare_controller_cycle_for_cycle() {
+        // The adapter adds nothing to the schedule: the same engine and
+        // access sequence at the same arrival cycles yields the identical
+        // `(start, done)` stream through a bare controller and through the
+        // backend, at either depth under either issue mode.
+        for scheme in [Scheme::Ab, Scheme::AbChannelPar] {
+            for depth in [1u8, 4] {
+                let cfg = OramConfig::builder(8, scheme).store_data(true).seed(5).build().unwrap();
+                let mut oram = RingOram::new(&cfg).unwrap();
+                let mut bare = AccessController::new(
+                    MemorySystem::new(DramConfig::default()),
+                    scheme.issue_mode(),
+                );
+                bare.set_depth(depth);
+                let mut backend = TimedBackend::new(&cfg, DramConfig::default()).unwrap();
+                backend.set_pipeline_depth(depth);
+                for i in 0..160u64 {
+                    // Bursts of back-to-back arrivals, then an idle gap.
+                    let arrival = (i / 8) * 20_000 + i % 8;
+                    let (block, payload) = (i % 23, [i as u8; BLOCK_BYTES]);
+                    bare.begin(arrival);
+                    let reply = match i % 4 {
+                        0 => {
+                            oram.access(AccessKind::Write, block, Some(payload), bare.sink_mut())
+                                .unwrap();
+                            backend.access(arrival, AccessKind::Write, block, Some(payload))
+                        }
+                        1 => {
+                            oram.dummy_access(bare.sink_mut()).unwrap();
+                            backend.dummy_access(arrival)
+                        }
+                        2 => {
+                            oram.access_managed(block, None, &mut |d| d[0] ^= 1, bare.sink_mut())
+                                .unwrap();
+                            backend.access_managed(arrival, block, None, &mut |d| d[0] ^= 1)
+                        }
+                        _ => {
+                            oram.access(AccessKind::Read, block, None, bare.sink_mut()).unwrap();
+                            backend.access(arrival, AccessKind::Read, block, None)
+                        }
+                    }
+                    .unwrap();
+                    let (start, done) = bare.finish(arrival);
+                    assert_eq!(
+                        (backend.ctl.now(), reply.done),
+                        (start, done),
+                        "{scheme:?} depth {depth} access {i}"
+                    );
+                    assert_eq!(reply.free_at, bare.free_at().max(done));
+                }
+                assert_eq!(backend.quiesce(), bare.quiesce(), "{scheme:?} depth {depth}");
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,439 @@
+//! The ORAM access controller: the one place that decides when an access
+//! may issue.
+//!
+//! The paper's methodology (§VII) has a single ORAM controller between the
+//! core and DRAM. [`AccessController`] is that controller: it owns the
+//! timing sink (and through it the DRAM twin), the crypto-latency model, the
+//! access-pipeline depth, the occupancy cursor and the in-flight window.
+//! [`crate::TimingDriver`] feeds it trace records from a ROB core and
+//! [`crate::TimedBackend`] feeds it service requests; neither keeps issue
+//! state of its own.
+//!
+//! One access is `begin(arrival)` → engine call(s) on
+//! [`sink_mut`](AccessController::sink_mut) → `finish(arrival)`, which
+//! returns `(start, done)`: the cycle the access's requests reached DRAM and
+//! the cycle its data left the decrypt/verify pipeline. `start` is the max
+//! of the issue, monotone-start, stash hand-off, window-overflow and WAR
+//! conflict gates; the crypto carry additionally holds `done`. DESIGN.md §15
+//! tabulates each gate, the dependency it enforces and the field carrying it.
+//!
+//! At depth 1 the window holds nothing: `free_at` is the previous access's
+//! full drain, so the issue gate alone serializes and requests enqueue as the
+//! engine emits them (no staging). At depth > 1 the whole access is staged,
+//! its footprint inspected, and the gates fix its start before release.
+
+use crate::config::IssueMode;
+use crate::fault::FaultInjectingSink;
+use crate::sink::{InflightAccess, TimingSink};
+use aboram_crypto::CryptoLatency;
+use aboram_dram::MemorySystem;
+use std::collections::VecDeque;
+
+/// The sink the engine writes to during a controlled access: the timing sink
+/// behind the (pass-through unless a plan is armed) fault injector.
+pub(crate) type ControllerSink = FaultInjectingSink<TimingSink>;
+
+/// See the module docs.
+#[derive(Debug)]
+pub(crate) struct AccessController {
+    sink: ControllerSink,
+    crypto: CryptoLatency,
+    /// Maximum concurrently in-flight accesses; 1 = the classic serialized
+    /// controller.
+    depth: u8,
+    /// When traffic issued outside the in-flight window has drained. At
+    /// depth 1 that is every access so far; at depth > 1 it is the floor the
+    /// window opened on until [`quiesce`](Self::quiesce) folds the window in.
+    free_at: u64,
+    /// In-flight accesses whose maintenance traffic is still draining.
+    window: VecDeque<InflightAccess>,
+    /// Previous access's last online DRAM reply — the stash hand-off gate
+    /// (its decrypt/verify tail may still be draining).
+    prev_online_done: u64,
+    /// The crypto pipeline's last exit cycle, carried across in-flight
+    /// accesses. Zero whenever the window is empty: serialized accesses each
+    /// find the pipeline idle.
+    crypto_exit: u64,
+    /// Scratch: online-read completion times of the access being finished.
+    completions: Vec<u64>,
+    /// Scratch: staged write footprint of the access being released.
+    footprint: Vec<(u8, u16, u64)>,
+}
+
+impl AccessController {
+    /// A depth-1 controller over `memory` with the default crypto model.
+    pub(crate) fn new(memory: MemorySystem, issue_mode: IssueMode) -> Self {
+        let mut sink = TimingSink::new(memory);
+        sink.set_issue_mode(issue_mode);
+        AccessController {
+            sink: FaultInjectingSink::new(sink),
+            crypto: CryptoLatency::default(),
+            depth: 1,
+            free_at: 0,
+            window: VecDeque::new(),
+            prev_online_done: 0,
+            crypto_exit: 0,
+            completions: Vec::new(),
+            footprint: Vec::new(),
+        }
+    }
+
+    /// Resumes a quiescent controller's cursors (driver restore): the sink
+    /// clock and the occupancy cursor.
+    pub(crate) fn resume_at(&mut self, now: u64, free_at: u64) {
+        self.sink.inner_mut().set_now(now);
+        self.free_at = free_at;
+    }
+
+    /// The sink engine calls write to between [`begin`](Self::begin) and
+    /// [`finish`](Self::finish); also where a fault plan is armed.
+    pub(crate) fn sink_mut(&mut self) -> &mut ControllerSink {
+        &mut self.sink
+    }
+
+    /// The fault-injecting sink (plan and injection counters).
+    pub(crate) fn sink(&self) -> &ControllerSink {
+        &self.sink
+    }
+
+    /// The DRAM twin.
+    pub(crate) fn memory(&self) -> &MemorySystem {
+        self.sink.inner().memory()
+    }
+
+    /// Mutable DRAM twin (stall injection, final drain).
+    pub(crate) fn memory_mut(&mut self) -> &mut MemorySystem {
+        self.sink.inner_mut().memory_mut()
+    }
+
+    /// Overrides the issue mode.
+    pub(crate) fn set_issue_mode(&mut self, mode: IssueMode) {
+        self.sink.inner_mut().set_issue_mode(mode);
+    }
+
+    /// The issue mode in force.
+    pub(crate) fn issue_mode(&self) -> IssueMode {
+        self.sink.inner().issue_mode()
+    }
+
+    /// Replaces the crypto latency model.
+    pub(crate) fn set_crypto_latency(&mut self, lat: CryptoLatency) {
+        self.crypto = lat;
+    }
+
+    /// The crypto latency model in force.
+    pub(crate) fn crypto_latency(&self) -> CryptoLatency {
+        self.crypto
+    }
+
+    /// Sets the access-pipeline depth (`0` clamps to 1). Lowering to depth 1
+    /// quiesces the window first, so the switch never reorders requests.
+    pub(crate) fn set_depth(&mut self, depth: u8) {
+        let depth = depth.max(1);
+        if depth == 1 {
+            self.quiesce();
+        }
+        self.depth = depth;
+        self.sink.inner_mut().set_pipelined(depth > 1);
+    }
+
+    /// The access-pipeline depth in force.
+    pub(crate) fn depth(&self) -> u8 {
+        self.depth
+    }
+
+    /// The occupancy cursor (see the `free_at` field).
+    pub(crate) fn free_at(&self) -> u64 {
+        self.free_at
+    }
+
+    /// The sink clock: the start cycle of the most recent access.
+    pub(crate) fn now(&self) -> u64 {
+        self.sink.inner().now()
+    }
+
+    /// Whether nothing is staged, undrained or in flight (snapshots require
+    /// this; true after [`quiesce`](Self::quiesce)).
+    pub(crate) fn is_idle(&self) -> bool {
+        self.window.is_empty() && self.sink.inner().is_idle()
+    }
+
+    /// Opens an access that arrived at cycle `arrival`. At depth 1 requests
+    /// enqueue as the engine emits them, so the start cycle is fixed here
+    /// (the issue gate); at depth > 1 they stage and
+    /// [`finish`](Self::finish) fixes it.
+    pub(crate) fn begin(&mut self, arrival: u64) {
+        if self.depth == 1 {
+            self.sink.inner_mut().set_now(arrival.max(self.free_at));
+        }
+    }
+
+    /// Closes the access opened by [`begin`](Self::begin) with the same
+    /// `arrival`: releases it (depth > 1), charges the crypto pipeline on
+    /// its online reads, and returns `(start, done)`. The user's load
+    /// completes at `done`; maintenance traffic keeps draining — into
+    /// `free_at` at depth 1, in the window otherwise.
+    pub(crate) fn finish(&mut self, arrival: u64) -> (u64, u64) {
+        let start = if self.depth == 1 { self.now() } else { self.release(arrival) };
+        let sink = self.sink.inner_mut();
+
+        // The user-visible critical path: the online reads plus the crypto
+        // pipeline on the returned blocks.
+        sink.drain_online_read_times(&mut self.completions);
+        let n = self.completions.len() as u64;
+        let last = self.completions.iter().max().copied().unwrap_or(0).max(start);
+        let mut done = start;
+        if n > 0 {
+            // Serial issue: the whole burst enters the pipeline after the
+            // last reply, floored by a still-busy pipeline.
+            let serial_done = last + self.crypto.burst_cycles(n);
+            done = match sink.issue_mode() {
+                IssueMode::Serial => serial_done.max(self.crypto_exit + n * self.crypto.per_block),
+                // Channel-parallel issue: each block enters as its channel
+                // returns it, so only the tail DRAM couldn't hide is exposed.
+                IssueMode::ChannelParallel => {
+                    let done = self
+                        .crypto
+                        .overlapped_exit_from(self.crypto_exit, &mut self.completions)
+                        .max(start);
+                    aboram_telemetry::counter_add(
+                        "crypto.overlap_saved_cycles",
+                        serial_done.saturating_sub(done),
+                    );
+                    aboram_telemetry::counter_add("crypto.overlapped_blocks", n);
+                    done
+                }
+            };
+        }
+
+        if self.depth == 1 {
+            // The next access begins only after this one's maintenance
+            // traffic (evictPath, reshuffles) has been serviced.
+            self.free_at = sink.drain_all_requests(done);
+        } else {
+            if n > 0 {
+                self.crypto_exit = done;
+            }
+            self.prev_online_done = last;
+            self.window.push_back(InflightAccess::from_tagged(sink.take_tagged_requests()));
+            aboram_telemetry::observe_level(
+                "pipeline.occupancy",
+                self.window.len().min(255) as u8,
+                1,
+            );
+        }
+        (start, done)
+    }
+
+    /// Fixes the staged access's start cycle from its dependency gates and
+    /// releases it to the DRAM twin.
+    fn release(&mut self, arrival: u64) -> u64 {
+        let sink = self.sink.inner_mut();
+        sink.staged_write_footprint(&mut self.footprint);
+        // Issue, monotone start, stash hand-off, pre-window traffic.
+        let mut gate = arrival.max(sink.now()).max(self.prev_online_done).max(self.free_at);
+        // Window overflow: the oldest in-flight access must fully complete
+        // before a (depth+1)-th access may enter.
+        while self.window.len() >= usize::from(self.depth) {
+            let oldest = self.window.pop_front().expect("non-empty window");
+            gate = gate.max(sink.resolve_inflight(oldest));
+        }
+        // Write-after-read: this access's writebacks must not land in a
+        // `(channel, bank, row)` an in-flight access has not finished
+        // reading. RAW and WAW need no gate (see `TimingSink::conflict_gate`).
+        for entry in &self.window {
+            gate = gate.max(sink.conflict_gate(entry, &self.footprint));
+        }
+        sink.release_at(gate);
+        gate
+    }
+
+    /// Resolves every in-flight access, folds the completions into
+    /// `free_at` and returns it. The controller is then exactly the state a
+    /// snapshot captures: empty window, idle crypto pipeline.
+    pub(crate) fn quiesce(&mut self) -> u64 {
+        let mut free = self.free_at.max(self.prev_online_done).max(self.crypto_exit);
+        while let Some(entry) = self.window.pop_front() {
+            free = free.max(self.sink.inner_mut().resolve_inflight(entry));
+        }
+        self.free_at = free;
+        self.prev_online_done = 0;
+        self.crypto_exit = 0;
+        free
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sink::{MemorySink, OramOp};
+    use aboram_dram::{DramConfig, MemOpKind};
+    use aboram_tree::SlotAddr;
+
+    fn controller(depth: u8, mode: IssueMode, crypto: CryptoLatency) -> AccessController {
+        let mut ctl = AccessController::new(MemorySystem::new(DramConfig::default()), mode);
+        ctl.set_crypto_latency(crypto);
+        ctl.set_depth(depth);
+        ctl
+    }
+
+    /// The first `lines` 64 B lines of DRAM page `p`. Under the default
+    /// page-interleaved mapping one page is one `(channel, bank, row)`, and
+    /// distinct pages are distinct rows.
+    fn page(p: u64, lines: u64) -> Vec<SlotAddr> {
+        let row_bytes = DramConfig::default().row_bytes;
+        (0..lines).map(|l| SlotAddr(p * row_bytes + l * 64)).collect()
+    }
+
+    /// `lines` lines on each of four pages starting at `p` — one per channel.
+    fn pages(p: u64, lines: u64) -> Vec<SlotAddr> {
+        (p..p + 4).flat_map(|p| page(p, lines)).collect()
+    }
+
+    /// One hand-built access: online reads, offline reads, offline writes.
+    fn access(
+        ctl: &mut AccessController,
+        arrival: u64,
+        online: &[SlotAddr],
+        offline: &[SlotAddr],
+        writes: &[SlotAddr],
+    ) -> (u64, u64) {
+        ctl.begin(arrival);
+        let sink = ctl.sink_mut();
+        sink.read_batch(online, OramOp::ReadPath, true);
+        sink.read_batch(offline, OramOp::EvictPath, false);
+        sink.write_batch(writes, OramOp::EvictPath, false);
+        ctl.finish(arrival)
+    }
+
+    /// Latest completion over the window entry's requests selected by `pick`.
+    fn completion_of(
+        ctl: &mut AccessController,
+        entry: usize,
+        pick: impl Fn((u8, u16, u64), MemOpKind) -> bool,
+    ) -> u64 {
+        let ids: Vec<_> = ctl.window[entry]
+            .reqs
+            .iter()
+            .filter(|&&(_, key, kind)| pick(key, kind))
+            .map(|&(id, _, _)| id)
+            .collect();
+        ids.into_iter().map(|id| ctl.memory_mut().completion_time(id)).max().unwrap()
+    }
+
+    #[test]
+    fn issue_gate_serializes_depth_one_on_the_full_drain() {
+        let mut ctl = controller(1, IssueMode::Serial, CryptoLatency::default());
+        let (start, done) = access(&mut ctl, 100, &page(0, 1), &[], &pages(8, 16));
+        assert_eq!(start, 100, "an idle controller starts at arrival");
+        let free = ctl.free_at();
+        assert!(free > done, "writebacks drain after the load completed");
+        let (early, _) = access(&mut ctl, 0, &page(1, 1), &[], &[]);
+        assert_eq!(early, free, "an early arrival waits for the previous access's full drain");
+        let late_arrival = ctl.free_at() + 1_000;
+        let (late, _) = access(&mut ctl, late_arrival, &page(2, 1), &[], &[]);
+        assert_eq!(late, late_arrival);
+        assert!(ctl.is_idle() && ctl.crypto_exit == 0, "depth 1 keeps nothing in flight");
+    }
+
+    #[test]
+    fn window_overflow_waits_for_the_oldest_access_at_depth_two() {
+        let run = |depth: u8| {
+            let mut ctl = controller(depth, IssueMode::Serial, CryptoLatency::free());
+            let first = access(&mut ctl, 0, &page(0, 1), &[], &pages(8, 64));
+            let second = access(&mut ctl, 0, &page(1, 1), &[], &page(16, 1));
+            let hand_off = ctl.prev_online_done;
+            let oldest_done = completion_of(&mut ctl, 0, |_, _| true);
+            let third = access(&mut ctl, 0, &page(2, 1), &[], &page(17, 1));
+            (first, second, hand_off, oldest_done, third.0)
+        };
+        let (first2, second2, hand_off2, oldest_done, third2) = run(2);
+        let (first3, second3, hand_off3, _, third3) = run(3);
+        assert_eq!((first2, second2, hand_off2), (first3, second3, hand_off3));
+        assert!(oldest_done > hand_off2, "the first access's writebacks outlast the hand-off");
+        assert_eq!(third3, hand_off3, "with room in the window only the hand-off binds");
+        assert_eq!(third2, oldest_done, "a full window admits the third access as the first ends");
+    }
+
+    #[test]
+    fn monotone_start_holds_for_out_of_order_arrivals() {
+        let mut ctl = controller(4, IssueMode::Serial, CryptoLatency::free());
+        let mut last = 0;
+        for (i, arrival) in [5_000, 10, 2_000, 0].into_iter().enumerate() {
+            let (start, _) = access(&mut ctl, arrival, &[], &[], &page(8 + i as u64, 1));
+            assert!(start >= last && start >= arrival, "start {start} after {last}");
+            assert_eq!(ctl.now(), start);
+            last = start;
+        }
+        assert_eq!(last, 5_000, "later, earlier-stamped arrivals start no sooner");
+    }
+
+    #[test]
+    fn stash_hand_off_waits_for_the_last_online_reply_not_the_crypto_exit() {
+        for crypto in [CryptoLatency::free(), CryptoLatency::default()] {
+            let mut ctl = controller(4, IssueMode::Serial, crypto);
+            let (_, done) = access(&mut ctl, 0, &page(0, 4), &[], &pages(8, 64));
+            let (next, _) = access(&mut ctl, 0, &page(1, 1), &[], &page(16, 1));
+            assert_eq!(next, done - crypto.burst_cycles(4));
+            assert!(ctl.quiesce() > next, "the writebacks it overlapped were still draining");
+        }
+    }
+
+    #[test]
+    fn war_conflict_gates_on_a_shared_row_and_not_on_disjoint_rows() {
+        let run = |write_page: u64| {
+            let mut ctl = controller(4, IssueMode::Serial, CryptoLatency::free());
+            let (_, hand_off) = access(&mut ctl, 0, &page(0, 1), &page(5, 16), &[]);
+            let row = ctl.memory().decode_addr(page(5, 1)[0].byte());
+            let row_read = completion_of(&mut ctl, 0, |key, kind| {
+                kind == MemOpKind::Read && key == (row.channel, row.bank, row.row)
+            });
+            let (start, _) = access(&mut ctl, 0, &page(1, 1), &[], &page(write_page, 1));
+            (hand_off, row_read, start)
+        };
+        let (hand_off, row_read, shared) = run(5);
+        assert!(row_read > hand_off, "the offline reads outlast the hand-off");
+        assert_eq!(shared, row_read, "a writeback into a row still being read waits for the read");
+        let (hand_off, _, disjoint) = run(6);
+        assert_eq!(disjoint, hand_off, "a disjoint writeback starts at the hand-off");
+    }
+
+    #[test]
+    fn crypto_carry_delays_an_access_behind_a_busy_pipeline() {
+        let slow = CryptoLatency::new(40, 50);
+        for mode in [IssueMode::Serial, IssueMode::ChannelParallel] {
+            let mut ctl = controller(4, mode, slow);
+            let (_, first) = access(&mut ctl, 0, &page(0, 8), &[], &[]);
+            let (_, second) = access(&mut ctl, 0, &page(1, 1), &[], &[]);
+            assert_eq!(second, first + slow.per_block, "{mode:?}: one retire slot behind");
+            assert!(
+                second > ctl.prev_online_done + slow.pipeline_fill,
+                "{mode:?}: an idle pipeline would have been done earlier"
+            );
+        }
+    }
+
+    #[test]
+    fn depth_zero_clamps_to_the_serialized_controller() {
+        let mut ctl = controller(0, IssueMode::Serial, CryptoLatency::default());
+        assert_eq!(ctl.depth(), 1);
+        access(&mut ctl, 0, &page(0, 1), &[], &pages(8, 16));
+        let free = ctl.free_at();
+        assert_eq!(access(&mut ctl, 0, &page(1, 1), &[], &[]).0, free);
+    }
+
+    #[test]
+    fn lowering_the_depth_quiesces_first() {
+        let mut ctl = controller(4, IssueMode::ChannelParallel, CryptoLatency::default());
+        access(&mut ctl, 0, &page(0, 2), &[], &pages(8, 64));
+        let (_, done) = access(&mut ctl, 0, &page(1, 2), &[], &pages(12, 64));
+        assert_eq!(ctl.window.len(), 2);
+        assert_eq!(ctl.free_at(), 0, "the window's traffic is not folded in yet");
+        ctl.set_depth(1);
+        assert!(ctl.is_idle() && ctl.crypto_exit == 0 && ctl.prev_online_done == 0);
+        let free = ctl.free_at();
+        assert!(free > done, "every in-flight writeback is covered");
+        assert_eq!(access(&mut ctl, 0, &page(2, 1), &[], &[]).0, free);
+        assert!(ctl.is_idle(), "depth 1 issues immediately and drains fully");
+    }
+}

@@ -8,10 +8,11 @@
 //! Fig. 9 bandwidth numbers all come from here.
 
 use crate::config::{IssueMode, OramConfig};
+use crate::controller::AccessController;
 use crate::error::OramError;
-use crate::fault::{FaultInjectingSink, FaultPlan, InjectedFaults};
+use crate::fault::{FaultPlan, InjectedFaults};
 use crate::ring::{AccessKind, RingOram};
-use crate::sink::{OramOp, TimingSink};
+use crate::sink::OramOp;
 use aboram_crypto::CryptoLatency;
 use aboram_dram::{DramConfig, MemorySystem, RobCpu};
 use aboram_stats::{HealthState, RecoveryStats};
@@ -148,8 +149,8 @@ impl SimulationReport {
 /// overridden issue mode replay cycle-identically.
 ///
 /// v5: the access-pipeline depth joined the stream. The in-flight window
-/// itself is run-local (snapshots are quiescent-only), so the depth knob is
-/// the only new state.
+/// itself is empty between runs (snapshots are quiescent-only), so the depth
+/// knob is the only new state.
 pub const DRIVER_SNAPSHOT_VERSION: u32 = 5;
 
 /// Magic bytes opening every full-driver snapshot stream.
@@ -176,21 +177,13 @@ const DRIVER_SNAPSHOT_MAGIC: [u8; 4] = *b"ABSD";
 #[derive(Debug)]
 pub struct TimingDriver {
     oram: RingOram,
-    sink: FaultInjectingSink<TimingSink>,
+    /// The ORAM controller: decides when each access issues and completes.
+    ctl: AccessController,
     cpu: RobCpu,
-    crypto: CryptoLatency,
-    /// The ORAM controller serializes accesses; next access starts after
-    /// the previous one's online portion completes.
-    oram_free_at: u64,
-    /// Maximum concurrently in-flight accesses (1 = the classic serialized
-    /// controller; see [`set_pipeline_depth`](Self::set_pipeline_depth)).
-    pipeline_depth: u8,
     /// Optional recursive position-map model (extension study; the paper
     /// keeps the posmap fully on-chip).
     posmap_model: Option<crate::recursion::PosMapHierarchy>,
 }
-
-use crate::sink::InflightAccess;
 
 impl TimingDriver {
     /// Builds the driver with the Table III core model (fetch 4, ROB 256)
@@ -207,29 +200,20 @@ impl TimingDriver {
     /// parameter sweep warm the protocol state once and reuse it across
     /// timed runs.
     pub fn from_oram(oram: RingOram, dram: DramConfig) -> Self {
-        let mut sink = TimingSink::new(MemorySystem::new(dram));
-        sink.set_issue_mode(oram.config().scheme.issue_mode());
-        TimingDriver {
-            oram,
-            sink: FaultInjectingSink::new(sink),
-            cpu: RobCpu::new(4, 256),
-            crypto: CryptoLatency::default(),
-            oram_free_at: 0,
-            pipeline_depth: 1,
-            posmap_model: None,
-        }
+        let ctl = AccessController::new(MemorySystem::new(dram), oram.config().scheme.issue_mode());
+        TimingDriver { oram, ctl, cpu: RobCpu::new(4, 256), posmap_model: None }
     }
 
     /// Overrides the issue mode the scheme selected — the differential
     /// harness uses this to run every scheme under both modes against the
     /// same trace.
     pub fn set_issue_mode(&mut self, mode: IssueMode) {
-        self.sink.inner_mut().set_issue_mode(mode);
+        self.ctl.set_issue_mode(mode);
     }
 
     /// The issue mode in force.
     pub fn issue_mode(&self) -> IssueMode {
-        self.sink.inner().issue_mode()
+        self.ctl.issue_mode()
     }
 
     /// Sets the access-pipeline depth: the maximum number of concurrently
@@ -245,18 +229,12 @@ impl TimingDriver {
     /// unchanged — only the inter-access issue schedule shifts, which is
     /// already public (DESIGN.md §15).
     pub fn set_pipeline_depth(&mut self, depth: u8) {
-        self.pipeline_depth = depth.max(1);
+        self.ctl.set_depth(depth);
     }
 
     /// The access-pipeline depth in force.
     pub fn pipeline_depth(&self) -> u8 {
-        self.pipeline_depth
-    }
-
-    /// Resolves an in-flight access to its full completion cycle (see
-    /// [`TimingSink::resolve_inflight`]).
-    fn resolve_access(&mut self, entry: InflightAccess) -> u64 {
-        self.sink.inner_mut().resolve_inflight(entry)
+        self.ctl.depth()
     }
 
     /// Activates chaos testing: installs `plan`'s channel-stall schedule
@@ -265,17 +243,17 @@ impl TimingDriver {
     /// resulting [`SimulationReport::recovery`] block quantifies the
     /// degraded-mode overhead.
     pub fn enable_faults(&mut self, plan: FaultPlan) {
-        let channels = usize::from(self.sink.inner().memory().config().channels);
+        let channels = usize::from(self.ctl.memory().config().channels);
         for s in plan.stall_schedule(channels) {
-            self.sink.inner_mut().memory_mut().inject_channel_stall(s.channel, s.at, s.duration);
+            self.ctl.memory_mut().inject_channel_stall(s.channel, s.at, s.duration);
         }
-        self.sink.set_plan(Some(plan));
+        self.ctl.sink_mut().set_plan(Some(plan));
     }
 
     /// Faults the injector has introduced so far (zero without
     /// [`enable_faults`](Self::enable_faults)).
     pub fn injected_faults(&self) -> InjectedFaults {
-        self.sink.injected()
+        self.ctl.sink().injected()
     }
 
     /// Arms integrity verification on the engine: per-bucket MAC tags are
@@ -313,7 +291,7 @@ impl TimingDriver {
     /// Replaces the crypto latency model (e.g. [`CryptoLatency::free`] to
     /// isolate DRAM effects).
     pub fn set_crypto_latency(&mut self, lat: CryptoLatency) {
-        self.crypto = lat;
+        self.ctl.set_crypto_latency(lat);
     }
 
     /// Access to the engine (stats inspection, warm-up by protocol access).
@@ -366,32 +344,32 @@ impl TimingDriver {
                 reason: "recursive position-map state is not snapshottable".to_string(),
             });
         }
-        if self.sink.plan().is_some() {
+        if self.ctl.sink().plan().is_some() {
             return Err(OramError::SnapshotInvalid {
                 reason: "fault-injection plan is armed; snapshots cover fault-free state only"
                     .to_string(),
             });
         }
-        let sink = self.sink.inner();
-        if !sink.is_idle() {
+        if !self.ctl.is_idle() {
             return Err(OramError::SnapshotInvalid {
                 reason: "driver has undrained requests; finish the run first".to_string(),
             });
         }
         let engine = self.oram.snapshot()?;
-        let memory = sink.memory().snapshot().map_err(OramError::from)?;
+        let memory = self.ctl.memory().snapshot().map_err(OramError::from)?;
+        let crypto = self.ctl.crypto_latency();
         let mut w = Writer::new();
         w.bytes(&DRIVER_SNAPSHOT_MAGIC);
         w.u32(DRIVER_SNAPSHOT_VERSION);
-        w.u64(self.crypto.pipeline_fill);
-        w.u64(self.crypto.per_block);
-        w.u64(self.oram_free_at);
-        w.u64(sink.now());
-        w.u8(match sink.issue_mode() {
+        w.u64(crypto.pipeline_fill);
+        w.u64(crypto.per_block);
+        w.u64(self.ctl.free_at());
+        w.u64(self.ctl.now());
+        w.u8(match self.ctl.issue_mode() {
             IssueMode::Serial => 0,
             IssueMode::ChannelParallel => 1,
         });
-        w.u8(self.pipeline_depth);
+        w.u8(self.ctl.depth());
         self.cpu.snapshot_into(&mut w);
         w.u64(engine.len() as u64);
         w.bytes(&engine);
@@ -424,7 +402,7 @@ impl TimingDriver {
             });
         }
         let crypto = CryptoLatency::new(r.u64()?, r.u64()?);
-        let oram_free_at = r.u64()?;
+        let free_at = r.u64()?;
         let now = r.u64()?;
         let issue_mode = match r.u8()? {
             0 => IssueMode::Serial,
@@ -435,7 +413,7 @@ impl TimingDriver {
                 })
             }
         };
-        let pipeline_depth = r.u8()?.max(1);
+        let pipeline_depth = r.u8()?;
         let cpu = aboram_dram::RobCpu::restore_from(&mut r).map_err(OramError::from)?;
         let engine_len = r.len_prefix(1)?;
         let oram = RingOram::restore(cfg, r.bytes(engine_len)?)?;
@@ -446,24 +424,17 @@ impl TimingDriver {
                 reason: "trailing bytes after driver body".to_string(),
             });
         }
-        let mut sink = TimingSink::new(memory);
-        sink.set_now(now);
-        sink.set_issue_mode(issue_mode);
-        Ok(TimingDriver {
-            oram,
-            sink: FaultInjectingSink::new(sink),
-            cpu,
-            crypto,
-            oram_free_at,
-            pipeline_depth,
-            posmap_model: None,
-        })
+        let mut ctl = AccessController::new(memory, issue_mode);
+        ctl.set_crypto_latency(crypto);
+        ctl.resume_at(now, free_at);
+        ctl.set_depth(pipeline_depth);
+        Ok(TimingDriver { oram, ctl, cpu, posmap_model: None })
     }
 
     /// The underlying memory system's statistics (final after
     /// [`run`](Self::run) returns; used e.g. by the energy model).
     pub fn memory_stats(&self) -> &aboram_dram::MemoryStats {
-        self.sink.inner().memory().stats()
+        self.ctl.memory().stats()
     }
 
     /// XOR applied to the engine seed to derive [`warm_up`]'s RNG seed.
@@ -513,7 +484,7 @@ impl TimingDriver {
         // CPU cycles) lets the perf-report pipeline turn request counts into
         // exact bus-cycle attributions.
         {
-            let dram_cfg = self.sink.inner().memory().config();
+            let dram_cfg = self.ctl.memory().config();
             let burst_cpu = dram_cfg.to_cpu_cycles(dram_cfg.timing.burst);
             let scheme = self.oram.config().scheme.to_string();
             aboram_telemetry::begin_run(&scheme, self.oram.config().levels, burst_cpu);
@@ -521,13 +492,13 @@ impl TimingDriver {
         // Bus cycles already attributed before this run (driver reuse): the
         // end-of-run telemetry summary reports the delta.
         let bus0: u64 = {
-            let mem = self.sink.inner().memory().stats();
+            let mem = self.ctl.memory().stats();
             OramOp::ALL.iter().map(|op| mem.bus_cycles_for_tag(op.tag())).sum()
         };
         // Per-channel/per-bank occupancy already accumulated before this run
         // (driver reuse): end-of-run histograms report the delta.
         let (ch_req0, ch_bus0, bank_req0) = {
-            let mem = self.sink.inner().memory().stats();
+            let mem = self.ctl.memory().stats();
             (
                 mem.requests_by_channel().to_vec(),
                 mem.bus_cycles_by_channel().to_vec(),
@@ -544,25 +515,8 @@ impl TimingDriver {
             },
             1,
         );
-        // Completion-time scratch for the channel-parallel crypto overlap.
-        let mut completions: Vec<u64> = Vec::new();
         let mut online_latency_cycles = 0u64;
         let mut response_latency_cycles = 0u64;
-        // Access-pipelined state (all run-local; snapshots stay quiescent).
-        let pipelined = self.pipeline_depth > 1;
-        if pipelined {
-            self.sink.inner_mut().set_pipelined(true);
-        }
-        let mut window: std::collections::VecDeque<InflightAccess> =
-            std::collections::VecDeque::new();
-        let mut footprint: Vec<(u8, u16, u64)> = Vec::new();
-        // release_at must never move the sink clock backwards.
-        let mut last_start = self.sink.inner().now();
-        // The stash hand-off gate: the previous access's last online DRAM
-        // reply (its decrypt/verify tail may still be draining).
-        let mut prev_online_done = 0u64;
-        // The crypto pipeline's last exit cycle, carried across accesses.
-        let mut crypto_exit = 0u64;
         // Snapshot so the report covers the timed window only, not warm-up.
         let (users0, bg0, evicts0, resh0, recovery0) = {
             let s = self.oram.stats();
@@ -587,135 +541,18 @@ impl TimingDriver {
                 MemOp::Write => AccessKind::Write,
             };
 
-            let (start, done) = if !pipelined {
-                // Depth 1: the classic serialized controller, the legacy
-                // schedule verbatim (golden fixtures replay bit-exactly).
-                let start = issue.max(self.oram_free_at);
-                self.sink.inner_mut().set_now(start);
-                // Recursive position-map fetches (extension study) precede
-                // the data access: each PLB miss is one more full access.
-                if let Some(model) = &mut self.posmap_model {
-                    for _ in 0..model.access(block) {
-                        self.oram.dummy_access(&mut self.sink)?;
-                    }
+            self.ctl.begin(issue);
+            // Recursive position-map fetches (extension study) precede the
+            // data access: each PLB miss is one more full access, issued
+            // under the same start cycle (at depth > 1 serial staging
+            // preserves their parent→child program order).
+            if let Some(model) = &mut self.posmap_model {
+                for _ in 0..model.access(block) {
+                    self.oram.dummy_access(self.ctl.sink_mut())?;
                 }
-                self.oram.access(kind, block, None, &mut self.sink)?;
-
-                // The user-visible critical path: the access's online reads
-                // plus the crypto pipeline on the returned blocks. Under the
-                // channel-parallel issue mode each block enters the decrypt
-                // pipeline as its channel returns it, so only the tail of
-                // the crypto burst that DRAM couldn't hide remains exposed.
-                let done = match self.sink.inner().issue_mode() {
-                    IssueMode::Serial => {
-                        let (mut done, online_count) =
-                            self.sink.inner_mut().drain_online_reads(start);
-                        done += self.crypto.burst_cycles(online_count);
-                        done
-                    }
-                    IssueMode::ChannelParallel => {
-                        self.sink.inner_mut().drain_online_read_times(&mut completions);
-                        let last = completions.iter().max().copied().unwrap_or(0).max(start);
-                        let serial_done = last + self.crypto.burst_cycles(completions.len() as u64);
-                        let done = self.crypto.overlapped_exit(&mut completions).max(start);
-                        aboram_telemetry::counter_add(
-                            "crypto.overlap_saved_cycles",
-                            serial_done.saturating_sub(done),
-                        );
-                        aboram_telemetry::counter_add(
-                            "crypto.overlapped_blocks",
-                            completions.len() as u64,
-                        );
-                        done
-                    }
-                };
-                // The ORAM controller serializes: the next access begins
-                // only after this one's maintenance traffic (evictPath,
-                // reshuffles) has been serviced. The user's load already
-                // completed at `done`; this models controller occupancy,
-                // not load latency.
-                self.oram_free_at = self.sink.inner_mut().drain_all_requests(done);
-                (start, done)
-            } else {
-                // Depth > 1: stage the whole access (posmap-ladder fetches
-                // included — serial staging preserves their parent→child
-                // program order), inspect its footprint, resolve its
-                // dependency gates, and only then fix its arrival cycle.
-                if let Some(model) = &mut self.posmap_model {
-                    for _ in 0..model.access(block) {
-                        self.oram.dummy_access(&mut self.sink)?;
-                    }
-                }
-                self.oram.access(kind, block, None, &mut self.sink)?;
-                self.sink.inner().staged_write_footprint(&mut footprint);
-
-                // True-dependency gates. `oram_free_at` here is the state
-                // left by the previous run (or restore) — traffic issued
-                // before this window opened.
-                let mut gate = issue.max(last_start).max(prev_online_done).max(self.oram_free_at);
-                // Window overflow: the oldest in-flight access must fully
-                // complete before a (depth+1)-th access may enter.
-                while window.len() >= usize::from(self.pipeline_depth) {
-                    let old = window.pop_front().expect("non-empty window");
-                    gate = gate.max(self.resolve_access(old));
-                }
-                // Footprint conflicts: this access's writebacks must not
-                // land in a `(channel, bank, row)` location (same
-                // bucket/slot, metadata block, or posmap-ladder level) an
-                // in-flight access has not finished reading — the
-                // write-after-read hazard. RAW and WAW need no gate here
-                // (see `TimingSink::conflict_gate`).
-                for entry in &window {
-                    gate = gate.max(self.sink.inner_mut().conflict_gate(entry, &footprint));
-                }
-                let start = gate;
-                self.sink.inner_mut().release_at(start);
-                last_start = start;
-
-                // Online completion + crypto exit, with the pipeline busy
-                // floor carried across access boundaries — back-to-back
-                // accesses share one decrypt/verify pipeline.
-                self.sink.inner_mut().drain_online_read_times(&mut completions);
-                let n = completions.len() as u64;
-                let last = completions.iter().max().copied().unwrap_or(0).max(start);
-                let done = if n == 0 {
-                    start
-                } else {
-                    let done = match self.sink.inner().issue_mode() {
-                        IssueMode::Serial => {
-                            // The serialized charge (whole burst after the
-                            // last reply), floored by the busy pipeline.
-                            (last + self.crypto.burst_cycles(n))
-                                .max(crypto_exit + n * self.crypto.per_block)
-                        }
-                        IssueMode::ChannelParallel => {
-                            let serial_done = last + self.crypto.burst_cycles(n);
-                            let done = self
-                                .crypto
-                                .overlapped_exit_from(crypto_exit, &mut completions)
-                                .max(start);
-                            aboram_telemetry::counter_add(
-                                "crypto.overlap_saved_cycles",
-                                serial_done.saturating_sub(done),
-                            );
-                            aboram_telemetry::counter_add("crypto.overlapped_blocks", n);
-                            done
-                        }
-                    };
-                    crypto_exit = done;
-                    done
-                };
-                prev_online_done = last;
-
-                let reqs = self.sink.inner_mut().take_tagged_requests();
-                window.push_back(InflightAccess::from_tagged(reqs));
-                aboram_telemetry::observe_level(
-                    "pipeline.occupancy",
-                    window.len().min(255) as u8,
-                    1,
-                );
-                (start, done)
-            };
+            }
+            self.oram.access(kind, block, None, self.ctl.sink_mut())?;
+            let (start, done) = self.ctl.finish(issue);
 
             online_latency_cycles += done.saturating_sub(start);
             response_latency_cycles += done.saturating_sub(issue);
@@ -724,20 +561,11 @@ impl TimingDriver {
             }
         }
 
-        // Drain the in-flight window: the controller is free once every
-        // access's maintenance traffic has been serviced.
-        let mut free_at = self.oram_free_at.max(prev_online_done).max(crypto_exit);
-        while let Some(entry) = window.pop_front() {
-            free_at = free_at.max(self.resolve_access(entry));
-        }
-        self.oram_free_at = free_at;
-        if pipelined {
-            self.sink.inner_mut().set_pipelined(false);
-        }
-
-        let exec_cycles = self.cpu.finish().max(self.oram_free_at);
-        self.sink.inner_mut().memory_mut().drain();
-        let mem = self.sink.inner().memory().stats();
+        // The controller is free once every in-flight access's maintenance
+        // traffic has been serviced.
+        let exec_cycles = self.cpu.finish().max(self.ctl.quiesce());
+        self.ctl.memory_mut().drain();
+        let mem = self.ctl.memory().stats();
         let mut breakdown = BreakdownReport::default();
         for op in OramOp::ALL {
             breakdown.bus_cycles[op.tag() as usize] = mem.bus_cycles_for_tag(op.tag());
@@ -977,9 +805,9 @@ mod snapshot_tests {
         let restored =
             TimingDriver::restore(&cfg, DramConfig::default(), &driver.snapshot().unwrap())
                 .unwrap();
-        assert_eq!(restored.oram_free_at, driver.oram_free_at);
+        assert_eq!(restored.ctl.free_at(), driver.ctl.free_at());
         assert_eq!(restored.cpu.now(), driver.cpu.now());
-        assert_eq!(restored.sink.inner().now(), driver.sink.inner().now());
+        assert_eq!(restored.ctl.now(), driver.ctl.now());
     }
 
     #[test]

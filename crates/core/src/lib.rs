@@ -44,6 +44,7 @@
 
 mod backend;
 mod config;
+mod controller;
 mod deadq;
 mod driver;
 mod error;

@@ -200,10 +200,10 @@ impl MemorySink for CountingSink {
 
 /// A sink backed by the cycle-level DRAM model.
 ///
-/// The driver sets the CPU timestamp with [`set_now`](TimingSink::set_now)
-/// before each ORAM access; online reads are collected so the driver can ask
-/// when the access's critical path completed
-/// ([`take_online_reads`](TimingSink::take_online_reads)).
+/// The access controller sets the CPU timestamp with
+/// [`set_now`](TimingSink::set_now) before each ORAM access; online reads are
+/// collected so it can ask when the access's critical path completed
+/// ([`drain_online_read_times`](TimingSink::drain_online_read_times)).
 ///
 /// In [`IssueMode::ChannelParallel`] the sink stages each access's requests
 /// instead of enqueueing them immediately, then releases them to the memory
@@ -215,14 +215,13 @@ impl MemorySink for CountingSink {
 /// same-cycle ties in changes, so the externally observable access pattern
 /// is unchanged (DESIGN.md §14).
 ///
-/// In *pipelined* operation ([`set_pipelined`](TimingSink::set_pipelined))
-/// the sink stages under *both* issue modes: the access-pipelined driver
-/// decides the access's final arrival cycle only after seeing its staged
-/// footprint (to resolve `(channel, bank, row)` conflicts against in-flight
-/// accesses), then releases the whole access with
-/// [`release_at`](TimingSink::release_at). A serial-mode flush preserves
-/// program order, so a pipelined serial release enqueues exactly what
-/// immediate issue at the same cycle would (DESIGN.md §15).
+/// In *pipelined* operation (access-pipeline depth > 1) the sink stages under
+/// *both* issue modes: the access controller decides the access's final
+/// arrival cycle only after seeing its staged footprint (to resolve
+/// `(channel, bank, row)` conflicts against in-flight accesses), then
+/// releases the whole access. A serial-mode flush preserves program order, so
+/// a pipelined serial release enqueues exactly what immediate issue at the
+/// same cycle would (DESIGN.md §15).
 #[derive(Debug)]
 pub struct TimingSink {
     memory: MemorySystem,
@@ -242,8 +241,7 @@ pub struct TimingSink {
 /// plus the deduplicated sorted footprint of its *reads* — the locations a
 /// later access's writeback must not overwrite before they are served
 /// (write-after-read, the one DRAM-level hazard the window has to order
-/// explicitly; see [`TimingSink::conflict_gate`]). Shared by
-/// [`crate::TimingDriver`] and [`crate::TimedBackend`].
+/// explicitly; see [`TimingSink::conflict_gate`]).
 #[derive(Debug)]
 pub(crate) struct InflightAccess {
     pub(crate) reqs: Vec<(RequestId, (u8, u16, u64), MemOpKind)>,
@@ -321,17 +319,21 @@ impl TimingSink {
 
     /// Turns access-pipelined staging on or off. While on, requests are
     /// staged under *both* issue modes and released by
-    /// [`release_at`](TimingSink::release_at) once the driver has fixed the
-    /// access's arrival cycle. The access boundary is forced first so no
+    /// [`release_at`](TimingSink::release_at) once the controller has fixed
+    /// the access's arrival cycle. The access boundary is forced first so no
     /// request crosses the switch.
-    pub fn set_pipelined(&mut self, on: bool) {
+    pub(crate) fn set_pipelined(&mut self, on: bool) {
         self.access_boundary();
         self.pipelined = on;
     }
 
-    /// Whether access-pipelined staging is in force.
-    pub fn pipelined(&self) -> bool {
-        self.pipelined
+    /// Whether requests are staged until the access boundary instead of
+    /// enqueued as the engine emits them: always under channel-parallel
+    /// issue, and under serial issue while pipelined (the boundary releases
+    /// in program order) so the controller can inspect the footprint before
+    /// fixing arrival.
+    fn stages(&self) -> bool {
+        self.pipelined || self.issue_mode == IssueMode::ChannelParallel
     }
 
     /// The single access-boundary choke point: every staged request of the
@@ -377,59 +379,36 @@ impl TimingSink {
     /// Pipelined release: moves the clock to `cycle` *first*, then forces
     /// the access boundary so the staged access arrives at that cycle.
     /// This is the one boundary whose staged requests belong to the access
-    /// *being released* rather than a finished one — the pipelined driver
-    /// stages the whole access, inspects its footprint, resolves its
-    /// dependency gates, and only then knows the arrival cycle. `cycle`
-    /// must be ≥ the last timestamp (the memory model's non-decreasing
-    /// contract).
-    pub fn release_at(&mut self, cycle: u64) {
+    /// *being released* rather than a finished one — the controller stages
+    /// the whole access, inspects its footprint, resolves its dependency
+    /// gates, and only then knows the arrival cycle. `cycle` must be ≥ the
+    /// last timestamp (the memory model's non-decreasing contract).
+    pub(crate) fn release_at(&mut self, cycle: u64) {
         debug_assert!(cycle >= self.now, "release_at must not move the clock backwards");
         self.now = cycle;
         self.access_boundary();
     }
 
     /// The distinct `(channel, bank, row)` locations the currently staged
-    /// access *writes*, sorted — the footprint the pipelined driver
-    /// intersects against in-flight accesses' read footprints to detect
-    /// same-bucket/slot write-after-read hazards. Empty unless staging is
-    /// in force.
-    pub fn staged_write_footprint(&self, out: &mut Vec<(u8, u16, u64)>) {
+    /// access *writes*, sorted — the footprint the controller intersects
+    /// against in-flight accesses' read footprints to detect same-bucket/slot
+    /// write-after-read hazards. Empty unless staging is in force.
+    pub(crate) fn staged_write_footprint(&self, out: &mut Vec<(u8, u16, u64)>) {
         out.clear();
         out.extend(self.staged.iter().filter(|r| r.kind == MemOpKind::Write).map(|r| r.key));
         out.sort_unstable();
         out.dedup();
     }
 
-    /// Drains the identifiers of online reads issued since the last call.
-    pub fn take_online_reads(&mut self) -> Vec<RequestId> {
-        self.access_boundary();
-        std::mem::take(&mut self.online_reads)
-    }
-
-    /// Drains the identifiers of *all* requests issued since the last call
-    /// (the ORAM controller serializes on these: the next access begins
-    /// after the previous one's maintenance traffic completes).
-    pub fn take_all_requests(&mut self) -> Vec<RequestId> {
-        self.access_boundary();
-        self.tagged.clear();
-        std::mem::take(&mut self.all_requests)
-    }
-
     /// Drains every request issued since the last drain together with its
-    /// decoded `(channel, bank, row)` location and kind. The pipelined
-    /// driver keeps these in its in-flight window so a footprint conflict
-    /// can wait on exactly the same-row reads rather than the whole
-    /// access's eviction drain. Recorded only while pipelined staging is
-    /// on.
-    pub fn take_tagged_requests(&mut self) -> Vec<(RequestId, (u8, u16, u64), MemOpKind)> {
+    /// decoded `(channel, bank, row)` location and kind. The controller
+    /// keeps these in its in-flight window so a footprint conflict can wait
+    /// on exactly the same-row reads rather than the whole access's eviction
+    /// drain. Recorded only while pipelined staging is on.
+    pub(crate) fn take_tagged_requests(&mut self) -> Vec<(RequestId, (u8, u16, u64), MemOpKind)> {
         self.access_boundary();
         self.all_requests.clear();
         std::mem::take(&mut self.tagged)
-    }
-
-    /// The completion cycle of `id` (forces scheduling as needed).
-    pub fn completion_time(&mut self, id: RequestId) -> u64 {
-        self.memory.completion_time(id)
     }
 
     /// Resolves an in-flight access to its full completion cycle — the
@@ -471,27 +450,12 @@ impl TimingSink {
         gate
     }
 
-    /// Schedules every pending online read, clears the pending list and
-    /// returns `(latest completion cycle, read count)` — the allocation-free
-    /// equivalent of [`take_online_reads`](TimingSink::take_online_reads)
-    /// followed by per-id [`completion_time`](TimingSink::completion_time).
-    /// `floor` seeds the maximum (the access's start cycle).
-    pub fn drain_online_reads(&mut self, floor: u64) -> (u64, u64) {
-        self.access_boundary();
-        let mut done = floor;
-        for i in 0..self.online_reads.len() {
-            done = done.max(self.memory.completion_time(self.online_reads[i]));
-        }
-        let count = self.online_reads.len() as u64;
-        self.online_reads.clear();
-        (done, count)
-    }
-
     /// Schedules every pending online read and appends each one's completion
     /// cycle to `into` (unordered), clearing the pending list. The
-    /// channel-parallel drain: callers fold the individual completions
-    /// through [`aboram_crypto::CryptoLatency::overlapped_exit`] instead of
-    /// serializing the crypto burst after the latest one.
+    /// controller charges the crypto burst after the latest one (serial
+    /// issue) or folds the individual completions through
+    /// [`aboram_crypto::CryptoLatency::overlapped_exit_from`]
+    /// (channel-parallel issue).
     pub fn drain_online_read_times(&mut self, into: &mut Vec<u64>) {
         self.access_boundary();
         into.clear();
@@ -503,9 +467,7 @@ impl TimingSink {
 
     /// Schedules *every* request issued since the last drain, clears the
     /// pending list and returns the latest completion cycle (at least
-    /// `floor`) — the allocation-free equivalent of
-    /// [`take_all_requests`](TimingSink::take_all_requests) followed by
-    /// per-id completion lookups.
+    /// `floor`).
     pub fn drain_all_requests(&mut self, floor: u64) -> u64 {
         self.access_boundary();
         let mut done = floor;
@@ -556,19 +518,14 @@ impl TimingSink {
     }
 
     fn issue(&mut self, kind: MemOpKind, addr: u64, priority: Priority, tag: u32, online: bool) {
-        match self.issue_mode {
-            IssueMode::Serial if !self.pipelined => {
-                let id = self.memory.enqueue(kind, addr, priority, tag, self.now);
-                if online && kind == MemOpKind::Read {
-                    self.online_reads.push(id);
-                }
-                self.all_requests.push(id);
-            }
-            // Channel-parallel always stages; pipelined serial stages too
-            // (the access boundary releases in program order), so the
-            // driver can inspect the footprint before fixing arrival.
-            _ => self.stage(kind, addr, priority, tag, online),
+        if self.stages() {
+            return self.stage(kind, addr, priority, tag, online);
         }
+        let id = self.memory.enqueue(kind, addr, priority, tag, self.now);
+        if online && kind == MemOpKind::Read {
+            self.online_reads.push(id);
+        }
+        self.all_requests.push(id);
     }
 }
 
@@ -585,47 +542,41 @@ impl MemorySink for TimingSink {
 
     fn read_batch(&mut self, addrs: &[SlotAddr], op: OramOp, online: bool) {
         let pri = if online { Priority::Online } else { Priority::Offline };
-        match self.issue_mode {
-            IssueMode::Serial if !self.pipelined => {
-                let ids = self.memory.enqueue_batch(
-                    MemOpKind::Read,
-                    addrs.iter().map(|a| a.byte()),
-                    pri,
-                    op.tag(),
-                    self.now,
-                );
-                if online {
-                    self.online_reads.extend(ids.clone());
-                }
-                self.all_requests.extend(ids);
+        if self.stages() {
+            for &addr in addrs {
+                self.stage(MemOpKind::Read, addr.byte(), pri, op.tag(), online);
             }
-            _ => {
-                for &addr in addrs {
-                    self.stage(MemOpKind::Read, addr.byte(), pri, op.tag(), online);
-                }
-            }
+            return;
         }
+        let ids = self.memory.enqueue_batch(
+            MemOpKind::Read,
+            addrs.iter().map(|a| a.byte()),
+            pri,
+            op.tag(),
+            self.now,
+        );
+        if online {
+            self.online_reads.extend(ids.clone());
+        }
+        self.all_requests.extend(ids);
     }
 
     fn write_batch(&mut self, addrs: &[SlotAddr], op: OramOp, online: bool) {
         let pri = if online { Priority::Online } else { Priority::Offline };
-        match self.issue_mode {
-            IssueMode::Serial if !self.pipelined => {
-                let ids = self.memory.enqueue_batch(
-                    MemOpKind::Write,
-                    addrs.iter().map(|a| a.byte()),
-                    pri,
-                    op.tag(),
-                    self.now,
-                );
-                self.all_requests.extend(ids);
+        if self.stages() {
+            for &addr in addrs {
+                self.stage(MemOpKind::Write, addr.byte(), pri, op.tag(), online);
             }
-            _ => {
-                for &addr in addrs {
-                    self.stage(MemOpKind::Write, addr.byte(), pri, op.tag(), online);
-                }
-            }
+            return;
         }
+        let ids = self.memory.enqueue_batch(
+            MemOpKind::Write,
+            addrs.iter().map(|a| a.byte()),
+            pri,
+            op.tag(),
+            self.now,
+        );
+        self.all_requests.extend(ids);
     }
 }
 
@@ -655,10 +606,12 @@ mod tests {
         s.read(SlotAddr(0), OramOp::ReadPath, true);
         s.read(SlotAddr(4096), OramOp::EvictPath, false);
         s.write(SlotAddr(128), OramOp::EvictPath, false);
-        let online = s.take_online_reads();
+        let mut online = Vec::new();
+        s.drain_online_read_times(&mut online);
         assert_eq!(online.len(), 1);
-        assert!(s.completion_time(online[0]) > 100);
-        assert!(s.take_online_reads().is_empty(), "drained");
+        assert!(online[0] > 100);
+        s.drain_online_read_times(&mut online);
+        assert!(online.is_empty(), "drained");
         s.memory_mut().drain();
         assert_eq!(s.memory().stats().total_requests(), 3);
     }
@@ -681,12 +634,13 @@ mod tests {
         }
         assert!(!par.is_idle(), "requests stay staged until a drain");
 
-        let (serial_done, serial_n) = serial.drain_online_reads(10);
-        let mut times = Vec::new();
+        let (mut serial_times, mut times) = (Vec::new(), Vec::new());
+        serial.drain_online_read_times(&mut serial_times);
         par.drain_online_read_times(&mut times);
-        assert_eq!(times.len() as u64, serial_n);
+        assert_eq!(times.len(), serial_times.len());
         // The latest online completion exists in both modes (values may
         // differ; the request set may be serviced in a different order).
+        let serial_done = serial_times.iter().max().copied().unwrap_or(0);
         assert!(times.iter().max().copied().unwrap_or(0) > 0 && serial_done > 10);
 
         serial.drain_all_requests(serial_done);

@@ -2,9 +2,13 @@
 //! consumes no engine randomness and changes no protocol decision, so a
 //! fixed-seed timing run produces a bit-identical [`SimulationReport`]
 //! whether or not a collector is installed — and with none installed, the
-//! hooks are pure branch-not-taken overhead.
+//! hooks are pure branch-not-taken overhead. The same holds for the service
+//! path: a pipelined [`TimedBackend`] replies identically either way.
 
-use aboram_core::{OramConfig, Scheme, SimulationReport, TimingDriver};
+use aboram_core::{
+    AccessKind, BackendReply, OramConfig, Scheme, SimulationReport, StorageBackend, TimedBackend,
+    TimingDriver,
+};
 use aboram_dram::DramConfig;
 use aboram_telemetry::Collector;
 use aboram_trace::{profiles, TraceGenerator};
@@ -53,4 +57,36 @@ fn repeated_uninstrumented_runs_are_deterministic() {
     let (a, _) = fixed_run(Scheme::Ab, false);
     let (b, _) = fixed_run(Scheme::Ab, false);
     assert_eq!(a, b, "the fixed-seed simulation itself must be reproducible");
+}
+
+/// One fixed-seed service-shaped run on a depth-4 [`TimedBackend`]: the
+/// reply stream, the engine snapshot bytes, and (when instrumented) whether
+/// the controller reported window occupancy.
+fn fixed_backend_run(instrument: bool) -> (Vec<BackendReply>, Vec<u8>, bool) {
+    if instrument {
+        aboram_telemetry::install(Collector::to_shared_buffer().0);
+    }
+    let cfg = OramConfig::builder(10, Scheme::AbChannelPar).seed(77).build().unwrap();
+    let mut backend = TimedBackend::new(&cfg, DramConfig::default()).unwrap();
+    backend.set_pipeline_depth(4);
+    let replies = (0..300u64)
+        .map(|i| backend.access(i * 500, AccessKind::Read, (i * 37) % 256, None).unwrap())
+        .collect();
+    backend.quiesce();
+    let occupancy = instrument && {
+        let collector = aboram_telemetry::uninstall().expect("collector was installed");
+        let hists = collector.registry().run_hist_deltas();
+        hists.iter().any(|h| h.name() == "pipeline.occupancy" && h.total() == 300)
+            && collector.registry().counter("crypto.overlapped_blocks") > 0
+    };
+    (replies, backend.engine().snapshot().unwrap(), occupancy)
+}
+
+#[test]
+fn telemetry_does_not_perturb_a_pipelined_timed_backend() {
+    let (plain_replies, plain_engine, _) = fixed_backend_run(false);
+    let (replies, engine, occupancy) = fixed_backend_run(true);
+    assert_eq!(plain_replies, replies, "an installed collector must not change any reply");
+    assert_eq!(plain_engine, engine, "nor the engine state");
+    assert!(occupancy, "the controller reports occupancy and overlap for service runs too");
 }

@@ -61,37 +61,24 @@ impl CryptoLatency {
     /// of the whole burst waiting for the final reply.
     ///
     /// `completions` holds each block's DRAM completion cycle; it is sorted
-    /// in place (the pipeline consumes blocks in arrival order). A block
-    /// arriving at `c` can exit no earlier than `c + pipeline_fill`, and the
-    /// single pipeline retires at most one block per `per_block` cycles, so
+    /// in place (the pipeline consumes blocks in arrival order). `prev_exit`
+    /// is the cycle the previous burst's last block exited (0 for an idle
+    /// pipeline). A block arriving at `c` can exit no earlier than
+    /// `c + pipeline_fill`, and the single pipeline retires at most one
+    /// block per `per_block` cycles — *across* burst boundaries too — so
     ///
     /// ```text
-    /// exit_0 = c_0 + pipeline_fill
+    /// exit_0 = c_0 + pipeline_fill                              (idle pipeline)
+    /// exit_0 = max(c_0 + pipeline_fill, prev_exit + per_block)  (busy pipeline)
     /// exit_i = max(c_i + pipeline_fill, exit_{i-1} + per_block)
     /// ```
     ///
-    /// When every completion is equal (no DRAM spread to hide behind) this
-    /// degenerates exactly to `last + burst_cycles(n)` — the serialized
-    /// charge — and it can never exceed it.
-    pub fn overlapped_exit(&self, completions: &mut [u64]) -> u64 {
-        self.overlapped_exit_from(0, completions)
-    }
-
-    /// [`overlapped_exit`](Self::overlapped_exit) with the pipeline already
-    /// occupied: `prev_exit` is the cycle the previous burst's last block
-    /// exited, and the single pipeline still retires at most one block per
-    /// `per_block` cycles *across* burst boundaries —
-    ///
-    /// ```text
-    /// exit_0 = max(c_0 + pipeline_fill, prev_exit + per_block)
-    /// exit_i = max(c_i + pipeline_fill, exit_{i-1} + per_block)
-    /// ```
-    ///
-    /// The access-pipelined execution mode threads each access's exit into
-    /// the next access's drain, so back-to-back accesses share one crypto
-    /// pipeline instead of each getting a magically idle one. With
-    /// `prev_exit = 0` this is exactly `overlapped_exit` (a DRAM completion
-    /// plus the fill always exceeds one retire slot after cycle 0).
+    /// On an idle pipeline with every completion equal (no DRAM spread to
+    /// hide behind) this degenerates exactly to `last + burst_cycles(n)` —
+    /// the serialized charge — and it can never exceed it. The access
+    /// controller threads each in-flight access's exit into the next
+    /// access's drain, so back-to-back accesses share one crypto pipeline
+    /// instead of each getting a magically idle one.
     pub fn overlapped_exit_from(&self, prev_exit: u64, completions: &mut [u64]) -> u64 {
         let Some((&first, rest)) = ({
             completions.sort_unstable();
@@ -99,8 +86,8 @@ impl CryptoLatency {
         }) else {
             return 0;
         };
-        // An empty pipeline (prev_exit 0) charges the first block no retire
-        // slot — the overlapped_exit formula, bit-exact.
+        // An idle pipeline (prev_exit 0) charges the first block no retire
+        // slot.
         let floor = if prev_exit == 0 { 0 } else { prev_exit + self.per_block };
         let mut exit = (first + self.pipeline_fill).max(floor);
         for &c in rest {
@@ -139,9 +126,9 @@ mod tests {
     fn overlapped_exit_degenerates_to_serial_on_equal_completions() {
         let lat = CryptoLatency::new(40, 2);
         let mut same = [500u64; 14];
-        assert_eq!(lat.overlapped_exit(&mut same), 500 + lat.burst_cycles(14));
-        assert_eq!(lat.overlapped_exit(&mut []), 0);
-        assert_eq!(lat.overlapped_exit(&mut [7]), 47);
+        assert_eq!(lat.overlapped_exit_from(0, &mut same), 500 + lat.burst_cycles(14));
+        assert_eq!(lat.overlapped_exit_from(0, &mut []), 0);
+        assert_eq!(lat.overlapped_exit_from(0, &mut [7]), 47);
     }
 
     #[test]
@@ -151,21 +138,17 @@ mod tests {
         // block but the last finishes decrypting before the last reply, so
         // only the final block's fill remains exposed.
         let mut spread = [100, 200, 300, 400];
-        assert_eq!(lat.overlapped_exit(&mut spread), 440);
+        assert_eq!(lat.overlapped_exit_from(0, &mut spread), 440);
         // Never worse than serializing after the last reply, whatever the
         // arrival pattern (input order irrelevant — sorted internally).
         let mut jumbled = [390, 100, 385, 380];
         let serial = 390 + lat.burst_cycles(4);
-        assert!(lat.overlapped_exit(&mut jumbled) <= serial);
+        assert!(lat.overlapped_exit_from(0, &mut jumbled) <= serial);
     }
 
     #[test]
     fn overlapped_exit_from_carries_the_pipeline_across_bursts() {
         let lat = CryptoLatency::new(40, 2);
-        // Floor 0 is exactly the single-burst formula.
-        let mut a = [100, 200, 300, 400];
-        let mut b = a;
-        assert_eq!(lat.overlapped_exit_from(0, &mut a), lat.overlapped_exit(&mut b));
         // A busy pipeline delays a burst whose first block would otherwise
         // exit before the previous burst finished retiring.
         let mut tight = [10, 11, 12];
@@ -178,6 +161,6 @@ mod tests {
         // only delay.
         let mut x = [50, 60, 70];
         let mut y = x;
-        assert!(lat.overlapped_exit_from(80, &mut x) >= lat.overlapped_exit(&mut y));
+        assert!(lat.overlapped_exit_from(80, &mut x) >= lat.overlapped_exit_from(0, &mut y));
     }
 }

@@ -59,7 +59,7 @@ pub struct StoreConfig {
     /// recursion ladder): 1 (the default) is the classic serialized
     /// controller; deeper windows let an access's read phase issue while
     /// earlier accesses' eviction/writeback traffic drains (see
-    /// [`TimedBackend::set_pipeline_depth`]). Untimed backends ignore it.
+    /// [`StorageBackend::set_pipeline_depth`]). Untimed backends ignore it.
     pub pipeline_depth: u8,
 }
 
