@@ -433,6 +433,31 @@ mod tests {
     }
 
     #[test]
+    fn timed_backend_keeps_dram_request_state_bounded() {
+        for depth in [1u8, 4] {
+            let mut b = TimedBackend::new(&cfg(), DramConfig::default()).unwrap();
+            b.set_pipeline_depth(depth);
+            let (mut largest, mut peak) = (0u64, 0u64);
+            for i in 0..2_000u64 {
+                let before = b.ctl.requests_issued();
+                match i % 3 {
+                    0 => b.access(i * 50, AccessKind::Write, i % 23, Some([i as u8; BLOCK_BYTES])),
+                    1 => b.dummy_access(i * 50),
+                    _ => b.access(i * 50, AccessKind::Read, i % 23, None),
+                }
+                .unwrap();
+                largest = largest.max(b.ctl.requests_issued() - before);
+                let tracked = b.ctl.memory().tracked_requests() as u64;
+                assert!(tracked <= u64::from(depth) * largest, "depth {depth} access {i}");
+                peak = peak.max(tracked);
+            }
+            assert_eq!(peak > 0, depth > 1, "only a window keeps slots between accesses");
+            b.quiesce();
+            assert_eq!(b.ctl.memory().tracked_requests(), 0, "depth {depth}");
+        }
+    }
+
+    #[test]
     fn controller_serializes_early_arrivals() {
         let mut backend = UntimedBackend::new(&cfg()).unwrap();
         let a = backend.access(0, AccessKind::Read, 1, None).unwrap();

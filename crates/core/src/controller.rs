@@ -21,6 +21,12 @@
 //! full drain, so the issue gate alone serializes and requests enqueue as the
 //! engine emits them (no staging). At depth > 1 the whole access is staged,
 //! its footprint inspected, and the gates fix its start before release.
+//!
+//! The controller also ends each request's life in the DRAM twin
+//! ([`MemorySystem::retire`]): at depth 1 the sink retires an access's ids
+//! as it drains them into `free_at`; at depth > 1 the ids live in the window
+//! and are retired once their entry has been resolved and popped. Live
+//! per-request state is therefore bounded by depth × access size.
 
 use crate::config::IssueMode;
 use crate::fault::FaultInjectingSink;
@@ -99,6 +105,12 @@ impl AccessController {
     /// The DRAM twin.
     pub(crate) fn memory(&self) -> &MemorySystem {
         self.sink.inner().memory()
+    }
+
+    /// Requests handed to the DRAM twin so far: serviced plus queued.
+    #[cfg(test)]
+    pub(crate) fn requests_issued(&self) -> u64 {
+        self.memory().stats().total_requests() + self.memory().pending() as u64
     }
 
     /// Mutable DRAM twin (stall injection, final drain).
@@ -238,6 +250,11 @@ impl AccessController {
             let oldest = self.window.pop_front().expect("non-empty window");
             gate = gate.max(sink.resolve_inflight(oldest));
         }
+        // The accesses that left the window are resolved and nothing holds
+        // their ids any more: end their per-request state in the DRAM twin.
+        let oldest_live = self.window.iter().find_map(|e| e.reqs.first()).map(|&(id, _, _)| id);
+        let memory = sink.memory_mut();
+        memory.retire(oldest_live.unwrap_or_else(|| memory.next_request_id()));
         // Write-after-read: this access's writebacks must not land in a
         // `(channel, bank, row)` an in-flight access has not finished
         // reading. RAW and WAW need no gate (see `TimingSink::conflict_gate`).
@@ -250,12 +267,15 @@ impl AccessController {
 
     /// Resolves every in-flight access, folds the completions into
     /// `free_at` and returns it. The controller is then exactly the state a
-    /// snapshot captures: empty window, idle crypto pipeline.
+    /// snapshot captures: empty window, idle crypto pipeline, and — every
+    /// id being resolved and unheld — no live request in the DRAM twin.
     pub(crate) fn quiesce(&mut self) -> u64 {
         let mut free = self.free_at.max(self.prev_online_done).max(self.crypto_exit);
         while let Some(entry) = self.window.pop_front() {
             free = free.max(self.sink.inner_mut().resolve_inflight(entry));
         }
+        let memory = self.memory_mut();
+        memory.retire(memory.next_request_id());
         self.free_at = free;
         self.prev_online_done = 0;
         self.crypto_exit = 0;

@@ -151,7 +151,10 @@ impl SimulationReport {
 /// v5: the access-pipeline depth joined the stream. The in-flight window
 /// itself is empty between runs (snapshots are quiescent-only), so the depth
 /// knob is the only new state.
-pub const DRIVER_SNAPSHOT_VERSION: u32 = 5;
+///
+/// v6: rides the memory-system v3 bump (the embedded ABSM stream no longer
+/// carries per-request tables), so cache keys roll and stale entries re-warm.
+pub const DRIVER_SNAPSHOT_VERSION: u32 = 6;
 
 /// Magic bytes opening every full-driver snapshot stream.
 const DRIVER_SNAPSHOT_MAGIC: [u8; 4] = *b"ABSD";
@@ -465,6 +468,38 @@ impl TimingDriver {
         Ok(())
     }
 
+    /// Takes one trace record through the core, the controller and the
+    /// engine, and returns `(issue, start, done)`: when the core issued the
+    /// miss, when its requests reached DRAM, and when its data was usable.
+    fn step(&mut self, rec: &TraceRecord, block_count: u64) -> Result<(u64, u64, u64), OramError> {
+        aboram_telemetry::record_mark();
+        let issue = self.cpu.issue_op(rec.inst_gap);
+
+        // Every LLC miss (read or writeback) is one ORAM access.
+        let block = (rec.addr / 64) % block_count;
+        let kind = match rec.op {
+            MemOp::Read => AccessKind::Read,
+            MemOp::Write => AccessKind::Write,
+        };
+
+        self.ctl.begin(issue);
+        // Recursive position-map fetches (extension study) precede the
+        // data access: each PLB miss is one more full access, issued
+        // under the same start cycle (at depth > 1 serial staging
+        // preserves their parent→child program order).
+        if let Some(model) = &mut self.posmap_model {
+            for _ in 0..model.access(block) {
+                self.oram.dummy_access(self.ctl.sink_mut())?;
+            }
+        }
+        self.oram.access(kind, block, None, self.ctl.sink_mut())?;
+        let (start, done) = self.ctl.finish(issue);
+        if rec.op == MemOp::Read {
+            self.cpu.complete_read_at(done);
+        }
+        Ok((issue, start, done))
+    }
+
     /// Runs the trace to completion and reports results.
     ///
     /// # Errors
@@ -531,34 +566,9 @@ impl TimingDriver {
         for rec in trace {
             records += 1;
             instructions += u64::from(rec.inst_gap) + 1;
-            aboram_telemetry::record_mark();
-            let issue = self.cpu.issue_op(rec.inst_gap);
-
-            // Every LLC miss (read or writeback) is one ORAM access.
-            let block = (rec.addr / 64) % block_count;
-            let kind = match rec.op {
-                MemOp::Read => AccessKind::Read,
-                MemOp::Write => AccessKind::Write,
-            };
-
-            self.ctl.begin(issue);
-            // Recursive position-map fetches (extension study) precede the
-            // data access: each PLB miss is one more full access, issued
-            // under the same start cycle (at depth > 1 serial staging
-            // preserves their parent→child program order).
-            if let Some(model) = &mut self.posmap_model {
-                for _ in 0..model.access(block) {
-                    self.oram.dummy_access(self.ctl.sink_mut())?;
-                }
-            }
-            self.oram.access(kind, block, None, self.ctl.sink_mut())?;
-            let (start, done) = self.ctl.finish(issue);
-
+            let (issue, start, done) = self.step(&rec, block_count)?;
             online_latency_cycles += done.saturating_sub(start);
             response_latency_cycles += done.saturating_sub(issue);
-            if rec.op == MemOp::Read {
-                self.cpu.complete_read_at(done);
-            }
         }
 
         // The controller is free once every in-flight access's maintenance
@@ -857,6 +867,49 @@ mod snapshot_tests {
         }
         let tail_restored = restored.run((0..80).map(|_| gen.next_record())).unwrap();
         assert_eq!(tail_live, tail_restored, "restored grown driver is cycle-identical");
+    }
+
+    #[test]
+    fn dram_request_state_is_bounded_by_the_window_not_the_run() {
+        let profile = profiles::spec2017().into_iter().find(|p| p.name == "mcf").unwrap();
+        for (scheme, depth) in [
+            (Scheme::Ab, 1u8),
+            (Scheme::AbChannelPar, 1),
+            (Scheme::Ab, 4),
+            (Scheme::AbChannelPar, 4),
+        ] {
+            let mut d = driver_with(scheme);
+            d.set_pipeline_depth(depth);
+            let mut gen = TraceGenerator::new(&profile, 5);
+            let blocks = d.oram.block_count();
+            let (mut largest, mut peak) = (0u64, 0u64);
+            for i in 0..5_000 {
+                let before = d.ctl.requests_issued();
+                d.step(&gen.next_record(), blocks).unwrap();
+                largest = largest.max(d.ctl.requests_issued() - before);
+                let tracked = d.ctl.memory().tracked_requests() as u64;
+                assert!(
+                    tracked <= u64::from(depth) * largest,
+                    "{scheme:?} depth {depth} record {i}: {tracked} live slots, largest access {largest}"
+                );
+                peak = peak.max(tracked);
+            }
+            assert_eq!(
+                peak > 0,
+                depth > 1,
+                "{scheme:?}: only a window keeps slots between records"
+            );
+
+            // `run` ends quiesced, and what a snapshot then says about the
+            // driver and its DRAM twin has the same length after 10× the
+            // traffic (the engine's own stream varies with stash occupancy).
+            let mut outer_len = |records: usize| {
+                d.run((0..records).map(|_| gen.next_record())).unwrap();
+                assert_eq!(d.ctl.memory().tracked_requests(), 0, "{scheme:?} depth {depth}");
+                d.snapshot().unwrap().len() - d.oram.snapshot().unwrap().len()
+            };
+            assert_eq!(outer_len(100), outer_len(1_000), "{scheme:?} depth {depth}");
+        }
     }
 
     #[test]

@@ -227,12 +227,14 @@ pub struct TimingSink {
     memory: MemorySystem,
     now: u64,
     online_reads: Vec<RequestId>,
+    /// Undrained requests issued while *not* pipelined.
     all_requests: Vec<RequestId>,
     issue_mode: IssueMode,
     staged: Vec<StagedRequest>,
     pipelined: bool,
-    /// Per-request `(channel, bank, row)` tags and kinds, parallel to
-    /// `all_requests`; recorded only while pipelined staging is on.
+    /// Undrained requests issued while pipelined, with their `(channel,
+    /// bank, row)` locations and kinds. Every id is recorded once: here or
+    /// in `all_requests`, never both.
     tagged: Vec<(RequestId, (u8, u16, u64), MemOpKind)>,
 }
 
@@ -359,9 +361,10 @@ impl TimingSink {
             if r.online && r.kind == MemOpKind::Read {
                 self.online_reads.push(id);
             }
-            self.all_requests.push(id);
             if self.pipelined {
                 self.tagged.push((id, r.key, r.kind));
+            } else {
+                self.all_requests.push(id);
             }
         }
         self.staged = staged;
@@ -400,14 +403,14 @@ impl TimingSink {
         out.dedup();
     }
 
-    /// Drains every request issued since the last drain together with its
-    /// decoded `(channel, bank, row)` location and kind. The controller
-    /// keeps these in its in-flight window so a footprint conflict can wait
-    /// on exactly the same-row reads rather than the whole access's eviction
-    /// drain. Recorded only while pipelined staging is on.
+    /// Hands over every request issued under pipelined staging since the
+    /// last drain, with its decoded `(channel, bank, row)` location and
+    /// kind. The controller keeps these in its in-flight window so a
+    /// footprint conflict can wait on exactly the same-row reads rather than
+    /// the whole access's eviction drain — and owns their lifetime from here
+    /// on: it retires them from the memory system once the access resolves.
     pub(crate) fn take_tagged_requests(&mut self) -> Vec<(RequestId, (u8, u16, u64), MemOpKind)> {
         self.access_boundary();
-        self.all_requests.clear();
         std::mem::take(&mut self.tagged)
     }
 
@@ -466,16 +469,29 @@ impl TimingSink {
     }
 
     /// Schedules *every* request issued since the last drain, clears the
-    /// pending list and returns the latest completion cycle (at least
+    /// pending lists and returns the latest completion cycle (at least
     /// `floor`).
+    ///
+    /// The drained ids are dead — nothing holds them any more — so the
+    /// memory system retires them: at depth 1 this is where an access's
+    /// per-request state ends. Online reads still awaiting
+    /// [`drain_online_read_times`](TimingSink::drain_online_read_times) bound
+    /// the retirement. Ids the access controller took into its in-flight
+    /// window (depth > 1) are its to retire; it never mixes the two drains,
+    /// quiescing the window before dropping to depth 1.
     pub fn drain_all_requests(&mut self, floor: u64) -> u64 {
         self.access_boundary();
         let mut done = floor;
-        for i in 0..self.all_requests.len() {
-            done = done.max(self.memory.completion_time(self.all_requests[i]));
+        for &id in &self.all_requests {
+            done = done.max(self.memory.completion_time(id));
+        }
+        for &(id, _, _) in &self.tagged {
+            done = done.max(self.memory.completion_time(id));
         }
         self.all_requests.clear();
         self.tagged.clear();
+        let live = self.online_reads.first().copied();
+        self.memory.retire(live.unwrap_or_else(|| self.memory.next_request_id()));
         done
     }
 
@@ -703,6 +719,44 @@ mod tests {
             plain.memory().stats().bytes_transferred(),
             piped.memory().stats().bytes_transferred()
         );
+    }
+
+    #[test]
+    fn each_request_is_recorded_once_and_retired_by_its_owner() {
+        let addrs: Vec<SlotAddr> = (0..6).map(|i| SlotAddr(i * 4096)).collect();
+
+        // Unpipelined: the sink owns the ids until `drain_all_requests`,
+        // which retires all but the online reads still awaiting their drain.
+        let mut plain = TimingSink::new(MemorySystem::new(DramConfig::default()));
+        plain.read_batch(&addrs[..2], OramOp::Metadata, false);
+        plain.read_batch(&addrs[2..4], OramOp::ReadPath, true);
+        plain.write_batch(&addrs[4..], OramOp::EvictPath, false);
+        assert!(plain.tagged.is_empty() && plain.all_requests.len() == 6);
+        plain.drain_all_requests(0);
+        assert_eq!(plain.memory().tracked_requests(), 4, "ids from the first online read on stay");
+        let mut online = Vec::new();
+        plain.drain_online_read_times(&mut online);
+        assert_eq!(online.len(), 2);
+        plain.drain_all_requests(0);
+        assert!(plain.is_idle());
+        assert_eq!(plain.memory().tracked_requests(), 0);
+
+        // Pipelined: ids are recorded in `tagged` only, and a hand-over
+        // leaves their lifetime to the caller.
+        let mut piped = TimingSink::new(MemorySystem::new(DramConfig::default()));
+        piped.set_pipelined(true);
+        piped.write_batch(&addrs, OramOp::EvictPath, false);
+        piped.release_at(10);
+        assert!(piped.all_requests.is_empty() && piped.tagged.len() == 6 && !piped.is_idle());
+        let taken = piped.take_tagged_requests();
+        assert!(taken.len() == 6 && piped.is_idle());
+        piped.drain_all_requests(0);
+        assert_eq!(piped.memory().tracked_requests(), 6, "unresolved, so not the sink's to retire");
+        piped.resolve_inflight(InflightAccess::from_tagged(taken));
+        piped.write_batch(&addrs, OramOp::EvictPath, false);
+        piped.release_at(20);
+        assert!(piped.drain_all_requests(0) > 20 && piped.is_idle());
+        assert_eq!(piped.memory().tracked_requests(), 0);
     }
 
     #[test]

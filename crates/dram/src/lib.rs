@@ -32,6 +32,9 @@
 //! let id = mem.enqueue(MemOpKind::Read, 0x4000, Priority::Online, 0, 0);
 //! let done = mem.completion_time(id);
 //! assert!(done > 0);
+//! // Long runs: once nobody will ask for `id` again, let its slot go.
+//! mem.retire(mem.next_request_id());
+//! assert_eq!(mem.tracked_requests(), 0);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -19,6 +19,12 @@ pub(crate) const TAG_SLOTS: usize = 8;
 /// which lazily runs the affected channel forward until that request has
 /// been serviced.
 ///
+/// A request's slot (9 B) lives until its owner calls
+/// [`retire`](MemorySystem::retire) past it; a caller that never retires may
+/// query every id for the whole run and pays memory proportional to the run
+/// length. Retirement is bookkeeping only: it never runs a channel, so the
+/// simulated schedule and [`MemoryStats`] are the same with or without it.
+///
 /// # Example
 ///
 /// ```
@@ -28,6 +34,9 @@ pub(crate) const TAG_SLOTS: usize = 8;
 /// let a = mem.enqueue(MemOpKind::Read, 0, Priority::Online, 0, 0);
 /// let b = mem.enqueue(MemOpKind::Read, 64, Priority::Online, 0, 0);
 /// assert!(mem.completion_time(b) > mem.completion_time(a));
+/// // Both are resolved and nobody will ask again: forget them.
+/// mem.retire(mem.next_request_id());
+/// assert_eq!(mem.tracked_requests(), 0);
 /// mem.drain();
 /// assert_eq!(mem.stats().total_requests(), 2);
 /// ```
@@ -36,12 +45,12 @@ pub struct MemorySystem {
     cfg: DramConfig,
     channels: Vec<Channel>,
     stats: MemoryStats,
-    /// Completion cycle per request, indexed by the request's raw id
-    /// ([`NOT_DONE`] until scheduled). Ids are dense and monotonic, so a
-    /// flat `Vec` replaces the old per-request hash maps — same semantics,
-    /// no hashing on the hot path.
+    /// Raw id of slot 0 of the two tables below: the retirement mark. Ids
+    /// are dense and monotonic, so request `id` lives at `id - base`.
+    base: u64,
+    /// Completion cycle per live request ([`NOT_DONE`] until scheduled).
     completions: Vec<u64>,
-    /// Owning channel per request, indexed by raw id.
+    /// Owning channel per live request.
     routing: Vec<u8>,
 }
 
@@ -86,6 +95,7 @@ impl MemorySystem {
             cfg,
             channels,
             stats: MemoryStats::new(TAG_SLOTS),
+            base: 0,
             completions: Vec::new(),
             routing: Vec::new(),
         }
@@ -114,8 +124,8 @@ impl MemorySystem {
         tag: u32,
         now: u64,
     ) -> RequestId {
-        let id = self.enqueue_inner(kind, addr, priority, tag, now);
-        let depth = self.channels[self.routing[id.0 as usize] as usize].queue_depth();
+        let (id, channel) = self.enqueue_inner(kind, addr, priority, tag, now);
+        let depth = self.channels[channel as usize].queue_depth();
         aboram_telemetry::gauge("dram.queue_depth", depth as f64);
         id
     }
@@ -133,17 +143,16 @@ impl MemorySystem {
         tag: u32,
         now: u64,
     ) -> RequestIdRange {
-        let start = self.routing.len() as u64;
+        let start = self.next_request_id().0;
         let mut last_channel = None;
         for addr in addrs {
-            let id = self.enqueue_inner(kind, addr, priority, tag, now);
-            last_channel = Some(self.routing[id.0 as usize]);
+            last_channel = Some(self.enqueue_inner(kind, addr, priority, tag, now).1);
         }
         if let Some(ch) = last_channel {
             let depth = self.channels[ch as usize].queue_depth();
             aboram_telemetry::gauge("dram.queue_depth", depth as f64);
         }
-        RequestIdRange { next: start, end: self.routing.len() as u64 }
+        RequestIdRange { next: start, end: self.next_request_id().0 }
     }
 
     fn enqueue_inner(
@@ -153,31 +162,74 @@ impl MemorySystem {
         priority: Priority,
         tag: u32,
         now: u64,
-    ) -> RequestId {
-        let id = RequestId(self.routing.len() as u64);
+    ) -> (RequestId, u8) {
+        let id = self.next_request_id();
         let decoded = decode(&self.cfg, addr);
         self.routing.push(decoded.channel);
         self.completions.push(NOT_DONE);
         self.channels[decoded.channel as usize].enqueue(id, kind, priority, tag, decoded, now);
-        id
+        (id, decoded.channel)
+    }
+
+    /// The id the next enqueued request will get — one past the newest id
+    /// minted so far, so `retire(next_request_id())` covers every request.
+    pub fn next_request_id(&self) -> RequestId {
+        RequestId(self.base + self.routing.len() as u64)
+    }
+
+    /// Requests whose completion/routing slot is still held: everything
+    /// enqueued and not yet [`retire`](MemorySystem::retire)d.
+    pub fn tracked_requests(&self) -> usize {
+        self.routing.len()
+    }
+
+    /// Forgets the longest fully-resolved prefix of requests with ids below
+    /// `below`. A request is resolved once a
+    /// [`completion_time`](MemorySystem::completion_time) query or a
+    /// [`drain`](MemorySystem::drain) has scheduled it; the first unresolved
+    /// id stops the retirement, so a still-queued request is never lost.
+    ///
+    /// The caller asserts that nobody will ask for a retired id's completion
+    /// time again (doing so panics). Nothing else observes retirement: no
+    /// channel runs, no statistic moves, and ids keep counting from where
+    /// they were.
+    pub fn retire(&mut self, below: RequestId) {
+        let limit = (below.0.saturating_sub(self.base) as usize).min(self.completions.len());
+        let n = self.completions[..limit].iter().take_while(|&&done| done != NOT_DONE).count();
+        self.completions.drain(..n);
+        self.routing.drain(..n);
+        self.base += n as u64;
     }
 
     /// Returns the CPU cycle at which `id` finishes its data burst, running
-    /// the owning channel forward as needed.
+    /// the owning channel forward as needed. The answer is memoized until
+    /// the request is retired.
     ///
     /// # Panics
     ///
-    /// Panics if `id` was never enqueued (caller bug).
+    /// Both are caller bugs:
+    ///
+    /// * "never enqueued" — `id` is at or past
+    ///   [`next_request_id`](MemorySystem::next_request_id) (a handle from
+    ///   another memory system);
+    /// * "already retired" — `id` is below the mark a
+    ///   [`retire`](MemorySystem::retire) call advanced.
     pub fn completion_time(&mut self, id: RequestId) -> u64 {
-        let done = self.completions[id.0 as usize];
+        let slot = match id.0.checked_sub(self.base) {
+            None => panic!("request {id:?} already retired"),
+            Some(slot) if slot < self.routing.len() as u64 => slot as usize,
+            Some(_) => panic!("request {id:?} never enqueued"),
+        };
+        let done = self.completions[slot];
         if done != NOT_DONE {
             return done;
         }
-        let channel = self.routing[id.0 as usize];
+        let channel = self.routing[slot];
         loop {
             match self.channels[channel as usize].schedule_one(&mut self.stats) {
                 Some((done_id, t)) => {
-                    self.completions[done_id.0 as usize] = t;
+                    // Queued requests are unresolved, hence never retired.
+                    self.completions[(done_id.0 - self.base) as usize] = t;
                     if done_id == id {
                         return t;
                     }
@@ -191,7 +243,7 @@ impl MemorySystem {
     pub fn drain(&mut self) {
         for ch in &mut self.channels {
             while let Some((id, t)) = ch.schedule_one(&mut self.stats) {
-                self.completions[id.0 as usize] = t;
+                self.completions[(id.0 - self.base) as usize] = t;
             }
         }
     }
@@ -225,15 +277,16 @@ impl MemorySystem {
         &self.stats
     }
 
-    /// Serializes the memory system's complete state — per-request
-    /// completion/routing tables, statistics and per-channel scheduler state
-    /// (open rows, activate history, bus/clock cursors, stall windows) — so
-    /// that [`restore`](MemorySystem::restore) followed by any request
-    /// sequence behaves cycle-identically to this instance running the same
-    /// sequence.
+    /// Serializes the memory system's complete state — the next request id,
+    /// statistics and per-channel scheduler state (open rows, activate
+    /// history, bus/clock cursors, stall windows) — so that
+    /// [`restore`](MemorySystem::restore) followed by any request sequence
+    /// behaves cycle-identically to this instance running the same sequence.
     ///
     /// Snapshots are quiescent-only: call [`drain`](MemorySystem::drain)
-    /// first.
+    /// first. Nothing is queued then, so no per-request slot is live state:
+    /// the stream has the same length after any amount of traffic, and a
+    /// restored system starts with every earlier id retired.
     ///
     /// # Errors
     ///
@@ -246,14 +299,7 @@ impl MemorySystem {
         w.bytes(&DRAM_SNAPSHOT_MAGIC);
         w.u32(DRAM_SNAPSHOT_VERSION);
         w.u64(dram_config_digest(&self.cfg));
-        w.u64(self.completions.len() as u64);
-        for &c in &self.completions {
-            w.u64(c);
-        }
-        w.u64(self.routing.len() as u64);
-        for &ch in &self.routing {
-            w.u8(ch);
-        }
+        w.u64(self.next_request_id().0);
         self.stats.snapshot_into(&mut w);
         w.u64(self.channels.len() as u64);
         for ch in &self.channels {
@@ -293,19 +339,7 @@ impl MemorySystem {
         if r.u64()? != dram_config_digest(&cfg) {
             return Err(CodecError::new("configuration digest mismatch"));
         }
-        let n_completions = r.len_prefix(8)?;
-        let mut completions = Vec::with_capacity(n_completions);
-        for _ in 0..n_completions {
-            completions.push(r.u64()?);
-        }
-        let n_routing = r.len_prefix(1)?;
-        if n_routing != n_completions {
-            return Err(CodecError::new("routing and completion tables disagree"));
-        }
-        let mut routing = Vec::with_capacity(n_routing);
-        for _ in 0..n_routing {
-            routing.push(r.u8()?);
-        }
+        let base = r.u64()?;
         let stats = MemoryStats::restore_from(&mut r)?;
         let n_channels = r.len_prefix(1)?;
         if n_channels != usize::from(cfg.channels) {
@@ -318,7 +352,14 @@ impl MemorySystem {
         if r.remaining() != 0 {
             return Err(CodecError::new("trailing bytes after memory-system body"));
         }
-        Ok(MemorySystem { cfg, channels, stats, completions, routing })
+        Ok(MemorySystem {
+            cfg,
+            channels,
+            stats,
+            base,
+            completions: Vec::new(),
+            routing: Vec::new(),
+        })
     }
 }
 
@@ -326,7 +367,10 @@ impl MemorySystem {
 /// timing behavior changes, so stale cached state is never replayed.
 ///
 /// v2: [`MemoryStats`] grew per-channel and per-bank occupancy vectors.
-pub const DRAM_SNAPSHOT_VERSION: u32 = 2;
+///
+/// v3: the per-request completion/routing tables left the stream; only the
+/// next request id remains (quiescent systems have no live request).
+pub const DRAM_SNAPSHOT_VERSION: u32 = 3;
 
 /// Magic bytes opening every memory-system snapshot stream.
 const DRAM_SNAPSHOT_MAGIC: [u8; 4] = *b"ABSM";
@@ -388,11 +432,11 @@ mod tests {
         let bytes = warmed.snapshot().unwrap();
         let mut restored = MemorySystem::restore(cfg, &bytes).unwrap();
         assert_eq!(warmed.stats(), restored.stats());
+        assert_eq!(restored.next_request_id(), RequestId(500), "ids continue, not restart");
+        assert_eq!(restored.tracked_requests(), 0, "a quiescent system has no live request");
 
         // Both instances must service identical further traffic at identical
-        // cycles, including completion_time queries on pre-snapshot ids.
-        let old_id = RequestId(42);
-        assert_eq!(warmed.completion_time(old_id), restored.completion_time(old_id));
+        // cycles.
         for i in 0..200u64 {
             let addr = (i * 53 % 512) * 64;
             let now = 10_000 + i * 7;
@@ -424,6 +468,76 @@ mod tests {
         corrupt[mid] ^= 0x01;
         assert!(MemorySystem::restore(cfg, &corrupt).is_err(), "corruption must be detected");
         assert!(MemorySystem::restore(cfg, &bytes[..bytes.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_the_previous_format_version() {
+        let cfg = DramConfig::default();
+        let mut bytes = MemorySystem::new(cfg).snapshot().unwrap();
+        bytes.truncate(bytes.len() - 8);
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let digest = fnv1a64(&bytes);
+        bytes.extend_from_slice(&digest.to_le_bytes());
+        let err = MemorySystem::restore(cfg, &bytes).unwrap_err();
+        assert!(err.to_string().contains("snapshot version 2, simulator expects 3"), "{err}");
+    }
+
+    #[test]
+    fn snapshot_length_does_not_grow_with_traffic() {
+        let cfg = DramConfig::default();
+        let mut mem = MemorySystem::new(cfg);
+        let mut lens = Vec::new();
+        for (round, n) in [(0u64, 1_000u64), (1, 9_000)] {
+            // A row per request: every rank's tFAW history fills in round 0.
+            for i in 0..n {
+                mem.enqueue(MemOpKind::Read, i * cfg.row_bytes, Priority::Online, 0, round << 32);
+            }
+            mem.drain();
+            lens.push(mem.snapshot().unwrap().len());
+        }
+        assert_eq!(lens[0], lens[1], "10× the requests, the same stream length");
+    }
+
+    #[test]
+    fn retire_stops_at_the_first_unresolved_request() {
+        let cfg = DramConfig::default();
+        let mut mem = MemorySystem::new(cfg);
+        // Ids 0 and 2 on channel 0, id 1 on another channel.
+        mem.enqueue(MemOpKind::Read, 0, Priority::Online, 0, 0);
+        let b = mem.enqueue(MemOpKind::Read, cfg.row_bytes, Priority::Online, 0, 0);
+        let c = mem.enqueue(MemOpKind::Read, 64, Priority::Online, 0, 0);
+        let tc = mem.completion_time(c);
+        mem.retire(mem.next_request_id());
+        assert_eq!(mem.tracked_requests(), 2, "id 1 is still queued: only id 0 may go");
+        assert_eq!(mem.completion_time(c), tc, "a resolved id behind the stop stays memoized");
+        let tb = mem.completion_time(b);
+        mem.retire(b);
+        assert_eq!(mem.tracked_requests(), 2, "retiring below the mark again is a no-op");
+        mem.retire(c);
+        assert_eq!(mem.tracked_requests(), 1, "the bound is exclusive");
+        mem.retire(mem.next_request_id());
+        assert_eq!(mem.tracked_requests(), 0);
+        let d = mem.enqueue(MemOpKind::Read, 128, Priority::Online, 0, tb.max(tc));
+        assert_eq!(d, RequestId(3), "ids keep counting across retirement");
+        assert!(mem.completion_time(d) > tc);
+    }
+
+    #[test]
+    #[should_panic(expected = "already retired")]
+    fn completion_time_of_a_retired_request_panics() {
+        let mut mem = MemorySystem::new(DramConfig::default());
+        let id = mem.enqueue(MemOpKind::Read, 0, Priority::Online, 0, 0);
+        mem.completion_time(id);
+        mem.retire(mem.next_request_id());
+        mem.completion_time(id);
+    }
+
+    #[test]
+    #[should_panic(expected = "never enqueued")]
+    fn completion_time_of_an_unknown_request_panics() {
+        let mut mem = MemorySystem::new(DramConfig::default());
+        mem.enqueue(MemOpKind::Read, 0, Priority::Online, 0, 0);
+        mem.completion_time(RequestId(1));
     }
 
     #[test]

@@ -109,7 +109,7 @@ fn depth_one_is_bitexact_with_untouched_driver() {
     }
 }
 
-/// The driver snapshot round-trips the pipeline depth (ABSD v5) and a
+/// The driver snapshot round-trips the pipeline depth (ABSD, since v5) and a
 /// restored driver picks up where the original would have.
 #[test]
 fn snapshot_round_trips_pipeline_depth() {
@@ -124,7 +124,7 @@ fn snapshot_round_trips_pipeline_depth() {
     let snap = driver.snapshot().expect("driver snapshots");
     let mut restored =
         TimingDriver::restore(&cfg, DramConfig::default(), &snap).expect("driver restores");
-    assert_eq!(restored.pipeline_depth(), 4, "ABSD v5 must carry the depth");
+    assert_eq!(restored.pipeline_depth(), 4, "ABSD must carry the depth");
 
     let second = restored.run((0..RECORDS / 2).map(|_| gen.next_record())).expect("second half");
     assert_eq!(first.records + second.records, RECORDS as u64);
