@@ -62,8 +62,6 @@ pub(crate) struct AccessController {
     crypto_exit: u64,
     /// Scratch: online-read completion times of the access being finished.
     completions: Vec<u64>,
-    /// Scratch: staged write footprint of the access being released.
-    footprint: Vec<(u8, u16, u64)>,
 }
 
 impl AccessController {
@@ -80,7 +78,6 @@ impl AccessController {
             prev_online_done: 0,
             crypto_exit: 0,
             completions: Vec::new(),
-            footprint: Vec::new(),
         }
     }
 
@@ -227,7 +224,6 @@ impl AccessController {
                 self.crypto_exit = done;
             }
             self.prev_online_done = last;
-            self.window.push_back(InflightAccess::from_tagged(sink.take_tagged_requests()));
             aboram_telemetry::observe_level(
                 "pipeline.occupancy",
                 self.window.len().min(255) as u8,
@@ -238,10 +234,9 @@ impl AccessController {
     }
 
     /// Fixes the staged access's start cycle from its dependency gates and
-    /// releases it to the DRAM twin.
+    /// releases it to the DRAM twin and into the window.
     fn release(&mut self, arrival: u64) -> u64 {
         let sink = self.sink.inner_mut();
-        sink.staged_write_footprint(&mut self.footprint);
         // Issue, monotone start, stash hand-off, pre-window traffic.
         let mut gate = arrival.max(sink.now()).max(self.prev_online_done).max(self.free_at);
         // Window overflow: the oldest in-flight access must fully complete
@@ -252,16 +247,16 @@ impl AccessController {
         }
         // The accesses that left the window are resolved and nothing holds
         // their ids any more: end their per-request state in the DRAM twin.
-        let oldest_live = self.window.iter().find_map(|e| e.reqs.first()).map(|&(id, _, _)| id);
+        let oldest_live = self.window.iter().find_map(|e| e.ids.clone().next());
         let memory = sink.memory_mut();
         memory.retire(oldest_live.unwrap_or_else(|| memory.next_request_id()));
         // Write-after-read: this access's writebacks must not land in a
         // `(channel, bank, row)` an in-flight access has not finished
         // reading. RAW and WAW need no gate (see `TimingSink::conflict_gate`).
         for entry in &self.window {
-            gate = gate.max(sink.conflict_gate(entry, &self.footprint));
+            gate = gate.max(sink.conflict_gate(entry));
         }
-        sink.release_at(gate);
+        self.window.push_back(sink.release_at(gate));
         gate
     }
 
@@ -287,7 +282,7 @@ impl AccessController {
 mod tests {
     use super::*;
     use crate::sink::{MemorySink, OramOp};
-    use aboram_dram::{DramConfig, MemOpKind};
+    use aboram_dram::DramConfig;
     use aboram_tree::SlotAddr;
 
     fn controller(depth: u8, mode: IssueMode, crypto: CryptoLatency) -> AccessController {
@@ -326,18 +321,18 @@ mod tests {
         ctl.finish(arrival)
     }
 
-    /// Latest completion over the window entry's requests selected by `pick`.
-    fn completion_of(
-        ctl: &mut AccessController,
-        entry: usize,
-        pick: impl Fn((u8, u16, u64), MemOpKind) -> bool,
-    ) -> u64 {
-        let ids: Vec<_> = ctl.window[entry]
-            .reqs
-            .iter()
-            .filter(|&&(_, key, kind)| pick(key, kind))
-            .map(|&(id, _, _)| id)
-            .collect();
+    /// Latest completion over the window entry's requests: all of them, or
+    /// only its reads in the `(channel, bank, row)` of `row_of`.
+    fn completion_of(ctl: &mut AccessController, entry: usize, row_of: Option<SlotAddr>) -> u64 {
+        let e = &ctl.window[entry];
+        let ids: Vec<_> = match row_of {
+            None => e.ids.clone().collect(),
+            Some(addr) => {
+                let key = ctl.sink.inner().location_key(ctl.memory().decode_addr(addr.byte()));
+                let in_row = e.reads.iter().filter(|&&(k, _)| k == key);
+                in_row.map(|&(_, pos)| e.ids.clone().nth(pos as usize).unwrap()).collect()
+            }
+        };
         ids.into_iter().map(|id| ctl.memory_mut().completion_time(id)).max().unwrap()
     }
 
@@ -363,7 +358,7 @@ mod tests {
             let first = access(&mut ctl, 0, &page(0, 1), &[], &pages(8, 64));
             let second = access(&mut ctl, 0, &page(1, 1), &[], &page(16, 1));
             let hand_off = ctl.prev_online_done;
-            let oldest_done = completion_of(&mut ctl, 0, |_, _| true);
+            let oldest_done = completion_of(&mut ctl, 0, None);
             let third = access(&mut ctl, 0, &page(2, 1), &[], &page(17, 1));
             (first, second, hand_off, oldest_done, third.0)
         };
@@ -404,10 +399,7 @@ mod tests {
         let run = |write_page: u64| {
             let mut ctl = controller(4, IssueMode::Serial, CryptoLatency::free());
             let (_, hand_off) = access(&mut ctl, 0, &page(0, 1), &page(5, 16), &[]);
-            let row = ctl.memory().decode_addr(page(5, 1)[0].byte());
-            let row_read = completion_of(&mut ctl, 0, |key, kind| {
-                kind == MemOpKind::Read && key == (row.channel, row.bank, row.row)
-            });
+            let row_read = completion_of(&mut ctl, 0, Some(page(5, 1)[0]));
             let (start, _) = access(&mut ctl, 0, &page(1, 1), &[], &page(write_page, 1));
             (hand_off, row_read, start)
         };
@@ -416,6 +408,35 @@ mod tests {
         assert_eq!(shared, row_read, "a writeback into a row still being read waits for the read");
         let (hand_off, _, disjoint) = run(6);
         assert_eq!(disjoint, hand_off, "a disjoint writeback starts at the hand-off");
+    }
+
+    #[test]
+    fn steady_state_pipelined_access_allocates_nothing() {
+        // Every buffer on the staged path — the sink's staging, ordering and
+        // footprint scratch, the read lists circulating between the window
+        // and the sink's spares, the controller's own scratch — is the same
+        // allocation, at the same capacity, after 1 000 more accesses.
+        let buffers = |ctl: &AccessController| {
+            let mut all = ctl.sink.inner().buffers(ctl.window.iter());
+            all.push((ctl.completions.as_ptr() as usize, ctl.completions.capacity()));
+            all.push((0, ctl.window.capacity()));
+            all
+        };
+        for mode in [IssueMode::Serial, IssueMode::ChannelParallel] {
+            let mut ctl = controller(4, mode, CryptoLatency::default());
+            let run = |ctl: &mut AccessController, range: std::ops::Range<u64>| {
+                for i in range {
+                    let (online, offline) = (page(i % 7, 1 + i % 3), pages(8 + i % 5, 1 + i % 4));
+                    let writes = pages(8 + (i + 2) % 5, 2 + i % 6);
+                    access(ctl, i * 50, &online, &offline, &writes);
+                }
+            };
+            run(&mut ctl, 0..240);
+            let warm = buffers(&ctl);
+            assert_eq!(ctl.window.len(), 4, "{mode:?}: the window is full");
+            run(&mut ctl, 240..1_240);
+            assert_eq!(buffers(&ctl), warm, "{mode:?}: a buffer moved or grew");
+        }
     }
 
     #[test]

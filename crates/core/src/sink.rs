@@ -11,7 +11,7 @@
 
 use crate::config::IssueMode;
 use crate::fault::{FaultKind, FaultSite};
-use aboram_dram::{MemOpKind, MemorySystem, Priority, RequestId};
+use aboram_dram::{DecodedAddr, MemOpKind, MemorySystem, Priority, RequestId, RequestIdRange};
 use aboram_telemetry::Phase;
 use aboram_tree::SlotAddr;
 
@@ -219,91 +219,107 @@ impl MemorySink for CountingSink {
 /// *both* issue modes: the access controller decides the access's final
 /// arrival cycle only after seeing its staged footprint (to resolve
 /// `(channel, bank, row)` conflicts against in-flight accesses), then
-/// releases the whole access. A serial-mode flush preserves program order, so
-/// a pipelined serial release enqueues exactly what immediate issue at the
+/// releases the whole access. A serial-mode release preserves program order,
+/// so a pipelined serial release enqueues exactly what immediate issue at the
 /// same cycle would (DESIGN.md §15).
+///
+/// A staged request is one record from the engine's emit to its release: it
+/// is address-decoded once, its `(channel, bank, row)` location packed into
+/// one integer key, and the access's one key ordering serves the release
+/// order, the write footprint and the window entry's read list alike.
 #[derive(Debug)]
 pub struct TimingSink {
     memory: MemorySystem,
     now: u64,
     online_reads: Vec<RequestId>,
-    /// Undrained requests issued while *not* pipelined.
+    /// Undrained requests the sink owns: everything issued except the
+    /// accesses [`release_at`](TimingSink::release_at) handed to the
+    /// controller's window.
     all_requests: Vec<RequestId>,
     issue_mode: IssueMode,
-    staged: Vec<StagedRequest>,
     pipelined: bool,
-    /// Undrained requests issued while pipelined, with their `(channel,
-    /// bank, row)` locations and kinds. Every id is recorded once: here or
-    /// in `all_requests`, never both.
-    tagged: Vec<(RequestId, (u8, u16, u64), MemOpKind)>,
+    /// Radices of the packed location key, from the memory geometry: banks
+    /// per channel, and one more than the largest row any address decodes
+    /// to. See [`location_key`](TimingSink::location_key).
+    key_banks: u64,
+    key_rows: u64,
+    /// The access being staged, in program order.
+    staged: Vec<StagedRequest>,
+    /// `staged` as `(location key, program index)` in ascending order: the
+    /// one ordering an access is given. Current exactly when it is as long
+    /// as `staged`; emptied, with `write_keys`, by the release.
+    order: Vec<(u64, u32)>,
+    /// The distinct location keys `staged` writes, ascending (pipelined
+    /// operation only) — what in-flight reads are checked against.
+    write_keys: Vec<u64>,
+    /// Read lists of resolved window entries, kept for the next release.
+    spare: Vec<Vec<(u64, u32)>>,
 }
 
-/// One access in an access-pipelined in-flight window: its undrained
-/// requests with their decoded `(channel, bank, row)` locations and kinds,
-/// plus the deduplicated sorted footprint of its *reads* — the locations a
-/// later access's writeback must not overwrite before they are served
-/// (write-after-read, the one DRAM-level hazard the window has to order
-/// explicitly; see [`TimingSink::conflict_gate`]).
+/// One access in an access-pipelined in-flight window: its requests' ids
+/// (contiguous, so `first id + len`) and its *reads* as `(location key,
+/// position in ids)` in ascending key order — the locations a later access's
+/// writeback must not overwrite before they are served (write-after-read,
+/// the one DRAM-level hazard the window has to order explicitly; see
+/// [`TimingSink::conflict_gate`]).
 #[derive(Debug)]
 pub(crate) struct InflightAccess {
-    pub(crate) reqs: Vec<(RequestId, (u8, u16, u64), MemOpKind)>,
-    pub(crate) read_footprint: Vec<(u8, u16, u64)>,
+    pub(crate) ids: RequestIdRange,
+    pub(crate) reads: Vec<(u64, u32)>,
 }
 
-impl InflightAccess {
-    /// Builds the window entry from a drained
-    /// [`TimingSink::take_tagged_requests`] batch.
-    pub(crate) fn from_tagged(reqs: Vec<(RequestId, (u8, u16, u64), MemOpKind)>) -> Self {
-        let mut read_footprint: Vec<(u8, u16, u64)> = reqs
-            .iter()
-            .filter(|&&(_, _, kind)| kind == MemOpKind::Read)
-            .map(|&(_, key, _)| key)
-            .collect();
-        read_footprint.sort_unstable();
-        read_footprint.dedup();
-        InflightAccess { reqs, read_footprint }
-    }
+/// The id of the request at position `pos` of a released batch.
+fn id_at(ids: &RequestIdRange, pos: usize) -> RequestId {
+    ids.clone().nth(pos).expect("one id per request of the batch")
 }
 
-/// Whether two sorted footprints share any `(channel, bank, row)` location.
-pub(crate) fn footprints_intersect(a: &[(u8, u16, u64)], b: &[(u8, u16, u64)]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Equal => return true,
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-        }
-    }
-    false
-}
-
-/// A request buffered by the channel-parallel issue mode, with its decoded
-/// location as the grouping key.
+/// One staged DRAM request: everything the release needs, decoded once.
 #[derive(Debug, Clone, Copy)]
 struct StagedRequest {
     kind: MemOpKind,
-    addr: u64,
     priority: Priority,
     tag: u32,
     online: bool,
-    /// `(channel, bank, row)` sort key, precomputed at staging time.
-    key: (u8, u16, u64),
+    at: DecodedAddr,
+    /// [`TimingSink::location_key`] of `at`.
+    key: u64,
 }
 
 impl TimingSink {
     /// Wraps a memory system (serial issue mode).
     pub fn new(memory: MemorySystem) -> Self {
+        let cfg = memory.config();
+        let key_banks = cfg.banks_per_channel();
+        // Both address maps compute `row = line / (lines per row × channels
+        // × banks)`, rounding down at each step, so no 64-bit address decodes
+        // to a row above `(u64::MAX / 64) / lines_per_row_index`.
+        let lines_per_row_index =
+            cfg.lines_per_row().saturating_mul(u64::from(cfg.channels) * key_banks);
+        let key_rows = (u64::MAX / 64) / lines_per_row_index + 1;
         TimingSink {
             memory,
             now: 0,
             online_reads: Vec::new(),
             all_requests: Vec::new(),
             issue_mode: IssueMode::Serial,
-            staged: Vec::new(),
             pipelined: false,
-            tagged: Vec::new(),
+            key_banks,
+            key_rows,
+            staged: Vec::new(),
+            order: Vec::new(),
+            write_keys: Vec::new(),
+            spare: Vec::new(),
         }
+    }
+
+    /// Packs a decoded `(channel, bank, row)` into one integer that orders
+    /// exactly as the tuple does: `(channel × banks + bank) × rows + row`.
+    /// The radices come from the geometry (`rows` exceeds every decodable
+    /// row), so the packing is lossless for every configuration and address,
+    /// and its largest value, below `2^58 + channels × banks`, fits a `u64`.
+    pub(crate) fn location_key(&self, at: DecodedAddr) -> u64 {
+        debug_assert!(u64::from(at.bank) < self.key_banks && at.row < self.key_rows);
+        (u64::from(at.channel) * self.key_banks + u64::from(at.bank)) * self.key_rows + at.row
     }
 
     /// Sets how requests are handed to the memory system. Switching modes
@@ -338,36 +354,74 @@ impl TimingSink {
         self.pipelined || self.issue_mode == IssueMode::ChannelParallel
     }
 
-    /// The single access-boundary choke point: every staged request of the
-    /// current access is released to the memory system here, and every
-    /// operation that ends or inspects an access (clock moves, drains, id
-    /// take-overs, mode switches, pipelined releases) funnels through this
-    /// helper.
-    ///
-    /// A serial-mode release preserves program order; a channel-parallel
-    /// release groups by channel and orders `(bank, row)` within each
-    /// channel (stable sort, so same-location requests keep their program
-    /// order).
-    fn access_boundary(&mut self) {
-        if self.staged.is_empty() {
+    /// Fixes the staged access's ordering, once: sorts its `(key, program
+    /// index)` pairs and reads the write footprint off them. The pairs are
+    /// distinct, so the unstable sort is the permutation a stable sort on the
+    /// key alone gives — same-location requests keep their program order.
+    fn order_staged(&mut self) {
+        if self.order.len() == self.staged.len() {
             return;
         }
-        let mut staged = std::mem::take(&mut self.staged);
-        if self.issue_mode == IssueMode::ChannelParallel {
-            staged.sort_by_key(|r| r.key);
-        }
-        for r in staged.drain(..) {
-            let id = self.memory.enqueue(r.kind, r.addr, r.priority, r.tag, self.now);
-            if r.online && r.kind == MemOpKind::Read {
-                self.online_reads.push(id);
-            }
-            if self.pipelined {
-                self.tagged.push((id, r.key, r.kind));
-            } else {
-                self.all_requests.push(id);
+        self.order.clear();
+        self.order.extend(self.staged.iter().enumerate().map(|(i, r)| (r.key, i as u32)));
+        self.order.sort_unstable();
+        self.write_keys.clear();
+        if self.pipelined {
+            for &(key, i) in &self.order {
+                let write = self.staged[i as usize].kind == MemOpKind::Write;
+                if write && self.write_keys.last() != Some(&key) {
+                    self.write_keys.push(key);
+                }
             }
         }
-        self.staged = staged;
+    }
+
+    /// Releases the staged access to the memory system as one batch and
+    /// returns its ids. A serial-mode release preserves program order; a
+    /// channel-parallel release follows the key order, i.e. groups by
+    /// channel and orders `(bank, row)` within each channel. With `reads`,
+    /// also lists the access's reads for a window entry (see
+    /// [`InflightAccess`]).
+    fn release_staged(&mut self, mut reads: Option<&mut Vec<(u64, u32)>>) -> RequestIdRange {
+        self.order_staged();
+        let parallel = self.issue_mode == IssueMode::ChannelParallel;
+        let (staged, order) = (&self.staged, &self.order);
+        let request = |r: &StagedRequest| (r.kind, r.at, r.priority, r.tag);
+        let ids = if parallel {
+            let in_key_order = order.iter().map(|&(_, i)| request(&staged[i as usize]));
+            self.memory.enqueue_decoded(in_key_order, self.now)
+        } else {
+            self.memory.enqueue_decoded(staged.iter().map(request), self.now)
+        };
+        for (rank, &(key, i)) in order.iter().enumerate() {
+            let r = &staged[i as usize];
+            if r.kind == MemOpKind::Read {
+                let pos = if parallel { rank } else { i as usize };
+                if r.online {
+                    self.online_reads.push(id_at(&ids, pos));
+                }
+                if let Some(reads) = reads.as_deref_mut() {
+                    reads.push((key, pos as u32));
+                }
+            }
+        }
+        self.staged.clear();
+        self.order.clear();
+        self.write_keys.clear();
+        ids
+    }
+
+    /// The single access-boundary choke point: every staged request of the
+    /// current access is released to the memory system here, and every
+    /// operation that ends or inspects an access (clock moves, drains, mode
+    /// switches) funnels through this helper. The released ids stay the
+    /// sink's to drain; only [`release_at`](TimingSink::release_at) hands
+    /// an access over.
+    fn access_boundary(&mut self) {
+        if !self.staged.is_empty() {
+            let ids = self.release_staged(None);
+            self.all_requests.extend(ids);
+        }
     }
 
     /// Sets the arrival timestamp for subsequent requests. Timestamps must
@@ -379,53 +433,44 @@ impl TimingSink {
         self.now = cycle;
     }
 
-    /// Pipelined release: moves the clock to `cycle` *first*, then forces
-    /// the access boundary so the staged access arrives at that cycle.
-    /// This is the one boundary whose staged requests belong to the access
-    /// *being released* rather than a finished one — the controller stages
-    /// the whole access, inspects its footprint, resolves its dependency
-    /// gates, and only then knows the arrival cycle. `cycle` must be ≥ the
-    /// last timestamp (the memory model's non-decreasing contract).
-    pub(crate) fn release_at(&mut self, cycle: u64) {
+    /// Pipelined release: moves the clock to `cycle` *first*, then releases
+    /// the staged access so it arrives at that cycle, and hands it over as a
+    /// window entry. This is the one boundary whose staged requests belong
+    /// to the access *being released* rather than a finished one — the
+    /// controller stages the whole access, resolves its dependency gates
+    /// against the staged footprint, and only then knows the arrival cycle.
+    /// `cycle` must be ≥ the last timestamp (the memory model's
+    /// non-decreasing contract).
+    ///
+    /// The controller owns the entry's requests from here on: it resolves
+    /// them ([`resolve_inflight`](TimingSink::resolve_inflight)) and retires
+    /// them from the memory system once the access leaves its window.
+    pub(crate) fn release_at(&mut self, cycle: u64) -> InflightAccess {
         debug_assert!(cycle >= self.now, "release_at must not move the clock backwards");
         self.now = cycle;
-        self.access_boundary();
-    }
-
-    /// The distinct `(channel, bank, row)` locations the currently staged
-    /// access *writes*, sorted — the footprint the controller intersects
-    /// against in-flight accesses' read footprints to detect same-bucket/slot
-    /// write-after-read hazards. Empty unless staging is in force.
-    pub(crate) fn staged_write_footprint(&self, out: &mut Vec<(u8, u16, u64)>) {
-        out.clear();
-        out.extend(self.staged.iter().filter(|r| r.kind == MemOpKind::Write).map(|r| r.key));
-        out.sort_unstable();
-        out.dedup();
-    }
-
-    /// Hands over every request issued under pipelined staging since the
-    /// last drain, with its decoded `(channel, bank, row)` location and
-    /// kind. The controller keeps these in its in-flight window so a
-    /// footprint conflict can wait on exactly the same-row reads rather than
-    /// the whole access's eviction drain — and owns their lifetime from here
-    /// on: it retires them from the memory system once the access resolves.
-    pub(crate) fn take_tagged_requests(&mut self) -> Vec<(RequestId, (u8, u16, u64), MemOpKind)> {
-        self.access_boundary();
-        std::mem::take(&mut self.tagged)
+        let mut reads = self.spare.pop().unwrap_or_default();
+        let ids = self.release_staged(Some(&mut reads));
+        InflightAccess { ids, reads }
     }
 
     /// Resolves an in-flight access to its full completion cycle — the
     /// latest completion over all of its requests, reads and writebacks
     /// alike. Forcing the lazy completion times here is what makes the
-    /// pipeline's window-overflow gate a true dependency.
-    pub(crate) fn resolve_inflight(&mut self, entry: InflightAccess) -> u64 {
-        entry.reqs.into_iter().map(|(id, _, _)| self.memory.completion_time(id)).max().unwrap_or(0)
+    /// pipeline's window-overflow gate a true dependency. The entry's read
+    /// list is kept for the next release, so a steady window allocates
+    /// nothing.
+    pub(crate) fn resolve_inflight(&mut self, mut entry: InflightAccess) -> u64 {
+        let done = entry.ids.map(|id| self.memory.completion_time(id)).max().unwrap_or(0);
+        entry.reads.clear();
+        self.spare.push(entry.reads);
+        done
     }
 
-    /// The earliest cycle at which a new access writing `write_footprint`
-    /// may issue without overwriting a location `entry` has not finished
-    /// reading: the latest completion over exactly `entry`'s reads in the
-    /// shared `(channel, bank, row)` rows (zero when disjoint).
+    /// The earliest cycle at which the staged access may issue without
+    /// overwriting a location `entry` has not finished reading: the latest
+    /// completion over exactly `entry`'s reads in the `(channel, bank, row)`
+    /// rows the staged access writes (zero when disjoint). Both sides are in
+    /// ascending key order, so one merge finds them.
     ///
     /// Write-after-read is the one DRAM-level hazard the window orders
     /// explicitly. Read-after-write needs no gate — a read of a location
@@ -437,17 +482,18 @@ impl TimingSink {
     /// access's *writes* would instead re-serialize the controller — every
     /// pair of paths shares rows near the root, and offline writebacks are
     /// deprioritized to the end of the drain.
-    pub(crate) fn conflict_gate(
-        &mut self,
-        entry: &InflightAccess,
-        write_footprint: &[(u8, u16, u64)],
-    ) -> u64 {
-        let mut gate = 0;
-        if footprints_intersect(&entry.read_footprint, write_footprint) {
-            for &(id, key, kind) in &entry.reqs {
-                if kind == MemOpKind::Read && write_footprint.binary_search(&key).is_ok() {
-                    gate = gate.max(self.memory.completion_time(id));
-                }
+    pub(crate) fn conflict_gate(&mut self, entry: &InflightAccess) -> u64 {
+        self.order_staged();
+        let (writes, mut w, mut gate) = (&self.write_keys, 0, 0);
+        for &(key, pos) in &entry.reads {
+            while w < writes.len() && writes[w] < key {
+                w += 1;
+            }
+            if w == writes.len() {
+                break;
+            }
+            if writes[w] == key {
+                gate = gate.max(self.memory.completion_time(id_at(&entry.ids, pos as usize)));
             }
         }
         gate
@@ -469,7 +515,7 @@ impl TimingSink {
     }
 
     /// Schedules *every* request issued since the last drain, clears the
-    /// pending lists and returns the latest completion cycle (at least
+    /// pending list and returns the latest completion cycle (at least
     /// `floor`).
     ///
     /// The drained ids are dead — nothing holds them any more — so the
@@ -485,12 +531,8 @@ impl TimingSink {
         for &id in &self.all_requests {
             done = done.max(self.memory.completion_time(id));
         }
-        for &(id, _, _) in &self.tagged {
-            done = done.max(self.memory.completion_time(id));
-        }
         self.all_requests.clear();
-        self.tagged.clear();
-        let live = self.online_reads.first().copied();
+        let live = self.online_reads.iter().min().copied();
         self.memory.retire(live.unwrap_or_else(|| self.memory.next_request_id()));
         done
     }
@@ -503,10 +545,7 @@ impl TimingSink {
     /// Whether every issued request has been drained (no ids pending a
     /// completion-time query, nothing staged). Snapshots require this.
     pub fn is_idle(&self) -> bool {
-        self.online_reads.is_empty()
-            && self.all_requests.is_empty()
-            && self.staged.is_empty()
-            && self.tagged.is_empty()
+        self.online_reads.is_empty() && self.all_requests.is_empty() && self.staged.is_empty()
     }
 
     /// Access to the underlying memory system (stats, drain).
@@ -522,15 +561,9 @@ impl TimingSink {
 
 impl TimingSink {
     fn stage(&mut self, kind: MemOpKind, addr: u64, priority: Priority, tag: u32, online: bool) {
-        let d = self.memory.decode_addr(addr);
-        self.staged.push(StagedRequest {
-            kind,
-            addr,
-            priority,
-            tag,
-            online,
-            key: (d.channel, d.bank, d.row),
-        });
+        let at = self.memory.decode_addr(addr);
+        let key = self.location_key(at);
+        self.staged.push(StagedRequest { kind, priority, tag, online, at, key });
     }
 
     fn issue(&mut self, kind: MemOpKind, addr: u64, priority: Priority, tag: u32, online: bool) {
@@ -599,7 +632,32 @@ impl MemorySink for TimingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aboram_dram::DramConfig;
+    use aboram_dram::{AddressMapping, DramConfig};
+    use proptest::prelude::*;
+
+    impl TimingSink {
+        /// Address and capacity of every buffer the staged path reuses: the
+        /// five the sink keeps, then the read lists — its spares and the
+        /// `in_window` ones a controller holds — sorted. Stable once a run
+        /// is warm.
+        pub(crate) fn buffers<'a>(
+            &'a self,
+            in_window: impl Iterator<Item = &'a InflightAccess>,
+        ) -> Vec<(usize, usize)> {
+            let lists = self.spare.iter().chain(in_window.map(|e| &e.reads));
+            let mut lists: Vec<_> = lists.map(|v| (v.as_ptr() as usize, v.capacity())).collect();
+            lists.sort_unstable();
+            let mut all = vec![
+                (self.staged.as_ptr() as usize, self.staged.capacity()),
+                (self.order.as_ptr() as usize, self.order.capacity()),
+                (self.write_keys.as_ptr() as usize, self.write_keys.capacity()),
+                (self.online_reads.as_ptr() as usize, self.online_reads.capacity()),
+                (self.all_requests.as_ptr() as usize, self.all_requests.capacity()),
+            ];
+            all.extend(lists);
+            all
+        }
+    }
 
     #[test]
     fn counting_sink_attributes_per_op() {
@@ -701,12 +759,12 @@ mod tests {
         }
         piped.write_batch(&addrs, OramOp::EvictPath, false);
         assert!(!piped.is_idle(), "requests stay staged until release");
-        let mut fp = Vec::new();
-        piped.staged_write_footprint(&mut fp);
+        piped.order_staged();
+        let fp = &piped.write_keys;
         assert!(!fp.is_empty() && fp.windows(2).all(|w| w[0] < w[1]), "sorted distinct footprint");
-        piped.release_at(50);
+        let entry = piped.release_at(50);
 
-        let (a, b) = (plain.drain_all_requests(0), piped.drain_all_requests(0));
+        let (a, b) = (plain.drain_all_requests(0), piped.resolve_inflight(entry));
         assert_eq!(a, b, "identical completion schedule");
         for s in [&mut plain, &mut piped] {
             s.memory_mut().drain();
@@ -731,7 +789,7 @@ mod tests {
         plain.read_batch(&addrs[..2], OramOp::Metadata, false);
         plain.read_batch(&addrs[2..4], OramOp::ReadPath, true);
         plain.write_batch(&addrs[4..], OramOp::EvictPath, false);
-        assert!(plain.tagged.is_empty() && plain.all_requests.len() == 6);
+        assert_eq!(plain.all_requests.len(), 6);
         plain.drain_all_requests(0);
         assert_eq!(plain.memory().tracked_requests(), 4, "ids from the first online read on stay");
         let mut online = Vec::new();
@@ -741,22 +799,235 @@ mod tests {
         assert!(plain.is_idle());
         assert_eq!(plain.memory().tracked_requests(), 0);
 
-        // Pipelined: ids are recorded in `tagged` only, and a hand-over
-        // leaves their lifetime to the caller.
+        // Pipelined: a release hands the ids over and leaves their lifetime
+        // to the caller; any other boundary keeps them the sink's.
         let mut piped = TimingSink::new(MemorySystem::new(DramConfig::default()));
         piped.set_pipelined(true);
         piped.write_batch(&addrs, OramOp::EvictPath, false);
-        piped.release_at(10);
-        assert!(piped.all_requests.is_empty() && piped.tagged.len() == 6 && !piped.is_idle());
-        let taken = piped.take_tagged_requests();
-        assert!(taken.len() == 6 && piped.is_idle());
+        let taken = piped.release_at(10);
+        assert!(taken.ids.len() == 6 && taken.reads.is_empty());
+        assert!(piped.all_requests.is_empty() && piped.is_idle());
         piped.drain_all_requests(0);
         assert_eq!(piped.memory().tracked_requests(), 6, "unresolved, so not the sink's to retire");
-        piped.resolve_inflight(InflightAccess::from_tagged(taken));
+        piped.resolve_inflight(taken);
         piped.write_batch(&addrs, OramOp::EvictPath, false);
-        piped.release_at(20);
-        assert!(piped.drain_all_requests(0) > 20 && piped.is_idle());
+        piped.set_now(20);
+        assert!(piped.all_requests.len() == 6 && !piped.is_idle());
+        assert!(piped.drain_all_requests(0) > 10 && piped.is_idle());
         assert_eq!(piped.memory().tracked_requests(), 0);
+    }
+
+    /// One request of a hand-built access.
+    #[derive(Debug, Clone, Copy)]
+    struct Req {
+        addr: u64,
+        write: bool,
+        online: bool,
+        op: OramOp,
+    }
+
+    /// A request over a few rows, so locations repeat within and across
+    /// accesses; `spread` 4 under the default map pins a whole access to one
+    /// channel.
+    fn arb_req() -> impl Strategy<Value = (u64, u64, bool, bool, usize)> {
+        (0u64..12, 0u64..128, any::<bool>(), any::<bool>(), 0usize..5)
+    }
+
+    fn build(reqs: &[(u64, u64, bool, bool, usize)], spread: u64, base_row: u64) -> Vec<Req> {
+        let row_bytes = DramConfig::default().row_bytes;
+        reqs.iter()
+            .map(|&(row, line, write, online, op)| Req {
+                addr: (base_row + row * spread) * row_bytes + line * 64,
+                write,
+                online,
+                op: OramOp::ALL[op],
+            })
+            .collect()
+    }
+
+    fn emit(sink: &mut TimingSink, access: &[Req]) {
+        for r in access {
+            if r.write {
+                sink.write(SlotAddr(r.addr), r.op, r.online);
+            } else {
+                sink.read(SlotAddr(r.addr), r.op, r.online);
+            }
+        }
+    }
+
+    fn location(mem: &MemorySystem, r: &Req) -> (u8, u16, u64) {
+        let d = mem.decode_addr(r.addr);
+        (d.channel, d.bank, d.row)
+    }
+
+    /// The reference release order: program order, or a *stable* sort on the
+    /// `(channel, bank, row)` tuple under channel-parallel issue.
+    fn reference_order(mem: &MemorySystem, access: &[Req], mode: IssueMode) -> Vec<Req> {
+        let mut order = access.to_vec();
+        if mode == IssueMode::ChannelParallel {
+            order.sort_by_key(|r| location(mem, r));
+        }
+        order
+    }
+
+    /// The reference release: decode, order, one `enqueue` per request.
+    fn reference_release(mem: &mut MemorySystem, order: &[Req], now: u64) -> Vec<RequestId> {
+        let enqueue = |r: &Req| {
+            let kind = if r.write { MemOpKind::Write } else { MemOpKind::Read };
+            let pri = if r.online { Priority::Online } else { Priority::Offline };
+            mem.enqueue(kind, r.addr, pri, r.op.tag(), now)
+        };
+        order.iter().map(enqueue).collect()
+    }
+
+    /// Table III, and a geometry none of whose radices is a power of two.
+    fn geometries() -> [DramConfig; 2] {
+        let table_iii = DramConfig::default();
+        [table_iii, DramConfig { channels: 3, ranks: 3, banks: 5, row_bytes: 1536, ..table_iii }]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `key(a) < key(b)` exactly when the `(channel, bank, row)` tuples
+        /// order that way, for both address maps, a geometry with no
+        /// power-of-two radix, and addresses up to the top of the range.
+        #[test]
+        fn location_key_orders_as_the_tuple(
+            pairs in proptest::collection::vec((any::<u64>(), any::<u64>(), 0u64..4096), 1..64),
+        ) {
+            for geometry in geometries() {
+                for mapping in [AddressMapping::PageInterleave, AddressMapping::LineInterleave] {
+                    let sink = TimingSink::new(MemorySystem::new(DramConfig { mapping, ..geometry }));
+                    let tuple = |addr| {
+                        let d = sink.memory().decode_addr(addr);
+                        ((d.channel, d.bank, d.row), sink.location_key(d))
+                    };
+                    for &(a, b, near) in &pairs {
+                        // Far apart, neighbours, and both against the top.
+                        for (a, b) in [(a, b), (a, a.wrapping_add(near * 64)), (a, u64::MAX - near)] {
+                            let ((ta, ka), (tb, kb)) = (tuple(a), tuple(b));
+                            prop_assert_eq!(ka.cmp(&kb), ta.cmp(&tb), "{:#x} vs {:#x}", a, b);
+                        }
+                    }
+                }
+            }
+        }
+
+        /// The sink's release against a reference kept here: same ids, same
+        /// completion cycle per id, same online reads, same statistics and
+        /// the same snapshot bytes — under both issue modes, pipelined or not.
+        #[test]
+        fn staged_release_matches_a_one_request_at_a_time_reference(
+            accesses in proptest::collection::vec(
+                (proptest::collection::vec(arb_req(), 0..48), any::<bool>(), 0u64..3_000),
+                1..10,
+            ),
+        ) {
+            for mode in [IssueMode::Serial, IssueMode::ChannelParallel] {
+                for pipelined in [false, true] {
+                    let mut sink = TimingSink::new(MemorySystem::new(DramConfig::default()));
+                    sink.set_issue_mode(mode);
+                    sink.set_pipelined(pipelined);
+                    let mut reference = MemorySystem::new(DramConfig::default());
+                    let mut now = 0;
+                    for (reqs, one_channel, gap) in &accesses {
+                        let access = build(reqs, if *one_channel { 4 } else { 1 }, 0);
+                        now += gap;
+                        let order = reference_order(&reference, &access, mode);
+                        let want = reference_release(&mut reference, &order, now);
+
+                        let ids: Vec<RequestId> = if pipelined {
+                            emit(&mut sink, &access);
+                            let entry = sink.release_at(now);
+                            let ids: Vec<_> = entry.ids.clone().collect();
+                            // The window entry lists exactly the reads, by
+                            // location then issue order.
+                            let mut reads: Vec<_> = (order.iter().zip(&want))
+                                .filter(|(r, _)| !r.write)
+                                .map(|(r, &id)| (location(&reference, r), id))
+                                .collect();
+                            reads.sort();
+                            let listed = entry.reads.iter().map(|&(_, pos)| ids[pos as usize]);
+                            prop_assert!(listed.eq(reads.iter().map(|&(_, id)| id)));
+                            prop_assert!(entry.reads.windows(2).all(|w| w[0] < w[1]));
+                            sink.resolve_inflight(entry);
+                            ids
+                        } else {
+                            sink.set_now(now);
+                            emit(&mut sink, &access);
+                            sink.access_boundary();
+                            std::mem::take(&mut sink.all_requests)
+                        };
+                        prop_assert_eq!(&ids, &want, "{:?} pipelined={}", mode, pipelined);
+
+                        let mut online: Vec<_> = (order.iter().zip(&want))
+                            .filter(|(r, _)| r.online && !r.write)
+                            .map(|(_, &id)| id)
+                            .collect();
+                        online.sort();
+                        sink.online_reads.sort();
+                        prop_assert_eq!(&sink.online_reads, &online);
+                        sink.online_reads.clear();
+
+                        for id in ids {
+                            let got = sink.memory_mut().completion_time(id);
+                            prop_assert_eq!(got, reference.completion_time(id), "{:?}", id);
+                        }
+                    }
+                    prop_assert!(sink.is_idle());
+                    sink.memory_mut().drain();
+                    reference.drain();
+                    prop_assert_eq!(sink.memory().stats(), reference.stats());
+                    prop_assert_eq!(sink.memory().snapshot().unwrap(), reference.snapshot().unwrap());
+                }
+            }
+        }
+
+        /// The merged gate against brute force — "every read of the entry
+        /// whose row the staged access writes" — on entries that are disjoint
+        /// from, overlap, or repeat the rows written: same cycle, and the twin
+        /// left in the same state.
+        #[test]
+        fn merged_conflict_gate_matches_brute_force(
+            first in proptest::collection::vec(arb_req(), 0..64),
+            second in proptest::collection::vec(arb_req(), 0..64),
+            disjoint in any::<bool>(),
+            parallel in any::<bool>(),
+        ) {
+            let mode = if parallel { IssueMode::ChannelParallel } else { IssueMode::Serial };
+            let first = build(&first, 1, 0);
+            let second = build(&second, 1, if disjoint { 12 } else { 0 });
+            let mk = || {
+                let mut sink = TimingSink::new(MemorySystem::new(DramConfig::default()));
+                sink.set_issue_mode(mode);
+                sink.set_pipelined(true);
+                emit(&mut sink, &first);
+                let entry = sink.release_at(100);
+                emit(&mut sink, &second);
+                (sink, entry)
+            };
+
+            let (mut merged, entry) = mk();
+            let gate = merged.conflict_gate(&entry);
+
+            let (mut brute, entry) = mk();
+            let mem = brute.memory_mut();
+            let written: Vec<_> =
+                second.iter().filter(|r| r.write).map(|r| location(mem, r)).collect();
+            let mut want = 0;
+            for (r, id) in reference_order(mem, &first, mode).iter().zip(entry.ids.clone()) {
+                if !r.write && written.contains(&location(mem, r)) {
+                    want = want.max(mem.completion_time(id));
+                }
+            }
+
+            prop_assert_eq!(gate, want);
+            prop_assert!(!disjoint || gate == 0, "disjoint rows never gate");
+            prop_assert_eq!(merged.memory().stats(), brute.memory().stats());
+            prop_assert_eq!(merged.memory().tracked_requests(), brute.memory().tracked_requests());
+            prop_assert_eq!(merged.memory().pending(), brute.memory().pending());
+        }
     }
 
     #[test]

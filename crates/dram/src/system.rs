@@ -59,7 +59,8 @@ pub struct MemorySystem {
 const NOT_DONE: u64 = u64::MAX;
 
 /// The contiguous block of [`RequestId`]s minted by one
-/// [`MemorySystem::enqueue_batch`] call, in issue order.
+/// [`MemorySystem::enqueue_batch`] or [`MemorySystem::enqueue_decoded`] call,
+/// in issue order.
 #[derive(Debug, Clone)]
 pub struct RequestIdRange {
     next: u64,
@@ -83,13 +84,40 @@ impl Iterator for RequestIdRange {
         let n = (self.end - self.next) as usize;
         (n, Some(n))
     }
+
+    /// Constant time, so a holder of the range can address its `n`-th
+    /// request without keeping an id per request.
+    fn nth(&mut self, n: usize) -> Option<RequestId> {
+        self.next = self.end.min(self.next.saturating_add(n as u64));
+        self.next()
+    }
 }
 
 impl ExactSizeIterator for RequestIdRange {}
 
+/// Refuses a geometry the address map cannot divide by.
+fn check_geometry(cfg: &DramConfig) {
+    assert!(
+        cfg.channels > 0 && cfg.ranks > 0 && cfg.banks > 0 && cfg.row_bytes >= 64,
+        "invalid DRAM geometry: channels, ranks and banks must be non-zero and row_bytes at \
+         least one 64 B line (got {} x {} x {}, {} B rows)",
+        cfg.channels,
+        cfg.ranks,
+        cfg.banks,
+        cfg.row_bytes,
+    );
+}
+
 impl MemorySystem {
     /// Creates a memory system from a configuration.
+    ///
+    /// # Panics
+    ///
+    /// "invalid DRAM geometry" — `channels`, `ranks` or `banks` is zero, or
+    /// `row_bytes` is below one 64 B line. Checked once, here, so address
+    /// decoding never divides by zero.
     pub fn new(cfg: DramConfig) -> Self {
+        check_geometry(&cfg);
         let channels = (0..cfg.channels).map(|_| Channel::new(&cfg)).collect();
         MemorySystem {
             cfg,
@@ -148,6 +176,73 @@ impl MemorySystem {
         for addr in addrs {
             last_channel = Some(self.enqueue_inner(kind, addr, priority, tag, now).1);
         }
+        self.batch_ids(start, last_channel)
+    }
+
+    /// Enqueues one access's worth of requests whose addresses the caller
+    /// already decoded with [`decode_addr`](MemorySystem::decode_addr), in
+    /// iteration order, returning their contiguous id range. Each item is
+    /// `(kind, location, priority, tag)`. Identical semantics to calling
+    /// [`enqueue`](MemorySystem::enqueue) per request on the address that
+    /// decodes to `location`, except that nothing is decoded again and the
+    /// `dram.queue_depth` gauge is sampled once after the batch (as in
+    /// [`enqueue_batch`](MemorySystem::enqueue_batch)).
+    ///
+    /// # Panics
+    ///
+    /// "outside this geometry" — a location's channel, bank or rank does not
+    /// exist under this configuration (it was decoded by another memory
+    /// system, or built by hand).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use aboram_dram::{DramConfig, MemorySystem, MemOpKind, Priority};
+    ///
+    /// let cfg = DramConfig::default();
+    /// let addrs = [0, cfg.row_bytes, 64];
+    /// let mut staged = MemorySystem::new(cfg);
+    /// // An issue layer decodes once, reorders by location, then releases.
+    /// let mut access: Vec<_> = addrs.iter().map(|&a| staged.decode_addr(a)).collect();
+    /// access.sort_by_key(|d| (d.channel, d.bank, d.row));
+    /// let ids = staged.enqueue_decoded(
+    ///     access.iter().map(|&d| (MemOpKind::Read, d, Priority::Online, 0)),
+    ///     100,
+    /// );
+    /// assert_eq!(ids.len(), 3);
+    ///
+    /// // The same requests, one `enqueue` at a time in that order.
+    /// let mut single = MemorySystem::new(cfg);
+    /// for a in [0, 64, cfg.row_bytes] {
+    ///     single.enqueue(MemOpKind::Read, a, Priority::Online, 0, 100);
+    /// }
+    /// for id in ids {
+    ///     assert_eq!(staged.completion_time(id), single.completion_time(id));
+    /// }
+    /// ```
+    pub fn enqueue_decoded(
+        &mut self,
+        requests: impl IntoIterator<Item = (MemOpKind, DecodedAddr, Priority, u32)>,
+        now: u64,
+    ) -> RequestIdRange {
+        let start = self.next_request_id().0;
+        let mut last_channel = None;
+        for (kind, at, priority, tag) in requests {
+            assert!(
+                at.channel < self.cfg.channels
+                    && u64::from(at.bank) < self.cfg.banks_per_channel()
+                    && at.rank < self.cfg.ranks,
+                "decoded address {at:?} lies outside this geometry"
+            );
+            self.enqueue_at(kind, at, priority, tag, now);
+            last_channel = Some(at.channel);
+        }
+        self.batch_ids(start, last_channel)
+    }
+
+    /// Closes a batch that began at raw id `start`: samples the queue-depth
+    /// gauge on the channel of its last request and returns its id range.
+    fn batch_ids(&self, start: u64, last_channel: Option<u8>) -> RequestIdRange {
         if let Some(ch) = last_channel {
             let depth = self.channels[ch as usize].queue_depth();
             aboram_telemetry::gauge("dram.queue_depth", depth as f64);
@@ -163,12 +258,23 @@ impl MemorySystem {
         tag: u32,
         now: u64,
     ) -> (RequestId, u8) {
-        let id = self.next_request_id();
         let decoded = decode(&self.cfg, addr);
-        self.routing.push(decoded.channel);
+        (self.enqueue_at(kind, decoded, priority, tag, now), decoded.channel)
+    }
+
+    fn enqueue_at(
+        &mut self,
+        kind: MemOpKind,
+        at: DecodedAddr,
+        priority: Priority,
+        tag: u32,
+        now: u64,
+    ) -> RequestId {
+        let id = self.next_request_id();
+        self.routing.push(at.channel);
         self.completions.push(NOT_DONE);
-        self.channels[decoded.channel as usize].enqueue(id, kind, priority, tag, decoded, now);
-        (id, decoded.channel)
+        self.channels[at.channel as usize].enqueue(id, kind, priority, tag, at, now);
+        id
     }
 
     /// The id the next enqueued request will get — one past the newest id
@@ -317,7 +423,12 @@ impl MemorySystem {
     ///
     /// Fails on truncated or corrupted bytes, a format-version mismatch, or
     /// a configuration (digest) mismatch.
+    ///
+    /// # Panics
+    ///
+    /// "invalid DRAM geometry", as [`new`](MemorySystem::new) does.
     pub fn restore(cfg: DramConfig, bytes: &[u8]) -> Result<Self, CodecError> {
+        check_geometry(&cfg);
         if bytes.len() < 8 {
             return Err(CodecError::new("snapshot too short"));
         }
@@ -538,6 +649,92 @@ mod tests {
         let mut mem = MemorySystem::new(DramConfig::default());
         mem.enqueue(MemOpKind::Read, 0, Priority::Online, 0, 0);
         mem.completion_time(RequestId(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid DRAM geometry")]
+    fn zero_channels_are_refused_at_construction() {
+        MemorySystem::new(DramConfig { channels: 0, ..DramConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid DRAM geometry")]
+    fn zero_ranks_are_refused_at_construction() {
+        MemorySystem::new(DramConfig { ranks: 0, ..DramConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid DRAM geometry")]
+    fn zero_banks_are_refused_at_construction() {
+        MemorySystem::new(DramConfig { banks: 0, ..DramConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid DRAM geometry")]
+    fn a_row_shorter_than_a_line_is_refused_at_construction() {
+        MemorySystem::new(DramConfig { row_bytes: 63, ..DramConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid DRAM geometry")]
+    fn restore_refuses_a_bad_geometry_before_reading_a_byte() {
+        let _ = MemorySystem::restore(DramConfig { banks: 0, ..DramConfig::default() }, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside this geometry")]
+    fn enqueue_decoded_refuses_a_location_from_a_wider_geometry() {
+        let cfg = DramConfig::default();
+        let wide = MemorySystem::new(DramConfig { channels: 8, ..cfg });
+        let at = wide.decode_addr(7 * cfg.row_bytes);
+        MemorySystem::new(cfg).enqueue_decoded([(MemOpKind::Read, at, Priority::Online, 0)], 0);
+    }
+
+    #[test]
+    fn enqueue_decoded_is_enqueue_without_the_decode() {
+        let cfg = DramConfig { mapping: AddressMapping::LineInterleave, ..DramConfig::default() };
+        let (mut batch, mut single) = (MemorySystem::new(cfg), MemorySystem::new(cfg));
+        assert_eq!(batch.enqueue_decoded([], 5).len(), 0, "an empty access mints no id");
+        let reqs: Vec<_> = (0..300u64)
+            .map(|i| {
+                let kind = if i % 3 == 0 { MemOpKind::Write } else { MemOpKind::Read };
+                let prio = if i % 4 == 0 { Priority::Offline } else { Priority::Online };
+                (kind, (i * 37 % 512) * 64 + (i % 5) * cfg.row_bytes, prio, (i % 5) as u32)
+            })
+            .collect();
+        for (round, access) in reqs.chunks(60).enumerate() {
+            let now = 10 + round as u64 * 900;
+            let decoded = access.iter().map(|&(k, a, p, t)| (k, batch.decode_addr(a), p, t));
+            let ids = batch.enqueue_decoded(decoded.collect::<Vec<_>>(), now);
+            for (id, &(k, a, p, t)) in ids.clone().zip(access) {
+                assert_eq!(single.enqueue(k, a, p, t, now), id);
+            }
+            for id in ids {
+                assert_eq!(single.completion_time(id), batch.completion_time(id));
+            }
+        }
+        batch.drain();
+        single.drain();
+        assert_eq!(batch.stats(), single.stats());
+        assert_eq!(batch.snapshot().unwrap(), single.snapshot().unwrap());
+    }
+
+    #[test]
+    fn a_request_id_range_addresses_its_nth_id_directly() {
+        let mut mem = MemorySystem::new(DramConfig::default());
+        mem.enqueue(MemOpKind::Read, 0, Priority::Online, 0, 0);
+        let ids =
+            mem.enqueue_batch(MemOpKind::Read, (1..6).map(|i| i * 64), Priority::Online, 0, 0);
+        let all: Vec<_> = ids.clone().collect();
+        assert_eq!(all.len(), 5);
+        for (n, &id) in all.iter().enumerate() {
+            assert_eq!(ids.clone().nth(n), Some(id));
+        }
+        let mut rest = ids.clone();
+        assert_eq!(rest.nth(3), Some(all[3]));
+        assert_eq!((rest.len(), rest.next(), rest.next()), (1, Some(all[4]), None));
+        assert_eq!(ids.clone().nth(5), None);
+        assert_eq!(ids.clone().nth(usize::MAX), None);
     }
 
     #[test]
