@@ -85,7 +85,7 @@ pub use security::{attack_success_rate, SecurityReport};
 pub use segvec::SegmentedVector;
 pub use sink::{CountingSink, MemorySink, OramOp, TimingSink};
 pub use snapshot::{config_digest, SNAPSHOT_VERSION};
-pub use stash::{Stash, StashBlock};
+pub use stash::{EvictionPlan, Stash, StashBlock};
 pub use stats::OramStats;
 
 // Re-exported so downstream code can name the recovery counters and health
@@ -98,3 +98,10 @@ pub type BlockId = u64;
 
 /// Size of one data block in bytes.
 pub const BLOCK_BYTES: usize = 64;
+
+/// Address and capacity of a reusable buffer — what a steady-state
+/// allocation check compares before and after a warm run.
+#[cfg(test)]
+pub(crate) fn buffer_of<T>(v: &Vec<T>) -> (usize, usize) {
+    (v.as_ptr() as usize, v.capacity())
+}

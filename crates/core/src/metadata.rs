@@ -343,6 +343,15 @@ pub struct MaskScratch {
     width: Vec<u64>,
 }
 
+#[cfg(test)]
+impl MaskScratch {
+    /// Addresses and capacities of the word buffers, for steady-state
+    /// allocation checks.
+    pub(crate) fn buffers(&self) -> [(usize, usize); 3] {
+        [&self.valid, &self.real, &self.width].map(crate::buffer_of)
+    }
+}
+
 /// The raw fields of one [`BucketMeta`], exposed crate-internally so the
 /// snapshot codec can round-trip buckets bit-exactly without widening the
 /// bucket's own API.

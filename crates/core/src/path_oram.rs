@@ -13,7 +13,7 @@ use crate::fault::{FaultSite, BACKOFF_BASE_CYCLES, MAX_FAULT_RETRIES};
 use crate::growth::extend_label;
 use crate::posmap::PositionMap;
 use crate::sink::{MemorySink, OramOp};
-use crate::stash::{Stash, StashBlock};
+use crate::stash::{EvictionPlan, Stash, StashBlock};
 use crate::{BlockId, BLOCK_BYTES};
 use aboram_stats::RecoveryStats;
 use aboram_telemetry::{self as telemetry, Phase};
@@ -50,6 +50,8 @@ pub struct PathOram {
     posmap: PositionMap,
     buckets: Vec<PathBucket>,
     stash: Stash,
+    /// The write-back's eviction plan, kept for its buffers.
+    plan: EvictionPlan,
     rng: StdRng,
     accesses: u64,
     recovery: RecoveryStats,
@@ -79,6 +81,7 @@ impl PathOram {
             layout,
             posmap,
             stash: Stash::new(cfg.stash_capacity),
+            plan: EvictionPlan::default(),
             rng,
             accesses: 0,
             recovery: RecoveryStats::new(),
@@ -302,14 +305,18 @@ impl PathOram {
             return Err(OramError::StashOverflow { capacity: self.stash.capacity() });
         }
 
-        // (3) Write path, leaf to root, greedily placing matching blocks.
+        // (3) Write path, leaf to root, greedily placing matching blocks:
+        // one pass over the stash plans every level (tier = level).
+        let geo = &self.geo;
+        self.stash.plan_eviction(
+            usize::from(geo.levels()),
+            |tier| usize::from(geo.level_config(Level(tier as u8)).z_real),
+            |l| Some(usize::from(geo.common_prefix_levels(l, label)) - 1),
+            &mut self.plan,
+        );
         for &bucket in path.iter().rev() {
             let level = bucket.level();
-            let cap = usize::from(self.geo.level_config(level).z_real);
-            let geo = &self.geo;
-            let candidates =
-                self.stash.matching_blocks(|l| geo.common_prefix_levels(l, label) > level.0);
-            for b in candidates.into_iter().take(cap) {
+            for &b in self.plan.picks(usize::from(level.0)) {
                 let e = self
                     .stash
                     .remove(b)
@@ -338,7 +345,7 @@ impl PathOram {
         if block >= self.posmap.len() {
             return false;
         }
-        if self.stash.get(block).is_some() {
+        if self.stash.contains(block) {
             return true;
         }
         let label = self.posmap.path_of(block);
@@ -439,11 +446,8 @@ impl PathOram {
                 *l = PathId::new(extend_label(l.leaf(), old_levels, old_levels + 1, seed, *b));
             }
         }
-        let in_stash: Vec<BlockId> = self.stash.iter().map(|e| e.block).collect();
-        for b in in_stash {
-            let label = self.posmap.path_of(b);
-            self.stash.relabel(b, label);
-        }
+        let posmap = &self.posmap;
+        self.stash.relabel_all(|b| posmap.path_of(b));
         self.buckets.resize(geo.bucket_count() as usize, PathBucket::default());
         self.geo = geo;
         self.cfg = cfg;
@@ -624,6 +628,7 @@ impl PathOram {
             posmap,
             buckets,
             stash,
+            plan: EvictionPlan::default(),
             rng: StdRng::from_state(rng_state),
             accesses,
             recovery,

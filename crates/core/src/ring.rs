@@ -46,7 +46,7 @@ use crate::integrity::IntegrityVerifier;
 use crate::metadata::{nth_set_bit, MetadataStore, RealEntry, SlotStatus};
 use crate::posmap::PositionMap;
 use crate::sink::{MemorySink, OramOp};
-use crate::stash::{Stash, StashBlock};
+use crate::stash::{EvictionPlan, Stash, StashBlock};
 use crate::stats::OramStats;
 use crate::{BlockId, BLOCK_BYTES};
 use aboram_crypto::{BlockCipher, SealedBlock};
@@ -169,8 +169,8 @@ struct Scratch {
     phys_slots: Vec<aboram_tree::SlotId>,
     /// rebuild read phase: valid real entries pulled to the stash.
     to_stash: Vec<RealEntry>,
-    /// rebuild refill: matching stash block ids (ascending).
-    candidates: Vec<crate::BlockId>,
+    /// rebuild refill: which stash blocks go to which rebuilt bucket.
+    plan: EvictionPlan,
     /// rebuild refill: the slot permutation.
     slots: Vec<u8>,
     /// rebuild refill: (slot, block) placements for the write phase.
@@ -181,6 +181,30 @@ struct Scratch {
     pick_valid: Vec<u64>,
     /// readPath pick phase: per-path-bucket dummy masks.
     pick_dummy: Vec<u64>,
+}
+
+#[cfg(test)]
+impl Scratch {
+    /// Address and capacity of every scratch buffer.
+    fn buffers(&self) -> Vec<(usize, usize)> {
+        use crate::buffer_of as of;
+        let mut all = vec![
+            of(&self.path_buckets),
+            of(&self.evict_buckets),
+            of(&self.order),
+            of(&self.read_slots),
+            of(&self.read_addrs),
+            of(&self.phys_slots),
+            of(&self.to_stash),
+            of(&self.slots),
+            of(&self.placed),
+            of(&self.pick_valid),
+            of(&self.pick_dummy),
+        ];
+        all.extend(self.plan.buffers());
+        all.extend(self.mask_words.buffers());
+        all
+    }
 }
 
 /// The Ring ORAM engine (see module docs).
@@ -567,7 +591,7 @@ impl RingOram {
     }
 
     fn locate_level(&self, block: BlockId) -> Option<Level> {
-        if self.stash.get(block).is_some() {
+        if self.stash.contains(block) {
             return None;
         }
         let label = self.posmap.path_of(block);
@@ -654,7 +678,7 @@ impl RingOram {
         let mut mask_words = std::mem::take(&mut self.scratch.mask_words);
         self.meta.path_pick_masks(&buckets, &mut mask_words, &mut pick_valid, &mut pick_dummy);
         let mut fetched: Option<[u8; BLOCK_BYTES]> = None;
-        let stash_hit = target.map(|b| self.stash.get(b).is_some()).unwrap_or(false);
+        let stash_hit = target.is_some_and(|b| self.stash.contains(b));
         if stash_hit {
             self.stats.stash_hits += 1;
         }
@@ -896,22 +920,54 @@ impl RingOram {
         // holds a whole path's blocks in flight. The bound is enforced at
         // operation boundaries, after the rebuild places blocks back.
 
+        // One pass over the stash decides every bucket's refill. Nothing
+        // enters the stash from here to the last rebuild, so planning up
+        // front picks what a scan per bucket would (DESIGN.md §8). A freshly
+        // rebuilt bucket has all `Z' + S` own slots, so it holds `Z'` blocks.
+        let mut plan = std::mem::take(&mut self.scratch.plan);
+        let geo = &self.geo;
+        match (evict_path, buckets) {
+            // evictPath: tier = level; a block sinks to the deepest bucket
+            // its own path shares with the eviction path.
+            (Some(path), _) => self.stash.plan_eviction(
+                usize::from(geo.levels()),
+                |tier| usize::from(geo.level_config(Level(tier as u8)).z_real),
+                |label| Some(usize::from(geo.common_prefix_levels(label, path)) - 1),
+                &mut plan,
+            ),
+            // earlyReshuffle: the lone bucket takes blocks whose path
+            // crosses it.
+            (None, &[bucket]) => self.stash.plan_eviction(
+                1,
+                |_| usize::from(geo.level_config(bucket.level()).z_real),
+                |label| geo.bucket_is_on_path(bucket, label).then_some(0),
+                &mut plan,
+            ),
+            (None, _) => {
+                return Err(OramError::Internal { context: "a reshuffle rebuilds one bucket" })
+            }
+        }
+
         // Rebuild phase, deepest bucket first so blocks sink to the leaves.
         let mut order = std::mem::take(&mut self.scratch.order);
         order.clear();
         order.extend_from_slice(buckets);
         order.sort_by_key(|b| std::cmp::Reverse(b.level()));
         for &b in &order {
-            self.rebuild_one(b, evict_path, op, sink, now)?;
+            let tier = if evict_path.is_some() { usize::from(b.level().0) } else { 0 };
+            self.rebuild_one(b, plan.picks(tier), op, sink, now)?;
         }
         self.scratch.order = order;
+        self.scratch.plan = plan;
         Ok(())
     }
 
+    /// Rebuilds one bucket around `picks`, the stash blocks the eviction
+    /// plan chose for it (ascending ids, at most its real capacity).
     fn rebuild_one(
         &mut self,
         bucket: BucketId,
-        evict_path: Option<PathId>,
+        picks: &[BlockId],
         op: OramOp,
         sink: &mut impl MemorySink,
         now: u64,
@@ -922,11 +978,9 @@ impl RingOram {
         // Drop the old epoch's borrowed slots. No release bookkeeping is
         // needed: the slots' home buckets still own them (status Allocated
         // until the home's own rebuild), and the DeadQ is replenished by
-        // gatherDEADs.
-        {
-            let m = self.meta.get_mut(bucket);
-            m.borrowed.clear();
-        }
+        // gatherDEADs. (The list itself is kept and refilled below.)
+        let mut new_borrowed = std::mem::take(&mut self.meta.get_mut(bucket).borrowed);
+        new_borrowed.clear();
 
         // Census: the rewrite revives every own slot that died this epoch,
         // including slots that were gathered into the pool (the home
@@ -952,7 +1006,6 @@ impl RingOram {
         // Borrow fresh dead slots on extension levels (DR / AB), validating
         // each DeadQ entry against its home's slot status: an entry whose
         // home has rebuilt since it was queued is stale and discarded.
-        let mut new_borrowed = Vec::new();
         if self.remote_enabled && cfg_l.has_dynamic_extension() && self.deadqs.tracks(level) {
             telemetry::span(Phase::RemoteAlloc);
             self.stats.extensions_attempted += 1;
@@ -999,19 +1052,7 @@ impl RingOram {
         m.count = 0;
         m.set_all_valid(logical_slots);
 
-        // Refill with matching stash blocks (ascending id order, truncated
-        // to capacity — same selection as the old collect-and-take scan).
-        let geo = &self.geo;
-        let mut candidates = std::mem::take(&mut self.scratch.candidates);
-        match evict_path {
-            Some(p) => self.stash.matching_blocks_into(&mut candidates, |label| {
-                geo.common_prefix_levels(label, p) > level.0
-            }),
-            None => self.stash.matching_blocks_into(&mut candidates, |label| {
-                geo.bucket_is_on_path(bucket, label)
-            }),
-        }
-        candidates.truncate(usize::from(real_capacity));
+        debug_assert!(picks.len() <= usize::from(real_capacity), "{bucket}: plan overfills");
 
         // Random distinct slots for the chosen blocks (the permutation).
         // Real blocks go into own slots only; borrowed (remote) logical
@@ -1025,14 +1066,13 @@ impl RingOram {
         }
         let mut placed = std::mem::take(&mut self.scratch.placed);
         placed.clear();
-        for (i, block) in candidates.iter().enumerate() {
+        for (&slot, &block) in slots.iter().zip(picks) {
             let entry = self
                 .stash
-                .remove(*block)
+                .remove(block)
                 .ok_or(OramError::Internal { context: "eviction candidate left the stash" })?;
-            placed.push((slots[i], entry));
+            placed.push((slot, entry));
         }
-        self.scratch.candidates = candidates;
         self.scratch.slots = slots;
         {
             let m = self.meta.get_mut(bucket);
@@ -1475,11 +1515,8 @@ impl RingOram {
         let seed = self.cfg.seed;
         self.posmap
             .grow_one_level(|b, leaf| extend_label(leaf, old_levels, old_levels + 1, seed, b));
-        let in_stash: Vec<BlockId> = self.stash.iter().map(|e| e.block).collect();
-        for b in in_stash {
-            let label = self.posmap.path_of(b);
-            self.stash.relabel(b, label);
-        }
+        let posmap = &self.posmap;
+        self.stash.relabel_all(|b| posmap.path_of(b));
 
         // The new leaf level starts freshly reshuffled: all slots valid
         // reserved dummies, exactly like `new`'s bucket init.
@@ -1530,7 +1567,7 @@ impl RingOram {
         if block >= self.posmap.len() {
             return false;
         }
-        if self.stash.get(block).is_some() {
+        if self.stash.contains(block) {
             return true;
         }
         let label = self.posmap.path_of(block);
@@ -1555,6 +1592,21 @@ impl RingOram {
                 self.stash.len(),
                 self.stash.capacity()
             ));
+        }
+        // (1a) The stash's index and dense storage describe one set of
+        // distinct blocks, each carrying its position-map label.
+        self.stash.validate()?;
+        for e in self.stash.iter() {
+            if e.block >= self.posmap.len() {
+                return Err(format!("stash holds unmapped block {}", e.block));
+            }
+            let mapped = self.posmap.path_of(e.block);
+            if e.label != mapped {
+                return Err(format!(
+                    "stash block {} labelled {} but mapped to {mapped}",
+                    e.block, e.label
+                ));
+            }
         }
         for raw in 0..self.geo.bucket_count() {
             let bucket = BucketId::new(raw);
@@ -1583,6 +1635,11 @@ impl RingOram {
                     return Err(format!("{bucket}: two real blocks share slot {}", e.ptr));
                 }
                 occupied |= 1u64 << e.ptr;
+                // A bucket entry exists exactly while its block is out of
+                // the stash.
+                if self.stash.contains(e.addr) {
+                    return Err(format!("{bucket}: block {} is also in the stash", e.addr));
+                }
             }
             // (4) No slot is simultaneously live and reclaimed: a Dead or
             // Allocated status always pairs with a cleared valid bit.
@@ -2100,6 +2157,34 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_written_before_the_dense_stash_is_byte_compatible() {
+        // Written by the engine whose stash was a `HashMap` scanned once per
+        // bucket: same history → same bytes, and the fixture restores,
+        // re-serializes and continues bit-identically. A deliberate
+        // `SNAPSHOT_VERSION` bump regenerates it (the recipe is this loop).
+        const FIXTURE: &[u8] = include_bytes!("../tests/fixtures/ring_ab_l8_v3.absn");
+        let cfg = OramConfig::builder(8, Scheme::Ab).seed(11).build().unwrap();
+        let mut fresh = RingOram::new(&cfg).unwrap();
+        let mut sink = CountingSink::new();
+        for i in 0..404u64 {
+            let block = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % fresh.block_count();
+            fresh.access(AccessKind::Read, block, None, &mut sink).unwrap();
+        }
+        assert_eq!(fresh.stash_len(), 16, "the fixture's stash is not empty");
+        assert!(
+            fresh.snapshot().unwrap() == FIXTURE,
+            "the same history no longer writes the same bytes"
+        );
+
+        let mut restored = RingOram::restore(&cfg, FIXTURE).expect("a v3 snapshot restores");
+        restored.validate_invariants().unwrap();
+        assert!(restored.snapshot().unwrap() == FIXTURE);
+        churn(&mut fresh, &mut sink, 300);
+        churn(&mut restored, &mut sink, 300);
+        assert!(fresh.snapshot().unwrap() == restored.snapshot().unwrap());
+    }
+
+    #[test]
     fn snapshot_rejects_wrong_config_and_corruption() {
         let cfg = OramConfig::builder(10, Scheme::Baseline).seed(11).build().unwrap();
         let oram = RingOram::new(&cfg).unwrap();
@@ -2145,6 +2230,28 @@ mod tests {
         for (a, b) in warmed.stats().lifetimes.iter().zip(&restored.stats().lifetimes) {
             assert_eq!(a.count(), b.count());
             assert_eq!(a.avg(), b.avg());
+        }
+    }
+
+    #[test]
+    fn steady_state_access_allocates_nothing() {
+        // Every per-access buffer — the engine's scratch, the eviction plan,
+        // the stash's dense arrays and its index — is the same allocation,
+        // at the same capacity, after 10 000 more accesses.
+        for scheme in [Scheme::Ab, Scheme::Baseline] {
+            let mut oram = engine(scheme, 12);
+            let mut sink = CountingSink::new();
+            let buffers = |oram: &RingOram| {
+                let mut all = oram.scratch.buffers();
+                all.extend(oram.stash.buffers());
+                all
+            };
+            churn(&mut oram, &mut sink, 20_000);
+            let warm = buffers(&oram);
+            assert!(warm.iter().all(|&(_, capacity)| capacity > 0), "{scheme:?}: {warm:?}");
+            churn(&mut oram, &mut sink, 10_000);
+            assert_eq!(buffers(&oram), warm, "{scheme:?}: a buffer moved or grew");
+            assert!(oram.stats().reshuffles.total() > 0 && oram.stats().evict_paths > 0);
         }
     }
 

@@ -12,7 +12,8 @@
 //! Layout: segment 0 holds `base` elements (`base` a power of two);
 //! segment `s ≥ 1` holds `base << (s - 1)` elements, so total capacity
 //! doubles with each appended segment. Index `i` resolves in O(1) with
-//! two shifts and a subtraction — no per-segment scan.
+//! two shifts and a subtraction — no per-segment scan, and no division:
+//! `base` is a power of two, so `i / base` is `i >> log2(base)`.
 
 /// A grow-by-appending vector whose elements never move (see module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,6 +24,8 @@ pub struct SegmentedVector<T> {
     /// never reallocated.
     segments: Vec<Vec<T>>,
     base: usize,
+    /// `log2(base)`, so `locate` shifts where it would divide.
+    base_shift: u32,
     len: usize,
 }
 
@@ -35,7 +38,7 @@ impl<T> SegmentedVector<T> {
     /// Panics if `base` is zero or not a power of two.
     pub fn new(base: usize) -> Self {
         assert!(base.is_power_of_two(), "segment base must be a power of two, got {base}");
-        SegmentedVector { segments: Vec::new(), base, len: 0 }
+        SegmentedVector { segments: Vec::new(), base, base_shift: base.trailing_zeros(), len: 0 }
     }
 
     /// Number of elements.
@@ -74,10 +77,10 @@ impl<T> SegmentedVector<T> {
     }
 
     /// Maps a flat index to `(segment, offset)`. O(1): the segment is the
-    /// bit length of `index / base`.
+    /// bit length of `index / base`, taken as a shift.
     #[inline]
     fn locate(&self, index: usize) -> (usize, usize) {
-        let b = index / self.base;
+        let b = index >> self.base_shift;
         if b == 0 {
             (0, index)
         } else {
@@ -157,6 +160,39 @@ impl<T> Extend<T> for SegmentedVector<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The shift resolves every index to the segment and offset the
+        /// division did, for every power-of-two base up to 2¹⁶ — at the
+        /// first and last slot of each of the first six segments and at
+        /// arbitrary indices in between.
+        #[test]
+        fn locate_matches_the_division(picks in proptest::collection::vec(any::<u64>(), 1..64)) {
+            for base in (0..=16).map(|log| 1usize << log) {
+                let v = SegmentedVector::<u8>::new(base);
+                let by_division = |index: usize| match index / base {
+                    0 => (0, index),
+                    b => {
+                        let s = (usize::BITS - b.leading_zeros()) as usize;
+                        (s, index - (base << (s - 1)))
+                    }
+                };
+                let mut first = 0;
+                for s in 0..6 {
+                    let cap = v.segment_capacity(s);
+                    prop_assert_eq!(v.locate(first), (s, 0), "base {}", base);
+                    prop_assert_eq!(v.locate(first + cap - 1), (s, cap - 1), "base {}", base);
+                    prop_assert_eq!(by_division(first), (s, 0));
+                    first += cap;
+                }
+                for &p in &picks {
+                    let index = (p % first as u64) as usize;
+                    prop_assert_eq!(v.locate(index), by_division(index), "base {}", base);
+                }
+            }
+        }
+    }
 
     #[test]
     fn push_index_round_trip() {

@@ -6,8 +6,8 @@
 //! path: a pipelined [`TimedBackend`] replies identically either way.
 
 use aboram_core::{
-    AccessKind, BackendReply, OramConfig, Scheme, SimulationReport, StorageBackend, TimedBackend,
-    TimingDriver,
+    AccessKind, BackendReply, CountingSink, OramConfig, PathOram, RingOram, Scheme,
+    SimulationReport, StorageBackend, TimedBackend, TimingDriver,
 };
 use aboram_dram::DramConfig;
 use aboram_telemetry::Collector;
@@ -49,7 +49,52 @@ fn telemetry_does_not_perturb_fixed_seed_runs() {
         assert!(trace.contains("\"t\":\"run\""), "missing run header:\n{trace}");
         assert!(trace.contains("\"t\":\"counts\""), "missing phase counts:\n{trace}");
         assert!(trace.contains("\"t\":\"sum\""), "missing run summary:\n{trace}");
+        for counter in ["stash.scan_passes", "stash.scanned_blocks"] {
+            assert!(trace.contains(&format!("\"name\":\"{counter}\"")), "missing {counter}");
+        }
     }
+}
+
+/// The eviction scan runs once per rebuild — an evictPath (periodic,
+/// background or escalated) or an earlyReshuffle — and never once per
+/// bucket: the registry's pass count equals the protocol's own counters.
+#[test]
+fn the_stash_is_scanned_once_per_rebuild() {
+    // The second configuration's low threshold forces background evictions.
+    for (scheme, stash) in [(Scheme::Ab, None), (Scheme::Baseline, Some((120, 25)))] {
+        let mut builder = OramConfig::builder(10, scheme).seed(77);
+        if let Some((capacity, threshold)) = stash {
+            builder = builder.stash(capacity, threshold);
+        }
+        let mut oram = RingOram::new(&builder.build().unwrap()).unwrap();
+        let mut sink = CountingSink::new();
+        aboram_telemetry::install(Collector::to_shared_buffer().0);
+        for i in 0..4_000u64 {
+            oram.access(AccessKind::Read, (i * 37) % 1_000, None, &mut sink).unwrap();
+        }
+        let collector = aboram_telemetry::uninstall().expect("collector was installed");
+        let stats = oram.stats();
+        assert_eq!(stash.is_some(), stats.background_accesses > 0, "{scheme}");
+        let rebuilds = stats.evict_paths
+            + stats.background_accesses
+            + stats.recovery.escalated_evictions
+            + stats.reshuffles.total();
+        let passes = collector.registry().counter("stash.scan_passes");
+        assert_eq!(passes, rebuilds, "{scheme}: one pass per rebuild");
+        let scanned = collector.registry().counter("stash.scanned_blocks");
+        assert!(scanned > 0 && scanned <= passes * oram.stash_peak() as u64, "{scheme}");
+    }
+
+    // Path ORAM's write-back goes through the same routine: one pass per access.
+    let cfg = OramConfig::builder(10, Scheme::PlainRing).seed(77).build().unwrap();
+    let mut oram = PathOram::new(&cfg).unwrap();
+    let mut sink = CountingSink::new();
+    aboram_telemetry::install(Collector::to_shared_buffer().0);
+    for i in 0..500u64 {
+        oram.access((i * 37) % 1_000, &mut sink).unwrap();
+    }
+    let collector = aboram_telemetry::uninstall().expect("collector was installed");
+    assert_eq!(collector.registry().counter("stash.scan_passes"), oram.accesses());
 }
 
 #[test]
