@@ -229,6 +229,16 @@ impl OramConfig {
     }
 
     /// Builds the tree geometry for this configuration's scheme.
+    ///
+    /// # Errors
+    ///
+    /// Returns the geometry error for an invalid tree, and
+    /// [`OramError::BadParameter`] for one whose buckets the engine's
+    /// fixed-size bucket record ([`BucketMeta`](crate::BucketMeta)) cannot
+    /// hold: more than 5 real or 8 borrowed entries per bucket, more than 16
+    /// logical slots (`Z + r`), or more than 28 levels.
+    /// Every engine geometry — construction, snapshot restore, each grown
+    /// level — is derived here, so the refusal covers them all.
     pub fn geometry(&self) -> Result<TreeGeometry, OramError> {
         let l = self.levels;
         let cb = LevelConfig::new(Z_REAL, CB_S).with_overlap(CB_Y);
@@ -288,6 +298,7 @@ impl OramConfig {
                 TreeGeometry::uniform(l, cb)?.override_bottom_levels(bottom_levels, extended)?
             }
         };
+        crate::metadata::check_record_capacity(&geo)?;
         Ok(geo)
     }
 
@@ -413,16 +424,8 @@ impl OramConfigBuilder {
                     ),
                 });
             }
-            if g.max_levels > TreeGeometry::MAX_LEVELS {
-                return Err(OramError::BadParameter {
-                    name: "growth.max_levels",
-                    reason: format!(
-                        "ceiling ({}) exceeds the supported maximum ({})",
-                        g.max_levels,
-                        TreeGeometry::MAX_LEVELS
-                    ),
-                });
-            }
+            // Every level the tree may grow to must fit the bucket record.
+            crate::metadata::check_record_levels("growth.max_levels", g.max_levels)?;
             if g.util_pct == 0 || g.util_pct > 100 {
                 return Err(OramError::BadParameter {
                     name: "growth.util_pct",
@@ -535,6 +538,81 @@ mod tests {
             relocs,
             Err(OramError::BadParameter { name: "growth.relocs_per_access", .. })
         ));
+    }
+
+    /// The parameter a geometry is refused for, if the bucket record
+    /// cannot hold it.
+    fn record_refusal(levels: u8, level: LevelConfig) -> Option<&'static str> {
+        let geo = TreeGeometry::uniform(levels, level).unwrap();
+        match crate::metadata::check_record_capacity(&geo) {
+            Ok(()) => None,
+            Err(OramError::BadParameter { name, .. }) => Some(name),
+            Err(other) => panic!("capacity refusals are BadParameter, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn more_than_five_real_entries_per_bucket_is_refused() {
+        assert_eq!(record_refusal(8, LevelConfig::new(5, 3)), None);
+        assert_eq!(record_refusal(8, LevelConfig::new(6, 3)), Some("z_real"));
+    }
+
+    #[test]
+    fn more_than_eight_borrowed_slots_per_bucket_is_refused() {
+        let dr = LevelConfig::new(5, 1);
+        assert_eq!(record_refusal(8, dr.with_dynamic_extension(8)), None);
+        assert_eq!(record_refusal(8, dr.with_dynamic_extension(9)), Some("dynamic_s_extension"));
+    }
+
+    #[test]
+    fn more_than_sixteen_logical_slots_per_bucket_is_refused() {
+        // Own slots alone, and own + borrowed: both must fit the 16-bit masks.
+        assert_eq!(record_refusal(8, LevelConfig::new(5, 11)), None);
+        assert_eq!(record_refusal(8, LevelConfig::new(5, 12)), Some("z_total"));
+        assert_eq!(record_refusal(8, LevelConfig::new(5, 9).with_dynamic_extension(2)), None);
+        assert_eq!(
+            record_refusal(8, LevelConfig::new(5, 10).with_dynamic_extension(2)),
+            Some("z_total")
+        );
+    }
+
+    #[test]
+    fn a_tree_deeper_than_the_record_addresses_is_refused() {
+        assert!(OramConfig::builder(28, Scheme::Ab).build().is_ok());
+        let deep = OramConfig::builder(29, Scheme::Ab).build();
+        assert!(matches!(deep, Err(OramError::BadParameter { name: "levels", .. })), "{deep:?}");
+        // The closed-form space model keeps the geometry crate's own limit.
+        assert!(TreeGeometry::uniform(TreeGeometry::MAX_LEVELS, LevelConfig::new(5, 3)).is_ok());
+    }
+
+    #[test]
+    fn a_growth_ceiling_deeper_than_the_record_addresses_is_refused() {
+        assert!(OramConfig::builder(8, Scheme::Ab).growth(GrowthConfig::up_to(28)).build().is_ok());
+        let deep = OramConfig::builder(8, Scheme::Ab).growth(GrowthConfig::up_to(29)).build();
+        assert!(
+            matches!(deep, Err(OramError::BadParameter { name: "growth.max_levels", .. })),
+            "{deep:?}"
+        );
+    }
+
+    /// Every scheme the figure bins construct (`aboram-bench`'s `suite.rs`
+    /// sweeps plus the presets) fits the record at the smallest, the
+    /// benchmark's and the paper's level count.
+    #[test]
+    fn every_figure_scheme_fits_the_bucket_record() {
+        let mut schemes = Scheme::evaluated();
+        schemes.extend([Scheme::PlainRing, Scheme::DrPlus { bottom_levels: 6 }]);
+        schemes.extend((1..=7).map(|x| Scheme::RingShrink { bottom_levels: x }));
+        schemes.extend((1..=6).map(|bottom| Scheme::Dr { bottom_levels: bottom }));
+        for y in 1..=3 {
+            schemes.extend((1..=3).map(|x| Scheme::Ns { bottom_levels: y, shrink: x }));
+        }
+        for scheme in schemes {
+            for levels in [8, 14, 24] {
+                let built = OramConfig::builder(levels, scheme).build();
+                assert!(built.is_ok(), "{scheme} at L = {levels}: {built:?}");
+            }
+        }
     }
 
     #[test]

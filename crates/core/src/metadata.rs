@@ -2,19 +2,29 @@
 //! AB-ORAM's remote-allocation extensions, and the bit-exact layout
 //! accounting behind the §VIII-H storage-overhead claim.
 //!
-//! The per-bucket state is held as fixed-width bitset words (`u64`, one bit
-//! per slot): slot validity, real-block occupancy and the slot-status
-//! lifecycle are all single-word masks, so the engine's hot scans — pick a
-//! valid dummy, gather dead slots, census the not-refreshed slots — are
-//! branch-light word operations instead of `Vec` walks (see DESIGN.md §8).
-//! The in-memory words are machine-width (`u64`) so mask combining and
-//! `nth_set_bit` selection compile to single register ops with headroom for
-//! wider buckets; the snapshot codec still stores the occupied low 16 bits
-//! (`own_slots + borrowed ≤ 16`), keeping every `ABSN` byte unchanged.
+//! A bucket is one fixed-size plain record, [`BucketMeta`], with no heap
+//! behind it — the in-memory counterpart of the paper's single 64 B
+//! metadata block (DESIGN.md §8 "The bucket record" has the byte table).
+//! Real entries are inline parallel arrays sized to `Z' = 5` (`addr` as
+//! `u64`, `label` as 32 bits, `ptr` as a byte), borrowed remote slots are
+//! packed to 32 bits each (`bucket << 4 | index`, capacity 8 ≥ Table I's
+//! `R = 6`), and slot validity, real-block occupancy and the slot-status
+//! lifecycle are four `u16` bitset words — the widths the `ABSN` snapshot
+//! codec has always written. The mask accessors widen to `u64` so mask
+//! combining and [`nth_set_bit`] selection stay single register ops and the
+//! batched SIMD scans keep their word type. All records of a tree live
+//! contiguously in a [`SegmentedVector`]: construction is one allocation,
+//! not two per bucket, and a grown level appends records without moving any.
+//!
+//! What the record cannot hold is refused when the engine is configured
+//! (`check_record_capacity`, called from
+//! [`OramConfig::geometry`](crate::OramConfig::geometry)), as a typed
+//! [`OramError::BadParameter`] — never a panic on the access path.
 
+use crate::error::OramError;
 use crate::segvec::SegmentedVector;
 use crate::BlockId;
-use aboram_tree::{simd, Level, PathId, SlotId, TreeGeometry};
+use aboram_tree::{simd, BucketId, Level, PathId, SlotId, TreeGeometry};
 
 /// Physical-slot lifecycle under AB-ORAM (§V-B2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,58 +74,86 @@ pub fn nth_set_bit(mut mask: u64, n: usize) -> u8 {
     mask.trailing_zeros() as u8
 }
 
-/// Metadata of one bucket.
+/// Metadata of one bucket: a fixed-size record, no heap behind it.
 ///
 /// The bucket exposes a *logical* slot space: its own physical slots
 /// (possibly fewer than the paper's `Z` under DR) plus any slots borrowed
 /// from the level's DeadQ. Logical slot `i` resolves to the bucket's own
-/// physical slot `i` when `i < own_slots`, otherwise to `borrowed[i -
-/// own_slots]` — this is the extra address-mapping level of Fig. 5(b), kept
+/// physical slot `i` when `i < own_slots`, otherwise to borrowed slot `i -
+/// own_slots` — this is the extra address-mapping level of Fig. 5(b), kept
 /// in cleartext.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// Unused array elements are kept zero, so two records describing the same
+/// bucket state are equal byte for byte (`==` is the derived field
+/// comparison). `#[repr(C)]` fixes the field order — the words a readPath
+/// touches (`addr`, the masks, the counters, `ptr`) come first and share the
+/// record's leading 59 bytes — at natural (8-byte) alignment; DESIGN.md §8
+/// records why the record must not be over-aligned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(C)]
 pub struct BucketMeta {
+    /// `addr` of each real entry (first `n_entries` live).
+    addr: [BlockId; Self::MAX_REAL],
+    /// Validity bitmap over logical slots.
+    valid: u16,
+    /// Occupancy bitmap: bit `i` set iff some entry's `ptr == i`.
+    real: u16,
+    /// Own slots whose content was consumed by a readPath.
+    dead: u16,
+    /// Own slots handed to the DeadQ / a remote bucket this epoch.
+    allocated: u16,
     /// `count`: readPaths absorbed since the last refresh.
     pub count: u8,
     /// `dynamicS`: dummy budget chosen at the last refresh.
     pub dynamic_s: u8,
-    /// Real blocks currently mapped here (≤ `Z'`), with their slots.
-    entries: Vec<RealEntry>,
-    /// Validity bitmap over logical slots.
-    valid: u64,
-    /// Occupancy bitmap: bit `i` set iff some entry's `ptr == i`.
-    real: u64,
-    /// Own slots whose content was consumed by a readPath.
-    dead: u64,
-    /// Own slots handed to the DeadQ / a remote bucket this epoch.
-    allocated: u64,
     /// Number of own physical slots.
     own_slots: u8,
     /// Number of logical slots at the last refresh.
     pub logical_slots: u8,
+    /// Real blocks currently mapped here (≤ `Z'`).
+    n_entries: u8,
+    /// Remote slots currently borrowed (≤ `R`).
+    n_borrowed: u8,
+    /// `ptr` of each real entry: its logical slot.
+    ptr: [u8; Self::MAX_REAL],
+    /// `label` of each real entry: the leaf index, 32 bits.
+    label: [u32; Self::MAX_REAL],
     /// Remote physical slots backing logical slots `own_slots..` — the
-    /// paper's `remoteAddr`/`remoteInd` entries (at most `R`). Remote slots
-    /// hold reserved dummies only; real blocks always live in own slots
-    /// (see DESIGN.md on why this is the only capacity-consistent reading).
-    pub borrowed: Vec<SlotId>,
+    /// paper's `remoteAddr`/`remoteInd` pairs, packed `bucket << 4 | index`.
+    /// Remote slots hold reserved dummies only; real blocks always live in
+    /// own slots (see DESIGN.md on why this is the only capacity-consistent
+    /// reading).
+    borrowed: [u32; Self::MAX_BORROWED],
 }
 
+// The record is the engine's per-bucket memory cost; keep it within two
+// cache lines (it is 112 bytes at the capacities below).
+const _: () = assert!(std::mem::size_of::<BucketMeta>() <= 128);
+const _: () = assert!(std::mem::align_of::<BucketMeta>() == 8);
+
 impl BucketMeta {
+    /// Real entries one record holds — the paper's `Z' = 5`.
+    pub const MAX_REAL: usize = 5;
+    /// Borrowed remote slots one record holds (Table I provisions `R = 6`).
+    pub const MAX_BORROWED: usize = 8;
+    /// Logical slots (own + borrowed) the 16-bit mask words cover.
+    pub const MAX_SLOTS: u8 = 16;
+    /// Deepest tree whose bucket ids fit a packed borrowed slot (28 bits)
+    /// and whose leaf indices fit a 32-bit label.
+    pub const MAX_LEVELS: u8 = 28;
+
+    /// Whether `slot` fits the 32-bit packing `bucket << 4 | index`.
+    #[inline]
+    fn packs(slot: SlotId) -> bool {
+        slot.bucket.raw() < 1 << Self::MAX_LEVELS && slot.index < Self::MAX_SLOTS
+    }
+
     /// Creates metadata for a bucket with `own_slots` physical slots, all
-    /// slots initially refreshed and invalid (empty tree).
+    /// slots initially refreshed and invalid (empty tree). `own_slots` is at
+    /// most [`MAX_SLOTS`](Self::MAX_SLOTS) for any geometry
+    /// [`OramConfig::geometry`](crate::OramConfig::geometry) returns.
     pub fn new(own_slots: u8) -> Self {
-        debug_assert!(own_slots <= 16, "the snapshot codec stores 16-bit masks");
-        BucketMeta {
-            count: 0,
-            dynamic_s: 0,
-            entries: Vec::new(),
-            valid: 0,
-            real: 0,
-            dead: 0,
-            allocated: 0,
-            own_slots,
-            logical_slots: own_slots,
-            borrowed: Vec::new(),
-        }
+        BucketMeta { own_slots, logical_slots: own_slots, ..Self::default() }
     }
 
     /// Whether logical slot `logical` resolves to a borrowed (remote) slot.
@@ -150,7 +188,7 @@ impl BucketMeta {
     /// bucket's state right after a rebuild.
     #[inline]
     pub fn set_all_valid(&mut self, n: u8) {
-        self.valid = low_mask(n);
+        self.valid = low_mask(n) as u16;
     }
 
     /// Number of valid logical slots.
@@ -162,28 +200,35 @@ impl BucketMeta {
     /// Bitmap of valid logical slots.
     #[inline]
     pub fn valid_mask(&self) -> u64 {
-        self.valid & low_mask(self.logical_slots)
+        u64::from(self.valid) & low_mask(self.logical_slots)
     }
 
     /// Bitmap of valid logical slots that hold no real block — the dummy
     /// candidates a readPath picks from.
     #[inline]
     pub fn dummy_mask(&self) -> u64 {
-        self.valid_mask() & !self.real
+        self.valid_mask() & !u64::from(self.real)
+    }
+
+    /// Bitmap of logical slots holding a real block — the union of the
+    /// entries' `ptr` bits.
+    #[inline]
+    pub fn real_mask(&self) -> u64 {
+        u64::from(self.real)
     }
 
     /// Bitmap of logical slots with no real block mapped (free for a new
     /// entry), regardless of validity.
     #[inline]
     pub fn unoccupied_mask(&self) -> u64 {
-        !self.real & low_mask(self.logical_slots)
+        !u64::from(self.real) & low_mask(self.logical_slots)
     }
 
     /// The status of own slot `j`.
     #[inline]
     pub fn status(&self, j: u8) -> SlotStatus {
         debug_assert!(j < self.own_slots);
-        let bit = 1u64 << j;
+        let bit = 1u16 << j;
         if self.dead & bit != 0 {
             SlotStatus::Dead
         } else if self.allocated & bit != 0 {
@@ -197,7 +242,7 @@ impl BucketMeta {
     #[inline]
     pub fn set_status(&mut self, j: u8, st: SlotStatus) {
         debug_assert!(j < self.own_slots);
-        let bit = 1u64 << j;
+        let bit = 1u16 << j;
         self.dead &= !bit;
         self.allocated &= !bit;
         match st {
@@ -210,14 +255,14 @@ impl BucketMeta {
     /// Bitmap of own slots currently `Dead` — gatherDEADs' scan.
     #[inline]
     pub fn dead_mask(&self) -> u64 {
-        self.dead
+        u64::from(self.dead)
     }
 
     /// Bitmap of own slots not `Refreshed` (dead or allocated) — the
     /// rebuild-time census scan.
     #[inline]
     pub fn not_refreshed_mask(&self) -> u64 {
-        self.dead | self.allocated
+        u64::from(self.dead | self.allocated)
     }
 
     /// Resets every own slot to `Refreshed` (a rebuild's rewrite).
@@ -227,45 +272,143 @@ impl BucketMeta {
         self.allocated = 0;
     }
 
-    /// The real entries currently mapped here.
+    /// The `i`-th real entry, assembled from the parallel arrays.
     #[inline]
-    pub fn entries(&self) -> &[RealEntry] {
-        &self.entries
+    fn entry(&self, i: usize) -> RealEntry {
+        RealEntry {
+            addr: self.addr[i],
+            label: PathId::new(u64::from(self.label[i])),
+            ptr: self.ptr[i],
+        }
+    }
+
+    /// The real entries currently mapped here, by value, in storage order:
+    /// [`push_entry`](Self::push_entry) appends and
+    /// [`take_entry`](Self::take_entry) moves the last entry into the hole
+    /// (`swap_remove`). The order is observable — a rebuild's read phase
+    /// issues its block reads in it — so it is part of the engine's fixed
+    /// point.
+    #[inline]
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = RealEntry> + '_ {
+        (0..usize::from(self.n_entries)).map(|i| self.entry(i))
     }
 
     /// Maps a new real entry into the bucket.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the record already holds [`MAX_REAL`](Self::MAX_REAL)
+    /// entries — an engine bug: the engine maps at most `Z'` blocks per
+    /// bucket, and [`OramConfig::geometry`](crate::OramConfig::geometry)
+    /// refuses a `Z'` above the capacity.
+    #[inline]
     pub fn push_entry(&mut self, e: RealEntry) {
         debug_assert!(self.real & (1 << e.ptr) == 0, "slot {} double-mapped", e.ptr);
+        debug_assert!(e.label.leaf() <= u64::from(u32::MAX), "label {} exceeds 32 bits", e.label);
+        let i = usize::from(self.n_entries);
+        self.addr[i] = e.addr;
+        self.label[i] = e.label.leaf() as u32;
+        self.ptr[i] = e.ptr;
+        self.n_entries += 1;
         self.real |= 1 << e.ptr;
-        self.entries.push(e);
     }
 
-    /// Unmaps every real entry, keeping the entry buffer's capacity.
+    /// Unmaps every real entry.
     #[inline]
     pub fn clear_entries(&mut self) {
-        self.entries.clear();
+        self.addr = [0; Self::MAX_REAL];
+        self.label = [0; Self::MAX_REAL];
+        self.ptr = [0; Self::MAX_REAL];
+        self.n_entries = 0;
         self.real = 0;
     }
 
-    /// The real entry stored for `block`, if present here.
-    pub fn entry_of(&self, block: BlockId) -> Option<&RealEntry> {
-        self.entries.iter().find(|e| e.addr == block)
+    /// Storage index of the entry for `block`, if present here.
+    #[inline]
+    fn position_of(&self, block: BlockId) -> Option<usize> {
+        self.addr[..usize::from(self.n_entries)].iter().position(|&a| a == block)
     }
 
-    /// Removes and returns the entry for `block`.
+    /// The real entry stored for `block`, if present here.
+    #[inline]
+    pub fn entry_of(&self, block: BlockId) -> Option<RealEntry> {
+        self.position_of(block).map(|i| self.entry(i))
+    }
+
+    /// Removes and returns the entry for `block`; the last entry takes its
+    /// place (see [`entries`](Self::entries) on why the order matters).
     pub fn take_entry(&mut self, block: BlockId) -> Option<RealEntry> {
-        let i = self.entries.iter().position(|e| e.addr == block)?;
-        let e = self.entries.swap_remove(i);
+        let i = self.position_of(block)?;
+        let e = self.entry(i);
+        let last = usize::from(self.n_entries) - 1;
+        self.addr[i] = self.addr[last];
+        self.label[i] = self.label[last];
+        self.ptr[i] = self.ptr[last];
+        self.addr[last] = 0;
+        self.label[last] = 0;
+        self.ptr[last] = 0;
+        self.n_entries -= 1;
         self.real &= !(1 << e.ptr);
         Some(e)
     }
 
     /// The real entry (if any) whose `ptr` is logical slot `i`.
-    pub fn entry_at_slot(&self, i: u8) -> Option<&RealEntry> {
+    pub fn entry_at_slot(&self, i: u8) -> Option<RealEntry> {
         if self.real & (1 << i) == 0 {
             return None;
         }
-        self.entries.iter().find(|e| e.ptr == i)
+        let at = self.ptr[..usize::from(self.n_entries)].iter().position(|&p| p == i)?;
+        Some(self.entry(at))
+    }
+
+    /// Number of remote slots currently borrowed.
+    #[inline]
+    pub fn borrowed_len(&self) -> u8 {
+        self.n_borrowed
+    }
+
+    /// The `i`-th borrowed slot — the physical home of logical slot
+    /// `own_slots + i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`borrowed_len`](Self::borrowed_len)
+    /// (engine bug).
+    #[inline]
+    pub fn borrowed_slot(&self, i: u8) -> SlotId {
+        let packed = self.borrowed[..usize::from(self.n_borrowed)][usize::from(i)];
+        SlotId::new(BucketId::new(u64::from(packed >> 4)), (packed & 0xf) as u8)
+    }
+
+    /// The borrowed slots, in logical-slot order.
+    #[inline]
+    pub fn borrowed(&self) -> impl ExactSizeIterator<Item = SlotId> + '_ {
+        (0..self.n_borrowed).map(|i| self.borrowed_slot(i))
+    }
+
+    /// Appends a borrowed slot (the next logical slot past the current
+    /// ones). `logical_slots` is the caller's to update.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the record already holds
+    /// [`MAX_BORROWED`](Self::MAX_BORROWED) slots — an engine bug: a rebuild
+    /// borrows at most the level's `r`, and
+    /// [`OramConfig::geometry`](crate::OramConfig::geometry) refuses an `r`
+    /// above the capacity.
+    #[inline]
+    pub fn push_borrowed(&mut self, slot: SlotId) {
+        debug_assert!(Self::packs(slot), "{slot} does not pack into 32 bits");
+        self.borrowed[usize::from(self.n_borrowed)] =
+            (slot.bucket.raw() as u32) << 4 | u32::from(slot.index);
+        self.n_borrowed += 1;
+    }
+
+    /// Drops every borrowed slot (a rebuild starts a new epoch).
+    #[inline]
+    pub fn clear_borrowed(&mut self) {
+        self.borrowed = [0; Self::MAX_BORROWED];
+        self.n_borrowed = 0;
     }
 
     /// Logical slots that are valid, optionally excluding real-block slots.
@@ -287,50 +430,123 @@ impl BucketMeta {
     /// bucket immediately afterwards, so the occupancy bitmaps are
     /// reconstructed under the new width.
     pub fn set_own_slots(&mut self, own: u8) {
-        debug_assert!(own <= 16, "the snapshot codec stores 16-bit masks");
         self.own_slots = own;
-        self.logical_slots = own + self.borrowed.len() as u8;
+        self.logical_slots = own + self.n_borrowed;
     }
 
     /// Decomposes the bucket into its raw fields — snapshot serialization.
-    pub(crate) fn to_raw(&self) -> BucketMetaRaw {
+    pub(crate) fn to_raw(self) -> BucketMetaRaw {
         BucketMetaRaw {
             count: self.count,
             dynamic_s: self.dynamic_s,
-            entries: self.entries.clone(),
-            // own_slots + borrowed ≤ 16, so the live bits fit the codec's
-            // 16-bit words exactly.
-            valid: self.valid as u16,
-            real: self.real as u16,
-            dead: self.dead as u16,
-            allocated: self.allocated as u16,
+            entries: self.entries().collect(),
+            valid: self.valid,
+            real: self.real,
+            dead: self.dead,
+            allocated: self.allocated,
             own_slots: self.own_slots,
             logical_slots: self.logical_slots,
-            borrowed: self.borrowed.clone(),
+            borrowed: self.borrowed().collect(),
         }
     }
 
     /// Rebuilds a bucket from raw fields captured by
-    /// [`to_raw`](Self::to_raw) — snapshot restore.
-    pub(crate) fn from_raw(raw: BucketMetaRaw) -> Self {
-        debug_assert_eq!(
-            raw.real,
-            raw.entries.iter().fold(0u16, |m, e| m | (1 << e.ptr)),
-            "occupancy bitmap inconsistent with entries"
-        );
-        BucketMeta {
+    /// [`to_raw`](Self::to_raw) — snapshot restore. The fields come from
+    /// bytes on disk, so everything the record's fixed widths assume is
+    /// checked here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OramError::SnapshotInvalid`] when the fields exceed the
+    /// record's capacities or the occupancy bitmap disagrees with the
+    /// entries.
+    pub(crate) fn from_raw(raw: BucketMetaRaw) -> Result<Self, OramError> {
+        let bad = |reason: &str| OramError::SnapshotInvalid { reason: reason.to_string() };
+        if raw.entries.len() > Self::MAX_REAL || raw.borrowed.len() > Self::MAX_BORROWED {
+            return Err(bad("bucket holds more entries than a record"));
+        }
+        if raw.own_slots > Self::MAX_SLOTS || raw.logical_slots > Self::MAX_SLOTS {
+            return Err(bad("bucket wider than the 16-bit slot masks"));
+        }
+        let mut m = BucketMeta {
             count: raw.count,
             dynamic_s: raw.dynamic_s,
-            entries: raw.entries,
-            valid: u64::from(raw.valid),
-            real: u64::from(raw.real),
-            dead: u64::from(raw.dead),
-            allocated: u64::from(raw.allocated),
+            valid: raw.valid,
+            dead: raw.dead,
+            allocated: raw.allocated,
             own_slots: raw.own_slots,
             logical_slots: raw.logical_slots,
-            borrowed: raw.borrowed,
+            ..Self::default()
+        };
+        for e in raw.entries {
+            let fits = e.ptr < Self::MAX_SLOTS && e.label.leaf() <= u64::from(u32::MAX);
+            if !fits || m.real & (1 << e.ptr) != 0 {
+                return Err(bad("bucket entry out of range or double-mapped"));
+            }
+            m.push_entry(e);
+        }
+        if m.real != raw.real {
+            return Err(bad("occupancy bitmap inconsistent with entries"));
+        }
+        for s in raw.borrowed {
+            if !Self::packs(s) {
+                return Err(bad("borrowed slot out of range"));
+            }
+            m.push_borrowed(s);
+        }
+        Ok(m)
+    }
+}
+
+/// Refuses a geometry whose buckets the fixed-size [`BucketMeta`] record
+/// cannot hold: more than [`BucketMeta::MAX_REAL`] real or
+/// [`BucketMeta::MAX_BORROWED`] borrowed entries per bucket, more than
+/// [`BucketMeta::MAX_SLOTS`] logical slots (`Z + r`), or more than
+/// [`BucketMeta::MAX_LEVELS`] levels (bucket ids must stay below 2²⁸ and
+/// leaf indices below 2³²). Called wherever an engine geometry is derived,
+/// so the record's array bounds are never met on the access path.
+///
+/// # Errors
+///
+/// Returns [`OramError::BadParameter`] naming the offending parameter
+/// (`levels`, `z_real`, `dynamic_s_extension` or `z_total`).
+pub(crate) fn check_record_capacity(geometry: &TreeGeometry) -> Result<(), OramError> {
+    check_record_levels("levels", geometry.levels())?;
+    for l in 0..geometry.levels() {
+        let cfg = geometry.level_config(Level(l));
+        let r = u16::from(cfg.dynamic_s_extension);
+        let limits = [
+            ("z_real", u16::from(cfg.z_real), BucketMeta::MAX_REAL as u16, "real entries"),
+            ("dynamic_s_extension", r, BucketMeta::MAX_BORROWED as u16, "borrowed slots"),
+            ("z_total", u16::from(cfg.z_total()) + r, u16::from(BucketMeta::MAX_SLOTS), "slots"),
+        ];
+        for (name, got, max, what) in limits {
+            if got > max {
+                return Err(OramError::BadParameter {
+                    name,
+                    reason: format!("level {l}: {got} exceeds the bucket record's {max} {what}"),
+                });
+            }
         }
     }
+    Ok(())
+}
+
+/// The level-count half of [`check_record_capacity`], usable before a
+/// geometry exists (`name` is the parameter reported: `levels` or
+/// `growth.max_levels`).
+pub(crate) fn check_record_levels(name: &'static str, levels: u8) -> Result<(), OramError> {
+    if levels > BucketMeta::MAX_LEVELS {
+        return Err(OramError::BadParameter {
+            name,
+            reason: format!(
+                "{levels} levels exceed the {} the bucket record addresses (bucket ids are 28 \
+                 bits, labels 32)",
+                BucketMeta::MAX_LEVELS
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// Reusable word buffers for the batched mask scans
@@ -371,42 +587,46 @@ pub(crate) struct BucketMetaRaw {
 
 /// All bucket metadata plus resolution of logical slots to physical slots.
 ///
-/// Backed by a [`SegmentedVector`] so an auto-scaling tree can append the
-/// new level's buckets without moving (or reallocating) any existing
-/// bucket's metadata — bucket addresses stay stable across growth.
+/// The records live contiguously in a [`SegmentedVector`]: the initial tree
+/// is one allocation, and an auto-scaling tree appends the new level's
+/// records in a fresh segment without moving (or reallocating) any existing
+/// one — record addresses stay stable across growth.
 #[derive(Debug, Clone)]
 pub struct MetadataStore {
     buckets: SegmentedVector<BucketMeta>,
 }
 
 impl MetadataStore {
-    /// Initializes metadata for every bucket of `geometry`.
-    pub fn new(geometry: &TreeGeometry) -> Self {
-        let base = (geometry.bucket_count() as usize).next_power_of_two();
-        let mut buckets = SegmentedVector::new(base.max(1));
-        for raw in 0..geometry.bucket_count() {
-            let level = aboram_tree::BucketId::new(raw).level();
-            let own = geometry.level_config(level).z_total();
-            buckets.push(BucketMeta::new(own));
-        }
-        MetadataStore { buckets }
+    /// An empty store whose first segment holds `buckets` records.
+    pub(crate) fn with_capacity(buckets: usize) -> Self {
+        MetadataStore { buckets: SegmentedVector::new(buckets.next_power_of_two().max(1)) }
     }
 
-    /// Appends metadata for one new bucket (a grown level). Existing
-    /// buckets never move.
+    /// Initializes metadata for every bucket of `geometry`.
+    pub fn new(geometry: &TreeGeometry) -> Self {
+        let mut store = Self::with_capacity(geometry.bucket_count() as usize);
+        for raw in 0..geometry.bucket_count() {
+            let level = BucketId::new(raw).level();
+            store.push(BucketMeta::new(geometry.level_config(level).z_total()));
+        }
+        store
+    }
+
+    /// Appends metadata for one new bucket, in heap order (construction,
+    /// snapshot restore, a grown level). Existing records never move.
     pub(crate) fn push(&mut self, meta: BucketMeta) {
         self.buckets.push(meta);
     }
 
     /// Borrow the metadata of `bucket`.
     #[inline]
-    pub fn get(&self, bucket: aboram_tree::BucketId) -> &BucketMeta {
+    pub fn get(&self, bucket: BucketId) -> &BucketMeta {
         &self.buckets[bucket.raw() as usize]
     }
 
     /// Mutably borrow the metadata of `bucket`.
     #[inline]
-    pub fn get_mut(&mut self, bucket: aboram_tree::BucketId) -> &mut BucketMeta {
+    pub fn get_mut(&mut self, bucket: BucketId) -> &mut BucketMeta {
         &mut self.buckets[bucket.raw() as usize]
     }
 
@@ -418,27 +638,19 @@ impl MetadataStore {
     ///
     /// Panics if `logical` is out of range for the bucket (engine bug).
     #[inline]
-    pub fn resolve(&self, bucket: aboram_tree::BucketId, logical: u8) -> SlotId {
+    pub fn resolve(&self, bucket: BucketId, logical: u8) -> SlotId {
         let meta = self.get(bucket);
         let own = meta.own_slots();
         if logical < own {
             SlotId::new(bucket, logical)
         } else {
-            meta.borrowed[usize::from(logical - own)]
+            meta.borrowed_slot(logical - own)
         }
     }
 
     /// All bucket metadata in heap order — snapshot serialization.
     pub(crate) fn buckets(&self) -> impl Iterator<Item = &BucketMeta> {
         self.buckets.iter()
-    }
-
-    /// Rebuilds a store from buckets in heap order — snapshot restore.
-    pub(crate) fn from_buckets(buckets: Vec<BucketMeta>) -> Self {
-        let base = buckets.len().next_power_of_two().max(1);
-        let mut sv = SegmentedVector::new(base);
-        sv.extend(buckets);
-        MetadataStore { buckets: sv }
     }
 
     /// Batched valid/dummy scan over `buckets` — one access path's worth of
@@ -453,7 +665,7 @@ impl MetadataStore {
     /// buckets are distinct, so the usual read-then-mark loop qualifies).
     pub fn path_pick_masks(
         &self,
-        buckets: &[aboram_tree::BucketId],
+        buckets: &[BucketId],
         scratch: &mut MaskScratch,
         valid_out: &mut Vec<u64>,
         dummy_out: &mut Vec<u64>,
@@ -464,8 +676,8 @@ impl MetadataStore {
         scratch.width.clear();
         for &b in buckets {
             let m = self.get(b);
-            scratch.valid.push(m.valid);
-            scratch.real.push(m.real);
+            scratch.valid.push(u64::from(m.valid));
+            scratch.real.push(u64::from(m.real));
             scratch.width.push(low_mask(m.logical_slots));
         }
         valid_out.clear();
@@ -481,7 +693,7 @@ impl MetadataStore {
     /// scan in bulk.
     pub fn not_refreshed_masks(
         &self,
-        buckets: &[aboram_tree::BucketId],
+        buckets: &[BucketId],
         scratch: &mut MaskScratch,
         out: &mut Vec<u64>,
     ) {
@@ -490,8 +702,8 @@ impl MetadataStore {
         scratch.real.clear();
         for &b in buckets {
             let m = self.get(b);
-            scratch.valid.push(m.dead);
-            scratch.real.push(m.allocated);
+            scratch.valid.push(u64::from(m.dead));
+            scratch.real.push(u64::from(m.allocated));
         }
         out.clear();
         out.resize(n, 0);
@@ -580,7 +792,227 @@ fn ceil_log2(v: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aboram_tree::{BucketId, LevelConfig};
+    use aboram_tree::LevelConfig;
+    use proptest::prelude::*;
+
+    /// The representation the record replaced — an entry `Vec`, a borrowed
+    /// `Vec` and `u64` mask words — kept as the oracle for
+    /// `record_matches_the_vec_model`.
+    #[derive(Debug, Default)]
+    struct VecModel {
+        entries: Vec<RealEntry>,
+        borrowed: Vec<SlotId>,
+        valid: u64,
+        real: u64,
+        dead: u64,
+        allocated: u64,
+        own_slots: u8,
+        logical_slots: u8,
+    }
+
+    impl VecModel {
+        fn push_entry(&mut self, e: RealEntry) {
+            self.real |= 1 << e.ptr;
+            self.entries.push(e);
+        }
+
+        fn take_entry(&mut self, block: BlockId) -> Option<RealEntry> {
+            let i = self.entries.iter().position(|e| e.addr == block)?;
+            let e = self.entries.swap_remove(i);
+            self.real &= !(1 << e.ptr);
+            Some(e)
+        }
+
+        fn entry_at_slot(&self, i: u8) -> Option<RealEntry> {
+            self.entries.iter().find(|e| e.ptr == i).copied()
+        }
+
+        fn set_status(&mut self, j: u8, st: SlotStatus) {
+            self.dead &= !(1 << j);
+            self.allocated &= !(1 << j);
+            match st {
+                SlotStatus::Dead => self.dead |= 1 << j,
+                SlotStatus::Allocated => self.allocated |= 1 << j,
+                SlotStatus::Refreshed => {}
+            }
+        }
+
+        fn status(&self, j: u8) -> SlotStatus {
+            if self.dead & (1 << j) != 0 {
+                SlotStatus::Dead
+            } else if self.allocated & (1 << j) != 0 {
+                SlotStatus::Allocated
+            } else {
+                SlotStatus::Refreshed
+            }
+        }
+
+        fn valid_mask(&self) -> u64 {
+            self.valid & low_mask(self.logical_slots)
+        }
+    }
+
+    proptest! {
+        /// Random operation sequences drive the inline record and the
+        /// `Vec`-backed model side by side: same `entries()` order (the
+        /// `swap_remove` order is observable through the rebuild read
+        /// phase), same lookups, same masks, same slot resolution, and a
+        /// `to_raw`/`from_raw` round trip that is the identity.
+        #[test]
+        fn record_matches_the_vec_model(
+            own in 1u8..=16,
+            ops in proptest::collection::vec((0u8..9, any::<u64>()), 1..200),
+        ) {
+            let mut m = BucketMeta::new(own);
+            let mut v = VecModel { own_slots: own, logical_slots: own, ..VecModel::default() };
+            let room = (BucketMeta::MAX_SLOTS - own).min(BucketMeta::MAX_BORROWED as u8);
+            for (op, arg) in ops {
+                let block = arg % 48;
+                match op {
+                    0 => {
+                        let free = m.unoccupied_mask() & low_mask(own);
+                        let full = v.entries.len() == BucketMeta::MAX_REAL;
+                        if !full && free != 0 && m.entry_of(block).is_none() {
+                            let n = (arg >> 8) as usize % free.count_ones() as usize;
+                            let label = PathId::new(arg >> 16 & u64::from(u32::MAX));
+                            let e = RealEntry { addr: block, label, ptr: nth_set_bit(free, n) };
+                            m.push_entry(e);
+                            v.push_entry(e);
+                        }
+                    }
+                    1 => prop_assert_eq!(m.take_entry(block), v.take_entry(block)),
+                    2 => {
+                        let want = v.entries.iter().find(|e| e.addr == block).copied();
+                        prop_assert_eq!(m.entry_of(block), want);
+                    }
+                    3 => {
+                        let slot = (arg % 16) as u8;
+                        prop_assert_eq!(m.entry_at_slot(slot), v.entry_at_slot(slot));
+                    }
+                    4 => {
+                        m.clear_entries();
+                        v.entries.clear();
+                        v.real = 0;
+                    }
+                    5 => {
+                        // A rebuild's refill: drop the old epoch's borrowed
+                        // slots, borrow up to the room the masks leave.
+                        m.clear_borrowed();
+                        v.borrowed.clear();
+                        for i in 0..arg % (u64::from(room) + 1) {
+                            let word = arg.rotate_left(7 * i as u32 + 3);
+                            let bucket = BucketId::new(word % (1 << 28));
+                            let slot = SlotId::new(bucket, (word >> 40) as u8 % 16);
+                            m.push_borrowed(slot);
+                            v.borrowed.push(slot);
+                        }
+                        m.logical_slots = own + m.borrowed_len();
+                        v.logical_slots = own + v.borrowed.len() as u8;
+                        m.set_all_valid(m.logical_slots);
+                        v.valid = low_mask(v.logical_slots);
+                    }
+                    6 => {
+                        let i = (arg % u64::from(m.logical_slots)) as u8;
+                        let on = arg >> 32 & 1 == 1;
+                        m.set_valid(i, on);
+                        v.valid = if on { v.valid | 1 << i } else { v.valid & !(1 << i) };
+                    }
+                    7 => {
+                        let j = (arg % u64::from(own)) as u8;
+                        let st = [SlotStatus::Refreshed, SlotStatus::Dead, SlotStatus::Allocated]
+                            [(arg >> 32) as usize % 3];
+                        m.set_status(j, st);
+                        v.set_status(j, st);
+                    }
+                    _ => {
+                        m.reset_statuses();
+                        v.dead = 0;
+                        v.allocated = 0;
+                        m.count = arg as u8;
+                        m.dynamic_s = (arg >> 8) as u8;
+                    }
+                }
+                prop_assert_eq!(m.entries().collect::<Vec<_>>(), v.entries.clone());
+                prop_assert_eq!(m.borrowed().collect::<Vec<_>>(), v.borrowed.clone());
+                prop_assert_eq!(m.real_mask(), v.real);
+                prop_assert_eq!(m.valid_mask(), v.valid_mask());
+                prop_assert_eq!(m.valid_count(), v.valid.count_ones() as u8);
+                prop_assert_eq!(m.dummy_mask(), v.valid_mask() & !v.real);
+                prop_assert_eq!(m.unoccupied_mask(), !v.real & low_mask(v.logical_slots));
+                prop_assert_eq!(m.dead_mask(), v.dead);
+                prop_assert_eq!(m.not_refreshed_mask(), v.dead | v.allocated);
+                for j in 0..own {
+                    prop_assert_eq!(m.status(j), v.status(j));
+                }
+                for i in 0..m.logical_slots {
+                    prop_assert_eq!(m.is_valid(i), v.valid & (1 << i) != 0);
+                    prop_assert_eq!(m.is_remote(i), i >= v.own_slots);
+                }
+                prop_assert_eq!(BucketMeta::from_raw(m.to_raw()).unwrap(), m);
+            }
+        }
+    }
+
+    /// A record at every capacity limit at once — 5 entries, 8 borrowed, 16
+    /// logical slots, the widest bucket id and label — survives the snapshot
+    /// boundary unchanged, and a removal leaves no stale bytes behind (`==`
+    /// compares every array element, used or not).
+    #[test]
+    fn a_full_record_round_trips_through_raw() {
+        let mut m = BucketMeta::new(8);
+        for i in 0..5u8 {
+            let label = PathId::new(u64::from(u32::MAX - u32::from(i)));
+            m.push_entry(RealEntry { addr: u64::MAX - u64::from(i), label, ptr: 7 - i });
+        }
+        for i in 0..8u8 {
+            m.push_borrowed(SlotId::new(BucketId::new((1 << 28) - 1 - u64::from(i)), 15 - i));
+        }
+        m.logical_slots = 16;
+        m.set_all_valid(16);
+        m.set_status(0, SlotStatus::Dead);
+        m.set_status(1, SlotStatus::Allocated);
+        m.count = 9;
+        m.dynamic_s = 11;
+        assert_eq!(m.valid_mask(), 0xffff);
+        assert_eq!(m.borrowed_slot(7), SlotId::new(BucketId::new((1 << 28) - 8), 8));
+        assert_eq!(BucketMeta::from_raw(m.to_raw()).unwrap(), m);
+
+        let mut rebuilt = m;
+        let taken = rebuilt.take_entry(u64::MAX - 1).unwrap();
+        assert_eq!(rebuilt.entries().map(|e| e.ptr).collect::<Vec<_>>(), [7, 3, 5, 4]);
+        let mut want = m;
+        want.clear_entries();
+        for e in m.entries().filter(|e| e.addr != taken.addr) {
+            want.push_entry(e);
+        }
+        // Same set, different order: the order is part of the record.
+        assert_ne!(rebuilt, want);
+        assert_eq!(BucketMeta::from_raw(rebuilt.to_raw()).unwrap(), rebuilt);
+    }
+
+    /// Snapshot bytes are input: fields the record cannot hold are typed
+    /// errors, not truncations.
+    #[test]
+    fn from_raw_refuses_what_the_record_cannot_hold() {
+        let base = BucketMeta::new(8).to_raw();
+        let entry = |ptr| RealEntry { addr: u64::from(ptr), label: PathId::new(0), ptr };
+        let refused = |what: &str, raw: BucketMetaRaw| {
+            let got = BucketMeta::from_raw(raw);
+            assert!(matches!(got, Err(OramError::SnapshotInvalid { .. })), "{what}: {got:?}");
+        };
+        let six =
+            BucketMetaRaw { entries: (0..6).map(entry).collect(), real: 0x3f, ..base.clone() };
+        refused("six entries", six);
+        let remote = SlotId::new(BucketId::new(1), 0);
+        refused("nine borrowed slots", BucketMetaRaw { borrowed: vec![remote; 9], ..base.clone() });
+        refused("seventeen slots", BucketMetaRaw { logical_slots: 17, ..base.clone() });
+        let wide = RealEntry { addr: 1, label: PathId::new(1 << 32), ptr: 0 };
+        refused("a 33-bit label", BucketMetaRaw { entries: vec![wide], real: 1, ..base.clone() });
+        let skewed = BucketMetaRaw { entries: vec![entry(2)], real: 0b1000, ..base.clone() };
+        refused("an occupancy word that disagrees with the entries", skewed);
+        let far = SlotId::new(BucketId::new(1 << 28), 0);
+        refused("a 29-bit bucket id", BucketMetaRaw { borrowed: vec![far], ..base });
+    }
 
     #[test]
     fn validity_bitmap_roundtrip() {
@@ -661,7 +1093,7 @@ mod tests {
         assert_eq!(m.unoccupied_mask(), 0b0110);
         m.clear_entries();
         assert_eq!(m.unoccupied_mask(), 0b1111);
-        assert!(m.entries().is_empty());
+        assert_eq!(m.entries().len(), 0);
     }
 
     #[test]
@@ -673,7 +1105,7 @@ mod tests {
         let foreign = SlotId::new(BucketId::from_level_index(Level(3), 5), 1);
         {
             let m = store.get_mut(b);
-            m.borrowed.push(foreign);
+            m.push_borrowed(foreign);
             m.logical_slots = m.own_slots() + 1;
         }
         assert_eq!(store.resolve(b, 0), SlotId::new(b, 0));
@@ -683,7 +1115,7 @@ mod tests {
     #[test]
     fn remote_boundary_is_own_slot_count() {
         let mut m = BucketMeta::new(6);
-        m.borrowed.push(SlotId::new(BucketId::new(3), 1));
+        m.push_borrowed(SlotId::new(BucketId::new(3), 1));
         m.logical_slots = 7;
         assert!(!m.is_remote(5));
         assert!(m.is_remote(6));

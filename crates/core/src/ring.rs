@@ -258,9 +258,7 @@ impl RingOram {
             let own = geo.level_config(bucket.level()).z_total();
             let m = meta.get_mut(bucket);
             m.logical_slots = own;
-            for i in 0..own {
-                m.set_valid(i, true);
-            }
+            m.set_all_valid(own);
             m.dynamic_s = own - own.min(geo.level_config(bucket.level()).z_real);
         }
 
@@ -688,7 +686,7 @@ impl RingOram {
             let target_entry = if stash_hit {
                 None
             } else {
-                target.and_then(|b| m.entry_of(b).filter(|e| m.is_valid(e.ptr)).copied())
+                target.and_then(|b| m.entry_of(b).filter(|e| m.is_valid(e.ptr)))
             };
             let logical = match target_entry {
                 Some(e) => e.ptr,
@@ -876,7 +874,7 @@ impl RingOram {
             let z_real = self.geo.level_config(bucket.level()).z_real;
             let m = self.meta.get(bucket);
             read_slots.clear();
-            read_slots.extend(m.entries().iter().filter(|e| m.is_valid(e.ptr)).map(|e| e.ptr));
+            read_slots.extend(m.entries().filter(|e| m.is_valid(e.ptr)).map(|e| e.ptr));
             // Pad to Z' reads so reshuffle traffic is shape-faithful.
             let mut extra = 0;
             while read_slots.len() < usize::from(z_real.min(m.logical_slots)) {
@@ -900,7 +898,7 @@ impl RingOram {
             // Pull the valid real blocks into the stash.
             let m = self.meta.get_mut(bucket);
             to_stash.clear();
-            to_stash.extend(m.entries().iter().copied().filter(|e| m.is_valid(e.ptr)));
+            to_stash.extend(m.entries().filter(|e| m.is_valid(e.ptr)));
             // Invalid entries were already consumed; all are unmapped here.
             m.clear_entries();
             for e in &to_stash {
@@ -978,9 +976,8 @@ impl RingOram {
         // Drop the old epoch's borrowed slots. No release bookkeeping is
         // needed: the slots' home buckets still own them (status Allocated
         // until the home's own rebuild), and the DeadQ is replenished by
-        // gatherDEADs. (The list itself is kept and refilled below.)
-        let mut new_borrowed = std::mem::take(&mut self.meta.get_mut(bucket).borrowed);
-        new_borrowed.clear();
+        // gatherDEADs. (The record's borrowed array is refilled below.)
+        self.meta.get_mut(bucket).clear_borrowed();
 
         // Census: the rewrite revives every own slot that died this epoch,
         // including slots that were gathered into the pool (the home
@@ -1024,18 +1021,19 @@ impl RingOram {
                     }
                     if home.status(slot.index) == SlotStatus::Allocated {
                         self.stats.slot_reused(level, slot.bucket.raw(), slot.index, now);
-                        new_borrowed.push(slot);
+                        self.meta.get_mut(bucket).push_borrowed(slot);
                         break;
                     }
                     // Stale entry (home rebuilt since enqueue): discard.
                     telemetry::counter_add("remote.stale_discarded", 1);
                 }
             }
-            if !new_borrowed.is_empty() {
-                telemetry::counter_add("remote.borrowed", new_borrowed.len() as u64);
-                telemetry::observe_level("remote.borrowed", level.0, new_borrowed.len() as u64);
+            let borrowed = self.meta.get(bucket).borrowed_len();
+            if borrowed != 0 {
+                telemetry::counter_add("remote.borrowed", u64::from(borrowed));
+                telemetry::observe_level("remote.borrowed", level.0, u64::from(borrowed));
             }
-            if new_borrowed.len() == usize::from(cfg_l.dynamic_s_extension) {
+            if borrowed == cfg_l.dynamic_s_extension {
                 self.stats.extensions_done += 1;
             }
         }
@@ -1043,8 +1041,7 @@ impl RingOram {
         // New epoch: the bucket always rewrites all of its own slots.
         let m = self.meta.get_mut(bucket);
         m.reset_statuses();
-        m.borrowed = new_borrowed;
-        m.logical_slots = m.own_slots() + m.borrowed.len() as u8;
+        m.logical_slots = m.own_slots() + m.borrowed_len();
         let logical_slots = m.logical_slots;
         let own_slots = m.own_slots();
         let real_capacity = cfg_l.z_real.min(own_slots);
@@ -1485,7 +1482,9 @@ impl RingOram {
     /// Returns [`OramError::CapacityExhausted`] when growth is disabled or
     /// the ceiling is reached, and [`OramError::BadParameter`] while the
     /// integrity verifier is armed (its per-level digest chains are sized
-    /// at arm time; grow first, then arm).
+    /// at arm time; grow first, then arm) or when the grown geometry would
+    /// not fit the bucket record (refused before anything is changed; a
+    /// ceiling that `OramConfigBuilder::build` accepted never meets this).
     pub fn grow_level(&mut self) -> Result<(), OramError> {
         match self.cfg.growth {
             Some(g) if self.cfg.levels < g.max_levels => {}
@@ -1520,15 +1519,14 @@ impl RingOram {
 
         // The new leaf level starts freshly reshuffled: all slots valid
         // reserved dummies, exactly like `new`'s bucket init.
+        // The records are appended; no existing record moves.
         let leaf_cfg = geo.level_config(Level(old_levels));
         let own = leaf_cfg.z_total();
+        let mut fresh = crate::metadata::BucketMeta::new(own);
+        fresh.set_all_valid(own);
+        fresh.dynamic_s = own - own.min(leaf_cfg.z_real);
         for _ in old_buckets..geo.bucket_count() {
-            let mut m = crate::metadata::BucketMeta::new(own);
-            for i in 0..own {
-                m.set_valid(i, true);
-            }
-            m.dynamic_s = own - own.min(leaf_cfg.z_real);
-            self.meta.push(m);
+            self.meta.push(fresh);
         }
 
         self.deadqs.grow_level();
@@ -1613,12 +1611,12 @@ impl RingOram {
             let m = self.meta.get(bucket);
             let own = m.own_slots();
             // (2) Logical slot accounting: own slots plus borrowed remotes.
-            if usize::from(m.logical_slots) != usize::from(own) + m.borrowed.len() {
+            if m.logical_slots != own + m.borrowed_len() {
                 return Err(format!(
                     "{bucket}: logical_slots {} != own {} + borrowed {}",
                     m.logical_slots,
                     own,
-                    m.borrowed.len()
+                    m.borrowed_len()
                 ));
             }
             // (3) Real blocks live in distinct *own* slots only; remote
@@ -1641,6 +1639,14 @@ impl RingOram {
                     return Err(format!("{bucket}: block {} is also in the stash", e.addr));
                 }
             }
+            // (3a) The record's occupancy word is the union of its entries'
+            // slots.
+            if occupied != m.real_mask() {
+                return Err(format!(
+                    "{bucket}: occupancy word {:#06x} but entries occupy {occupied:#06x}",
+                    m.real_mask()
+                ));
+            }
             // (4) No slot is simultaneously live and reclaimed: a Dead or
             // Allocated status always pairs with a cleared valid bit.
             let conflict = m.not_refreshed_mask() & m.valid_mask();
@@ -1649,7 +1655,7 @@ impl RingOram {
             }
             // (5) Borrowed slots come from a *different* bucket on the
             // *same* level and stay inside the lender's own-slot range.
-            for slot in &m.borrowed {
+            for slot in m.borrowed() {
                 if slot.bucket == bucket {
                     return Err(format!("{bucket}: borrows from itself"));
                 }
@@ -1851,7 +1857,7 @@ impl RingOram {
                 reason: "bucket count disagrees with geometry".to_string(),
             });
         }
-        let mut buckets = Vec::with_capacity(n_buckets);
+        let mut meta = MetadataStore::with_capacity(n_buckets);
         for _ in 0..n_buckets {
             let head = r.bytes(4)?;
             let (count, dynamic_s, own_slots, logical_slots) = (head[0], head[1], head[2], head[3]);
@@ -1872,7 +1878,7 @@ impl RingOram {
             for _ in 0..n_borrowed {
                 borrowed.push(aboram_tree::SlotId::unpack(r.u64()?));
             }
-            buckets.push(crate::metadata::BucketMeta::from_raw(crate::metadata::BucketMetaRaw {
+            meta.push(crate::metadata::BucketMeta::from_raw(crate::metadata::BucketMetaRaw {
                 count,
                 dynamic_s,
                 entries,
@@ -1883,9 +1889,8 @@ impl RingOram {
                 own_slots,
                 logical_slots,
                 borrowed,
-            }));
+            })?);
         }
-        let meta = MetadataStore::from_buckets(buckets);
 
         let head = r.bytes(2)?;
         let (first, tracked) = (head[0], head[1]);
@@ -2315,7 +2320,7 @@ mod tests {
         churn(&mut oram, &mut sink, 8_000);
         for raw in 0..oram.geometry().bucket_count() {
             let bucket = BucketId::new(raw);
-            for slot in &oram.meta.get(bucket).borrowed {
+            for slot in oram.meta.get(bucket).borrowed() {
                 assert_eq!(slot.bucket.level(), bucket.level(), "cross-level borrow");
                 assert_ne!(slot.bucket, bucket, "self-borrow");
             }
@@ -2412,10 +2417,10 @@ mod tests {
         let mut plain = 0;
         for i in 0..oram.geometry().buckets_at_level(Level(9)) {
             let m = oram.meta.get(BucketId::from_level_index(Level(9), i));
-            if m.borrowed.len() == 2 {
+            if m.borrowed_len() == 2 {
                 assert_eq!(m.dynamic_s, leaf_cfg.s_dummies + 2);
                 extended += 1;
-            } else if m.borrowed.is_empty() {
+            } else if m.borrowed_len() == 0 {
                 plain += 1;
             }
         }
@@ -2553,6 +2558,32 @@ mod growth_tests {
         }
         assert_eq!(grown.snapshot().unwrap(), restored.snapshot().unwrap());
         assert_eq!(sa.grand_total(), sb.grand_total());
+    }
+
+    #[test]
+    fn a_grown_level_appends_records_without_moving_any() {
+        let mut oram = growing(Scheme::Ab, 8, 10);
+        let mut sink = CountingSink::new();
+        let address = |oram: &RingOram, raw: u64| {
+            oram.meta.get(BucketId::new(raw)) as *const crate::metadata::BucketMeta as usize
+        };
+        let old = oram.geometry().bucket_count();
+        let before: Vec<usize> = (0..old).map(|raw| address(&oram, raw)).collect();
+        let records: Vec<_> = (0..old).map(|raw| *oram.meta.get(BucketId::new(raw))).collect();
+        for _ in 0..2 {
+            oram.grow_level().unwrap();
+        }
+        assert_eq!(oram.meta.len() as u64, oram.geometry().bucket_count());
+        for raw in 0..old {
+            assert_eq!(address(&oram, raw), before[raw as usize], "bucket {raw} moved");
+            assert_eq!(*oram.meta.get(BucketId::new(raw)), records[raw as usize]);
+        }
+        // The appended records are contiguous within their segment.
+        let size = std::mem::size_of::<crate::metadata::BucketMeta>();
+        let grown = oram.geometry().bucket_count();
+        assert_eq!(address(&oram, grown - 1) - address(&oram, grown - 2), size);
+        drain(&mut oram, &mut sink);
+        oram.validate_invariants().unwrap();
     }
 
     #[test]
