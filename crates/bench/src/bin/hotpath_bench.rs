@@ -1,249 +1,42 @@
-//! Hot-path microbenchmark: wall-clock cost of the simulator's inner loop
-//! on the Fig. 8 smoke workload, plus a golden-digest equivalence check.
+//! Golden-digest equivalence check for the simulator's hot path.
 //!
-//! Three modes:
+//! `--check-golden` replays every golden case from `aboram::golden` and
+//! compares its digest against the committed fixture under `tests/golden/`,
+//! exiting 1 on any divergence. The warm-up goes through the snapshot
+//! cache, so running this twice exercises both the cold (populate) and
+//! warm (restore) paths; CI runs it both ways so a performance change —
+//! or a cache bug — that moves behaviour by even one bit fails the build.
 //!
-//! * default — time the fig08 smoke workload (protocol-mode warm-up plus a
-//!   cycle-level timed window, per scheme) and print per-phase wall-clock
-//!   milliseconds. Cells fan out over the [`CellExecutor`] (`--jobs N` /
-//!   `ABORAM_JOBS`) and warm-ups are served from the snapshot cache
-//!   (`ABORAM_SNAPCACHE=off` to disable). `results/perf_baseline.md`
-//!   records the pre- and post-optimization numbers produced by this mode.
-//! * `--scaling` — run the smoke grid at 1/2/4/max jobs, print the
-//!   wall-clock for each, and append the table to
-//!   `results/perf_baseline.md`.
-//! * `--check-golden` — replay every golden case from `aboram::golden` and
-//!   compare its digest against the committed fixture under `tests/golden/`,
-//!   exiting 1 on any divergence. The warm-up goes through the snapshot
-//!   cache, so running this twice exercises both the cold (populate) and
-//!   warm (restore) paths; CI runs it both ways so a performance change —
-//!   or a cache bug — that moves behaviour by even one bit fails the build.
+//! `--evict-cache` force-evicts every snapshot cache entry first, so
+//! `--evict-cache --check-golden` replays the golden cases on the
+//! guaranteed-cold path even when earlier runs populated the cache — CI's
+//! third replay flavor. `--check-golden --integrity` replays with the
+//! integrity verifier armed (per-fetch MAC checks, per-level digest chain):
+//! fault-free verification must not move a single bit.
 //!
-//! `--evict-cache` (composable with any mode) force-evicts every snapshot
-//! cache entry first, so `--evict-cache --check-golden` replays the golden
-//! cases on the guaranteed-cold path even when earlier runs populated the
-//! cache — CI's third replay flavor. `--check-golden --integrity` replays
-//! with the integrity verifier armed (per-fetch MAC checks, per-level digest
-//! chain): fault-free verification must not move a single bit.
+//! Host time is measured by the repo's benchmark (`benchmark/README.md`),
+//! not here.
 //!
 //! ```text
-//! cargo run --release -p aboram-bench --bin hotpath_bench
-//! cargo run --release -p aboram-bench --bin hotpath_bench -- --iters 5 --jobs 4
-//! cargo run --release -p aboram-bench --bin hotpath_bench -- --scaling
 //! cargo run --release -p aboram-bench --bin hotpath_bench -- --check-golden
 //! cargo run --release -p aboram-bench --bin hotpath_bench -- --evict-cache --check-golden
+//! cargo run --release -p aboram-bench --bin hotpath_bench -- --check-golden --integrity
 //! ```
 
-use aboram_bench::{
-    cache_dir, default_jobs, emit, evict_all, persistent_stats, warmed_engine_cached, CellExecutor,
-    CostModel, Experiment,
-};
-use aboram_core::Scheme;
-use aboram_trace::profiles;
-use std::time::Instant;
-
-/// Fixed smoke scale: small enough to finish in seconds, large enough that
-/// the protocol inner loop (not setup) dominates the measurement.
-const SMOKE_LEVELS: u8 = 12;
-const SMOKE_WARMUP: u64 = 40_000;
-const SMOKE_TIMED: usize = 2_000;
-const SMOKE_SEED: u64 = 0x5EED_F108;
+use aboram_bench::{cache_dir, evict_all, warmed_engine_cached};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--evict-cache") {
+    let has = |flag: &str| args.iter().any(|a| a == flag);
+    if has("--evict-cache") {
         let evicted = evict_all(&cache_dir());
         eprintln!("[evicted {evicted} snapshot cache entr(ies) — cold path guaranteed]");
     }
-    if args.iter().any(|a| a == "--check-golden") {
-        check_golden(args.iter().any(|a| a == "--integrity"));
-        return;
+    if !has("--check-golden") {
+        eprintln!("usage: hotpath_bench --check-golden [--integrity] [--evict-cache]");
+        std::process::exit(2);
     }
-    let iters: usize = flag_value(&args, "--iters").unwrap_or(3);
-    if args.iter().any(|a| a == "--scaling") {
-        scaling(iters);
-        return;
-    }
-    smoke(iters, CellExecutor::from_env_or_args(&args));
-}
-
-fn flag_value(args: &[String], name: &str) -> Option<usize> {
-    let i = args.iter().position(|a| a == name)?;
-    args.get(i + 1)?.parse().ok()
-}
-
-fn smoke_env() -> Experiment {
-    Experiment {
-        levels: SMOKE_LEVELS,
-        warmup: SMOKE_WARMUP,
-        timed: SMOKE_TIMED,
-        protocol_accesses: 0,
-        seed: SMOKE_SEED,
-    }
-}
-
-/// The measured grid: each scheme's classic serialized run (depth 1) plus
-/// an access-pipelined row (depth 4, DESIGN.md §15) for the AB variants —
-/// the pipelined rows share the serialized rows' cached warm-up, so the
-/// extra coverage costs one timed window each.
-const SMOKE_CELLS: [(Scheme, u8); 5] = [
-    (Scheme::Baseline, 1),
-    (Scheme::Ab, 1),
-    (Scheme::Ab, 4),
-    (Scheme::AbChannelPar, 1),
-    (Scheme::AbChannelPar, 4),
-];
-
-/// One measured smoke cell: a warmed driver (served whole from the
-/// full-driver snapshot cache when possible) plus the timed window, both
-/// wall-clocked.
-fn smoke_cell(env: &Experiment, scheme: Scheme, depth: u8) -> (f64, f64, u64, u64, u64) {
-    let profile = profiles::spec2017().into_iter().find(|p| p.name == "mcf").expect("mcf");
-    let t0 = Instant::now();
-    let mut driver = env.warmed_driver(scheme).expect("warm-up ok");
-    driver.set_pipeline_depth(depth);
-    let warm_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t1 = Instant::now();
-    let report = env.timed_run_on(driver, &profile).expect("timed run ok");
-    let timed_ms = t1.elapsed().as_secs_f64() * 1e3;
-    (
-        warm_ms,
-        timed_ms,
-        report.exec_cycles,
-        report.online_latency_cycles,
-        report.response_latency_cycles,
-    )
-}
-
-/// Runs the full (cell × iteration) smoke grid on `executor` and returns
-/// per-cell (best warm ms, best timed ms, best total ms, exec cycles,
-/// summed online latency cycles, summed response latency cycles).
-#[allow(clippy::type_complexity)]
-fn smoke_grid(
-    iters: usize,
-    executor: CellExecutor,
-) -> Vec<(Scheme, u8, f64, f64, f64, u64, u64, u64)> {
-    let env = smoke_env();
-    let model = CostModel::from_env();
-    let cells: Vec<(Scheme, u8)> =
-        SMOKE_CELLS.iter().flat_map(|&c| std::iter::repeat_n(c, iters)).collect();
-    let measured = executor.run_weighted(
-        cells,
-        |_, &(s, _)| model.predict(s, env.levels, env.warmup + env.timed as u64),
-        |_, (scheme, depth)| ((scheme, depth), smoke_cell(&env, scheme, depth)),
-    );
-    SMOKE_CELLS
-        .iter()
-        .map(|&(scheme, depth)| {
-            let mut best_warm = f64::MAX;
-            let mut best_timed = f64::MAX;
-            let mut best_total = f64::MAX;
-            let mut cycles = None;
-            for (_, (warm, timed, exec, lat, resp)) in
-                measured.iter().filter(|(c, _)| *c == (scheme, depth))
-            {
-                best_warm = best_warm.min(*warm);
-                best_timed = best_timed.min(*timed);
-                best_total = best_total.min(warm + timed);
-                // Every iteration must reproduce the same simulated cycles
-                // regardless of jobs count or cache state — determinism is
-                // checked on every benchmark run, not only in CI.
-                match cycles {
-                    None => cycles = Some((*exec, *lat, *resp)),
-                    Some(c) => {
-                        assert_eq!(
-                            c,
-                            (*exec, *lat, *resp),
-                            "{scheme} depth {depth}: simulated cycles diverged across iterations"
-                        );
-                    }
-                }
-            }
-            let (exec, lat, resp) = cycles.expect("at least one iteration");
-            (scheme, depth, best_warm, best_timed, best_total, exec, lat, resp)
-        })
-        .collect()
-}
-
-/// Times the fig08 smoke workload: for each evaluated scheme pair, a
-/// protocol-mode warm-up (CountingSink churn — the readPath/evictPath inner
-/// loop) and a cycle-level timed window (TimingSink + DRAM model).
-fn smoke(iters: usize, executor: CellExecutor) {
-    let cache_before = persistent_stats(&cache_dir());
-    let mut lines = String::from(
-        "# hotpath_bench — fig08 smoke workload\n\n\
-         | scheme | depth | warm-up ms (best) | timed ms (best) | total ms (best) | exec cycles \
-         | mean access latency (cycles) | mean_batch_latency (cycles) |\n\
-         |---|---|---|---|---|---|---|---|\n",
-    );
-    let mut grand_total_best = 0.0f64;
-    for (scheme, depth, best_warm, best_timed, best_total, exec_cycles, latency, response) in
-        smoke_grid(iters, executor)
-    {
-        grand_total_best += best_total;
-        let mean_latency = latency as f64 / SMOKE_TIMED as f64;
-        // Mean requester-visible latency over the timed batch (completion
-        // minus issue, so queueing hidden by the pipeline shows up here).
-        let mean_batch_latency = response as f64 / SMOKE_TIMED as f64;
-        lines.push_str(&format!(
-            "| {scheme} | {depth} | {best_warm:.1} | {best_timed:.1} | {best_total:.1} | \
-             {exec_cycles} | {mean_latency:.1} | {mean_batch_latency:.1} |\n"
-        ));
-        eprintln!(
-            "[{scheme} depth {depth}: warm {best_warm:.1} ms, timed {best_timed:.1} ms over \
-             {iters} iters]"
-        );
-    }
-    lines.push_str(&format!(
-        "\nworkload: L={SMOKE_LEVELS}, warmup={SMOKE_WARMUP}, timed={SMOKE_TIMED}, \
-         seed={SMOKE_SEED:#x}, best of {iters} iterations, {} worker(s)\n\
-         grand total (best): {grand_total_best:.1} ms\n\
-         snapshot cache: {}\n",
-        executor.jobs(),
-        persistent_stats(&cache_dir()).since(&cache_before)
-    ));
-    emit("hotpath_bench.md", &lines);
-}
-
-/// Measures the smoke grid's wall-clock at 1/2/4/max jobs and appends the
-/// scaling table to `results/perf_baseline.md`.
-fn scaling(iters: usize) {
-    let max = default_jobs();
-    let mut counts = vec![1usize, 2, 4, max];
-    counts.retain(|&j| j <= max);
-    counts.sort_unstable();
-    counts.dedup();
-    let mut table = String::from(
-        "\n## Thread scaling — fig08 smoke workload\n\n\
-         | jobs | grid wall-clock ms | speedup vs 1 job |\n|---|---|---|\n",
-    );
-    let mut first = None;
-    for &jobs in &counts {
-        let t0 = Instant::now();
-        let grid = smoke_grid(iters, CellExecutor::with_jobs(jobs));
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let base = *first.get_or_insert(wall_ms);
-        table.push_str(&format!("| {jobs} | {wall_ms:.1} | {:.2}x |\n", base / wall_ms));
-        eprintln!(
-            "[jobs={jobs}: {wall_ms:.1} ms wall-clock, {} schemes x {iters} iters]",
-            grid.len()
-        );
-    }
-    table.push_str(&format!(
-        "\nworkload: L={SMOKE_LEVELS}, warmup={SMOKE_WARMUP} (snapshot-cache served after \
-         the first cell), timed={SMOKE_TIMED}, {iters} iteration(s) per scheme, max jobs = \
-         available parallelism ({max}).\n"
-    ));
-    print!("{table}");
-    let path = std::path::Path::new("results/perf_baseline.md");
-    let appended = std::fs::OpenOptions::new().append(true).open(path).and_then(|mut f| {
-        use std::io::Write;
-        f.write_all(table.as_bytes())
-    });
-    match appended {
-        Ok(()) => eprintln!("[appended to {}]", path.display()),
-        Err(e) => eprintln!("warning: could not append to {} ({e})", path.display()),
-    }
+    check_golden(has("--integrity"));
 }
 
 /// Replays every golden case and compares against the committed fixtures.

@@ -68,8 +68,7 @@ pub fn default_jobs() -> usize {
 /// [`default_jobs`]. Zero and unparsable values are ignored, and requests
 /// beyond the machine's available parallelism are clamped: simulation
 /// cells are CPU-bound, so oversubscribing physical cores cannot finish a
-/// grid sooner — it only inflates the per-cell wall-clock timings that
-/// `hotpath_bench` reports.
+/// grid sooner — it only inflates per-cell wall-clock time.
 pub fn jobs_from_env() -> usize {
     std::env::var("ABORAM_JOBS")
         .ok()

@@ -540,16 +540,6 @@ impl TimingDriver {
                 mem.requests_by_bank().to_vec(),
             )
         };
-        // Which SIMD kernel the metadata/address hot path dispatched to
-        // this run (latched once per process; see `aboram_tree::simd`).
-        aboram_telemetry::counter_add(
-            match aboram_tree::simd::kernel() {
-                aboram_tree::simd::Kernel::Scalar => "simd.kernel.scalar",
-                aboram_tree::simd::Kernel::Sse2 => "simd.kernel.sse2",
-                aboram_tree::simd::Kernel::Avx2 => "simd.kernel.avx2",
-            },
-            1,
-        );
         let mut online_latency_cycles = 0u64;
         let mut response_latency_cycles = 0u64;
         // Snapshot so the report covers the timed window only, not warm-up.

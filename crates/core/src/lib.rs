@@ -76,7 +76,7 @@ pub use fault::{
 };
 pub use growth::{extend_label, growth_bit, DynamicTree};
 pub use integrity::IntegrityVerifier;
-pub use metadata::{BucketMeta, MaskScratch, MetadataLayout, MetadataStore, RealEntry, SlotStatus};
+pub use metadata::{BucketMeta, MetadataLayout, MetadataStore, RealEntry, SlotStatus};
 pub use path_oram::PathOram;
 pub use posmap::PositionMap;
 pub use recursion::{PlbConfig, PosMapHierarchy};

@@ -264,9 +264,7 @@ impl PathOram {
         let new_label = self.posmap.remap(block, &mut self.rng);
         let path: Vec<BucketId> = self.geo.path_buckets(label).collect();
 
-        // (1) Read path: all Z slots of every bucket into the stash. Slot
-        // addresses are translated one bucket at a time so the layout's
-        // per-level base table is consulted once per bucket.
+        // (1) Read path: all Z slots of every bucket into the stash.
         let mut slot_ids = Vec::new();
         let mut slot_bytes = Vec::new();
         for &bucket in &path {

@@ -175,12 +175,6 @@ struct Scratch {
     slots: Vec<u8>,
     /// rebuild refill: (slot, block) placements for the write phase.
     placed: Vec<(u8, StashBlock)>,
-    /// readPath pick phase: word-gather side of the batched mask scan.
-    mask_words: crate::metadata::MaskScratch,
-    /// readPath pick phase: per-path-bucket valid masks.
-    pick_valid: Vec<u64>,
-    /// readPath pick phase: per-path-bucket dummy masks.
-    pick_dummy: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -198,11 +192,8 @@ impl Scratch {
             of(&self.to_stash),
             of(&self.slots),
             of(&self.placed),
-            of(&self.pick_valid),
-            of(&self.pick_dummy),
         ];
         all.extend(self.plan.buffers());
-        all.extend(self.mask_words.buffers());
         all
     }
 }
@@ -666,21 +657,13 @@ impl RingOram {
             }
         }
 
-        // (2) Block access: one slot per bucket. The pick masks for the
-        // whole path are combined up front by the batched SIMD scan; each
-        // bucket's masks are consumed before that bucket is marked, and
-        // path buckets are distinct, so the per-bucket values match what
-        // `dummy_mask`/`valid_mask` would return inside the loop.
-        let mut pick_valid = std::mem::take(&mut self.scratch.pick_valid);
-        let mut pick_dummy = std::mem::take(&mut self.scratch.pick_dummy);
-        let mut mask_words = std::mem::take(&mut self.scratch.mask_words);
-        self.meta.path_pick_masks(&buckets, &mut mask_words, &mut pick_valid, &mut pick_dummy);
+        // (2) Block access: one slot per bucket.
         let mut fetched: Option<[u8; BLOCK_BYTES]> = None;
         let stash_hit = target.is_some_and(|b| self.stash.contains(b));
         if stash_hit {
             self.stats.stash_hits += 1;
         }
-        for (pos, &bucket) in buckets.iter().enumerate() {
+        for &bucket in &buckets {
             let level = bucket.level();
             let m = self.meta.get(bucket);
             let target_entry = if stash_hit {
@@ -695,8 +678,8 @@ impl RingOram {
                     // Selection is the nth set bit of a slot mask, which
                     // enumerates candidates in the same ascending order the
                     // old Vec scan did — identical RNG draw, identical slot.
-                    let dummies = pick_dummy[pos];
-                    let pick_from = if dummies == 0 { pick_valid[pos] } else { dummies };
+                    let dummies = m.dummy_mask();
+                    let pick_from = if dummies == 0 { m.valid_mask() } else { dummies };
                     debug_assert!(
                         pick_from != 0,
                         "bucket {bucket} has no valid slot (count={}, budget={})",
@@ -829,9 +812,6 @@ impl RingOram {
             self.evict_path(OramOp::EvictPath, sink)?;
         }
         self.scratch.path_buckets = buckets;
-        self.scratch.pick_valid = pick_valid;
-        self.scratch.pick_dummy = pick_dummy;
-        self.scratch.mask_words = mask_words;
         Ok(fetched)
     }
 
@@ -883,9 +863,7 @@ impl RingOram {
             }
             if self.off_chip(bucket) {
                 // One DRAM command batch per bucket rather than one call
-                // per slot; issue order within the batch is unchanged, and
-                // the batched translation resolves the level's slot base
-                // once for the whole bucket instead of per slot.
+                // per slot; issue order within the batch is unchanged.
                 read_addrs.clear();
                 phys_slots.clear();
                 phys_slots.extend(read_slots.iter().map(|&l| self.meta.resolve(bucket, l)));
@@ -2346,13 +2324,10 @@ mod tests {
         let mut oram = engine(Scheme::Baseline, 10);
         let mut sink = CountingSink::new();
         churn(&mut oram, &mut sink, 3_000);
-        // Recompute the census from slot statuses — through the batched
-        // kernel scan — and compare.
-        let all: Vec<BucketId> = (0..oram.geometry().bucket_count()).map(BucketId::new).collect();
-        let mut scratch = crate::metadata::MaskScratch::default();
-        let mut words = Vec::new();
-        oram.meta.not_refreshed_masks(&all, &mut scratch, &mut words);
-        let recount: u64 = words.iter().map(|m| u64::from(m.count_ones())).sum();
+        // Recompute the census from slot statuses and compare.
+        let recount: u64 = (0..oram.geometry().bucket_count())
+            .map(|b| u64::from(oram.meta.get(BucketId::new(b)).not_refreshed_mask().count_ones()))
+            .sum();
         assert_eq!(recount, oram.stats().dead_total(), "incremental census drifted");
     }
 

@@ -11,15 +11,9 @@
 use crate::error::GeometryError;
 use crate::geometry::TreeGeometry;
 use crate::path::{BucketId, Level, SlotId};
-use crate::simd;
 
 /// Size of one data block (a cache line), in bytes.
 pub const BLOCK_BYTES: u64 = 64;
-
-/// Scratch width for one same-bucket address run in
-/// [`PhysicalLayout::slot_addrs`]. Slot indices are `u8`, so 256 lanes cover
-/// any run of distinct in-capacity slots.
-const RUN_LANES: usize = 256;
 
 /// Size reserved for one bucket's metadata, in bytes. The paper keeps Ring
 /// ORAM's 33 B plus AB-ORAM's 28 B of additional metadata within one block
@@ -261,14 +255,8 @@ impl PhysicalLayout {
         Err(GeometryError::SlotOutOfRange { slot: slot.index, z_total: self.level_z_cap[l] })
     }
 
-    /// Batched [`slot_addr`](Self::slot_addr): appends the address of every
-    /// slot in `slots` to `out`, resolving the per-level slot base, stride,
-    /// and capacity once per level *run* instead of once per slot. Path work
-    /// issues its reads bucket by bucket, so a batch is almost always a
-    /// sequence of same-bucket runs; each run's addresses are computed by
-    /// the dispatched [`simd`](crate::simd) kernel (`base + index * 64` per
-    /// lane), whose scalar fallback is the exact formula the scalar form
-    /// uses — the addresses produced are bit-identical either way.
+    /// Appends the [`slot_addr`](Self::slot_addr) of every slot in `slots`
+    /// to `out`, in order.
     ///
     /// # Errors
     ///
@@ -280,53 +268,8 @@ impl PhysicalLayout {
         out: &mut Vec<SlotAddr>,
     ) -> Result<(), GeometryError> {
         out.reserve(slots.len());
-        // Scratch for one same-bucket run; Z fits in u8 so no in-capacity
-        // run over distinct slots can outgrow 256 lanes.
-        let mut idxs = [0u8; RUN_LANES];
-        let mut addrs = [0u64; RUN_LANES];
-        // (level, slot base, stride, contiguous Z) of the previous slot.
-        let mut cached: Option<(u8, u64, u64, u8)> = None;
-        let mut i = 0;
-        while i < slots.len() {
-            let slot = slots[i];
-            let raw = slot.bucket.raw();
-            if raw >= self.bucket_count {
-                return Err(GeometryError::BucketOutOfRange {
-                    bucket: raw,
-                    buckets: self.bucket_count,
-                });
-            }
-            let l = slot.bucket.level().0;
-            let (base, stride, z) = match cached {
-                Some((cl, base, stride, z)) if cl == l => (base, stride, z),
-                _ => {
-                    let li = l as usize;
-                    let entry = (self.level_slot_base[li], self.level_stride[li], self.level_z[li]);
-                    cached = Some((l, entry.0, entry.1, entry.2));
-                    entry
-                }
-            };
-            if slot.index >= z {
-                // Growth extents take the scalar slow path.
-                out.push(self.slot_addr(slot)?);
-                i += 1;
-                continue;
-            }
-            // Extend the run across consecutive in-capacity slots of the
-            // same bucket, then fill the whole run in one kernel call.
-            let bucket_base = base.wrapping_add(raw.wrapping_mul(stride));
-            let mut n = 0;
-            while n < RUN_LANES
-                && i + n < slots.len()
-                && slots[i + n].bucket == slot.bucket
-                && slots[i + n].index < z
-            {
-                idxs[n] = slots[i + n].index;
-                n += 1;
-            }
-            simd::slot_addr_run(bucket_base, &idxs[..n], &mut addrs[..n]);
-            out.extend(addrs[..n].iter().map(|&a| SlotAddr(a)));
-            i += n;
+        for &slot in slots {
+            out.push(self.slot_addr(slot)?);
         }
         Ok(())
     }

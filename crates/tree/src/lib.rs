@@ -31,9 +31,7 @@
 //! assert_eq!(buckets.len(), 24);
 //! ```
 
-// `deny` rather than `forbid`: the `simd` module carries the one scoped
-// `#[allow(unsafe_code)]` in the workspace for its `std::arch` kernels.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod addr;

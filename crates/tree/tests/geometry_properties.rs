@@ -88,4 +88,69 @@ proptest! {
         let result = layout.slot_addr(SlotId::new(bucket, probe));
         prop_assert_eq!(result.is_ok(), probe < z);
     }
+
+    /// `slot_addrs` over an arbitrary slot sequence (same-bucket runs, bucket
+    /// and level switches, repeats) equals one `slot_addr` call per slot —
+    /// on a fresh layout and on one grown by a level, where the sequence
+    /// mixes construction-time slots with slots in appended extents — and an
+    /// out-of-range slot mid-list leaves `out` holding exactly the prefix
+    /// before it.
+    #[test]
+    fn batched_slot_addrs_match_scalar(
+        levels in 3u8..9,
+        z_real in 1u8..5,
+        s_top in 0u8..4,
+        s_bottom in 0u8..4,
+        bottom in 1u8..3,
+        grown in any::<bool>(),
+        picks in proptest::collection::vec((any::<u64>(), any::<u8>()), 1..200),
+        bad_at in any::<u64>(),
+        bad_bucket in any::<bool>(),
+    ) {
+        let shape = |levels: u8| {
+            TreeGeometry::uniform(levels, LevelConfig::new(z_real, s_top))
+                .unwrap()
+                .override_bottom_levels(bottom, LevelConfig::new(z_real, s_bottom))
+                .unwrap()
+        };
+        let mut geo = shape(levels);
+        let mut layout = PhysicalLayout::new(&geo);
+        if grown {
+            // With `s_top > s_bottom` the small-bucket band moves down a
+            // level, so the level leaving it gains an appended slot extent.
+            geo = shape(levels + 1);
+            layout.grow(&geo).unwrap();
+        }
+        let mut slots: Vec<SlotId> = picks
+            .into_iter()
+            .map(|(braw, s)| {
+                let bucket = BucketId::new(braw % geo.bucket_count());
+                SlotId::new(bucket, s % layout.level_capacity(bucket.level()))
+            })
+            .collect();
+        // Every level's last slot next to its slot 0: wherever growth
+        // appended an extent, the list holds both kinds.
+        for l in 0..geo.levels() {
+            let bucket = BucketId::from_level_index(Level(l), 0);
+            slots.push(SlotId::new(bucket, layout.level_capacity(Level(l)) - 1));
+            slots.push(SlotId::new(bucket, 0));
+        }
+
+        let mut batched = Vec::new();
+        layout.slot_addrs(&slots, &mut batched).unwrap();
+        let scalar: Vec<_> = slots.iter().map(|&s| layout.slot_addr(s).unwrap()).collect();
+        prop_assert_eq!(&batched, &scalar);
+
+        let at = (bad_at % slots.len() as u64) as usize;
+        let bad = if bad_bucket {
+            SlotId::new(BucketId::new(geo.bucket_count()), 0)
+        } else {
+            SlotId::new(slots[at].bucket, layout.level_capacity(slots[at].bucket.level()))
+        };
+        slots.insert(at, bad);
+        let mut out = Vec::new();
+        let err = layout.slot_addr(bad).unwrap_err();
+        prop_assert_eq!(layout.slot_addrs(&slots, &mut out), Err(err));
+        prop_assert_eq!(&out[..], &scalar[..at]);
+    }
 }
