@@ -5,34 +5,32 @@
 //! user's critical path. This binary measures the online-latency cost of
 //! removing the priority classes, for Baseline and AB.
 
-use aboram_bench::{emit, CellExecutor, CostModel, Experiment};
+use aboram_bench::{emit, CellExecutor, Experiment};
 use aboram_core::{Scheme, TimingDriver};
 use aboram_dram::DramConfig;
 use aboram_stats::Table;
-use aboram_trace::{profiles, TraceGenerator};
+use aboram_trace::profiles;
 
 fn main() {
     let env = Experiment::from_env();
     let profile = profiles::spec2017().into_iter().find(|p| p.name == "mcf").expect("mcf");
 
-    // (scheme × priority mode) cells; the snapshot cache means both cells
-    // of a scheme pay the warm-up at most once between them.
-    let schemes = aboram_bench::suite::dram_priority_schemes();
-    let grid: Vec<(Scheme, bool)> = schemes.iter().flat_map(|&s| [(s, false), (s, true)]).collect();
-    let model = CostModel::from_env();
-    let cycles = CellExecutor::from_env().run_weighted(
-        grid,
-        |_, cell: &(Scheme, bool)| model.predict(cell.0, env.levels, env.warmup + env.timed as u64),
-        |_, (scheme, ignore)| {
-            eprintln!("[{scheme}, ignore_priority={ignore}]");
-            let oram = env.warmed_oram(scheme).expect("warm-up ok");
-            let dram = DramConfig { ignore_priority: ignore, ..DramConfig::default() };
-            let mut driver = TimingDriver::from_oram(oram, dram);
-            let mut gen = TraceGenerator::new(&profile, env.seed);
-            let report = driver.run((0..env.timed).map(|_| gen.next_record())).expect("run ok");
-            report.exec_cycles
-        },
-    );
+    // Warm each scheme once; its two (priority mode) cells clone the warmed
+    // engine, as Fig. 8's benchmark cells do.
+    let schemes = [Scheme::Baseline, Scheme::Ab];
+    let executor = CellExecutor::from_env();
+    let warmed = executor.run(schemes.to_vec(), |_, scheme| {
+        eprintln!("[warming {scheme}]");
+        env.warmed_oram(scheme).expect("warm-up ok")
+    });
+    let grid: Vec<(usize, bool)> =
+        (0..schemes.len()).flat_map(|k| [(k, false), (k, true)]).collect();
+    let cycles = executor.run(grid, |_, (k, ignore)| {
+        eprintln!("[{}, ignore_priority={ignore}]", schemes[k]);
+        let dram = DramConfig { ignore_priority: ignore, ..DramConfig::default() };
+        let driver = TimingDriver::from_oram(warmed[k].clone(), dram);
+        env.timed_run_on(driver, &profile).expect("run ok").exec_cycles
+    });
 
     let mut table = Table::new(
         "DRAM priority ablation — execution time with vs without online priority",

@@ -8,7 +8,7 @@
 //! decision trades against. Sweep points are independent cells and fan out
 //! over the `CellExecutor` (`ABORAM_JOBS`).
 
-use aboram_bench::{emit, telemetry_from_env, CellExecutor, ChurnKind, CostModel, Experiment};
+use aboram_bench::{emit, telemetry_from_env, CellExecutor, ChurnKind, Experiment};
 use aboram_core::{CountingSink, OramConfig, OramOp, RingOram, Scheme};
 use aboram_stats::Table;
 
@@ -55,20 +55,13 @@ fn main() {
     }
     cells.push((env.config(Scheme::Ab).expect("config"), accesses / 2));
 
-    // The sweep mixes full-length and half-length cells across schemes of
-    // very different per-access cost — exactly the heterogeneity the
-    // cost-aware scheduler exists for.
-    let model = CostModel::from_env();
-    let results: Vec<(RingOram, CountingSink)> = CellExecutor::from_env().run_weighted(
-        cells,
-        |_, cell: &(OramConfig, u64)| model.predict(cell.0.scheme, env.levels, cell.1),
-        |i, (cfg, n)| {
+    let results: Vec<(RingOram, CountingSink)> =
+        CellExecutor::from_env().run(cells, |i, (cfg, n)| {
             let mut run = env.protocol_run_with(cfg, ChurnKind::Uniform).expect("engine builds");
             run.advance(n).expect("protocol ok");
             eprintln!("[cell {i}: {} done]", run.cfg.scheme);
             (run.oram, run.sink)
-        },
-    );
+        });
     let mut results = results.into_iter();
     let mut out = String::from("# Ablation sweeps\n\n");
 

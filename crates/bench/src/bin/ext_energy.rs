@@ -5,7 +5,7 @@
 //! with the USIMM-style energy model: dynamic (activate/read/write),
 //! refresh, and footprint-proportional background energy.
 
-use aboram_bench::{emit, evaluated_schemes, Experiment};
+use aboram_bench::{emit, evaluated_schemes, CellExecutor, Experiment};
 use aboram_core::TimingDriver;
 use aboram_dram::{DramConfig, EnergyParams, EnergyReport};
 use aboram_stats::Table;
@@ -24,8 +24,9 @@ fn main() {
         "DRAM energy per scheme (mcf timed window)",
         &["scheme", "dynamic uJ", "refresh uJ", "background uJ", "total uJ", "norm. total"],
     );
-    let mut base_total = 0.0f64;
-    for scheme in evaluated_schemes() {
+    // One warm-and-time cell per scheme, fanned out over the executor.
+    let schemes = evaluated_schemes();
+    let energies = CellExecutor::from_env().run(schemes.clone(), |_, scheme| {
         eprintln!("[warming {scheme}]");
         let oram = env.warmed_oram(scheme).expect("warm-up ok");
         let footprint = PhysicalLayout::new(oram.geometry()).total_bytes();
@@ -33,18 +34,17 @@ fn main() {
         let mut gen = TraceGenerator::new(&profile, env.seed);
         let report = driver.run((0..env.timed).map(|_| gen.next_record())).expect("run ok");
         // The driver drained the memory system; its stats are final.
-        let stats = driver.memory_stats().clone();
-        let energy = EnergyReport::compute(
+        EnergyReport::compute(
             &params,
-            &stats,
+            driver.memory_stats(),
             report.exec_cycles,
             footprint,
             refi_cycles,
             ranks,
-        );
-        if base_total == 0.0 {
-            base_total = energy.total_nj();
-        }
+        )
+    });
+    let base_total = energies[0].total_nj();
+    for (scheme, energy) in schemes.iter().zip(&energies) {
         table.row(
             &[&scheme.to_string()],
             &[

@@ -6,7 +6,7 @@
 //! savings saturating around L-3 while the performance loss stays a few
 //! percent and grows roughly linearly with `x`.
 
-use aboram_bench::{emit, telemetry_from_env, CellExecutor, CostModel, Experiment};
+use aboram_bench::{emit, telemetry_from_env, CellExecutor, Experiment};
 use aboram_core::Scheme;
 use aboram_stats::Table;
 use aboram_trace::profiles;
@@ -16,18 +16,18 @@ fn main() {
     let _telemetry = telemetry_from_env();
     let base_space = env.space_report(Scheme::PlainRing).expect("valid config");
 
-    // Timed cells: the baseline plus every L-x shrink, fanned out together.
+    // Timed cells, fanned out together: the baseline, every L-x shrink, and
+    // the channel-parallel AB reference row last (the sweep rows index
+    // positionally).
     let profile = profiles::spec2017().into_iter().find(|p| p.name == "mcf").expect("mcf");
-    let schemes: Vec<Scheme> = aboram_bench::suite::fig04_schemes();
-    let model = CostModel::from_env();
-    let reports = CellExecutor::from_env().run_weighted(
-        schemes,
-        |_, &scheme| model.predict(scheme, env.levels, env.warmup + env.timed as u64),
-        |_, scheme| {
-            eprintln!("[warm-up + timed run: {scheme}]");
-            env.warmed_timed(scheme, &profile).expect("timed run ok")
-        },
-    );
+    let schemes: Vec<Scheme> = std::iter::once(Scheme::PlainRing)
+        .chain((1..=7u8).map(|x| Scheme::RingShrink { bottom_levels: x }))
+        .chain(std::iter::once(Scheme::AbChannelPar))
+        .collect();
+    let reports = CellExecutor::from_env().run(schemes, |_, scheme| {
+        eprintln!("[warm-up + timed run: {scheme}]");
+        env.warmed_timed(scheme, &profile).expect("timed run ok")
+    });
     let base_report = &reports[0];
 
     let mut table = Table::new(

@@ -9,8 +9,7 @@
 //! for any jobs count).
 
 use aboram_bench::{
-    emit, evaluated_schemes, space_report_of, telemetry_from_env, CellExecutor, CostModel,
-    Experiment,
+    emit, evaluated_schemes, space_report_of, telemetry_from_env, CellExecutor, Experiment,
 };
 use aboram_core::{OramConfig, OramOp, Scheme};
 use aboram_stats::{geometric_mean, Table};
@@ -72,30 +71,21 @@ fn main() {
     );
 
     let executor = CellExecutor::from_env();
-    let model = CostModel::from_env();
-    let warmed: Vec<_> = executor.run_weighted(
-        evaluated_schemes(),
-        |_, &scheme| model.predict(scheme, env.levels, env.warmup),
-        |_, scheme| {
-            eprintln!("[warming {scheme}]");
-            (scheme, env.warmed_oram(scheme).expect("warm-up ok"))
-        },
-    );
+    let warmed: Vec<_> = executor.run(evaluated_schemes(), |_, scheme| {
+        eprintln!("[warming {scheme}]");
+        (scheme, env.warmed_oram(scheme).expect("warm-up ok"))
+    });
 
     // Every (benchmark × scheme) timed window is an independent cell: fan
-    // them all out at once — expensive schemes first — then assemble the
-    // tables from the ordered results exactly as the sequential loops did.
+    // them all out at once, then assemble the tables from the ordered
+    // results exactly as the sequential loops did.
     let grid: Vec<(usize, usize)> =
         (0..suite.len()).flat_map(|p| (0..warmed.len()).map(move |k| (p, k))).collect();
-    let reports = executor.run_weighted(
-        grid,
-        |_, &(_, k)| model.predict(warmed[k].0, env.levels, env.timed as u64),
-        |_, (p, k)| {
-            let report = env.timed_run(warmed[k].1.clone(), &suite[p]).expect("timed run ok");
-            eprintln!("[benchmark {} / {}]", suite[p].name, warmed[k].0);
-            report
-        },
-    );
+    let reports = executor.run(grid, |_, (p, k)| {
+        let report = env.timed_run(warmed[k].1.clone(), &suite[p]).expect("timed run ok");
+        eprintln!("[benchmark {} / {}]", suite[p].name, warmed[k].0);
+        report
+    });
 
     let mut norm_by_scheme: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
     let mut frac_sums = vec![[0.0f64; 5]; schemes.len()];

@@ -5,7 +5,7 @@
 //! number of bottom levels). Space savings shrink as fewer levels
 //! participate, while execution time stays near Baseline.
 
-use aboram_bench::{emit, telemetry_from_env, CellExecutor, CostModel, Experiment};
+use aboram_bench::{emit, telemetry_from_env, CellExecutor, Experiment};
 use aboram_core::Scheme;
 use aboram_stats::Table;
 use aboram_trace::profiles;
@@ -16,21 +16,20 @@ fn main() {
     let base_space = env.space_report(Scheme::Baseline).expect("config");
     let profile = profiles::spec2017().into_iter().find(|p| p.name == "mcf").expect("mcf");
 
-    // One cell per config: the baseline plus DR with 6..1 bottom levels
-    // (table order), fanned out over the executor.
-    let schemes: Vec<Scheme> = aboram_bench::suite::fig11_schemes();
-    let model = CostModel::from_env();
-    let cells = CellExecutor::from_env().run_weighted(
-        schemes,
-        |_, &scheme| model.predict(scheme, env.levels, env.warmup + env.timed as u64),
-        |_, scheme| {
-            eprintln!("[{scheme} warm-up + run]");
-            let oram = env.warmed_oram(scheme).expect("warm-up ok");
-            let ext = oram.stats().extension_ratio();
-            let report = env.timed_run(oram, &profile).expect("timed run ok");
-            (ext, report)
-        },
-    );
+    // One cell per config, fanned out over the executor: the baseline, DR
+    // with 6..1 bottom levels (table order), and the channel-parallel AB
+    // reference row last.
+    let schemes: Vec<Scheme> = std::iter::once(Scheme::Baseline)
+        .chain((1..=6u8).rev().map(|bottom| Scheme::Dr { bottom_levels: bottom }))
+        .chain(std::iter::once(Scheme::AbChannelPar))
+        .collect();
+    let cells = CellExecutor::from_env().run(schemes, |_, scheme| {
+        eprintln!("[{scheme} warm-up + run]");
+        let oram = env.warmed_oram(scheme).expect("warm-up ok");
+        let ext = oram.stats().extension_ratio();
+        let report = env.timed_run(oram, &profile).expect("timed run ok");
+        (ext, report)
+    });
     let base_report = &cells[0].1;
 
     let mut table = Table::new(

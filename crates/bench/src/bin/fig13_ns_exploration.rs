@@ -5,7 +5,7 @@
 //! for NS and L3-S1 for AB from this sweep; aggressive settings like L3-S3
 //! degrade performance sharply.
 
-use aboram_bench::{emit, telemetry_from_env, CellExecutor, CostModel, Experiment};
+use aboram_bench::{emit, telemetry_from_env, CellExecutor, Experiment};
 use aboram_core::Scheme;
 use aboram_stats::Table;
 use aboram_trace::profiles;
@@ -16,18 +16,20 @@ fn main() {
     let base_space = env.space_report(Scheme::Baseline).expect("config");
     let profile = profiles::spec2017().into_iter().find(|p| p.name == "mcf").expect("mcf");
 
-    // One cell per config: the baseline plus the full Ly-Sx sweep in table
-    // order, fanned out over the executor.
-    let schemes: Vec<Scheme> = aboram_bench::suite::fig13_schemes();
-    let model = CostModel::from_env();
-    let reports = CellExecutor::from_env().run_weighted(
-        schemes,
-        |_, &scheme| model.predict(scheme, env.levels, env.warmup + env.timed as u64),
-        |_, scheme| {
-            eprintln!("[{scheme} warm-up + run]");
-            env.warmed_timed(scheme, &profile).expect("timed run ok")
-        },
-    );
+    // One cell per config, fanned out over the executor: the baseline, the
+    // full Ly-Sx sweep in table order, and the channel-parallel AB reference
+    // row last.
+    let schemes: Vec<Scheme> = std::iter::once(Scheme::Baseline)
+        .chain(
+            (1..=3u8)
+                .flat_map(|y| (1..=3u8).map(move |x| Scheme::Ns { bottom_levels: y, shrink: x })),
+        )
+        .chain(std::iter::once(Scheme::AbChannelPar))
+        .collect();
+    let reports = CellExecutor::from_env().run(schemes, |_, scheme| {
+        eprintln!("[{scheme} warm-up + run]");
+        env.warmed_timed(scheme, &profile).expect("timed run ok")
+    });
     let base_report = &reports[0];
 
     let mut table = Table::new(

@@ -5,7 +5,7 @@
 //! benchmark. The paper measures ~100 % for DR and ~74 % for AB, and notes
 //! the ratio is application-independent.
 
-use aboram_bench::{emit, telemetry_from_env, ChurnKind, Experiment};
+use aboram_bench::{emit, telemetry_from_env, CellExecutor, ChurnKind, Experiment};
 use aboram_core::Scheme;
 use aboram_stats::Table;
 use aboram_trace::profiles;
@@ -15,25 +15,35 @@ fn main() {
     let _telemetry = telemetry_from_env();
     let mut table = Table::new("Fig. 14 — S-extension success ratio", &["benchmark", "DR", "AB"]);
     let suite: Vec<_> = profiles::spec2017();
-    let mut sums = [0.0f64; 2];
-    for profile in &suite {
-        eprintln!("[benchmark {}]", profile.name);
-        let mut ratios = [0.0f64; 2];
-        for (k, scheme) in [Scheme::DR, Scheme::Ab].into_iter().enumerate() {
-            let mut run =
-                env.protocol_run(scheme, ChurnKind::Trace(profile)).expect("engine builds");
-            // Warm up so the DeadQ economy reaches steady state, then
-            // measure the extension ratio over the steady window only.
-            run.advance(env.warmup.min(env.protocol_accesses)).expect("protocol ok");
-            let (att0, done0) =
-                (run.oram.stats().extensions_attempted, run.oram.stats().extensions_done);
-            run.advance(env.protocol_accesses).expect("protocol ok");
-            let att = run.oram.stats().extensions_attempted - att0;
-            let done = run.oram.stats().extensions_done - done0;
-            ratios[k] = if att == 0 { 0.0 } else { done as f64 / att as f64 };
-            sums[k] += ratios[k];
+    // Every (benchmark × scheme) cell builds its own engine from its own
+    // seed: fan them all out, then assemble the table from the ordered
+    // results.
+    let schemes = [Scheme::DR, Scheme::Ab];
+    let grid: Vec<(usize, Scheme)> =
+        (0..suite.len()).flat_map(|p| schemes.map(|scheme| (p, scheme))).collect();
+    let cells = CellExecutor::from_env().run(grid, |_, (p, scheme)| {
+        eprintln!("[benchmark {} / {scheme}]", suite[p].name);
+        let mut run = env.protocol_run(scheme, ChurnKind::Trace(&suite[p])).expect("engine builds");
+        // Warm up so the DeadQ economy reaches steady state, then measure
+        // the extension ratio over the steady window only.
+        run.advance(env.warmup.min(env.protocol_accesses)).expect("protocol ok");
+        let (att0, done0) =
+            (run.oram.stats().extensions_attempted, run.oram.stats().extensions_done);
+        run.advance(env.protocol_accesses).expect("protocol ok");
+        let att = run.oram.stats().extensions_attempted - att0;
+        let done = run.oram.stats().extensions_done - done0;
+        if att == 0 {
+            0.0
+        } else {
+            done as f64 / att as f64
         }
-        table.row(&[profile.name], &ratios);
+    });
+    let mut sums = [0.0f64; 2];
+    for (profile, ratios) in suite.iter().zip(cells.chunks(schemes.len())) {
+        for (sum, ratio) in sums.iter_mut().zip(ratios) {
+            *sum += ratio;
+        }
+        table.row(&[profile.name], ratios);
     }
     let n = suite.len() as f64;
     table.row(&["average"], &[sums[0] / n, sums[1] / n]);

@@ -4,9 +4,7 @@
 //! results are workload-independent; DR/AB should again land within a few
 //! percent of Baseline.
 
-use aboram_bench::{
-    emit, evaluated_schemes, telemetry_from_env, CellExecutor, CostModel, Experiment,
-};
+use aboram_bench::{emit, evaluated_schemes, telemetry_from_env, CellExecutor, Experiment};
 use aboram_core::Scheme;
 use aboram_stats::{geometric_mean, Table};
 use aboram_trace::profiles;
@@ -19,27 +17,18 @@ fn main() {
     let suite: Vec<_> = profiles::parsec().into_iter().take(bench_count).collect();
 
     let executor = CellExecutor::from_env();
-    let model = CostModel::from_env();
-    let warmed: Vec<_> = executor.run_weighted(
-        evaluated_schemes(),
-        |_, &scheme| model.predict(scheme, env.levels, env.warmup),
-        |_, scheme| {
-            eprintln!("[warming {scheme}]");
-            (scheme, env.warmed_oram(scheme).expect("warm-up ok"))
-        },
-    );
+    let warmed: Vec<_> = executor.run(evaluated_schemes(), |_, scheme| {
+        eprintln!("[warming {scheme}]");
+        (scheme, env.warmed_oram(scheme).expect("warm-up ok"))
+    });
 
     let grid: Vec<(usize, usize)> =
         (0..suite.len()).flat_map(|p| (0..warmed.len()).map(move |k| (p, k))).collect();
-    let reports = executor.run_weighted(
-        grid,
-        |_, &(_, k)| model.predict(warmed[k].0, env.levels, env.timed as u64),
-        |_, (p, k)| {
-            let report = env.timed_run(warmed[k].1.clone(), &suite[p]).expect("timed run ok");
-            eprintln!("[benchmark {} / {}]", suite[p].name, warmed[k].0);
-            report
-        },
-    );
+    let reports = executor.run(grid, |_, (p, k)| {
+        let report = env.timed_run(warmed[k].1.clone(), &suite[p]).expect("timed run ok");
+        eprintln!("[benchmark {} / {}]", suite[p].name, warmed[k].0);
+        report
+    });
 
     let scheme_labels: Vec<String> = warmed.iter().map(|(s, _)| s.to_string()).collect();
     let headers: Vec<&str> =

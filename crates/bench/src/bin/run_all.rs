@@ -6,21 +6,10 @@
 //!
 //! `cargo run --release -p aboram-bench --bin run_all`
 //!
-//! Before any child launches, the suite's complete warm-up plan (the
-//! deduplicated union of every binary's warmed schemes — see
-//! `aboram_bench::suite`) is pre-warmed into the snapshot cache, expensive
-//! configurations first. Every child then restores its warm state instead
-//! of simulating it, and no two children ever race to compute the same
-//! entry. The end-of-suite summary reports the cache's hit/miss/store/evict
-//! counts for the whole run. `ABORAM_SNAPCACHE=off` disables both the
-//! pre-warm pass and the cache.
-//!
 //! Set `ABORAM_JOBS=1` to reproduce the old sequential behaviour (cheap
 //! protocol studies first, expensive timing sweeps last — workers claim
 //! binaries in list order, so a single worker walks it unchanged).
 
-use aboram_bench::{CellExecutor, CostModel, Experiment};
-use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -61,104 +50,13 @@ fn job_count() -> usize {
     aboram_bench::jobs_from_env().min(BINARIES.len())
 }
 
-/// Pays every distinct warm-up in the suite exactly once, before any child
-/// process launches. Cost-sorted over the executor, so the expensive
-/// configurations start first and the pass finishes as early as possible.
-fn prewarm() {
-    if !aboram_bench::cache_enabled() {
-        eprintln!("[snapshot cache off — skipping pre-warm, children warm fresh]");
-        return;
-    }
-    let env = Experiment::from_env();
-    let plan = aboram_bench::suite::warm_plan();
-    let model = CostModel::from_env();
-    let t0 = Instant::now();
-    eprintln!("[pre-warming {} distinct configuration(s) into the snapshot cache]", plan.len());
-    CellExecutor::from_env().run_weighted(
-        plan,
-        |_, &scheme| model.predict(scheme, env.levels, env.warmup),
-        |_, scheme| {
-            if let Err(e) = env.warmed_oram(scheme) {
-                eprintln!("warning: pre-warm of {scheme} failed ({e}); its cells warm inline");
-            }
-        },
-    );
-    eprintln!("[pre-warm done in {:.1}s]", t0.elapsed().as_secs_f64());
-}
-
-/// Where per-child telemetry traces land for end-of-suite calibration, or
-/// `None` when capture is off: the user already routes telemetry somewhere
-/// (one shared path cannot take every child's trace), or opted out with
-/// `ABORAM_COST_CALIB=off`.
-fn calibration_capture_dir() -> Option<PathBuf> {
-    if std::env::var_os("ABORAM_TELEMETRY").is_some() {
-        return None;
-    }
-    if std::env::var("ABORAM_COST_CALIB").is_ok_and(|v| v == "off") {
-        return None;
-    }
-    let dir = PathBuf::from("results/calib");
-    std::fs::create_dir_all(&dir).ok()?;
-    Some(dir)
-}
-
-/// The calibration feedback loop's write side: distills every child's
-/// telemetry trace into `results/cost_calib.jsonl` — one `run` + `sum` line
-/// pair per complete measured run, exactly the fields
-/// `CostModel::calibrate_from` consumes. The next suite (or any binary run
-/// without `ABORAM_COST_CALIB`) schedules from these measured weights
-/// instead of the built-in defaults.
-fn write_calibration(capture_dir: &Path) {
-    let mut runs = Vec::new();
-    for name in BINARIES {
-        let path = capture_dir.join(format!("{name}.jsonl"));
-        if let Ok(file) = std::fs::File::open(&path) {
-            match aboram_telemetry::parse_trace(std::io::BufReader::new(file)) {
-                Ok(mut r) => runs.append(&mut r),
-                Err(e) => eprintln!("warning: calibration trace {}: {e}", path.display()),
-            }
-        }
-    }
-    runs.retain(|r| r.complete && r.levels > 0 && r.records > 0 && !r.scheme.is_empty());
-    if runs.is_empty() {
-        eprintln!("[calibration: no complete measured runs captured — feedback file unchanged]");
-        return;
-    }
-    let mut out = String::with_capacity(runs.len() * 128);
-    for r in &runs {
-        out.push_str(&format!(
-            "{{\"t\":\"run\",\"scheme\":\"{}\",\"levels\":{},\"burst\":{}}}\n\
-             {{\"t\":\"sum\",\"records\":{},\"exec\":{},\"bus\":{}}}\n",
-            r.scheme, r.levels, r.burst_cycles, r.records, r.exec_cycles, r.bus_cycles
-        ));
-    }
-    if let Err(e) = std::fs::write(CostModel::FEEDBACK_PATH, out) {
-        eprintln!("warning: could not write {}: {e}", CostModel::FEEDBACK_PATH);
-        return;
-    }
-    let model = CostModel::calibrate_from(&runs);
-    let weights: Vec<String> = aboram_bench::evaluated_schemes()
-        .into_iter()
-        .map(|s| format!("{s}={}", model.weight(s)))
-        .collect();
-    eprintln!(
-        "[calibration: {} measured runs -> {}; next suite schedules with weights {}]",
-        runs.len(),
-        CostModel::FEEDBACK_PATH,
-        weights.join(" ")
-    );
-}
-
 fn main() {
     let exe_dir = std::env::current_exe()
         .ok()
         .and_then(|p| p.parent().map(std::path::Path::to_path_buf))
         .expect("executable directory");
     let started = Instant::now();
-    let cache_before = aboram_bench::persistent_stats(&aboram_bench::cache_dir());
-    prewarm();
     let jobs = job_count();
-    let calib_dir = calibration_capture_dir();
     eprintln!("[{} experiments on {jobs} worker(s)]", BINARIES.len());
 
     let next = AtomicUsize::new(0);
@@ -173,13 +71,7 @@ fn main() {
                 // Capture output so concurrent binaries don't interleave;
                 // a failing binary's output is replayed immediately, not
                 // discovered at the end-of-suite summary.
-                let mut cmd = Command::new(exe_dir.join(name));
-                if let Some(dir) = &calib_dir {
-                    // Each child traces into its own file; the suite
-                    // distills them into the calibration feedback file.
-                    cmd.env("ABORAM_TELEMETRY", dir.join(format!("{name}.jsonl")));
-                }
-                match cmd.output() {
+                match Command::new(exe_dir.join(name)).output() {
                     Ok(out) if out.status.success() => {
                         eprintln!("      {name} done in {:.0}s", t0.elapsed().as_secs_f64());
                     }
@@ -202,17 +94,13 @@ fn main() {
     });
 
     let failures = failures.into_inner().expect("failure list");
-    if let Some(dir) = &calib_dir {
-        write_calibration(dir);
-    }
-    let cache = aboram_bench::persistent_stats(&aboram_bench::cache_dir()).since(&cache_before);
     // The chaos_soak child leaves its aggregate fault/recovery totals here;
-    // surface them next to the cache stats so one glance covers the run.
+    // surface them in the summary so one glance covers the run.
     let recovery = std::fs::read_to_string("results/recovery_summary.txt")
         .map(|s| s.trim_end().to_string())
         .unwrap_or_else(|_| "chaos soak: no summary (chaos_soak did not run)".to_string());
     eprintln!(
-        "\nsuite finished in {:.1} min; {} failures{}\nsnapshot cache: {cache}\n{recovery}",
+        "\nsuite finished in {:.1} min; {} failures{}\n{recovery}",
         started.elapsed().as_secs_f64() / 60.0,
         failures.len(),
         if failures.is_empty() { String::new() } else { format!(": {failures:?}") }

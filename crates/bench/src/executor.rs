@@ -1,4 +1,4 @@
-//! Deterministic parallel cell executor with cost-aware work stealing.
+//! Deterministic parallel cell executor.
 //!
 //! Every figure and table is a grid of independent (scheme × workload ×
 //! config) simulation cells. [`CellExecutor`] fans those cells out over a
@@ -21,20 +21,10 @@
 //!
 //! # Scheduling
 //!
-//! Grids are heterogeneous: a Baseline warm-up cell costs ~1.6× an AB cell
-//! (measured — see `crate::CostModel`), and sweep grids mix access counts
-//! that differ by orders of magnitude. Claiming cells in grid order lets an
-//! expensive cell land on the last worker and stretch the run by its full
-//! length. [`CellExecutor::run_weighted`] therefore schedules by predicted
-//! cost: cells are sorted longest-first and striped across per-worker
-//! queues; each worker drains its own queue front-to-back (most expensive
-//! first — the classic LPT heuristic), and a worker whose queue runs dry
-//! *steals from the tail* of another's, picking up the cheapest remaining
-//! cell where the double-claim races are shortest. Scheduling order never
-//! touches results: they are keyed by grid position, so any jobs count and
-//! any steal interleaving produce byte-identical output.
-//! [`CellExecutor::run`] is the uniform-cost special case (stable sort →
-//! original grid order).
+//! Workers claim cells in grid order through one atomic cursor, so a
+//! single-worker executor walks the grid exactly like a sequential loop.
+//! Claim order never touches results: they are keyed by grid position, so
+//! any jobs count produces byte-identical output.
 //!
 //! The worker count follows the `run_all` convention: `ABORAM_JOBS` (or a
 //! `--jobs N` flag where a binary accepts one), defaulting to the machine's
@@ -43,7 +33,7 @@
 //! `available_parallelism` probe logs the fallback to one worker once
 //! instead of silently serializing.
 
-use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, Once};
 
 /// Resolves the default worker count, logging (once per process) when the
@@ -65,16 +55,16 @@ pub fn default_jobs() -> usize {
 }
 
 /// Reads the worker count from `ABORAM_JOBS`, falling back to
-/// [`default_jobs`]. Zero and unparsable values are ignored, and requests
+/// [`default_jobs`] when it is unset or zero. An unparsable value is
+/// refused like every scale knob (see `Experiment::from_env`), and requests
 /// beyond the machine's available parallelism are clamped: simulation
 /// cells are CPU-bound, so oversubscribing physical cores cannot finish a
 /// grid sooner — it only inflates per-cell wall-clock time.
 pub fn jobs_from_env() -> usize {
-    std::env::var("ABORAM_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .map_or_else(default_jobs, clamp_jobs)
+    match crate::env_knob("ABORAM_JOBS", 0usize) {
+        0 => default_jobs(),
+        n => clamp_jobs(n),
+    }
 }
 
 /// Clamps a requested worker count to available parallelism (see
@@ -141,10 +131,9 @@ impl CellExecutor {
     }
 
     /// Executes `f(index, cell)` for every cell, returning the results in
-    /// cell order. Equivalent to [`CellExecutor::run_weighted`] with a
-    /// uniform cost, so cells are claimed in grid order and a single-worker
-    /// executor walks the grid exactly like the old sequential loops. A
-    /// panicking cell propagates to the caller.
+    /// cell order. Workers claim cells through an atomic cursor, so a
+    /// single-worker executor walks the grid in order exactly like a
+    /// sequential loop. A panicking cell propagates to the caller.
     ///
     /// When the calling thread has a telemetry collector installed, each
     /// cell records into a private collector and the per-cell traces are
@@ -156,35 +145,12 @@ impl CellExecutor {
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
-        self.run_weighted(cells, |_, _| 1, f)
-    }
-
-    /// Executes `f(index, cell)` for every cell with cost-aware scheduling:
-    /// `cost(index, &cell)` predicts each cell's relative expense (see
-    /// `crate::CostModel::predict`), expensive cells start first, and idle
-    /// workers steal the cheapest remaining cells from other workers'
-    /// queue tails. Results (and merged telemetry) still come back in grid
-    /// order — scheduling affects wall-clock only, never a byte of output.
-    pub fn run_weighted<T, R, C, F>(&self, cells: Vec<T>, cost: C, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        C: Fn(usize, &T) -> u64,
-        F: Fn(usize, T) -> R + Sync,
-    {
         let traced = aboram_telemetry::enabled();
         let caller_collector = if traced { aboram_telemetry::uninstall() } else { None };
 
         let n = cells.len();
-        let costs: Vec<u64> = cells.iter().enumerate().map(|(i, c)| cost(i, c)).collect();
-        let order = schedule_order(&costs);
         let workers = self.jobs.min(n.max(1));
-        // Stripe the longest-first order round-robin across per-worker
-        // queues: every worker starts on one of the most expensive cells
-        // and keeps its own queue sorted longest-first.
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| Mutex::new(order.iter().copied().skip(w).step_by(workers).collect()))
-            .collect();
+        let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<T>>> = cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
         // One result slot per cell: the value plus its captured telemetry.
         type ResultSlot<R> = Mutex<Option<(R, Option<String>)>>;
@@ -192,26 +158,12 @@ impl CellExecutor {
 
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let queues = &queues;
-                    let slots = &slots;
-                    let results = &results;
-                    let f = &f;
-                    scope.spawn(move || loop {
-                        // Own queue first (front = most expensive remaining),
-                        // then steal the cheapest cell from another worker's
-                        // tail.
-                        let mut claimed = queues[w].lock().expect("queue lock").pop_front();
-                        if claimed.is_none() {
-                            for offset in 1..workers {
-                                let victim = (w + offset) % workers;
-                                claimed = queues[victim].lock().expect("queue lock").pop_back();
-                                if claimed.is_some() {
-                                    break;
-                                }
-                            }
+                .map(|_| {
+                    scope.spawn(|| loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
                         }
-                        let Some(i) = claimed else { break };
                         let cell = slots[i]
                             .lock()
                             .expect("cell slot lock")
@@ -261,25 +213,25 @@ impl CellExecutor {
     }
 }
 
-/// The claim order for a grid with the given predicted costs: indices
-/// sorted longest-first, original grid order breaking ties — so a uniform
-/// cost degenerates to grid order and the sort is fully deterministic.
-fn schedule_order(costs: &[u64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..costs.len()).collect();
-    order.sort_by(|&a, &b| costs[b].cmp(&costs[a]).then(a.cmp(&b)));
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn results_come_back_in_cell_order() {
-        for jobs in [1, 2, 4, 7] {
+        for jobs in [1, 2, 3, 4, 7, 8] {
+            // With a second worker, cell 0 finishes only after cell 1 has:
+            // completion order differs from grid order, result order must not.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let rx = Mutex::new(rx);
             let cells: Vec<usize> = (0..23).collect();
             let out = CellExecutor::with_jobs(jobs).run(cells, |i, c| {
                 assert_eq!(i, c);
+                match i {
+                    0 if jobs > 1 => rx.lock().expect("receiver").recv().expect("cell 1 ran"),
+                    1 => tx.send(()).expect("receiver alive"),
+                    _ => {}
+                }
                 c * 10
             });
             assert_eq!(out, (0..23).map(|i| i * 10).collect::<Vec<_>>(), "jobs={jobs}");
@@ -299,55 +251,6 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a, derive_cell_seed(2023, 0), "pure function of (base, index)");
         assert_ne!(derive_cell_seed(2024, 0), a, "base seed participates");
-    }
-
-    #[test]
-    fn weighted_run_returns_results_in_grid_order() {
-        // Heterogeneous costs, including ties and zeros, at several worker
-        // counts: scheduling must never reorder results.
-        let costs = [5u64, 0, 900, 900, 3, 42, 0, 17_000, 1, 1];
-        for jobs in [1, 2, 3, 8] {
-            let cells: Vec<usize> = (0..costs.len()).collect();
-            let out = CellExecutor::with_jobs(jobs).run_weighted(
-                cells,
-                |i, _| costs[i],
-                |i, c| {
-                    assert_eq!(i, c);
-                    c * 10
-                },
-            );
-            assert_eq!(out, (0..costs.len()).map(|i| i * 10).collect::<Vec<_>>(), "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn schedule_order_is_longest_first_with_stable_ties() {
-        assert_eq!(schedule_order(&[5, 9, 9, 1]), vec![1, 2, 0, 3]);
-        assert_eq!(schedule_order(&[1, 1, 1]), vec![0, 1, 2], "uniform cost keeps grid order");
-        assert!(schedule_order(&[]).is_empty());
-    }
-
-    #[test]
-    fn longest_first_ordering_reduces_makespan_on_a_synthetic_grid() {
-        // Simulate greedy list scheduling (each cell goes to the earliest-
-        // free worker) for a claim order over synthetic costs.
-        fn makespan(order: &[usize], costs: &[u64], workers: usize) -> u64 {
-            let mut free_at = vec![0u64; workers];
-            for &i in order {
-                let w = (0..workers).min_by_key(|&w| free_at[w]).expect("worker");
-                free_at[w] += costs[i];
-            }
-            free_at.into_iter().max().unwrap_or(0)
-        }
-        // Grid-order's worst case: the expensive cell arrives last and runs
-        // alone after everything else finished.
-        let costs = [1u64, 1, 1, 1, 1, 1, 10];
-        let grid_order: Vec<usize> = (0..costs.len()).collect();
-        let lpt = makespan(&schedule_order(&costs), &costs, 2);
-        let naive = makespan(&grid_order, &costs, 2);
-        assert_eq!(lpt, 10, "expensive cell starts first, cheap cells pack the other worker");
-        assert_eq!(naive, 3 + 10, "grid order leaves the straggler for the end");
-        assert!(lpt < naive);
     }
 
     #[test]

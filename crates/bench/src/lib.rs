@@ -20,17 +20,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cost;
 mod executor;
-mod snapcache;
-pub mod suite;
 
-pub use cost::CostModel;
 pub use executor::{default_jobs, derive_cell_seed, jobs_from_env, CellExecutor};
-pub use snapcache::{
-    cache_cap, cache_dir, cache_enabled, cache_key, driver_cache_key, evict_all, persistent_stats,
-    warmed_driver_cached, warmed_engine_cached, CacheStats, DEFAULT_CAP_BYTES,
-};
 
 use aboram_core::{
     AccessKind, CountingSink, OramConfig, OramError, RingOram, Scheme, SimulationReport,
@@ -44,6 +36,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 /// Experiment scaling knobs, read from the environment.
 #[derive(Debug, Clone, Copy)]
@@ -63,18 +56,22 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Reads the environment, falling back to laptop-scale defaults.
+    /// Reads the environment, falling back to laptop-scale defaults. A knob
+    /// that is set but does not parse (or does not fit its type — levels
+    /// are a `u8`) is refused: one line naming the variable and the text,
+    /// exit code 2.
     pub fn from_env() -> Self {
-        let levels = env_u64("ABORAM_LEVELS", 18) as u8;
+        let levels: u8 = env_knob("ABORAM_LEVELS", 18);
         // Two full reverse-lexicographic eviction sweeps (A accesses per
-        // evictPath) — enough for the dead-block census to stabilize.
-        let default_warmup = 2 * (1u64 << (levels - 1)) * 5;
+        // evictPath) — enough for the dead-block census to stabilize. (A
+        // level count the shift cannot take is refused by `config`.)
+        let leaves = 1u64.checked_shl(u32::from(levels.saturating_sub(1))).unwrap_or(0);
         Experiment {
             levels,
-            warmup: env_u64("ABORAM_WARMUP", default_warmup),
-            timed: env_u64("ABORAM_TIMED", 10_000) as usize,
-            protocol_accesses: env_u64("ABORAM_PROTOCOL", 400_000),
-            seed: env_u64("ABORAM_SEED", 2023),
+            warmup: env_knob("ABORAM_WARMUP", 2 * leaves * 5),
+            timed: env_knob("ABORAM_TIMED", 10_000),
+            protocol_accesses: env_knob("ABORAM_PROTOCOL", 400_000),
+            seed: env_knob("ABORAM_SEED", 2023),
         }
     }
 
@@ -94,23 +91,21 @@ impl Experiment {
         Ok(self.space_report(scheme)?.normalized_to(base))
     }
 
-    /// Builds and warms an engine for `scheme` with uniform random accesses
-    /// (the §VII warm-up phase).
-    ///
-    /// The warmed steady state is served from the snapshot cache when a
-    /// matching entry exists (see [`warmed_engine_cached`]); the restored
-    /// engine is bit-identical to a freshly simulated warm-up. Set
-    /// `ABORAM_SNAPCACHE=off` to always warm fresh.
+    /// Builds and warms an engine for `scheme` with `warmup` uniform random
+    /// reads (the §VII warm-up phase). A binary that needs the same warmed
+    /// engine in several cells warms it once and `clone()`s it.
     pub fn warmed_oram(&self, scheme: Scheme) -> Result<RingOram, OramError> {
         let cfg = self.config(scheme)?;
-        warmed_engine_cached(&cfg, self.warmup, self.warmup_seed())
-    }
-
-    /// The warm-up RNG seed [`Experiment::warmed_oram`] draws its uniform
-    /// accesses from (distinct from the engine seed so the warm-up stream
-    /// and the engine's internal randomness stay independent).
-    pub fn warmup_seed(&self) -> u64 {
-        self.seed ^ 0xaaaa
+        let mut oram = RingOram::new(&cfg)?;
+        let mut sink = CountingSink::new();
+        // Distinct from the engine seed, so the warm-up stream and the
+        // engine's internal randomness stay independent.
+        let mut rng = StdRng::seed_from_u64(self.seed ^ 0xaaaa);
+        let blocks = cfg.real_block_count();
+        for _ in 0..self.warmup {
+            oram.access(AccessKind::Read, rng.gen_range(0..blocks), None, &mut sink)?;
+        }
+        Ok(oram)
     }
 
     /// Runs one benchmark's timed window against a pre-warmed engine and
@@ -135,18 +130,14 @@ impl Experiment {
         driver.run((0..self.timed).map(|_| gen.next_record()))
     }
 
-    /// Builds a warmed [`TimingDriver`] for `scheme`, restoring the entire
-    /// driver (engine + DRAM twin + core cursors) from the snapshot cache
-    /// when a matching full-driver entry exists; a warmed engine entry is
-    /// the intermediate fallback (see [`warmed_driver_cached`]).
+    /// Builds a [`TimingDriver`] with a fresh DRAM twin over
+    /// [`Experiment::warmed_oram`]'s engine.
     pub fn warmed_driver(&self, scheme: Scheme) -> Result<TimingDriver, OramError> {
-        let cfg = self.config(scheme)?;
-        warmed_driver_cached(&cfg, DramConfig::default(), self.warmup, self.warmup_seed())
+        Ok(TimingDriver::from_oram(self.warmed_oram(scheme)?, DramConfig::default()))
     }
 
     /// Warm-up plus one timed benchmark window in a single call — the
-    /// baseline-then-sweep pattern every timing figure repeats. The warmed
-    /// driver is served from the snapshot cache when possible.
+    /// baseline-then-sweep pattern every timing figure repeats.
     pub fn warmed_timed(
         &self,
         scheme: Scheme,
@@ -286,8 +277,21 @@ pub fn telemetry_from_env() -> Option<TelemetryGuard> {
     }
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+/// Parses the text of scale knob `name`; the error is the one-line refusal.
+fn parse_knob<T: FromStr>(name: &str, text: &str) -> Result<T, String> {
+    text.trim()
+        .parse()
+        .map_err(|_| format!("{name}={text:?} is not a valid {}", std::any::type_name::<T>()))
+}
+
+/// Reads scale knob `name`: `default` when unset, the parsed value when
+/// set, and a one-line refusal with exit code 2 when set to anything else.
+pub(crate) fn env_knob<T: FromStr>(name: &str, default: T) -> T {
+    let Some(text) = std::env::var_os(name) else { return default };
+    parse_knob(name, &text.to_string_lossy()).unwrap_or_else(|refusal| {
+        eprintln!("error: {refusal}");
+        std::process::exit(2)
+    })
 }
 
 /// Writes an experiment artifact under `results/`, creating the directory;
@@ -324,6 +328,17 @@ mod tests {
     }
 
     #[test]
+    fn scale_knobs_refuse_garbage_by_name() {
+        for text in ["", "abc", "300"] {
+            let refusal = parse_knob::<u8>("ABORAM_LEVELS", text).unwrap_err();
+            assert!(refusal.contains("ABORAM_LEVELS") && refusal.contains(text), "{refusal}");
+        }
+        assert_eq!(parse_knob::<u8>("ABORAM_LEVELS", "18"), Ok(18));
+        assert_eq!(parse_knob::<u64>("ABORAM_WARMUP", "300"), Ok(300), "only levels are a u8");
+        assert!(parse_knob::<usize>("ABORAM_JOBS", "-1").is_err());
+    }
+
+    #[test]
     fn config_builds_for_all_schemes() {
         let e = Experiment { levels: 10, warmup: 10, timed: 10, protocol_accesses: 10, seed: 1 };
         for s in evaluated_schemes() {
@@ -336,6 +351,28 @@ mod tests {
         let e = Experiment { levels: 10, warmup: 500, timed: 10, protocol_accesses: 10, seed: 1 };
         let oram = e.warmed_oram(Scheme::Ab).unwrap();
         assert_eq!(oram.stats().user_accesses, 500);
+    }
+
+    /// The `ablation_dram_priority` / Fig. 8 shape: one warmed engine cloned
+    /// into several cells stands in for one warm-up per cell.
+    #[test]
+    fn warm_once_and_clone_equals_warming_per_cell() {
+        let e = Experiment { levels: 10, warmup: 1_500, timed: 150, protocol_accesses: 0, seed: 3 };
+        let profile = aboram_trace::profiles::spec2017().into_iter().next().unwrap();
+        for scheme in [Scheme::Baseline, Scheme::Ab] {
+            let warmed = e.warmed_oram(scheme).unwrap();
+            let cloned = CellExecutor::with_jobs(2).run(vec![(); 2], |_, ()| {
+                let oram = warmed.clone();
+                (oram.snapshot().unwrap(), e.timed_run(oram, &profile).unwrap())
+            });
+            for (state, report) in cloned {
+                let fresh = e.warmed_oram(scheme).unwrap();
+                assert_eq!(state, fresh.snapshot().unwrap(), "{scheme}: warmed state differs");
+                assert_eq!(report, e.timed_run(fresh, &profile).unwrap(), "{scheme}");
+            }
+            // A cell's timed window ran on its clone, not on the original.
+            assert_eq!(warmed.stats().user_accesses, e.warmup);
+        }
     }
 
     #[test]

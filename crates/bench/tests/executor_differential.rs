@@ -4,7 +4,7 @@
 //! assembled result table, the telemetry JSONL trace and the golden-case
 //! digests are compared byte for byte.
 
-use aboram_bench::{CellExecutor, CostModel, Experiment};
+use aboram_bench::{CellExecutor, Experiment};
 use aboram_core::Scheme;
 use aboram_telemetry::Collector;
 use aboram_trace::profiles;
@@ -53,12 +53,11 @@ fn jobs_count_never_moves_a_bit_in_tables_or_telemetry() {
     assert_eq!(trace_seq, trace_par, "telemetry trace depends on jobs count");
 }
 
-/// Runs a deliberately lopsided (scheme × record-count) grid through the
-/// cost-aware scheduler and returns the assembled table plus the telemetry
-/// trace. Cell costs span an order of magnitude, so at `jobs > 1` the LPT
-/// sort and tail stealing genuinely reorder execution — which must still
-/// never reorder (or change) a byte of output.
-fn weighted_heterogeneous_grid(jobs: usize) -> (String, String) {
+/// Runs a deliberately lopsided (scheme × record-count) grid and returns the
+/// assembled table plus the telemetry trace. Cell costs span an order of
+/// magnitude, so at `jobs > 1` cells finish far out of claim order — which
+/// must still never reorder (or change) a byte of output.
+fn lopsided_grid(jobs: usize) -> (String, String) {
     let base =
         Experiment { levels: 10, warmup: 1_000, timed: 0, protocol_accesses: 0, seed: 0x3E16 };
     let profile = profiles::spec2017().into_iter().next().expect("profile");
@@ -70,18 +69,13 @@ fn weighted_heterogeneous_grid(jobs: usize) -> (String, String) {
         (Scheme::Baseline, 250),
         (Scheme::Ir, 90),
     ];
-    let model = CostModel::calibrated();
 
     let (collector, buf) = Collector::to_shared_buffer();
     aboram_telemetry::install(collector);
-    let cycles = CellExecutor::with_jobs(jobs).run_weighted(
-        grid.clone(),
-        |_, cell: &(Scheme, u64)| model.predict(cell.0, base.levels, base.warmup + cell.1),
-        |_, (scheme, records)| {
-            let env = Experiment { timed: records as usize, ..base };
-            env.warmed_timed(scheme, &profile).expect("timed run ok").exec_cycles
-        },
-    );
+    let cycles = CellExecutor::with_jobs(jobs).run(grid.clone(), |_, (scheme, records)| {
+        let env = Experiment { timed: records as usize, ..base };
+        env.warmed_timed(scheme, &profile).expect("timed run ok").exec_cycles
+    });
     let mut c = aboram_telemetry::uninstall().expect("collector still installed");
     c.flush().expect("flush");
 
@@ -93,14 +87,14 @@ fn weighted_heterogeneous_grid(jobs: usize) -> (String, String) {
 }
 
 #[test]
-fn weighted_scheduling_is_byte_identical_at_jobs_1_3_8() {
-    let (table_seq, trace_seq) = weighted_heterogeneous_grid(1);
+fn lopsided_grid_is_byte_identical_at_jobs_1_3_8() {
+    let (table_seq, trace_seq) = lopsided_grid(1);
     assert!(table_seq.lines().count() > 2, "grid produced rows:\n{table_seq}");
     assert!(trace_seq.contains("\"run\""), "telemetry captured runs:\n{trace_seq}");
     for jobs in [3, 8] {
-        let (table, trace) = weighted_heterogeneous_grid(jobs);
-        assert_eq!(table_seq, table, "jobs={jobs}: result table depends on scheduling");
-        assert_eq!(trace_seq, trace, "jobs={jobs}: telemetry trace depends on scheduling");
+        let (table, trace) = lopsided_grid(jobs);
+        assert_eq!(table_seq, table, "jobs={jobs}: result table depends on jobs count");
+        assert_eq!(trace_seq, trace, "jobs={jobs}: telemetry trace depends on jobs count");
     }
 }
 

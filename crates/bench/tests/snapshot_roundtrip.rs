@@ -1,5 +1,5 @@
-//! Property test for the warm-up snapshot cache's core claim: for every
-//! scheme, snapshotting an engine mid-run, restoring it and continuing is
+//! Property test for the engine snapshot's core claim: for every scheme,
+//! snapshotting an engine mid-run, restoring it and continuing is
 //! indistinguishable — bit for bit — from never having snapshotted at all.
 //! The final engine snapshots (stats, RNG stream, tree and metadata state)
 //! and the continuation's memory-traffic counts must match exactly.

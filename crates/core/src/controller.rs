@@ -81,13 +81,6 @@ impl AccessController {
         }
     }
 
-    /// Resumes a quiescent controller's cursors (driver restore): the sink
-    /// clock and the occupancy cursor.
-    pub(crate) fn resume_at(&mut self, now: u64, free_at: u64) {
-        self.sink.inner_mut().set_now(now);
-        self.free_at = free_at;
-    }
-
     /// The sink engine calls write to between [`begin`](Self::begin) and
     /// [`finish`](Self::finish); also where a fault plan is armed.
     pub(crate) fn sink_mut(&mut self) -> &mut ControllerSink {
@@ -130,11 +123,6 @@ impl AccessController {
         self.crypto = lat;
     }
 
-    /// The crypto latency model in force.
-    pub(crate) fn crypto_latency(&self) -> CryptoLatency {
-        self.crypto
-    }
-
     /// Sets the access-pipeline depth (`0` clamps to 1). Lowering to depth 1
     /// quiesces the window first, so the switch never reorders requests.
     pub(crate) fn set_depth(&mut self, depth: u8) {
@@ -161,8 +149,9 @@ impl AccessController {
         self.sink.inner().now()
     }
 
-    /// Whether nothing is staged, undrained or in flight (snapshots require
-    /// this; true after [`quiesce`](Self::quiesce)).
+    /// Whether nothing is staged, undrained or in flight (true after
+    /// [`quiesce`](Self::quiesce)).
+    #[cfg(test)]
     pub(crate) fn is_idle(&self) -> bool {
         self.window.is_empty() && self.sink.inner().is_idle()
     }
@@ -261,9 +250,9 @@ impl AccessController {
     }
 
     /// Resolves every in-flight access, folds the completions into
-    /// `free_at` and returns it. The controller is then exactly the state a
-    /// snapshot captures: empty window, idle crypto pipeline, and — every
-    /// id being resolved and unheld — no live request in the DRAM twin.
+    /// `free_at` and returns it. The controller is then at rest: empty
+    /// window, idle crypto pipeline, and — every id being resolved and
+    /// unheld — no live request in the DRAM twin.
     pub(crate) fn quiesce(&mut self) -> u64 {
         let mut free = self.free_at.max(self.prev_online_done).max(self.crypto_exit);
         while let Some(entry) = self.window.pop_front() {

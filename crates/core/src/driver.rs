@@ -134,31 +134,6 @@ impl SimulationReport {
     }
 }
 
-/// Driver snapshot format version. Bump whenever the driver's simulated
-/// behavior changes (core model, crypto charging, controller serialization)
-/// so stale cached full-system state is never replayed. The embedded engine
-/// and memory-system streams carry their own versions.
-///
-/// v2: rides the engine-snapshot v2 bump (recovery ladder counters).
-///
-/// v3: rides the engine-snapshot v3 bump (auto-scaling trees — growth
-/// counters and `GrowthConfig`-covering config digests).
-///
-/// v4: the sink's effective [`IssueMode`] joined the stream (channel-
-/// parallel issue + crypto/DRAM overlap), so mid-campaign restores of an
-/// overridden issue mode replay cycle-identically.
-///
-/// v5: the access-pipeline depth joined the stream. The in-flight window
-/// itself is empty between runs (snapshots are quiescent-only), so the depth
-/// knob is the only new state.
-///
-/// v6: rides the memory-system v3 bump (the embedded ABSM stream no longer
-/// carries per-request tables), so cache keys roll and stale entries re-warm.
-pub const DRIVER_SNAPSHOT_VERSION: u32 = 6;
-
-/// Magic bytes opening every full-driver snapshot stream.
-const DRIVER_SNAPSHOT_MAGIC: [u8; 4] = *b"ABSD";
-
 /// Drives an LLC-miss trace through a [`RingOram`] engine over the
 /// cycle-level memory system.
 ///
@@ -322,130 +297,11 @@ impl TimingDriver {
         self.oram.insert_block(position)
     }
 
-    /// Serializes the *entire* driver — engine protocol state, the DRAM
-    /// twin's scheduler state, the core's execution cursors, the crypto
-    /// model and the controller-occupancy cursor — so that
-    /// [`restore`](Self::restore) followed by any trace is cycle-identical
-    /// to this instance running the same trace. This is the full-system
-    /// flavor of the engine snapshot: a warm restore skips not just the
-    /// protocol warm-up but the whole `TimingDriver` reconstruction.
-    ///
-    /// Snapshots are quiescent-only (every issued request drained — true
-    /// between [`run`](Self::run) calls) and refuse extension state that is
-    /// not serialized: an armed fault plan or the recursive position-map
-    /// model.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`OramError::SnapshotInvalid`] when the driver is not
-    /// quiescent or carries non-snapshottable extension state, and
-    /// propagates engine snapshot refusals (`store_data`).
-    pub fn snapshot(&self) -> Result<Vec<u8>, OramError> {
-        use crate::snapshot::{seal, Writer};
-        if self.posmap_model.is_some() {
-            return Err(OramError::SnapshotInvalid {
-                reason: "recursive position-map state is not snapshottable".to_string(),
-            });
-        }
-        if self.ctl.sink().plan().is_some() {
-            return Err(OramError::SnapshotInvalid {
-                reason: "fault-injection plan is armed; snapshots cover fault-free state only"
-                    .to_string(),
-            });
-        }
-        if !self.ctl.is_idle() {
-            return Err(OramError::SnapshotInvalid {
-                reason: "driver has undrained requests; finish the run first".to_string(),
-            });
-        }
-        let engine = self.oram.snapshot()?;
-        let memory = self.ctl.memory().snapshot().map_err(OramError::from)?;
-        let crypto = self.ctl.crypto_latency();
-        let mut w = Writer::new();
-        w.bytes(&DRIVER_SNAPSHOT_MAGIC);
-        w.u32(DRIVER_SNAPSHOT_VERSION);
-        w.u64(crypto.pipeline_fill);
-        w.u64(crypto.per_block);
-        w.u64(self.ctl.free_at());
-        w.u64(self.ctl.now());
-        w.u8(match self.ctl.issue_mode() {
-            IssueMode::Serial => 0,
-            IssueMode::ChannelParallel => 1,
-        });
-        w.u8(self.ctl.depth());
-        self.cpu.snapshot_into(&mut w);
-        w.u64(engine.len() as u64);
-        w.bytes(&engine);
-        w.u64(memory.len() as u64);
-        w.bytes(&memory);
-        Ok(seal(w))
-    }
-
-    /// Rebuilds a driver from [`snapshot`](Self::snapshot) bytes taken
-    /// under identical ORAM and DRAM configurations.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`OramError::SnapshotInvalid`] on truncation, corruption,
-    /// a version mismatch, or configuration digests that disagree with
-    /// `cfg`/`dram`.
-    pub fn restore(cfg: &OramConfig, dram: DramConfig, bytes: &[u8]) -> Result<Self, OramError> {
-        use crate::snapshot::{verify_sealed, Reader};
-        let body = verify_sealed(bytes)?;
-        let mut r = Reader::new(body);
-        if r.bytes(4)? != DRIVER_SNAPSHOT_MAGIC {
-            return Err(OramError::SnapshotInvalid { reason: "bad driver magic".to_string() });
-        }
-        let version = r.u32()?;
-        if version != DRIVER_SNAPSHOT_VERSION {
-            return Err(OramError::SnapshotInvalid {
-                reason: format!(
-                    "driver snapshot version {version}, driver expects {DRIVER_SNAPSHOT_VERSION}"
-                ),
-            });
-        }
-        let crypto = CryptoLatency::new(r.u64()?, r.u64()?);
-        let free_at = r.u64()?;
-        let now = r.u64()?;
-        let issue_mode = match r.u8()? {
-            0 => IssueMode::Serial,
-            1 => IssueMode::ChannelParallel,
-            other => {
-                return Err(OramError::SnapshotInvalid {
-                    reason: format!("unknown issue mode {other}"),
-                })
-            }
-        };
-        let pipeline_depth = r.u8()?;
-        let cpu = aboram_dram::RobCpu::restore_from(&mut r).map_err(OramError::from)?;
-        let engine_len = r.len_prefix(1)?;
-        let oram = RingOram::restore(cfg, r.bytes(engine_len)?)?;
-        let memory_len = r.len_prefix(1)?;
-        let memory = MemorySystem::restore(dram, r.bytes(memory_len)?).map_err(OramError::from)?;
-        if r.remaining() != 0 {
-            return Err(OramError::SnapshotInvalid {
-                reason: "trailing bytes after driver body".to_string(),
-            });
-        }
-        let mut ctl = AccessController::new(memory, issue_mode);
-        ctl.set_crypto_latency(crypto);
-        ctl.resume_at(now, free_at);
-        ctl.set_depth(pipeline_depth);
-        Ok(TimingDriver { oram, ctl, cpu, posmap_model: None })
-    }
-
     /// The underlying memory system's statistics (final after
     /// [`run`](Self::run) returns; used e.g. by the energy model).
     pub fn memory_stats(&self) -> &aboram_dram::MemoryStats {
         self.ctl.memory().stats()
     }
-
-    /// XOR applied to the engine seed to derive [`warm_up`]'s RNG seed.
-    /// Exposed so external warm-up replays (e.g. a snapshot cache) can
-    /// reproduce the exact access stream `warm_up` would generate.
-    ///
-    /// [`warm_up`]: Self::warm_up
-    pub const WARM_UP_SEED_XOR: u64 = 0x3aa3_5717;
 
     /// Warms the ORAM protocol state with `accesses` uniform random
     /// accesses that generate no timed memory traffic — the paper's §VII
@@ -459,8 +315,7 @@ impl TimingDriver {
         use rand::{Rng, SeedableRng};
         let mut sink = crate::sink::CountingSink::new();
         let blocks = self.oram.block_count();
-        let mut rng =
-            rand::rngs::StdRng::seed_from_u64(self.oram.config().seed ^ Self::WARM_UP_SEED_XOR);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(self.oram.config().seed ^ 0x3aa3_5717);
         for _ in 0..accesses {
             let block = rng.gen_range(0..blocks);
             self.oram.access(AccessKind::Read, block, None, &mut sink)?;
@@ -749,115 +604,6 @@ mod tests {
 
         assert!(rs.exec_cycles > rf.exec_cycles);
     }
-}
-
-#[cfg(test)]
-mod snapshot_tests {
-    use super::*;
-    use crate::config::Scheme;
-    use aboram_trace::{profiles, TraceGenerator};
-
-    fn driver_with(scheme: Scheme) -> TimingDriver {
-        let cfg = OramConfig::builder(10, scheme).seed(11).build().unwrap();
-        TimingDriver::new(&cfg, DramConfig::default()).unwrap()
-    }
-
-    #[test]
-    fn restore_then_run_is_cycle_identical_to_straight_line() {
-        for scheme in [Scheme::Baseline, Scheme::Ab, Scheme::AbChannelPar] {
-            let cfg = OramConfig::builder(10, scheme).seed(11).build().unwrap();
-            let profile = profiles::spec2017().into_iter().find(|p| p.name == "mcf").unwrap();
-
-            // Straight line: warm-up + 120 records + 80 more records.
-            let mut straight = TimingDriver::new(&cfg, DramConfig::default()).unwrap();
-            straight.warm_up(300).unwrap();
-            let mut gen = TraceGenerator::new(&profile, 5);
-            let first_s = straight.run((0..120).map(|_| gen.next_record())).unwrap();
-            let second_s = straight.run((0..80).map(|_| gen.next_record())).unwrap();
-
-            // Snapshotted: identical prefix, snapshot, restore, identical tail.
-            let mut prefix = TimingDriver::new(&cfg, DramConfig::default()).unwrap();
-            prefix.warm_up(300).unwrap();
-            let mut gen = TraceGenerator::new(&profile, 5);
-            let first_p = prefix.run((0..120).map(|_| gen.next_record())).unwrap();
-            assert_eq!(first_s, first_p);
-            let bytes = prefix.snapshot().expect("quiescent driver snapshots");
-            let mut restored =
-                TimingDriver::restore(&cfg, DramConfig::default(), &bytes).expect("restores");
-            let second_r = restored.run((0..80).map(|_| gen.next_record())).unwrap();
-
-            assert_eq!(second_s, second_r, "{scheme:?}: restored tail must be cycle-identical");
-            assert_eq!(
-                straight.snapshot().unwrap(),
-                restored.snapshot().unwrap(),
-                "{scheme:?}: final driver state must be bit-identical"
-            );
-        }
-    }
-
-    #[test]
-    fn snapshot_covers_cpu_and_controller_cursors() {
-        let cfg = OramConfig::builder(10, Scheme::Baseline).seed(3).build().unwrap();
-        let profile = profiles::spec2017().into_iter().find(|p| p.name == "lbm").unwrap();
-        let mut driver = TimingDriver::new(&cfg, DramConfig::default()).unwrap();
-        let mut gen = TraceGenerator::new(&profile, 9);
-        driver.run((0..60).map(|_| gen.next_record())).unwrap();
-        let restored =
-            TimingDriver::restore(&cfg, DramConfig::default(), &driver.snapshot().unwrap())
-                .unwrap();
-        assert_eq!(restored.ctl.free_at(), driver.ctl.free_at());
-        assert_eq!(restored.cpu.now(), driver.cpu.now());
-        assert_eq!(restored.ctl.now(), driver.ctl.now());
-    }
-
-    #[test]
-    fn snapshot_refuses_extension_state() {
-        let mut with_posmap = driver_with(Scheme::Baseline);
-        with_posmap.enable_posmap_recursion(crate::recursion::PlbConfig {
-            plb_bytes: 1024,
-            onchip_posmap_bytes: 1024,
-            entry_bytes: 4,
-        });
-        assert!(with_posmap.snapshot().is_err(), "posmap model must refuse");
-
-        let mut with_faults = driver_with(Scheme::Baseline);
-        with_faults.enable_faults(crate::fault::FaultPlan::new(5));
-        assert!(with_faults.snapshot().is_err(), "armed fault plan must refuse");
-    }
-
-    #[test]
-    fn grown_driver_snapshots_after_drain_and_restores_cycle_identically() {
-        let cfg = OramConfig::builder(8, Scheme::Ab)
-            .seed(11)
-            .growth(crate::config::GrowthConfig::up_to(10))
-            .build()
-            .unwrap();
-        let profile = profiles::spec2017().into_iter().find(|p| p.name == "mcf").unwrap();
-        let mut driver = TimingDriver::new(&cfg, DramConfig::default()).unwrap();
-        let grown = driver.insert_block(None).unwrap();
-        assert_eq!(driver.oram.config().levels, 9, "insert at full capacity grew the tree");
-        assert!(driver.oram.growth_state().backlog() > 0, "relocation backlog pending");
-        let mut gen = TraceGenerator::new(&profile, 5);
-        driver.run((0..300).map(|_| gen.next_record())).unwrap();
-        assert_eq!(driver.oram.growth_state().backlog(), 0, "drained through eviction work");
-        assert!(driver.oram.check_block_reachable(grown));
-        let bytes = driver.snapshot().expect("post-drain driver snapshots");
-        // The digest covers the *grown* configuration — restore under it.
-        let grown_cfg = driver.oram.config().clone();
-        assert!(
-            TimingDriver::restore(&cfg, DramConfig::default(), &bytes).is_err(),
-            "pre-growth config no longer matches the snapshot digest"
-        );
-        let mut restored =
-            TimingDriver::restore(&grown_cfg, DramConfig::default(), &bytes).unwrap();
-        let tail_live = driver.run((0..80).map(|_| gen.next_record())).unwrap();
-        let mut gen = TraceGenerator::new(&profile, 5);
-        for _ in 0..300 {
-            gen.next_record();
-        }
-        let tail_restored = restored.run((0..80).map(|_| gen.next_record())).unwrap();
-        assert_eq!(tail_live, tail_restored, "restored grown driver is cycle-identical");
-    }
 
     #[test]
     fn dram_request_state_is_bounded_by_the_window_not_the_run() {
@@ -868,7 +614,8 @@ mod snapshot_tests {
             (Scheme::Ab, 4),
             (Scheme::AbChannelPar, 4),
         ] {
-            let mut d = driver_with(scheme);
+            let cfg = OramConfig::builder(10, scheme).seed(11).build().unwrap();
+            let mut d = TimingDriver::new(&cfg, DramConfig::default()).unwrap();
             d.set_pipeline_depth(depth);
             let mut gen = TraceGenerator::new(&profile, 5);
             let blocks = d.oram.block_count();
@@ -890,40 +637,13 @@ mod snapshot_tests {
                 "{scheme:?}: only a window keeps slots between records"
             );
 
-            // `run` ends quiesced, and what a snapshot then says about the
-            // driver and its DRAM twin has the same length after 10× the
-            // traffic (the engine's own stream varies with stash occupancy).
-            let mut outer_len = |records: usize| {
+            // `run` ends quiesced: no slot survives it, after 100 records or
+            // after 10× the traffic.
+            for records in [100, 1_000] {
                 d.run((0..records).map(|_| gen.next_record())).unwrap();
                 assert_eq!(d.ctl.memory().tracked_requests(), 0, "{scheme:?} depth {depth}");
-                d.snapshot().unwrap().len() - d.oram.snapshot().unwrap().len()
-            };
-            assert_eq!(outer_len(100), outer_len(1_000), "{scheme:?} depth {depth}");
+            }
         }
-    }
-
-    #[test]
-    fn restore_rejects_corruption_and_mismatches() {
-        let driver = driver_with(Scheme::Baseline);
-        let bytes = driver.snapshot().unwrap();
-        let cfg = driver.oram.config().clone();
-
-        let mut corrupt = bytes.clone();
-        let mid = corrupt.len() / 2;
-        corrupt[mid] ^= 0x04;
-        assert!(TimingDriver::restore(&cfg, DramConfig::default(), &corrupt).is_err());
-        assert!(TimingDriver::restore(&cfg, DramConfig::default(), &bytes[..10]).is_err());
-
-        let other_cfg = OramConfig::builder(10, Scheme::Ab).seed(11).build().unwrap();
-        assert!(
-            TimingDriver::restore(&other_cfg, DramConfig::default(), &bytes).is_err(),
-            "engine config digest must match"
-        );
-        let other_dram = DramConfig { channels: 2, ..DramConfig::default() };
-        assert!(
-            TimingDriver::restore(&cfg, other_dram, &bytes).is_err(),
-            "DRAM config digest must match"
-        );
     }
 }
 

@@ -68,7 +68,7 @@ pub use backend::{
 };
 pub use config::{GrowthConfig, IssueMode, OramConfig, OramConfigBuilder, Scheme};
 pub use deadq::{DeadQueues, DeadSlot};
-pub use driver::{BreakdownReport, SimulationReport, TimingDriver, DRIVER_SNAPSHOT_VERSION};
+pub use driver::{BreakdownReport, SimulationReport, TimingDriver};
 pub use error::OramError;
 pub use fault::{
     ChannelStall, FaultConfig, FaultInjectingSink, FaultKind, FaultPlan, FaultSite, InjectedFaults,

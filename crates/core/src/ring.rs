@@ -1687,10 +1687,9 @@ impl RingOram {
     ///
     /// Returns [`OramError::SnapshotInvalid`] when the data path is enabled
     /// (the encrypted backing store is deliberately excluded from snapshots:
-    /// its ciphertexts and keys should not land on disk in a cache), or when
-    /// the integrity verifier is armed (shadow tag state is not serialized;
-    /// snapshot warm-ups run integrity-off and the verifier is armed on the
-    /// restored engine).
+    /// its ciphertexts and keys should not land on disk), or when the
+    /// integrity verifier is armed (shadow tag state is not serialized; arm
+    /// the verifier on the restored engine).
     pub fn snapshot(&self) -> Result<Vec<u8>, OramError> {
         if self.data.is_some() {
             return Err(OramError::SnapshotInvalid {

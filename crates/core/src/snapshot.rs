@@ -4,9 +4,9 @@
 //! behavior — position map, bucket metadata bitsets, stash (with its sticky
 //! peak), DeadQ contents and lifetime counters, protocol counters/statistics
 //! and the RNG state words — so that restore-then-run is indistinguishable
-//! from straight-line execution. The evaluation pipeline uses this to cache
-//! warm-up phases on disk (see `aboram-bench`'s snapshot cache and
-//! DESIGN.md §9).
+//! from straight-line execution (`crates/bench/tests/snapshot_roundtrip.rs`
+//! and `crates/core/tests/growth_differential.rs` hold that property). It is
+//! the workspace's one wire format.
 //!
 //! ## Format
 //!
@@ -19,11 +19,10 @@
 //! u64 FNV-1a digest of everything before the trailer
 //! ```
 //!
-//! The version is bumped whenever the simulated behavior changes (it tracks
-//! the golden-trace fixtures); the config digest covers every
-//! [`OramConfig`] field including the scheme's parameters. Any mismatch —
-//! version, kind, digest, truncation, or trailer corruption — fails restore
-//! with [`OramError::SnapshotInvalid`], which cache layers treat as a miss.
+//! The version is bumped whenever the stream's layout changes; the config
+//! digest covers every [`OramConfig`] field including the scheme's
+//! parameters. Any mismatch — version, kind, digest, truncation, or trailer
+//! corruption — fails restore with [`OramError::SnapshotInvalid`].
 
 use crate::config::{OramConfig, Scheme};
 use crate::error::OramError;
@@ -31,10 +30,11 @@ use aboram_stats::fnv1a64;
 
 pub(crate) use aboram_stats::{ByteReader as Reader, ByteWriter as Writer};
 
-/// Snapshot format version. Bump this whenever the engine's simulated
-/// behavior changes (i.e. whenever the golden-trace fixtures are
-/// re-blessed): a stale cached warm-up must never be replayed against a
-/// changed engine.
+/// Snapshot format version. Bump this whenever the stream's layout or the
+/// meaning of a field changes (the committed `ring_ab_l8_v3.absn` fixture
+/// pins the current layout). Nothing persists snapshots across builds — the
+/// evaluation harness warms in-process — so a change that only moves
+/// simulated behavior has no stale state to orphan and needs no bump.
 ///
 /// v2: the serialized recovery block grew from 12 to 14 counters
 /// (`redundant_refetches`, `unrecovered_faults` — the recovery ladder).
@@ -55,8 +55,7 @@ pub(crate) const KIND_PATH: u8 = 1;
 
 /// Stable digest over every configuration field (scheme parameters
 /// included). Two configs with equal digests build identical engines, so
-/// the digest is a sound snapshot-compatibility check and cache-key
-/// ingredient.
+/// the digest is a sound snapshot-compatibility check.
 pub fn config_digest(cfg: &OramConfig) -> u64 {
     let mut w = Writer::new();
     w.u8(cfg.levels);
@@ -71,7 +70,7 @@ pub fn config_digest(cfg: &OramConfig) -> u64 {
     w.u8(u8::from(cfg.track_lifetimes));
     w.u64(cfg.seed);
     // Appended only when growth is on: fixed-capacity digests (and hence
-    // every pre-growth cache key) are unchanged by the feature's existence.
+    // every pre-growth snapshot) are unchanged by the feature's existence.
     if let Some(g) = cfg.growth {
         w.u8(g.max_levels);
         w.u8(g.util_pct);

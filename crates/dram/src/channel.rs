@@ -3,7 +3,6 @@
 use crate::config::DramConfig;
 use crate::mapping::DecodedAddr;
 use crate::stats::{MemoryStats, RowBufferOutcome};
-use aboram_stats::{ByteReader, ByteWriter, CodecError};
 use std::collections::VecDeque;
 
 /// Direction of a memory request.
@@ -314,95 +313,6 @@ impl Channel {
             let completion = self.service(&p, stats);
             return Some((p.id, completion));
         }
-    }
-
-    /// Serializes the channel's scheduler state — banks, activate history,
-    /// bus/clock cursors and injected stall windows — for a quiescent
-    /// snapshot. The derived timing constants and watermarks are rebuilt
-    /// from the configuration on restore.
-    pub(crate) fn snapshot_into(&self, w: &mut ByteWriter) -> Result<(), CodecError> {
-        if self.has_pending() {
-            return Err(CodecError::new("channel has pending requests; drain before snapshot"));
-        }
-        w.u64(self.banks.len() as u64);
-        for b in &self.banks {
-            match b.open_row {
-                Some(row) => {
-                    w.u8(1);
-                    w.u64(row);
-                }
-                None => {
-                    w.u8(0);
-                    w.u64(0);
-                }
-            }
-            w.u64(b.cmd_ready);
-            w.u64(b.data_end);
-            w.u64(b.last_write_end);
-        }
-        w.u64(self.act_history.len() as u64);
-        for h in &self.act_history {
-            w.u8(h.len() as u8);
-            for &t in h {
-                w.u64(t);
-            }
-        }
-        w.u64(self.bus_free_at);
-        w.u8(u8::from(self.last_burst_was_write));
-        w.u64(self.time);
-        w.u8(u8::from(self.draining));
-        w.u64(self.stalls.len() as u64);
-        for &(from, until) in &self.stalls {
-            w.u64(from);
-            w.u64(until);
-        }
-        Ok(())
-    }
-
-    /// Rebuilds a channel from [`snapshot_into`](Self::snapshot_into) bytes
-    /// under the same configuration.
-    pub(crate) fn restore_from(
-        cfg: &DramConfig,
-        r: &mut ByteReader<'_>,
-    ) -> Result<Self, CodecError> {
-        let mut ch = Channel::new(cfg);
-        let n_banks = r.len_prefix(33)?;
-        if n_banks != ch.banks.len() {
-            return Err(CodecError::new("bank count disagrees with configuration"));
-        }
-        for b in &mut ch.banks {
-            let open = r.u8()?;
-            let row = r.u64()?;
-            b.open_row = (open != 0).then_some(row);
-            b.cmd_ready = r.u64()?;
-            b.data_end = r.u64()?;
-            b.last_write_end = r.u64()?;
-        }
-        let n_ranks = r.len_prefix(1)?;
-        if n_ranks != ch.act_history.len() {
-            return Err(CodecError::new("rank count disagrees with configuration"));
-        }
-        for h in &mut ch.act_history {
-            let n = usize::from(r.u8()?);
-            if n > 4 {
-                return Err(CodecError::new("activate history longer than the tFAW window"));
-            }
-            h.clear();
-            for _ in 0..n {
-                h.push_back(r.u64()?);
-            }
-        }
-        ch.bus_free_at = r.u64()?;
-        ch.last_burst_was_write = r.u8()? != 0;
-        ch.time = r.u64()?;
-        ch.draining = r.u8()? != 0;
-        let n_stalls = r.len_prefix(16)?;
-        for _ in 0..n_stalls {
-            let from = r.u64()?;
-            let until = r.u64()?;
-            ch.stalls.push((from, until));
-        }
-        Ok(ch)
     }
 
     /// Pushes a command time out of any refresh window (`[k·tREFI − tRFC,

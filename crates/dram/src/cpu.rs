@@ -1,7 +1,6 @@
 //! Trace-driven processor front end: the USIMM core model of Table III
 //! (fetch width 4, 256-entry ROB, non-blocking writes).
 
-use aboram_stats::{ByteReader, ByteWriter, CodecError};
 use std::collections::VecDeque;
 
 /// A reorder-buffer-limited trace CPU.
@@ -116,48 +115,6 @@ impl RobCpu {
         while matches!(self.inflight.front(), Some(&(_, done)) if done <= self.cycle) {
             self.inflight.pop_front();
         }
-    }
-
-    /// Serializes the core's execution cursors — fetch cycle, instruction
-    /// count, sub-cycle carry, outstanding reads and the last read's
-    /// completion — so a restored core continues cycle-identically.
-    pub fn snapshot_into(&self, w: &mut ByteWriter) {
-        w.u64(self.fetch_width);
-        w.u64(self.rob_entries);
-        w.u64(self.cycle);
-        w.u64(self.fetched);
-        w.u64(self.carry);
-        w.u64(self.inflight.len() as u64);
-        for &(inst, done) in &self.inflight {
-            w.u64(inst);
-            w.u64(done);
-        }
-        w.u64(self.last_read_done);
-    }
-
-    /// Rebuilds a core from [`snapshot_into`](Self::snapshot_into) bytes.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncated bytes or zero width/capacity.
-    pub fn restore_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let fetch_width = r.u64()?;
-        let rob_entries = r.u64()?;
-        if fetch_width == 0 || rob_entries == 0 {
-            return Err(CodecError::new("core snapshot has zero fetch width or ROB capacity"));
-        }
-        let cycle = r.u64()?;
-        let fetched = r.u64()?;
-        let carry = r.u64()?;
-        let n = r.len_prefix(16)?;
-        let mut inflight = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let inst = r.u64()?;
-            let done = r.u64()?;
-            inflight.push_back((inst, done));
-        }
-        let last_read_done = r.u64()?;
-        Ok(RobCpu { fetch_width, rob_entries, cycle, fetched, carry, inflight, last_read_done })
     }
 }
 

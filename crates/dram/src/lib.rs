@@ -54,4 +54,4 @@ pub use cpu::RobCpu;
 pub use energy::{EnergyParams, EnergyReport};
 pub use mapping::DecodedAddr;
 pub use stats::{MemoryStats, RowBufferOutcome};
-pub use system::{dram_config_digest, MemorySystem, RequestIdRange, DRAM_SNAPSHOT_VERSION};
+pub use system::{MemorySystem, RequestIdRange};

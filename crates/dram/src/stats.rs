@@ -2,7 +2,6 @@
 //! traffic (the inputs to Fig. 8c's breakdown and Fig. 9's bandwidth plot).
 
 use crate::channel::{MemOpKind, Priority};
-use aboram_stats::{ByteReader, ByteWriter, CodecError};
 
 /// What a request found in the row buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -233,71 +232,6 @@ impl MemoryStats {
     /// Total cycles requests were pushed back by injected stall windows.
     pub fn stall_cycles(&self) -> u64 {
         self.stall_cycles
-    }
-
-    /// Serializes every counter — snapshot support.
-    pub(crate) fn snapshot_into(&self, w: &mut ByteWriter) {
-        for v in [
-            self.reads,
-            self.writes,
-            self.online,
-            self.offline,
-            self.hits,
-            self.misses,
-            self.conflicts,
-            self.last_completion,
-            self.stall_events,
-            self.stall_cycles,
-        ] {
-            w.u64(v);
-        }
-        for tags in [
-            &self.bus_cycles_by_tag,
-            &self.requests_by_tag,
-            &self.requests_by_channel,
-            &self.bus_cycles_by_channel,
-            &self.requests_by_bank,
-        ] {
-            w.u64(tags.len() as u64);
-            for &v in tags.iter() {
-                w.u64(v);
-            }
-        }
-    }
-
-    /// Rebuilds counters from [`snapshot_into`](Self::snapshot_into) bytes.
-    pub(crate) fn restore_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let mut head = [0u64; 10];
-        for v in &mut head {
-            *v = r.u64()?;
-        }
-        let mut tag_vecs = [Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new()];
-        for tags in &mut tag_vecs {
-            let n = r.len_prefix(8)?;
-            tags.reserve(n);
-            for _ in 0..n {
-                tags.push(r.u64()?);
-            }
-        }
-        let [bus_cycles_by_tag, requests_by_tag, requests_by_channel, bus_cycles_by_channel, requests_by_bank] =
-            tag_vecs;
-        Ok(MemoryStats {
-            reads: head[0],
-            writes: head[1],
-            online: head[2],
-            offline: head[3],
-            hits: head[4],
-            misses: head[5],
-            conflicts: head[6],
-            bus_cycles_by_tag,
-            requests_by_tag,
-            last_completion: head[7],
-            stall_events: head[8],
-            stall_cycles: head[9],
-            requests_by_channel,
-            bus_cycles_by_channel,
-            requests_by_bank,
-        })
     }
 
     /// Achieved bandwidth in bytes per cycle over `elapsed_cycles`.

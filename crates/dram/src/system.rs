@@ -1,10 +1,9 @@
 //! The multi-channel memory system façade.
 
 use crate::channel::{Channel, MemOpKind, Priority, RequestId};
-use crate::config::{AddressMapping, DramConfig, PagePolicy};
+use crate::config::DramConfig;
 use crate::mapping::{decode, DecodedAddr};
 use crate::stats::MemoryStats;
-use aboram_stats::{fnv1a64, ByteReader, ByteWriter, CodecError};
 
 /// Number of distinct traffic tags the statistics track. Tags are opaque to
 /// the memory system; the ORAM layer uses them to attribute traffic to
@@ -382,232 +381,12 @@ impl MemorySystem {
     pub fn stats(&self) -> &MemoryStats {
         &self.stats
     }
-
-    /// Serializes the memory system's complete state — the next request id,
-    /// statistics and per-channel scheduler state (open rows, activate
-    /// history, bus/clock cursors, stall windows) — so that
-    /// [`restore`](MemorySystem::restore) followed by any request sequence
-    /// behaves cycle-identically to this instance running the same sequence.
-    ///
-    /// Snapshots are quiescent-only: call [`drain`](MemorySystem::drain)
-    /// first. Nothing is queued then, so no per-request slot is live state:
-    /// the stream has the same length after any amount of traffic, and a
-    /// restored system starts with every earlier id retired.
-    ///
-    /// # Errors
-    ///
-    /// Fails when requests are still pending on any channel.
-    pub fn snapshot(&self) -> Result<Vec<u8>, CodecError> {
-        if self.pending() != 0 {
-            return Err(CodecError::new("memory system has pending requests; drain first"));
-        }
-        let mut w = ByteWriter::new();
-        w.bytes(&DRAM_SNAPSHOT_MAGIC);
-        w.u32(DRAM_SNAPSHOT_VERSION);
-        w.u64(dram_config_digest(&self.cfg));
-        w.u64(self.next_request_id().0);
-        self.stats.snapshot_into(&mut w);
-        w.u64(self.channels.len() as u64);
-        for ch in &self.channels {
-            ch.snapshot_into(&mut w)?;
-        }
-        let digest = fnv1a64(w.as_bytes());
-        w.u64(digest);
-        Ok(w.into_bytes())
-    }
-
-    /// Rebuilds a memory system from [`snapshot`](MemorySystem::snapshot)
-    /// bytes taken under an identical configuration.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncated or corrupted bytes, a format-version mismatch, or
-    /// a configuration (digest) mismatch.
-    ///
-    /// # Panics
-    ///
-    /// "invalid DRAM geometry", as [`new`](MemorySystem::new) does.
-    pub fn restore(cfg: DramConfig, bytes: &[u8]) -> Result<Self, CodecError> {
-        check_geometry(&cfg);
-        if bytes.len() < 8 {
-            return Err(CodecError::new("snapshot too short"));
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-        if fnv1a64(body) != stored {
-            return Err(CodecError::new("integrity trailer mismatch"));
-        }
-        let mut r = ByteReader::new(body);
-        if r.bytes(4)? != DRAM_SNAPSHOT_MAGIC {
-            return Err(CodecError::new("bad magic"));
-        }
-        let version = r.u32()?;
-        if version != DRAM_SNAPSHOT_VERSION {
-            return Err(CodecError::new(format!(
-                "snapshot version {version}, simulator expects {DRAM_SNAPSHOT_VERSION}"
-            )));
-        }
-        if r.u64()? != dram_config_digest(&cfg) {
-            return Err(CodecError::new("configuration digest mismatch"));
-        }
-        let base = r.u64()?;
-        let stats = MemoryStats::restore_from(&mut r)?;
-        let n_channels = r.len_prefix(1)?;
-        if n_channels != usize::from(cfg.channels) {
-            return Err(CodecError::new("channel count disagrees with configuration"));
-        }
-        let mut channels = Vec::with_capacity(n_channels);
-        for _ in 0..n_channels {
-            channels.push(Channel::restore_from(&cfg, &mut r)?);
-        }
-        if r.remaining() != 0 {
-            return Err(CodecError::new("trailing bytes after memory-system body"));
-        }
-        Ok(MemorySystem {
-            cfg,
-            channels,
-            stats,
-            base,
-            completions: Vec::new(),
-            routing: Vec::new(),
-        })
-    }
-}
-
-/// Memory-system snapshot format version. Bump whenever the simulated
-/// timing behavior changes, so stale cached state is never replayed.
-///
-/// v2: [`MemoryStats`] grew per-channel and per-bank occupancy vectors.
-///
-/// v3: the per-request completion/routing tables left the stream; only the
-/// next request id remains (quiescent systems have no live request).
-pub const DRAM_SNAPSHOT_VERSION: u32 = 3;
-
-/// Magic bytes opening every memory-system snapshot stream.
-const DRAM_SNAPSHOT_MAGIC: [u8; 4] = *b"ABSM";
-
-/// Stable digest over every [`DramConfig`] field. Two configs with equal
-/// digests build identical memory systems, so the digest is a sound
-/// snapshot-compatibility check and cache-key ingredient.
-pub fn dram_config_digest(cfg: &DramConfig) -> u64 {
-    let mut w = ByteWriter::new();
-    w.u8(cfg.channels);
-    w.u8(cfg.ranks);
-    w.u8(cfg.banks);
-    w.u64(cfg.row_bytes);
-    for t in [
-        cfg.timing.t_rcd,
-        cfg.timing.t_rp,
-        cfg.timing.t_cas,
-        cfg.timing.t_ras,
-        cfg.timing.t_wr,
-        cfg.timing.t_wtr,
-        cfg.timing.burst,
-        cfg.timing.t_faw,
-        cfg.timing.t_refi,
-        cfg.timing.t_rfc,
-    ] {
-        w.u64(t);
-    }
-    w.u64(cfg.cpu_clock_ratio);
-    w.u8(match cfg.mapping {
-        AddressMapping::PageInterleave => 0,
-        AddressMapping::LineInterleave => 1,
-    });
-    w.u64(cfg.write_queue_high as u64);
-    w.u64(cfg.write_queue_low as u64);
-    w.u8(match cfg.page_policy {
-        PagePolicy::Open => 0,
-        PagePolicy::Closed => 1,
-    });
-    w.u8(u8::from(cfg.ignore_priority));
-    fnv1a64(w.as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn snapshot_restore_continues_cycle_identically() {
-        let cfg = DramConfig::default();
-        let mut warmed = MemorySystem::new(cfg);
-        for i in 0..500u64 {
-            let addr = (i * 37 % 512) * 64;
-            let kind = if i % 3 == 0 { MemOpKind::Write } else { MemOpKind::Read };
-            let prio = if i % 4 == 0 { Priority::Offline } else { Priority::Online };
-            warmed.enqueue(kind, addr, prio, (i % 4) as u32, i * 10);
-        }
-        warmed.drain();
-
-        let bytes = warmed.snapshot().unwrap();
-        let mut restored = MemorySystem::restore(cfg, &bytes).unwrap();
-        assert_eq!(warmed.stats(), restored.stats());
-        assert_eq!(restored.next_request_id(), RequestId(500), "ids continue, not restart");
-        assert_eq!(restored.tracked_requests(), 0, "a quiescent system has no live request");
-
-        // Both instances must service identical further traffic at identical
-        // cycles.
-        for i in 0..200u64 {
-            let addr = (i * 53 % 512) * 64;
-            let now = 10_000 + i * 7;
-            let a = warmed.enqueue(MemOpKind::Read, addr, Priority::Online, 1, now);
-            let b = restored.enqueue(MemOpKind::Read, addr, Priority::Online, 1, now);
-            assert_eq!(a, b, "request ids must continue from the same counter");
-            assert_eq!(warmed.completion_time(a), restored.completion_time(b));
-        }
-        warmed.drain();
-        restored.drain();
-        assert_eq!(warmed.stats(), restored.stats());
-        assert_eq!(warmed.snapshot().unwrap(), restored.snapshot().unwrap());
-    }
-
-    #[test]
-    fn snapshot_requires_quiescence_and_matching_config() {
-        let cfg = DramConfig::default();
-        let mut mem = MemorySystem::new(cfg);
-        mem.enqueue(MemOpKind::Read, 0, Priority::Online, 0, 0);
-        assert!(mem.snapshot().is_err(), "pending requests must block the snapshot");
-        mem.drain();
-        let bytes = mem.snapshot().unwrap();
-
-        let other = DramConfig { channels: 2, ..cfg };
-        assert!(MemorySystem::restore(other, &bytes).is_err(), "config digest must match");
-
-        let mut corrupt = bytes.clone();
-        let mid = corrupt.len() / 2;
-        corrupt[mid] ^= 0x01;
-        assert!(MemorySystem::restore(cfg, &corrupt).is_err(), "corruption must be detected");
-        assert!(MemorySystem::restore(cfg, &bytes[..bytes.len() - 1]).is_err());
-    }
-
-    #[test]
-    fn restore_rejects_the_previous_format_version() {
-        let cfg = DramConfig::default();
-        let mut bytes = MemorySystem::new(cfg).snapshot().unwrap();
-        bytes.truncate(bytes.len() - 8);
-        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
-        let digest = fnv1a64(&bytes);
-        bytes.extend_from_slice(&digest.to_le_bytes());
-        let err = MemorySystem::restore(cfg, &bytes).unwrap_err();
-        assert!(err.to_string().contains("snapshot version 2, simulator expects 3"), "{err}");
-    }
-
-    #[test]
-    fn snapshot_length_does_not_grow_with_traffic() {
-        let cfg = DramConfig::default();
-        let mut mem = MemorySystem::new(cfg);
-        let mut lens = Vec::new();
-        for (round, n) in [(0u64, 1_000u64), (1, 9_000)] {
-            // A row per request: every rank's tFAW history fills in round 0.
-            for i in 0..n {
-                mem.enqueue(MemOpKind::Read, i * cfg.row_bytes, Priority::Online, 0, round << 32);
-            }
-            mem.drain();
-            lens.push(mem.snapshot().unwrap().len());
-        }
-        assert_eq!(lens[0], lens[1], "10× the requests, the same stream length");
-    }
+    use crate::config::AddressMapping;
 
     #[test]
     fn retire_stops_at_the_first_unresolved_request() {
@@ -676,12 +455,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid DRAM geometry")]
-    fn restore_refuses_a_bad_geometry_before_reading_a_byte() {
-        let _ = MemorySystem::restore(DramConfig { banks: 0, ..DramConfig::default() }, &[]);
-    }
-
-    #[test]
     #[should_panic(expected = "outside this geometry")]
     fn enqueue_decoded_refuses_a_location_from_a_wider_geometry() {
         let cfg = DramConfig::default();
@@ -716,7 +489,19 @@ mod tests {
         batch.drain();
         single.drain();
         assert_eq!(batch.stats(), single.stats());
-        assert_eq!(batch.snapshot().unwrap(), single.snapshot().unwrap());
+        // Both schedulers were left in the same state: a further burst is
+        // served at identical cycles.
+        for i in 0..200u64 {
+            let kind = if i % 4 == 0 { MemOpKind::Write } else { MemOpKind::Read };
+            let (addr, now) = ((i * 53 % 512) * 64 + (i % 7) * cfg.row_bytes, 5_000 + i * 7);
+            let a = batch.enqueue(kind, addr, Priority::Online, 1, now);
+            let b = single.enqueue(kind, addr, Priority::Online, 1, now);
+            assert_eq!(a, b);
+            assert_eq!(batch.completion_time(a), single.completion_time(b));
+        }
+        batch.drain();
+        single.drain();
+        assert_eq!(batch.stats(), single.stats());
     }
 
     #[test]
@@ -735,40 +520,6 @@ mod tests {
         assert_eq!((rest.len(), rest.next(), rest.next()), (1, Some(all[4]), None));
         assert_eq!(ids.clone().nth(5), None);
         assert_eq!(ids.clone().nth(usize::MAX), None);
-    }
-
-    #[test]
-    fn config_digest_covers_timing_and_policy() {
-        let base = DramConfig::default();
-        let d0 = dram_config_digest(&base);
-        let variants = [
-            DramConfig { channels: 2, ..base },
-            DramConfig { ranks: 1, ..base },
-            DramConfig { row_bytes: 4096, ..base },
-            DramConfig { cpu_clock_ratio: 2, ..base },
-            DramConfig { mapping: AddressMapping::LineInterleave, ..base },
-            DramConfig { page_policy: PagePolicy::Closed, ..base },
-            DramConfig { ignore_priority: true, ..base },
-            DramConfig { timing: crate::config::DramTiming { t_cas: 12, ..base.timing }, ..base },
-        ];
-        for v in &variants {
-            assert_ne!(d0, dram_config_digest(v), "field change must move the digest: {v:?}");
-        }
-    }
-
-    #[test]
-    fn snapshot_preserves_injected_stall_windows() {
-        let cfg = DramConfig::default();
-        let mut mem = MemorySystem::new(cfg);
-        mem.inject_channel_stall(0, 50_000, 10_000);
-        let restored = MemorySystem::restore(cfg, &mem.snapshot().unwrap()).unwrap();
-        let mut a = mem;
-        let mut b = restored;
-        let ra = a.enqueue(MemOpKind::Read, 0, Priority::Online, 0, 55_000);
-        let rb = b.enqueue(MemOpKind::Read, 0, Priority::Online, 0, 55_000);
-        let ta = a.completion_time(ra);
-        assert_eq!(ta, b.completion_time(rb));
-        assert!(ta >= 60_000, "stall window must survive the round trip");
     }
 
     #[test]

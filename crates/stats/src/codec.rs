@@ -1,10 +1,8 @@
 //! A dependency-free little-endian byte codec for state snapshots.
 //!
-//! Both simulator layers persist warmed state to disk — the ORAM engines in
-//! `aboram-core` and the memory system in `aboram-dram` — and neither may
-//! depend on the other, so the shared primitives live here: a growable
-//! writer, a bounds-checked reader that fails (never panics) on truncated
-//! input, and the FNV-1a digest used for integrity trailers and cache keys.
+//! The primitives under the engine snapshot format in `aboram-core`: a
+//! growable writer, a bounds-checked reader that fails (never panics) on
+//! truncated input, and the FNV-1a digest used for integrity trailers.
 
 use std::error::Error;
 use std::fmt;

@@ -22,7 +22,7 @@
 //! and committing the rewritten `tests/golden/*.json`. A normal test run
 //! never writes; it fails with a field-by-field diff when a digest diverges.
 
-use crate::core::{OramConfig, OramError, RingOram, Scheme, SimulationReport, TimingDriver};
+use crate::core::{OramConfig, OramError, Scheme, SimulationReport, TimingDriver};
 use crate::dram::DramConfig;
 use crate::trace::{profiles, TraceGenerator};
 
@@ -64,13 +64,6 @@ pub fn case_config(scheme: Scheme) -> Result<OramConfig, OramError> {
     OramConfig::builder(GOLDEN_LEVELS, scheme).seed(GOLDEN_SEED).build()
 }
 
-/// The RNG seed the golden warm-up draws its uniform accesses from — the
-/// same derivation [`TimingDriver::warm_up`] uses, exposed so a snapshot
-/// cache can reproduce the warm-up stream outside the driver.
-pub fn warm_up_seed(cfg: &OramConfig) -> u64 {
-    cfg.seed ^ TimingDriver::WARM_UP_SEED_XOR
-}
-
 /// Runs one golden case end to end: build, warm up, replay the fixed trace.
 ///
 /// # Errors
@@ -81,18 +74,6 @@ pub fn run_case(scheme: Scheme) -> Result<SimulationReport, OramError> {
     let mut driver = TimingDriver::new(&cfg, DramConfig::default())?;
     driver.warm_up(GOLDEN_WARMUP)?;
     replay_trace(driver)
-}
-
-/// Replays the timed window against an engine already carrying the golden
-/// warm-up state ([`GOLDEN_WARMUP`] uniform accesses seeded by
-/// [`warm_up_seed`]) — e.g. one restored from a snapshot cache. Produces a
-/// report bit-identical to [`run_case`]'s for a correctly warmed engine.
-///
-/// # Errors
-///
-/// Propagates protocol errors.
-pub fn run_case_from(oram: RingOram) -> Result<SimulationReport, OramError> {
-    replay_trace(TimingDriver::from_oram(oram, DramConfig::default()))
 }
 
 /// [`run_case`] with integrity verification armed for the timed window: MAC
@@ -108,19 +89,6 @@ pub fn run_case_verified(scheme: Scheme) -> Result<SimulationReport, OramError> 
     let cfg = case_config(scheme)?;
     let mut driver = TimingDriver::new(&cfg, DramConfig::default())?;
     driver.warm_up(GOLDEN_WARMUP)?;
-    driver.enable_integrity();
-    replay_trace(driver)
-}
-
-/// [`run_case_from`] with integrity verification armed before the replay
-/// (e.g. on an engine restored from the snapshot cache, which is always
-/// serialized integrity-off).
-///
-/// # Errors
-///
-/// Propagates protocol errors.
-pub fn run_case_from_verified(oram: RingOram) -> Result<SimulationReport, OramError> {
-    let mut driver = TimingDriver::from_oram(oram, DramConfig::default());
     driver.enable_integrity();
     replay_trace(driver)
 }

@@ -108,24 +108,3 @@ fn depth_one_is_bitexact_with_untouched_driver() {
         assert_eq!(default_engine, forced_engine, "{name}: depth-1 engine != untouched engine");
     }
 }
-
-/// The driver snapshot round-trips the pipeline depth (ABSD, since v5) and a
-/// restored driver picks up where the original would have.
-#[test]
-fn snapshot_round_trips_pipeline_depth() {
-    let cfg = golden::case_config(Scheme::Ab).expect("config");
-    let mut driver = TimingDriver::new(&cfg, DramConfig::default()).expect("driver");
-    driver.set_pipeline_depth(4);
-    driver.warm_up(WARMUP).expect("warm-up");
-    let profile = profiles::spec2017().into_iter().find(|p| p.name == "mcf").expect("mcf profile");
-    let mut gen = TraceGenerator::new(&profile, golden::GOLDEN_SEED);
-    let first = driver.run((0..RECORDS / 2).map(|_| gen.next_record())).expect("first half");
-
-    let snap = driver.snapshot().expect("driver snapshots");
-    let mut restored =
-        TimingDriver::restore(&cfg, DramConfig::default(), &snap).expect("driver restores");
-    assert_eq!(restored.pipeline_depth(), 4, "ABSD must carry the depth");
-
-    let second = restored.run((0..RECORDS / 2).map(|_| gen.next_record())).expect("second half");
-    assert_eq!(first.records + second.records, RECORDS as u64);
-}
