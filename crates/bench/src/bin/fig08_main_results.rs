@@ -9,7 +9,8 @@
 //! for any jobs count).
 
 use aboram_bench::{
-    emit, evaluated_schemes, space_report_of, telemetry_from_env, CellExecutor, Experiment,
+    emit, env_knob, evaluated_schemes, space_report_of, telemetry_from_env, CellExecutor,
+    Experiment,
 };
 use aboram_core::{OramConfig, OramOp, Scheme};
 use aboram_stats::{geometric_mean, Table};
@@ -18,8 +19,7 @@ use aboram_trace::profiles;
 fn main() {
     let env = Experiment::from_env();
     let _telemetry = telemetry_from_env();
-    let bench_count =
-        std::env::var("ABORAM_BENCHES").ok().and_then(|v| v.parse().ok()).unwrap_or(usize::MAX);
+    let bench_count = env_knob("ABORAM_BENCHES", usize::MAX);
 
     // ---- Fig. 8a / 8b: closed-form space, at this scale and at L = 24.
     let mut space = Table::new(

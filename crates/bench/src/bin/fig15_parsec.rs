@@ -4,7 +4,9 @@
 //! results are workload-independent; DR/AB should again land within a few
 //! percent of Baseline.
 
-use aboram_bench::{emit, evaluated_schemes, telemetry_from_env, CellExecutor, Experiment};
+use aboram_bench::{
+    emit, env_knob, evaluated_schemes, telemetry_from_env, CellExecutor, Experiment,
+};
 use aboram_core::Scheme;
 use aboram_stats::{geometric_mean, Table};
 use aboram_trace::profiles;
@@ -12,8 +14,7 @@ use aboram_trace::profiles;
 fn main() {
     let env = Experiment::from_env();
     let _telemetry = telemetry_from_env();
-    let bench_count =
-        std::env::var("ABORAM_BENCHES").ok().and_then(|v| v.parse().ok()).unwrap_or(usize::MAX);
+    let bench_count = env_knob("ABORAM_BENCHES", usize::MAX);
     let suite: Vec<_> = profiles::parsec().into_iter().take(bench_count).collect();
 
     let executor = CellExecutor::from_env();

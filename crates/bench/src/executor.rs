@@ -111,17 +111,16 @@ impl CellExecutor {
 
     /// Like [`CellExecutor::from_env`], but a `--jobs N` pair in `args`
     /// takes precedence over the environment. The flag is clamped to
-    /// available parallelism like `ABORAM_JOBS` (see [`jobs_from_env`]).
+    /// available parallelism and refused when unparsable, like `ABORAM_JOBS`
+    /// (see [`jobs_from_env`]); `--jobs 0` defers to the environment.
     pub fn from_env_or_args(args: &[String]) -> Self {
-        let flag = args
-            .iter()
-            .position(|a| a == "--jobs")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .filter(|&n: &usize| n > 0);
+        let flag = args.iter().position(|a| a == "--jobs").map(|i| {
+            let text = args.get(i + 1).map_or("", String::as_str);
+            crate::knob_or_refuse::<usize>("--jobs", text)
+        });
         match flag {
-            Some(n) => Self::with_jobs(clamp_jobs(n)),
-            None => Self::from_env(),
+            Some(n) if n > 0 => Self::with_jobs(clamp_jobs(n)),
+            _ => Self::from_env(),
         }
     }
 

@@ -284,14 +284,20 @@ fn parse_knob<T: FromStr>(name: &str, text: &str) -> Result<T, String> {
         .map_err(|_| format!("{name}={text:?} is not a valid {}", std::any::type_name::<T>()))
 }
 
-/// Reads scale knob `name`: `default` when unset, the parsed value when
-/// set, and a one-line refusal with exit code 2 when set to anything else.
-pub(crate) fn env_knob<T: FromStr>(name: &str, default: T) -> T {
-    let Some(text) = std::env::var_os(name) else { return default };
-    parse_knob(name, &text.to_string_lossy()).unwrap_or_else(|refusal| {
+/// The value of scale knob `name` given as `text`, or a one-line refusal
+/// with exit code 2 when it does not parse.
+pub(crate) fn knob_or_refuse<T: FromStr>(name: &str, text: &str) -> T {
+    parse_knob(name, text).unwrap_or_else(|refusal| {
         eprintln!("error: {refusal}");
         std::process::exit(2)
     })
+}
+
+/// Reads scale knob `name`: `default` when unset, the parsed value when
+/// set, and a one-line refusal with exit code 2 when set to anything else.
+pub fn env_knob<T: FromStr>(name: &str, default: T) -> T {
+    let Some(text) = std::env::var_os(name) else { return default };
+    knob_or_refuse(name, &text.to_string_lossy())
 }
 
 /// Writes an experiment artifact under `results/`, creating the directory;
@@ -336,6 +342,11 @@ mod tests {
         assert_eq!(parse_knob::<u8>("ABORAM_LEVELS", "18"), Ok(18));
         assert_eq!(parse_knob::<u64>("ABORAM_WARMUP", "300"), Ok(300), "only levels are a u8");
         assert!(parse_knob::<usize>("ABORAM_JOBS", "-1").is_err());
+        for (name, text) in [("ABORAM_BENCHES", "three"), ("--jobs", "2x"), ("--jobs", "")] {
+            let refusal = parse_knob::<usize>(name, text).unwrap_err();
+            assert!(refusal.contains(name) && refusal.contains(text), "{refusal}");
+        }
+        assert_eq!(parse_knob::<usize>("ABORAM_BENCHES", "3"), Ok(3));
     }
 
     #[test]

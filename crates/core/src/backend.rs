@@ -14,10 +14,10 @@
 //!   of magnitude faster, with the same access *pattern* and the same
 //!   returned data, for functional tests and high-volume load studies.
 //!
-//! Both backends serialize accesses the way the ORAM controller does: an
-//! access begins no earlier than the previous access's maintenance traffic
-//! finished draining (`free_at`), and its user-visible completion (`done`)
-//! covers the online reads plus the crypto pipeline.
+//! Both backends serialize accesses the way the ORAM controller does: at
+//! pipeline depth 1 an access begins no earlier than the previous access's
+//! maintenance traffic finished draining, and its user-visible completion
+//! (`done`) covers the online reads plus the crypto pipeline.
 
 use crate::config::OramConfig;
 use crate::controller::{AccessController, ControllerSink};
@@ -36,15 +36,13 @@ pub struct BackendReply {
     pub data: Option<[u8; BLOCK_BYTES]>,
     /// User-visible completion time: online reads plus crypto pipeline.
     pub done: u64,
-    /// When the backend can start the next access (maintenance drained).
-    pub free_at: u64,
 }
 
 /// A block store serving ORAM accesses on a simulated or accounted clock.
 ///
 /// `start` is the request's arrival time in the backend's clock domain; the
-/// access actually begins at `max(start, free_at)` — the controller
-/// serializes. Implementations must be deterministic: identical call
+/// access actually begins once the controller admits it — no earlier than
+/// `start`. Implementations must be deterministic: identical call
 /// sequences produce identical replies and identical engine state.
 pub trait StorageBackend {
     /// One user access (read, or write with `new_data`).
@@ -101,17 +99,21 @@ pub trait StorageBackend {
     /// Mutable engine access (warm-up, stats inspection).
     fn engine_mut(&mut self) -> &mut RingOram;
 
-    /// The controller-occupancy cursor: when the next access could begin.
+    /// The floor no later access starts below. For a [`TimedBackend`] that
+    /// is the cycle its in-flight window opened on — zero, or the full drain
+    /// of the last [`quiesce`](TimedBackend::quiesce) — not the drain of the
+    /// accesses still in the window; an [`UntimedBackend`] has no window and
+    /// reports when its last access's traffic ends.
     fn free_at(&self) -> u64;
 
     /// Sets the access-pipeline depth: the maximum number of concurrently
     /// in-flight accesses. Depth 1 (the default, and `0` clamps to it) is
-    /// the classic serialized controller: an access begins only after the
-    /// previous one's maintenance traffic drained. Depth > 1 lets an
-    /// access's read phase issue while up to `depth - 1` earlier accesses'
-    /// eviction/writeback and decrypt/verify traffic drain, bounded by the
-    /// same true-dependency gates as
-    /// [`crate::TimingDriver::set_pipeline_depth`]. Lowering the depth
+    /// the classic serialized controller, a window of one: an access begins
+    /// only after the previous one's maintenance traffic drained. Depth > 1
+    /// lets an access's read phase issue while up to `depth - 1` earlier
+    /// accesses' eviction/writeback and decrypt/verify traffic drain,
+    /// bounded by the same true-dependency gates as
+    /// [`crate::TimingDriver::set_pipeline_depth`]. Changing the depth
     /// quiesces the window first, so the switch never reorders requests.
     /// Backends without a cycle-level pipeline ignore the knob.
     fn set_pipeline_depth(&mut self, _depth: u8) {}
@@ -147,16 +149,13 @@ impl TimedBackend {
         TimedBackend { oram, ctl }
     }
 
-    /// Resolves every in-flight access and folds the completions into
-    /// `free_at` — end-of-run draining and pre-switch quiescing.
+    /// Resolves every in-flight access, folds the completions into
+    /// [`free_at`](StorageBackend::free_at) and returns it: the full drain.
     pub fn quiesce(&mut self) -> u64 {
         self.ctl.quiesce()
     }
 
-    /// Runs one engine access under the controller. At depth > 1 the
-    /// controller's `free_at` stays at the floor the window opened on, so
-    /// the reply's `free_at` reports this access's own completion instead
-    /// of a global drain.
+    /// Runs one engine access under the controller.
     fn timed(
         &mut self,
         arrival: u64,
@@ -165,10 +164,9 @@ impl TimedBackend {
             &mut ControllerSink,
         ) -> Result<Option<[u8; BLOCK_BYTES]>, OramError>,
     ) -> Result<BackendReply, OramError> {
-        self.ctl.begin(arrival);
         let data = access(&mut self.oram, self.ctl.sink_mut())?;
         let (_, done) = self.ctl.finish(arrival);
-        Ok(BackendReply { data, done, free_at: self.ctl.free_at().max(done) })
+        Ok(BackendReply { data, done })
     }
 }
 
@@ -258,9 +256,8 @@ impl UntimedBackend {
     ) -> BackendReply {
         let online = self.sink.online_total() - online0;
         let total = self.sink.grand_total() - total0;
-        let done = at + online * UNTIMED_CYCLES_PER_TRANSFER;
         self.free_at = at + total * UNTIMED_CYCLES_PER_TRANSFER;
-        BackendReply { data, done, free_at: self.free_at }
+        BackendReply { data, done: at + online * UNTIMED_CYCLES_PER_TRANSFER }
     }
 }
 
@@ -327,11 +324,14 @@ mod tests {
         let payload = [0x5A; BLOCK_BYTES];
         for backend in [&mut timed as &mut dyn StorageBackend, &mut untimed] {
             let w = backend.access(0, AccessKind::Write, 3, Some(payload)).unwrap();
-            assert!(w.done > 0 && w.free_at >= w.done);
-            let r = backend.access(w.free_at, AccessKind::Read, 3, None).unwrap();
+            assert!(w.done > 0);
+            let r = backend.access(w.done, AccessKind::Read, 3, None).unwrap();
             assert_eq!(r.data, Some(payload));
-            assert!(r.done > w.free_at, "second access starts after the first drained");
+            assert!(r.done > w.done, "the second access completes after the first");
         }
+        assert!(untimed.free_at() > 0, "the accounted clock's cursor moved");
+        assert_eq!(timed.free_at(), 0, "the window's floor moves only at a quiesce");
+        assert!(timed.quiesce() > 0 && timed.free_at() == timed.quiesce());
     }
 
     #[test]
@@ -343,7 +343,7 @@ mod tests {
         assert_eq!(reply.data.unwrap()[0], 1, "managed access returns the pre-mutate payload");
         assert_eq!(backend.engine().stats().user_accesses, accesses0 + 1, "one access total");
         assert_eq!(backend.engine().position_of(7).unwrap(), PathId::new(0), "forced remap");
-        let read = backend.access(reply.free_at, AccessKind::Read, 7, None).unwrap();
+        let read = backend.access(backend.free_at(), AccessKind::Read, 7, None).unwrap();
         assert_eq!(read.data.unwrap()[0], 99, "mutation persisted");
     }
 
@@ -397,7 +397,6 @@ mod tests {
                     // Bursts of back-to-back arrivals, then an idle gap.
                     let arrival = (i / 8) * 20_000 + i % 8;
                     let (block, payload) = (i % 23, [i as u8; BLOCK_BYTES]);
-                    bare.begin(arrival);
                     let reply = match i % 4 {
                         0 => {
                             oram.access(AccessKind::Write, block, Some(payload), bare.sink_mut())
@@ -425,7 +424,6 @@ mod tests {
                         (start, done),
                         "{scheme:?} depth {depth} access {i}"
                     );
-                    assert_eq!(reply.free_at, bare.free_at().max(done));
                 }
                 assert_eq!(backend.quiesce(), bare.quiesce(), "{scheme:?} depth {depth}");
             }
@@ -437,7 +435,7 @@ mod tests {
         for depth in [1u8, 4] {
             let mut b = TimedBackend::new(&cfg(), DramConfig::default()).unwrap();
             b.set_pipeline_depth(depth);
-            let (mut largest, mut peak) = (0u64, 0u64);
+            let mut largest = 0u64;
             for i in 0..2_000u64 {
                 let before = b.ctl.requests_issued();
                 match i % 3 {
@@ -449,9 +447,7 @@ mod tests {
                 largest = largest.max(b.ctl.requests_issued() - before);
                 let tracked = b.ctl.memory().tracked_requests() as u64;
                 assert!(tracked <= u64::from(depth) * largest, "depth {depth} access {i}");
-                peak = peak.max(tracked);
             }
-            assert_eq!(peak > 0, depth > 1, "only a window keeps slots between accesses");
             b.quiesce();
             assert_eq!(b.ctl.memory().tracked_requests(), 0, "depth {depth}");
         }
@@ -460,9 +456,10 @@ mod tests {
     #[test]
     fn controller_serializes_early_arrivals() {
         let mut backend = UntimedBackend::new(&cfg()).unwrap();
-        let a = backend.access(0, AccessKind::Read, 1, None).unwrap();
-        // Arrives while the controller is busy: starts at free_at, not 0.
+        backend.access(0, AccessKind::Read, 1, None).unwrap();
+        let busy_until = backend.free_at();
+        // Arrives while the controller is busy: starts at free_at, not 1.
         let b = backend.access(1, AccessKind::Read, 2, None).unwrap();
-        assert!(b.done > a.free_at);
+        assert!(busy_until > 1 && b.done > busy_until);
     }
 }

@@ -4,29 +4,31 @@
 //! The paper's methodology (§VII) has a single ORAM controller between the
 //! core and DRAM. [`AccessController`] is that controller: it owns the
 //! timing sink (and through it the DRAM twin), the crypto-latency model, the
-//! access-pipeline depth, the occupancy cursor and the in-flight window.
-//! [`crate::TimingDriver`] feeds it trace records from a ROB core and
-//! [`crate::TimedBackend`] feeds it service requests; neither keeps issue
-//! state of its own.
+//! access-pipeline depth and the in-flight window. [`crate::TimingDriver`]
+//! feeds it trace records from a ROB core and [`crate::TimedBackend`] feeds
+//! it service requests; neither keeps issue state of its own.
 //!
-//! One access is `begin(arrival)` → engine call(s) on
-//! [`sink_mut`](AccessController::sink_mut) → `finish(arrival)`, which
+//! One access is engine call(s) on [`sink_mut`](AccessController::sink_mut),
+//! which stage its requests, then `finish(arrival)`, which releases them and
 //! returns `(start, done)`: the cycle the access's requests reached DRAM and
-//! the cycle its data left the decrypt/verify pipeline. `start` is the max
-//! of the issue, monotone-start, stash hand-off, window-overflow and WAR
-//! conflict gates; the crypto carry additionally holds `done`. DESIGN.md §15
-//! tabulates each gate, the dependency it enforces and the field carrying it.
+//! the cycle its data left the decrypt/verify pipeline. `start` is the
+//! latest of the arrival, monotone-start, stash hand-off, floor,
+//! window-overflow, WAR-conflict and crypto-idle gates, and each release
+//! counts the gate that set it (`controller.gate.<name>`); the crypto carry
+//! additionally holds `done`. DESIGN.md §15 tabulates each gate, the
+//! dependency it enforces and the field carrying it.
 //!
-//! At depth 1 the window holds nothing: `free_at` is the previous access's
-//! full drain, so the issue gate alone serializes and requests enqueue as the
-//! engine emits them (no staging). At depth > 1 the whole access is staged,
-//! its footprint inspected, and the gates fix its start before release.
+//! Every depth takes the same path. The whole access is staged, its
+//! footprint inspected, and the gates fix its start before the one release.
+//! Depth 1 — the classic serialized controller — is a window of one: its
+//! overflow gate resolves the previous access in full, and the access then
+//! enters an empty window, so it also waits for the crypto pipeline to idle.
 //!
 //! The controller also ends each request's life in the DRAM twin
-//! ([`MemorySystem::retire`]): at depth 1 the sink retires an access's ids
-//! as it drains them into `free_at`; at depth > 1 the ids live in the window
-//! and are retired once their entry has been resolved and popped. Live
-//! per-request state is therefore bounded by depth × access size.
+//! ([`MemorySystem::retire`]): an access's ids live in its window entry and
+//! are retired once the entry has been resolved and popped, by the overflow
+//! gate or by [`quiesce`](AccessController::quiesce). Live per-request state
+//! is therefore bounded by depth × access size.
 
 use crate::config::IssueMode;
 use crate::fault::FaultInjectingSink;
@@ -47,9 +49,8 @@ pub(crate) struct AccessController {
     /// Maximum concurrently in-flight accesses; 1 = the classic serialized
     /// controller.
     depth: u8,
-    /// When traffic issued outside the in-flight window has drained. At
-    /// depth 1 that is every access so far; at depth > 1 it is the floor the
-    /// window opened on until [`quiesce`](Self::quiesce) folds the window in.
+    /// The floor the in-flight window opened on: zero, or the full drain the
+    /// last [`quiesce`](Self::quiesce) folded the window into.
     free_at: u64,
     /// In-flight accesses whose maintenance traffic is still draining.
     window: VecDeque<InflightAccess>,
@@ -57,10 +58,10 @@ pub(crate) struct AccessController {
     /// (its decrypt/verify tail may still be draining).
     prev_online_done: u64,
     /// The crypto pipeline's last exit cycle, carried across in-flight
-    /// accesses. Zero whenever the window is empty: serialized accesses each
-    /// find the pipeline idle.
+    /// accesses. An access entering an empty window waits for it and zeroes
+    /// it: serialized accesses each find the pipeline idle.
     crypto_exit: u64,
-    /// Scratch: online-read completion times of the access being finished.
+    /// Scratch: online-read completion times of the access just released.
     completions: Vec<u64>,
 }
 
@@ -81,8 +82,9 @@ impl AccessController {
         }
     }
 
-    /// The sink engine calls write to between [`begin`](Self::begin) and
-    /// [`finish`](Self::finish); also where a fault plan is armed.
+    /// The sink engine calls stage an access's requests on, until
+    /// [`finish`](Self::finish) releases it; also where a fault plan is
+    /// armed.
     pub(crate) fn sink_mut(&mut self) -> &mut ControllerSink {
         &mut self.sink
     }
@@ -123,15 +125,16 @@ impl AccessController {
         self.crypto = lat;
     }
 
-    /// Sets the access-pipeline depth (`0` clamps to 1). Lowering to depth 1
-    /// quiesces the window first, so the switch never reorders requests.
+    /// Sets the access-pipeline depth (`0` clamps to 1). A change of depth
+    /// quiesces first, so the switch never reorders requests: a lowered
+    /// window would hold more than it may, and an entry released into a
+    /// window of one lists no reads for a wider window's WAR gate.
     pub(crate) fn set_depth(&mut self, depth: u8) {
         let depth = depth.max(1);
-        if depth == 1 {
+        if depth != self.depth {
             self.quiesce();
         }
         self.depth = depth;
-        self.sink.inner_mut().set_pipelined(depth > 1);
     }
 
     /// The access-pipeline depth in force.
@@ -139,12 +142,13 @@ impl AccessController {
         self.depth
     }
 
-    /// The occupancy cursor (see the `free_at` field).
+    /// The floor the window opened on (see the `free_at` field).
     pub(crate) fn free_at(&self) -> u64 {
         self.free_at
     }
 
     /// The sink clock: the start cycle of the most recent access.
+    #[cfg(test)]
     pub(crate) fn now(&self) -> u64 {
         self.sink.inner().now()
     }
@@ -156,28 +160,15 @@ impl AccessController {
         self.window.is_empty() && self.sink.inner().is_idle()
     }
 
-    /// Opens an access that arrived at cycle `arrival`. At depth 1 requests
-    /// enqueue as the engine emits them, so the start cycle is fixed here
-    /// (the issue gate); at depth > 1 they stage and
-    /// [`finish`](Self::finish) fixes it.
-    pub(crate) fn begin(&mut self, arrival: u64) {
-        if self.depth == 1 {
-            self.sink.inner_mut().set_now(arrival.max(self.free_at));
-        }
-    }
-
-    /// Closes the access opened by [`begin`](Self::begin) with the same
-    /// `arrival`: releases it (depth > 1), charges the crypto pipeline on
-    /// its online reads, and returns `(start, done)`. The user's load
-    /// completes at `done`; maintenance traffic keeps draining — into
-    /// `free_at` at depth 1, in the window otherwise.
+    /// Closes the access the engine staged since the last call, which
+    /// arrived at cycle `arrival`: releases it, charges the crypto pipeline
+    /// on its online reads, and returns `(start, done)`. The user's load
+    /// completes at `done`; maintenance traffic keeps draining in the window.
     pub(crate) fn finish(&mut self, arrival: u64) -> (u64, u64) {
-        let start = if self.depth == 1 { self.now() } else { self.release(arrival) };
-        let sink = self.sink.inner_mut();
+        let start = self.release(arrival);
 
         // The user-visible critical path: the online reads plus the crypto
         // pipeline on the returned blocks.
-        sink.drain_online_read_times(&mut self.completions);
         let n = self.completions.len() as u64;
         let last = self.completions.iter().max().copied().unwrap_or(0).max(start);
         let mut done = start;
@@ -185,7 +176,7 @@ impl AccessController {
             // Serial issue: the whole burst enters the pipeline after the
             // last reply, floored by a still-busy pipeline.
             let serial_done = last + self.crypto.burst_cycles(n);
-            done = match sink.issue_mode() {
+            done = match self.issue_mode() {
                 IssueMode::Serial => serial_done.max(self.crypto_exit + n * self.crypto.per_block),
                 // Channel-parallel issue: each block enters as its channel
                 // returns it, so only the tail DRAM couldn't hide is exposed.
@@ -202,37 +193,33 @@ impl AccessController {
                     done
                 }
             };
+            self.crypto_exit = done;
         }
-
-        if self.depth == 1 {
-            // The next access begins only after this one's maintenance
-            // traffic (evictPath, reshuffles) has been serviced.
-            self.free_at = sink.drain_all_requests(done);
-        } else {
-            if n > 0 {
-                self.crypto_exit = done;
-            }
-            self.prev_online_done = last;
-            aboram_telemetry::observe_level(
-                "pipeline.occupancy",
-                self.window.len().min(255) as u8,
-                1,
-            );
-        }
+        self.prev_online_done = last;
+        aboram_telemetry::observe_level("pipeline.occupancy", self.window.len().min(255) as u8, 1);
         (start, done)
     }
 
-    /// Fixes the staged access's start cycle from its dependency gates and
-    /// releases it to the DRAM twin and into the window.
+    /// Fixes the staged access's start cycle from its dependency gates,
+    /// counts the gate that set it (the first, in the order below, to reach
+    /// the latest cycle) and releases the access to the DRAM twin and into
+    /// the window, leaving its online reads' reply cycles in `completions`.
     fn release(&mut self, arrival: u64) -> u64 {
         let sink = self.sink.inner_mut();
-        // Issue, monotone start, stash hand-off, pre-window traffic.
-        let mut gate = arrival.max(sink.now()).max(self.prev_online_done).max(self.free_at);
+        let mut start = (arrival, "controller.gate.arrival");
+        let mut hold = |until: u64, gate: &'static str| {
+            if until > start.0 {
+                start = (until, gate);
+            }
+        };
+        hold(sink.now(), "controller.gate.monotone_start");
+        hold(self.prev_online_done, "controller.gate.stash_hand_off");
+        hold(self.free_at, "controller.gate.floor");
         // Window overflow: the oldest in-flight access must fully complete
         // before a (depth+1)-th access may enter.
         while self.window.len() >= usize::from(self.depth) {
             let oldest = self.window.pop_front().expect("non-empty window");
-            gate = gate.max(sink.resolve_inflight(oldest));
+            hold(sink.resolve_inflight(oldest), "controller.gate.window_overflow");
         }
         // The accesses that left the window are resolved and nothing holds
         // their ids any more: end their per-request state in the DRAM twin.
@@ -242,11 +229,18 @@ impl AccessController {
         // Write-after-read: this access's writebacks must not land in a
         // `(channel, bank, row)` an in-flight access has not finished
         // reading. RAW and WAW need no gate (see `TimingSink::conflict_gate`).
-        for entry in &self.window {
-            gate = gate.max(sink.conflict_gate(entry));
+        hold(sink.conflict_gate(&self.window), "controller.gate.war_conflict");
+        // Crypto idle: with nothing in flight there is no carry to thread
+        // through, so the access waits for the pipeline to idle instead.
+        if self.window.is_empty() {
+            hold(std::mem::take(&mut self.crypto_exit), "controller.gate.crypto_idle");
         }
-        self.window.push_back(sink.release_at(gate));
-        gate
+        let (start, gate) = start;
+        aboram_telemetry::counter_add(gate, 1);
+        // Only a window of more than one can hold this entry while a later
+        // access checks its reads.
+        self.window.push_back(sink.release_at(start, self.depth > 1, &mut self.completions));
+        start
     }
 
     /// Resolves every in-flight access, folds the completions into
@@ -271,8 +265,10 @@ impl AccessController {
 mod tests {
     use super::*;
     use crate::sink::{MemorySink, OramOp};
-    use aboram_dram::DramConfig;
+    use aboram_dram::{DramConfig, MemOpKind, Priority};
+    use aboram_telemetry::Collector;
     use aboram_tree::SlotAddr;
+    use proptest::prelude::*;
 
     fn controller(depth: u8, mode: IssueMode, crypto: CryptoLatency) -> AccessController {
         let mut ctl = AccessController::new(MemorySystem::new(DramConfig::default()), mode);
@@ -302,12 +298,23 @@ mod tests {
         offline: &[SlotAddr],
         writes: &[SlotAddr],
     ) -> (u64, u64) {
-        ctl.begin(arrival);
         let sink = ctl.sink_mut();
         sink.read_batch(online, OramOp::ReadPath, true);
         sink.read_batch(offline, OramOp::EvictPath, false);
         sink.write_batch(writes, OramOp::EvictPath, false);
         ctl.finish(arrival)
+    }
+
+    /// Runs one access under a telemetry collector: its result and the one
+    /// gate its release counted.
+    fn gated<T>(access: impl FnOnce() -> T) -> (T, &'static str) {
+        aboram_telemetry::install(Collector::to_shared_buffer().0);
+        let times = access();
+        let collector = aboram_telemetry::uninstall().expect("installed above");
+        let mut gates = collector.registry().run_counter_deltas();
+        gates.retain(|(name, _)| name.starts_with("controller.gate."));
+        assert!(gates.len() == 1 && gates[0].1 == 1, "one gate per release: {gates:?}");
+        (times, &gates[0].0["controller.gate.".len()..])
     }
 
     /// Latest completion over the window entry's requests: all of them, or
@@ -328,16 +335,26 @@ mod tests {
     #[test]
     fn issue_gate_serializes_depth_one_on_the_full_drain() {
         let mut ctl = controller(1, IssueMode::Serial, CryptoLatency::default());
-        let (start, done) = access(&mut ctl, 100, &page(0, 1), &[], &pages(8, 16));
-        assert_eq!(start, 100, "an idle controller starts at arrival");
-        let free = ctl.free_at();
-        assert!(free > done, "writebacks drain after the load completed");
-        let (early, _) = access(&mut ctl, 0, &page(1, 1), &[], &[]);
-        assert_eq!(early, free, "an early arrival waits for the previous access's full drain");
-        let late_arrival = ctl.free_at() + 1_000;
-        let (late, _) = access(&mut ctl, late_arrival, &page(2, 1), &[], &[]);
-        assert_eq!(late, late_arrival);
-        assert!(ctl.is_idle() && ctl.crypto_exit == 0, "depth 1 keeps nothing in flight");
+        let ((start, done), gate) =
+            gated(|| access(&mut ctl, 100, &page(0, 1), &[], &pages(8, 16)));
+        assert_eq!((start, gate), (100, "arrival"), "an idle controller starts at arrival");
+        let drained = completion_of(&mut ctl, 0, None);
+        assert!(drained > done, "writebacks drain after the load completed");
+        let ((early, early_done), gate) = gated(|| access(&mut ctl, 0, &page(1, 1), &[], &[]));
+        assert_eq!(
+            (early, gate),
+            (drained, "window_overflow"),
+            "an early arrival waits for the previous access's full drain"
+        );
+        // Nothing but the load: the decrypt tail is what is still draining.
+        assert!(completion_of(&mut ctl, 0, None) < early_done);
+        let ((idle, idle_done), gate) = gated(|| access(&mut ctl, 0, &page(2, 1), &[], &[]));
+        assert_eq!((idle, gate), (early_done, "crypto_idle"), "and for the pipeline to idle");
+        assert_eq!(idle_done - idle, early_done - early, "which it then finds idle");
+        let late_arrival = idle_done + 1_000;
+        let ((late, _), gate) = gated(|| access(&mut ctl, late_arrival, &page(3, 1), &[], &[]));
+        assert_eq!((late, gate), (late_arrival, "arrival"));
+        assert_eq!(ctl.window.len(), 1, "a window of one keeps only the last access in flight");
     }
 
     #[test]
@@ -348,15 +365,16 @@ mod tests {
             let second = access(&mut ctl, 0, &page(1, 1), &[], &page(16, 1));
             let hand_off = ctl.prev_online_done;
             let oldest_done = completion_of(&mut ctl, 0, None);
-            let third = access(&mut ctl, 0, &page(2, 1), &[], &page(17, 1));
-            (first, second, hand_off, oldest_done, third.0)
+            let (third, gate) = gated(|| access(&mut ctl, 0, &page(2, 1), &[], &page(17, 1)));
+            (first, second, hand_off, oldest_done, third.0, gate)
         };
-        let (first2, second2, hand_off2, oldest_done, third2) = run(2);
-        let (first3, second3, hand_off3, _, third3) = run(3);
+        let (first2, second2, hand_off2, oldest_done, third2, gate2) = run(2);
+        let (first3, second3, hand_off3, _, third3, gate3) = run(3);
         assert_eq!((first2, second2, hand_off2), (first3, second3, hand_off3));
         assert!(oldest_done > hand_off2, "the first access's writebacks outlast the hand-off");
         assert_eq!(third3, hand_off3, "with room in the window only the hand-off binds");
         assert_eq!(third2, oldest_done, "a full window admits the third access as the first ends");
+        assert_eq!((gate2, gate3), ("window_overflow", "stash_hand_off"));
     }
 
     #[test]
@@ -364,9 +382,11 @@ mod tests {
         let mut ctl = controller(4, IssueMode::Serial, CryptoLatency::free());
         let mut last = 0;
         for (i, arrival) in [5_000, 10, 2_000, 0].into_iter().enumerate() {
-            let (start, _) = access(&mut ctl, arrival, &[], &[], &page(8 + i as u64, 1));
+            let ((start, _), gate) =
+                gated(|| access(&mut ctl, arrival, &[], &[], &page(8 + i as u64, 1)));
             assert!(start >= last && start >= arrival, "start {start} after {last}");
             assert_eq!(ctl.now(), start);
+            assert_eq!(gate, if i == 0 { "arrival" } else { "monotone_start" });
             last = start;
         }
         assert_eq!(last, 5_000, "later, earlier-stamped arrivals start no sooner");
@@ -377,8 +397,8 @@ mod tests {
         for crypto in [CryptoLatency::free(), CryptoLatency::default()] {
             let mut ctl = controller(4, IssueMode::Serial, crypto);
             let (_, done) = access(&mut ctl, 0, &page(0, 4), &[], &pages(8, 64));
-            let (next, _) = access(&mut ctl, 0, &page(1, 1), &[], &page(16, 1));
-            assert_eq!(next, done - crypto.burst_cycles(4));
+            let ((next, _), gate) = gated(|| access(&mut ctl, 0, &page(1, 1), &[], &page(16, 1)));
+            assert_eq!((next, gate), (done - crypto.burst_cycles(4), "stash_hand_off"));
             assert!(ctl.quiesce() > next, "the writebacks it overlapped were still draining");
         }
     }
@@ -389,14 +409,17 @@ mod tests {
             let mut ctl = controller(4, IssueMode::Serial, CryptoLatency::free());
             let (_, hand_off) = access(&mut ctl, 0, &page(0, 1), &page(5, 16), &[]);
             let row_read = completion_of(&mut ctl, 0, Some(page(5, 1)[0]));
-            let (start, _) = access(&mut ctl, 0, &page(1, 1), &[], &page(write_page, 1));
-            (hand_off, row_read, start)
+            let ((start, _), gate) =
+                gated(|| access(&mut ctl, 0, &page(1, 1), &[], &page(write_page, 1)));
+            (hand_off, row_read, start, gate)
         };
-        let (hand_off, row_read, shared) = run(5);
+        let (hand_off, row_read, shared, gate) = run(5);
         assert!(row_read > hand_off, "the offline reads outlast the hand-off");
         assert_eq!(shared, row_read, "a writeback into a row still being read waits for the read");
-        let (hand_off, _, disjoint) = run(6);
+        assert_eq!(gate, "war_conflict");
+        let (hand_off, _, disjoint, gate) = run(6);
         assert_eq!(disjoint, hand_off, "a disjoint writeback starts at the hand-off");
+        assert_eq!(gate, "stash_hand_off");
     }
 
     #[test]
@@ -411,8 +434,13 @@ mod tests {
             all.push((0, ctl.window.capacity()));
             all
         };
-        for mode in [IssueMode::Serial, IssueMode::ChannelParallel] {
-            let mut ctl = controller(4, mode, CryptoLatency::default());
+        for (depth, mode) in [
+            (1, IssueMode::Serial),
+            (1, IssueMode::ChannelParallel),
+            (4, IssueMode::Serial),
+            (4, IssueMode::ChannelParallel),
+        ] {
+            let mut ctl = controller(depth, mode, CryptoLatency::default());
             let run = |ctl: &mut AccessController, range: std::ops::Range<u64>| {
                 for i in range {
                     let (online, offline) = (page(i % 7, 1 + i % 3), pages(8 + i % 5, 1 + i % 4));
@@ -422,9 +450,9 @@ mod tests {
             };
             run(&mut ctl, 0..240);
             let warm = buffers(&ctl);
-            assert_eq!(ctl.window.len(), 4, "{mode:?}: the window is full");
+            assert_eq!(ctl.window.len(), usize::from(depth), "{mode:?}: the window is full");
             run(&mut ctl, 240..1_240);
-            assert_eq!(buffers(&ctl), warm, "{mode:?}: a buffer moved or grew");
+            assert_eq!(buffers(&ctl), warm, "{mode:?} depth {depth}: a buffer moved or grew");
         }
     }
 
@@ -448,8 +476,8 @@ mod tests {
         let mut ctl = controller(0, IssueMode::Serial, CryptoLatency::default());
         assert_eq!(ctl.depth(), 1);
         access(&mut ctl, 0, &page(0, 1), &[], &pages(8, 16));
-        let free = ctl.free_at();
-        assert_eq!(access(&mut ctl, 0, &page(1, 1), &[], &[]).0, free);
+        let drained = completion_of(&mut ctl, 0, None);
+        assert_eq!(access(&mut ctl, 0, &page(1, 1), &[], &[]).0, drained);
     }
 
     #[test]
@@ -459,11 +487,130 @@ mod tests {
         let (_, done) = access(&mut ctl, 0, &page(1, 2), &[], &pages(12, 64));
         assert_eq!(ctl.window.len(), 2);
         assert_eq!(ctl.free_at(), 0, "the window's traffic is not folded in yet");
+        let drained = completion_of(&mut ctl, 0, None).max(completion_of(&mut ctl, 1, None));
         ctl.set_depth(1);
         assert!(ctl.is_idle() && ctl.crypto_exit == 0 && ctl.prev_online_done == 0);
-        let free = ctl.free_at();
-        assert!(free > done, "every in-flight writeback is covered");
-        assert_eq!(access(&mut ctl, 0, &page(2, 1), &[], &[]).0, free);
-        assert!(ctl.is_idle(), "depth 1 issues immediately and drains fully");
+        assert_eq!(ctl.memory().tracked_requests(), 0);
+        assert!(drained > done, "every in-flight writeback is covered");
+        assert_eq!(ctl.free_at(), drained, "the floor the new window opens on");
+        let ((start, _), gate) = gated(|| access(&mut ctl, 0, &page(2, 1), &[], &[]));
+        assert_eq!((start, gate), (drained, "floor"));
+        assert_eq!(ctl.window.len(), 1);
+    }
+
+    /// One request of the oracle's hand-built accesses: `(row, line, write,
+    /// online)` over a few rows on all four channels, so locations repeat
+    /// within and across accesses.
+    type OracleReq = (u64, u64, bool, bool);
+
+    /// Where the oracle's clock starts: late enough that the serial crypto
+    /// charge's `n × per_block` floor, counted from cycle zero on an idle
+    /// pipeline, binds for no model below.
+    const ORACLE_EPOCH: u64 = 1_000;
+
+    /// The one traffic tag both sides of the oracle attribute requests to.
+    const ORACLE_OP: OramOp = OramOp::EvictPath;
+
+    fn oracle_addr((row, line, ..): OracleReq) -> u64 {
+        row * DramConfig::default().row_bytes + line * 64
+    }
+
+    /// The serialized controller the window of one replaced, over a bare
+    /// memory system: each request is enqueued, one at a time, at
+    /// `max(arrival, previous drain)`; an access is done when its online
+    /// reads left an idle crypto pipeline, and drained when that and every
+    /// request completed. Returns the `(start, done)` stream and the last
+    /// drain.
+    fn reference_serialized(
+        mem: &mut MemorySystem,
+        mode: IssueMode,
+        crypto: CryptoLatency,
+        accesses: &[(Vec<OracleReq>, u64)],
+    ) -> (Vec<(u64, u64)>, u64) {
+        let (mut times, mut drained, mut at) = (Vec::new(), 0, ORACLE_EPOCH);
+        for (reqs, gap) in accesses {
+            at += gap;
+            let start = drained.max(at);
+            let mut reqs = reqs.clone();
+            if mode == IssueMode::ChannelParallel {
+                reqs.sort_by_key(|&r| {
+                    let d = mem.decode_addr(oracle_addr(r));
+                    (d.channel, d.bank, d.row)
+                });
+            }
+            let enqueue = |&r: &OracleReq| {
+                let (_, _, write, online) = r;
+                let kind = if write { MemOpKind::Write } else { MemOpKind::Read };
+                let pri = if online { Priority::Online } else { Priority::Offline };
+                (mem.enqueue(kind, oracle_addr(r), pri, ORACLE_OP.tag(), start), online && !write)
+            };
+            let ids: Vec<_> = reqs.iter().map(enqueue).collect();
+            let online = ids.iter().filter(|(_, online)| *online);
+            let mut replies: Vec<_> = online.map(|&(id, _)| mem.completion_time(id)).collect();
+            let done = match (replies.iter().max(), mode) {
+                (None, _) => start,
+                (Some(last), IssueMode::Serial) => last + crypto.burst_cycles(replies.len() as u64),
+                (Some(_), IssueMode::ChannelParallel) => {
+                    crypto.overlapped_exit_from(0, &mut replies)
+                }
+            };
+            drained = ids.iter().map(|&(id, _)| mem.completion_time(id)).fold(done, u64::max);
+            times.push((start, done));
+        }
+        (times, drained)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A window of one is the serialized controller: the same `(start,
+        /// done)` stream, the same drain and the same DRAM statistics as the
+        /// reference above, for early and late arrivals, under both issue
+        /// modes, with a default, a free and a retire-bound crypto model.
+        #[test]
+        fn depth_one_matches_a_reference_serialized_controller(
+            accesses in proptest::collection::vec(
+                (
+                    proptest::collection::vec(
+                        (0u64..12, 0u64..128, any::<bool>(), any::<bool>()),
+                        0..40,
+                    ),
+                    0u64..4_000,
+                ),
+                1..12,
+            ),
+        ) {
+            let cryptos =
+                [CryptoLatency::default(), CryptoLatency::free(), CryptoLatency::new(10, 400)];
+            for mode in [IssueMode::Serial, IssueMode::ChannelParallel] {
+                for crypto in cryptos {
+                    let mut reference = MemorySystem::new(DramConfig::default());
+                    let (want, drained) =
+                        reference_serialized(&mut reference, mode, crypto, &accesses);
+
+                    let mut ctl = controller(1, mode, crypto);
+                    let mut at = ORACLE_EPOCH;
+                    let finish = |(reqs, gap): &(Vec<OracleReq>, u64)| {
+                        at += gap;
+                        for &r @ (_, _, write, online) in reqs {
+                            let addr = SlotAddr(oracle_addr(r));
+                            if write {
+                                ctl.sink_mut().write(addr, ORACLE_OP, online);
+                            } else {
+                                ctl.sink_mut().read(addr, ORACLE_OP, online);
+                            }
+                        }
+                        ctl.finish(at)
+                    };
+                    let got: Vec<_> = accesses.iter().map(finish).collect();
+                    prop_assert_eq!(&got, &want, "{:?} {:?}", mode, crypto);
+                    prop_assert_eq!(ctl.quiesce(), drained, "{:?} {:?}", mode, crypto);
+                    reference.drain();
+                    ctl.memory_mut().drain();
+                    prop_assert_eq!(ctl.memory().stats(), reference.stats());
+                    prop_assert_eq!(ctl.memory().tracked_requests(), 0);
+                }
+            }
+        }
     }
 }

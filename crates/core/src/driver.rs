@@ -196,16 +196,18 @@ impl TimingDriver {
 
     /// Sets the access-pipeline depth: the maximum number of concurrently
     /// in-flight accesses. Depth 1 (the default, and `0` clamps to it) is
-    /// the classic serialized controller — the legacy schedule, bit-exact.
-    /// Depth > 1 lets access *i+1*'s read phase issue while access *i*'s
-    /// eviction/writeback and decrypt/verify pipeline drain, bounded by
-    /// true dependencies: the stash hand-off (an access starts no earlier
-    /// than the previous access's last online DRAM reply), `(channel,
-    /// bank, row)` footprint conflicts (same bucket/slot or posmap-ladder
-    /// reuse forces the earlier access's full completion), and the window
-    /// itself. The request set and intra-access order of every access are
-    /// unchanged — only the inter-access issue schedule shifts, which is
-    /// already public (DESIGN.md §15).
+    /// the classic serialized controller — a window of one, so an access
+    /// starts only after the previous one drained in full. Depth > 1 lets
+    /// access *i+1*'s read phase issue while access *i*'s eviction/writeback
+    /// and decrypt/verify pipeline drain, bounded by true dependencies: the
+    /// stash hand-off (an access starts no earlier than the previous
+    /// access's last online DRAM reply), `(channel, bank, row)` footprint
+    /// conflicts (same bucket/slot or posmap-ladder reuse forces the earlier
+    /// access's reads of that row to complete), and the window itself. The
+    /// request set and intra-access order of every access are the same at
+    /// every depth — only the inter-access issue schedule shifts, which is
+    /// already public — and changing the depth quiesces the window first
+    /// (DESIGN.md §15).
     pub fn set_pipeline_depth(&mut self, depth: u8) {
         self.ctl.set_depth(depth);
     }
@@ -337,10 +339,9 @@ impl TimingDriver {
             MemOp::Write => AccessKind::Write,
         };
 
-        self.ctl.begin(issue);
         // Recursive position-map fetches (extension study) precede the
-        // data access: each PLB miss is one more full access, issued
-        // under the same start cycle (at depth > 1 serial staging
+        // data access: each PLB miss is one more full access, staged with it
+        // and released under the same start cycle (a serial release
         // preserves their parent→child program order).
         if let Some(model) = &mut self.posmap_model {
             for _ in 0..model.access(block) {
@@ -619,7 +620,7 @@ mod tests {
             d.set_pipeline_depth(depth);
             let mut gen = TraceGenerator::new(&profile, 5);
             let blocks = d.oram.block_count();
-            let (mut largest, mut peak) = (0u64, 0u64);
+            let mut largest = 0u64;
             for i in 0..5_000 {
                 let before = d.ctl.requests_issued();
                 d.step(&gen.next_record(), blocks).unwrap();
@@ -629,13 +630,7 @@ mod tests {
                     tracked <= u64::from(depth) * largest,
                     "{scheme:?} depth {depth} record {i}: {tracked} live slots, largest access {largest}"
                 );
-                peak = peak.max(tracked);
             }
-            assert_eq!(
-                peak > 0,
-                depth > 1,
-                "{scheme:?}: only a window keeps slots between records"
-            );
 
             // `run` ends quiesced: no slot survives it, after 100 records or
             // after 10× the traffic.

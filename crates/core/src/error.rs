@@ -60,6 +60,16 @@ pub enum OramError {
         /// Which invariant broke.
         context: &'static str,
     },
+    /// A recursive position map's stored entry for `block` disagrees with
+    /// the engine that owns the block: the ladder above it can no longer be
+    /// trusted to find anything below.
+    PosMapDiverged {
+        /// The tree whose engine disagrees: 0 is the data tree, `k ≥ 1` the
+        /// `k`-th posmap tree (1 = finest).
+        tree: usize,
+        /// The block, in that tree, whose recorded position is wrong.
+        block: u64,
+    },
     /// An engine snapshot could not be taken or restored — truncated or
     /// corrupted bytes, a format-version mismatch, or a snapshot taken under
     /// a different configuration. Cache layers treat this as a miss.
@@ -113,6 +123,9 @@ impl fmt::Display for OramError {
             }
             OramError::Internal { context } => {
                 write!(f, "internal invariant violated: {context}")
+            }
+            OramError::PosMapDiverged { tree, block } => {
+                write!(f, "position-map entry for block {block} diverged from tree {tree}'s engine")
             }
             OramError::SnapshotInvalid { reason } => {
                 write!(f, "snapshot rejected: {reason}")

@@ -87,8 +87,8 @@ pub trait MemorySink {
     fn write(&mut self, addr: SlotAddr, op: OramOp, online: bool);
     /// A batch of 64 B reads, issued in slice order. Semantically identical
     /// to calling [`read`](Self::read) once per address (the default does
-    /// exactly that); sinks backed by the memory system override it to issue
-    /// the whole bucket's worth of commands as one batch.
+    /// exactly that); a sink that only counts overrides it to add the
+    /// bucket's worth of commands at once.
     fn read_batch(&mut self, addrs: &[SlotAddr], op: OramOp, online: bool) {
         for &addr in addrs {
             self.read(addr, op, online);
@@ -200,44 +200,34 @@ impl MemorySink for CountingSink {
 
 /// A sink backed by the cycle-level DRAM model.
 ///
-/// The access controller sets the CPU timestamp with
-/// [`set_now`](TimingSink::set_now) before each ORAM access; online reads are
-/// collected so it can ask when the access's critical path completed
-/// ([`drain_online_read_times`](TimingSink::drain_online_read_times)).
+/// The sink *stages* every request the engine emits and hands nothing to the
+/// memory system on its own: the access controller, once it has seen the
+/// whole access and fixed its arrival cycle, releases it as one batch
+/// (`release_at`) — the only way a request reaches DRAM — and is told when
+/// each of its online reads, the access's critical path, completes.
 ///
-/// In [`IssueMode::ChannelParallel`] the sink stages each access's requests
-/// instead of enqueueing them immediately, then releases them to the memory
-/// system grouped by DRAM channel and ordered `(bank, row)` within each
-/// channel — the issue order a controller that sees the whole access up
-/// front would choose for row locality. The request *set* is identical to
-/// serial mode (same addresses, kinds, priorities, tags, arrival cycle);
-/// only the intra-access order the per-channel FR-FCFS schedulers break
-/// same-cycle ties in changes, so the externally observable access pattern
-/// is unchanged (DESIGN.md §14).
+/// The issue mode picks the release *order* only. [`IssueMode::Serial`]
+/// releases in program order. [`IssueMode::ChannelParallel`] groups the
+/// access by DRAM channel and orders `(bank, row)` within each channel — the
+/// issue order a controller that sees the whole access up front would choose
+/// for row locality. The request *set* is identical (same addresses, kinds,
+/// priorities, tags, arrival cycle); only the intra-access order the
+/// per-channel FR-FCFS schedulers break same-cycle ties in changes, so the
+/// externally observable access pattern is unchanged (DESIGN.md §14).
 ///
-/// In *pipelined* operation (access-pipeline depth > 1) the sink stages under
-/// *both* issue modes: the access controller decides the access's final
-/// arrival cycle only after seeing its staged footprint (to resolve
-/// `(channel, bank, row)` conflicts against in-flight accesses), then
-/// releases the whole access. A serial-mode release preserves program order,
-/// so a pipelined serial release enqueues exactly what immediate issue at the
-/// same cycle would (DESIGN.md §15).
-///
-/// A staged request is one record from the engine's emit to its release: it
-/// is address-decoded once, its `(channel, bank, row)` location packed into
-/// one integer key, and the access's one key ordering serves the release
-/// order, the write footprint and the window entry's read list alike.
+/// A staged request is one record from the engine's emit to its release,
+/// address-decoded once. An access is ordered at most once — each
+/// `(channel, bank, row)` location packed into one integer key, the
+/// `(key, program index)` pairs sorted — and that one ordering serves the
+/// release order, the write footprint and the window entry's read list
+/// alike. It is paid for only when something consumes it: a serial release
+/// whose entry no later access will check (a window of one) enqueues the
+/// records as staged (DESIGN.md §15).
 #[derive(Debug)]
 pub struct TimingSink {
     memory: MemorySystem,
     now: u64,
-    online_reads: Vec<RequestId>,
-    /// Undrained requests the sink owns: everything issued except the
-    /// accesses [`release_at`](TimingSink::release_at) handed to the
-    /// controller's window.
-    all_requests: Vec<RequestId>,
     issue_mode: IssueMode,
-    pipelined: bool,
     /// Radices of the packed location key, from the memory geometry: banks
     /// per channel, and one more than the largest row any address decodes
     /// to. See [`location_key`](TimingSink::location_key).
@@ -247,20 +237,22 @@ pub struct TimingSink {
     staged: Vec<StagedRequest>,
     /// `staged` as `(location key, program index)` in ascending order: the
     /// one ordering an access is given. Current exactly when it is as long
-    /// as `staged`; emptied, with `write_keys`, by the release.
+    /// as `staged`; emptied by the release.
     order: Vec<(u64, u32)>,
-    /// The distinct location keys `staged` writes, ascending (pipelined
-    /// operation only) — what in-flight reads are checked against.
+    /// The distinct location keys `staged` writes, ascending — what
+    /// in-flight reads are checked against. Scratch of
+    /// [`conflict_gate`](TimingSink::conflict_gate).
     write_keys: Vec<u64>,
     /// Read lists of resolved window entries, kept for the next release.
     spare: Vec<Vec<(u64, u32)>>,
 }
 
-/// One access in an access-pipelined in-flight window: its requests' ids
-/// (contiguous, so `first id + len`) and its *reads* as `(location key,
-/// position in ids)` in ascending key order — the locations a later access's
-/// writeback must not overwrite before they are served (write-after-read,
-/// the one DRAM-level hazard the window has to order explicitly; see
+/// One access in the controller's in-flight window: its requests' ids
+/// (contiguous, so `first id + len`) and — when a later access can enter the
+/// window beside it — its *reads* as `(location key, position in ids)` in
+/// ascending key order: the locations a later access's writeback must not
+/// overwrite before they are served (write-after-read, the one DRAM-level
+/// hazard the window has to order explicitly; see
 /// [`TimingSink::conflict_gate`]).
 #[derive(Debug)]
 pub(crate) struct InflightAccess {
@@ -277,12 +269,9 @@ fn id_at(ids: &RequestIdRange, pos: usize) -> RequestId {
 #[derive(Debug, Clone, Copy)]
 struct StagedRequest {
     kind: MemOpKind,
-    priority: Priority,
     tag: u32,
     online: bool,
     at: DecodedAddr,
-    /// [`TimingSink::location_key`] of `at`.
-    key: u64,
 }
 
 impl TimingSink {
@@ -299,10 +288,7 @@ impl TimingSink {
         TimingSink {
             memory,
             now: 0,
-            online_reads: Vec::new(),
-            all_requests: Vec::new(),
             issue_mode: IssueMode::Serial,
-            pipelined: false,
             key_banks,
             key_rows,
             staged: Vec::new(),
@@ -322,11 +308,10 @@ impl TimingSink {
         (u64::from(at.channel) * self.key_banks + u64::from(at.bank)) * self.key_rows + at.row
     }
 
-    /// Sets how requests are handed to the memory system. Switching modes
-    /// requires no other state change; the access boundary is forced first
-    /// so no request is ever reordered across a mode switch.
+    /// Sets the order releases hand requests to the memory system in. An
+    /// access is ordered as a whole at its release, by the mode then in
+    /// force, so no request is ever reordered across a mode switch.
     pub fn set_issue_mode(&mut self, mode: IssueMode) {
-        self.access_boundary();
         self.issue_mode = mode;
     }
 
@@ -335,130 +320,101 @@ impl TimingSink {
         self.issue_mode
     }
 
-    /// Turns access-pipelined staging on or off. While on, requests are
-    /// staged under *both* issue modes and released by
-    /// [`release_at`](TimingSink::release_at) once the controller has fixed
-    /// the access's arrival cycle. The access boundary is forced first so no
-    /// request crosses the switch.
-    pub(crate) fn set_pipelined(&mut self, on: bool) {
-        self.access_boundary();
-        self.pipelined = on;
-    }
-
-    /// Whether requests are staged until the access boundary instead of
-    /// enqueued as the engine emits them: always under channel-parallel
-    /// issue, and under serial issue while pipelined (the boundary releases
-    /// in program order) so the controller can inspect the footprint before
-    /// fixing arrival.
-    fn stages(&self) -> bool {
-        self.pipelined || self.issue_mode == IssueMode::ChannelParallel
-    }
-
-    /// Fixes the staged access's ordering, once: sorts its `(key, program
-    /// index)` pairs and reads the write footprint off them. The pairs are
-    /// distinct, so the unstable sort is the permutation a stable sort on the
-    /// key alone gives — same-location requests keep their program order.
+    /// Fixes the staged access's ordering, once: packs each request's
+    /// location key and sorts the `(key, program index)` pairs. The pairs
+    /// are distinct, so the unstable sort is the permutation a stable sort
+    /// on the key alone gives — same-location requests keep their program
+    /// order.
     fn order_staged(&mut self) {
         if self.order.len() == self.staged.len() {
             return;
         }
-        self.order.clear();
-        self.order.extend(self.staged.iter().enumerate().map(|(i, r)| (r.key, i as u32)));
-        self.order.sort_unstable();
-        self.write_keys.clear();
-        if self.pipelined {
-            for &(key, i) in &self.order {
-                let write = self.staged[i as usize].kind == MemOpKind::Write;
-                if write && self.write_keys.last() != Some(&key) {
-                    self.write_keys.push(key);
-                }
-            }
-        }
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        order.extend((0u32..).zip(&self.staged).map(|(i, r)| (self.location_key(r.at), i)));
+        order.sort_unstable();
+        self.order = order;
     }
 
-    /// Releases the staged access to the memory system as one batch and
-    /// returns its ids. A serial-mode release preserves program order; a
-    /// channel-parallel release follows the key order, i.e. groups by
-    /// channel and orders `(bank, row)` within each channel. With `reads`,
-    /// also lists the access's reads for a window entry (see
-    /// [`InflightAccess`]).
-    fn release_staged(&mut self, mut reads: Option<&mut Vec<(u64, u32)>>) -> RequestIdRange {
-        self.order_staged();
+    /// The one hand-off to the memory system: moves the clock to `cycle`,
+    /// releases the staged access as one batch arriving at that cycle, and
+    /// returns it as a window entry. The controller stages the whole access,
+    /// resolves its dependency gates against the staged footprint, and only
+    /// then knows the arrival cycle. `cycle` must be ≥ the last timestamp
+    /// (the memory model's non-decreasing contract).
+    ///
+    /// A serial-mode release preserves program order; a channel-parallel
+    /// release follows the key order, i.e. groups by channel and orders
+    /// `(bank, row)` within each channel. `list_reads` says whether the entry
+    /// can still be in the window when a later access checks write-after-read
+    /// conflicts; only then are its reads listed (see [`InflightAccess`]).
+    ///
+    /// `online_done` is overwritten with the completion cycle of each online
+    /// read (unordered): the controller charges the crypto burst after the
+    /// latest one (serial issue) or folds them through
+    /// [`aboram_crypto::CryptoLatency::overlapped_exit_from`]
+    /// (channel-parallel issue).
+    ///
+    /// The controller owns the entry's requests from here on: it resolves
+    /// them ([`resolve_inflight`](TimingSink::resolve_inflight)) and retires
+    /// them from the memory system once the access leaves its window.
+    pub(crate) fn release_at(
+        &mut self,
+        cycle: u64,
+        list_reads: bool,
+        online_done: &mut Vec<u64>,
+    ) -> InflightAccess {
+        debug_assert!(cycle >= self.now, "release_at must not move the clock backwards");
+        self.now = cycle;
+        online_done.clear();
+        let mut reads = self.spare.pop().unwrap_or_default();
         let parallel = self.issue_mode == IssueMode::ChannelParallel;
+        let ordered = parallel || list_reads;
+        if ordered {
+            self.order_staged();
+        }
         let (staged, order) = (&self.staged, &self.order);
-        let request = |r: &StagedRequest| (r.kind, r.at, r.priority, r.tag);
+        let request = |r: &StagedRequest| {
+            let priority = if r.online { Priority::Online } else { Priority::Offline };
+            (r.kind, r.at, priority, r.tag)
+        };
         let ids = if parallel {
             let in_key_order = order.iter().map(|&(_, i)| request(&staged[i as usize]));
-            self.memory.enqueue_decoded(in_key_order, self.now)
+            self.memory.enqueue_decoded(in_key_order, cycle)
         } else {
-            self.memory.enqueue_decoded(staged.iter().map(request), self.now)
+            self.memory.enqueue_decoded(staged.iter().map(request), cycle)
         };
-        for (rank, &(key, i)) in order.iter().enumerate() {
-            let r = &staged[i as usize];
-            if r.kind == MemOpKind::Read {
-                let pos = if parallel { rank } else { i as usize };
-                if r.online {
-                    self.online_reads.push(id_at(&ids, pos));
+        if ordered {
+            for (rank, &(key, i)) in order.iter().enumerate() {
+                let r = &staged[i as usize];
+                if r.kind == MemOpKind::Read {
+                    let pos = if parallel { rank } else { i as usize };
+                    if r.online {
+                        online_done.push(self.memory.completion_time(id_at(&ids, pos)));
+                    }
+                    if list_reads {
+                        reads.push((key, pos as u32));
+                    }
                 }
-                if let Some(reads) = reads.as_deref_mut() {
-                    reads.push((key, pos as u32));
+            }
+        } else {
+            // Program order and nothing to list: no ordering was needed.
+            for (pos, r) in staged.iter().enumerate() {
+                if r.online && r.kind == MemOpKind::Read {
+                    online_done.push(self.memory.completion_time(id_at(&ids, pos)));
                 }
             }
         }
         self.staged.clear();
         self.order.clear();
-        self.write_keys.clear();
-        ids
-    }
-
-    /// The single access-boundary choke point: every staged request of the
-    /// current access is released to the memory system here, and every
-    /// operation that ends or inspects an access (clock moves, drains, mode
-    /// switches) funnels through this helper. The released ids stay the
-    /// sink's to drain; only [`release_at`](TimingSink::release_at) hands
-    /// an access over.
-    fn access_boundary(&mut self) {
-        if !self.staged.is_empty() {
-            let ids = self.release_staged(None);
-            self.all_requests.extend(ids);
-        }
-    }
-
-    /// Sets the arrival timestamp for subsequent requests. Timestamps must
-    /// be non-decreasing (the memory model's contract). Staged requests
-    /// belong to the access that issued them, so the boundary is forced
-    /// before the clock moves.
-    pub fn set_now(&mut self, cycle: u64) {
-        self.access_boundary();
-        self.now = cycle;
-    }
-
-    /// Pipelined release: moves the clock to `cycle` *first*, then releases
-    /// the staged access so it arrives at that cycle, and hands it over as a
-    /// window entry. This is the one boundary whose staged requests belong
-    /// to the access *being released* rather than a finished one — the
-    /// controller stages the whole access, resolves its dependency gates
-    /// against the staged footprint, and only then knows the arrival cycle.
-    /// `cycle` must be ≥ the last timestamp (the memory model's
-    /// non-decreasing contract).
-    ///
-    /// The controller owns the entry's requests from here on: it resolves
-    /// them ([`resolve_inflight`](TimingSink::resolve_inflight)) and retires
-    /// them from the memory system once the access leaves its window.
-    pub(crate) fn release_at(&mut self, cycle: u64) -> InflightAccess {
-        debug_assert!(cycle >= self.now, "release_at must not move the clock backwards");
-        self.now = cycle;
-        let mut reads = self.spare.pop().unwrap_or_default();
-        let ids = self.release_staged(Some(&mut reads));
         InflightAccess { ids, reads }
     }
 
     /// Resolves an in-flight access to its full completion cycle — the
     /// latest completion over all of its requests, reads and writebacks
     /// alike. Forcing the lazy completion times here is what makes the
-    /// pipeline's window-overflow gate a true dependency. The entry's read
-    /// list is kept for the next release, so a steady window allocates
-    /// nothing.
+    /// window-overflow gate a true dependency. The entry's read list is kept
+    /// for the next release, so a steady window allocates nothing.
     pub(crate) fn resolve_inflight(&mut self, mut entry: InflightAccess) -> u64 {
         let done = entry.ids.map(|id| self.memory.completion_time(id)).max().unwrap_or(0);
         entry.reads.clear();
@@ -467,10 +423,12 @@ impl TimingSink {
     }
 
     /// The earliest cycle at which the staged access may issue without
-    /// overwriting a location `entry` has not finished reading: the latest
-    /// completion over exactly `entry`'s reads in the `(channel, bank, row)`
-    /// rows the staged access writes (zero when disjoint). Both sides are in
-    /// ascending key order, so one merge finds them.
+    /// overwriting a location an access in `window` has not finished reading:
+    /// the latest completion over exactly the entries' reads in the
+    /// `(channel, bank, row)` rows the staged access writes (zero when
+    /// disjoint, or when nothing is in flight — an empty window costs no
+    /// ordering). Both sides are in ascending key order, so one merge per
+    /// entry finds them.
     ///
     /// Write-after-read is the one DRAM-level hazard the window orders
     /// explicitly. Read-after-write needs no gate — a read of a location
@@ -482,70 +440,49 @@ impl TimingSink {
     /// access's *writes* would instead re-serialize the controller — every
     /// pair of paths shares rows near the root, and offline writebacks are
     /// deprioritized to the end of the drain.
-    pub(crate) fn conflict_gate(&mut self, entry: &InflightAccess) -> u64 {
+    pub(crate) fn conflict_gate<'a>(
+        &mut self,
+        window: impl IntoIterator<Item = &'a InflightAccess>,
+    ) -> u64 {
+        let mut window = window.into_iter().peekable();
+        if window.peek().is_none() {
+            return 0;
+        }
         self.order_staged();
-        let (writes, mut w, mut gate) = (&self.write_keys, 0, 0);
-        for &(key, pos) in &entry.reads {
-            while w < writes.len() && writes[w] < key {
-                w += 1;
+        self.write_keys.clear();
+        for &(key, i) in &self.order {
+            let write = self.staged[i as usize].kind == MemOpKind::Write;
+            if write && self.write_keys.last() != Some(&key) {
+                self.write_keys.push(key);
             }
-            if w == writes.len() {
-                break;
-            }
-            if writes[w] == key {
-                gate = gate.max(self.memory.completion_time(id_at(&entry.ids, pos as usize)));
+        }
+        let (writes, mut gate) = (&self.write_keys, 0);
+        for entry in window {
+            let mut w = 0;
+            for &(key, pos) in &entry.reads {
+                while w < writes.len() && writes[w] < key {
+                    w += 1;
+                }
+                if w == writes.len() {
+                    break;
+                }
+                if writes[w] == key {
+                    let read = id_at(&entry.ids, pos as usize);
+                    gate = gate.max(self.memory.completion_time(read));
+                }
             }
         }
         gate
     }
 
-    /// Schedules every pending online read and appends each one's completion
-    /// cycle to `into` (unordered), clearing the pending list. The
-    /// controller charges the crypto burst after the latest one (serial
-    /// issue) or folds the individual completions through
-    /// [`aboram_crypto::CryptoLatency::overlapped_exit_from`]
-    /// (channel-parallel issue).
-    pub fn drain_online_read_times(&mut self, into: &mut Vec<u64>) {
-        self.access_boundary();
-        into.clear();
-        for i in 0..self.online_reads.len() {
-            into.push(self.memory.completion_time(self.online_reads[i]));
-        }
-        self.online_reads.clear();
-    }
-
-    /// Schedules *every* request issued since the last drain, clears the
-    /// pending list and returns the latest completion cycle (at least
-    /// `floor`).
-    ///
-    /// The drained ids are dead — nothing holds them any more — so the
-    /// memory system retires them: at depth 1 this is where an access's
-    /// per-request state ends. Online reads still awaiting
-    /// [`drain_online_read_times`](TimingSink::drain_online_read_times) bound
-    /// the retirement. Ids the access controller took into its in-flight
-    /// window (depth > 1) are its to retire; it never mixes the two drains,
-    /// quiescing the window before dropping to depth 1.
-    pub fn drain_all_requests(&mut self, floor: u64) -> u64 {
-        self.access_boundary();
-        let mut done = floor;
-        for &id in &self.all_requests {
-            done = done.max(self.memory.completion_time(id));
-        }
-        self.all_requests.clear();
-        let live = self.online_reads.iter().min().copied();
-        self.memory.retire(live.unwrap_or_else(|| self.memory.next_request_id()));
-        done
-    }
-
-    /// The arrival timestamp set by the last [`set_now`](TimingSink::set_now).
+    /// The arrival cycle of the most recent release.
     pub fn now(&self) -> u64 {
         self.now
     }
 
-    /// Whether every issued request has been drained (no ids pending a
-    /// completion-time query, nothing staged). Snapshots require this.
+    /// Whether nothing is staged: every emitted request has been released.
     pub fn is_idle(&self) -> bool {
-        self.online_reads.is_empty() && self.all_requests.is_empty() && self.staged.is_empty()
+        self.staged.is_empty()
     }
 
     /// Access to the underlying memory system (stats, drain).
@@ -557,75 +494,20 @@ impl TimingSink {
     pub fn memory_mut(&mut self) -> &mut MemorySystem {
         &mut self.memory
     }
-}
 
-impl TimingSink {
-    fn stage(&mut self, kind: MemOpKind, addr: u64, priority: Priority, tag: u32, online: bool) {
-        let at = self.memory.decode_addr(addr);
-        let key = self.location_key(at);
-        self.staged.push(StagedRequest { kind, priority, tag, online, at, key });
-    }
-
-    fn issue(&mut self, kind: MemOpKind, addr: u64, priority: Priority, tag: u32, online: bool) {
-        if self.stages() {
-            return self.stage(kind, addr, priority, tag, online);
-        }
-        let id = self.memory.enqueue(kind, addr, priority, tag, self.now);
-        if online && kind == MemOpKind::Read {
-            self.online_reads.push(id);
-        }
-        self.all_requests.push(id);
+    fn stage(&mut self, kind: MemOpKind, addr: SlotAddr, online: bool, op: OramOp) {
+        let at = self.memory.decode_addr(addr.byte());
+        self.staged.push(StagedRequest { kind, tag: op.tag(), online, at });
     }
 }
 
 impl MemorySink for TimingSink {
     fn read(&mut self, addr: SlotAddr, op: OramOp, online: bool) {
-        let pri = if online { Priority::Online } else { Priority::Offline };
-        self.issue(MemOpKind::Read, addr.byte(), pri, op.tag(), online);
+        self.stage(MemOpKind::Read, addr, online, op);
     }
 
     fn write(&mut self, addr: SlotAddr, op: OramOp, online: bool) {
-        let pri = if online { Priority::Online } else { Priority::Offline };
-        self.issue(MemOpKind::Write, addr.byte(), pri, op.tag(), online);
-    }
-
-    fn read_batch(&mut self, addrs: &[SlotAddr], op: OramOp, online: bool) {
-        let pri = if online { Priority::Online } else { Priority::Offline };
-        if self.stages() {
-            for &addr in addrs {
-                self.stage(MemOpKind::Read, addr.byte(), pri, op.tag(), online);
-            }
-            return;
-        }
-        let ids = self.memory.enqueue_batch(
-            MemOpKind::Read,
-            addrs.iter().map(|a| a.byte()),
-            pri,
-            op.tag(),
-            self.now,
-        );
-        if online {
-            self.online_reads.extend(ids.clone());
-        }
-        self.all_requests.extend(ids);
-    }
-
-    fn write_batch(&mut self, addrs: &[SlotAddr], op: OramOp, online: bool) {
-        let pri = if online { Priority::Online } else { Priority::Offline };
-        if self.stages() {
-            for &addr in addrs {
-                self.stage(MemOpKind::Write, addr.byte(), pri, op.tag(), online);
-            }
-            return;
-        }
-        let ids = self.memory.enqueue_batch(
-            MemOpKind::Write,
-            addrs.iter().map(|a| a.byte()),
-            pri,
-            op.tag(),
-            self.now,
-        );
-        self.all_requests.extend(ids);
+        self.stage(MemOpKind::Write, addr, online, op);
     }
 }
 
@@ -637,7 +519,7 @@ mod tests {
 
     impl TimingSink {
         /// Address and capacity of every buffer the staged path reuses: the
-        /// five the sink keeps, then the read lists — its spares and the
+        /// three the sink keeps, then the read lists — its spares and the
         /// `in_window` ones a controller holds — sorted. Stable once a run
         /// is warm.
         pub(crate) fn buffers<'a>(
@@ -651,8 +533,6 @@ mod tests {
                 (self.staged.as_ptr() as usize, self.staged.capacity()),
                 (self.order.as_ptr() as usize, self.order.capacity()),
                 (self.write_keys.as_ptr() as usize, self.write_keys.capacity()),
-                (self.online_reads.as_ptr() as usize, self.online_reads.capacity()),
-                (self.all_requests.as_ptr() as usize, self.all_requests.capacity()),
             ];
             all.extend(lists);
             all
@@ -676,16 +556,14 @@ mod tests {
     #[test]
     fn timing_sink_tracks_online_reads() {
         let mut s = TimingSink::new(MemorySystem::new(DramConfig::default()));
-        s.set_now(100);
         s.read(SlotAddr(0), OramOp::ReadPath, true);
         s.read(SlotAddr(4096), OramOp::EvictPath, false);
         s.write(SlotAddr(128), OramOp::EvictPath, false);
-        let mut online = Vec::new();
-        s.drain_online_read_times(&mut online);
-        assert_eq!(online.len(), 1);
-        assert!(online[0] > 100);
-        s.drain_online_read_times(&mut online);
-        assert!(online.is_empty(), "drained");
+        assert_eq!(s.memory().pending(), 0, "nothing reaches DRAM before the release");
+        let mut online = vec![7];
+        let entry = s.release_at(100, false, &mut online);
+        assert_eq!((s.now(), entry.ids.len()), (100, 3));
+        assert!(online.len() == 1 && online[0] > 100, "the one online read's reply: {online:?}");
         s.memory_mut().drain();
         assert_eq!(s.memory().stats().total_requests(), 3);
     }
@@ -698,31 +576,25 @@ mod tests {
         let mut serial = mk();
         let mut par = mk();
         par.set_issue_mode(IssueMode::ChannelParallel);
-        for s in [&mut serial, &mut par] {
-            s.set_now(10);
+        let mut done = [0, 0];
+        for (s, done) in [&mut serial, &mut par].into_iter().zip(&mut done) {
             for &a in &addrs {
                 s.read(a, OramOp::Metadata, true);
             }
             s.read_batch(&addrs, OramOp::ReadPath, true);
             s.write_batch(&addrs, OramOp::EvictPath, false);
-        }
-        assert!(!par.is_idle(), "requests stay staged until a drain");
-
-        let (mut serial_times, mut times) = (Vec::new(), Vec::new());
-        serial.drain_online_read_times(&mut serial_times);
-        par.drain_online_read_times(&mut times);
-        assert_eq!(times.len(), serial_times.len());
-        // The latest online completion exists in both modes (values may
-        // differ; the request set may be serviced in a different order).
-        let serial_done = serial_times.iter().max().copied().unwrap_or(0);
-        assert!(times.iter().max().copied().unwrap_or(0) > 0 && serial_done > 10);
-
-        serial.drain_all_requests(serial_done);
-        par.drain_all_requests(10);
-        assert!(serial.is_idle() && par.is_idle());
-        for s in [&mut serial, &mut par] {
+            assert!(!s.is_idle(), "requests stay staged until the release");
+            // The latest online completion exists in both modes (values may
+            // differ; the request set may be serviced in a different order).
+            let mut times = Vec::new();
+            let entry = s.release_at(10, false, &mut times);
+            assert_eq!(times.len(), 32);
+            assert!(times.iter().max().copied().unwrap_or(0) > 10);
+            *done = s.resolve_inflight(entry);
+            assert!(s.is_idle());
             s.memory_mut().drain();
         }
+        assert!(done[0] > 10 && done[1] > 10);
         let (a, b) = (serial.memory().stats(), par.memory().stats());
         assert_eq!(a.total_requests(), b.total_requests());
         assert_eq!(a.reads(), b.reads());
@@ -737,84 +609,32 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_serial_release_matches_immediate_issue() {
-        // A pipelined serial-mode access staged and released at cycle `t`
-        // must enqueue the identical request sequence (order, kinds,
-        // arrival) as unpipelined serial issue at the same `t` — depth-1
-        // pipelining is the legacy schedule by construction.
-        let mk = || TimingSink::new(MemorySystem::new(DramConfig::default()));
-        let addrs: Vec<SlotAddr> = (0..12).map(|i| SlotAddr(i * 4096 + 128)).collect();
-
-        let mut plain = mk();
-        plain.set_now(50);
-        for &a in &addrs {
-            plain.read(a, OramOp::ReadPath, true);
-        }
-        plain.write_batch(&addrs, OramOp::EvictPath, false);
-
-        let mut piped = mk();
-        piped.set_pipelined(true);
-        for &a in &addrs {
-            piped.read(a, OramOp::ReadPath, true);
-        }
-        piped.write_batch(&addrs, OramOp::EvictPath, false);
-        assert!(!piped.is_idle(), "requests stay staged until release");
-        piped.order_staged();
-        let fp = &piped.write_keys;
-        assert!(!fp.is_empty() && fp.windows(2).all(|w| w[0] < w[1]), "sorted distinct footprint");
-        let entry = piped.release_at(50);
-
-        let (a, b) = (plain.drain_all_requests(0), piped.resolve_inflight(entry));
-        assert_eq!(a, b, "identical completion schedule");
-        for s in [&mut plain, &mut piped] {
-            s.memory_mut().drain();
-        }
-        assert_eq!(
-            plain.memory().stats().total_requests(),
-            piped.memory().stats().total_requests()
-        );
-        assert_eq!(
-            plain.memory().stats().bytes_transferred(),
-            piped.memory().stats().bytes_transferred()
-        );
-    }
-
-    #[test]
     fn each_request_is_recorded_once_and_retired_by_its_owner() {
+        // One owner: a release hands every id to the window entry, the sink
+        // keeps none, and the entry's holder ends the requests' life in the
+        // twin once it resolved them.
         let addrs: Vec<SlotAddr> = (0..6).map(|i| SlotAddr(i * 4096)).collect();
-
-        // Unpipelined: the sink owns the ids until `drain_all_requests`,
-        // which retires all but the online reads still awaiting their drain.
-        let mut plain = TimingSink::new(MemorySystem::new(DramConfig::default()));
-        plain.read_batch(&addrs[..2], OramOp::Metadata, false);
-        plain.read_batch(&addrs[2..4], OramOp::ReadPath, true);
-        plain.write_batch(&addrs[4..], OramOp::EvictPath, false);
-        assert_eq!(plain.all_requests.len(), 6);
-        plain.drain_all_requests(0);
-        assert_eq!(plain.memory().tracked_requests(), 4, "ids from the first online read on stay");
+        let mut sink = TimingSink::new(MemorySystem::new(DramConfig::default()));
+        sink.read_batch(&addrs[..2], OramOp::Metadata, false);
+        sink.read_batch(&addrs[2..4], OramOp::ReadPath, true);
+        sink.write_batch(&addrs[4..], OramOp::EvictPath, false);
+        assert_eq!(sink.memory().tracked_requests(), 0, "staged, not yet DRAM's");
         let mut online = Vec::new();
-        plain.drain_online_read_times(&mut online);
-        assert_eq!(online.len(), 2);
-        plain.drain_all_requests(0);
-        assert!(plain.is_idle());
-        assert_eq!(plain.memory().tracked_requests(), 0);
+        let entry = sink.release_at(10, true, &mut online);
+        assert!(entry.ids.len() == 6 && entry.reads.len() == 4 && online.len() == 2);
+        assert!(sink.memory().tracked_requests() == 6 && sink.is_idle());
 
-        // Pipelined: a release hands the ids over and leaves their lifetime
-        // to the caller; any other boundary keeps them the sink's.
-        let mut piped = TimingSink::new(MemorySystem::new(DramConfig::default()));
-        piped.set_pipelined(true);
-        piped.write_batch(&addrs, OramOp::EvictPath, false);
-        let taken = piped.release_at(10);
-        assert!(taken.ids.len() == 6 && taken.reads.is_empty());
-        assert!(piped.all_requests.is_empty() && piped.is_idle());
-        piped.drain_all_requests(0);
-        assert_eq!(piped.memory().tracked_requests(), 6, "unresolved, so not the sink's to retire");
-        piped.resolve_inflight(taken);
-        piped.write_batch(&addrs, OramOp::EvictPath, false);
-        piped.set_now(20);
-        assert!(piped.all_requests.len() == 6 && !piped.is_idle());
-        assert!(piped.drain_all_requests(0) > 10 && piped.is_idle());
-        assert_eq!(piped.memory().tracked_requests(), 0);
+        let next = sink.memory().next_request_id();
+        sink.memory_mut().retire(next);
+        assert!(sink.memory().tracked_requests() > 0, "unresolved, so not retired");
+        assert!(sink.resolve_inflight(entry) > 10);
+        sink.memory_mut().retire(next);
+        assert_eq!(sink.memory().tracked_requests(), 0);
+
+        // A window of one lists no reads; the ids are handed over all the same.
+        sink.read_batch(&addrs, OramOp::ReadPath, true);
+        let unlisted = sink.release_at(20, false, &mut online);
+        assert!(unlisted.ids.len() == 6 && unlisted.reads.is_empty() && online.len() == 6);
     }
 
     /// One request of a hand-built access.
@@ -917,7 +737,7 @@ mod tests {
         /// The sink's release against a reference kept here: same ids, same
         /// completion cycle per id, same online reads, same statistics and a
         /// twin left in the same state (a probe burst afterwards completes at
-        /// the same cycles) — under both issue modes, pipelined or not.
+        /// the same cycles) — under both issue modes, listing reads or not.
         #[test]
         fn staged_release_matches_a_one_request_at_a_time_reference(
             accesses in proptest::collection::vec(
@@ -926,10 +746,9 @@ mod tests {
             ),
         ) {
             for mode in [IssueMode::Serial, IssueMode::ChannelParallel] {
-                for pipelined in [false, true] {
+                for list_reads in [false, true] {
                     let mut sink = TimingSink::new(MemorySystem::new(DramConfig::default()));
                     sink.set_issue_mode(mode);
-                    sink.set_pipelined(pipelined);
                     let mut reference = MemorySystem::new(DramConfig::default());
                     let mut now = 0;
                     for (reqs, one_channel, gap) in &accesses {
@@ -938,43 +757,35 @@ mod tests {
                         let order = reference_order(&reference, &access, mode);
                         let want = reference_release(&mut reference, &order, now);
 
-                        let ids: Vec<RequestId> = if pipelined {
-                            emit(&mut sink, &access);
-                            let entry = sink.release_at(now);
-                            let ids: Vec<_> = entry.ids.clone().collect();
-                            // The window entry lists exactly the reads, by
-                            // location then issue order.
-                            let mut reads: Vec<_> = (order.iter().zip(&want))
-                                .filter(|(r, _)| !r.write)
-                                .map(|(r, &id)| (location(&reference, r), id))
-                                .collect();
-                            reads.sort();
-                            let listed = entry.reads.iter().map(|&(_, pos)| ids[pos as usize]);
-                            prop_assert!(listed.eq(reads.iter().map(|&(_, id)| id)));
-                            prop_assert!(entry.reads.windows(2).all(|w| w[0] < w[1]));
-                            sink.resolve_inflight(entry);
-                            ids
-                        } else {
-                            sink.set_now(now);
-                            emit(&mut sink, &access);
-                            sink.access_boundary();
-                            std::mem::take(&mut sink.all_requests)
-                        };
-                        prop_assert_eq!(&ids, &want, "{:?} pipelined={}", mode, pipelined);
+                        emit(&mut sink, &access);
+                        let mut online_done = Vec::new();
+                        let entry = sink.release_at(now, list_reads, &mut online_done);
+                        let ids: Vec<_> = entry.ids.clone().collect();
+                        prop_assert_eq!(&ids, &want, "{:?} list_reads={}", mode, list_reads);
+                        // The window entry lists exactly the reads, by
+                        // location then issue order — or nothing.
+                        let mut reads: Vec<_> = (order.iter().zip(&want))
+                            .filter(|(r, _)| list_reads && !r.write)
+                            .map(|(r, &id)| (location(&reference, r), id))
+                            .collect();
+                        reads.sort();
+                        let listed = entry.reads.iter().map(|&(_, pos)| ids[pos as usize]);
+                        prop_assert!(listed.eq(reads.iter().map(|&(_, id)| id)));
+                        prop_assert!(entry.reads.windows(2).all(|w| w[0] < w[1]));
 
                         let mut online: Vec<_> = (order.iter().zip(&want))
                             .filter(|(r, _)| r.online && !r.write)
-                            .map(|(_, &id)| id)
+                            .map(|(_, &id)| reference.completion_time(id))
                             .collect();
                         online.sort();
-                        sink.online_reads.sort();
-                        prop_assert_eq!(&sink.online_reads, &online);
-                        sink.online_reads.clear();
+                        online_done.sort();
+                        prop_assert_eq!(&online_done, &online);
 
                         for id in ids {
                             let got = sink.memory_mut().completion_time(id);
                             prop_assert_eq!(got, reference.completion_time(id), "{:?}", id);
                         }
+                        sink.resolve_inflight(entry);
                     }
                     prop_assert!(sink.is_idle());
                     sink.memory_mut().drain();
@@ -1008,15 +819,14 @@ mod tests {
             let mk = || {
                 let mut sink = TimingSink::new(MemorySystem::new(DramConfig::default()));
                 sink.set_issue_mode(mode);
-                sink.set_pipelined(true);
                 emit(&mut sink, &first);
-                let entry = sink.release_at(100);
+                let entry = sink.release_at(100, true, &mut Vec::new());
                 emit(&mut sink, &second);
                 (sink, entry)
             };
 
             let (mut merged, entry) = mk();
-            let gate = merged.conflict_gate(&entry);
+            let gate = merged.conflict_gate([&entry]);
 
             let (mut brute, entry) = mk();
             let mem = brute.memory_mut();

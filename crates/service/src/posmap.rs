@@ -218,12 +218,11 @@ impl RecursivePosMap {
     ///
     /// # Errors
     ///
-    /// Propagates engine protocol errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a chain entry diverges from engine ground truth — the
-    /// assertion-backed consistency check is always on.
+    /// Propagates engine protocol errors, and returns
+    /// [`OramError::PosMapDiverged`] if a chain entry disagrees with engine
+    /// ground truth — the consistency check is always on. A walk that fails
+    /// below the root has already remapped the levels above the bad entry,
+    /// so the map must not be used again.
     pub fn resolve_and_remap(
         &mut self,
         data_block: BlockId,
@@ -259,11 +258,9 @@ impl RecursivePosMap {
         // Root: verify and swap the top tree's entry.
         let top = ids[d] as usize;
         let claimed_top = PathId::new(self.root[top]);
-        assert_eq!(
-            claimed_top,
-            self.trees[d - 1].engine().position_of(ids[d])?,
-            "root table entry diverged from posmap tree {d} engine"
-        );
+        if claimed_top != self.trees[d - 1].engine().position_of(ids[d])? {
+            return Err(OramError::PosMapDiverged { tree: d, block: ids[d] });
+        }
         self.stats.verified_entries += 1;
         self.root[top] = new_pos[d - 1];
 
@@ -289,12 +286,9 @@ impl RecursivePosMap {
             let off = slot * ENTRY_BYTES;
             claimed = u64::from_le_bytes(payload[off..off + ENTRY_BYTES].try_into().unwrap());
             if k >= 2 {
-                assert_eq!(
-                    PathId::new(claimed),
-                    self.trees[tree - 1].engine().position_of(child_id)?,
-                    "posmap tree {k} entry diverged from tree {} engine",
-                    k - 1
-                );
+                if PathId::new(claimed) != self.trees[tree - 1].engine().position_of(child_id)? {
+                    return Err(OramError::PosMapDiverged { tree: k - 1, block: child_id });
+                }
                 self.stats.verified_entries += 1;
             }
             // k == 1: the claim is about the data block; the store decodes
@@ -400,6 +394,21 @@ mod tests {
         // Read the entry back: the chain must return what we recorded.
         let (claimed2, _) = pm.resolve_and_remap(123, 1, done).unwrap();
         assert_eq!(claimed2, 9);
+    }
+
+    #[test]
+    fn a_corrupted_root_entry_is_a_typed_error_not_an_abort() {
+        let positions = |_b: BlockId| 2u64;
+        let cfg = RecursionConfig::default();
+        let mut pm = RecursivePosMap::new(637, &positions, &cfg, &mut untimed()).unwrap();
+        // Data block 123 resolves through block 15 of tree 1 and block 1 of
+        // tree 2, whose position the root holds.
+        pm.root[1] ^= 1;
+        let err = pm.resolve_and_remap(123, 9, 0).unwrap_err();
+        assert_eq!(err, OramError::PosMapDiverged { tree: 2, block: 1 });
+        assert_eq!(pm.stats().tree_accesses, 0, "refused before any tree was touched");
+        let (claimed, _) = pm.resolve_and_remap(5, 9, 0).unwrap();
+        assert_eq!(claimed, 2, "walks under the other root entries are unharmed");
     }
 
     #[test]

@@ -297,12 +297,12 @@ impl ObliviousStore {
     ///
     /// Propagates engine protocol errors; inserting into a full store that
     /// cannot (or may no longer) grow fails with the engine's typed
-    /// `CapacityExhausted`.
+    /// `CapacityExhausted`, and a chain entry or finest-level claim that
+    /// diverges from engine ground truth with `PosMapDiverged`.
     ///
     /// # Panics
     ///
-    /// Panics if a chain entry or the finest-level claim diverges from
-    /// engine ground truth, or if `f` returns an oversized value.
+    /// Panics if `f` returns an oversized value.
     pub fn rmw_at(
         &mut self,
         start: u64,
@@ -314,11 +314,9 @@ impl ObliviousStore {
             let new_pos = PathId::new(self.rng.gen_range(0..self.data_leaves));
             let (claimed, pm_done) =
                 self.posmap.resolve_and_remap(block, pack_entry(depth, new_pos.leaf()), start)?;
-            assert_eq!(
-                self.claimed_position(claimed, block),
-                self.data.engine().position_of(block)?,
-                "finest posmap entry diverged from data engine ground truth"
-            );
+            if self.claimed_position(claimed, block) != self.data.engine().position_of(block)? {
+                return Err(OramError::PosMapDiverged { tree: 0, block });
+            }
             let mut old_out: Option<Vec<u8>> = None;
             let reply =
                 self.data.access_managed(pm_done, block, Some(new_pos), &mut |payload| {
@@ -369,12 +367,11 @@ impl ObliviousStore {
                 // A freshly materialized block's chain slot still holds its
                 // construction placeholder — skip the ground-truth check on
                 // this first touch (the entry we just recorded takes over).
-                if !fresh {
-                    assert_eq!(
-                        self.claimed_position(claimed, block),
-                        self.data.engine().position_of(block)?,
-                        "finest posmap entry diverged from data engine ground truth"
-                    );
+                if !fresh
+                    && self.claimed_position(claimed, block)
+                        != self.data.engine().position_of(block)?
+                {
+                    return Err(OramError::PosMapDiverged { tree: 0, block });
                 }
                 let reply =
                     self.data.access_managed(pm_done, block, Some(new_pos), &mut |payload| {
