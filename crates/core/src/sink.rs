@@ -11,7 +11,9 @@
 
 use crate::config::IssueMode;
 use crate::fault::{FaultKind, FaultSite};
-use aboram_dram::{DecodedAddr, MemOpKind, MemorySystem, Priority, RequestId, RequestIdRange};
+use aboram_dram::{
+    AddressMapping, DecodedAddr, MemOpKind, MemorySystem, Priority, RequestId, RequestIdRange,
+};
 use aboram_telemetry::Phase;
 use aboram_tree::SlotAddr;
 
@@ -215,14 +217,16 @@ impl MemorySink for CountingSink {
 /// per-channel FR-FCFS schedulers break same-cycle ties in changes, so the
 /// externally observable access pattern is unchanged (DESIGN.md §14).
 ///
-/// A staged request is one record from the engine's emit to its release,
-/// address-decoded once. An access is ordered at most once — each
-/// `(channel, bank, row)` location packed into one integer key, the
-/// `(key, program index)` pairs sorted — and that one ordering serves the
-/// release order, the write footprint and the window entry's read list
-/// alike. It is paid for only when something consumes it: a serial release
-/// whose entry no later access will check (a window of one) enqueues the
-/// records as staged (DESIGN.md §15).
+/// A staged request is one record from the engine's emit to its release. The
+/// engine emits a bucket's slots back to back, so an access is staged — and
+/// ordered — as *row runs*: consecutive requests the address map sends to one
+/// `(channel, bank, row)`, decoded and keyed once per run. An access is
+/// ordered at most once — each run's location packed into one integer key,
+/// the `(key, first program index)` runs sorted — and that one ordering
+/// serves the release order, the write footprint and the window entry's read
+/// list alike. It is paid for only when something consumes it: a serial
+/// release whose entry no later access will check (a window of one) enqueues
+/// the records as staged (DESIGN.md §15).
 #[derive(Debug)]
 pub struct TimingSink {
     memory: MemorySystem,
@@ -233,12 +237,22 @@ pub struct TimingSink {
     /// to. See [`location_key`](TimingSink::location_key).
     key_banks: u64,
     key_rows: u64,
+    /// Bytes of consecutive address space the address map decodes to one
+    /// location: a whole row under [`AddressMapping::PageInterleave`], one
+    /// 64 B line under [`AddressMapping::LineInterleave`] (whose next line is
+    /// on another channel). Such spans tile the address space from zero.
+    run_span: u64,
+    /// The run a request may still join: the first byte of the span its
+    /// requests fall in, and their one decoded location. The next request
+    /// extends it, undecoded, if it falls in the same span. `None` when
+    /// nothing is staged, or once the runs have been sorted.
+    open_run: Option<(u64, DecodedAddr)>,
     /// The access being staged, in program order.
     staged: Vec<StagedRequest>,
-    /// `staged` as `(location key, program index)` in ascending order: the
-    /// one ordering an access is given. Current exactly when it is as long
-    /// as `staged`; emptied by the release.
-    order: Vec<(u64, u32)>,
+    /// `staged` cut into row runs: in program order while staging, in
+    /// `(key, first)` order — the one ordering an access is given — once
+    /// `open_run` is `None`. Emptied by the release.
+    runs: Vec<RowRun>,
     /// The distinct location keys `staged` writes, ascending — what
     /// in-flight reads are checked against. Scratch of
     /// [`conflict_gate`](TimingSink::conflict_gate).
@@ -265,13 +279,32 @@ fn id_at(ids: &RequestIdRange, pos: usize) -> RequestId {
     ids.clone().nth(pos).expect("one id per request of the batch")
 }
 
-/// One staged DRAM request: everything the release needs, decoded once.
+/// One staged DRAM request: everything the release needs.
 #[derive(Debug, Clone, Copy)]
 struct StagedRequest {
     kind: MemOpKind,
     tag: u32,
     online: bool,
     at: DecodedAddr,
+}
+
+/// `len` consecutively staged requests, from program index `first`, that
+/// share one location. Ordered by `(key, first)`: runs of one key are
+/// disjoint, ascending index ranges, so sorting the runs and expanding each
+/// in place is sorting the requests by `(key, program index)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct RowRun {
+    key: u64,
+    first: u32,
+    len: u32,
+    has_write: bool,
+}
+
+impl RowRun {
+    /// The run's program indices.
+    fn range(&self) -> std::ops::Range<usize> {
+        self.first as usize..(self.first + self.len) as usize
+    }
 }
 
 impl TimingSink {
@@ -285,14 +318,20 @@ impl TimingSink {
         let lines_per_row_index =
             cfg.lines_per_row().saturating_mul(u64::from(cfg.channels) * key_banks);
         let key_rows = (u64::MAX / 64) / lines_per_row_index + 1;
+        let run_span = match cfg.mapping {
+            AddressMapping::PageInterleave => cfg.lines_per_row() * 64,
+            AddressMapping::LineInterleave => 64,
+        };
         TimingSink {
             memory,
             now: 0,
             issue_mode: IssueMode::Serial,
             key_banks,
             key_rows,
+            run_span,
+            open_run: None,
             staged: Vec::new(),
-            order: Vec::new(),
+            runs: Vec::new(),
             write_keys: Vec::new(),
             spare: Vec::new(),
         }
@@ -320,20 +359,16 @@ impl TimingSink {
         self.issue_mode
     }
 
-    /// Fixes the staged access's ordering, once: packs each request's
-    /// location key and sorts the `(key, program index)` pairs. The pairs
-    /// are distinct, so the unstable sort is the permutation a stable sort
-    /// on the key alone gives — same-location requests keep their program
-    /// order.
+    /// Fixes the staged access's ordering, once: sorts the runs by `(key,
+    /// first index)`. Runs are distinct in that pair, so the unstable sort is
+    /// the permutation a stable sort of the requests on the key alone gives —
+    /// same-location requests keep their program order. Sorting closes the
+    /// last run (it may no longer be last): a request staged afterwards
+    /// starts a new one, and the runs are sorted again.
     fn order_staged(&mut self) {
-        if self.order.len() == self.staged.len() {
-            return;
+        if self.open_run.take().is_some() {
+            self.runs.sort_unstable();
         }
-        let mut order = std::mem::take(&mut self.order);
-        order.clear();
-        order.extend((0u32..).zip(&self.staged).map(|(i, r)| (self.location_key(r.at), i)));
-        order.sort_unstable();
-        self.order = order;
     }
 
     /// The one hand-off to the memory system: moves the clock to `cycle`,
@@ -373,28 +408,32 @@ impl TimingSink {
         if ordered {
             self.order_staged();
         }
-        let (staged, order) = (&self.staged, &self.order);
+        let (staged, runs) = (&self.staged, &self.runs);
         let request = |r: &StagedRequest| {
             let priority = if r.online { Priority::Online } else { Priority::Offline };
             (r.kind, r.at, priority, r.tag)
         };
         let ids = if parallel {
-            let in_key_order = order.iter().map(|&(_, i)| request(&staged[i as usize]));
+            let in_key_order = runs.iter().flat_map(|run| &staged[run.range()]).map(request);
             self.memory.enqueue_decoded(in_key_order, cycle)
         } else {
             self.memory.enqueue_decoded(staged.iter().map(request), cycle)
         };
         if ordered {
-            for (rank, &(key, i)) in order.iter().enumerate() {
-                let r = &staged[i as usize];
-                if r.kind == MemOpKind::Read {
-                    let pos = if parallel { rank } else { i as usize };
-                    if r.online {
-                        online_done.push(self.memory.completion_time(id_at(&ids, pos)));
+            let mut rank = 0;
+            for run in runs {
+                for i in run.range() {
+                    let r = &staged[i];
+                    if r.kind == MemOpKind::Read {
+                        let pos = if parallel { rank } else { i };
+                        if r.online {
+                            online_done.push(self.memory.completion_time(id_at(&ids, pos)));
+                        }
+                        if list_reads {
+                            reads.push((run.key, pos as u32));
+                        }
                     }
-                    if list_reads {
-                        reads.push((key, pos as u32));
-                    }
+                    rank += 1;
                 }
             }
         } else {
@@ -406,7 +445,8 @@ impl TimingSink {
             }
         }
         self.staged.clear();
-        self.order.clear();
+        self.runs.clear();
+        self.open_run = None;
         InflightAccess { ids, reads }
     }
 
@@ -450,10 +490,9 @@ impl TimingSink {
         }
         self.order_staged();
         self.write_keys.clear();
-        for &(key, i) in &self.order {
-            let write = self.staged[i as usize].kind == MemOpKind::Write;
-            if write && self.write_keys.last() != Some(&key) {
-                self.write_keys.push(key);
+        for run in &self.runs {
+            if run.has_write && self.write_keys.last() != Some(&run.key) {
+                self.write_keys.push(run.key);
             }
         }
         let (writes, mut gate) = (&self.write_keys, 0);
@@ -496,7 +535,28 @@ impl TimingSink {
     }
 
     fn stage(&mut self, kind: MemOpKind, addr: SlotAddr, online: bool, op: OramOp) {
-        let at = self.memory.decode_addr(addr.byte());
+        let (byte, write) = (addr.byte(), kind == MemOpKind::Write);
+        let at = match self.open_run {
+            Some((base, at)) if byte.wrapping_sub(base) < self.run_span => {
+                let run = self.runs.last_mut().expect("the open run is the last one");
+                run.len += 1;
+                run.has_write |= write;
+                at
+            }
+            _ => {
+                let at = self.memory.decode_addr(byte);
+                let first =
+                    u32::try_from(self.staged.len()).expect("an access of under 2^32 requests");
+                self.runs.push(RowRun {
+                    key: self.location_key(at),
+                    first,
+                    len: 1,
+                    has_write: write,
+                });
+                self.open_run = Some((byte - byte % self.run_span, at));
+                at
+            }
+        };
         self.staged.push(StagedRequest { kind, tag: op.tag(), online, at });
     }
 }
@@ -531,7 +591,7 @@ mod tests {
             lists.sort_unstable();
             let mut all = vec![
                 (self.staged.as_ptr() as usize, self.staged.capacity()),
-                (self.order.as_ptr() as usize, self.order.capacity()),
+                (self.runs.as_ptr() as usize, self.runs.capacity()),
                 (self.write_keys.as_ptr() as usize, self.write_keys.capacity()),
             ];
             all.extend(lists);
@@ -646,23 +706,34 @@ mod tests {
         op: OramOp,
     }
 
-    /// A request over a few rows, so locations repeat within and across
-    /// accesses; `spread` 4 under the default map pins a whole access to one
-    /// channel.
-    fn arb_req() -> impl Strategy<Value = (u64, u64, bool, bool, usize)> {
-        (0u64..12, 0u64..128, any::<bool>(), any::<bool>(), 0usize..5)
+    /// A bucket-shaped burst — `(row, first line, slots, write mask, online
+    /// mask, op)`: 3–8 consecutive lines of one of a few rows, each slot a read
+    /// or a write, online or not. Locations repeat within and across accesses,
+    /// bursts of one row meet back to back, and one row run can hold both
+    /// kinds.
+    type Burst = (u64, u64, u64, u8, u8, usize);
+
+    fn arb_burst() -> impl Strategy<Value = Burst> {
+        (0u64..12, any::<u64>(), 3u64..=8, any::<u8>(), any::<u8>(), 0usize..5)
     }
 
-    fn build(reqs: &[(u64, u64, bool, bool, usize)], spread: u64, base_row: u64) -> Vec<Req> {
-        let row_bytes = DramConfig::default().row_bytes;
-        reqs.iter()
-            .map(|&(row, line, write, online, op)| Req {
-                addr: (base_row + row * spread) * row_bytes + line * 64,
-                write,
-                online,
-                op: OramOp::ALL[op],
-            })
-            .collect()
+    /// Lays the bursts out under `cfg`: burst row `r` is DRAM page `base_row +
+    /// r × spread` (a `spread` of the channel count pins a page-interleaved
+    /// access to one channel).
+    fn build(cfg: &DramConfig, bursts: &[Burst], spread: u64, base_row: u64) -> Vec<Req> {
+        let mut access = Vec::new();
+        for &(row, first, slots, writes, onlines, op) in bursts {
+            let first = first % (cfg.lines_per_row() - slots + 1);
+            for slot in 0..slots {
+                access.push(Req {
+                    addr: (base_row + row * spread) * cfg.row_bytes + (first + slot) * 64,
+                    write: writes >> slot & 1 == 1,
+                    online: onlines >> slot & 1 == 1,
+                    op: OramOp::ALL[op],
+                });
+            }
+        }
+        access
     }
 
     fn emit(sink: &mut TimingSink, access: &[Req]) {
@@ -700,10 +771,77 @@ mod tests {
         order.iter().map(enqueue).collect()
     }
 
-    /// Table III, and a geometry none of whose radices is a power of two.
-    fn geometries() -> [DramConfig; 2] {
+    /// Table III and a geometry none of whose radices is a power of two, each
+    /// under both address maps.
+    fn configs() -> impl Iterator<Item = DramConfig> {
         let table_iii = DramConfig::default();
-        [table_iii, DramConfig { channels: 3, ranks: 3, banks: 5, row_bytes: 1536, ..table_iii }]
+        let odd = DramConfig { channels: 3, ranks: 3, banks: 5, row_bytes: 1536, ..table_iii };
+        [table_iii, odd].into_iter().flat_map(|geometry| {
+            [AddressMapping::PageInterleave, AddressMapping::LineInterleave]
+                .map(|mapping| DramConfig { mapping, ..geometry })
+        })
+    }
+
+    /// What the staged access was cut into, as `(first, len, has_write)`.
+    fn runs(sink: &TimingSink) -> Vec<(u32, u32, bool)> {
+        sink.runs.iter().map(|run| (run.first, run.len, run.has_write)).collect()
+    }
+
+    #[test]
+    fn a_buckets_consecutive_slots_stage_one_run() {
+        let page = DramConfig::default();
+        let bucket: Vec<SlotAddr> =
+            (0..8).map(|slot| SlotAddr(3 * page.row_bytes + slot * 64)).collect();
+        let mut sink = TimingSink::new(MemorySystem::new(page));
+        sink.read_batch(&bucket[..5], OramOp::ReadPath, true);
+        assert_eq!(runs(&sink), [(0, 5, false)]);
+        // The same row again, now written: still the one run, holding both kinds.
+        sink.write_batch(&bucket[5..], OramOp::EvictPath, false);
+        assert_eq!(runs(&sink), [(0, 8, true)]);
+        // The row's last line and the next row's first are neighbours in the
+        // address space and one channel apart: the run ends at the boundary.
+        sink.read(SlotAddr(4 * page.row_bytes - 64), OramOp::Metadata, true);
+        sink.read(SlotAddr(4 * page.row_bytes), OramOp::Metadata, true);
+        assert_eq!(runs(&sink), [(0, 9, true), (9, 1, false)]);
+        // Every run member carries the run's one decoded location.
+        let decoded = |r: &StagedRequest| sink.location_key(r.at);
+        for run in &sink.runs {
+            assert!(sink.staged[run.range()].iter().all(|r| decoded(r) == run.key));
+        }
+
+        // Line interleave sends neighbouring lines to different channels: the
+        // memo holds one line, so only a repeat of that line extends a run.
+        let line = DramConfig { mapping: AddressMapping::LineInterleave, ..page };
+        let mut sink = TimingSink::new(MemorySystem::new(line));
+        sink.read_batch(&bucket, OramOp::ReadPath, true);
+        assert_eq!(runs(&sink).len(), 8);
+        sink.write(bucket[7], OramOp::EvictPath, false);
+        assert_eq!(runs(&sink)[7..], [(7, 2, true)]);
+        let mut channels: Vec<_> = sink.staged[..4].iter().map(|r| r.at.channel).collect();
+        channels.dedup();
+        assert_eq!(channels.len(), 4, "neighbouring lines sit on four channels");
+    }
+
+    #[test]
+    fn staging_after_the_runs_were_ordered_starts_a_new_run() {
+        let cfg = DramConfig::default();
+        let row = |r: u64| SlotAddr(r * cfg.row_bytes);
+        let mut sink = TimingSink::new(MemorySystem::new(cfg));
+        sink.read(row(9), OramOp::ReadPath, true);
+        sink.read(row(1), OramOp::ReadPath, true);
+        let entry = sink.release_at(0, true, &mut Vec::new());
+        // The gate orders the runs; the last one staged is no longer last.
+        for r in [9, 1] {
+            sink.write(row(r), OramOp::EvictPath, false);
+        }
+        assert!(sink.conflict_gate([&entry]) > 0);
+        assert_eq!(runs(&sink), [(1, 1, true), (0, 1, true)]);
+        // Row 9 again: a new run, not an extension of the run now in front.
+        sink.write(row(9), OramOp::EvictPath, false);
+        assert_eq!(runs(&sink), [(1, 1, true), (0, 1, true), (2, 1, true)]);
+        sink.release_at(1, true, &mut Vec::new());
+        assert_eq!(runs(&sink), [], "the release sorted again, then emptied the runs");
+        assert!(sink.open_run.is_none());
     }
 
     proptest! {
@@ -716,19 +854,17 @@ mod tests {
         fn location_key_orders_as_the_tuple(
             pairs in proptest::collection::vec((any::<u64>(), any::<u64>(), 0u64..4096), 1..64),
         ) {
-            for geometry in geometries() {
-                for mapping in [AddressMapping::PageInterleave, AddressMapping::LineInterleave] {
-                    let sink = TimingSink::new(MemorySystem::new(DramConfig { mapping, ..geometry }));
-                    let tuple = |addr| {
-                        let d = sink.memory().decode_addr(addr);
-                        ((d.channel, d.bank, d.row), sink.location_key(d))
-                    };
-                    for &(a, b, near) in &pairs {
-                        // Far apart, neighbours, and both against the top.
-                        for (a, b) in [(a, b), (a, a.wrapping_add(near * 64)), (a, u64::MAX - near)] {
-                            let ((ta, ka), (tb, kb)) = (tuple(a), tuple(b));
-                            prop_assert_eq!(ka.cmp(&kb), ta.cmp(&tb), "{:#x} vs {:#x}", a, b);
-                        }
+            for cfg in configs() {
+                let sink = TimingSink::new(MemorySystem::new(cfg));
+                let tuple = |addr| {
+                    let d = sink.memory().decode_addr(addr);
+                    ((d.channel, d.bank, d.row), sink.location_key(d))
+                };
+                for &(a, b, near) in &pairs {
+                    // Far apart, neighbours, and both against the top.
+                    for (a, b) in [(a, b), (a, a.wrapping_add(near * 64)), (a, u64::MAX - near)] {
+                        let ((ta, ka), (tb, kb)) = (tuple(a), tuple(b));
+                        prop_assert_eq!(ka.cmp(&kb), ta.cmp(&tb), "{:#x} vs {:#x}", a, b);
                     }
                 }
             }
@@ -737,27 +873,35 @@ mod tests {
         /// The sink's release against a reference kept here: same ids, same
         /// completion cycle per id, same online reads, same statistics and a
         /// twin left in the same state (a probe burst afterwards completes at
-        /// the same cycles) — under both issue modes, listing reads or not.
+        /// the same cycles) — under both issue modes, listing reads or not,
+        /// over every geometry and address map of [`configs`].
         #[test]
         fn staged_release_matches_a_one_request_at_a_time_reference(
             accesses in proptest::collection::vec(
-                (proptest::collection::vec(arb_req(), 0..48), any::<bool>(), 0u64..3_000),
-                1..10,
+                (proptest::collection::vec(arb_burst(), 0..9), any::<bool>(), 0u64..3_000),
+                1..8,
             ),
         ) {
-            for mode in [IssueMode::Serial, IssueMode::ChannelParallel] {
-                for list_reads in [false, true] {
-                    let mut sink = TimingSink::new(MemorySystem::new(DramConfig::default()));
+            let modes = [IssueMode::Serial, IssueMode::ChannelParallel];
+            for cfg in configs() {
+                for (mode, list_reads) in modes.into_iter().flat_map(|m| [(m, false), (m, true)]) {
+                    let mut sink = TimingSink::new(MemorySystem::new(cfg));
                     sink.set_issue_mode(mode);
-                    let mut reference = MemorySystem::new(DramConfig::default());
+                    let mut reference = MemorySystem::new(cfg);
                     let mut now = 0;
-                    for (reqs, one_channel, gap) in &accesses {
-                        let access = build(reqs, if *one_channel { 4 } else { 1 }, 0);
+                    for (bursts, one_channel, gap) in &accesses {
+                        let spread = if *one_channel { u64::from(cfg.channels) } else { 1 };
+                        let access = build(&cfg, bursts, spread, 0);
                         now += gap;
                         let order = reference_order(&reference, &access, mode);
                         let want = reference_release(&mut reference, &order, now);
 
                         emit(&mut sink, &access);
+                        // Under line interleave no two lines share a run.
+                        let merged = sink.runs.iter().any(|run| {
+                            access[run.range()].windows(2).any(|w| w[0].addr / 64 != w[1].addr / 64)
+                        });
+                        prop_assert!(cfg.mapping == AddressMapping::PageInterleave || !merged);
                         let mut online_done = Vec::new();
                         let entry = sink.release_at(now, list_reads, &mut online_done);
                         let ids: Vec<_> = entry.ids.clone().collect();
@@ -805,45 +949,52 @@ mod tests {
         /// The merged gate against brute force — "every read of the entry
         /// whose row the staged access writes" — on entries that are disjoint
         /// from, overlap, or repeat the rows written: same cycle, and the twin
-        /// left in the same state.
+        /// left in the same state, over every geometry and address map.
         #[test]
         fn merged_conflict_gate_matches_brute_force(
-            first in proptest::collection::vec(arb_req(), 0..64),
-            second in proptest::collection::vec(arb_req(), 0..64),
+            first in proptest::collection::vec(arb_burst(), 0..12),
+            second in proptest::collection::vec(arb_burst(), 0..12),
             disjoint in any::<bool>(),
             parallel in any::<bool>(),
         ) {
             let mode = if parallel { IssueMode::ChannelParallel } else { IssueMode::Serial };
-            let first = build(&first, 1, 0);
-            let second = build(&second, 1, if disjoint { 12 } else { 0 });
-            let mk = || {
-                let mut sink = TimingSink::new(MemorySystem::new(DramConfig::default()));
-                sink.set_issue_mode(mode);
-                emit(&mut sink, &first);
-                let entry = sink.release_at(100, true, &mut Vec::new());
-                emit(&mut sink, &second);
-                (sink, entry)
-            };
+            for cfg in configs() {
+                // Past every row `first` can decode to, under either map.
+                let apart = if disjoint { 12 * u64::from(cfg.channels) * cfg.banks_per_channel() } else { 0 };
+                let first = build(&cfg, &first, 1, 0);
+                let second = build(&cfg, &second, 1, apart);
+                let mk = || {
+                    let mut sink = TimingSink::new(MemorySystem::new(cfg));
+                    sink.set_issue_mode(mode);
+                    emit(&mut sink, &first);
+                    let entry = sink.release_at(100, true, &mut Vec::new());
+                    emit(&mut sink, &second);
+                    (sink, entry)
+                };
 
-            let (mut merged, entry) = mk();
-            let gate = merged.conflict_gate([&entry]);
+                let (mut merged, entry) = mk();
+                let gate = merged.conflict_gate([&entry]);
 
-            let (mut brute, entry) = mk();
-            let mem = brute.memory_mut();
-            let written: Vec<_> =
-                second.iter().filter(|r| r.write).map(|r| location(mem, r)).collect();
-            let mut want = 0;
-            for (r, id) in reference_order(mem, &first, mode).iter().zip(entry.ids.clone()) {
-                if !r.write && written.contains(&location(mem, r)) {
-                    want = want.max(mem.completion_time(id));
+                let (mut brute, entry) = mk();
+                let mem = brute.memory_mut();
+                let written: Vec<_> =
+                    second.iter().filter(|r| r.write).map(|r| location(mem, r)).collect();
+                let mut want = 0;
+                for (r, id) in reference_order(mem, &first, mode).iter().zip(entry.ids.clone()) {
+                    if !r.write && written.contains(&location(mem, r)) {
+                        want = want.max(mem.completion_time(id));
+                    }
                 }
-            }
 
-            prop_assert_eq!(gate, want);
-            prop_assert!(!disjoint || gate == 0, "disjoint rows never gate");
-            prop_assert_eq!(merged.memory().stats(), brute.memory().stats());
-            prop_assert_eq!(merged.memory().tracked_requests(), brute.memory().tracked_requests());
-            prop_assert_eq!(merged.memory().pending(), brute.memory().pending());
+                prop_assert_eq!(gate, want, "{:?}", cfg.mapping);
+                prop_assert!(!disjoint || gate == 0, "disjoint rows never gate");
+                prop_assert_eq!(merged.memory().stats(), brute.memory().stats());
+                prop_assert_eq!(
+                    merged.memory().tracked_requests(),
+                    brute.memory().tracked_requests()
+                );
+                prop_assert_eq!(merged.memory().pending(), brute.memory().pending());
+            }
         }
     }
 

@@ -115,7 +115,7 @@ mod tests {
     use crate::channel::{MemOpKind, Priority};
 
     fn stats_with(reads: u64, writes: u64, hits: u64) -> MemoryStats {
-        let mut s = MemoryStats::new(1);
+        let mut s = MemoryStats::new(1, 1, 1);
         for i in 0..reads {
             let outcome = if i < hits { RowBufferOutcome::Hit } else { RowBufferOutcome::Miss };
             s.record(MemOpKind::Read, Priority::Online, 0, outcome, 16, 100, 0, 0);

@@ -33,17 +33,22 @@ pub struct MemoryStats {
     stall_events: u64,
     /// Cycles requests spent pushed past injected stall windows.
     stall_cycles: u64,
-    /// Requests serviced per channel (index = channel id; grown lazily).
+    /// Requests serviced per channel (index = channel id).
     requests_by_channel: Vec<u64>,
-    /// Data-bus busy cycles per channel (index = channel id; grown lazily).
+    /// Data-bus busy cycles per channel (index = channel id).
     bus_cycles_by_channel: Vec<u64>,
-    /// Requests serviced per bank (index = global bank id; grown lazily).
+    /// Requests serviced per bank (index = global bank id,
+    /// `channel × banks_per_channel + bank`).
     requests_by_bank: Vec<u64>,
+    banks_per_channel: usize,
 }
 
 impl MemoryStats {
-    /// Creates counters able to attribute traffic to tags `0..tags`.
-    pub fn new(tags: usize) -> Self {
+    /// Creates counters able to attribute traffic to tags `0..tags`, over a
+    /// geometry of `channels` channels of `banks_per_channel` banks each. The
+    /// per-channel and per-bank tables are sized here, once, so an idle
+    /// channel or bank reads zero rather than being absent.
+    pub fn new(tags: usize, channels: usize, banks_per_channel: usize) -> Self {
         MemoryStats {
             reads: 0,
             writes: 0,
@@ -57,17 +62,11 @@ impl MemoryStats {
             last_completion: 0,
             stall_events: 0,
             stall_cycles: 0,
-            requests_by_channel: Vec::new(),
-            bus_cycles_by_channel: Vec::new(),
-            requests_by_bank: Vec::new(),
+            requests_by_channel: vec![0; channels],
+            bus_cycles_by_channel: vec![0; channels],
+            requests_by_bank: vec![0; channels * banks_per_channel],
+            banks_per_channel,
         }
-    }
-
-    fn bump(vec: &mut Vec<u64>, index: usize, amount: u64) {
-        if vec.len() <= index {
-            vec.resize(index + 1, 0);
-        }
-        vec[index] += amount;
     }
 
     pub(crate) fn record_stall(&mut self, delay_cycles: u64) {
@@ -110,13 +109,19 @@ impl MemoryStats {
             self.bus_cycles_by_tag[t] += burst_cycles;
             self.requests_by_tag[t] += 1;
         }
-        Self::bump(&mut self.requests_by_channel, usize::from(channel), 1);
-        Self::bump(&mut self.bus_cycles_by_channel, usize::from(channel), burst_cycles);
-        Self::bump(&mut self.requests_by_bank, usize::from(bank), 1);
+        let channel = usize::from(channel);
+        self.requests_by_channel[channel] += 1;
+        self.bus_cycles_by_channel[channel] += burst_cycles;
+        self.requests_by_bank[channel * self.banks_per_channel + usize::from(bank)] += 1;
         self.last_completion = self.last_completion.max(completion);
     }
 
     /// Merges counters from another instance (used to sum channels).
+    ///
+    /// # Panics
+    ///
+    /// "one geometry" — the two instances were created for different channel
+    /// or bank counts, so their per-channel and per-bank tables do not align.
     pub fn merge(&mut self, other: &MemoryStats) {
         self.reads += other.reads;
         self.writes += other.writes;
@@ -134,14 +139,19 @@ impl MemoryStats {
         self.last_completion = self.last_completion.max(other.last_completion);
         self.stall_events += other.stall_events;
         self.stall_cycles += other.stall_cycles;
-        for (i, &v) in other.requests_by_channel.iter().enumerate() {
-            Self::bump(&mut self.requests_by_channel, i, v);
+        assert_eq!(
+            (self.requests_by_channel.len(), self.banks_per_channel),
+            (other.requests_by_channel.len(), other.banks_per_channel),
+            "merged statistics must cover one geometry"
+        );
+        for (a, b) in self.requests_by_channel.iter_mut().zip(&other.requests_by_channel) {
+            *a += b;
         }
-        for (i, &v) in other.bus_cycles_by_channel.iter().enumerate() {
-            Self::bump(&mut self.bus_cycles_by_channel, i, v);
+        for (a, b) in self.bus_cycles_by_channel.iter_mut().zip(&other.bus_cycles_by_channel) {
+            *a += b;
         }
-        for (i, &v) in other.requests_by_bank.iter().enumerate() {
-            Self::bump(&mut self.requests_by_bank, i, v);
+        for (a, b) in self.requests_by_bank.iter_mut().zip(&other.requests_by_bank) {
+            *a += b;
         }
     }
 
@@ -207,8 +217,8 @@ impl MemoryStats {
         self.last_completion
     }
 
-    /// Requests serviced per channel, indexed by channel id. Indices past
-    /// the last channel that serviced anything are absent.
+    /// Requests serviced per channel, indexed by channel id: one entry per
+    /// channel of the geometry, zero for a channel that serviced nothing.
     pub fn requests_by_channel(&self) -> &[u64] {
         &self.requests_by_channel
     }
@@ -218,8 +228,9 @@ impl MemoryStats {
         &self.bus_cycles_by_channel
     }
 
-    /// Requests serviced per bank, indexed by the bank id within the
-    /// decoded address (uniform across channels).
+    /// Requests serviced per bank, indexed by the global bank id
+    /// `channel × banks_per_channel + bank` (`bank` as in
+    /// [`crate::DecodedAddr::bank`]): one entry per bank of the geometry.
     pub fn requests_by_bank(&self) -> &[u64] {
         &self.requests_by_bank
     }
@@ -250,7 +261,7 @@ mod tests {
 
     #[test]
     fn record_and_query() {
-        let mut s = MemoryStats::new(4);
+        let mut s = MemoryStats::new(4, 2, 4);
         s.record(MemOpKind::Read, Priority::Online, 1, RowBufferOutcome::Hit, 16, 100, 0, 2);
         s.record(MemOpKind::Write, Priority::Offline, 1, RowBufferOutcome::Conflict, 16, 250, 1, 2);
         assert_eq!(s.total_requests(), 2);
@@ -263,11 +274,17 @@ mod tests {
         assert_eq!(s.bytes_transferred(), 128);
         assert_eq!(s.last_completion(), 250);
         assert_eq!(s.row_hit_rate(), 0.5);
+        assert_eq!(
+            (s.requests_by_channel(), s.bus_cycles_by_channel()),
+            (&[1, 1][..], &[16, 16][..])
+        );
+        // Bank 2 of channel 0 and bank 2 of channel 1 are different banks.
+        assert_eq!(s.requests_by_bank(), [0, 0, 1, 0, 0, 0, 1, 0]);
     }
 
     #[test]
     fn out_of_range_tag_is_ignored_not_panicking() {
-        let mut s = MemoryStats::new(1);
+        let mut s = MemoryStats::new(1, 1, 1);
         s.record(MemOpKind::Read, Priority::Online, 9, RowBufferOutcome::Miss, 16, 10, 0, 0);
         assert_eq!(s.bus_cycles_for_tag(9), 0);
         assert_eq!(s.total_requests(), 1);
@@ -275,19 +292,27 @@ mod tests {
 
     #[test]
     fn merge_sums() {
-        let mut a = MemoryStats::new(2);
-        let mut b = MemoryStats::new(2);
+        let mut a = MemoryStats::new(2, 4, 8);
+        let mut b = MemoryStats::new(2, 4, 8);
         a.record(MemOpKind::Read, Priority::Online, 0, RowBufferOutcome::Hit, 16, 50, 0, 0);
         b.record(MemOpKind::Read, Priority::Online, 0, RowBufferOutcome::Hit, 16, 80, 3, 7);
         a.merge(&b);
         assert_eq!(a.total_requests(), 2);
         assert_eq!(a.bus_cycles_for_tag(0), 32);
         assert_eq!(a.last_completion(), 80);
+        assert_eq!(a.requests_by_channel(), [1, 0, 0, 1]);
+        assert_eq!((a.requests_by_bank()[0], a.requests_by_bank()[3 * 8 + 7]), (1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "one geometry")]
+    fn merging_across_geometries_is_refused() {
+        MemoryStats::new(2, 4, 8).merge(&MemoryStats::new(2, 4, 16));
     }
 
     #[test]
     fn bandwidth_math() {
-        let mut s = MemoryStats::new(1);
+        let mut s = MemoryStats::new(1, 1, 1);
         for _ in 0..10 {
             s.record(MemOpKind::Read, Priority::Online, 0, RowBufferOutcome::Hit, 16, 160, 0, 0);
         }

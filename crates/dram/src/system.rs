@@ -118,10 +118,11 @@ impl MemorySystem {
     pub fn new(cfg: DramConfig) -> Self {
         check_geometry(&cfg);
         let channels = (0..cfg.channels).map(|_| Channel::new(&cfg)).collect();
+        let banks = cfg.banks_per_channel() as usize;
         MemorySystem {
             cfg,
             channels,
-            stats: MemoryStats::new(TAG_SLOTS),
+            stats: MemoryStats::new(TAG_SLOTS, usize::from(cfg.channels), banks),
             base: 0,
             completions: Vec::new(),
             routing: Vec::new(),
@@ -319,17 +320,22 @@ impl MemorySystem {
     ///   another memory system);
     /// * "already retired" — `id` is below the mark a
     ///   [`retire`](MemorySystem::retire) call advanced.
+    #[inline]
     pub fn completion_time(&mut self, id: RequestId) -> u64 {
         let slot = match id.0.checked_sub(self.base) {
             None => panic!("request {id:?} already retired"),
             Some(slot) if slot < self.routing.len() as u64 => slot as usize,
             Some(_) => panic!("request {id:?} never enqueued"),
         };
-        let done = self.completions[slot];
-        if done != NOT_DONE {
-            return done;
+        match self.completions[slot] {
+            NOT_DONE => self.run_until(id, self.routing[slot]),
+            done => done,
         }
-        let channel = self.routing[slot];
+    }
+
+    /// Runs `channel` forward until it has serviced `id`, recording every
+    /// completion on the way.
+    fn run_until(&mut self, id: RequestId, channel: u8) -> u64 {
         loop {
             match self.channels[channel as usize].schedule_one(&mut self.stats) {
                 Some((done_id, t)) => {
@@ -532,6 +538,27 @@ mod tests {
         }
         mem.drain();
         assert_eq!(mem.stats().total_requests(), 8);
+    }
+
+    #[test]
+    fn per_channel_and_per_bank_counters_cover_the_geometry() {
+        let cfg = DramConfig::default();
+        let banks = cfg.banks_per_channel() as usize;
+        let mut mem = MemorySystem::new(cfg);
+        assert_eq!(mem.stats().requests_by_channel(), [0; 4], "idle channels read zero");
+        assert_eq!(mem.stats().bus_cycles_by_channel(), [0; 4]);
+        assert_eq!(mem.stats().requests_by_bank(), vec![0; 4 * banks]);
+        // Bank 0 of channel 0 and bank 0 of channel 1: two banks, two counters.
+        for addr in [0, cfg.row_bytes] {
+            let at = mem.decode_addr(addr);
+            assert_eq!((u64::from(at.channel), at.bank), (addr / cfg.row_bytes, 0));
+            mem.enqueue(MemOpKind::Read, addr, Priority::Online, 0, 0);
+        }
+        mem.drain();
+        let stats = mem.stats();
+        assert_eq!(stats.requests_by_channel(), [1, 1, 0, 0]);
+        assert_eq!((stats.requests_by_bank()[0], stats.requests_by_bank()[banks]), (1, 1));
+        assert_eq!(stats.requests_by_bank().iter().sum::<u64>(), 2);
     }
 
     #[test]
