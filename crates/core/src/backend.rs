@@ -4,8 +4,8 @@
 //! without caring whether time is simulated cycle-accurately or just
 //! accounted. [`StorageBackend`] is that seam: the engine plus a clock.
 //!
-//! * [`TimedBackend`] is the cycle-accurate twin — the same access
-//!   controller (sink, DRAM twin, crypto model, in-flight window) as
+//! * [`TimedBackend`] is the cycle-accurate twin — the same stager and
+//!   access controller (DRAM twin, crypto model, in-flight window) as
 //!   [`crate::TimingDriver`], minus the trace-driven CPU: the caller supplies
 //!   request arrival times and reads back completion times, so a load
 //!   generator measures real queueing latency on the simulated memory system.
@@ -23,7 +23,7 @@ use crate::config::OramConfig;
 use crate::controller::AccessController;
 use crate::error::OramError;
 use crate::ring::{AccessKind, PayloadMutator, RingOram};
-use crate::sink::{CountingSink, TimingSink};
+use crate::sink::{CountingSink, Stager};
 use crate::{BlockId, BLOCK_BYTES};
 use aboram_dram::{DramConfig, MemorySystem};
 use aboram_tree::PathId;
@@ -128,6 +128,8 @@ pub trait StorageBackend {
 #[derive(Debug)]
 pub struct TimedBackend {
     oram: RingOram,
+    /// The engine's sink: each access is staged here, inline, then released.
+    stager: Stager,
     ctl: AccessController,
 }
 
@@ -146,7 +148,7 @@ impl TimedBackend {
     /// `AbChannelPar` tenant gets the channel-parallel drain end to end.
     pub fn from_oram(oram: RingOram, dram: DramConfig) -> Self {
         let ctl = AccessController::new(MemorySystem::new(dram), oram.config().scheme.issue_mode());
-        TimedBackend { oram, ctl }
+        TimedBackend { oram, stager: ctl.stager(), ctl }
     }
 
     /// Resolves every in-flight access, folds the completions into
@@ -155,19 +157,19 @@ impl TimedBackend {
         self.ctl.quiesce()
     }
 
-    /// Runs one engine access under the controller. An access the engine
-    /// fails part-way through is dropped unreleased: the twin never sees it.
+    /// Runs one engine access on the stager, then releases it under the
+    /// controller. An access the engine fails part-way through is abandoned
+    /// at the stager's boundary: the twin never sees it.
     fn timed(
         &mut self,
         arrival: u64,
-        access: impl FnOnce(
-            &mut RingOram,
-            &mut TimingSink,
-        ) -> Result<Option<[u8; BLOCK_BYTES]>, OramError>,
+        access: impl FnOnce(&mut RingOram, &mut Stager) -> Result<Option<[u8; BLOCK_BYTES]>, OramError>,
     ) -> Result<BackendReply, OramError> {
-        let data = access(&mut self.oram, self.ctl.sink_mut())
-            .inspect_err(|_| self.ctl.sink_mut().clear_staged())?;
-        let (_, done) = self.ctl.finish(arrival);
+        let result = access(&mut self.oram, &mut self.stager);
+        let data = self.stager.end_access(result)?;
+        let staged = self.stager.batch_mut();
+        let (_, done) = self.ctl.finish(arrival, staged.get(0));
+        staged.clear();
         Ok(BackendReply { data, done })
     }
 }
@@ -213,6 +215,7 @@ impl StorageBackend for TimedBackend {
 
     fn set_pipeline_depth(&mut self, depth: u8) {
         self.ctl.set_depth(depth);
+        self.stager.configure(self.ctl.issue_mode(), self.ctl.depth());
     }
 
     fn pipeline_depth(&self) -> u8 {
@@ -386,51 +389,60 @@ mod tests {
         // The adapter adds nothing to the schedule: the same engine and
         // access sequence at the same arrival cycles yields the identical
         // `(start, done)` stream through a bare controller and through the
-        // backend, at either depth under either issue mode.
+        // backend, at either depth and across a depth 1 → 4 → 1 switch, under
+        // either issue mode.
         for scheme in [Scheme::Ab, Scheme::AbChannelPar] {
-            for depth in [1u8, 4] {
+            for depths in [[1u8, 1, 1], [4, 4, 4], [1, 4, 1]] {
                 let cfg = OramConfig::builder(8, scheme).store_data(true).seed(5).build().unwrap();
                 let mut oram = RingOram::new(&cfg).unwrap();
                 let mut bare = AccessController::new(
                     MemorySystem::new(DramConfig::default()),
                     scheme.issue_mode(),
                 );
-                bare.set_depth(depth);
+                let mut stager = bare.stager();
                 let mut backend = TimedBackend::new(&cfg, DramConfig::default()).unwrap();
-                backend.set_pipeline_depth(depth);
-                for i in 0..160u64 {
+                for i in 0..192u64 {
+                    if i % 64 == 0 {
+                        let depth = depths[i as usize / 64];
+                        bare.set_depth(depth);
+                        stager.configure(bare.issue_mode(), bare.depth());
+                        backend.set_pipeline_depth(depth);
+                    }
                     // Bursts of back-to-back arrivals, then an idle gap.
                     let arrival = (i / 8) * 20_000 + i % 8;
                     let (block, payload) = (i % 23, [i as u8; BLOCK_BYTES]);
                     let reply = match i % 4 {
                         0 => {
-                            oram.access(AccessKind::Write, block, Some(payload), bare.sink_mut())
+                            oram.access(AccessKind::Write, block, Some(payload), &mut stager)
                                 .unwrap();
                             backend.access(arrival, AccessKind::Write, block, Some(payload))
                         }
                         1 => {
-                            oram.dummy_access(bare.sink_mut()).unwrap();
+                            oram.dummy_access(&mut stager).unwrap();
                             backend.dummy_access(arrival)
                         }
                         2 => {
-                            oram.access_managed(block, None, &mut |d| d[0] ^= 1, bare.sink_mut())
+                            oram.access_managed(block, None, &mut |d| d[0] ^= 1, &mut stager)
                                 .unwrap();
                             backend.access_managed(arrival, block, None, &mut |d| d[0] ^= 1)
                         }
                         _ => {
-                            oram.access(AccessKind::Read, block, None, bare.sink_mut()).unwrap();
+                            oram.access(AccessKind::Read, block, None, &mut stager).unwrap();
                             backend.access(arrival, AccessKind::Read, block, None)
                         }
                     }
                     .unwrap();
-                    let (start, done) = bare.finish(arrival);
+                    stager.commit_access();
+                    let staged = stager.batch_mut();
+                    let (start, done) = bare.finish(arrival, staged.get(0));
+                    staged.clear();
                     assert_eq!(
                         (backend.ctl.now(), reply.done),
                         (start, done),
-                        "{scheme:?} depth {depth} access {i}"
+                        "{scheme:?} depths {depths:?} access {i}"
                     );
                 }
-                assert_eq!(backend.quiesce(), bare.quiesce(), "{scheme:?} depth {depth}");
+                assert_eq!(backend.quiesce(), bare.quiesce(), "{scheme:?} depths {depths:?}");
             }
         }
     }
@@ -458,9 +470,9 @@ mod tests {
         }
     }
 
-    /// The timed sink with a fault plan answering the engine's polls.
+    /// The stager with a fault plan answering the engine's polls.
     struct Flaky<'a> {
-        sink: &'a mut TimingSink,
+        sink: &'a mut Stager,
         plan: &'a mut FaultPlan,
     }
 
@@ -522,7 +534,8 @@ mod tests {
             assert!(failing.expect("the plan exhausts a retry") > 0);
             assert_eq!(b.ctl.requests_issued(), earlier, "the twin saw the earlier accesses only");
             b.quiesce();
-            assert!(b.ctl.is_idle(), "depth {depth}: nothing of the failed access is staged");
+            assert!(b.ctl.is_idle(), "depth {depth}: the controller is at rest");
+            assert!(b.stager.is_idle(), "depth {depth}: nothing of the failed access is staged");
             let issued = b.ctl.requests_issued();
             b.access(b.free_at(), AccessKind::Read, 3, None).expect("the next access completes");
             let mut own = CountingSink::new();

@@ -3,20 +3,24 @@
 //!
 //! The paper's methodology (§VII) has a single ORAM controller between the
 //! core and DRAM. [`AccessController`] is that controller: it owns the
-//! timing sink (and through it the DRAM twin), the crypto-latency model, the
-//! access-pipeline depth and the in-flight window. [`crate::TimingDriver`]
-//! feeds it trace records from a ROB core and [`crate::TimedBackend`] feeds
-//! it service requests; neither keeps issue state of its own.
+//! release half of the timed path (and through it the DRAM twin), the
+//! crypto-latency model, the access-pipeline depth and the in-flight window.
+//! [`crate::TimingDriver`] feeds it trace records from a ROB core and
+//! [`crate::TimedBackend`] feeds it service requests; neither keeps issue
+//! state of its own.
 //!
-//! One access is engine call(s) on [`sink_mut`](AccessController::sink_mut),
-//! which stage its requests, then `finish(arrival)`, which releases them and
-//! returns `(start, done)`: the cycle the access's requests reached DRAM and
-//! the cycle its data left the decrypt/verify pipeline. `start` is the
-//! latest of the arrival, monotone-start, stash hand-off, floor,
-//! window-overflow, WAR-conflict and crypto-idle gates, and each release
-//! counts the gate that set it (`controller.gate.<name>`); the crypto carry
-//! additionally holds `done`. DESIGN.md §15 tabulates each gate, the
-//! dependency it enforces and the field carrying it.
+//! One access is engine call(s) on a [`Stager`] configured for this
+//! controller ([`stager`](AccessController::stager)), which decode, row-run
+//! and order its requests and commit them at the access boundary, then
+//! `finish(arrival, access)`, which releases the staged access and returns
+//! `(start, done)`: the cycle the access's requests reached DRAM and the
+//! cycle its data left the decrypt/verify pipeline. Staging is timing-free,
+//! so it may run ahead, on another thread; what happens here needs the
+//! clock. `start` is the latest of the arrival, monotone-start, stash
+//! hand-off, floor, window-overflow, WAR-conflict and crypto-idle gates, and
+//! each release counts the gate that set it (`controller.gate.<name>`); the
+//! crypto carry additionally holds `done`. DESIGN.md §15 tabulates each
+//! gate, the dependency it enforces and the field carrying it.
 //!
 //! Every depth takes the same path. The whole access is staged, its
 //! footprint inspected, and the gates fix its start before the one release.
@@ -31,7 +35,7 @@
 //! is therefore bounded by depth × access size.
 
 use crate::config::IssueMode;
-use crate::sink::{InflightAccess, TimingSink};
+use crate::sink::{InflightAccess, Layout, Releaser, StagedAccess, Stager};
 use aboram_crypto::CryptoLatency;
 use aboram_dram::MemorySystem;
 use std::collections::VecDeque;
@@ -39,7 +43,8 @@ use std::collections::VecDeque;
 /// See the module docs.
 #[derive(Debug)]
 pub(crate) struct AccessController {
-    sink: TimingSink,
+    releaser: Releaser,
+    issue_mode: IssueMode,
     crypto: CryptoLatency,
     /// Maximum concurrently in-flight accesses; 1 = the classic serialized
     /// controller.
@@ -63,10 +68,9 @@ pub(crate) struct AccessController {
 impl AccessController {
     /// A depth-1 controller over `memory` with the default crypto model.
     pub(crate) fn new(memory: MemorySystem, issue_mode: IssueMode) -> Self {
-        let mut sink = TimingSink::new(memory);
-        sink.set_issue_mode(issue_mode);
         AccessController {
-            sink,
+            releaser: Releaser::new(memory),
+            issue_mode,
             crypto: CryptoLatency::default(),
             depth: 1,
             free_at: 0,
@@ -77,15 +81,18 @@ impl AccessController {
         }
     }
 
-    /// The sink engine calls stage an access's requests on, until
-    /// [`finish`](Self::finish) releases it.
-    pub(crate) fn sink_mut(&mut self) -> &mut TimingSink {
-        &mut self.sink
+    /// A stager for this controller's geometry, issue mode and depth: the
+    /// sink its accesses are staged on. A later change of mode or depth must
+    /// be passed on with [`Stager::configure`].
+    pub(crate) fn stager(&self) -> Stager {
+        let mut stager = Stager::new(*self.memory().config());
+        stager.configure(self.issue_mode, self.depth);
+        stager
     }
 
     /// The DRAM twin.
     pub(crate) fn memory(&self) -> &MemorySystem {
-        self.sink.memory()
+        self.releaser.memory()
     }
 
     /// Requests handed to the DRAM twin so far: serviced plus queued.
@@ -96,17 +103,17 @@ impl AccessController {
 
     /// Mutable DRAM twin (stall injection, final drain).
     pub(crate) fn memory_mut(&mut self) -> &mut MemorySystem {
-        self.sink.memory_mut()
+        self.releaser.memory_mut()
     }
 
     /// Overrides the issue mode.
     pub(crate) fn set_issue_mode(&mut self, mode: IssueMode) {
-        self.sink.set_issue_mode(mode);
+        self.issue_mode = mode;
     }
 
     /// The issue mode in force.
     pub(crate) fn issue_mode(&self) -> IssueMode {
-        self.sink.issue_mode()
+        self.issue_mode
     }
 
     /// Replaces the crypto latency model.
@@ -136,25 +143,25 @@ impl AccessController {
         self.free_at
     }
 
-    /// The sink clock: the start cycle of the most recent access.
+    /// The release clock: the start cycle of the most recent access.
     #[cfg(test)]
     pub(crate) fn now(&self) -> u64 {
-        self.sink.now()
+        self.releaser.now()
     }
 
-    /// Whether nothing is staged, undrained or in flight (true after
+    /// Whether nothing is undrained or in flight (true after
     /// [`quiesce`](Self::quiesce)).
     #[cfg(test)]
     pub(crate) fn is_idle(&self) -> bool {
-        self.window.is_empty() && self.sink.is_idle()
+        self.window.is_empty()
     }
 
-    /// Closes the access the engine staged since the last call, which
-    /// arrived at cycle `arrival`: releases it, charges the crypto pipeline
-    /// on its online reads, and returns `(start, done)`. The user's load
-    /// completes at `done`; maintenance traffic keeps draining in the window.
-    pub(crate) fn finish(&mut self, arrival: u64) -> (u64, u64) {
-        let start = self.release(arrival);
+    /// Releases `access`, staged for this controller, which arrived at cycle
+    /// `arrival`: charges the crypto pipeline on its online reads and
+    /// returns `(start, done)`. The user's load completes at `done`;
+    /// maintenance traffic keeps draining in the window.
+    pub(crate) fn finish(&mut self, arrival: u64, access: StagedAccess<'_>) -> (u64, u64) {
+        let start = self.release(arrival, access);
 
         // The user-visible critical path: the online reads plus the crypto
         // pipeline on the returned blocks.
@@ -165,7 +172,7 @@ impl AccessController {
             // Serial issue: the whole burst enters the pipeline after the
             // last reply, floored by a still-busy pipeline.
             let serial_done = last + self.crypto.burst_cycles(n);
-            done = match self.issue_mode() {
+            done = match self.issue_mode {
                 IssueMode::Serial => serial_done.max(self.crypto_exit + n * self.crypto.per_block),
                 // Channel-parallel issue: each block enters as its channel
                 // returns it, so only the tail DRAM couldn't hide is exposed.
@@ -189,36 +196,41 @@ impl AccessController {
         (start, done)
     }
 
-    /// Fixes the staged access's start cycle from its dependency gates,
-    /// counts the gate that set it (the first, in the order below, to reach
-    /// the latest cycle) and releases the access to the DRAM twin and into
-    /// the window, leaving its online reads' reply cycles in `completions`.
-    fn release(&mut self, arrival: u64) -> u64 {
-        let sink = &mut self.sink;
+    /// Fixes the access's start cycle from its dependency gates, counts the
+    /// gate that set it (the first, in the order below, to reach the latest
+    /// cycle) and releases the access to the DRAM twin and into the window,
+    /// leaving its online reads' reply cycles in `completions`.
+    fn release(&mut self, arrival: u64, access: StagedAccess<'_>) -> u64 {
+        debug_assert_eq!(
+            access.layout,
+            Layout::of(self.issue_mode, self.depth),
+            "an access staged for another issue mode or depth"
+        );
+        let releaser = &mut self.releaser;
         let mut start = (arrival, "controller.gate.arrival");
         let mut hold = |until: u64, gate: &'static str| {
             if until > start.0 {
                 start = (until, gate);
             }
         };
-        hold(sink.now(), "controller.gate.monotone_start");
+        hold(releaser.now(), "controller.gate.monotone_start");
         hold(self.prev_online_done, "controller.gate.stash_hand_off");
         hold(self.free_at, "controller.gate.floor");
         // Window overflow: the oldest in-flight access must fully complete
         // before a (depth+1)-th access may enter.
         while self.window.len() >= usize::from(self.depth) {
             let oldest = self.window.pop_front().expect("non-empty window");
-            hold(sink.resolve_inflight(oldest), "controller.gate.window_overflow");
+            hold(releaser.resolve_inflight(oldest), "controller.gate.window_overflow");
         }
         // The accesses that left the window are resolved and nothing holds
         // their ids any more: end their per-request state in the DRAM twin.
         let oldest_live = self.window.iter().find_map(|e| e.ids.clone().next());
-        let memory = sink.memory_mut();
+        let memory = releaser.memory_mut();
         memory.retire(oldest_live.unwrap_or_else(|| memory.next_request_id()));
         // Write-after-read: this access's writebacks must not land in a
         // `(channel, bank, row)` an in-flight access has not finished
-        // reading. RAW and WAW need no gate (see `TimingSink::conflict_gate`).
-        hold(sink.conflict_gate(&self.window), "controller.gate.war_conflict");
+        // reading. RAW and WAW need no gate (see `Releaser::conflict_gate`).
+        hold(releaser.conflict_gate(&self.window, &access), "controller.gate.war_conflict");
         // Crypto idle: with nothing in flight there is no carry to thread
         // through, so the access waits for the pipeline to idle instead.
         if self.window.is_empty() {
@@ -226,9 +238,7 @@ impl AccessController {
         }
         let (start, gate) = start;
         aboram_telemetry::counter_add(gate, 1);
-        // Only a window of more than one can hold this entry while a later
-        // access checks its reads.
-        self.window.push_back(sink.release_at(start, self.depth > 1, &mut self.completions));
+        self.window.push_back(releaser.release_at(start, access, &mut self.completions));
         start
     }
 
@@ -239,7 +249,7 @@ impl AccessController {
     pub(crate) fn quiesce(&mut self) -> u64 {
         let mut free = self.free_at.max(self.prev_online_done).max(self.crypto_exit);
         while let Some(entry) = self.window.pop_front() {
-            free = free.max(self.sink.resolve_inflight(entry));
+            free = free.max(self.releaser.resolve_inflight(entry));
         }
         let memory = self.memory_mut();
         memory.retire(memory.next_request_id());
@@ -259,11 +269,50 @@ mod tests {
     use aboram_tree::SlotAddr;
     use proptest::prelude::*;
 
-    fn controller(depth: u8, mode: IssueMode, crypto: CryptoLatency) -> AccessController {
+    /// A controller and the stager its accesses are staged on, kept
+    /// configured alike.
+    #[derive(Debug)]
+    struct Rig {
+        ctl: AccessController,
+        stager: Stager,
+    }
+
+    impl Rig {
+        fn set_depth(&mut self, depth: u8) {
+            self.ctl.set_depth(depth);
+            self.stager.configure(self.ctl.issue_mode(), self.ctl.depth());
+        }
+
+        /// Commits the access staged since the last call and finishes it.
+        fn finish(&mut self, arrival: u64) -> (u64, u64) {
+            self.stager.commit_access();
+            let batch = self.stager.batch_mut();
+            let times = self.ctl.finish(arrival, batch.get(0));
+            batch.clear();
+            times
+        }
+    }
+
+    impl std::ops::Deref for Rig {
+        type Target = AccessController;
+
+        fn deref(&self) -> &AccessController {
+            &self.ctl
+        }
+    }
+
+    impl std::ops::DerefMut for Rig {
+        fn deref_mut(&mut self) -> &mut AccessController {
+            &mut self.ctl
+        }
+    }
+
+    fn controller(depth: u8, mode: IssueMode, crypto: CryptoLatency) -> Rig {
         let mut ctl = AccessController::new(MemorySystem::new(DramConfig::default()), mode);
         ctl.set_crypto_latency(crypto);
-        ctl.set_depth(depth);
-        ctl
+        let mut rig = Rig { stager: ctl.stager(), ctl };
+        rig.set_depth(depth);
+        rig
     }
 
     /// The first `lines` 64 B lines of DRAM page `p`. Under the default
@@ -281,13 +330,13 @@ mod tests {
 
     /// One hand-built access: online reads, offline reads, offline writes.
     fn access(
-        ctl: &mut AccessController,
+        ctl: &mut Rig,
         arrival: u64,
         online: &[SlotAddr],
         offline: &[SlotAddr],
         writes: &[SlotAddr],
     ) -> (u64, u64) {
-        let sink = ctl.sink_mut();
+        let sink = &mut ctl.stager;
         sink.read_batch(online, OramOp::ReadPath, true);
         sink.read_batch(offline, OramOp::EvictPath, false);
         sink.write_batch(writes, OramOp::EvictPath, false);
@@ -308,12 +357,12 @@ mod tests {
 
     /// Latest completion over the window entry's requests: all of them, or
     /// only its reads in the `(channel, bank, row)` of `row_of`.
-    fn completion_of(ctl: &mut AccessController, entry: usize, row_of: Option<SlotAddr>) -> u64 {
+    fn completion_of(ctl: &mut Rig, entry: usize, row_of: Option<SlotAddr>) -> u64 {
         let e = &ctl.window[entry];
         let ids: Vec<_> = match row_of {
             None => e.ids.clone().collect(),
             Some(addr) => {
-                let key = ctl.sink.location_key(ctl.memory().decode_addr(addr.byte()));
+                let key = ctl.stager.location_key(ctl.memory().decode_addr(addr.byte()));
                 let in_row = e.reads.iter().filter(|&&(k, _)| k == key);
                 in_row.map(|&(_, pos)| e.ids.clone().nth(pos as usize).unwrap()).collect()
             }
@@ -413,14 +462,15 @@ mod tests {
 
     #[test]
     fn steady_state_pipelined_access_allocates_nothing() {
-        // Every buffer on the staged path — the sink's staging, ordering and
-        // footprint scratch, the read lists circulating between the window
-        // and the sink's spares, the controller's own scratch — is the same
-        // allocation, at the same capacity, after 1 000 more accesses.
-        let buffers = |ctl: &AccessController| {
-            let mut all = ctl.sink.buffers(ctl.window.iter());
-            all.push((ctl.completions.as_ptr() as usize, ctl.completions.capacity()));
-            all.push((0, ctl.window.capacity()));
+        // Every buffer on the staged path — the stager's staging scratch and
+        // staged batch, the read lists circulating between the window and
+        // the release half's spares, the controller's own scratch — is the
+        // same allocation, at the same capacity, after 1 000 more accesses.
+        let buffers = |rig: &Rig| {
+            let mut all = rig.stager.buffers();
+            all.extend(rig.ctl.releaser.buffers(rig.window.iter()));
+            all.push((rig.completions.as_ptr() as usize, rig.completions.capacity()));
+            all.push((0, rig.window.capacity()));
             all
         };
         for (depth, mode) in [
@@ -430,7 +480,7 @@ mod tests {
             (4, IssueMode::ChannelParallel),
         ] {
             let mut ctl = controller(depth, mode, CryptoLatency::default());
-            let run = |ctl: &mut AccessController, range: std::ops::Range<u64>| {
+            let run = |ctl: &mut Rig, range: std::ops::Range<u64>| {
                 for i in range {
                     let (online, offline) = (page(i % 7, 1 + i % 3), pages(8 + i % 5, 1 + i % 4));
                     let writes = pages(8 + (i + 2) % 5, 2 + i % 6);
@@ -584,9 +634,9 @@ mod tests {
                         for &r @ (_, _, write, online) in reqs {
                             let addr = SlotAddr(oracle_addr(r));
                             if write {
-                                ctl.sink_mut().write(addr, ORACLE_OP, online);
+                                ctl.stager.write(addr, ORACLE_OP, online);
                             } else {
-                                ctl.sink_mut().read(addr, ORACLE_OP, online);
+                                ctl.stager.read(addr, ORACLE_OP, online);
                             }
                         }
                         ctl.finish(at)

@@ -8,9 +8,10 @@
 //! Fig. 9 bandwidth numbers all come from here.
 //!
 //! A run has two stages. The *engine stage* runs the protocol on each
-//! record and records the requests it emits; the *timing stage* replays them
-//! into the controller and times them. No cycle reaches the engine, so the
-//! engine stage runs ahead on a second thread (DESIGN.md §16).
+//! record and stages the requests it emits — decoded, row-run and in release
+//! order; the *timing stage* gates and releases each staged access through
+//! the controller and times it. No cycle reaches the engine stage, so it runs
+//! ahead on a second thread (DESIGN.md §16).
 
 use crate::config::{IssueMode, OramConfig};
 use crate::controller::AccessController;
@@ -18,12 +19,11 @@ use crate::error::OramError;
 use crate::fault::{FaultInjectingSink, FaultPlan, InjectedFaults};
 use crate::recursion::PosMapHierarchy;
 use crate::ring::{AccessKind, RingOram};
-use crate::sink::{MemorySink, OramOp};
+use crate::sink::{OramOp, StagedBatch, Stager};
 use aboram_crypto::CryptoLatency;
 use aboram_dram::{DramConfig, MemorySystem, RobCpu};
 use aboram_stats::{HealthState, RecoveryStats};
 use aboram_trace::{MemOp, TraceRecord};
-use aboram_tree::SlotAddr;
 use std::sync::mpsc;
 
 /// Trace records per batch the run-ahead engine stage hands the timing
@@ -173,68 +173,27 @@ pub struct TimingDriver {
 }
 
 /// The engine stage: the protocol and all it consults, writing to a
-/// recorder. Nothing here reads a cycle.
+/// stager. Nothing here reads a cycle.
 #[derive(Debug)]
 struct Engine {
     oram: RingOram,
     /// Optional recursive position-map model (extension study; the paper
     /// keeps the posmap fully on-chip).
     posmap_model: Option<PosMapHierarchy>,
-    /// The fault plan's injector over the recorder: a fault poll is answered
+    /// The fault plan's injector over the stager: a fault poll is answered
     /// here, where the engine asks it.
-    sink: FaultInjectingSink<Recorder>,
+    sink: FaultInjectingSink<Stager>,
 }
 
-/// One engine → sink call, a 64 B read or write, in one word: addresses are
-/// block-aligned, so the low six bits carry the op's tag (bits 0–2), the
-/// write flag (3) and the online flag (4).
-#[derive(Debug, Clone, Copy)]
-struct Recorded(u64);
-
-impl Recorded {
-    fn new(addr: SlotAddr, op: OramOp, write: bool, online: bool) -> Self {
-        debug_assert_eq!(addr.byte() % 64, 0, "slot addresses are block-aligned");
-        let flags = u64::from(op.tag()) | u64::from(write) << 3 | u64::from(online) << 4;
-        Recorded(addr.byte() | flags)
-    }
-
-    /// Makes the recorded call on `sink`.
-    fn replay(self, sink: &mut impl MemorySink) {
-        let (addr, op) = (SlotAddr(self.0 & !63), OramOp::ALL[(self.0 & 7) as usize]);
-        let online = self.0 & 1 << 4 != 0;
-        if self.0 & 1 << 3 != 0 {
-            sink.write(addr, op, online);
-        } else {
-            sink.read(addr, op, online);
-        }
-    }
-}
-
-/// A sink that appends every call, for the timing stage to replay.
-#[derive(Debug, Default)]
-struct Recorder(Vec<Recorded>);
-
-impl MemorySink for Recorder {
-    fn read(&mut self, addr: SlotAddr, op: OramOp, online: bool) {
-        self.0.push(Recorded::new(addr, op, false, online));
-    }
-
-    fn write(&mut self, addr: SlotAddr, op: OramOp, online: bool) {
-        self.0.push(Recorded::new(addr, op, true, online));
-    }
-}
-
-/// Trace records on their way through the two stages, with what the engine
-/// recorded for them. Batches are refilled, never reallocated, once warm.
+/// Trace records on their way through the two stages, with the accesses the
+/// engine staged for them. Batches are refilled, never reallocated, once
+/// warm.
 #[derive(Debug, Default)]
 struct Batch {
     records: Vec<TraceRecord>,
-    /// The recorded calls of every access, back to back.
-    requests: Vec<Recorded>,
-    /// Where each access's calls end in `requests`: one entry per record
-    /// the engine completed.
-    ends: Vec<usize>,
-    /// The engine error that ended the batch, at record `ends.len()`.
+    /// One committed access per record the engine completed.
+    staged: StagedBatch,
+    /// The engine error that ended the batch, at record `staged.len()`.
     error: Option<OramError>,
 }
 
@@ -242,8 +201,7 @@ impl Batch {
     /// Empties the batch and refills it with up to `len` records; false
     /// when the trace had none left.
     fn refill(&mut self, trace: &mut impl Iterator<Item = TraceRecord>, len: usize) -> bool {
-        self.requests.clear();
-        self.ends.clear();
+        self.staged.clear();
         self.records.clear();
         self.records.extend(trace.take(len));
         !self.records.is_empty()
@@ -251,23 +209,20 @@ impl Batch {
 }
 
 impl Engine {
-    /// Runs `batch`'s accesses in trace order, recording each one's calls.
-    /// An error ends the batch: the failing access's calls are dropped, so
-    /// the timing stage never sees a partial access.
-    fn record(&mut self, batch: &mut Batch, block_count: u64) {
-        std::mem::swap(&mut self.sink.inner_mut().0, &mut batch.requests);
+    /// Runs `batch`'s accesses in trace order, staging each one. An error
+    /// ends the batch: the stager abandons the failing access at its
+    /// boundary, so the timing stage never sees a partial access.
+    fn stage(&mut self, batch: &mut Batch, block_count: u64) {
+        std::mem::swap(self.sink.inner_mut().batch_mut(), &mut batch.staged);
         for rec in &batch.records {
             aboram_telemetry::record_mark();
-            match self.access(rec, block_count) {
-                Ok(()) => batch.ends.push(self.sink.inner().0.len()),
-                Err(e) => {
-                    self.sink.inner_mut().0.truncate(batch.ends.last().copied().unwrap_or(0));
-                    batch.error = Some(e);
-                    break;
-                }
+            let result = self.access(rec, block_count);
+            if let Err(e) = self.sink.inner_mut().end_access(result) {
+                batch.error = Some(e);
+                break;
             }
         }
-        std::mem::swap(&mut self.sink.inner_mut().0, &mut batch.requests);
+        std::mem::swap(self.sink.inner_mut().batch_mut(), &mut batch.staged);
     }
 
     /// One trace record's protocol work: every LLC miss (read or writeback)
@@ -301,19 +256,12 @@ struct Totals {
     response_latency_cycles: u64,
 }
 
-/// The timing stage: takes each access `batch` recorded through the core and
-/// the controller — its calls replayed into the controller's sink call for
-/// call, then released — and adds it to `totals`.
+/// The timing stage: takes each access `batch` staged through the core and
+/// the controller's gates and release, and adds it to `totals`.
 fn time(ctl: &mut AccessController, cpu: &mut RobCpu, batch: &Batch, totals: &mut Totals) {
-    let mut from = 0;
-    for (rec, &end) in batch.records.iter().zip(&batch.ends) {
+    for (rec, access) in batch.records.iter().zip(batch.staged.iter()) {
         let issue = cpu.issue_op(rec.inst_gap);
-        let sink = ctl.sink_mut();
-        for r in &batch.requests[from..end] {
-            r.replay(sink);
-        }
-        from = end;
-        let (start, done) = ctl.finish(issue);
+        let (start, done) = ctl.finish(issue, access);
         if rec.op == MemOp::Read {
             cpu.complete_read_at(done);
         }
@@ -341,8 +289,14 @@ impl TimingDriver {
     pub fn from_oram(oram: RingOram, dram: DramConfig) -> Self {
         let ctl = AccessController::new(MemorySystem::new(dram), oram.config().scheme.issue_mode());
         let engine =
-            Engine { oram, posmap_model: None, sink: FaultInjectingSink::new(Recorder::default()) };
+            Engine { oram, posmap_model: None, sink: FaultInjectingSink::new(ctl.stager()) };
         TimingDriver { engine, ctl, cpu: RobCpu::new(4, 256) }
+    }
+
+    /// Passes the controller's issue mode and depth on to the stager, which
+    /// commits every access for them.
+    fn configure_stager(&mut self) {
+        self.engine.sink.inner_mut().configure(self.ctl.issue_mode(), self.ctl.depth());
     }
 
     /// Overrides the issue mode the scheme selected — the differential
@@ -350,6 +304,7 @@ impl TimingDriver {
     /// same trace.
     pub fn set_issue_mode(&mut self, mode: IssueMode) {
         self.ctl.set_issue_mode(mode);
+        self.configure_stager();
     }
 
     /// The issue mode in force.
@@ -373,6 +328,7 @@ impl TimingDriver {
     /// (DESIGN.md §15).
     pub fn set_pipeline_depth(&mut self, depth: u8) {
         self.ctl.set_depth(depth);
+        self.configure_stager();
     }
 
     /// The access-pipeline depth in force.
@@ -496,7 +452,7 @@ impl TimingDriver {
     ) -> Result<Totals, OramError> {
         let (mut batch, mut totals) = (Batch::default(), Totals::default());
         while batch.refill(trace, 1) {
-            self.engine.record(&mut batch, block_count);
+            self.engine.stage(&mut batch, block_count);
             time(&mut self.ctl, &mut self.cpu, &batch, &mut totals);
             if let Some(e) = batch.error.take() {
                 return Err(e);
@@ -507,7 +463,7 @@ impl TimingDriver {
 
     /// The run-ahead executor: the engine stage on a scoped worker thread,
     /// the timing stage and the trace here. Two batches circulate through
-    /// two bounded channels, so the engine records one batch while this
+    /// two bounded channels, so the engine stages one batch while this
     /// thread times the other. An engine error ends its batch: the accesses
     /// before it are timed, then the error is returned.
     fn run_ahead(
@@ -521,20 +477,20 @@ impl TimingDriver {
             let (to_timing, timing_rx) = mpsc::sync_channel::<Batch>(2);
             s.spawn(move || {
                 for mut batch in engine_rx {
-                    engine.record(&mut batch, block_count);
+                    engine.stage(&mut batch, block_count);
                     let failed = batch.error.is_some();
                     if to_timing.send(batch).is_err() || failed {
                         break;
                     }
                 }
             });
-            // The request buffers are allocated here, at a capacity that holds
+            // The staging buffers are allocated here, at a capacity that holds
             // a batch of the benchmark's accesses, so the worker seldom grows
             // one.
             let mut in_flight = 0;
             for _ in 0..2 {
-                let mut batch =
-                    Batch { requests: Vec::with_capacity(BATCH * 128), ..Batch::default() };
+                let staged = StagedBatch::with_capacity(BATCH);
+                let mut batch = Batch { staged, ..Batch::default() };
                 if batch.refill(trace, BATCH) && to_engine.send(batch).is_ok() {
                     in_flight += 1;
                 }
@@ -691,34 +647,6 @@ mod tests {
         assert!(r.breakdown.fraction(OramOp::ReadPath) > 0.0);
         assert!(r.breakdown.fraction(OramOp::EvictPath) > 0.0);
         assert!(r.bandwidth() > 0.0);
-    }
-
-    #[test]
-    fn a_recorded_call_replays_as_made() {
-        #[derive(Default)]
-        struct Calls(Vec<(SlotAddr, OramOp, bool, bool)>);
-        impl MemorySink for Calls {
-            fn read(&mut self, addr: SlotAddr, op: OramOp, online: bool) {
-                self.0.push((addr, op, false, online));
-            }
-            fn write(&mut self, addr: SlotAddr, op: OramOp, online: bool) {
-                self.0.push((addr, op, true, online));
-            }
-        }
-        let mut made = Vec::new();
-        for addr in [SlotAddr(0), SlotAddr(64 * 12_345), SlotAddr(!63)] {
-            for op in OramOp::ALL {
-                for (write, online) in [(false, false), (false, true), (true, false), (true, true)]
-                {
-                    made.push((addr, op, write, online));
-                }
-            }
-        }
-        let mut replayed = Calls::default();
-        for &(addr, op, write, online) in &made {
-            Recorded::new(addr, op, write, online).replay(&mut replayed);
-        }
-        assert_eq!(replayed.0, made);
     }
 
     #[test]
@@ -923,7 +851,9 @@ mod tests {
             assert!(d.run(records.iter().copied()).is_err());
             assert_eq!(d.ctl.requests_issued(), earlier, "the twin saw the earlier accesses only");
             d.ctl.quiesce();
-            assert!(d.ctl.is_idle(), "depth {depth}: nothing of the failed access is staged");
+            assert!(d.ctl.is_idle(), "depth {depth}: the controller is at rest");
+            let stager = d.engine.sink.inner();
+            assert!(stager.is_idle(), "depth {depth}: nothing of the failed access is staged");
             let next = records[failing + 1];
             let issued = d.ctl.requests_issued();
             d.run([next]).expect("the next access completes");

@@ -83,7 +83,7 @@ pub use recursion::{PlbConfig, PosMapHierarchy};
 pub use ring::{AccessKind, PayloadMutator, RingOram};
 pub use security::{attack_success_rate, SecurityReport};
 pub use segvec::SegmentedVector;
-pub use sink::{CountingSink, MemorySink, OramOp, TimingSink};
+pub use sink::{CountingSink, MemorySink, OramOp, StagedBatch, Stager};
 pub use snapshot::{config_digest, SNAPSHOT_VERSION};
 pub use stash::{EvictionPlan, Stash, StashBlock};
 pub use stats::OramStats;

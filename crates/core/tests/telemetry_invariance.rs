@@ -13,19 +13,21 @@
 use aboram_core::{
     AccessKind, BackendReply, CountingSink, FaultInjectingSink, FaultPlan, InjectedFaults,
     IssueMode, OramConfig, OramError, PathOram, PlbConfig, PosMapHierarchy, RingOram, Scheme,
-    SimulationReport, StorageBackend, TimedBackend, TimingDriver,
+    SimulationReport, StagedBatch, Stager, StorageBackend, TimedBackend, TimingDriver,
 };
 use aboram_dram::DramConfig;
 use aboram_telemetry::Collector;
 use aboram_trace::{profiles, TraceGenerator, TraceRecord};
 
-/// Everything that crosses to the engine thread is `Send`.
+/// Everything that crosses to the engine thread, and the staged accesses
+/// that cross back, is `Send`.
 const _: () = {
     const fn send<T: Send>() {}
     send::<TimingDriver>();
     send::<RingOram>();
     send::<PosMapHierarchy>();
-    send::<FaultInjectingSink<CountingSink>>();
+    send::<FaultInjectingSink<Stager>>();
+    send::<StagedBatch>();
     send::<TraceRecord>();
     send::<OramError>();
 };
@@ -161,7 +163,9 @@ struct Outcome {
 
 /// One grid cell run over traces of every length around the batch size, on
 /// one driver, by the run-ahead executor or — with a collector installed —
-/// the lockstep one.
+/// the lockstep one. The driver runs its first lengths serially into a
+/// window of one and then switches to the cell's issue mode and depth,
+/// which the stager must pick up for the accesses it stages from then on.
 fn cell_runs(
     scheme: Scheme,
     mode: IssueMode,
@@ -172,8 +176,7 @@ fn cell_runs(
 ) -> Outcome {
     let cfg = OramConfig::builder(9, scheme).seed(41).build().unwrap();
     let mut driver = TimingDriver::new(&cfg, DramConfig::default()).unwrap();
-    driver.set_issue_mode(mode);
-    driver.set_pipeline_depth(depth);
+    driver.set_issue_mode(IssueMode::Serial);
     if faults {
         driver.enable_faults(FaultPlan::new(41));
         driver.enable_integrity();
@@ -191,9 +194,14 @@ fn cell_runs(
     if lockstep {
         aboram_telemetry::install(Collector::to_shared_buffer().0);
     }
-    let reports = [0, 1, BATCH - 1, BATCH, BATCH + 1, 1_000]
-        .map(|n| driver.run((0..n).map(|_| gen.next_record())).unwrap())
-        .to_vec();
+    let mut reports = Vec::new();
+    for (i, n) in [0, 1, BATCH - 1, BATCH, BATCH + 1, 1_000].into_iter().enumerate() {
+        if i == 3 {
+            driver.set_issue_mode(mode);
+            driver.set_pipeline_depth(depth);
+        }
+        reports.push(driver.run((0..n).map(|_| gen.next_record())).unwrap());
+    }
     if lockstep {
         aboram_telemetry::uninstall().expect("collector was installed");
     }

@@ -407,7 +407,6 @@ fn stats_for(cfg: &DramConfig) -> MemoryStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::decode;
 
     fn setup() -> (DramConfig, Channel, MemoryStats) {
         let cfg = DramConfig::default();
@@ -417,7 +416,7 @@ mod tests {
     }
 
     fn addr_of(cfg: &DramConfig, a: u64) -> DecodedAddr {
-        decode(cfg, a)
+        cfg.decode(a)
     }
 
     #[test]
@@ -514,7 +513,6 @@ mod tests {
 mod policy_tests {
     use super::*;
     use crate::config::{DramConfig, PagePolicy};
-    use crate::mapping::decode;
     use crate::stats::RowBufferOutcome;
 
     #[test]
@@ -525,7 +523,7 @@ mod policy_tests {
         for i in 0..32u64 {
             // Alternate same-row and different-row addresses.
             let addr = if i % 2 == 0 { 0 } else { cfg.row_bytes * 64 };
-            ch.enqueue(RequestId(i), MemOpKind::Read, Priority::Online, 0, decode(&cfg, addr), 0);
+            ch.enqueue(RequestId(i), MemOpKind::Read, Priority::Online, 0, cfg.decode(addr), 0);
         }
         while ch.schedule_one(&mut stats).is_some() {}
         assert_eq!(stats.row_outcomes(RowBufferOutcome::Hit), 0);
@@ -545,7 +543,7 @@ mod policy_tests {
                     MemOpKind::Read,
                     Priority::Online,
                     0,
-                    decode(&cfg, i * 64 * 4), // stride within rows
+                    cfg.decode(i * 64 * 4), // stride within rows
                     0,
                 );
             }
@@ -564,8 +562,8 @@ mod policy_tests {
         let mut ch = Channel::new(&cfg);
         let mut stats = stats_for(&cfg);
         // Offline arrives first to a different row; online second.
-        ch.enqueue(RequestId(0), MemOpKind::Read, Priority::Offline, 0, decode(&cfg, 1 << 20), 0);
-        ch.enqueue(RequestId(1), MemOpKind::Read, Priority::Online, 0, decode(&cfg, 2 << 20), 0);
+        ch.enqueue(RequestId(0), MemOpKind::Read, Priority::Offline, 0, cfg.decode(1 << 20), 0);
+        ch.enqueue(RequestId(1), MemOpKind::Read, Priority::Online, 0, cfg.decode(2 << 20), 0);
         let (first, _) = ch.schedule_one(&mut stats).unwrap();
         assert_eq!(first, RequestId(0), "FIFO order when priorities are ignored");
     }
@@ -575,7 +573,6 @@ mod policy_tests {
 mod stall_tests {
     use super::*;
     use crate::config::DramConfig;
-    use crate::mapping::decode;
 
     #[test]
     fn requests_are_pushed_past_stall_windows() {
@@ -583,7 +580,7 @@ mod stall_tests {
         let mut ch = Channel::new(&cfg);
         let mut stats = stats_for(&cfg);
         ch.inject_stall(0, 5_000);
-        ch.enqueue(RequestId(0), MemOpKind::Read, Priority::Online, 0, decode(&cfg, 0), 100);
+        ch.enqueue(RequestId(0), MemOpKind::Read, Priority::Online, 0, cfg.decode(0), 100);
         let (_, done) = ch.schedule_one(&mut stats).unwrap();
         assert!(done >= 5_000, "completion {done} inside stall window ending at 5000");
         assert_eq!(stats.stall_events(), 1);
@@ -608,7 +605,7 @@ mod stall_tests {
         let mut ch = Channel::new(&cfg);
         let mut stats = stats_for(&cfg);
         ch.inject_stall(0, 0);
-        ch.enqueue(RequestId(0), MemOpKind::Read, Priority::Online, 0, decode(&cfg, 0), 0);
+        ch.enqueue(RequestId(0), MemOpKind::Read, Priority::Online, 0, cfg.decode(0), 0);
         ch.schedule_one(&mut stats).unwrap();
         assert_eq!(stats.stall_events(), 0);
     }
@@ -618,7 +615,6 @@ mod stall_tests {
 mod refresh_tests {
     use super::*;
     use crate::config::DramConfig;
-    use crate::mapping::decode;
 
     #[test]
     fn commands_avoid_refresh_windows() {
@@ -629,7 +625,7 @@ mod refresh_tests {
         let rfc = cfg.timing.t_rfc * cfg.cpu_clock_ratio;
         // A request arriving inside the refresh window waits for it to end.
         let inside = refi - rfc / 2;
-        ch.enqueue(RequestId(0), MemOpKind::Read, Priority::Online, 0, decode(&cfg, 0), inside);
+        ch.enqueue(RequestId(0), MemOpKind::Read, Priority::Online, 0, cfg.decode(0), inside);
         let (_, done) = ch.schedule_one(&mut stats).unwrap();
         assert!(done >= refi, "completion {done} inside refresh window ending at {refi}");
     }
@@ -641,7 +637,7 @@ mod refresh_tests {
         let refi = DramConfig::default().timing.t_refi * cfg.cpu_clock_ratio;
         let mut ch = Channel::new(&cfg);
         let mut stats = stats_for(&cfg);
-        ch.enqueue(RequestId(0), MemOpKind::Read, Priority::Online, 0, decode(&cfg, 0), refi);
+        ch.enqueue(RequestId(0), MemOpKind::Read, Priority::Online, 0, cfg.decode(0), refi);
         let (_, done) = ch.schedule_one(&mut stats).unwrap();
         // Latency is just activate + CAS + burst from arrival.
         let expect = refi + (11 + 11 + 4) * cfg.cpu_clock_ratio;

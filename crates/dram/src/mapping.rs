@@ -15,32 +15,49 @@ pub struct DecodedAddr {
     pub rank: u8,
 }
 
-/// Decodes `addr` under `cfg`'s mapping scheme.
-pub fn decode(cfg: &DramConfig, addr: u64) -> DecodedAddr {
-    let line = addr / 64;
-    let channels = u64::from(cfg.channels);
-    let banks = cfg.banks_per_channel();
-    match cfg.mapping {
-        AddressMapping::PageInterleave => {
-            // row : rank : bank : channel : column — column bits lowest.
-            let col_lines = cfg.lines_per_row();
-            let rest = line / col_lines;
-            let channel = (rest % channels) as u8;
-            let rest = rest / channels;
-            let bank = (rest % banks) as u16;
-            let row = rest / banks;
-            DecodedAddr { channel, bank, row, rank: (u64::from(bank) / u64::from(cfg.banks)) as u8 }
-        }
-        AddressMapping::LineInterleave => {
-            // row : column : rank : bank : channel — channel bits lowest.
-            let channel = (line % channels) as u8;
-            let rest = line / channels;
-            let bank = (rest % banks) as u16;
-            let rest = rest / banks;
-            let col_lines = cfg.lines_per_row();
-            let row = rest / col_lines;
-            DecodedAddr { channel, bank, row, rank: (u64::from(bank) / u64::from(cfg.banks)) as u8 }
-        }
+impl DramConfig {
+    /// Decodes physical `addr` under this configuration's mapping scheme:
+    /// the location a [`crate::MemorySystem`] over it routes the address to.
+    /// It needs no memory system, so an issue layer can decode, group and
+    /// order an access's requests wherever it stages them.
+    ///
+    /// # Panics
+    ///
+    /// On a geometry [`crate::MemorySystem::new`] refuses (zero channels,
+    /// ranks or banks, or rows shorter than one 64 B line), which would
+    /// divide by zero.
+    pub fn decode(&self, addr: u64) -> DecodedAddr {
+        let line = addr / 64;
+        let channels = u64::from(self.channels);
+        let banks = self.banks_per_channel();
+        let (channel, bank, row) = match self.mapping {
+            AddressMapping::PageInterleave => {
+                // row : rank : bank : channel : column — column bits lowest.
+                let (rest, _) = div_rem(line, self.lines_per_row());
+                let (rest, channel) = div_rem(rest, channels);
+                let (row, bank) = div_rem(rest, banks);
+                (channel, bank, row)
+            }
+            AddressMapping::LineInterleave => {
+                // row : column : rank : bank : channel — channel bits lowest.
+                let (rest, channel) = div_rem(line, channels);
+                let (rest, bank) = div_rem(rest, banks);
+                (channel, bank, div_rem(rest, self.lines_per_row()).0)
+            }
+        };
+        let rank = div_rem(bank, u64::from(self.banks)).0;
+        DecodedAddr { channel: channel as u8, bank: bank as u16, row, rank: rank as u8 }
+    }
+}
+
+/// `(a / d, a % d)`: a shift and a mask when `d` is a power of two, as every
+/// Table III radix is, and a division otherwise.
+#[inline]
+fn div_rem(a: u64, d: u64) -> (u64, u64) {
+    if d.is_power_of_two() {
+        (a >> d.trailing_zeros(), a & (d - 1))
+    } else {
+        (a / d, a % d)
     }
 }
 
@@ -52,21 +69,21 @@ mod tests {
     fn page_interleave_keeps_row_locality() {
         let cfg = DramConfig::default();
         // All lines of one 8 KB row map to the same (channel, bank, row).
-        let base = decode(&cfg, 0);
+        let base = cfg.decode(0);
         for line in 0..cfg.lines_per_row() {
-            let d = decode(&cfg, line * 64);
+            let d = cfg.decode(line * 64);
             assert_eq!((d.channel, d.bank, d.row), (base.channel, base.bank, base.row));
         }
         // The next row's worth moves to another channel.
-        let next = decode(&cfg, cfg.row_bytes);
+        let next = cfg.decode(cfg.row_bytes);
         assert_ne!(next.channel, base.channel);
     }
 
     #[test]
     fn line_interleave_spreads_across_channels() {
         let cfg = DramConfig { mapping: AddressMapping::LineInterleave, ..DramConfig::default() };
-        let d0 = decode(&cfg, 0);
-        let d1 = decode(&cfg, 64);
+        let d0 = cfg.decode(0);
+        let d1 = cfg.decode(64);
         assert_ne!(d0.channel, d1.channel);
     }
 
@@ -80,11 +97,45 @@ mod tests {
             // We check coordinates coarsely: count distinct (channel,bank,row) buckets
             // and confirm each holds exactly lines_per_row lines.
             for line in 0..cfg.lines_per_row() * 1024 {
-                let d = decode(&cfg, line * 64);
+                let d = cfg.decode(line * 64);
                 seen.insert((d.channel, d.bank, d.row, line));
                 assert!(u64::from(d.bank) < cfg.banks_per_channel());
                 assert!(d.channel < cfg.channels);
                 assert_eq!(u64::from(d.rank), u64::from(d.bank) / u64::from(cfg.banks));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The shift-and-mask path is the map's division formula: every
+        /// field equal, for power-of-two radices (Table III) and for a
+        /// geometry with none, under both maps, up to the top of the range.
+        #[test]
+        fn decode_is_the_division_formula(addrs in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..64)) {
+            let table_iii = DramConfig::default();
+            let odd = DramConfig { channels: 3, ranks: 3, banks: 5, row_bytes: 1536, ..table_iii };
+            let mixed = DramConfig { channels: 2, ranks: 3, banks: 4, row_bytes: 1024, ..table_iii };
+            for geometry in [table_iii, odd, mixed] {
+                for mapping in [AddressMapping::PageInterleave, AddressMapping::LineInterleave] {
+                    let cfg = DramConfig { mapping, ..geometry };
+                    let (channels, banks) = (u64::from(cfg.channels), cfg.banks_per_channel());
+                    for addr in addrs.iter().flat_map(|&a| [a, u64::MAX - a % 4096]) {
+                        let line = addr / 64;
+                        let (channel, bank, row) = match mapping {
+                            AddressMapping::PageInterleave => {
+                                let rest = line / cfg.lines_per_row();
+                                (rest % channels, rest / channels % banks, rest / channels / banks)
+                            }
+                            AddressMapping::LineInterleave => {
+                                let rest = line / channels;
+                                (line % channels, rest % banks, rest / banks / cfg.lines_per_row())
+                            }
+                        };
+                        let rank = bank / u64::from(cfg.banks);
+                        let want = DecodedAddr { channel: channel as u8, bank: bank as u16, row, rank: rank as u8 };
+                        proptest::prop_assert_eq!(cfg.decode(addr), want, "{:#x} under {:?}", addr, cfg);
+                    }
+                }
             }
         }
     }

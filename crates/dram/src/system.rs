@@ -2,7 +2,7 @@
 
 use crate::channel::{Channel, MemOpKind, Priority, RequestId};
 use crate::config::DramConfig;
-use crate::mapping::{decode, DecodedAddr};
+use crate::mapping::DecodedAddr;
 use crate::stats::MemoryStats;
 
 /// Number of distinct traffic tags the statistics track. Tags are opaque to
@@ -69,6 +69,7 @@ pub struct RequestIdRange {
 impl Iterator for RequestIdRange {
     type Item = RequestId;
 
+    #[inline]
     fn next(&mut self) -> Option<RequestId> {
         if self.next < self.end {
             let id = RequestId(self.next);
@@ -86,6 +87,7 @@ impl Iterator for RequestIdRange {
 
     /// Constant time, so a holder of the range can address its `n`-th
     /// request without keeping an id per request.
+    #[inline]
     fn nth(&mut self, n: usize) -> Option<RequestId> {
         self.next = self.end.min(self.next.saturating_add(n as u64));
         self.next()
@@ -134,11 +136,10 @@ impl MemorySystem {
         &self.cfg
     }
 
-    /// The decoded location a request at physical `addr` would route to.
-    /// Lets issue layers group one access's requests by channel (and order
-    /// them for row locality) without enqueueing anything.
+    /// The decoded location a request at physical `addr` would route to:
+    /// [`DramConfig::decode`] under this system's configuration.
     pub fn decode_addr(&self, addr: u64) -> DecodedAddr {
-        decode(&self.cfg, addr)
+        self.cfg.decode(addr)
     }
 
     /// Enqueues a 64-byte request at physical `addr`, arriving at CPU cycle
@@ -180,8 +181,8 @@ impl MemorySystem {
     }
 
     /// Enqueues one access's worth of requests whose addresses the caller
-    /// already decoded with [`decode_addr`](MemorySystem::decode_addr), in
-    /// iteration order, returning their contiguous id range. Each item is
+    /// already decoded with [`DramConfig::decode`] (or
+    /// [`decode_addr`](MemorySystem::decode_addr)), in iteration order, returning their contiguous id range. Each item is
     /// `(kind, location, priority, tag)`. Identical semantics to calling
     /// [`enqueue`](MemorySystem::enqueue) per request on the address that
     /// decodes to `location`, except that nothing is decoded again and the
@@ -258,7 +259,7 @@ impl MemorySystem {
         tag: u32,
         now: u64,
     ) -> (RequestId, u8) {
-        let decoded = decode(&self.cfg, addr);
+        let decoded = self.cfg.decode(addr);
         (self.enqueue_at(kind, decoded, priority, tag, now), decoded.channel)
     }
 
