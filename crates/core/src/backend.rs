@@ -9,6 +9,14 @@
 //!   [`crate::TimingDriver`], minus the trace-driven CPU: the caller supplies
 //!   request arrival times and reads back completion times, so a load
 //!   generator measures real queueing latency on the simulated memory system.
+//!   Each access has a *stage* half (the engine's protocol work, committed
+//!   by the stager) and a *release* half (the controller's gates and the
+//!   DRAM twin, which fix its `done`); the [`StorageBackend`] methods run
+//!   both inline, and a caller that times elsewhere stages with
+//!   [`TimedBackend::stage_managed`] / [`TimedBackend::stage_dummy`] and
+//!   releases through a lent [`ReleaseHalf`] — the same two halves, so the
+//!   same cycles. The service's store releases its batches that way, on a
+//!   helper thread.
 //! * [`UntimedBackend`] runs the identical protocol over a
 //!   [`CountingSink`] and charges a fixed cost per 64 B transfer — orders
 //!   of magnitude faster, with the same access *pattern* and the same
@@ -23,7 +31,7 @@ use crate::config::OramConfig;
 use crate::controller::AccessController;
 use crate::error::OramError;
 use crate::ring::{AccessKind, PayloadMutator, RingOram};
-use crate::sink::{CountingSink, Stager};
+use crate::sink::{CountingSink, StagedBatch, Stager};
 use crate::{BlockId, BLOCK_BYTES};
 use aboram_dram::{DramConfig, MemorySystem};
 use aboram_tree::PathId;
@@ -122,15 +130,54 @@ pub trait StorageBackend {
     fn pipeline_depth(&self) -> u8 {
         1
     }
+
+    /// The cycle-accurate backend this is, if it is one: its stage and
+    /// release halves can then run apart (see [`TimedBackend`]).
+    fn timed_mut(&mut self) -> Option<&mut TimedBackend> {
+        None
+    }
 }
 
 /// Cycle-accurate backend: the engine over the DRAM twin (see module docs).
+///
+/// Each access has a *stage* half — the engine's protocol work on the
+/// [`Stager`], committed into a [`StagedBatch`] — and a *release* half — the
+/// [`ReleaseHalf`]'s gates and hand-off to the DRAM twin, which fix its
+/// `done`. [`StorageBackend`]'s methods run both, inline. A caller that times
+/// many backends' accesses elsewhere stages them with
+/// [`stage_managed`](Self::stage_managed) / [`stage_dummy`](Self::stage_dummy)
+/// and releases them through the [`ReleaseHalf`] it borrowed with
+/// [`lend_release`](Self::lend_release): the same two halves, in the same
+/// order, so every cycle is the same.
 #[derive(Debug)]
 pub struct TimedBackend {
     oram: RingOram,
-    /// The engine's sink: each access is staged here, inline, then released.
+    /// The engine's sink: each access is staged here.
     stager: Stager,
-    ctl: AccessController,
+    /// The release half; `None` while it is lent out.
+    release: Option<ReleaseHalf>,
+}
+
+/// A [`TimedBackend`]'s release half: its access controller, with the DRAM
+/// twin and the in-flight window. It holds no reference to the engine, so
+/// it may be lent to another thread and released into there, then returned.
+#[derive(Debug)]
+pub struct ReleaseHalf(AccessController);
+
+impl ReleaseHalf {
+    /// Releases the one access in `staged`, staged by the backend this half
+    /// belongs to, which arrived at cycle `arrival`: returns its `done`.
+    pub fn finish(&mut self, arrival: u64, staged: &StagedBatch) -> u64 {
+        debug_assert_eq!(staged.len(), 1, "one access per release");
+        self.0.finish(arrival, staged.get(0)).1
+    }
+
+    /// Whether releases may leave this thread. Telemetry collectors are per
+    /// thread, and a release reports its gate and occupancy to the calling
+    /// thread's collector: with one installed, releases stay here.
+    pub fn may_leave_thread() -> bool {
+        !aboram_telemetry::enabled()
+    }
 }
 
 impl TimedBackend {
@@ -148,27 +195,106 @@ impl TimedBackend {
     /// `AbChannelPar` tenant gets the channel-parallel drain end to end.
     pub fn from_oram(oram: RingOram, dram: DramConfig) -> Self {
         let ctl = AccessController::new(MemorySystem::new(dram), oram.config().scheme.issue_mode());
-        TimedBackend { oram, stager: ctl.stager(), ctl }
+        TimedBackend { oram, stager: ctl.stager(), release: Some(ReleaseHalf(ctl)) }
+    }
+
+    fn ctl(&self) -> &AccessController {
+        &self.release.as_ref().expect("the release half is lent out").0
+    }
+
+    fn ctl_mut(&mut self) -> &mut AccessController {
+        &mut self.release.as_mut().expect("the release half is lent out").0
     }
 
     /// Resolves every in-flight access, folds the completions into
     /// [`free_at`](StorageBackend::free_at) and returns it: the full drain.
     pub fn quiesce(&mut self) -> u64 {
-        self.ctl.quiesce()
+        self.ctl_mut().quiesce()
     }
 
-    /// Runs one engine access on the stager, then releases it under the
-    /// controller. An access the engine fails part-way through is abandoned
-    /// at the stager's boundary: the twin never sees it.
+    /// The DRAM twin: its statistics and the requests still queued.
+    pub fn memory(&self) -> &MemorySystem {
+        self.ctl().memory()
+    }
+
+    /// Lends out the release half. Until it is
+    /// [`return`](Self::return_release)ed only the stage half may run: the
+    /// `stage_*` methods and the engine accessors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if it is lent out already.
+    pub fn lend_release(&mut self) -> ReleaseHalf {
+        self.release.take().expect("the release half is lent out")
+    }
+
+    /// Takes back the release half [`lend_release`](Self::lend_release) lent.
+    pub fn return_release(&mut self, release: ReleaseHalf) {
+        debug_assert!(self.release.is_none(), "a second release half");
+        self.release = Some(release);
+    }
+
+    /// The stage half of a managed access (see
+    /// [`StorageBackend::access_managed`]): runs the engine and commits the
+    /// access to `staged` for its [`ReleaseHalf`]. Returns the fetched
+    /// payload, pre-`mutate`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine protocol errors; the failed access is not staged.
+    pub fn stage_managed(
+        &mut self,
+        staged: &mut StagedBatch,
+        block: BlockId,
+        new_position: Option<PathId>,
+        mutate: &mut PayloadMutator<'_>,
+    ) -> Result<[u8; BLOCK_BYTES], OramError> {
+        self.stage_into(staged, |oram, sink| oram.access_managed(block, new_position, mutate, sink))
+    }
+
+    /// The stage half of a dummy access (see
+    /// [`StorageBackend::dummy_access`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine protocol errors; the failed access is not staged.
+    pub fn stage_dummy(&mut self, staged: &mut StagedBatch) -> Result<(), OramError> {
+        self.stage_into(staged, |oram, sink| oram.dummy_access(sink).map(drop))
+    }
+
+    /// The stage half: runs one engine access on the stager and commits it
+    /// to the stager's batch. An access the engine fails part-way through is
+    /// abandoned at the stager's boundary: no release ever sees it.
+    fn stage<T>(
+        &mut self,
+        access: impl FnOnce(&mut RingOram, &mut Stager) -> Result<T, OramError>,
+    ) -> Result<T, OramError> {
+        let result = access(&mut self.oram, &mut self.stager);
+        self.stager.end_access(result)
+    }
+
+    /// [`stage`](Self::stage), committing to `staged` instead.
+    fn stage_into<T>(
+        &mut self,
+        staged: &mut StagedBatch,
+        access: impl FnOnce(&mut RingOram, &mut Stager) -> Result<T, OramError>,
+    ) -> Result<T, OramError> {
+        std::mem::swap(self.stager.batch_mut(), staged);
+        let result = self.stage(access);
+        std::mem::swap(self.stager.batch_mut(), staged);
+        result
+    }
+
+    /// Both halves inline: stages one engine access, then releases it.
     fn timed(
         &mut self,
         arrival: u64,
         access: impl FnOnce(&mut RingOram, &mut Stager) -> Result<Option<[u8; BLOCK_BYTES]>, OramError>,
     ) -> Result<BackendReply, OramError> {
-        let result = access(&mut self.oram, &mut self.stager);
-        let data = self.stager.end_access(result)?;
+        let data = self.stage(access)?;
+        let release = self.release.as_mut().expect("the release half is lent out");
         let staged = self.stager.batch_mut();
-        let (_, done) = self.ctl.finish(arrival, staged.get(0));
+        let done = release.finish(arrival, staged);
         staged.clear();
         Ok(BackendReply { data, done })
     }
@@ -210,16 +336,22 @@ impl StorageBackend for TimedBackend {
     }
 
     fn free_at(&self) -> u64 {
-        self.ctl.free_at()
+        self.ctl().free_at()
     }
 
     fn set_pipeline_depth(&mut self, depth: u8) {
-        self.ctl.set_depth(depth);
-        self.stager.configure(self.ctl.issue_mode(), self.ctl.depth());
+        let ctl = self.ctl_mut();
+        ctl.set_depth(depth);
+        let (mode, depth) = (ctl.issue_mode(), ctl.depth());
+        self.stager.configure(mode, depth);
     }
 
     fn pipeline_depth(&self) -> u8 {
-        self.ctl.depth()
+        self.ctl().depth()
+    }
+
+    fn timed_mut(&mut self) -> Option<&mut TimedBackend> {
+        Some(self)
     }
 }
 
@@ -437,7 +569,7 @@ mod tests {
                     let (start, done) = bare.finish(arrival, staged.get(0));
                     staged.clear();
                     assert_eq!(
-                        (backend.ctl.now(), reply.done),
+                        (backend.ctl().now(), reply.done),
                         (start, done),
                         "{scheme:?} depths {depths:?} access {i}"
                     );
@@ -454,19 +586,19 @@ mod tests {
             b.set_pipeline_depth(depth);
             let mut largest = 0u64;
             for i in 0..2_000u64 {
-                let before = b.ctl.requests_issued();
+                let before = b.ctl().requests_issued();
                 match i % 3 {
                     0 => b.access(i * 50, AccessKind::Write, i % 23, Some([i as u8; BLOCK_BYTES])),
                     1 => b.dummy_access(i * 50),
                     _ => b.access(i * 50, AccessKind::Read, i % 23, None),
                 }
                 .unwrap();
-                largest = largest.max(b.ctl.requests_issued() - before);
-                let tracked = b.ctl.memory().tracked_requests() as u64;
+                largest = largest.max(b.ctl().requests_issued() - before);
+                let tracked = b.ctl().memory().tracked_requests() as u64;
                 assert!(tracked <= u64::from(depth) * largest, "depth {depth} access {i}");
             }
             b.quiesce();
-            assert_eq!(b.ctl.memory().tracked_requests(), 0, "depth {depth}");
+            assert_eq!(b.ctl().memory().tracked_requests(), 0, "depth {depth}");
         }
     }
 
@@ -532,15 +664,19 @@ mod tests {
                 want.is_err()
             });
             assert!(failing.expect("the plan exhausts a retry") > 0);
-            assert_eq!(b.ctl.requests_issued(), earlier, "the twin saw the earlier accesses only");
+            assert_eq!(
+                b.ctl().requests_issued(),
+                earlier,
+                "the twin saw the earlier accesses only"
+            );
             b.quiesce();
-            assert!(b.ctl.is_idle(), "depth {depth}: the controller is at rest");
+            assert!(b.ctl().is_idle(), "depth {depth}: the controller is at rest");
             assert!(b.stager.is_idle(), "depth {depth}: nothing of the failed access is staged");
-            let issued = b.ctl.requests_issued();
+            let issued = b.ctl().requests_issued();
             b.access(b.free_at(), AccessKind::Read, 3, None).expect("the next access completes");
             let mut own = CountingSink::new();
             reference.access(AccessKind::Read, 3, None, &mut own).unwrap();
-            assert_eq!(b.ctl.requests_issued() - issued, own.grand_total(), "depth {depth}");
+            assert_eq!(b.ctl().requests_issued() - issued, own.grand_total(), "depth {depth}");
         }
     }
 

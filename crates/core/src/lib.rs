@@ -64,7 +64,8 @@ mod stash;
 mod stats;
 
 pub use backend::{
-    BackendReply, StorageBackend, TimedBackend, UntimedBackend, UNTIMED_CYCLES_PER_TRANSFER,
+    BackendReply, ReleaseHalf, StorageBackend, TimedBackend, UntimedBackend,
+    UNTIMED_CYCLES_PER_TRANSFER,
 };
 pub use config::{GrowthConfig, IssueMode, OramConfig, OramConfigBuilder, Scheme};
 pub use deadq::{DeadQueues, DeadSlot};

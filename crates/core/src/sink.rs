@@ -559,7 +559,7 @@ impl StagedBatch {
     }
 
     /// Forgets every access, keeping the allocations.
-    pub(crate) fn clear(&mut self) {
+    pub fn clear(&mut self) {
         self.ends.clear();
         self.runs.clear();
         self.flags.clear();

@@ -14,6 +14,14 @@
 //! Every request in a batch completes at the batch's end — the batch is
 //! the privacy unit, so per-request finish times reveal nothing about
 //! which slot was real.
+//!
+//! A batch is staged slot by slot on the calling thread — the engines'
+//! protocol work, the values the slots observe, the cipher — while a timed
+//! store releases the staged accesses into its DRAM twins on its helper
+//! thread (see [`ObliviousStore`]'s module docs). The front-end waits once,
+//! after the last slot, for the slots' completion times: the batch's end,
+//! the per-slot stamps of [`BatchConfig::pipelined`] and the store's clock
+//! all need them.
 
 use crate::store::{ObliviousStore, MAX_VALUE_BYTES};
 use aboram_core::OramError;
@@ -270,23 +278,52 @@ impl BatchingFrontEnd {
         }
         self.queue = rest;
 
+        // Stage every slot, then wait once for the slots' `done`s: a timed
+        // store releases the slots on its helper thread meanwhile. An engine
+        // error ends the batch; the slots before it are still released.
+        let mut observed = Vec::with_capacity(groups.len());
+        self.store.open_batch(at, true);
+        let staged = self.stage_slots(&groups, &mut observed);
+        let dones = self.store.close_batch();
+        staged?;
+
+        // The batch is the privacy unit: everything completes together —
+        // unless per-access stamping was opted into (see
+        // [`BatchConfig::pipelined`]), which keeps each slot's own
+        // completion time.
+        let batch_end = dones.iter().copied().fold(at, u64::max);
         let mut completions = Vec::new();
-        let mut batch_end = at;
-        for (key, items) in &groups {
+        for ((_, items), (observed, &done)) in groups.iter().zip(observed.into_iter().zip(dones)) {
+            let done = if self.cfg.pipelined { done } else { batch_end };
+            for (q, value) in items.iter().zip(observed) {
+                completions.push(Completion { id: q.id, arrived: q.arrived, done, value });
+            }
+        }
+        Ok(completions)
+    }
+
+    /// Stages one slot per group, then pads to the fixed batch size with
+    /// dummy slots, pushing what each group's requests observed.
+    fn stage_slots(
+        &mut self,
+        groups: &[(Vec<u8>, Vec<Queued>)],
+        observed: &mut Vec<Vec<Option<Vec<u8>>>>,
+    ) -> Result<(), OramError> {
+        for (key, items) in groups {
             self.stats.real_slots += 1;
             // One ORAM access serves the whole group: apply the group's
             // operations in arrival order against the in-flight value.
-            let mut observed: Vec<Option<Vec<u8>>> = Vec::with_capacity(items.len());
-            let (_, done) = self.store.rmw_at(at, key, &mut |current| {
+            let mut seen: Vec<Option<Vec<u8>>> = Vec::with_capacity(items.len());
+            self.store.slot_rmw(key, &mut |current| {
                 let mut cur = current;
                 let mut wrote = false;
                 for q in items {
                     match &q.req {
-                        Request::Get { .. } => observed.push(cur.clone()),
+                        Request::Get { .. } => seen.push(cur.clone()),
                         Request::Put { value, .. } => {
                             cur = Some(value.clone());
                             wrote = true;
-                            observed.push(None);
+                            seen.push(None);
                         }
                     }
                 }
@@ -296,30 +333,16 @@ impl BatchingFrontEnd {
                     None
                 }
             })?;
-            batch_end = batch_end.max(done);
-            for (q, value) in items.iter().zip(observed) {
-                completions.push(Completion { id: q.id, arrived: q.arrived, done, value });
-            }
+            observed.push(seen);
         }
 
         // Pad to the fixed batch size: the bus sees `batch_size` requests
         // no matter what the clients did.
         for _ in groups.len()..self.cfg.batch_size {
             self.stats.dummy_slots += 1;
-            let done = self.store.dummy_at(at)?;
-            batch_end = batch_end.max(done);
+            self.store.slot_dummy()?;
         }
-
-        // The batch is the privacy unit: everything completes together —
-        // unless per-access stamping was opted into (see
-        // [`BatchConfig::pipelined`]), which keeps each slot's own
-        // completion time.
-        if !self.cfg.pipelined {
-            for c in &mut completions {
-                c.done = batch_end;
-            }
-        }
-        Ok(completions)
+        Ok(())
     }
 
     /// The wrapped store.
@@ -493,6 +516,46 @@ mod tests {
             max_piped <= flat_end,
             "pipelined batch finishes no later: {max_piped} vs {flat_end}"
         );
+    }
+
+    #[test]
+    fn a_timed_batch_blocks_once_and_the_synchronous_api_never() {
+        use crate::store::BackendKind;
+        use aboram_dram::DramConfig;
+
+        // Slots × ladder depth: 2 × 2 posmap trees, then 8 × 3.
+        for (levels, root, batch_size, depth) in [(8, 64, 2, 2), (10, 8, 8, 3)] {
+            let mut store_cfg = StoreConfig::new(levels, Scheme::Ab);
+            store_cfg.backend = BackendKind::Timed(DramConfig::default());
+            store_cfg.root_max_entries = root;
+            let mut store = ObliviousStore::new(&store_cfg).unwrap();
+            for k in 0..64u64 {
+                store.rmw_at(store.now(), &k.to_le_bytes(), &mut |_| Some(vec![1])).unwrap();
+            }
+            store.dummy_at(store.now()).unwrap();
+            assert_eq!(store.lane_counts().spawns, 0, "the synchronous API stays inline");
+
+            let cfg =
+                BatchConfig { batch_size, period: 4_000, queue_capacity: 64, pipelined: false };
+            let mut fe = BatchingFrontEnd::new(store, cfg);
+            fe.activate_at(fe.store().now());
+            let batches: usize = if batch_size == 2 { 1_000 } else { 50 };
+            for i in 0..batches {
+                let at = fe.next_launch();
+                fe.submit(at - 1, get(&(i as u64 % 80).to_le_bytes())).unwrap();
+                fe.advance_to(at).unwrap();
+            }
+            let counts = fe.store().lane_counts();
+            assert_eq!(fe.store().posmap().chain_depth(), depth);
+            assert_eq!(counts.spawns, 1, "one helper for the store's lifetime");
+            assert_eq!(counts.threaded_batches, batches, "every batch ran on the helper");
+            assert_eq!(counts.waits, batches, "one blocking wait per batch, whatever its size");
+
+            let helper = counts.helper_alive;
+            assert!(helper.upgrade().is_some(), "the helper lives while the store does");
+            drop(fe);
+            assert!(helper.upgrade().is_none(), "dropping the store joins its helper");
+        }
     }
 
     #[test]

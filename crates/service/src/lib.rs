@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 mod batch;
+mod lane;
 mod posmap;
 mod service;
 mod store;

@@ -24,6 +24,7 @@
 //! every entry fetched from the chain is asserted against it
 //! ([`PosMapStats::verified_entries`] counts those checks).
 
+use crate::lane::{Arrival, Lane, Op};
 use aboram_core::{BlockId, OramConfig, OramError, Scheme, StorageBackend, BLOCK_BYTES};
 use aboram_tree::PathId;
 use rand::rngs::StdRng;
@@ -91,6 +92,9 @@ pub struct RecursivePosMap {
     root: Vec<u64>,
     rng: StdRng,
     stats: PosMapStats,
+    /// The inline lane the public walks run on; inside a store, the
+    /// store's lane is passed in instead.
+    lane: Lane,
 }
 
 impl std::fmt::Debug for RecursivePosMap {
@@ -171,6 +175,7 @@ impl RecursivePosMap {
             root,
             rng: StdRng::seed_from_u64(cfg.seed ^ 0x5DEE_CE66_D5DE_ECE6),
             stats: PosMapStats::default(),
+            lane: Lane::default(),
         };
         pm.load_initial_entries(data_position)?;
         Ok(pm)
@@ -229,6 +234,37 @@ impl RecursivePosMap {
         new_data_entry: u64,
         start: u64,
     ) -> Result<(u64, u64), OramError> {
+        self.inline(start, |pm, lane, arrival| {
+            pm.resolve(lane, arrival, data_block, new_data_entry)
+        })
+    }
+
+    /// Runs `walk` from `start` on this map's own lane, inline; returns its
+    /// result and the walk's completion clock.
+    fn inline<T>(
+        &mut self,
+        start: u64,
+        walk: impl FnOnce(&mut Self, &mut Lane, &mut Arrival) -> Result<T, OramError>,
+    ) -> Result<(T, u64), OramError> {
+        let mut lane = std::mem::take(&mut self.lane);
+        lane.open_inline();
+        let mut arrival = Arrival::At(start);
+        let result = walk(self, &mut lane, &mut arrival);
+        let done = lane.chain_done(arrival);
+        self.lane = lane;
+        Ok((result?, done))
+    }
+
+    /// [`resolve_and_remap`](Self::resolve_and_remap) on `lane`: the chain's
+    /// first access arrives per `arrival`, which is left for the access
+    /// after the walk. Posmap tree `t` is the lane's tree `t + 1`.
+    pub(crate) fn resolve(
+        &mut self,
+        lane: &mut Lane,
+        arrival: &mut Arrival,
+        data_block: BlockId,
+        new_data_entry: u64,
+    ) -> Result<u64, OramError> {
         assert!(data_block < self.counts[0], "data block out of range");
         self.stats.requests += 1;
         let d = self.trees.len();
@@ -243,7 +279,7 @@ impl RecursivePosMap {
         if d == 0 {
             let claimed = self.root[data_block as usize];
             self.root[data_block as usize] = new_data_entry;
-            return Ok((claimed, start));
+            return Ok(claimed);
         }
 
         // Draw each level's next position up front — the parent records it
@@ -265,24 +301,22 @@ impl RecursivePosMap {
         self.root[top] = new_pos[d - 1];
 
         let mut claimed = claimed_top.leaf();
-        let mut at = start;
         for k in (1..=d).rev() {
             let tree = k - 1;
             let child_id = ids[k - 1];
             let slot = (child_id % ENTRIES_PER_BLOCK) as usize;
             let child_new = if k == 1 { new_data_entry } else { new_pos[k - 2] };
-            let reply = self.trees[tree].access_managed(
-                at,
-                ids[k],
-                Some(PathId::new(new_pos[k - 1])),
-                &mut |payload| {
+            let op = Op::Managed {
+                block: ids[k],
+                position: PathId::new(new_pos[k - 1]),
+                mutate: &mut |payload| {
                     let off = slot * ENTRY_BYTES;
                     payload[off..off + ENTRY_BYTES].copy_from_slice(&child_new.to_le_bytes());
                 },
-            )?;
+            };
+            let payload = lane.access(k, self.trees[tree].as_mut(), arrival, op)?;
             self.stats.tree_accesses += 1;
-            at = reply.done;
-            let payload = reply.data.expect("managed access always returns the payload");
+            let payload = payload.expect("managed access always returns the payload");
             let off = slot * ENTRY_BYTES;
             claimed = u64::from_le_bytes(payload[off..off + ENTRY_BYTES].try_into().unwrap());
             if k >= 2 {
@@ -295,7 +329,7 @@ impl RecursivePosMap {
             // and verifies it against the data engine (this module cannot
             // see it, and the entry encoding is the store's business).
         }
-        Ok((claimed, at))
+        Ok(claimed)
     }
 
     /// Records `n` data-tree level growths in the stats block. The ladder
@@ -311,13 +345,26 @@ impl RecursivePosMap {
     ///
     /// Propagates engine protocol errors.
     pub fn dummy_walk(&mut self, start: u64) -> Result<u64, OramError> {
-        let mut at = start;
+        Ok(self.inline(start, |pm, lane, arrival| pm.dummy(lane, arrival))?.1)
+    }
+
+    /// [`dummy_walk`](Self::dummy_walk) on `lane` (see
+    /// [`resolve`](Self::resolve)).
+    pub(crate) fn dummy(
+        &mut self,
+        lane: &mut Lane,
+        arrival: &mut Arrival,
+    ) -> Result<(), OramError> {
         for tree in (0..self.trees.len()).rev() {
-            let reply = self.trees[tree].dummy_access(at)?;
+            lane.access(tree + 1, self.trees[tree].as_mut(), arrival, Op::Dummy)?;
             self.stats.dummy_tree_accesses += 1;
-            at = reply.done;
         }
-        Ok(at)
+        Ok(())
+    }
+
+    /// The chain's trees, finest first: the lane's trees `1..`.
+    pub(crate) fn trees_mut(&mut self) -> impl Iterator<Item = &mut dyn StorageBackend> {
+        self.trees.iter_mut().map(|tree| tree.as_mut() as &mut dyn StorageBackend)
     }
 
     /// Number of off-chip posmap trees in the chain.

@@ -7,11 +7,28 @@
 //! encoded into single blocks (2-byte length prefix, up to
 //! [`MAX_VALUE_BYTES`] bytes); the key → block directory is client-side
 //! state, like the stash.
+//!
+//! Each request is a chain of tree accesses — the posmap levels, coarsest
+//! first, then the data tree — each arriving when the previous one is done.
+//! The store's *timing lane* decides where those accesses are released.
+//! The synchronous API ([`ObliviousStore::rmw_at`], `get`, `put`,
+//! [`ObliviousStore::dummy_at`]) and an untimed store release every access
+//! inline, on the calling thread. A batch of the
+//! [`BatchingFrontEnd`](crate::BatchingFrontEnd) on a timed store lends its
+//! trees' release halves ([`ReleaseHalf`]) to a helper thread the store
+//! spawns on its first batch and joins when it drops: the calling thread
+//! stages each access and sends it over, with its tree and whether it
+//! arrives at the batch's launch or after the previous access of its chain,
+//! and the helper computes every `done`. Each tree's twin sees the same
+//! accesses in the same order at the same arrivals either way, so every
+//! cycle is the same. With a telemetry collector installed on the calling
+//! thread a batch releases inline too: collectors are per thread.
 
+use crate::lane::{Arrival, Lane, Op};
 use crate::posmap::{RecursionConfig, RecursivePosMap};
 use aboram_core::{
-    extend_label, BlockId, GrowthConfig, OramConfig, OramError, RingOram, Scheme, StorageBackend,
-    TimedBackend, UntimedBackend, BLOCK_BYTES,
+    extend_label, BlockId, GrowthConfig, OramConfig, OramError, ReleaseHalf, RingOram, Scheme,
+    StorageBackend, TimedBackend, UntimedBackend, BLOCK_BYTES,
 };
 use aboram_dram::DramConfig;
 use aboram_tree::PathId;
@@ -116,6 +133,17 @@ pub struct ObliviousStore {
     /// Key-capacity ceiling: the data tree's protected block count at
     /// `max_levels` (== the current block count for fixed-capacity stores).
     max_capacity: u64,
+    /// Where the trees' accesses are released; tree 0 is the data tree,
+    /// tree `k` the posmap's `k`-th.
+    lane: Lane,
+    /// Whether the trees are timed: only then can a batch's releases run on
+    /// the lane's helper.
+    timed: bool,
+    /// The open batch's launch cycle, the lane index of each slot's last
+    /// access, and, once it closed, each slot's `done`.
+    batch_at: u64,
+    slot_ends: Vec<usize>,
+    slot_dones: Vec<u64>,
 }
 
 impl std::fmt::Debug for ObliviousStore {
@@ -141,6 +169,14 @@ fn make_backend(
         backend.set_pipeline_depth(pipeline_depth);
         Ok(backend)
     }
+}
+
+/// A store's trees in its lane's order: the data tree, then the posmap's.
+fn trees<'a>(
+    data: &'a mut Box<dyn StorageBackend>,
+    posmap: &'a mut RecursivePosMap,
+) -> impl Iterator<Item = &'a mut dyn StorageBackend> {
+    std::iter::once(data.as_mut() as &mut dyn StorageBackend).chain(posmap.trees_mut())
 }
 
 /// Packs a chain entry: the data tree's depth at write time in the high
@@ -230,6 +266,11 @@ impl ObliviousStore {
             stats: StoreStats::default(),
             data_seed: cfg.seed,
             max_capacity,
+            lane: Lane::default(),
+            timed: matches!(cfg.backend, BackendKind::Timed(_)),
+            batch_at: 0,
+            slot_ends: Vec::new(),
+            slot_dones: Vec::new(),
         })
     }
 
@@ -287,11 +328,25 @@ impl ObliviousStore {
         self.data.engine()
     }
 
+    /// Every tree's cycle-accurate backend (DRAM statistics, final drain):
+    /// the data tree, then the posmap's trees, finest first. Empty for an
+    /// untimed store.
+    pub fn timed_trees(&mut self) -> Vec<&mut TimedBackend> {
+        trees(&mut self.data, &mut self.posmap).filter_map(|tree| tree.timed_mut()).collect()
+    }
+
+    /// The lane's hand-off counters.
+    #[cfg(test)]
+    pub(crate) fn lane_counts(&self) -> crate::lane::LaneCounts {
+        self.lane.counts()
+    }
+
     /// One read-modify-write at arrival time `start`: `f` observes the
     /// key's current value (`None` if absent) exactly once and returns
     /// `Some(new)` to write/insert or `None` to leave the store unchanged.
     /// Returns the prior value and the completion clock. The cost is one
     /// chain walk plus one data-tree access whether the key exists or not.
+    /// Every access is released inline, on this thread.
     ///
     /// # Errors
     ///
@@ -309,28 +364,113 @@ impl ObliviousStore {
         key: &[u8],
         f: &mut dyn FnMut(Option<Vec<u8>>) -> Option<Vec<u8>>,
     ) -> Result<(Option<Vec<u8>>, u64), OramError> {
+        self.open_batch(start, false);
+        let old = self.slot_rmw(key, f);
+        let done = self.close_batch().first().copied();
+        Ok((old?, done.expect("the slot completed")))
+    }
+
+    /// One full dummy request (dummy chain walk + dummy data access) —
+    /// batch padding and miss hiding. Returns the completion clock. The
+    /// accesses are released inline, on this thread.
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine protocol errors.
+    pub fn dummy_at(&mut self, start: u64) -> Result<u64, OramError> {
+        self.open_batch(start, false);
+        let staged = self.slot_dummy();
+        let done = self.close_batch().first().copied();
+        staged?;
+        Ok(done.expect("the slot completed"))
+    }
+
+    /// Opens a batch of slots launching at `at`: each slot is one request's
+    /// chain, its first access arriving at `at`. With `threaded`, a timed
+    /// store releases the batch on its lane's helper unless this thread's
+    /// telemetry keeps releases here (see [`ReleaseHalf::may_leave_thread`]);
+    /// otherwise it releases each access inline. Every cycle is the same
+    /// either way.
+    pub(crate) fn open_batch(&mut self, at: u64, threaded: bool) {
+        self.batch_at = at;
+        self.slot_ends.clear();
+        if threaded && self.timed && ReleaseHalf::may_leave_thread() {
+            self.lane.open_threaded(trees(&mut self.data, &mut self.posmap));
+        } else {
+            self.lane.open_inline();
+        }
+    }
+
+    /// Closes the open batch: returns the `done` of each slot that
+    /// completed, in order, and moves the store's clock to the latest. A
+    /// threaded batch waits here for its releases.
+    pub(crate) fn close_batch(&mut self) -> &[u64] {
+        let dones = self.lane.close(trees(&mut self.data, &mut self.posmap));
+        self.slot_dones.clear();
+        self.slot_dones.extend(self.slot_ends.iter().map(|&i| dones[i]));
+        self.cursor = self.slot_dones.iter().copied().fold(self.cursor, u64::max);
+        &self.slot_dones
+    }
+
+    /// A slot of the open batch: one read-modify-write (see
+    /// [`rmw_at`](Self::rmw_at)). Returns the prior value; its `done` comes
+    /// from [`close_batch`](Self::close_batch).
+    pub(crate) fn slot_rmw(
+        &mut self,
+        key: &[u8],
+        f: &mut dyn FnMut(Option<Vec<u8>>) -> Option<Vec<u8>>,
+    ) -> Result<Option<Vec<u8>>, OramError> {
+        let old = self.rmw(key, f)?;
+        self.slot_ends.push(self.lane.accesses() - 1);
+        Ok(old)
+    }
+
+    /// A slot of the open batch: one dummy request (see
+    /// [`dummy_at`](Self::dummy_at)).
+    pub(crate) fn slot_dummy(&mut self) -> Result<(), OramError> {
+        self.dummy()?;
+        self.slot_ends.push(self.lane.accesses() - 1);
+        Ok(())
+    }
+
+    /// One managed data-tree access, the last of its chain.
+    fn data_access(
+        &mut self,
+        arrival: &mut Arrival,
+        block: BlockId,
+        position: PathId,
+        mutate: &mut aboram_core::PayloadMutator<'_>,
+    ) -> Result<(), OramError> {
+        let op = Op::Managed { block, position, mutate };
+        self.lane.access(0, self.data.as_mut(), arrival, op)?;
+        self.stats.data_accesses += 1;
+        Ok(())
+    }
+
+    fn rmw(
+        &mut self,
+        key: &[u8],
+        f: &mut dyn FnMut(Option<Vec<u8>>) -> Option<Vec<u8>>,
+    ) -> Result<Option<Vec<u8>>, OramError> {
+        let mut arrival = Arrival::At(self.batch_at);
         if let Some(block) = self.directory.get(key).copied() {
             let depth = self.data.engine().config().levels;
             let new_pos = PathId::new(self.rng.gen_range(0..self.data_leaves));
-            let (claimed, pm_done) =
-                self.posmap.resolve_and_remap(block, pack_entry(depth, new_pos.leaf()), start)?;
+            let entry = pack_entry(depth, new_pos.leaf());
+            let claimed = self.posmap.resolve(&mut self.lane, &mut arrival, block, entry)?;
             if self.claimed_position(claimed, block) != self.data.engine().position_of(block)? {
                 return Err(OramError::PosMapDiverged { tree: 0, block });
             }
             let mut old_out: Option<Vec<u8>> = None;
-            let reply =
-                self.data.access_managed(pm_done, block, Some(new_pos), &mut |payload| {
-                    let old = decode(payload);
-                    let next = f(Some(old.clone()));
-                    old_out = Some(old);
-                    if let Some(new) = next {
-                        encode(payload, &new);
-                    }
-                })?;
-            self.stats.data_accesses += 1;
-            let done = reply.done;
-            self.cursor = self.cursor.max(done);
-            return Ok((old_out, done));
+            self.data_access(&mut arrival, block, new_pos, &mut |payload| {
+                let old = decode(payload);
+                let next = f(Some(old.clone()));
+                old_out = Some(old);
+                if let Some(new) = next {
+                    encode(payload, &new);
+                }
+            })?;
+            return Ok(old_out);
         }
 
         // Absent key: ask the caller once; an insert pays a real chain
@@ -359,11 +499,8 @@ impl ObliviousStore {
                 self.stats.inserts += 1;
                 let depth = self.data.engine().config().levels;
                 let new_pos = PathId::new(self.rng.gen_range(0..self.data_leaves));
-                let (claimed, pm_done) = self.posmap.resolve_and_remap(
-                    block,
-                    pack_entry(depth, new_pos.leaf()),
-                    start,
-                )?;
+                let entry = pack_entry(depth, new_pos.leaf());
+                let claimed = self.posmap.resolve(&mut self.lane, &mut arrival, block, entry)?;
                 // A freshly materialized block's chain slot still holds its
                 // construction placeholder — skip the ground-truth check on
                 // this first touch (the entry we just recorded takes over).
@@ -373,36 +510,26 @@ impl ObliviousStore {
                 {
                     return Err(OramError::PosMapDiverged { tree: 0, block });
                 }
-                let reply =
-                    self.data.access_managed(pm_done, block, Some(new_pos), &mut |payload| {
-                        encode(payload, &new);
-                    })?;
-                self.stats.data_accesses += 1;
-                let done = reply.done;
-                self.cursor = self.cursor.max(done);
-                Ok((None, done))
+                self.data_access(&mut arrival, block, new_pos, &mut |payload| {
+                    encode(payload, &new);
+                })?;
+                Ok(None)
             }
             None => {
-                let done = self.dummy_at(start)?;
+                self.dummy()?;
                 self.stats.misses += 1;
-                Ok((None, done))
+                Ok(None)
             }
         }
     }
 
-    /// One full dummy request (dummy chain walk + dummy data access) —
-    /// batch padding and miss hiding. Returns the completion clock.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine protocol errors.
-    pub fn dummy_at(&mut self, start: u64) -> Result<u64, OramError> {
-        let pm_done = self.posmap.dummy_walk(start)?;
-        let reply = self.data.dummy_access(pm_done)?;
+    /// A dummy chain walk, then a dummy data access.
+    fn dummy(&mut self) -> Result<(), OramError> {
+        let mut arrival = Arrival::At(self.batch_at);
+        self.posmap.dummy(&mut self.lane, &mut arrival)?;
+        self.lane.access(0, self.data.as_mut(), &mut arrival, Op::Dummy)?;
         self.stats.dummy_data_accesses += 1;
-        let done = reply.done;
-        self.cursor = self.cursor.max(done);
-        Ok(done)
+        Ok(())
     }
 
     /// Looks `key` up, paying one full oblivious request either way.
