@@ -16,7 +16,8 @@
 //!   [`TimedBackend::stage_managed`] / [`TimedBackend::stage_dummy`] and
 //!   releases through a lent [`ReleaseHalf`] — the same two halves, so the
 //!   same cycles. The service's store releases its batches that way, on a
-//!   helper thread.
+//!   helper thread. A half lent from a thread with telemetry on captures
+//!   the hooks its releases fire and replays them there when it returns.
 //! * [`UntimedBackend`] runs the identical protocol over a
 //!   [`CountingSink`] and charges a fixed cost per 64 B transfer — orders
 //!   of magnitude faster, with the same access *pattern* and the same
@@ -34,6 +35,7 @@ use crate::ring::{AccessKind, PayloadMutator, RingOram};
 use crate::sink::{CountingSink, StagedBatch, Stager};
 use crate::{BlockId, BLOCK_BYTES};
 use aboram_dram::{DramConfig, MemorySystem};
+use aboram_telemetry::Captured;
 use aboram_tree::PathId;
 
 /// Timing outcome of one backend access.
@@ -162,21 +164,19 @@ pub struct TimedBackend {
 /// twin and the in-flight window. It holds no reference to the engine, so
 /// it may be lent to another thread and released into there, then returned.
 #[derive(Debug)]
-pub struct ReleaseHalf(AccessController);
+pub struct ReleaseHalf {
+    ctl: AccessController,
+    /// While lent from a thread with telemetry on: the hooks its releases
+    /// fired, replayed there when it returns.
+    hooks: Option<Captured>,
+}
 
 impl ReleaseHalf {
     /// Releases the one access in `staged`, staged by the backend this half
     /// belongs to, which arrived at cycle `arrival`: returns its `done`.
     pub fn finish(&mut self, arrival: u64, staged: &StagedBatch) -> u64 {
         debug_assert_eq!(staged.len(), 1, "one access per release");
-        self.0.finish(arrival, staged.get(0)).1
-    }
-
-    /// Whether releases may leave this thread. Telemetry collectors are per
-    /// thread, and a release reports its gate and occupancy to the calling
-    /// thread's collector: with one installed, releases stay here.
-    pub fn may_leave_thread() -> bool {
-        !aboram_telemetry::enabled()
+        aboram_telemetry::capture(self.hooks.as_mut(), || self.ctl.finish(arrival, staged.get(0)).1)
     }
 }
 
@@ -195,15 +195,16 @@ impl TimedBackend {
     /// `AbChannelPar` tenant gets the channel-parallel drain end to end.
     pub fn from_oram(oram: RingOram, dram: DramConfig) -> Self {
         let ctl = AccessController::new(MemorySystem::new(dram), oram.config().scheme.issue_mode());
-        TimedBackend { oram, stager: ctl.stager(), release: Some(ReleaseHalf(ctl)) }
+        let stager = ctl.stager();
+        TimedBackend { oram, stager, release: Some(ReleaseHalf { ctl, hooks: None }) }
     }
 
     fn ctl(&self) -> &AccessController {
-        &self.release.as_ref().expect("the release half is lent out").0
+        &self.release.as_ref().expect("the release half is lent out").ctl
     }
 
     fn ctl_mut(&mut self) -> &mut AccessController {
-        &mut self.release.as_mut().expect("the release half is lent out").0
+        &mut self.release.as_mut().expect("the release half is lent out").ctl
     }
 
     /// Resolves every in-flight access, folds the completions into
@@ -219,18 +220,26 @@ impl TimedBackend {
 
     /// Lends out the release half. Until it is
     /// [`return`](Self::return_release)ed only the stage half may run: the
-    /// `stage_*` methods and the engine accessors.
+    /// `stage_*` methods and the engine accessors. With telemetry on this
+    /// thread, the half captures the hooks its releases fire, wherever they
+    /// run.
     ///
     /// # Panics
     ///
     /// Panics if it is lent out already.
     pub fn lend_release(&mut self) -> ReleaseHalf {
-        self.release.take().expect("the release half is lent out")
+        let mut release = self.release.take().expect("the release half is lent out");
+        release.hooks = aboram_telemetry::enabled().then(Captured::default);
+        release
     }
 
-    /// Takes back the release half [`lend_release`](Self::lend_release) lent.
-    pub fn return_release(&mut self, release: ReleaseHalf) {
+    /// Takes back the release half [`lend_release`](Self::lend_release) lent,
+    /// replaying on this thread the hooks its releases fired.
+    pub fn return_release(&mut self, mut release: ReleaseHalf) {
         debug_assert!(self.release.is_none(), "a second release half");
+        if let Some(mut hooks) = release.hooks.take() {
+            hooks.replay();
+        }
         self.release = Some(release);
     }
 

@@ -11,7 +11,9 @@
 //! record and stages the requests it emits — decoded, row-run and in release
 //! order; the *timing stage* gates and releases each staged access through
 //! the controller and times it. No cycle reaches the engine stage, so it runs
-//! ahead on a second thread (DESIGN.md §16).
+//! ahead on a second thread; the telemetry hooks it fires there travel back
+//! with its batch and reach the collector just before the timing stage times
+//! their record (DESIGN.md §16).
 
 use crate::config::{IssueMode, OramConfig};
 use crate::controller::AccessController;
@@ -23,6 +25,7 @@ use crate::sink::{OramOp, StagedBatch, Stager};
 use aboram_crypto::CryptoLatency;
 use aboram_dram::{DramConfig, MemorySystem, RobCpu};
 use aboram_stats::{HealthState, RecoveryStats};
+use aboram_telemetry::Captured;
 use aboram_trace::{MemOp, TraceRecord};
 use std::sync::mpsc;
 
@@ -195,6 +198,9 @@ struct Batch {
     staged: StagedBatch,
     /// The engine error that ended the batch, at record `staged.len()`.
     error: Option<OramError>,
+    /// With telemetry on the calling thread: the hooks the engine fired
+    /// staging the batch, each record's beginning at its `record_mark`.
+    hooks: Option<Captured>,
 }
 
 impl Batch {
@@ -209,20 +215,24 @@ impl Batch {
 }
 
 impl Engine {
-    /// Runs `batch`'s accesses in trace order, staging each one. An error
-    /// ends the batch: the stager abandons the failing access at its
-    /// boundary, so the timing stage never sees a partial access.
+    /// Runs `batch`'s accesses in trace order, staging each one and
+    /// capturing its hooks into the batch's. An error ends the batch: the
+    /// stager abandons the failing access at its boundary, so the timing
+    /// stage never sees a partial access.
     fn stage(&mut self, batch: &mut Batch, block_count: u64) {
-        std::mem::swap(self.sink.inner_mut().batch_mut(), &mut batch.staged);
-        for rec in &batch.records {
-            aboram_telemetry::record_mark();
-            let result = self.access(rec, block_count);
-            if let Err(e) = self.sink.inner_mut().end_access(result) {
-                batch.error = Some(e);
-                break;
+        let Batch { records, staged, error, hooks } = batch;
+        std::mem::swap(self.sink.inner_mut().batch_mut(), staged);
+        aboram_telemetry::capture(hooks.as_mut(), || {
+            for rec in records.iter() {
+                aboram_telemetry::record_mark();
+                let result = self.access(rec, block_count);
+                if let Err(e) = self.sink.inner_mut().end_access(result) {
+                    *error = Some(e);
+                    break;
+                }
             }
-        }
-        std::mem::swap(self.sink.inner_mut().batch_mut(), &mut batch.staged);
+        });
+        std::mem::swap(self.sink.inner_mut().batch_mut(), staged);
     }
 
     /// One trace record's protocol work: every LLC miss (read or writeback)
@@ -257,9 +267,15 @@ struct Totals {
 }
 
 /// The timing stage: takes each access `batch` staged through the core and
-/// the controller's gates and release, and adds it to `totals`.
-fn time(ctl: &mut AccessController, cpu: &mut RobCpu, batch: &Batch, totals: &mut Totals) {
+/// the controller's gates and release, and adds it to `totals`. Each
+/// record's engine hooks are replayed just before it is timed, so the
+/// collector sees one thread's order: record *i*'s engine hooks, then its
+/// timing hooks, then record *i + 1*'s. A failed record's hooks come last.
+fn time(ctl: &mut AccessController, cpu: &mut RobCpu, batch: &mut Batch, totals: &mut Totals) {
     for (rec, access) in batch.records.iter().zip(batch.staged.iter()) {
+        if let Some(hooks) = &mut batch.hooks {
+            hooks.replay_record();
+        }
         let issue = cpu.issue_op(rec.inst_gap);
         let (start, done) = ctl.finish(issue, access);
         if rec.op == MemOp::Read {
@@ -269,6 +285,9 @@ fn time(ctl: &mut AccessController, cpu: &mut RobCpu, batch: &Batch, totals: &mu
         totals.instructions += u64::from(rec.inst_gap) + 1;
         totals.online_latency_cycles += done.saturating_sub(start);
         totals.response_latency_cycles += done.saturating_sub(issue);
+    }
+    if let Some(hooks) = &mut batch.hooks {
+        hooks.replay();
     }
 }
 
@@ -443,29 +462,12 @@ impl TimingDriver {
         Ok(())
     }
 
-    /// The lockstep executor: each record through the engine stage, then the
-    /// timing stage, on this thread — one thread's order of telemetry hooks.
-    fn lockstep(
-        &mut self,
-        trace: &mut impl Iterator<Item = TraceRecord>,
-        block_count: u64,
-    ) -> Result<Totals, OramError> {
-        let (mut batch, mut totals) = (Batch::default(), Totals::default());
-        while batch.refill(trace, 1) {
-            self.engine.stage(&mut batch, block_count);
-            time(&mut self.ctl, &mut self.cpu, &batch, &mut totals);
-            if let Some(e) = batch.error.take() {
-                return Err(e);
-            }
-        }
-        Ok(totals)
-    }
-
-    /// The run-ahead executor: the engine stage on a scoped worker thread,
-    /// the timing stage and the trace here. Two batches circulate through
-    /// two bounded channels, so the engine stages one batch while this
-    /// thread times the other. An engine error ends its batch: the accesses
-    /// before it are timed, then the error is returned.
+    /// The executor: the engine stage on a scoped worker thread, the timing
+    /// stage and the trace here. Two batches circulate through two bounded
+    /// channels, so the engine stages one batch while this thread times the
+    /// other. With telemetry on here, each batch carries the hooks the
+    /// engine fired back with it. An engine error ends its batch: the
+    /// accesses before it are timed, then the error is returned.
     fn run_ahead(
         &mut self,
         trace: &mut impl Iterator<Item = TraceRecord>,
@@ -488,9 +490,11 @@ impl TimingDriver {
             // a batch of the benchmark's accesses, so the worker seldom grows
             // one.
             let mut in_flight = 0;
+            let traced = aboram_telemetry::enabled();
             for _ in 0..2 {
                 let staged = StagedBatch::with_capacity(BATCH);
-                let mut batch = Batch { staged, ..Batch::default() };
+                let hooks = traced.then(Captured::default);
+                let mut batch = Batch { staged, hooks, ..Batch::default() };
                 if batch.refill(trace, BATCH) && to_engine.send(batch).is_ok() {
                     in_flight += 1;
                 }
@@ -500,7 +504,7 @@ impl TimingDriver {
                 // Fails only if the worker panicked: the scope re-raises it.
                 let Ok(mut batch) = timing_rx.recv() else { break };
                 in_flight -= 1;
-                time(ctl, cpu, &batch, &mut totals);
+                time(ctl, cpu, &mut batch, &mut totals);
                 if let Some(e) = batch.error.take() {
                     return Err(e);
                 }
@@ -512,12 +516,8 @@ impl TimingDriver {
         })
     }
 
-    /// Runs the trace to completion and reports results.
-    ///
-    /// The engine stage runs ahead of the timing stage on a second thread,
-    /// unless a telemetry collector is installed on this thread: then both
-    /// run here in lockstep, so every hook reaches it in one thread's order.
-    /// The report is the same either way.
+    /// Runs the trace to completion and reports results. The engine stage
+    /// runs ahead of the timing stage on a second thread.
     ///
     /// # Errors
     ///
@@ -568,11 +568,7 @@ impl TimingDriver {
             )
         };
         let mut trace = trace.into_iter().fuse();
-        let totals = if aboram_telemetry::enabled() {
-            self.lockstep(&mut trace, block_count)?
-        } else {
-            self.run_ahead(&mut trace, block_count)?
-        };
+        let totals = self.run_ahead(&mut trace, block_count)?;
 
         // The controller is free once every in-flight access's maintenance
         // traffic has been serviced.
@@ -778,10 +774,16 @@ mod tests {
             d.set_pipeline_depth(depth);
             let mut gen = TraceGenerator::new(&profile, 5);
             let blocks = d.engine.oram.block_count();
+            let (mut batch, mut totals) = (Batch::default(), Totals::default());
             let mut largest = 0u64;
             for i in 0..5_000 {
                 let before = d.ctl.requests_issued();
-                d.lockstep(&mut std::iter::once(gen.next_record()), blocks).unwrap();
+                // One record through both stages, so the twin is observed
+                // between records.
+                batch.refill(&mut std::iter::once(gen.next_record()), 1);
+                d.engine.stage(&mut batch, blocks);
+                time(&mut d.ctl, &mut d.cpu, &mut batch, &mut totals);
+                assert!(batch.error.is_none());
                 largest = largest.max(d.ctl.requests_issued() - before);
                 let tracked = d.ctl.memory().tracked_requests() as u64;
                 assert!(
@@ -816,7 +818,7 @@ mod tests {
             let mut gen = TraceGenerator::new(&profile, 3);
             (0..400).map(|_| gen.next_record()).collect()
         };
-        for (depth, lockstep) in [(1u8, false), (1, true), (4, false), (4, true)] {
+        for (depth, traced) in [(1u8, false), (1, true), (4, false), (4, true)] {
             let cfg = OramConfig::builder(10, Scheme::Ab).seed(7).build().unwrap();
             let mut d = TimingDriver::new(&cfg, DramConfig::default()).unwrap();
             d.set_pipeline_depth(depth);
@@ -845,8 +847,9 @@ mod tests {
             let failing = failing.expect("the plan exhausts a retry");
             assert!(failing > BATCH, "the failure is past the first batch");
 
-            if lockstep {
-                aboram_telemetry::install(aboram_telemetry::Collector::to_shared_buffer().0);
+            let (collector, trace) = aboram_telemetry::Collector::to_shared_buffer();
+            if traced {
+                aboram_telemetry::install(collector);
             }
             assert!(d.run(records.iter().copied()).is_err());
             assert_eq!(d.ctl.requests_issued(), earlier, "the twin saw the earlier accesses only");
@@ -860,8 +863,9 @@ mod tests {
             let (ok, own) = emit(&next);
             assert!(ok);
             assert_eq!(d.ctl.requests_issued() - issued, own, "it releases only its own requests");
-            if lockstep {
+            if traced {
                 aboram_telemetry::uninstall();
+                assert!(trace.contents().contains("retries_exhausted"), "the ring was dumped");
             }
         }
     }

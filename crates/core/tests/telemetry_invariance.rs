@@ -5,10 +5,10 @@
 //! hooks are pure branch-not-taken overhead. The same holds for the service
 //! path: a pipelined [`TimedBackend`] replies identically either way.
 //!
-//! An installed collector also selects the driver's executor: the engine
-//! stage runs ahead on a worker thread without one and in lockstep with the
-//! timing stage with one (DESIGN.md §16). The grid below holds the two to
-//! the same results.
+//! The driver has one executor either way: the engine stage runs ahead on a
+//! worker thread, which captures its hooks into each batch for the timing
+//! stage to replay (DESIGN.md §16). The grid below holds a traced driver to
+//! an untraced one's results.
 
 use aboram_core::{
     AccessKind, BackendReply, CountingSink, FaultInjectingSink, FaultPlan, InjectedFaults,
@@ -16,11 +16,11 @@ use aboram_core::{
     SimulationReport, StagedBatch, Stager, StorageBackend, TimedBackend, TimingDriver,
 };
 use aboram_dram::DramConfig;
-use aboram_telemetry::Collector;
+use aboram_telemetry::{Captured, Collector};
 use aboram_trace::{profiles, TraceGenerator, TraceRecord};
 
 /// Everything that crosses to the engine thread, and the staged accesses
-/// that cross back, is `Send`.
+/// and captured hooks that cross back, is `Send`.
 const _: () = {
     const fn send<T: Send>() {}
     send::<TimingDriver>();
@@ -30,6 +30,7 @@ const _: () = {
     send::<StagedBatch>();
     send::<TraceRecord>();
     send::<OramError>();
+    send::<Captured>();
 };
 
 fn fixed_run(scheme: Scheme, instrument: bool) -> (SimulationReport, Option<String>) {
@@ -162,8 +163,7 @@ struct Outcome {
 }
 
 /// One grid cell run over traces of every length around the batch size, on
-/// one driver, by the run-ahead executor or — with a collector installed —
-/// the lockstep one. The driver runs its first lengths serially into a
+/// one driver, with or without a collector installed. The driver runs its first lengths serially into a
 /// window of one and then switches to the cell's issue mode and depth,
 /// which the stager must pick up for the accesses it stages from then on.
 fn cell_runs(
@@ -172,7 +172,7 @@ fn cell_runs(
     depth: u8,
     faults: bool,
     recursion: bool,
-    lockstep: bool,
+    traced: bool,
 ) -> Outcome {
     let cfg = OramConfig::builder(9, scheme).seed(41).build().unwrap();
     let mut driver = TimingDriver::new(&cfg, DramConfig::default()).unwrap();
@@ -191,7 +191,7 @@ fn cell_runs(
     }
     let profile = profiles::spec2017().into_iter().find(|p| p.name == "mcf").unwrap();
     let mut gen = TraceGenerator::new(&profile, 41);
-    if lockstep {
+    if traced {
         aboram_telemetry::install(Collector::to_shared_buffer().0);
     }
     let mut reports = Vec::new();
@@ -202,7 +202,7 @@ fn cell_runs(
         }
         reports.push(driver.run((0..n).map(|_| gen.next_record())).unwrap());
     }
-    if lockstep {
+    if traced {
         aboram_telemetry::uninstall().expect("collector was installed");
     }
     assert_eq!(
@@ -223,14 +223,14 @@ fn cell_runs(
 }
 
 #[test]
-fn run_ahead_and_lockstep_executors_agree() {
+fn an_installed_collector_changes_no_result() {
     for scheme in [Scheme::Baseline, Scheme::Ab] {
         for mode in [IssueMode::Serial, IssueMode::ChannelParallel] {
             for depth in [1, 4] {
                 for faults in [false, true] {
                     for recursion in [false, true] {
                         let cell =
-                            |lockstep| cell_runs(scheme, mode, depth, faults, recursion, lockstep);
+                            |traced| cell_runs(scheme, mode, depth, faults, recursion, traced);
                         assert!(
                             cell(false) == cell(true),
                             "{scheme} {mode:?} depth {depth} faults {faults} recursion {recursion}"

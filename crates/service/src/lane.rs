@@ -12,20 +12,25 @@
 //!
 //! * **inline** — each access is staged and released at once, on the
 //!   calling thread, through the backend's own [`StorageBackend`] methods.
-//!   The synchronous store API, untimed stores and any batch run while a
-//!   telemetry collector is installed use it;
+//!   The synchronous store API and untimed stores use it;
 //! * **threaded** — a batch on a timed store lends every tree's release half
 //!   to a long-lived helper thread, which the lane spawns on first use and
 //!   joins when it drops. The calling thread stages each access and sends
 //!   it, with its tree and its [`Arrival`], as soon as it is committed; the
 //!   helper releases it while the calling thread stages the next ones.
 //!   Closing the batch is the one blocking wait: the release halves come
-//!   home with every access's `done`.
+//!   home with every access's `done`. A release half lent while a telemetry
+//!   collector is installed on the calling thread captures the hooks its
+//!   releases fire on the helper; returning it at close replays them into
+//!   that collector.
 //!
 //! Each tree's release half sees the same accesses, in the same order, at
 //! the same arrivals under both executors, so every cycle is identical. The
 //! trees' DRAM twins are private to them, so the order across trees does
-//! not matter.
+//! not matter. Nor does it for telemetry: the helper's hooks replay tree by
+//! tree after the batch's staging hooks, but a store marks no record and
+//! begins no run, so they reach only the registry, whose counters and
+//! histograms are sums.
 
 use aboram_core::{
     BlockId, OramError, PayloadMutator, ReleaseHalf, StagedBatch, StorageBackend, BLOCK_BYTES,
@@ -358,3 +363,6 @@ impl Drop for Lane {
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

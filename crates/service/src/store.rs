@@ -22,13 +22,14 @@
 //! and the helper computes every `done`. Each tree's twin sees the same
 //! accesses in the same order at the same arrivals either way, so every
 //! cycle is the same. With a telemetry collector installed on the calling
-//! thread a batch releases inline too: collectors are per thread.
+//! thread, the hooks the helper's releases fire are captured there and
+//! replayed into it when the batch closes.
 
 use crate::lane::{Arrival, Lane, Op};
 use crate::posmap::{RecursionConfig, RecursivePosMap};
 use aboram_core::{
-    extend_label, BlockId, GrowthConfig, OramConfig, OramError, ReleaseHalf, RingOram, Scheme,
-    StorageBackend, TimedBackend, UntimedBackend, BLOCK_BYTES,
+    extend_label, BlockId, GrowthConfig, OramConfig, OramError, RingOram, Scheme, StorageBackend,
+    TimedBackend, UntimedBackend, BLOCK_BYTES,
 };
 use aboram_dram::DramConfig;
 use aboram_tree::PathId;
@@ -341,6 +342,12 @@ impl ObliviousStore {
         self.lane.counts()
     }
 
+    /// Makes every later batch release inline, as an untimed store's do.
+    #[cfg(test)]
+    pub(crate) fn release_inline(&mut self) {
+        self.timed = false;
+    }
+
     /// One read-modify-write at arrival time `start`: `f` observes the
     /// key's current value (`None` if absent) exactly once and returns
     /// `Some(new)` to write/insert or `None` to leave the store unchanged.
@@ -387,14 +394,12 @@ impl ObliviousStore {
 
     /// Opens a batch of slots launching at `at`: each slot is one request's
     /// chain, its first access arriving at `at`. With `threaded`, a timed
-    /// store releases the batch on its lane's helper unless this thread's
-    /// telemetry keeps releases here (see [`ReleaseHalf::may_leave_thread`]);
-    /// otherwise it releases each access inline. Every cycle is the same
-    /// either way.
+    /// store releases the batch on its lane's helper; otherwise it releases
+    /// each access inline. Every cycle is the same either way.
     pub(crate) fn open_batch(&mut self, at: u64, threaded: bool) {
         self.batch_at = at;
         self.slot_ends.clear();
-        if threaded && self.timed && ReleaseHalf::may_leave_thread() {
+        if threaded && self.timed {
             self.lane.open_threaded(trees(&mut self.data, &mut self.posmap));
         } else {
             self.lane.open_inline();

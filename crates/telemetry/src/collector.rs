@@ -3,17 +3,28 @@
 //!
 //! # Overhead contract
 //!
-//! Every hook first reads one thread-local `bool`; with no collector
-//! installed that is the *entire* cost, so instrumented hot paths stay
-//! within noise of uninstrumented builds. Hooks never touch the engine RNG
-//! and never alter control flow, so fault-free runs are bit-identical with
-//! telemetry on or off.
+//! Every hook first reads one thread-local `bool`; with neither a collector
+//! nor a capture installed that is the *entire* cost, so instrumented hot
+//! paths stay within noise of uninstrumented builds. Only then does a hook
+//! build its `Hook` value, which the collector applies or the capture
+//! appends to its buffer. Hooks never touch the engine RNG and never alter
+//! control flow, so fault-free runs are bit-identical with telemetry on or
+//! off.
+//!
+//! # Capture and replay
+//!
+//! A collector belongs to one thread. Work that runs on another thread on
+//! its behalf [`capture`]s its hooks into a [`Captured`] buffer, which
+//! travels back with the work's results and is replayed into the collector
+//! where they rejoin. Replaying at the point the work's results are used
+//! gives the collector the order one thread would have fired them in.
 
 use crate::jsonl::LineBuilder;
 use crate::phase::{Phase, PHASE_COUNT};
 use crate::registry::Registry;
 use crate::ring_log::RingLog;
 use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
@@ -47,6 +58,22 @@ impl RunState {
         let l = usize::from(level.min(self.levels - 1));
         phase.index() * usize::from(self.levels) + l
     }
+}
+
+/// One hook call, as a value: what a collector applies and a capture holds.
+#[derive(Debug)]
+enum Hook {
+    BeginRun { scheme: String, levels: u8, burst_cycles: u64 },
+    RecordMark,
+    EndRun { exec_cycles: u64, bus_cycles: u64 },
+    MemRead(Phase, u8),
+    MemWrite(Phase, u8),
+    Span(Phase),
+    Counter(&'static str, u64),
+    Gauge(&'static str, f64),
+    Level(&'static str, u8, u64),
+    Event(&'static str, Phase, u8, u64),
+    DumpRing(&'static str),
 }
 
 /// A telemetry collector: owns the trace sink, the metrics registry and the
@@ -127,6 +154,39 @@ impl Collector {
         }
         if self.out.write_all(text.as_bytes()).is_err() {
             self.write_error = true;
+        }
+    }
+
+    /// Applies one hook.
+    fn apply(&mut self, hook: Hook) {
+        match hook {
+            Hook::BeginRun { scheme, levels, burst_cycles } => {
+                self.begin_run(&scheme, levels, burst_cycles);
+            }
+            Hook::RecordMark => self.record_mark(),
+            Hook::EndRun { exec_cycles, bus_cycles } => self.end_run(exec_cycles, bus_cycles),
+            Hook::MemRead(phase, level) => {
+                if let Some(run) = &mut self.run {
+                    let cell = run.cell(phase, level);
+                    run.reads[cell] += 1;
+                }
+            }
+            Hook::MemWrite(phase, level) => {
+                if let Some(run) = &mut self.run {
+                    let cell = run.cell(phase, level);
+                    run.writes[cell] += 1;
+                }
+            }
+            Hook::Span(phase) => {
+                if let Some(run) = &mut self.run {
+                    run.spans[phase.index()] += 1;
+                }
+            }
+            Hook::Counter(name, amount) => self.registry.counter_add(name, amount),
+            Hook::Gauge(name, value) => self.registry.gauge(name, value),
+            Hook::Level(name, level, amount) => self.registry.observe_level(name, level, amount),
+            Hook::Event(kind, phase, level, value) => self.ring.push(kind, phase, level, value),
+            Hook::DumpRing(reason) => self.dump_ring(reason),
         }
     }
 
@@ -293,13 +353,54 @@ impl Write for SharedBuffer {
     }
 }
 
-thread_local! {
-    static ENABLED: Cell<bool> = const { Cell::new(false) };
-    static ACTIVE: RefCell<Option<Collector>> = const { RefCell::new(None) };
+/// Hooks fired on one thread and held for another: work handed to a
+/// helper thread [`capture`]s its hooks, and the thread whose collector they
+/// belong to [`replay`](Self::replay)s them where that work's results rejoin
+/// its own. A replayed hook reaches whatever this thread has installed, as
+/// if fired here.
+#[derive(Debug, Default)]
+pub struct Captured {
+    hooks: VecDeque<Hook>,
 }
 
-/// Whether a collector is installed on this thread. All hooks are no-ops
-/// when this is `false`; checking it is their only cost.
+impl Captured {
+    /// Replays one record's hooks: the front one, then every hook up to the
+    /// next [`record_mark`].
+    pub fn replay_record(&mut self) {
+        let next_mark = self.hooks.iter().skip(1).position(|h| matches!(h, Hook::RecordMark));
+        let end = next_mark.map_or(self.hooks.len(), |i| i + 1);
+        self.hooks.drain(..end).for_each(deliver);
+    }
+
+    /// Replays every hook held, in the order they fired.
+    pub fn replay(&mut self) {
+        self.hooks.drain(..).for_each(deliver);
+    }
+}
+
+/// Where a thread's hooks go.
+#[derive(Debug)]
+enum Target {
+    Collector(Box<Collector>),
+    Capture(Captured),
+}
+
+impl Target {
+    fn into_collector(self) -> Option<Collector> {
+        match self {
+            Target::Collector(c) => Some(*c),
+            Target::Capture(_) => None,
+        }
+    }
+}
+
+thread_local! {
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    static ACTIVE: RefCell<Option<Target>> = const { RefCell::new(None) };
+}
+
+/// Whether a collector or a capture is installed on this thread. All hooks
+/// are no-ops when this is `false`; checking it is their only cost.
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.with(Cell::get)
@@ -308,16 +409,31 @@ pub fn enabled() -> bool {
 /// Installs `collector` on this thread, replacing (and returning) any
 /// previous one.
 pub fn install(collector: Collector) -> Option<Collector> {
-    let prev = ACTIVE.with(|a| a.borrow_mut().replace(collector));
+    let prev = ACTIVE.with(|a| a.borrow_mut().replace(Target::Collector(Box::new(collector))));
     ENABLED.with(|e| e.set(true));
-    prev
+    prev.and_then(Target::into_collector)
 }
 
 /// Removes this thread's collector, if any. The caller should
 /// [`flush`](Collector::flush) it.
 pub fn uninstall() -> Option<Collector> {
     ENABLED.with(|e| e.set(false));
-    ACTIVE.with(|a| a.borrow_mut().take())
+    ACTIVE.with(|a| a.borrow_mut().take()).and_then(Target::into_collector)
+}
+
+/// Runs `f`. With `into`, every hook `f` fires on this thread is appended
+/// there instead of reaching what this thread has installed, which is
+/// restored afterwards; without, hooks behave as usual.
+pub fn capture<R>(into: Option<&mut Captured>, f: impl FnOnce() -> R) -> R {
+    let Some(into) = into else { return f() };
+    let outer = ACTIVE.with(|a| a.replace(Some(Target::Capture(std::mem::take(into)))));
+    let was_enabled = ENABLED.with(|e| e.replace(true));
+    let out = f();
+    if let Some(Target::Capture(captured)) = ACTIVE.with(|a| a.replace(outer)) {
+        *into = captured;
+    }
+    ENABLED.with(|e| e.set(was_enabled));
+    out
 }
 
 /// Installs a collector writing to `path` and returns a guard that flushes
@@ -346,17 +462,27 @@ impl Drop for TelemetryGuard {
     }
 }
 
+/// Fires the hook `make` builds. `make` runs only while something is
+/// installed.
 #[inline]
-fn with(f: impl FnOnce(&mut Collector)) {
-    if !enabled() {
-        return;
+fn hook(make: impl FnOnce() -> Hook) {
+    if enabled() {
+        deliver(make());
     }
+}
+
+/// Applies `hook` to this thread's collector, or appends it to its capture.
+/// Cold: untraced runs never get here, so hot callers keep it out of line.
+#[cold]
+fn deliver(hook: Hook) {
     ACTIVE.with(|a| {
         // try_borrow_mut: a hook fired re-entrantly from inside the
         // collector (e.g. by the sink) must be dropped, not panic.
-        if let Ok(mut guard) = a.try_borrow_mut() {
-            if let Some(c) = guard.as_mut() {
-                f(c);
+        if let Ok(mut active) = a.try_borrow_mut() {
+            match active.as_mut() {
+                Some(Target::Collector(c)) => c.apply(hook),
+                Some(Target::Capture(c)) => c.hooks.push_back(hook),
+                None => {}
             }
         }
     });
@@ -366,81 +492,67 @@ fn with(f: impl FnOnce(&mut Collector)) {
 /// the registry, and emits the run header. Traffic reported while no run is
 /// active (e.g. warm-up) is not attributed.
 pub fn begin_run(scheme: &str, levels: u8, burst_cycles: u64) {
-    with(|c| c.begin_run(scheme, levels, burst_cycles));
+    hook(|| Hook::BeginRun { scheme: scheme.to_owned(), levels, burst_cycles });
 }
 
 /// Marks one trace record processed; every `window_every` records the
 /// registry's window snapshot is exported.
 pub fn record_mark() {
-    with(Collector::record_mark);
+    hook(|| Hook::RecordMark);
 }
 
 /// Ends the measured run, emitting per-(phase, level) counts, span counts,
 /// run counter/histogram deltas and the run summary.
 pub fn end_run(exec_cycles: u64, bus_cycles: u64) {
-    with(|c| c.end_run(exec_cycles, bus_cycles));
+    hook(|| Hook::EndRun { exec_cycles, bus_cycles });
 }
 
 /// Records one off-chip read issued by `phase` at tree `level`.
 #[inline]
 pub fn mem_read(phase: Phase, level: u8) {
-    with(|c| {
-        if let Some(run) = &mut c.run {
-            let cell = run.cell(phase, level);
-            run.reads[cell] += 1;
-        }
-    });
+    hook(|| Hook::MemRead(phase, level));
 }
 
 /// Records one off-chip write issued by `phase` at tree `level`.
 #[inline]
 pub fn mem_write(phase: Phase, level: u8) {
-    with(|c| {
-        if let Some(run) = &mut c.run {
-            let cell = run.cell(phase, level);
-            run.writes[cell] += 1;
-        }
-    });
+    hook(|| Hook::MemWrite(phase, level));
 }
 
 /// Records one entry into a `phase` span (span occurrences per run).
 #[inline]
 pub fn span(phase: Phase) {
-    with(|c| {
-        if let Some(run) = &mut c.run {
-            run.spans[phase.index()] += 1;
-        }
-    });
+    hook(|| Hook::Span(phase));
 }
 
 /// Adds `amount` to the registry counter `name`.
 #[inline]
 pub fn counter_add(name: &'static str, amount: u64) {
-    with(|c| c.registry.counter_add(name, amount));
+    hook(|| Hook::Counter(name, amount));
 }
 
 /// Records one observation of gauge `name` for the current window.
 #[inline]
 pub fn gauge(name: &'static str, value: f64) {
-    with(|c| c.registry.gauge(name, value));
+    hook(|| Hook::Gauge(name, value));
 }
 
 /// Adds `amount` to bin `level` of per-level histogram `name`.
 #[inline]
 pub fn observe_level(name: &'static str, level: u8, amount: u64) {
-    with(|c| c.registry.observe_level(name, level, amount));
+    hook(|| Hook::Level(name, level, amount));
 }
 
 /// Appends an event to the bounded ring log.
 #[inline]
 pub fn event(kind: &'static str, phase: Phase, level: u8, value: u64) {
-    with(|c| c.ring.push(kind, phase, level, value));
+    hook(|| Hook::Event(kind, phase, level, value));
 }
 
 /// Dumps the ring log to the trace (error paths call this before
 /// propagating a failure).
 pub fn dump_ring(reason: &'static str) {
-    with(|c| c.dump_ring(reason));
+    hook(|| Hook::DumpRing(reason));
 }
 
 #[cfg(test)]
@@ -515,6 +627,79 @@ mod tests {
         assert_eq!(buf.take(), "from worker\n");
         assert_eq!(buf.take(), "", "take drains the buffer");
         assert_eq!(buf.contents(), "");
+    }
+
+    /// Hooks covering every kind, two records of them.
+    fn fire_two_records() {
+        begin_run("ab", 4, 16);
+        record_mark();
+        mem_read(Phase::ReadPath, 1);
+        mem_write(Phase::Metadata, 3);
+        span(Phase::EvictPath);
+        counter_add("dram.bank_conflicts", 3);
+        gauge("dram.queue_depth", 5.0);
+        record_mark();
+        observe_level("deadq.gathered", 2, 7);
+        event("evict_path", Phase::EvictPath, 0, 42);
+        dump_ring("test");
+        end_run(1000, 64);
+    }
+
+    #[test]
+    fn hooks_captured_on_another_thread_replay_as_if_fired_here() {
+        let (collector, direct) = Collector::to_shared_buffer();
+        install(collector.window_every(1));
+        fire_two_records();
+        uninstall();
+
+        let mut captured = Captured::default();
+        std::thread::scope(|s| {
+            s.spawn(|| capture(Some(&mut captured), fire_two_records));
+        });
+        assert!(!enabled(), "the capture stayed on its thread");
+        let (collector, replayed) = Collector::to_shared_buffer();
+        install(collector.window_every(1));
+        captured.replay();
+        uninstall();
+        assert!(captured.hooks.is_empty());
+        assert_eq!(direct.contents(), replayed.contents());
+    }
+
+    #[test]
+    fn a_record_replays_up_to_the_next_mark() {
+        let mut captured = Captured::default();
+        capture(Some(&mut captured), || {
+            counter_add("before", 1);
+            record_mark();
+            counter_add("first", 1);
+            record_mark();
+            counter_add("second", 1);
+        });
+        // Each call replays up to, not including, the next mark.
+        for held in [4, 2, 0] {
+            captured.replay_record();
+            assert_eq!(captured.hooks.len(), held);
+        }
+    }
+
+    #[test]
+    fn a_capture_restores_what_was_installed() {
+        let (collector, buf) = Collector::to_shared_buffer();
+        install(collector);
+        begin_run("ring", 2, 16);
+        let mut captured = Captured::default();
+        let out = capture(Some(&mut captured), || {
+            mem_read(Phase::ReadPath, 0);
+            7
+        });
+        assert_eq!(out, 7);
+        assert!(!captured.hooks.is_empty());
+        capture(None, || mem_read(Phase::ReadPath, 1));
+        end_run(1, 0);
+        uninstall();
+        let out = buf.contents();
+        assert!(!out.contains("\"level\":0,"), "a captured hook reached the collector: {out}");
+        assert!(out.contains("\"level\":1,\"reads\":1"), "{out}");
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   [`span`], [`counter_add`], …) — a thread-local sink instrumented code
 //!   reports through. With no collector installed every hook is a single
 //!   thread-local `bool` read; hooks never consume engine randomness, so
-//!   fault-free runs are bit-identical with telemetry on or off.
+//!   fault-free runs are bit-identical with telemetry on or off. Work a
+//!   thread hands to another [`capture`]s its hooks there, and they are
+//!   replayed from the [`Captured`] buffer into the owner's collector.
 //! * [`report`] — parses the exported JSONL trace back into [`RunTrace`]s
 //!   and renders per-phase / per-level cycle-breakdown tables (the
 //!   `perf_report` bench binary drives this).
@@ -33,9 +35,9 @@ pub mod report;
 pub mod ring_log;
 
 pub use collector::{
-    begin_run, counter_add, dump_ring, enabled, end_run, event, gauge, install, install_to_path,
-    mem_read, mem_write, observe_level, record_mark, span, uninstall, Collector, SharedBuffer,
-    TelemetryGuard, DEFAULT_WINDOW_RECORDS,
+    begin_run, capture, counter_add, dump_ring, enabled, end_run, event, gauge, install,
+    install_to_path, mem_read, mem_write, observe_level, record_mark, span, uninstall, Captured,
+    Collector, SharedBuffer, TelemetryGuard, DEFAULT_WINDOW_RECORDS,
 };
 pub use phase::{Phase, PHASE_COUNT};
 pub use registry::Registry;

@@ -81,3 +81,69 @@ fn golden_runner_is_deterministic() {
     let b = golden::digest_json(name, scheme, &golden::run_case(scheme).unwrap());
     assert_eq!(a, b);
 }
+
+/// Two traced runs on one collector: a channel-parallel AB driver at depth 4
+/// with the posmap model recursing, its windows cut every 16 records (so
+/// mid-batch), then a run on the same driver that ends in
+/// `RetriesExhausted` and dumps the ring log.
+fn telemetry_trace() -> String {
+    use aboram_core::{
+        FaultConfig, FaultPlan, IssueMode, OramConfig, OramError, PlbConfig, Scheme, TimingDriver,
+    };
+    use aboram_dram::DramConfig;
+    use aboram_trace::{profiles, TraceGenerator};
+
+    let (collector, buf) = aboram_telemetry::Collector::to_shared_buffer();
+    aboram_telemetry::install(collector.window_every(16));
+    let cfg = OramConfig::builder(10, Scheme::Ab).seed(golden::GOLDEN_SEED).build().unwrap();
+    let mut driver = TimingDriver::new(&cfg, DramConfig::default()).unwrap();
+    driver.set_issue_mode(IssueMode::ChannelParallel);
+    driver.set_pipeline_depth(4);
+    driver.enable_posmap_recursion(PlbConfig {
+        plb_bytes: 1024,
+        onchip_posmap_bytes: 1024,
+        entry_bytes: 4,
+    });
+    driver.warm_up(1_000).unwrap();
+    let profile = profiles::spec2017().into_iter().find(|p| p.name == "mcf").unwrap();
+    let mut gen = TraceGenerator::new(&profile, 3);
+    driver.run((0..200).map(|_| gen.next_record())).unwrap();
+
+    // One data fetch in five flips and no verifier is armed.
+    let flips = FaultConfig {
+        data_bit_flip: 0.2,
+        metadata_corruption: 0.0,
+        dropped_write: 0.0,
+        stall_events: 0,
+        ..FaultConfig::default()
+    };
+    driver.enable_faults(FaultPlan::with_config(3, flips));
+    let err = driver.run((0..400).map(|_| gen.next_record())).unwrap_err();
+    assert!(matches!(err, OramError::RetriesExhausted { .. }), "{err:?}");
+    let mut collector = aboram_telemetry::uninstall().expect("collector was installed");
+    collector.flush().unwrap();
+    buf.contents()
+}
+
+/// The telemetry trace's order is pinned like the digests: every hook,
+/// window cut and ring dump lands where `tests/golden/telemetry.jsonl`
+/// has it, byte for byte.
+#[test]
+fn telemetry_trace_matches_fixture() {
+    let got = telemetry_trace();
+    assert!(got.contains("\"t\":\"win\"") && got.contains("\"t\":\"ringdump\""), "{got}");
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/telemetry.jsonl");
+    if blessing() {
+        std::fs::write(&path, &got).expect("write fixture");
+        eprintln!("[blessed {}]", path.display());
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing fixture {} ({e}); run BLESS=1", path.display()));
+    if let Some((i, (w, g))) = want.lines().zip(got.lines()).enumerate().find(|(_, (w, g))| w != g)
+    {
+        panic!("line {}: fixture\n{w}\ncurrent\n{g}", i + 1);
+    }
+    assert_eq!(want.lines().count(), got.lines().count(), "trace length");
+    assert!(want == got, "the trace differs from {}", path.display());
+}
