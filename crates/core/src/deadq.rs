@@ -122,11 +122,6 @@ impl DeadQueues {
         self.enqueued
     }
 
-    /// Total entries ever dequeued.
-    pub fn total_dequeued(&self) -> u64 {
-        self.dequeued
-    }
-
     /// Entries dropped because a queue was full.
     pub fn total_rejected(&self) -> u64 {
         self.rejected_full

@@ -10,7 +10,6 @@
 use crate::config::OramConfig;
 use crate::error::OramError;
 use crate::fault::{FaultSite, BACKOFF_BASE_CYCLES, MAX_FAULT_RETRIES};
-use crate::growth::extend_label;
 use crate::posmap::PositionMap;
 use crate::sink::{MemorySink, OramOp};
 use crate::stash::{EvictionPlan, Stash, StashBlock};
@@ -19,7 +18,7 @@ use aboram_stats::RecoveryStats;
 use aboram_telemetry::{self as telemetry, Phase};
 use aboram_tree::{BucketId, Level, PathId, PhysicalLayout, SlotAddr, TreeGeometry};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Per-bucket state: which real blocks currently sit in the bucket, each
 /// with its path label and (when the data path is on) its contents.
@@ -67,8 +66,16 @@ impl PathOram {
     /// # Errors
     ///
     /// Propagates configuration errors; fails with
+    /// [`OramError::BadParameter`] for a growth-enabled configuration (the
+    /// reference engine has a fixed capacity) and with
     /// [`OramError::StashOverflow`] if bulk load cannot place the blocks.
     pub fn new(cfg: &OramConfig) -> Result<Self, OramError> {
+        if cfg.growth.is_some() {
+            return Err(OramError::BadParameter {
+                name: "growth",
+                reason: "Path ORAM is a fixed-capacity reference engine".to_string(),
+            });
+        }
         let geo = cfg.geometry()?;
         let layout = PhysicalLayout::new(&geo);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -355,284 +362,6 @@ impl PathOram {
     fn off_chip(&self, bucket: BucketId) -> bool {
         bucket.level().0 >= self.cfg.treetop_levels
     }
-
-    /// Number of mapped (protected) blocks right now.
-    pub fn block_count(&self) -> u64 {
-        self.posmap.len()
-    }
-
-    /// Whether the next insert would cross the configured utilization
-    /// threshold at the current level count (and a grow is still allowed).
-    fn needs_grow(&self) -> bool {
-        let Some(g) = self.cfg.growth else { return false };
-        if self.cfg.levels >= g.max_levels {
-            return false;
-        }
-        (self.posmap.len() + 1) * 100 > u64::from(g.util_pct) * self.cfg.real_block_count()
-    }
-
-    /// Appends a new zeroed block (id = current block count), lazily
-    /// growing the tree one level first when the insert would cross the
-    /// configured utilization threshold (the [`crate::RingOram`] analogue).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OramError::CapacityExhausted`] when the tree is full and
-    /// cannot grow, and [`OramError::StashOverflow`] if the stash cannot
-    /// absorb the block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `position` is outside the (post-grow) leaf range.
-    pub fn insert_block(&mut self, position: Option<PathId>) -> Result<BlockId, OramError> {
-        while self.needs_grow() {
-            self.grow_level()?;
-        }
-        if self.posmap.len() >= self.cfg.real_block_count() {
-            return Err(OramError::CapacityExhausted {
-                levels: self.cfg.levels,
-                max_levels: self.cfg.growth.map_or(self.cfg.levels, |g| g.max_levels),
-            });
-        }
-        let block = self.posmap.len();
-        let label = match position {
-            Some(p) => {
-                assert!(p.leaf() < self.geo.leaf_count(), "insert label out of range");
-                p
-            }
-            None => PathId::new(self.rng.gen_range(0..self.geo.leaf_count())),
-        };
-        self.posmap.push(label);
-        self.stash.insert(StashBlock { block, label, data: [0; BLOCK_BYTES] });
-        if self.stash.overflowed() {
-            return Err(OramError::StashOverflow { capacity: self.stash.capacity() });
-        }
-        Ok(block)
-    }
-
-    /// Adds one level to the tree in place. Path ORAM rewrites every bucket
-    /// it touches wholesale on each access, so unlike [`crate::RingOram`]
-    /// there is no relocation backlog: all labels (position map, stash and
-    /// resident bucket entries) are refreshed synchronously via the same
-    /// deterministic [`extend_label`] replay, and no block ever moves — the
-    /// doubled leaf space preserves every resident block's path prefix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OramError::CapacityExhausted`] when growth is disabled or
-    /// the ceiling is reached.
-    pub fn grow_level(&mut self) -> Result<(), OramError> {
-        match self.cfg.growth {
-            Some(g) if self.cfg.levels < g.max_levels => {}
-            _ => {
-                return Err(OramError::CapacityExhausted {
-                    levels: self.cfg.levels,
-                    max_levels: self.cfg.growth.map_or(self.cfg.levels, |g| g.max_levels),
-                })
-            }
-        }
-        let old_levels = self.cfg.levels;
-        let mut cfg = self.cfg.clone();
-        cfg.levels = old_levels + 1;
-        let geo = cfg.geometry()?;
-        self.layout.grow(&geo)?;
-        let seed = self.cfg.seed;
-        self.posmap
-            .grow_one_level(|b, leaf| extend_label(leaf, old_levels, old_levels + 1, seed, b));
-        for pb in &mut self.buckets {
-            for (b, l, _) in &mut pb.blocks {
-                *l = PathId::new(extend_label(l.leaf(), old_levels, old_levels + 1, seed, *b));
-            }
-        }
-        let posmap = &self.posmap;
-        self.stash.relabel_all(|b| posmap.path_of(b));
-        self.buckets.resize(geo.bucket_count() as usize, PathBucket::default());
-        self.geo = geo;
-        self.cfg = cfg;
-        Ok(())
-    }
-}
-
-/// Snapshot serialization (see the `snapshot` module docs for the format).
-impl PathOram {
-    /// Serializes the engine's complete mutable state — position map, bucket
-    /// contents, stash, access counter, recovery counters and RNG words — so
-    /// that [`restore`](Self::restore) followed by any access sequence
-    /// behaves bit-identically to this engine running the same sequence.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OramError::SnapshotInvalid`] when the data path is enabled
-    /// (block contents are deliberately excluded from snapshots).
-    pub fn snapshot(&self) -> Result<Vec<u8>, OramError> {
-        if self.store_data {
-            return Err(OramError::SnapshotInvalid {
-                reason: "data path enabled; snapshots cover metadata-only engines".to_string(),
-            });
-        }
-        let mut w = crate::snapshot::Writer::new();
-        crate::snapshot::write_header(&mut w, crate::snapshot::KIND_PATH, &self.cfg);
-
-        w.u64(self.accesses);
-        for word in self.rng.state() {
-            w.u64(word);
-        }
-
-        let paths = self.posmap.raw_paths();
-        w.u64(self.geo.leaf_count());
-        w.u64(paths.len() as u64);
-        for &p in paths {
-            w.u64(p);
-        }
-
-        w.u64(self.stash.capacity() as u64);
-        w.u64(self.stash.peak() as u64);
-        let stash_blocks = self.stash.snapshot_blocks();
-        w.u64(stash_blocks.len() as u64);
-        for b in &stash_blocks {
-            w.u64(b.block);
-            w.u64(b.label.leaf());
-        }
-
-        w.u64(self.buckets.len() as u64);
-        for bucket in &self.buckets {
-            w.u8(bucket.blocks.len() as u8);
-            for (block, label, _) in &bucket.blocks {
-                w.u64(*block);
-                w.u64(label.leaf());
-            }
-        }
-
-        for v in [
-            self.recovery.integrity_faults_detected,
-            self.recovery.integrity_faults_recovered,
-            self.recovery.integrity_retries,
-            self.recovery.metadata_faults_detected,
-            self.recovery.metadata_faults_recovered,
-            self.recovery.metadata_retries,
-            self.recovery.dropped_writes_detected,
-            self.recovery.dropped_writes_recovered,
-            self.recovery.write_retries,
-            self.recovery.escalated_evictions,
-            self.recovery.degraded_accesses,
-            self.recovery.backoff_cycles,
-            self.recovery.redundant_refetches,
-            self.recovery.unrecovered_faults,
-        ] {
-            w.u64(v);
-        }
-        Ok(crate::snapshot::seal(w))
-    }
-
-    /// Rebuilds an engine from [`snapshot`](Self::snapshot) bytes taken
-    /// under an identical configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OramError::SnapshotInvalid`] on truncated or corrupted
-    /// bytes, a format-version mismatch, or a configuration (digest)
-    /// mismatch; geometry errors propagate as from [`new`](Self::new).
-    pub fn restore(cfg: &OramConfig, bytes: &[u8]) -> Result<Self, OramError> {
-        if cfg.store_data {
-            return Err(OramError::SnapshotInvalid {
-                reason: "data path enabled; snapshots cover metadata-only engines".to_string(),
-            });
-        }
-        let body = crate::snapshot::verify_sealed(bytes)?;
-        let mut r = crate::snapshot::Reader::new(body);
-        crate::snapshot::check_header(&mut r, crate::snapshot::KIND_PATH, cfg)?;
-
-        let geo = cfg.geometry()?;
-        let layout = PhysicalLayout::new(&geo);
-
-        let accesses = r.u64()?;
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = r.u64()?;
-        }
-
-        let leaves = r.u64()?;
-        if leaves != geo.leaf_count() {
-            return Err(OramError::SnapshotInvalid {
-                reason: "leaf count disagrees with geometry".to_string(),
-            });
-        }
-        let n_paths = r.len_prefix(8)?;
-        let mut paths = Vec::with_capacity(n_paths);
-        for _ in 0..n_paths {
-            paths.push(r.u64()?);
-        }
-        let posmap = PositionMap::from_raw_parts(paths, leaves);
-
-        let stash_capacity = r.u64()? as usize;
-        let stash_peak = r.u64()? as usize;
-        let n_stash = r.len_prefix(16)?;
-        let mut stash_blocks = Vec::with_capacity(n_stash);
-        for _ in 0..n_stash {
-            let block = r.u64()?;
-            let label = PathId::new(r.u64()?);
-            stash_blocks.push(StashBlock { block, label, data: [0; BLOCK_BYTES] });
-        }
-        let stash = Stash::from_snapshot(stash_capacity, stash_peak, stash_blocks);
-
-        let n_buckets = r.len_prefix(1)?;
-        if n_buckets as u64 != geo.bucket_count() {
-            return Err(OramError::SnapshotInvalid {
-                reason: "bucket count disagrees with geometry".to_string(),
-            });
-        }
-        let mut buckets = Vec::with_capacity(n_buckets);
-        for _ in 0..n_buckets {
-            let n = usize::from(r.u8()?);
-            let mut blocks = Vec::with_capacity(n);
-            for _ in 0..n {
-                let block = r.u64()?;
-                let label = PathId::new(r.u64()?);
-                blocks.push((block, label, [0; BLOCK_BYTES]));
-            }
-            buckets.push(PathBucket { blocks });
-        }
-
-        let mut rec = [0u64; 14];
-        for v in &mut rec {
-            *v = r.u64()?;
-        }
-        let recovery = RecoveryStats {
-            integrity_faults_detected: rec[0],
-            integrity_faults_recovered: rec[1],
-            integrity_retries: rec[2],
-            metadata_faults_detected: rec[3],
-            metadata_faults_recovered: rec[4],
-            metadata_retries: rec[5],
-            dropped_writes_detected: rec[6],
-            dropped_writes_recovered: rec[7],
-            write_retries: rec[8],
-            escalated_evictions: rec[9],
-            degraded_accesses: rec[10],
-            backoff_cycles: rec[11],
-            redundant_refetches: rec[12],
-            unrecovered_faults: rec[13],
-        };
-        if r.remaining() != 0 {
-            return Err(OramError::SnapshotInvalid {
-                reason: "trailing bytes after engine body".to_string(),
-            });
-        }
-
-        Ok(PathOram {
-            cfg: cfg.clone(),
-            geo,
-            layout,
-            posmap,
-            buckets,
-            stash,
-            plan: EvictionPlan::default(),
-            rng: StdRng::from_state(rng_state),
-            accesses,
-            recovery,
-            store_data: false,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -705,35 +434,12 @@ mod tests {
     }
 
     #[test]
-    fn insert_at_capacity_grows_and_keeps_blocks_reachable() {
+    fn growth_config_is_refused() {
         let cfg = OramConfig::builder(8, Scheme::PlainRing)
-            .seed(5)
             .growth(crate::config::GrowthConfig::up_to(10))
             .build()
             .unwrap();
-        let mut oram = PathOram::new(&cfg).unwrap();
-        let mut sink = CountingSink::new();
-        let first = oram.insert_block(None).unwrap();
-        assert_eq!(oram.cfg.levels, 9, "insert at full capacity grew the tree");
-        for b in 0..oram.block_count() {
-            assert!(oram.check_block_reachable(b), "block {b} lost across the grow");
-        }
-        for i in 0..500u64 {
-            oram.access(i % oram.block_count(), &mut sink).unwrap();
-        }
-        assert!(oram.check_block_reachable(first));
-        // Fill to the ceiling, draining the stash as we go so the only
-        // terminal error is capacity exhaustion, not stash overflow.
-        let err = loop {
-            match oram.insert_block(None) {
-                Ok(b) => {
-                    oram.access(b, &mut sink).unwrap();
-                    oram.access(b / 2, &mut sink).unwrap();
-                }
-                Err(e) => break e,
-            }
-        };
-        assert!(matches!(err, OramError::CapacityExhausted { levels: 10, max_levels: 10 }));
-        assert_eq!(oram.cfg.levels, 10, "grew to the ceiling on the way");
+        let err = PathOram::new(&cfg).unwrap_err();
+        assert!(matches!(err, OramError::BadParameter { name: "growth", .. }), "{err:?}");
     }
 }

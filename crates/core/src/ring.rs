@@ -1707,7 +1707,7 @@ impl RingOram {
             return Err(OramError::GrowthInProgress { backlog: self.dynamic.backlog() });
         }
         let mut w = crate::snapshot::Writer::new();
-        crate::snapshot::write_header(&mut w, crate::snapshot::KIND_RING, &self.cfg);
+        crate::snapshot::write_header(&mut w, &self.cfg);
 
         w.bytes(&[self.reads_since_evict]);
         w.u64(self.evict_counter);
@@ -1793,7 +1793,7 @@ impl RingOram {
         }
         let body = crate::snapshot::verify_sealed(bytes)?;
         let mut r = crate::snapshot::Reader::new(body);
-        crate::snapshot::check_header(&mut r, crate::snapshot::KIND_RING, cfg)?;
+        crate::snapshot::check_header(&mut r, cfg)?;
 
         let geo = cfg.geometry()?;
 

@@ -61,11 +61,6 @@ impl<T> SegmentedVector<T> {
         }
     }
 
-    /// Number of backing segments.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Capacity of segment `s` under the doubling layout.
     #[inline]
     fn segment_capacity(&self, s: usize) -> usize {
@@ -215,7 +210,6 @@ mod tests {
             v.push(i);
         }
         // Segments: 2, 2, 4, 8, 16 → capacity 16 then 32 after the 17th push.
-        assert_eq!(v.segment_count(), 5);
         assert_eq!(v.capacity(), 32);
     }
 

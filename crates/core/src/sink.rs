@@ -131,7 +131,6 @@ pub struct CountingSink {
     reads: [u64; 5],
     writes: [u64; 5],
     online: u64,
-    offline: u64,
 }
 
 impl CountingSink {
@@ -164,11 +163,6 @@ impl CountingSink {
     pub fn online_total(&self) -> u64 {
         self.online
     }
-
-    /// Accesses flagged offline.
-    pub fn offline_total(&self) -> u64 {
-        self.offline
-    }
 }
 
 impl MemorySink for CountingSink {
@@ -176,8 +170,6 @@ impl MemorySink for CountingSink {
         self.reads[op.tag() as usize] += 1;
         if online {
             self.online += 1;
-        } else {
-            self.offline += 1;
         }
     }
 
@@ -185,8 +177,6 @@ impl MemorySink for CountingSink {
         self.writes[op.tag() as usize] += 1;
         if online {
             self.online += 1;
-        } else {
-            self.offline += 1;
         }
     }
 
@@ -195,8 +185,6 @@ impl MemorySink for CountingSink {
         self.reads[op.tag() as usize] += n;
         if online {
             self.online += n;
-        } else {
-            self.offline += n;
         }
     }
 
@@ -205,8 +193,6 @@ impl MemorySink for CountingSink {
         self.writes[op.tag() as usize] += n;
         if online {
             self.online += n;
-        } else {
-            self.offline += n;
         }
     }
 }
@@ -860,7 +846,6 @@ mod tests {
         assert_eq!(s.total(OramOp::EvictPath), 2);
         assert_eq!(s.grand_total(), 4);
         assert_eq!(s.online_total(), 2);
-        assert_eq!(s.offline_total(), 2);
     }
 
     #[test]

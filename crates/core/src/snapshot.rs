@@ -14,15 +14,17 @@
 //! [`aboram_stats::ByteWriter`]/[`aboram_stats::ByteReader`]):
 //!
 //! ```text
-//! magic "ABSN" · u32 version · u8 engine kind · u64 config digest
+//! magic "ABSN" · u32 version · u8 engine kind (0) · u64 config digest
 //! <engine body>
 //! u64 FNV-1a digest of everything before the trailer
 //! ```
 //!
-//! The version is bumped whenever the stream's layout changes; the config
-//! digest covers every [`OramConfig`] field including the scheme's
-//! parameters. Any mismatch — version, kind, digest, truncation, or trailer
-//! corruption — fails restore with [`OramError::SnapshotInvalid`].
+//! The version is bumped whenever the stream's layout changes. Only
+//! [`crate::RingOram`] snapshots, so the kind byte is always 0; it stays in
+//! the stream so the v3 layout is unchanged. The config digest covers every
+//! [`OramConfig`] field including the scheme's parameters. Any mismatch —
+//! version, kind, digest, truncation, or trailer corruption — fails restore
+//! with [`OramError::SnapshotInvalid`].
 
 use crate::config::{OramConfig, Scheme};
 use crate::error::OramError;
@@ -48,10 +50,9 @@ pub const SNAPSHOT_VERSION: u32 = 3;
 /// Magic bytes opening every engine snapshot stream.
 pub(crate) const SNAPSHOT_MAGIC: [u8; 4] = *b"ABSN";
 
-/// Engine-kind tag for [`crate::RingOram`] snapshots.
-pub(crate) const KIND_RING: u8 = 0;
-/// Engine-kind tag for [`crate::PathOram`] snapshots.
-pub(crate) const KIND_PATH: u8 = 1;
+/// Engine-kind byte of every snapshot: [`crate::RingOram`], the one engine
+/// that snapshots.
+const KIND_RING: u8 = 0;
 
 /// Stable digest over every configuration field (scheme parameters
 /// included). Two configs with equal digests build identical engines, so
@@ -94,20 +95,16 @@ fn encode_scheme(w: &mut Writer, scheme: Scheme) {
 }
 
 /// Writes the common snapshot header.
-pub(crate) fn write_header(w: &mut Writer, kind: u8, cfg: &OramConfig) {
+pub(crate) fn write_header(w: &mut Writer, cfg: &OramConfig) {
     w.bytes(&SNAPSHOT_MAGIC);
     w.u32(SNAPSHOT_VERSION);
-    w.u8(kind);
+    w.u8(KIND_RING);
     w.u64(config_digest(cfg));
 }
 
 /// Validates the header against the restoring configuration, leaving the
 /// reader positioned at the engine body.
-pub(crate) fn check_header(
-    r: &mut Reader<'_>,
-    kind: u8,
-    cfg: &OramConfig,
-) -> Result<(), OramError> {
+pub(crate) fn check_header(r: &mut Reader<'_>, cfg: &OramConfig) -> Result<(), OramError> {
     if r.bytes(4)? != SNAPSHOT_MAGIC {
         return Err(OramError::SnapshotInvalid { reason: "bad magic".to_string() });
     }
@@ -117,10 +114,10 @@ pub(crate) fn check_header(
             reason: format!("snapshot version {version}, engine expects {SNAPSHOT_VERSION}"),
         });
     }
-    let got_kind = r.u8()?;
-    if got_kind != kind {
+    let kind = r.u8()?;
+    if kind != KIND_RING {
         return Err(OramError::SnapshotInvalid {
-            reason: format!("engine kind {got_kind}, expected {kind}"),
+            reason: format!("engine kind {kind}, expected {KIND_RING}"),
         });
     }
     let digest = r.u64()?;
@@ -224,19 +221,25 @@ mod tests {
         let cfg = OramConfig::builder(10, Scheme::Baseline).build().unwrap();
         let other = OramConfig::builder(10, Scheme::Ab).build().unwrap();
         let mut w = Writer::new();
-        write_header(&mut w, KIND_RING, &cfg);
+        write_header(&mut w, &cfg);
         let bytes = w.into_bytes();
 
-        assert!(check_header(&mut Reader::new(&bytes), KIND_RING, &cfg).is_ok());
-        assert!(check_header(&mut Reader::new(&bytes), KIND_PATH, &cfg).is_err());
-        assert!(check_header(&mut Reader::new(&bytes), KIND_RING, &other).is_err());
+        assert!(check_header(&mut Reader::new(&bytes), &cfg).is_ok());
+        assert!(check_header(&mut Reader::new(&bytes), &other).is_err());
 
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
-        assert!(check_header(&mut Reader::new(&wrong_magic), KIND_RING, &cfg).is_err());
+        assert!(check_header(&mut Reader::new(&wrong_magic), &cfg).is_err());
 
-        let mut wrong_version = bytes;
+        let mut wrong_version = bytes.clone();
         wrong_version[4] ^= 0xff;
-        assert!(check_header(&mut Reader::new(&wrong_version), KIND_RING, &cfg).is_err());
+        assert!(check_header(&mut Reader::new(&wrong_version), &cfg).is_err());
+
+        let mut wrong_kind = bytes;
+        wrong_kind[8] ^= 1;
+        assert!(matches!(
+            check_header(&mut Reader::new(&wrong_kind), &cfg),
+            Err(OramError::SnapshotInvalid { .. })
+        ));
     }
 }

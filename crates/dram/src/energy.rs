@@ -98,15 +98,6 @@ impl EnergyReport {
     pub fn total_nj(&self) -> f64 {
         self.dynamic_nj + self.refresh_nj + self.background_nj
     }
-
-    /// Energy per memory transaction in nanojoules.
-    pub fn per_access_nj(&self, accesses: u64) -> f64 {
-        if accesses == 0 {
-            0.0
-        } else {
-            self.total_nj() / accesses as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -162,7 +153,7 @@ mod tests {
         let p = EnergyParams::default();
         let s = stats_with(4, 0, 4);
         let r = EnergyReport::compute(&p, &s, 0, 0, 0, 0);
-        assert!((r.per_access_nj(4) - p.read_pj / 1000.0).abs() < 1e-9);
-        assert_eq!(r.per_access_nj(0), 0.0);
+        // Four row hits: no activates, so each read costs one burst.
+        assert!((r.total_nj() / 4.0 - p.read_pj / 1000.0).abs() < 1e-9);
     }
 }

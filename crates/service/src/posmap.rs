@@ -92,7 +92,7 @@ pub struct RecursivePosMap {
     root: Vec<u64>,
     rng: StdRng,
     stats: PosMapStats,
-    /// The inline lane the public walks run on; inside a store, the
+    /// The inline lane the public walk runs on; inside a store, the
     /// store's lane is passed in instead.
     lane: Lane,
 }
@@ -234,25 +234,13 @@ impl RecursivePosMap {
         new_data_entry: u64,
         start: u64,
     ) -> Result<(u64, u64), OramError> {
-        self.inline(start, |pm, lane, arrival| {
-            pm.resolve(lane, arrival, data_block, new_data_entry)
-        })
-    }
-
-    /// Runs `walk` from `start` on this map's own lane, inline; returns its
-    /// result and the walk's completion clock.
-    fn inline<T>(
-        &mut self,
-        start: u64,
-        walk: impl FnOnce(&mut Self, &mut Lane, &mut Arrival) -> Result<T, OramError>,
-    ) -> Result<(T, u64), OramError> {
         let mut lane = std::mem::take(&mut self.lane);
         lane.open_inline();
         let mut arrival = Arrival::At(start);
-        let result = walk(self, &mut lane, &mut arrival);
+        let claimed = self.resolve(&mut lane, &mut arrival, data_block, new_data_entry);
         let done = lane.chain_done(arrival);
         self.lane = lane;
-        Ok((result?, done))
+        Ok((claimed?, done))
     }
 
     /// [`resolve_and_remap`](Self::resolve_and_remap) on `lane`: the chain's
@@ -338,17 +326,8 @@ impl RecursivePosMap {
         self.stats.level_grows += n;
     }
 
-    /// One bus-indistinguishable dummy walk (a dummy access per chain
-    /// level, coarsest → finest). Returns the completion clock.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine protocol errors.
-    pub fn dummy_walk(&mut self, start: u64) -> Result<u64, OramError> {
-        Ok(self.inline(start, |pm, lane, arrival| pm.dummy(lane, arrival))?.1)
-    }
-
-    /// [`dummy_walk`](Self::dummy_walk) on `lane` (see
+    /// One bus-indistinguishable dummy walk on `lane` (a dummy access per
+    /// chain level, coarsest → finest; arrivals as in
     /// [`resolve`](Self::resolve)).
     pub(crate) fn dummy(
         &mut self,
@@ -370,11 +349,6 @@ impl RecursivePosMap {
     /// Number of off-chip posmap trees in the chain.
     pub fn chain_depth(&self) -> usize {
         self.trees.len()
-    }
-
-    /// Tree levels per chain link, finest first — reporting.
-    pub fn tree_levels(&self) -> Vec<u8> {
-        self.trees.iter().map(|t| t.engine().config().levels).collect()
     }
 
     /// Blocks tracked per level (index 0 = data blocks).
@@ -470,15 +444,5 @@ mod tests {
         assert_eq!(claimed, (9u64 << 56) | (200 % 7));
         let (claimed2, _) = pm.resolve_and_remap(200, 0, done).unwrap();
         assert_eq!(claimed2, next, "depth-tagged entry survived the round trip");
-    }
-
-    #[test]
-    fn dummy_walk_touches_every_level() {
-        let positions = |_b: BlockId| 0u64;
-        let cfg = RecursionConfig::default();
-        let mut pm = RecursivePosMap::new(637, &positions, &cfg, &mut untimed()).unwrap();
-        let done = pm.dummy_walk(0).unwrap();
-        assert!(done > 0);
-        assert_eq!(pm.stats().dummy_tree_accesses, 2);
     }
 }

@@ -59,11 +59,6 @@ impl ObliviousService {
         self.tenants.len()
     }
 
-    /// Tenant display names, in index order.
-    pub fn tenant_names(&self) -> Vec<&str> {
-        self.tenants.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
     /// Submits to tenant `tenant`'s queue at time `now`.
     ///
     /// # Errors
@@ -108,11 +103,6 @@ impl ObliviousService {
     /// One tenant's front-end.
     pub fn front(&self, tenant: usize) -> &BatchingFrontEnd {
         &self.tenants[tenant].1
-    }
-
-    /// Mutable front-end access (pre-loading).
-    pub fn front_mut(&mut self, tenant: usize) -> &mut BatchingFrontEnd {
-        &mut self.tenants[tenant].1
     }
 }
 

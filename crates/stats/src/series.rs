@@ -64,11 +64,6 @@ impl TimeSeries {
         &self.samples
     }
 
-    /// The final y value, if any — e.g. the stabilized dead-block count.
-    pub fn last_y(&self) -> Option<f64> {
-        self.samples.last().map(|&(_, y)| y)
-    }
-
     /// Mean of y over the trailing `n` samples (used to report "stable"
     /// values the way the paper quotes post-warm-up numbers).
     pub fn tail_mean(&self, n: usize) -> Option<f64> {
@@ -121,7 +116,6 @@ mod tests {
         s.push(1.0, 10.0);
         s.push(2.0, 20.0);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.last_y(), Some(20.0));
         assert_eq!(s.samples()[0], (1.0, 10.0));
     }
 

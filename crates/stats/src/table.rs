@@ -68,14 +68,6 @@ impl Table {
             .map(|(_, v)| v.as_slice())
     }
 
-    /// Mean of numeric column `col` over all rows.
-    pub fn column_mean(&self, col: usize) -> f64 {
-        if self.rows.is_empty() {
-            return 0.0;
-        }
-        self.rows.iter().map(|(_, v)| v[col]).sum::<f64>() / self.rows.len() as f64
-    }
-
     /// Renders a GitHub-flavored markdown table with the title as a heading.
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
@@ -138,7 +130,6 @@ mod tests {
         t.row(&["y"], &[4.0]);
         assert_eq!(t.find(&["y"]), Some(&[4.0][..]));
         assert_eq!(t.find(&["z"]), None);
-        assert_eq!(t.column_mean(0), 3.0);
     }
 
     #[test]

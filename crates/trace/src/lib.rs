@@ -8,13 +8,10 @@
 //! address streams mixing streaming, strided, pointer-chasing and hot-set
 //! reuse behaviour over a configurable working set.
 //!
-//! Two usage modes:
-//!
-//! * [`TraceGenerator`] emits LLC-miss records directly (the rates in
-//!   Table IV are LLC MPKI, so this is what the ORAM controller consumes);
-//! * [`CacheHierarchy`] filters a raw access stream through the Table III
-//!   L1/L2/LLC hierarchy, for end-to-end examples and for validating that
-//!   the direct generator's rates survive a cache model.
+//! [`TraceGenerator`] emits LLC-miss records directly: the rates in Table IV
+//! are LLC MPKI, and the paper's Pin traces are already LLC-miss streams,
+//! so its records go straight to the ORAM controller with no cache model in
+//! between. [`KeySampler`] draws the service benchmarks' key streams.
 //!
 //! # Example
 //!
@@ -30,17 +27,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 mod generator;
 pub mod io;
 mod keydist;
-mod phases;
 pub mod profiles;
 mod record;
 
-pub use cache::{CacheConfig, CacheHierarchy, CacheLevelConfig};
 pub use generator::{MpkiMeter, TraceGenerator};
 pub use keydist::{KeyDist, KeySampler};
-pub use phases::{Phase, PhasedGenerator};
 pub use profiles::{AddressMix, BenchmarkProfile, Suite};
 pub use record::{MemOp, TraceRecord};

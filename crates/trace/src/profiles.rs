@@ -80,11 +80,6 @@ impl BenchmarkProfile {
             self.read_mpki / self.total_mpki()
         }
     }
-
-    /// Mean instructions between consecutive LLC misses.
-    pub fn mean_inst_gap(&self) -> f64 {
-        1000.0 / self.total_mpki().max(1e-3)
-    }
 }
 
 const MB: u64 = 1024 * 1024;
@@ -202,8 +197,6 @@ mod tests {
         let s = spec2017();
         let mcf = s.iter().find(|p| p.name == "mcf").unwrap();
         assert!(mcf.read_fraction() > 0.99);
-        // mcf misses every ~35 instructions.
-        assert!((mcf.mean_inst_gap() - 1000.0 / 28.4).abs() < 1e-9);
     }
 
     #[test]

@@ -1,8 +1,6 @@
-//! Property-based tests of workload generation and the cache hierarchy.
+//! Property-based tests of workload generation.
 
-use aboram_trace::{
-    profiles, CacheConfig, CacheHierarchy, MemOp, MpkiMeter, TraceGenerator, TraceRecord,
-};
+use aboram_trace::{profiles, MpkiMeter, TraceGenerator};
 use proptest::prelude::*;
 
 proptest! {
@@ -36,41 +34,6 @@ proptest! {
             (total - expect).abs() / expect < 0.15,
             "{}: {total} vs {expect}", profile.name
         );
-    }
-
-    /// The cache hierarchy never invents traffic: each access yields at most
-    /// one demand read plus bounded writebacks, and a repeat access yields
-    /// nothing.
-    #[test]
-    fn cache_traffic_is_bounded(addrs in proptest::collection::vec(any::<u32>(), 1..400)) {
-        let mut h = CacheHierarchy::new(CacheConfig::default());
-        for a in &addrs {
-            let addr = u64::from(*a) & !63;
-            let ops = h.access(MemOp::Read, addr);
-            let demand = ops.iter().filter(|(op, _)| *op == MemOp::Read).count();
-            prop_assert!(demand <= 1);
-            prop_assert!(ops.len() <= 4, "unexpected writeback burst");
-            // Immediately re-access: must be a pure hit.
-            prop_assert!(h.access(MemOp::Read, addr).is_empty());
-        }
-    }
-
-    /// Filtering a trace preserves total instruction count (gaps fold, never
-    /// vanish) when every access misses.
-    #[test]
-    fn filter_preserves_instructions_on_misses(gaps in proptest::collection::vec(0u32..1000, 1..100)) {
-        let mut h = CacheHierarchy::new(CacheConfig::default());
-        // Distinct 1 MB-spaced addresses: all misses, no evict collisions.
-        let raw: Vec<TraceRecord> = gaps
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| TraceRecord::new(g, MemOp::Read, i as u64 * (1 << 20)))
-            .collect();
-        let total_in: u64 = raw.iter().map(|r| u64::from(r.inst_gap) + 1).sum();
-        let out = h.filter_trace(raw);
-        let total_out: u64 = out.iter().map(|r| u64::from(r.inst_gap) + 1).sum();
-        prop_assert_eq!(out.len(), gaps.len());
-        prop_assert_eq!(total_in, total_out);
     }
 }
 

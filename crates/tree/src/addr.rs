@@ -200,11 +200,6 @@ impl PhysicalLayout {
         Ok(())
     }
 
-    /// Whether this layout has grown past its construction-time geometry.
-    pub fn is_grown(&self) -> bool {
-        !self.ext_meta.is_empty()
-    }
-
     /// Current slot capacity of buckets at `level`, including appended
     /// extents.
     ///
@@ -441,7 +436,6 @@ mod tests {
             .collect();
 
         layout.grow(&big).unwrap();
-        assert!(layout.is_grown());
         assert_eq!(layout.levels(), 5);
 
         // Pre-existing slot and metadata addresses are byte-identical.

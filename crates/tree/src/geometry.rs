@@ -128,12 +128,6 @@ impl TreeGeometry {
         self.levels
     }
 
-    /// Leaf level index (`L - 1`).
-    #[inline]
-    pub fn leaf_level(&self) -> Level {
-        Level(self.levels - 1)
-    }
-
     /// Number of leaves, i.e. number of distinct paths: `2^(L-1)`.
     #[inline]
     pub fn leaf_count(&self) -> u64 {
@@ -165,11 +159,6 @@ impl TreeGeometry {
     #[inline]
     pub fn level_config(&self, level: Level) -> LevelConfig {
         self.configs[level.0 as usize]
-    }
-
-    /// All level configurations, root first.
-    pub fn level_configs(&self) -> &[LevelConfig] {
-        &self.configs
     }
 
     /// Validates a path id against this tree.

@@ -1,13 +1,13 @@
-//! End-to-end performance simulation: a synthetic SPEC-like workload runs
-//! through the cache hierarchy, its LLC misses drive the ORAM controller,
-//! and the cycle-level DRAM model produces execution times — the paper's
-//! §VII methodology in one binary, comparing Baseline and AB.
+//! End-to-end performance simulation: a synthetic SPEC-like LLC-miss trace
+//! drives the ORAM controller, and the cycle-level DRAM model produces
+//! execution times — the paper's §VII methodology in one binary, comparing
+//! Baseline and AB.
 //!
 //! Run with: `cargo run --release --example trace_simulation`
 
 use aboram::core::{OramConfig, OramError, OramOp, Scheme, TimingDriver};
 use aboram::dram::DramConfig;
-use aboram::trace::{profiles, CacheConfig, CacheHierarchy, TraceGenerator, TraceRecord};
+use aboram::trace::{profiles, TraceGenerator, TraceRecord};
 
 fn main() -> Result<(), OramError> {
     let profile =
@@ -17,27 +17,16 @@ fn main() -> Result<(), OramError> {
         profile.name, profile.read_mpki, profile.write_mpki
     );
 
-    // Stage 1: raw accesses through the Table III cache hierarchy. The
-    // trace generator emits LLC misses directly; pushing them through the
-    // cache model demonstrates the full pipeline (hits get folded away).
-    let mut gen = TraceGenerator::new(&profile, 2024);
-    let raw: Vec<TraceRecord> = gen.take_records(30_000);
-    let mut caches = CacheHierarchy::new(CacheConfig::default());
-    let llc_misses = caches.filter_trace(raw.clone());
-    println!(
-        "cache filter: {} raw records -> {} memory-side ops (LLC miss ratio {:.2})",
-        raw.len(),
-        llc_misses.len(),
-        caches.llc_miss_ratio()
-    );
+    // Stage 1: the trace generator emits LLC misses at Table IV's MPKI, the
+    // same stream the paper's Pin traces hand the memory controller.
+    let llc_misses: Vec<TraceRecord> = TraceGenerator::new(&profile, 2024).take_records(4_000);
 
     // Stage 2: replay the miss trace through each scheme.
     let mut results = Vec::new();
     for scheme in [Scheme::Baseline, Scheme::Ab] {
         let cfg = OramConfig::builder(13, scheme).seed(11).build()?;
         let mut driver = TimingDriver::new(&cfg, DramConfig::default())?;
-        let trace: Vec<TraceRecord> = llc_misses.iter().copied().take(4_000).collect();
-        let report = driver.run(trace)?;
+        let report = driver.run(llc_misses.iter().copied())?;
         println!(
             "\n{scheme}: {} accesses in {} Mcycles",
             report.user_accesses,

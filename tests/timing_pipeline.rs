@@ -1,9 +1,9 @@
-//! Full-pipeline integration: synthetic workload → cache hierarchy →
-//! ORAM controller → cycle-level DRAM, spanning all five crates.
+//! Full-pipeline integration: synthetic LLC-miss workload → ORAM
+//! controller → cycle-level DRAM, spanning all five crates.
 
 use aboram::core::{OramConfig, Scheme, TimingDriver};
 use aboram::dram::DramConfig;
-use aboram::trace::{profiles, CacheConfig, CacheHierarchy, TraceGenerator};
+use aboram::trace::{profiles, TraceGenerator};
 
 #[test]
 fn pipeline_produces_consistent_reports() {
@@ -26,22 +26,6 @@ fn pipeline_produces_consistent_reports() {
     let total_frac: f64 =
         aboram::core::OramOp::ALL.iter().map(|&op| report.breakdown.fraction(op)).sum();
     assert!((total_frac - 1.0).abs() < 1e-9);
-}
-
-#[test]
-fn cache_hierarchy_feeds_oram() {
-    let profile = profiles::spec2017().into_iter().find(|p| p.name == "gcc").unwrap();
-    let mut gen = TraceGenerator::new(&profile, 9);
-    let raw: Vec<_> = gen.take_records(5_000);
-    let mut caches = CacheHierarchy::new(CacheConfig::default());
-    let misses = caches.filter_trace(raw);
-    assert!(!misses.is_empty());
-
-    let cfg = OramConfig::builder(10, Scheme::Baseline).seed(2).build().unwrap();
-    let mut driver = TimingDriver::new(&cfg, DramConfig::default()).unwrap();
-    let n = misses.len().min(300);
-    let report = driver.run(misses.into_iter().take(n)).unwrap();
-    assert_eq!(report.records, n as u64);
 }
 
 #[test]
