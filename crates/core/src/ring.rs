@@ -159,8 +159,6 @@ struct Scratch {
     path_buckets: Vec<BucketId>,
     /// evictPath's path bucket list.
     evict_buckets: Vec<BucketId>,
-    /// rebuild's deepest-first bucket order.
-    order: Vec<BucketId>,
     /// rebuild read phase: logical slots to read for one bucket.
     read_slots: Vec<u8>,
     /// rebuild read phase: batched physical read addresses for one bucket.
@@ -185,7 +183,6 @@ impl Scratch {
         let mut all = vec![
             of(&self.path_buckets),
             of(&self.evict_buckets),
-            of(&self.order),
             of(&self.read_slots),
             of(&self.read_addrs),
             of(&self.phys_slots),
@@ -924,16 +921,13 @@ impl RingOram {
             }
         }
 
-        // Rebuild phase, deepest bucket first so blocks sink to the leaves.
-        let mut order = std::mem::take(&mut self.scratch.order);
-        order.clear();
-        order.extend_from_slice(buckets);
-        order.sort_by_key(|b| std::cmp::Reverse(b.level()));
-        for &b in &order {
+        // Rebuild phase, deepest bucket first so blocks sink to the leaves:
+        // an eviction path's buckets come root to leaf, a reshuffle's is one.
+        debug_assert!(buckets.windows(2).all(|w| w[0].level() < w[1].level()));
+        for &b in buckets.iter().rev() {
             let tier = if evict_path.is_some() { usize::from(b.level().0) } else { 0 };
             self.rebuild_one(b, plan.picks(tier), op, sink, now)?;
         }
-        self.scratch.order = order;
         self.scratch.plan = plan;
         Ok(())
     }

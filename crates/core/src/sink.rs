@@ -255,7 +255,8 @@ impl Layout {
 /// and ordered — as *row runs*: consecutive requests the address map sends to
 /// one `(channel, bank, row)`, decoded and keyed once per run. An access is
 /// ordered once, when it is committed — each run's location packed into one
-/// integer key, the `(key, first program index)` runs sorted — and that one
+/// integer key, the runs put in `(key, first program index)` order by a
+/// counting pass over their banks and an insertion sort by row — and that one
 /// ordering serves the release order, the write footprint and the read list
 /// alike. It is paid for only when something consumes it: a serial access
 /// committed for a window of one keeps its runs as staged (DESIGN.md §15).
@@ -281,8 +282,11 @@ pub struct Stager {
     flags: Vec<u8>,
     /// The open access cut into row runs, in program order.
     runs: Vec<RowRun>,
-    /// Scratch of a commit: `(key, index)` of each run, sorted.
+    /// Scratch of a commit: `(key, index)` of each run, in order.
     order: Vec<(u64, u32)>,
+    /// Scratch of a commit: one counter per bank of the geometry, indexed
+    /// `channel × banks per channel + bank` (see [`order_runs`]).
+    banks: Vec<u32>,
     /// The committed accesses.
     batch: StagedBatch,
 }
@@ -306,6 +310,53 @@ impl RowRun {
     /// The run's program indices.
     fn range(&self) -> std::ops::Range<usize> {
         self.first as usize..(self.first + self.len) as usize
+    }
+}
+
+/// Fills `order` with each of `runs`' `(key, index)`, ascending, without a
+/// comparison sort; `counts` holds one counter per bank of the geometry
+/// (`banks_per_channel` to a channel). Runs are staged in program order, so
+/// the pairs order the runs by `(key, first)`.
+///
+/// A counting pass over each run's bank — the high part of its key — sets
+/// each bank's runs down together, banks in key order and each bank's runs
+/// in program order. An insertion sort by key then orders each bank's runs
+/// by row, stably, and moves none past another bank's. The pairs are
+/// distinct, so this is the one order sorting them gives, in time linear in
+/// the runs and banks plus the pairs out of row order within a bank — few:
+/// an access puts a run or two in each of Table III's 64 banks.
+fn order_runs(
+    runs: &[RowRun],
+    banks_per_channel: usize,
+    counts: &mut [u32],
+    order: &mut Vec<(u64, u32)>,
+) {
+    let bank =
+        |run: &RowRun| usize::from(run.at.channel) * banks_per_channel + usize::from(run.at.bank);
+    counts.fill(0);
+    for run in runs {
+        counts[bank(run)] += 1;
+    }
+    // Each bank's count becomes where its runs start.
+    let mut sum = 0;
+    for count in counts.iter_mut() {
+        (*count, sum) = (sum, sum + *count);
+    }
+    order.clear();
+    order.resize(runs.len(), (0, 0));
+    for (i, run) in (0..).zip(runs) {
+        let next = &mut counts[bank(run)];
+        order[*next as usize] = (run.key, i);
+        *next += 1;
+    }
+    for i in 1..order.len() {
+        let pair = order[i];
+        let mut j = i;
+        while j > 0 && order[j - 1].0 > pair.0 {
+            order[j] = order[j - 1];
+            j -= 1;
+        }
+        order[j] = pair;
     }
 }
 
@@ -335,6 +386,7 @@ impl Stager {
             flags: Vec::with_capacity(4 * ACCESS_REQUESTS),
             runs: Vec::with_capacity(2 * ACCESS_REQUESTS),
             order: Vec::with_capacity(2 * ACCESS_REQUESTS),
+            banks: vec![0; (u64::from(dram.channels) * key_banks) as usize],
             batch: StagedBatch::default(),
         }
     }
@@ -385,8 +437,18 @@ impl Stager {
     /// each read met in the `(key, first)` walk of the runs, with its release
     /// position, is an online read to query or an entry of the read list,
     /// and the runs with a write are the ascending write footprint. A serial
-    /// access for a window of one needs none of that and is not sorted.
+    /// access for a window of one needs none of that and is not ordered.
     fn commit(&mut self) {
+        let Layout { parallel, windowed } = self.layout;
+        if parallel || windowed {
+            order_runs(&self.runs, self.key_banks as usize, &mut self.banks, &mut self.order);
+        }
+        self.append();
+    }
+
+    /// The second half of a [`commit`](Stager::commit): appends the open
+    /// access to the batch, walking `order` when the layout needs it.
+    fn append(&mut self) {
         let Layout { parallel, windowed } = self.layout;
         let batch = &mut self.batch;
         let base = batch.ends.last().copied().unwrap_or_default().write_keys;
@@ -400,11 +462,6 @@ impl Stager {
             }
         }
         if parallel || windowed {
-            // Runs are staged in program order, so sorting `(key, index)`
-            // pairs sorts the runs by `(key, first)`.
-            self.order.clear();
-            self.order.extend((0..).zip(&self.runs).map(|(i, run)| (run.key, i)));
-            self.order.sort_unstable();
             let (mut rank, mut last_key) = (0, None);
             for &(_, i) in &self.order {
                 let run = &self.runs[i as usize];
@@ -490,7 +547,7 @@ impl MemorySink for Stager {
 /// a later access beside it, its ascending write keys and its `(key,
 /// position)` read list. Cleared, never shrunk, so a reused batch allocates
 /// nothing once warm.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct StagedBatch {
     /// Where each access's parts end in the buffers below.
     ends: Vec<Ends>,
@@ -505,7 +562,7 @@ pub struct StagedBatch {
 }
 
 /// One committed access's ends in a [`StagedBatch`]'s buffers.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Ends {
     runs: usize,
     flags: usize,
@@ -592,34 +649,38 @@ impl<'a> StagedAccess<'a> {
     /// The requests in release order, as `enqueue_decoded` takes them.
     fn requests(self) -> Requests<'a> {
         let at = DecodedAddr { channel: 0, bank: 0, row: 0, rank: 0 };
-        Requests { runs: self.runs.iter(), flags: self.flags.iter(), left: 0, at }
+        Requests { runs: self.runs.iter(), flags: self.flags, left: 0, at }
     }
 }
 
-/// A staged access's requests in release order: each flag byte with its
-/// run's location.
+/// A staged access's requests in release order, as `(kind, location,
+/// priority, tag, count)`: each stretch of equal flag bytes inside a row
+/// run — `count` requests alike, which the twin queues as one.
 struct Requests<'a> {
     runs: std::slice::Iter<'a, StagedRun>,
-    flags: std::slice::Iter<'a, u8>,
+    /// The flag bytes not yet handed out.
+    flags: &'a [u8],
     /// Requests left in the current run, at `at`.
     left: usize,
     at: DecodedAddr,
 }
 
 impl Iterator for Requests<'_> {
-    type Item = (MemOpKind, DecodedAddr, Priority, u32);
+    type Item = (MemOpKind, DecodedAddr, Priority, u32, u32);
 
     #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        let &f = self.flags.next()?;
+        let &f = self.flags.first()?;
         if self.left == 0 {
             let &(at, len) = self.runs.next().expect("every request is in a run");
             (self.at, self.left) = (at, len as usize);
         }
-        self.left -= 1;
+        let count = self.flags[..self.left].iter().take_while(|&&g| g == f).count();
+        self.flags = &self.flags[count..];
+        self.left -= count;
         let kind = if f & WRITE != 0 { MemOpKind::Write } else { MemOpKind::Read };
         let priority = if f & ONLINE != 0 { Priority::Online } else { Priority::Offline };
-        Some((kind, self.at, priority, u32::from(f & TAG)))
+        Some((kind, self.at, priority, u32::from(f & TAG), count as u32))
     }
 }
 
@@ -791,6 +852,16 @@ mod tests {
         /// Commits the access staged since the last boundary.
         pub(crate) fn commit_access(&mut self) {
             self.end_access(Ok::<(), ()>(())).unwrap();
+        }
+
+        /// Commits it as the stager did before its counting pass, ordering
+        /// the runs' `(key, index)` pairs with `sort_unstable`.
+        fn commit_by_sort(&mut self) {
+            self.order.clear();
+            self.order.extend((0..).zip(&self.runs).map(|(i, run)| (run.key, i)));
+            self.order.sort_unstable();
+            self.append();
+            self.end_access(Err::<(), ()>(())).unwrap_err();
         }
     }
 
@@ -1149,7 +1220,11 @@ mod tests {
                             let (kind, pri, tag) = request(r);
                             (kind, cfg.decode(r.addr), pri, tag)
                         });
-                        prop_assert!(staged.requests().eq(expected), "{:?} depth {}", mode, depth);
+                        let released = staged.requests().flat_map(|(kind, at, pri, tag, count)| {
+                            std::iter::repeat_n((kind, at, pri, tag), count as usize)
+                        });
+                        prop_assert!(released.eq(expected), "{:?} depth {}", mode, depth);
+                        prop_assert!(staged.requests().all(|(.., count)| count > 0));
                         // A channel-parallel release holds one run per location.
                         let distinct = staged.runs.windows(2).all(|w| w[0].0 != w[1].0);
                         prop_assert!(mode == IssueMode::Serial || distinct);
@@ -1204,6 +1279,49 @@ mod tests {
                         let got = releaser.memory_mut().completion_time(a);
                         prop_assert_eq!(got, reference.completion_time(b), "probe {}", i);
                     }
+                }
+            }
+        }
+
+        /// The counting-pass commit against one that sorts the `(key, index)`
+        /// pairs with `sort_unstable`: the same batch — runs, flags, online
+        /// reads, write keys and read list — under both issue modes, for a
+        /// window of one and a deeper one, over every geometry and address
+        /// map of [`configs`], on accesses whose bursts fall on four rows of
+        /// each of three banks in any order.
+        #[test]
+        fn counting_commit_matches_a_sorting_commit(
+            accesses in proptest::collection::vec(
+                proptest::collection::vec(arb_burst(), 0..16),
+                1..6,
+            ),
+        ) {
+            let modes = [IssueMode::Serial, IssueMode::ChannelParallel];
+            for cfg in configs() {
+                // Burst row `r` is page `r % 3 + (r / 3) × banks`: under the
+                // page map, row `r / 3` of one of three banks.
+                let banks = u64::from(cfg.channels) * cfg.banks_per_channel();
+                let built: Vec<_> = accesses
+                    .iter()
+                    .map(|bursts| {
+                        let paged: Vec<_> = bursts
+                            .iter()
+                            .map(|&(row, first, slots, writes, onlines, op)| {
+                                (row % 3 + row / 3 * banks, first, slots, writes, onlines, op)
+                            })
+                            .collect();
+                        build(&cfg, &paged, 1, 0)
+                    })
+                    .collect();
+                for (mode, depth) in modes.into_iter().flat_map(|m| [(m, 1), (m, 4)]) {
+                    let (mut counting, mut sorting) = (stager(cfg, mode, depth), stager(cfg, mode, depth));
+                    for access in &built {
+                        emit(&mut counting, access);
+                        counting.commit_access();
+                        emit(&mut sorting, access);
+                        sorting.commit_by_sort();
+                    }
+                    prop_assert_eq!(&counting.batch, &sorting.batch, "{:?} depth {}", mode, depth);
                 }
             }
         }

@@ -3,7 +3,7 @@
 use crate::config::DramConfig;
 use crate::mapping::DecodedAddr;
 use crate::stats::{MemoryStats, RowBufferOutcome};
-use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Direction of a memory request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -32,9 +32,16 @@ pub enum Priority {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequestId(pub(crate) u64);
 
+/// Queued requests with consecutive ids `head .. end` that share one
+/// location, kind, priority, tag and arrival: the unit a [`Queue`] holds.
+/// Its members are alike in everything a pick looks at, so the scheduler
+/// decides per entry and serves the entry's head.
 #[derive(Debug, Clone, Copy)]
-struct Pending {
-    id: RequestId,
+struct Entry {
+    /// The oldest member not yet served.
+    head: u64,
+    /// One past the newest member.
+    end: u64,
     kind: MemOpKind,
     priority: Priority,
     tag: u32,
@@ -44,44 +51,91 @@ struct Pending {
 
 /// One request queue with its *arrived cursor*.
 ///
-/// `items` is in enqueue order. Arrivals are non-decreasing (the usage
-/// contract) and ids increase monotonically, so it stays sorted by
-/// `(arrival, id)` — exactly the FR-FCFS tie-break order — and the requests
-/// that have arrived by the channel clock form a prefix. The clock only moves
-/// forward, so that prefix only grows at its end and shrinks by removals
-/// inside it: the cursor is advanced as the clock moves and decremented per
-/// removal, never recomputed.
+/// `entries` is in enqueue order. Arrivals are non-decreasing (the usage
+/// contract) and ids increase monotonically, so its requests — each entry's
+/// members in id order, entry after entry — stay sorted by `(arrival, id)`,
+/// exactly the FR-FCFS tie-break order, and the requests that have arrived
+/// by the channel clock form a prefix. An entry's members share an arrival,
+/// so that prefix is a prefix of entries. The clock only moves forward, so
+/// it only grows at its end and shrinks by removals inside it: the cursor is
+/// advanced as the clock moves and decremented when an entry's last member
+/// is served, never recomputed.
 #[derive(Debug, Default)]
 struct Queue {
-    items: Vec<Pending>,
-    /// `items[..arrived]` arrived at or before the clock last passed to
+    entries: Vec<Entry>,
+    /// Requests queued: the members of every entry.
+    len: usize,
+    /// `entries[..arrived]` arrived at or before the clock last passed to
     /// [`advance`](Queue::advance).
     arrived: usize,
-    /// Online-class requests among `items[..arrived]`.
+    /// Online-class entries among `entries[..arrived]`.
     arrived_online: usize,
 }
 
 impl Queue {
-    /// Extends the arrived prefix to every request with `arrival <= time`.
+    /// Appends `entry`'s requests, as new members of the tail entry when
+    /// they continue it.
+    fn push(&mut self, entry: Entry) {
+        self.len += (entry.end - entry.head) as usize;
+        if let Some(tail) = self.entries.last_mut() {
+            if tail.end == entry.head
+                && (tail.addr, tail.priority, tail.tag, tail.arrival)
+                    == (entry.addr, entry.priority, entry.tag, entry.arrival)
+            {
+                tail.end = entry.end;
+                return;
+            }
+        }
+        self.entries.push(entry);
+    }
+
+    /// Extends the arrived prefix to every entry with `arrival <= time`.
     fn advance(&mut self, time: u64) {
-        while let Some(p) = self.items.get(self.arrived) {
-            if p.arrival > time {
+        while let Some(e) = self.entries.get(self.arrived) {
+            if e.arrival > time {
                 break;
             }
-            self.arrived_online += usize::from(p.priority == Priority::Online);
+            self.arrived_online += usize::from(e.priority == Priority::Online);
             self.arrived += 1;
         }
     }
 
-    /// Order-preserving removal (keeps the `(arrival, id)` sort) of a
-    /// request inside the arrived prefix — the only place the scheduler
-    /// picks from.
-    fn remove(&mut self, index: usize) -> Pending {
+    /// Serves the head of an entry inside the arrived prefix — the only
+    /// place the scheduler picks from — and returns it as an entry of one.
+    /// The entry goes, order preserved, with its last member.
+    fn pop(&mut self, index: usize) -> Entry {
         debug_assert!(index < self.arrived, "only an arrived request is ever scheduled");
-        let p = self.items.remove(index);
-        self.arrived -= 1;
-        self.arrived_online -= usize::from(p.priority == Priority::Online);
-        p
+        self.len -= 1;
+        let entry = &mut self.entries[index];
+        let served = Entry { end: entry.head + 1, ..*entry };
+        entry.head += 1;
+        if entry.head == entry.end {
+            self.entries.remove(index);
+            self.arrived -= 1;
+            self.arrived_online -= usize::from(served.priority == Priority::Online);
+        }
+        served
+    }
+}
+
+/// The four most recent activates of one rank (tFAW), in a ring.
+#[derive(Debug, Clone, Copy, Default)]
+struct ActivateWindow {
+    times: [u64; 4],
+    /// Activates recorded so far; the next goes to slot `count % 4`, which
+    /// holds the oldest of the last four once there are four.
+    count: u64,
+}
+
+impl ActivateWindow {
+    /// Records an activate the bank is ready to issue at `ready` and returns
+    /// when it issues: the fifth activate in any `faw` window waits.
+    fn activate(&mut self, ready: u64, faw: u64) -> u64 {
+        let slot = (self.count % 4) as usize;
+        let at = if self.count >= 4 { ready.max(self.times[slot] + faw) } else { ready };
+        self.times[slot] = at;
+        self.count += 1;
+        at
     }
 }
 
@@ -116,8 +170,12 @@ struct CpuTiming {
 pub(crate) struct Channel {
     t: CpuTiming,
     banks: Vec<Bank>,
-    /// Sliding window of the four most recent activates per rank (tFAW).
-    act_history: Vec<VecDeque<u64>>,
+    /// The four most recent activates per rank (tFAW).
+    activates: Vec<ActivateWindow>,
+    /// The first multiple of tREFI above the last time
+    /// [`refresh_adjust`](Channel::refresh_adjust) saw: the end of the refresh
+    /// window that time is in or before. Those times never decrease.
+    refresh_end: u64,
     bus_free_at: u64,
     last_burst_was_write: bool,
     /// The channel clock. Monotone: no update ever moves it back.
@@ -160,7 +218,8 @@ impl Channel {
         Channel {
             t,
             banks: vec![Bank::default(); cfg.banks_per_channel() as usize],
-            act_history: vec![VecDeque::with_capacity(4); usize::from(cfg.ranks)],
+            activates: vec![ActivateWindow::default(); usize::from(cfg.ranks)],
+            refresh_end: t.refi,
             bus_free_at: 0,
             last_burst_was_write: false,
             time: 0,
@@ -186,9 +245,11 @@ impl Channel {
         self.stalls.sort_unstable();
     }
 
+    /// Queues requests `ids` (one or more, newer than every queued id), alike
+    /// in everything else.
     pub(crate) fn enqueue(
         &mut self,
-        id: RequestId,
+        ids: Range<u64>,
         kind: MemOpKind,
         priority: Priority,
         tag: u32,
@@ -199,40 +260,43 @@ impl Channel {
             arrival >= self.max_arrival,
             "arrival times must be non-decreasing (the MemorySystem contract)"
         );
-        let p = Pending { id, kind, priority, tag, addr, arrival };
+        debug_assert!(!ids.is_empty());
         self.max_arrival = self.max_arrival.max(arrival);
+        let entry = Entry { head: ids.start, end: ids.end, kind, priority, tag, addr, arrival };
         match kind {
-            MemOpKind::Read => self.reads.items.push(p),
-            MemOpKind::Write => self.writes.items.push(p),
+            MemOpKind::Read => self.reads.push(entry),
+            MemOpKind::Write => self.writes.push(entry),
         }
     }
 
     pub(crate) fn queue_depth(&self) -> usize {
-        self.reads.items.len() + self.writes.items.len()
+        self.reads.len + self.writes.len
     }
 
     /// FR-FCFS pick over a queue's (non-empty) arrived prefix: online class
     /// first — when any arrived request is online, that class dominates the
-    /// pick key and offline entries cannot win — then row hits, then oldest
+    /// pick key and offline requests cannot win — then row hits, then oldest
     /// `(arrival, id)`. Because the queue is already in `(arrival, id)`
     /// order, the scan walks forward and stops at the *first row hit* of the
     /// winning class — any later hit has a larger arrival key, and any
-    /// earlier non-hit loses to a hit — falling back to the first entry of
-    /// the class when nothing hits. With the row locality of batched
-    /// per-bucket ORAM traffic this makes the pick near-constant instead of
-    /// a full-queue key scan.
+    /// earlier non-hit loses to a hit — falling back to the first request of
+    /// the class when nothing hits. An entry's members share class and row,
+    /// and its head is the oldest of them, so the scan visits entries and
+    /// returns the index of the one whose head wins. With the row locality of
+    /// batched per-bucket ORAM traffic this makes the pick near-constant
+    /// instead of a full-queue key scan.
     fn pick_index(&self, queue: &Queue) -> usize {
         let restrict_online = !self.ignore_priority && queue.arrived_online > 0;
         let mut first_of_class = None;
-        for (i, p) in queue.items[..queue.arrived].iter().enumerate() {
-            if restrict_online && p.priority == Priority::Offline {
+        for (i, e) in queue.entries[..queue.arrived].iter().enumerate() {
+            if restrict_online && e.priority == Priority::Offline {
                 continue;
             }
             if first_of_class.is_none() {
                 first_of_class = Some(i);
             }
-            let bank = &self.banks[p.addr.bank as usize];
-            if bank.open_row == Some(p.addr.row) {
+            let bank = &self.banks[e.addr.bank as usize];
+            if bank.open_row == Some(e.addr.row) {
                 return i;
             }
         }
@@ -248,7 +312,7 @@ impl Channel {
             // Nothing has arrived yet at the channel clock: idle forward to
             // the earliest arrival (the front of one of the queues), which
             // is later than the clock.
-            self.time = match (self.reads.items.first(), self.writes.items.first()) {
+            self.time = match (self.reads.entries.first(), self.writes.entries.first()) {
                 (Some(r), Some(w)) => r.arrival.min(w.arrival),
                 (Some(r), None) => r.arrival,
                 (None, Some(w)) => w.arrival,
@@ -262,7 +326,7 @@ impl Channel {
         let online_waiting = !self.ignore_priority && self.reads.arrived_online > 0;
 
         // Watermark-driven write drain with online-read preemption.
-        let queued_writes = self.writes.items.len();
+        let queued_writes = self.writes.len;
         if queued_writes >= self.high_mark {
             self.draining = true;
         }
@@ -278,25 +342,31 @@ impl Channel {
 
         let p = if use_writes {
             let index = self.pick_index(&self.writes);
-            self.writes.remove(index)
+            self.writes.pop(index)
         } else {
             let index = self.pick_index(&self.reads);
-            self.reads.remove(index)
+            self.reads.pop(index)
         };
         let completion = self.service(&p, stats);
-        Some((p.id, completion))
+        Some((RequestId(p.head), completion))
     }
 
     /// Pushes a command time out of any refresh window (`[k·tREFI − tRFC,
     /// k·tREFI)` for `k ≥ 1`): all banks are unavailable while the rank
-    /// refreshes.
-    fn refresh_adjust(&self, t: u64) -> u64 {
+    /// refreshes. `t` may not precede the last time passed here — true of
+    /// every call, as [`service`](Channel::service) makes them — so the
+    /// window's end is carried from call to call and recomputed only when `t`
+    /// passes it.
+    fn refresh_adjust(&mut self, t: u64) -> u64 {
         if self.t.refi == 0 {
             return t;
         }
-        let pos = t % self.t.refi;
-        if pos >= self.t.refi - self.t.rfc {
-            t - pos + self.t.refi
+        debug_assert!(t + self.t.refi >= self.refresh_end, "refresh times never decrease");
+        if t >= self.refresh_end {
+            self.refresh_end = t - t % self.t.refi + self.t.refi;
+        }
+        if t + self.t.rfc >= self.refresh_end {
+            self.refresh_end
         } else {
             t
         }
@@ -314,7 +384,9 @@ impl Channel {
         t
     }
 
-    fn service(&mut self, p: &Pending, stats: &mut MemoryStats) -> u64 {
+    /// Serves `p`, the one request of an entry [`Queue::pop`] returned.
+    #[inline]
+    fn service(&mut self, p: &Entry, stats: &mut MemoryStats) -> u64 {
         let bank_index = p.addr.bank as usize;
         let rank = p.addr.rank as usize;
         let base = self.refresh_adjust(self.time.max(p.arrival));
@@ -342,15 +414,7 @@ impl Channel {
                 ready = ready.max(bank.data_end).max(bank.last_write_end + self.t.wr);
                 ready += self.t.rp;
             }
-            // tFAW: the fifth activate in any window waits.
-            let history = &mut self.act_history[rank];
-            if history.len() == 4 {
-                let oldest = *history.front().expect("len checked");
-                ready = ready.max(oldest + self.t.faw);
-                history.pop_front();
-            }
-            history.push_back(ready);
-            ready += self.t.rcd;
+            ready = self.activates[rank].activate(ready, self.t.faw) + self.t.rcd;
             self.banks[bank_index].open_row = Some(p.addr.row);
         }
 
@@ -424,9 +488,9 @@ mod tests {
         let (cfg, mut ch, mut stats) = setup();
         let a0 = addr_of(&cfg, 0);
         let a1 = addr_of(&cfg, 64); // same row under page interleave
-        ch.enqueue(RequestId(0), MemOpKind::Read, Priority::Online, 0, a0, 0);
+        ch.enqueue(0..1, MemOpKind::Read, Priority::Online, 0, a0, 0);
         let (_, t0) = ch.schedule_one(&mut stats).unwrap();
-        ch.enqueue(RequestId(1), MemOpKind::Read, Priority::Online, 0, a1, 0);
+        ch.enqueue(1..2, MemOpKind::Read, Priority::Online, 0, a1, 0);
         let (_, t1) = ch.schedule_one(&mut stats).unwrap();
         let miss_latency = t0;
         let hit_latency = t1 - t0;
@@ -444,9 +508,9 @@ mod tests {
         let a1 = addr_of(&cfg, stride);
         assert_eq!((a0.channel, a0.bank), (a1.channel, a1.bank));
         assert_ne!(a0.row, a1.row);
-        ch.enqueue(RequestId(0), MemOpKind::Read, Priority::Online, 0, a0, 0);
+        ch.enqueue(0..1, MemOpKind::Read, Priority::Online, 0, a0, 0);
         let (_, t0) = ch.schedule_one(&mut stats).unwrap();
-        ch.enqueue(RequestId(1), MemOpKind::Read, Priority::Online, 0, a1, 0);
+        ch.enqueue(1..2, MemOpKind::Read, Priority::Online, 0, a1, 0);
         let (_, t1) = ch.schedule_one(&mut stats).unwrap();
         assert!(t1 - t0 > t0, "conflict must cost more than a cold miss");
         assert_eq!(stats.row_outcomes(RowBufferOutcome::Conflict), 1);
@@ -458,7 +522,7 @@ mod tests {
         // Queue several offline reads, then one online read, all at t = 0.
         for i in 0..6u64 {
             ch.enqueue(
-                RequestId(i),
+                i..i + 1,
                 MemOpKind::Read,
                 Priority::Offline,
                 0,
@@ -466,7 +530,7 @@ mod tests {
                 0,
             );
         }
-        ch.enqueue(RequestId(99), MemOpKind::Read, Priority::Online, 0, addr_of(&cfg, 640), 0);
+        ch.enqueue(99..100, MemOpKind::Read, Priority::Online, 0, addr_of(&cfg, 640), 0);
         let (first, _) = ch.schedule_one(&mut stats).unwrap();
         assert_eq!(first, RequestId(99), "online read must be served first");
     }
@@ -474,8 +538,8 @@ mod tests {
     #[test]
     fn writes_wait_for_drain_mode() {
         let (cfg, mut ch, mut stats) = setup();
-        ch.enqueue(RequestId(0), MemOpKind::Write, Priority::Offline, 0, addr_of(&cfg, 0), 0);
-        ch.enqueue(RequestId(1), MemOpKind::Read, Priority::Online, 0, addr_of(&cfg, 64), 0);
+        ch.enqueue(0..1, MemOpKind::Write, Priority::Offline, 0, addr_of(&cfg, 0), 0);
+        ch.enqueue(1..2, MemOpKind::Read, Priority::Online, 0, addr_of(&cfg, 64), 0);
         let (first, _) = ch.schedule_one(&mut stats).unwrap();
         assert_eq!(first, RequestId(1), "reads bypass a shallow write queue");
         let (second, _) = ch.schedule_one(&mut stats).unwrap();
@@ -486,24 +550,35 @@ mod tests {
     fn full_write_queue_forces_drain() {
         let (cfg, mut ch, mut stats) = setup();
         for i in 0..cfg.write_queue_high as u64 {
-            ch.enqueue(
-                RequestId(i),
-                MemOpKind::Write,
-                Priority::Offline,
-                0,
-                addr_of(&cfg, i * 64),
-                0,
-            );
+            ch.enqueue(i..i + 1, MemOpKind::Write, Priority::Offline, 0, addr_of(&cfg, i * 64), 0);
         }
-        ch.enqueue(RequestId(1000), MemOpKind::Read, Priority::Online, 0, addr_of(&cfg, 0), 0);
+        ch.enqueue(1000..1001, MemOpKind::Read, Priority::Online, 0, addr_of(&cfg, 0), 0);
         let (first, _) = ch.schedule_one(&mut stats).unwrap();
         assert!(first != RequestId(1000), "a full write queue must drain ahead of reads");
     }
 
     #[test]
+    fn activate_ring_is_a_sliding_window_of_four() {
+        let faw = 128;
+        let (mut ring, mut window) = (ActivateWindow::default(), std::collections::VecDeque::new());
+        let (mut ready, mut state) = (0u64, 7u64);
+        for _ in 0..1_000 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ready += (state >> 33) % 96;
+            // As before the ring: pop the oldest of four, wait on it, push.
+            let mut want = ready;
+            if window.len() == 4 {
+                want = want.max(window.pop_front().unwrap() + faw);
+            }
+            window.push_back(want);
+            assert_eq!(ring.activate(ready, faw), want);
+        }
+    }
+
+    #[test]
     fn requests_respect_arrival_times() {
         let (cfg, mut ch, mut stats) = setup();
-        ch.enqueue(RequestId(0), MemOpKind::Read, Priority::Online, 0, addr_of(&cfg, 0), 10_000);
+        ch.enqueue(0..1, MemOpKind::Read, Priority::Online, 0, addr_of(&cfg, 0), 10_000);
         let (_, done) = ch.schedule_one(&mut stats).unwrap();
         assert!(done >= 10_000, "service cannot begin before arrival");
     }
@@ -523,7 +598,7 @@ mod policy_tests {
         for i in 0..32u64 {
             // Alternate same-row and different-row addresses.
             let addr = if i % 2 == 0 { 0 } else { cfg.row_bytes * 64 };
-            ch.enqueue(RequestId(i), MemOpKind::Read, Priority::Online, 0, cfg.decode(addr), 0);
+            ch.enqueue(i..i + 1, MemOpKind::Read, Priority::Online, 0, cfg.decode(addr), 0);
         }
         while ch.schedule_one(&mut stats).is_some() {}
         assert_eq!(stats.row_outcomes(RowBufferOutcome::Hit), 0);
@@ -539,7 +614,7 @@ mod policy_tests {
             let mut stats = stats_for(&cfg);
             for i in 0..256u64 {
                 ch.enqueue(
-                    RequestId(i),
+                    i..i + 1,
                     MemOpKind::Read,
                     Priority::Online,
                     0,
@@ -562,8 +637,8 @@ mod policy_tests {
         let mut ch = Channel::new(&cfg);
         let mut stats = stats_for(&cfg);
         // Offline arrives first to a different row; online second.
-        ch.enqueue(RequestId(0), MemOpKind::Read, Priority::Offline, 0, cfg.decode(1 << 20), 0);
-        ch.enqueue(RequestId(1), MemOpKind::Read, Priority::Online, 0, cfg.decode(2 << 20), 0);
+        ch.enqueue(0..1, MemOpKind::Read, Priority::Offline, 0, cfg.decode(1 << 20), 0);
+        ch.enqueue(1..2, MemOpKind::Read, Priority::Online, 0, cfg.decode(2 << 20), 0);
         let (first, _) = ch.schedule_one(&mut stats).unwrap();
         assert_eq!(first, RequestId(0), "FIFO order when priorities are ignored");
     }
@@ -580,7 +655,7 @@ mod stall_tests {
         let mut ch = Channel::new(&cfg);
         let mut stats = stats_for(&cfg);
         ch.inject_stall(0, 5_000);
-        ch.enqueue(RequestId(0), MemOpKind::Read, Priority::Online, 0, cfg.decode(0), 100);
+        ch.enqueue(0..1, MemOpKind::Read, Priority::Online, 0, cfg.decode(0), 100);
         let (_, done) = ch.schedule_one(&mut stats).unwrap();
         assert!(done >= 5_000, "completion {done} inside stall window ending at 5000");
         assert_eq!(stats.stall_events(), 1);
@@ -605,7 +680,7 @@ mod stall_tests {
         let mut ch = Channel::new(&cfg);
         let mut stats = stats_for(&cfg);
         ch.inject_stall(0, 0);
-        ch.enqueue(RequestId(0), MemOpKind::Read, Priority::Online, 0, cfg.decode(0), 0);
+        ch.enqueue(0..1, MemOpKind::Read, Priority::Online, 0, cfg.decode(0), 0);
         ch.schedule_one(&mut stats).unwrap();
         assert_eq!(stats.stall_events(), 0);
     }
@@ -625,7 +700,7 @@ mod refresh_tests {
         let rfc = cfg.timing.t_rfc * cfg.cpu_clock_ratio;
         // A request arriving inside the refresh window waits for it to end.
         let inside = refi - rfc / 2;
-        ch.enqueue(RequestId(0), MemOpKind::Read, Priority::Online, 0, cfg.decode(0), inside);
+        ch.enqueue(0..1, MemOpKind::Read, Priority::Online, 0, cfg.decode(0), inside);
         let (_, done) = ch.schedule_one(&mut stats).unwrap();
         assert!(done >= refi, "completion {done} inside refresh window ending at {refi}");
     }
@@ -637,22 +712,55 @@ mod refresh_tests {
         let refi = DramConfig::default().timing.t_refi * cfg.cpu_clock_ratio;
         let mut ch = Channel::new(&cfg);
         let mut stats = stats_for(&cfg);
-        ch.enqueue(RequestId(0), MemOpKind::Read, Priority::Online, 0, cfg.decode(0), refi);
+        ch.enqueue(0..1, MemOpKind::Read, Priority::Online, 0, cfg.decode(0), refi);
         let (_, done) = ch.schedule_one(&mut stats).unwrap();
         // Latency is just activate + CAS + burst from arrival.
         let expect = refi + (11 + 11 + 4) * cfg.cpu_clock_ratio;
         assert_eq!(done, expect);
+    }
+
+    proptest::proptest! {
+        /// The carried window end adjusts as the modulo formula does, over
+        /// non-decreasing times that step within a window, across one and
+        /// across many, and onto window edges.
+        #[test]
+        fn carried_refresh_window_matches_the_modulo_formula(
+            steps in proptest::collection::vec(
+                proptest::prop_oneof![0u64..64, 0u64..30_000, 0u64..1_000_000],
+                1..200,
+            ),
+        ) {
+            let mut ch = Channel::new(&DramConfig::default());
+            let (refi, rfc) = (ch.t.refi, ch.t.rfc);
+            let formula = |t: u64| {
+                let pos = t % refi;
+                if pos >= refi - rfc { t - pos + refi } else { t }
+            };
+            let mut t = 0;
+            for step in steps {
+                t += step;
+                proptest::prop_assert_eq!(ch.refresh_adjust(t), formula(t), "t = {}", t);
+                if step % 2 == 0 {
+                    // Onto the next window edge: its first cycle, or its end
+                    // from inside it.
+                    let pos = t % refi;
+                    t += if pos < refi - rfc { refi - rfc - pos } else { refi - pos };
+                    proptest::prop_assert_eq!(ch.refresh_adjust(t), formula(t), "t = {}", t);
+                }
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod cursor_tests {
     use super::*;
+    use crate::config::PagePolicy;
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
 
-    /// How often the reference met the two queue shapes the cursors exist
-    /// for, counted where it decides.
+    /// How often a script met the queue shapes the cursors and the entries
+    /// exist for.
     #[derive(Debug, Default)]
     struct Shapes {
         /// Decisions over a queue only part of which had arrived: a burst
@@ -661,185 +769,287 @@ mod cursor_tests {
         /// Write drains that began with part of the write queue yet to
         /// arrive: the high watermark was crossed mid-burst.
         mid_burst_drain: u32,
+        /// Requests that extended an entry whose head had already been
+        /// served.
+        extended_after_served: u32,
     }
 
-    /// The scheduler as it was before the cursors, kept as the oracle: per
-    /// decision it recomputes each queue's arrived prefix (a binary search on
-    /// the clock) and the online-class test (a scan of that prefix) from
-    /// scratch. It drives a [`Channel`] for its clock, banks and bus
-    /// ([`Channel::service`]) and neither reads nor maintains its cursors.
-    #[allow(clippy::if_same_then_else)] // the decision chain, case by case as it was
-    fn reference_schedule_one(
-        ch: &mut Channel,
-        stats: &mut MemoryStats,
-        shapes: &mut Shapes,
-    ) -> Option<(RequestId, u64)> {
-        if ch.queue_depth() == 0 {
-            return None;
+    /// The scheduler as it was before the cursors and the entries, kept as
+    /// the oracle. It keeps its own per-request queues (each request an entry
+    /// of one), and per decision it recomputes each queue's arrived prefix (a
+    /// binary search on the clock) and the online-class test (a scan of that
+    /// prefix) from scratch, scans requests and takes the one it picks out
+    /// with `Vec::remove`. It drives a [`Channel`] whose own queues stay
+    /// empty for its clock, banks, bus and drain flag ([`Channel::service`]).
+    struct Reference {
+        ch: Channel,
+        reads: Vec<Entry>,
+        writes: Vec<Entry>,
+    }
+
+    impl Reference {
+        fn new(cfg: &DramConfig) -> Self {
+            Reference { ch: Channel::new(cfg), reads: Vec::new(), writes: Vec::new() }
         }
-        loop {
-            let earliest = match (ch.reads.items.first(), ch.writes.items.first()) {
-                (Some(r), Some(w)) => r.arrival.min(w.arrival),
-                (Some(r), None) => r.arrival,
-                (None, Some(w)) => w.arrival,
-                (None, None) => unreachable!("queue depth checked"),
-            };
-            ch.time = ch.time.max(earliest);
-            let (time, ignore_priority) = (ch.time, ch.ignore_priority);
-            let arrived = |queue: &[Pending]| queue.partition_point(|p| p.arrival <= time);
-            let online = |arrived: &[Pending]| {
-                !ignore_priority && arrived.iter().any(|p| p.priority == Priority::Online)
-            };
-            let (reads, writes) = (&ch.reads.items, &ch.writes.items);
-            let (reads_end, writes_end) = (arrived(reads), arrived(writes));
-            let online_waiting = online(&reads[..reads_end]);
 
-            let was_draining = ch.draining;
-            if writes.len() >= ch.high_mark {
-                ch.draining = true;
+        fn enqueue(
+            &mut self,
+            id: u64,
+            kind: MemOpKind,
+            priority: Priority,
+            tag: u32,
+            addr: DecodedAddr,
+            arrival: u64,
+        ) {
+            let request = Entry { head: id, end: id + 1, kind, priority, tag, addr, arrival };
+            match kind {
+                MemOpKind::Read => self.reads.push(request),
+                MemOpKind::Write => self.writes.push(request),
             }
-            if writes.len() <= ch.low_mark {
-                ch.draining = false;
-            }
-            let use_writes = if reads.is_empty() {
-                true
-            } else if writes.is_empty() {
-                false
-            } else if reads_end == 0 {
-                true
-            } else if writes.len() >= ch.high_mark && writes_end > 0 {
-                true
-            } else {
-                ch.draining && !online_waiting && writes_end > 0
-            };
+        }
 
-            let (queue, end) = if use_writes { (writes, writes_end) } else { (reads, reads_end) };
-            let restrict_online = online(&queue[..end]);
-            let mut pick = None;
-            for (i, p) in queue[..end].iter().enumerate() {
-                if restrict_online && p.priority == Priority::Offline {
+        #[allow(clippy::if_same_then_else)] // the decision chain, case by case as it was
+        fn schedule_one(
+            &mut self,
+            stats: &mut MemoryStats,
+            shapes: &mut Shapes,
+        ) -> Option<(RequestId, u64)> {
+            let ch = &mut self.ch;
+            loop {
+                let earliest = match (self.reads.first(), self.writes.first()) {
+                    (Some(r), Some(w)) => r.arrival.min(w.arrival),
+                    (Some(r), None) => r.arrival,
+                    (None, Some(w)) => w.arrival,
+                    (None, None) => return None,
+                };
+                ch.time = ch.time.max(earliest);
+                let (time, ignore_priority) = (ch.time, ch.ignore_priority);
+                let arrived = |queue: &[Entry]| queue.partition_point(|p| p.arrival <= time);
+                let online = |arrived: &[Entry]| {
+                    !ignore_priority && arrived.iter().any(|p| p.priority == Priority::Online)
+                };
+                let (reads, writes) = (&self.reads, &self.writes);
+                let (reads_end, writes_end) = (arrived(reads), arrived(writes));
+                let online_waiting = online(&reads[..reads_end]);
+
+                let was_draining = ch.draining;
+                if writes.len() >= ch.high_mark {
+                    ch.draining = true;
+                }
+                if writes.len() <= ch.low_mark {
+                    ch.draining = false;
+                }
+                let use_writes = if reads.is_empty() {
+                    true
+                } else if writes.is_empty() {
+                    false
+                } else if reads_end == 0 {
+                    true
+                } else if writes.len() >= ch.high_mark && writes_end > 0 {
+                    true
+                } else {
+                    ch.draining && !online_waiting && writes_end > 0
+                };
+
+                let (queue, end) =
+                    if use_writes { (writes, writes_end) } else { (reads, reads_end) };
+                let restrict_online = online(&queue[..end]);
+                let mut pick = None;
+                for (i, p) in queue[..end].iter().enumerate() {
+                    if restrict_online && p.priority == Priority::Offline {
+                        continue;
+                    }
+                    if ch.banks[p.addr.bank as usize].open_row == Some(p.addr.row) {
+                        pick = Some(i);
+                        break;
+                    }
+                    pick = pick.or(Some(i));
+                }
+                let Some(index) = pick else {
+                    ch.time = ch.time.max(queue.first().expect("chosen queue non-empty").arrival);
                     continue;
-                }
-                if ch.banks[p.addr.bank as usize].open_row == Some(p.addr.row) {
-                    pick = Some(i);
-                    break;
-                }
-                pick = pick.or(Some(i));
+                };
+                shapes.partial += u32::from(reads_end < reads.len() || writes_end < writes.len());
+                shapes.mid_burst_drain +=
+                    u32::from(!was_draining && ch.draining && writes_end < writes.len());
+                let queue = if use_writes { &mut self.writes } else { &mut self.reads };
+                let p = queue.remove(index);
+                return Some((RequestId(p.head), ch.service(&p, stats)));
             }
-            let Some(index) = pick else {
-                ch.time = ch.time.max(queue.first().expect("chosen queue non-empty").arrival);
-                continue;
-            };
-            shapes.partial += u32::from(reads_end < reads.len() || writes_end < writes.len());
-            shapes.mid_burst_drain +=
-                u32::from(!was_draining && ch.draining && writes_end < writes.len());
-            let queue = if use_writes { &mut ch.writes.items } else { &mut ch.reads.items };
-            let p = queue.remove(index);
-            return Some((p.id, ch.service(&p, stats)));
         }
     }
 
-    /// `(write, online, bank selector, row, arrival step)`.
-    type Req = (bool, bool, usize, u64, u64);
-    /// `(gap to the burst's arrival, burst, decisions taken after it)`.
-    type Step = (u64, Vec<Req>, usize);
+    /// A run of requests as a stager releases them back to back:
+    /// `((write, online, bank selector, row, tag), (members, id stride, ids
+    /// skipped before it, arrival step before it), (from, change))`. Members
+    /// share one location, kind, priority, tag and arrival, except that from
+    /// member `from` on one of them changes (`change` 0 kind, 1 priority, 2
+    /// tag, 3 arrival; above 3, none). A stride above one, or skipped ids,
+    /// leave the ids between to other channels.
+    type Run = ((bool, bool, usize, u64, u32), (usize, u64, u64, u64), (usize, u8));
+    /// `(requests resuming the last run, gap to the burst's arrival, burst,
+    /// decisions taken after it)`. Resumed requests continue the last run of
+    /// the previous burst — its attributes, its arrival, its id stride — after
+    /// the decisions that followed it.
+    type Step = (u64, u64, Vec<Run>, usize);
 
     /// A script of enqueue bursts interleaved with scheduling decisions:
     /// arrivals never decrease and land both behind and ahead of the channel
-    /// clock, and fewer decisions than requests are taken on average so the
-    /// queues build up across bursts.
+    /// clock; runs are short or long (up to 23 requests), interleave across
+    /// three banks of two ranks and, by their ids, across channels, and some
+    /// resume after decisions served part of them; and fewer decisions than
+    /// requests are taken on average so the queues build up across bursts.
     fn script() -> impl Strategy<Value = Vec<Step>> {
+        let resume = prop_oneof![Just(0u64), 1u64..8];
         let gap = prop_oneof![Just(0u64), 1u64..300, 1_000u64..5_000];
+        let at = (any::<bool>(), any::<bool>(), 0usize..3, 0u64..3, 0u32..2);
+        let members = prop_oneof![1usize..4, 1usize..4, 4usize..24];
+        let stride = prop_oneof![Just(1u64), Just(1u64), Just(1u64), 2u64..4];
+        let skip = prop_oneof![Just(0u64), Just(0u64), 1u64..4];
         let step = prop_oneof![Just(0u64), Just(0u64), Just(0u64), 1u64..40];
-        let req = (any::<bool>(), any::<bool>(), 0usize..3, 0u64..3, step);
-        proptest::collection::vec((gap, proptest::collection::vec(req, 0..24), 0usize..16), 1..32)
+        let run = (at, (members, stride, skip, step), (0usize..24, 0u8..8));
+        let burst = proptest::collection::vec(run, 0..6);
+        proptest::collection::vec((resume, gap, burst, 0usize..24), 1..32)
     }
 
     /// Small watermarks so drains start and stop within a script; refresh on.
-    fn config(ignore_priority: bool) -> DramConfig {
+    fn config(ignore_priority: bool, closed_page: bool) -> DramConfig {
+        let page_policy = if closed_page { PagePolicy::Closed } else { PagePolicy::Open };
         let cfg = DramConfig { write_queue_high: 10, write_queue_low: 3, ..DramConfig::default() };
-        DramConfig { ignore_priority, ..cfg }
+        DramConfig { ignore_priority, page_policy, ..cfg }
     }
 
-    /// Plays `script` into the cursor scheduler and the reference side by
-    /// side, comparing every decision, the drain and the statistics.
-    fn play(
-        script: &[Step],
-        stall: (u64, u64),
-        ignore_priority: bool,
-    ) -> Result<Shapes, TestCaseError> {
-        let cfg = config(ignore_priority);
-        let (mut cursor, mut reference) = (Channel::new(&cfg), Channel::new(&cfg));
-        let (mut cursor_stats, mut reference_stats) = (stats_for(&cfg), stats_for(&cfg));
-        cursor.inject_stall(stall.0, stall.1);
-        reference.inject_stall(stall.0, stall.1);
+    /// Plays `script` into the channel and the reference side by side,
+    /// comparing every decision, the drain and the statistics.
+    fn play(script: &[Step], stall: (u64, u64), cfg: DramConfig) -> Result<Shapes, TestCaseError> {
+        let (mut channel, mut reference) = (Channel::new(&cfg), Reference::new(&cfg));
+        let (mut channel_stats, mut reference_stats) = (stats_for(&cfg), stats_for(&cfg));
+        channel.inject_stall(stall.0, stall.1);
+        reference.ch.inject_stall(stall.0, stall.1);
         let mut shapes = Shapes::default();
+        // The id the channel's tail entry of each queue (reads, writes) began
+        // with, to tell whether a request extends an entry part-served.
+        let mut entry_first = [0u64; 2];
         let (mut arrival, mut next_id) = (0, 0);
-        for (gap, burst, decisions) in script {
-            arrival += gap;
-            for &(write, online, bank, row, step) in burst {
-                arrival += step;
+        // The last request's `(write, online, tag, location)` and its run's
+        // id stride: what a resumed run continues.
+        let mut last = None;
+        for &(resume, gap, ref runs, decisions) in script {
+            // Enqueues `n` requests alike, `stride` ids apart: consecutive
+            // ids in one call, as a release hands a run over, else one by one.
+            let mut push = |(write, online, tag, addr): (bool, bool, u32, DecodedAddr),
+                            arrival,
+                            n: u64,
+                            stride: u64,
+                            next_id: &mut u64| {
                 let kind = if write { MemOpKind::Write } else { MemOpKind::Read };
                 let priority = if online { Priority::Online } else { Priority::Offline };
+                let (calls, ids) = if stride == 1 { (u64::from(n > 0), n) } else { (n, 1) };
+                for _ in 0..calls {
+                    let id = *next_id;
+                    let queue = if write { &channel.writes } else { &channel.reads };
+                    let first = &mut entry_first[usize::from(write)];
+                    match queue.entries.last() {
+                        Some(tail)
+                            if tail.end == id
+                                && (tail.addr, tail.priority, tail.tag, tail.arrival)
+                                    == (addr, priority, tag, arrival) =>
+                        {
+                            shapes.extended_after_served += u32::from(tail.head > *first);
+                        }
+                        _ => *first = id,
+                    }
+                    channel.enqueue(id..id + ids, kind, priority, tag, addr, arrival);
+                    for id in id..id + ids {
+                        reference.enqueue(id, kind, priority, tag, addr, arrival);
+                    }
+                    *next_id += ids * stride;
+                }
+            };
+            if let Some((request, stride)) = last {
+                push(request, arrival, resume, stride, &mut next_id);
+            }
+            arrival += gap;
+            for &((write, online, bank, row, tag), (members, stride, skip, step), change) in runs {
+                arrival += step;
+                next_id += skip;
                 // Two banks of rank 0 and one of rank 1.
                 let bank = [0, 1, u16::from(cfg.banks) + 1][bank];
                 let rank = (bank / u16::from(cfg.banks)) as u8;
-                let addr = DecodedAddr { channel: 0, bank, row, rank };
-                let tag = (next_id % 5) as u32;
-                cursor.enqueue(RequestId(next_id), kind, priority, tag, addr, arrival);
-                reference.enqueue(RequestId(next_id), kind, priority, tag, addr, arrival);
-                next_id += 1;
+                let mut request = (write, online, tag, DecodedAddr { channel: 0, bank, row, rank });
+                let (members, before) = (members as u64, change.0.min(members) as u64);
+                push(request, arrival, before, stride, &mut next_id);
+                if before < members {
+                    match change.1 {
+                        0 => request.0 = !request.0,
+                        1 => request.1 = !request.1,
+                        2 => request.2 ^= 1,
+                        3 => arrival += 1,
+                        _ => {}
+                    }
+                }
+                push(request, arrival, members - before, stride, &mut next_id);
+                last = Some((request, stride));
             }
-            for _ in 0..*decisions {
-                let want =
-                    reference_schedule_one(&mut reference, &mut reference_stats, &mut shapes);
-                prop_assert_eq!(cursor.schedule_one(&mut cursor_stats), want);
+            for _ in 0..decisions {
+                let want = reference.schedule_one(&mut reference_stats, &mut shapes);
+                prop_assert_eq!(channel.schedule_one(&mut channel_stats), want);
             }
         }
         loop {
-            let want = reference_schedule_one(&mut reference, &mut reference_stats, &mut shapes);
-            prop_assert_eq!(cursor.schedule_one(&mut cursor_stats), want);
+            let want = reference.schedule_one(&mut reference_stats, &mut shapes);
+            prop_assert_eq!(channel.schedule_one(&mut channel_stats), want);
             if want.is_none() {
                 break;
             }
         }
-        prop_assert_eq!(&cursor_stats, &reference_stats);
-        prop_assert_eq!(cursor_stats.total_requests(), next_id);
-        prop_assert_eq!((cursor.reads.arrived, cursor.reads.arrived_online), (0, 0));
-        prop_assert_eq!((cursor.writes.arrived, cursor.writes.arrived_online), (0, 0));
+        prop_assert_eq!(&channel_stats, &reference_stats);
+        for queue in [&channel.reads, &channel.writes] {
+            prop_assert!(queue.entries.is_empty() && queue.len == 0);
+            prop_assert_eq!((queue.arrived, queue.arrived_online), (0, 0));
+        }
         Ok(shapes)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The incremental cursors decide exactly as a from-scratch
-        /// recomputation does: same `(id, completion)` stream, same
-        /// statistics, across bursts that arrive ahead of the clock, a stall
-        /// window, refresh, and with the priority classes on or ignored.
+        /// The channel's entries and incremental cursors decide exactly as a
+        /// per-request, from-scratch recomputation does: same `(id,
+        /// completion)` stream, same statistics, across long and short runs
+        /// with a kind, priority, tag or arrival change inside, interleaved
+        /// across banks and channels, bursts that arrive ahead of the clock,
+        /// a stall window, refresh, with the priority classes on or ignored
+        /// and with open or closed pages.
         #[test]
         fn arrived_cursors_match_a_recomputing_reference(
             script in script(),
             stall in (0u64..20_000, 0u64..3_000),
-            ignore_priority in any::<bool>(),
+            policy in (any::<bool>(), any::<bool>()),
         ) {
-            play(&script, stall, ignore_priority)?;
+            play(&script, stall, config(policy.0, policy.1))?;
         }
     }
 
-    /// The generator reaches what the cursors are for: most scripts hold
-    /// decisions over a partially arrived queue (the depth > 1 shape — a
-    /// burst arriving while older requests are queued), and many start a
-    /// write drain with the rest of the burst still to arrive.
+    /// The generator reaches what the cursors and entries are for: most
+    /// scripts hold decisions over a partially arrived queue (the depth > 1
+    /// shape — a burst arriving while older requests are queued), many start
+    /// a write drain with the rest of the burst still to arrive, and a fair
+    /// share extend an entry whose head was already served.
     #[test]
     fn generated_scripts_reach_the_partially_arrived_shapes() {
         let mut rng = TestRng::for_test("generated_scripts_reach_the_partially_arrived_shapes");
-        let (mut partial, mut mid_burst_drain) = (0, 0);
+        let (mut partial, mut mid_burst_drain, mut extended) = (0, 0, 0);
         for _ in 0..64 {
-            let shapes = play(&script().generate(&mut rng), (0, 0), false).expect("equal streams");
+            let script = script().generate(&mut rng);
+            let shapes = play(&script, (0, 0), config(false, false)).expect("equal streams");
             partial += u32::from(shapes.partial > 0);
             mid_burst_drain += u32::from(shapes.mid_burst_drain > 0);
+            extended += u32::from(shapes.extended_after_served > 0);
         }
-        assert!(partial >= 48 && mid_burst_drain >= 16, "{partial} / {mid_burst_drain} of 64");
+        assert!(
+            partial >= 48 && mid_burst_drain >= 16 && extended >= 12,
+            "{partial} / {mid_burst_drain} / {extended} of 64"
+        );
     }
 }

@@ -77,6 +77,7 @@ impl MemoryStats {
     }
 
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     pub(crate) fn record(
         &mut self,
         kind: MemOpKind,

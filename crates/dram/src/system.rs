@@ -182,12 +182,14 @@ impl MemorySystem {
 
     /// Enqueues one access's worth of requests whose addresses the caller
     /// already decoded with [`DramConfig::decode`] (or
-    /// [`decode_addr`](MemorySystem::decode_addr)), in iteration order, returning their contiguous id range. Each item is
-    /// `(kind, location, priority, tag)`. Identical semantics to calling
-    /// [`enqueue`](MemorySystem::enqueue) per request on the address that
-    /// decodes to `location`, except that nothing is decoded again and the
-    /// `dram.queue_depth` gauge is sampled once after the batch (as in
-    /// [`enqueue_batch`](MemorySystem::enqueue_batch)).
+    /// [`decode_addr`](MemorySystem::decode_addr)), in iteration order,
+    /// returning their contiguous id range. Each item is `(kind, location,
+    /// priority, tag, count)`: `count` requests alike (none when zero), which
+    /// a channel queues as one run. Identical semantics to calling
+    /// [`enqueue`](MemorySystem::enqueue) `count` times per item on the
+    /// address that decodes to `location`, except that nothing is decoded
+    /// again and the `dram.queue_depth` gauge is sampled once after the batch
+    /// (as in [`enqueue_batch`](MemorySystem::enqueue_batch)).
     ///
     /// # Panics
     ///
@@ -203,18 +205,19 @@ impl MemorySystem {
     /// let cfg = DramConfig::default();
     /// let addrs = [0, cfg.row_bytes, 64];
     /// let mut staged = MemorySystem::new(cfg);
-    /// // An issue layer decodes once, reorders by location, then releases.
+    /// // An issue layer decodes once, reorders by location, then releases
+    /// // two reads of each.
     /// let mut access: Vec<_> = addrs.iter().map(|&a| staged.decode_addr(a)).collect();
     /// access.sort_by_key(|d| (d.channel, d.bank, d.row));
     /// let ids = staged.enqueue_decoded(
-    ///     access.iter().map(|&d| (MemOpKind::Read, d, Priority::Online, 0)),
+    ///     access.iter().map(|&d| (MemOpKind::Read, d, Priority::Online, 0, 2)),
     ///     100,
     /// );
-    /// assert_eq!(ids.len(), 3);
+    /// assert_eq!(ids.len(), 6);
     ///
     /// // The same requests, one `enqueue` at a time in that order.
     /// let mut single = MemorySystem::new(cfg);
-    /// for a in [0, 64, cfg.row_bytes] {
+    /// for a in [0, 0, 64, 64, cfg.row_bytes, cfg.row_bytes] {
     ///     single.enqueue(MemOpKind::Read, a, Priority::Online, 0, 100);
     /// }
     /// for id in ids {
@@ -223,20 +226,22 @@ impl MemorySystem {
     /// ```
     pub fn enqueue_decoded(
         &mut self,
-        requests: impl IntoIterator<Item = (MemOpKind, DecodedAddr, Priority, u32)>,
+        requests: impl IntoIterator<Item = (MemOpKind, DecodedAddr, Priority, u32, u32)>,
         now: u64,
     ) -> RequestIdRange {
         let start = self.next_request_id().0;
         let mut last_channel = None;
-        for (kind, at, priority, tag) in requests {
+        for (kind, at, priority, tag, count) in requests {
             assert!(
                 at.channel < self.cfg.channels
                     && u64::from(at.bank) < self.cfg.banks_per_channel()
                     && at.rank < self.cfg.ranks,
                 "decoded address {at:?} lies outside this geometry"
             );
-            self.enqueue_at(kind, at, priority, tag, now);
-            last_channel = Some(at.channel);
+            if count > 0 {
+                self.enqueue_at(kind, at, priority, tag, count as usize, now);
+                last_channel = Some(at.channel);
+            }
         }
         self.batch_ids(start, last_channel)
     }
@@ -260,21 +265,24 @@ impl MemorySystem {
         now: u64,
     ) -> (RequestId, u8) {
         let decoded = self.cfg.decode(addr);
-        (self.enqueue_at(kind, decoded, priority, tag, now), decoded.channel)
+        (self.enqueue_at(kind, decoded, priority, tag, 1, now), decoded.channel)
     }
 
+    /// Enqueues `count` (≥ 1) requests alike at `at`, returning the first's id.
     fn enqueue_at(
         &mut self,
         kind: MemOpKind,
         at: DecodedAddr,
         priority: Priority,
         tag: u32,
+        count: usize,
         now: u64,
     ) -> RequestId {
         let id = self.next_request_id();
-        self.routing.push(at.channel);
-        self.completions.push(NOT_DONE);
-        self.channels[at.channel as usize].enqueue(id, kind, priority, tag, at, now);
+        self.routing.resize(self.routing.len() + count, at.channel);
+        self.completions.resize(self.completions.len() + count, NOT_DONE);
+        let ids = id.0..id.0 + count as u64;
+        self.channels[at.channel as usize].enqueue(ids, kind, priority, tag, at, now);
         id
     }
 
@@ -467,7 +475,8 @@ mod tests {
         let cfg = DramConfig::default();
         let wide = MemorySystem::new(DramConfig { channels: 8, ..cfg });
         let at = wide.decode_addr(7 * cfg.row_bytes);
-        MemorySystem::new(cfg).enqueue_decoded([(MemOpKind::Read, at, Priority::Online, 0)], 0);
+        let request = (MemOpKind::Read, at, Priority::Online, 0, 1);
+        MemorySystem::new(cfg).enqueue_decoded([request], 0);
     }
 
     #[test]
@@ -475,20 +484,24 @@ mod tests {
         let cfg = DramConfig { mapping: AddressMapping::LineInterleave, ..DramConfig::default() };
         let (mut batch, mut single) = (MemorySystem::new(cfg), MemorySystem::new(cfg));
         assert_eq!(batch.enqueue_decoded([], 5).len(), 0, "an empty access mints no id");
+        // Runs of 0–3 requests; some continue the run before them.
         let reqs: Vec<_> = (0..300u64)
             .map(|i| {
                 let kind = if i % 3 == 0 { MemOpKind::Write } else { MemOpKind::Read };
                 let prio = if i % 4 == 0 { Priority::Offline } else { Priority::Online };
-                (kind, (i * 37 % 512) * 64 + (i % 5) * cfg.row_bytes, prio, (i % 5) as u32)
+                let addr = (i / 2 * 37 % 512) * 64 + (i % 5) * cfg.row_bytes;
+                (kind, addr, prio, (i % 5) as u32, (i % 7 % 4) as u32)
             })
             .collect();
         for (round, access) in reqs.chunks(60).enumerate() {
             let now = 10 + round as u64 * 900;
-            let decoded = access.iter().map(|&(k, a, p, t)| (k, batch.decode_addr(a), p, t));
+            let decoded = access.iter().map(|&(k, a, p, t, n)| (k, batch.decode_addr(a), p, t, n));
             let ids = batch.enqueue_decoded(decoded.collect::<Vec<_>>(), now);
-            for (id, &(k, a, p, t)) in ids.clone().zip(access) {
-                assert_eq!(single.enqueue(k, a, p, t, now), id);
-            }
+            let requests =
+                access.iter().flat_map(|&(k, a, p, t, n)| (0..n).map(move |_| (k, a, p, t)));
+            let singles: Vec<_> =
+                requests.map(|(k, a, p, t)| single.enqueue(k, a, p, t, now)).collect();
+            assert!(ids.clone().eq(singles));
             for id in ids {
                 assert_eq!(single.completion_time(id), batch.completion_time(id));
             }
