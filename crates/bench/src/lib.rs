@@ -374,11 +374,11 @@ mod tests {
             let warmed = e.warmed_oram(scheme).unwrap();
             let cloned = CellExecutor::with_jobs(2).run(vec![(); 2], |_, ()| {
                 let oram = warmed.clone();
-                (oram.snapshot().unwrap(), e.timed_run(oram, &profile).unwrap())
+                (oram.clone(), e.timed_run(oram, &profile).unwrap())
             });
             for (state, report) in cloned {
                 let fresh = e.warmed_oram(scheme).unwrap();
-                assert_eq!(state, fresh.snapshot().unwrap(), "{scheme}: warmed state differs");
+                assert!(state == fresh, "{scheme}: warmed state differs");
                 assert_eq!(report, e.timed_run(fresh, &profile).unwrap(), "{scheme}");
             }
             // A cell's timed window ran on its clone, not on the original.

@@ -196,8 +196,8 @@ pub struct OramConfig {
     /// RNG seed for deterministic runs.
     pub seed: u64,
     /// Lazy capacity growth; `None` (the default) fixes the tree at
-    /// `levels` forever and leaves every digest and snapshot byte
-    /// identical to pre-growth builds.
+    /// `levels` forever and leaves every digest identical to pre-growth
+    /// builds.
     pub growth: Option<GrowthConfig>,
 }
 
@@ -237,8 +237,8 @@ impl OramConfig {
     /// fixed-size bucket record ([`BucketMeta`](crate::BucketMeta)) cannot
     /// hold: more than 5 real or 8 borrowed entries per bucket, more than 16
     /// logical slots (`Z + r`), or more than 28 levels.
-    /// Every engine geometry — construction, snapshot restore, each grown
-    /// level — is derived here, so the refusal covers them all.
+    /// Every engine geometry — construction and each grown level — is
+    /// derived here, so the refusal covers them all.
     pub fn geometry(&self) -> Result<TreeGeometry, OramError> {
         let l = self.levels;
         let cb = LevelConfig::new(Z_REAL, CB_S).with_overlap(CB_Y);

@@ -28,7 +28,7 @@ pub type DeadSlot = SlotId;
 /// assert_eq!(q.dequeue(Level(3)), Some(slot));
 /// assert_eq!(q.dequeue(Level(3)), None);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeadQueues {
     /// Index 0 corresponds to `first_level`.
     queues: Vec<VecDeque<DeadSlot>>,
@@ -138,39 +138,6 @@ impl DeadQueues {
             self.queues.remove(0);
             self.queues.push(VecDeque::with_capacity(self.capacity.min(1024)));
         }
-    }
-
-    /// First tracked level (queue index 0) — snapshot serialization.
-    pub(crate) fn first_level(&self) -> u8 {
-        self.first_level
-    }
-
-    /// Number of tracked levels — snapshot serialization.
-    pub(crate) fn tracked_levels(&self) -> u8 {
-        self.queues.len() as u8
-    }
-
-    /// Lifetime counters `(enqueued, dequeued, rejected_full)` — snapshot
-    /// serialization.
-    pub(crate) fn counters(&self) -> (u64, u64, u64) {
-        (self.enqueued, self.dequeued, self.rejected_full)
-    }
-
-    /// Overwrites the lifetime counters — snapshot restore.
-    pub(crate) fn restore_counters(&mut self, enqueued: u64, dequeued: u64, rejected_full: u64) {
-        self.enqueued = enqueued;
-        self.dequeued = dequeued;
-        self.rejected_full = rejected_full;
-    }
-
-    /// Appends an entry to its level's queue without touching the lifetime
-    /// counters — snapshot restore replays queue contents with this, then
-    /// sets the counters separately via
-    /// [`restore_counters`](Self::restore_counters).
-    pub(crate) fn push_restored(&mut self, slot: DeadSlot) {
-        let level = slot.bucket.level();
-        debug_assert!(self.tracks(level), "restored entry on untracked level {level}");
-        self.queues[(level.0 - self.first_level) as usize].push_back(slot);
     }
 
     /// On-chip footprint in bytes, at the paper's entry width: one entry is

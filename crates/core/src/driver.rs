@@ -415,26 +415,6 @@ impl TimingDriver {
         &mut self.engine.oram
     }
 
-    /// Appends a new zeroed block, lazily growing the tree one level when
-    /// the configured utilization threshold would be crossed (see
-    /// [`RingOram::insert_block`]). The grown level's physical extents sit
-    /// past the old layout high-water mark; the DRAM twin's address decoder
-    /// is capacity-agnostic, so the new addresses route through the existing
-    /// channel/bank map with no driver-side remapping. Inserts generate no
-    /// timed memory traffic; the relocation backlog drains through
-    /// subsequent accesses' eviction work as usual.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`OramError::CapacityExhausted`] /
-    /// [`OramError::StashOverflow`] from the engine.
-    pub fn insert_block(
-        &mut self,
-        position: Option<aboram_tree::PathId>,
-    ) -> Result<crate::BlockId, OramError> {
-        self.engine.oram.insert_block(position)
-    }
-
     /// The underlying memory system's statistics (final after
     /// [`run`](Self::run) returns; used e.g. by the energy model).
     pub fn memory_stats(&self) -> &aboram_dram::MemoryStats {

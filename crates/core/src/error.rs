@@ -70,21 +70,6 @@ pub enum OramError {
         /// The block, in that tree, whose recorded position is wrong.
         block: u64,
     },
-    /// An engine snapshot could not be taken or restored — truncated or
-    /// corrupted bytes, a format-version mismatch, or a snapshot taken under
-    /// a different configuration. Cache layers treat this as a miss.
-    SnapshotInvalid {
-        /// Human-readable reason.
-        reason: String,
-    },
-    /// A snapshot was requested while a capacity grow is still being
-    /// drained: the persisted tree mixes old- and new-geometry buckets,
-    /// so serializing it would capture a torn state. Drain the relocation
-    /// backlog (run accesses) and retry.
-    GrowthInProgress {
-        /// Buckets still awaiting their post-grow refresh.
-        backlog: u64,
-    },
     /// A grow or insert was requested beyond the configured capacity
     /// ceiling (`GrowthConfig::max_levels`), or on an engine built without
     /// growth enabled.
@@ -127,12 +112,6 @@ impl fmt::Display for OramError {
             OramError::PosMapDiverged { tree, block } => {
                 write!(f, "position-map entry for block {block} diverged from tree {tree}'s engine")
             }
-            OramError::SnapshotInvalid { reason } => {
-                write!(f, "snapshot rejected: {reason}")
-            }
-            OramError::GrowthInProgress { backlog } => {
-                write!(f, "capacity grow in progress: {backlog} buckets awaiting relocation")
-            }
             OramError::CapacityExhausted { levels, max_levels } => {
                 write!(f, "capacity exhausted at {levels} levels (ceiling {max_levels})")
             }
@@ -152,12 +131,6 @@ impl Error for OramError {
 impl From<GeometryError> for OramError {
     fn from(e: GeometryError) -> Self {
         OramError::Geometry(e)
-    }
-}
-
-impl From<aboram_stats::CodecError> for OramError {
-    fn from(e: aboram_stats::CodecError) -> Self {
-        OramError::SnapshotInvalid { reason: e.reason }
     }
 }
 
@@ -183,14 +156,10 @@ mod tests {
         assert!(u.to_string().contains("write-ack"));
         let i = OramError::Internal { context: "candidate missing from stash" };
         assert!(i.to_string().contains("invariant"));
-        let s = OramError::SnapshotInvalid { reason: "bad magic".to_string() };
-        assert!(s.to_string().contains("bad magic"));
     }
 
     #[test]
     fn growth_variants_display() {
-        let g = OramError::GrowthInProgress { backlog: 511 };
-        assert!(g.to_string().contains("511"));
         let c = OramError::CapacityExhausted { levels: 10, max_levels: 10 };
         assert!(c.to_string().contains("10"));
     }

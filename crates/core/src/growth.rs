@@ -78,12 +78,6 @@ impl DynamicTree {
         DynamicTree { epochs: 0, stale: Vec::new(), remaining: 0, cursor: 0, relocations: 0 }
     }
 
-    /// Restores a controller from snapshot state. Snapshots refuse to
-    /// serialize a nonempty backlog, so only the counters survive.
-    pub(crate) fn from_snapshot(epochs: u64, relocations: u64) -> Self {
-        DynamicTree { epochs, stale: Vec::new(), remaining: 0, cursor: 0, relocations }
-    }
-
     /// Records a grow: every bucket in `0..old_bucket_count` becomes
     /// stale. Stacking a second grow onto an undrained backlog is legal —
     /// the new (larger) backlog subsumes the old one because label reads

@@ -33,7 +33,7 @@ const TAINT: u64 = 0xdead_bea7_ed51_6e11;
 /// The tag store is lazy (an address absent from the map is at epoch 0), so
 /// memory stays proportional to the set of off-chip addresses actually
 /// touched, and a `BTreeMap` keeps every operation deterministic.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IntegrityVerifier {
     key: u64,
     /// Shadow write counter per physical byte address (slot or metadata

@@ -59,7 +59,6 @@ mod ring;
 mod security;
 mod segvec;
 mod sink;
-mod snapshot;
 mod stash;
 mod stats;
 
@@ -85,7 +84,6 @@ pub use ring::{AccessKind, PayloadMutator, RingOram};
 pub use security::{attack_success_rate, SecurityReport};
 pub use segvec::SegmentedVector;
 pub use sink::{CountingSink, MemorySink, OramOp, StagedBatch, Stager};
-pub use snapshot::{config_digest, SNAPSHOT_VERSION};
 pub use stash::{EvictionPlan, Stash, StashBlock};
 pub use stats::OramStats;
 

@@ -9,12 +9,11 @@
 //! `u64`, `label` as 32 bits, `ptr` as a byte), borrowed remote slots are
 //! packed to 32 bits each (`bucket << 4 | index`, capacity 8 ≥ Table I's
 //! `R = 6`), and slot validity, real-block occupancy and the slot-status
-//! lifecycle are four `u16` bitset words — the widths the `ABSN` snapshot
-//! codec has always written. The mask accessors widen to `u64` so mask
-//! combining and [`nth_set_bit`] selection stay single register ops. All
-//! records of a tree live contiguously in a [`SegmentedVector`]: construction
-//! is one allocation, not two per bucket, and a grown level appends records
-//! without moving any.
+//! lifecycle are four `u16` bitset words (16 logical slots per bucket). The
+//! mask accessors widen to `u64` so mask combining and [`nth_set_bit`]
+//! selection stay single register ops. All records of a tree live
+//! contiguously in a [`SegmentedVector`]: construction is one allocation, not
+//! two per bucket, and a grown level appends records without moving any.
 //!
 //! What the record cannot hold is refused when the engine is configured
 //! (`check_record_capacity`, called from
@@ -433,69 +432,6 @@ impl BucketMeta {
         self.own_slots = own;
         self.logical_slots = own + self.n_borrowed;
     }
-
-    /// Decomposes the bucket into its raw fields — snapshot serialization.
-    pub(crate) fn to_raw(self) -> BucketMetaRaw {
-        BucketMetaRaw {
-            count: self.count,
-            dynamic_s: self.dynamic_s,
-            entries: self.entries().collect(),
-            valid: self.valid,
-            real: self.real,
-            dead: self.dead,
-            allocated: self.allocated,
-            own_slots: self.own_slots,
-            logical_slots: self.logical_slots,
-            borrowed: self.borrowed().collect(),
-        }
-    }
-
-    /// Rebuilds a bucket from raw fields captured by
-    /// [`to_raw`](Self::to_raw) — snapshot restore. The fields come from
-    /// bytes on disk, so everything the record's fixed widths assume is
-    /// checked here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OramError::SnapshotInvalid`] when the fields exceed the
-    /// record's capacities or the occupancy bitmap disagrees with the
-    /// entries.
-    pub(crate) fn from_raw(raw: BucketMetaRaw) -> Result<Self, OramError> {
-        let bad = |reason: &str| OramError::SnapshotInvalid { reason: reason.to_string() };
-        if raw.entries.len() > Self::MAX_REAL || raw.borrowed.len() > Self::MAX_BORROWED {
-            return Err(bad("bucket holds more entries than a record"));
-        }
-        if raw.own_slots > Self::MAX_SLOTS || raw.logical_slots > Self::MAX_SLOTS {
-            return Err(bad("bucket wider than the 16-bit slot masks"));
-        }
-        let mut m = BucketMeta {
-            count: raw.count,
-            dynamic_s: raw.dynamic_s,
-            valid: raw.valid,
-            dead: raw.dead,
-            allocated: raw.allocated,
-            own_slots: raw.own_slots,
-            logical_slots: raw.logical_slots,
-            ..Self::default()
-        };
-        for e in raw.entries {
-            let fits = e.ptr < Self::MAX_SLOTS && e.label.leaf() <= u64::from(u32::MAX);
-            if !fits || m.real & (1 << e.ptr) != 0 {
-                return Err(bad("bucket entry out of range or double-mapped"));
-            }
-            m.push_entry(e);
-        }
-        if m.real != raw.real {
-            return Err(bad("occupancy bitmap inconsistent with entries"));
-        }
-        for s in raw.borrowed {
-            if !Self::packs(s) {
-                return Err(bad("borrowed slot out of range"));
-            }
-            m.push_borrowed(s);
-        }
-        Ok(m)
-    }
 }
 
 /// Refuses a geometry whose buckets the fixed-size [`BucketMeta`] record
@@ -549,43 +485,23 @@ pub(crate) fn check_record_levels(name: &'static str, levels: u8) -> Result<(), 
     Ok(())
 }
 
-/// The raw fields of one [`BucketMeta`], exposed crate-internally so the
-/// snapshot codec can round-trip buckets bit-exactly without widening the
-/// bucket's own API.
-#[derive(Debug, Clone)]
-pub(crate) struct BucketMetaRaw {
-    pub count: u8,
-    pub dynamic_s: u8,
-    pub entries: Vec<RealEntry>,
-    pub valid: u16,
-    pub real: u16,
-    pub dead: u16,
-    pub allocated: u16,
-    pub own_slots: u8,
-    pub logical_slots: u8,
-    pub borrowed: Vec<SlotId>,
-}
-
 /// All bucket metadata plus resolution of logical slots to physical slots.
 ///
 /// The records live contiguously in a [`SegmentedVector`]: the initial tree
 /// is one allocation, and an auto-scaling tree appends the new level's
 /// records in a fresh segment without moving (or reallocating) any existing
 /// one — record addresses stay stable across growth.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetadataStore {
     buckets: SegmentedVector<BucketMeta>,
 }
 
 impl MetadataStore {
-    /// An empty store whose first segment holds `buckets` records.
-    pub(crate) fn with_capacity(buckets: usize) -> Self {
-        MetadataStore { buckets: SegmentedVector::new(buckets.next_power_of_two().max(1)) }
-    }
-
-    /// Initializes metadata for every bucket of `geometry`.
+    /// Initializes metadata for every bucket of `geometry`; the first
+    /// segment holds them all.
     pub fn new(geometry: &TreeGeometry) -> Self {
-        let mut store = Self::with_capacity(geometry.bucket_count() as usize);
+        let base = (geometry.bucket_count() as usize).next_power_of_two().max(1);
+        let mut store = MetadataStore { buckets: SegmentedVector::new(base) };
         for raw in 0..geometry.bucket_count() {
             let level = BucketId::new(raw).level();
             store.push(BucketMeta::new(geometry.level_config(level).z_total()));
@@ -593,8 +509,8 @@ impl MetadataStore {
         store
     }
 
-    /// Appends metadata for one new bucket, in heap order (construction,
-    /// snapshot restore, a grown level). Existing records never move.
+    /// Appends metadata for one new bucket, in heap order (construction, a
+    /// grown level). Existing records never move.
     pub(crate) fn push(&mut self, meta: BucketMeta) {
         self.buckets.push(meta);
     }
@@ -627,11 +543,6 @@ impl MetadataStore {
         } else {
             meta.borrowed_slot(logical - own)
         }
-    }
-
-    /// All bucket metadata in heap order — snapshot serialization.
-    pub(crate) fn buckets(&self) -> impl Iterator<Item = &BucketMeta> {
-        self.buckets.iter()
     }
 
     /// Total buckets tracked.
@@ -780,8 +691,7 @@ mod tests {
         /// Random operation sequences drive the inline record and the
         /// `Vec`-backed model side by side: same `entries()` order (the
         /// `swap_remove` order is observable through the rebuild read
-        /// phase), same lookups, same masks, same slot resolution, and a
-        /// `to_raw`/`from_raw` round trip that is the identity.
+        /// phase), same lookups, same masks and same slot resolution.
         #[test]
         fn record_matches_the_vec_model(
             own in 1u8..=16,
@@ -872,17 +782,16 @@ mod tests {
                     prop_assert_eq!(m.is_valid(i), v.valid & (1 << i) != 0);
                     prop_assert_eq!(m.is_remote(i), i >= v.own_slots);
                 }
-                prop_assert_eq!(BucketMeta::from_raw(m.to_raw()).unwrap(), m);
             }
         }
     }
 
     /// A record at every capacity limit at once — 5 entries, 8 borrowed, 16
-    /// logical slots, the widest bucket id and label — survives the snapshot
-    /// boundary unchanged, and a removal leaves no stale bytes behind (`==`
+    /// logical slots, the widest bucket id and label — reads every field
+    /// back unchanged, and a removal leaves no stale bytes behind (`==`
     /// compares every array element, used or not).
     #[test]
-    fn a_full_record_round_trips_through_raw() {
+    fn a_full_record_holds_every_limit() {
         let mut m = BucketMeta::new(8);
         for i in 0..5u8 {
             let label = PathId::new(u64::from(u32::MAX - u32::from(i)));
@@ -899,7 +808,8 @@ mod tests {
         m.dynamic_s = 11;
         assert_eq!(m.valid_mask(), 0xffff);
         assert_eq!(m.borrowed_slot(7), SlotId::new(BucketId::new((1 << 28) - 8), 8));
-        assert_eq!(BucketMeta::from_raw(m.to_raw()).unwrap(), m);
+        assert_eq!(m.entries().map(|e| e.label.leaf()).max(), Some(u64::from(u32::MAX)));
+        assert_eq!(m.entries().map(|e| e.addr).max(), Some(u64::MAX));
 
         let mut rebuilt = m;
         let taken = rebuilt.take_entry(u64::MAX - 1).unwrap();
@@ -911,31 +821,6 @@ mod tests {
         }
         // Same set, different order: the order is part of the record.
         assert_ne!(rebuilt, want);
-        assert_eq!(BucketMeta::from_raw(rebuilt.to_raw()).unwrap(), rebuilt);
-    }
-
-    /// Snapshot bytes are input: fields the record cannot hold are typed
-    /// errors, not truncations.
-    #[test]
-    fn from_raw_refuses_what_the_record_cannot_hold() {
-        let base = BucketMeta::new(8).to_raw();
-        let entry = |ptr| RealEntry { addr: u64::from(ptr), label: PathId::new(0), ptr };
-        let refused = |what: &str, raw: BucketMetaRaw| {
-            let got = BucketMeta::from_raw(raw);
-            assert!(matches!(got, Err(OramError::SnapshotInvalid { .. })), "{what}: {got:?}");
-        };
-        let six =
-            BucketMetaRaw { entries: (0..6).map(entry).collect(), real: 0x3f, ..base.clone() };
-        refused("six entries", six);
-        let remote = SlotId::new(BucketId::new(1), 0);
-        refused("nine borrowed slots", BucketMetaRaw { borrowed: vec![remote; 9], ..base.clone() });
-        refused("seventeen slots", BucketMetaRaw { logical_slots: 17, ..base.clone() });
-        let wide = RealEntry { addr: 1, label: PathId::new(1 << 32), ptr: 0 };
-        refused("a 33-bit label", BucketMetaRaw { entries: vec![wide], real: 1, ..base.clone() });
-        let skewed = BucketMetaRaw { entries: vec![entry(2)], real: 0b1000, ..base.clone() };
-        refused("an occupancy word that disagrees with the entries", skewed);
-        let far = SlotId::new(BucketId::new(1 << 28), 0);
-        refused("a 29-bit bucket id", BucketMetaRaw { borrowed: vec![far], ..base });
     }
 
     #[test]

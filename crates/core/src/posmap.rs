@@ -11,7 +11,7 @@ use rand::Rng;
 /// (Table III: 64 KB PLB + 512 KB PosMap, recursively stored); position-map
 /// accesses are on-chip and generate no DRAM traffic in the paper's model,
 /// so this simulation keeps the whole map in memory and charges no cycles.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PositionMap {
     paths: Vec<u64>,
     leaves: u64,
@@ -92,18 +92,6 @@ impl PositionMap {
     pub(crate) fn push(&mut self, path: PathId) {
         assert!(path.leaf() < self.leaves, "path label out of range");
         self.paths.push(path.leaf());
-    }
-
-    /// Raw path assignments in block-id order — snapshot serialization.
-    pub(crate) fn raw_paths(&self) -> &[u64] {
-        &self.paths
-    }
-
-    /// Rebuilds a map from raw parts captured by
-    /// [`raw_paths`](Self::raw_paths) — snapshot restore.
-    pub(crate) fn from_raw_parts(paths: Vec<u64>, leaves: u64) -> Self {
-        assert!(leaves.is_power_of_two(), "leaf count must be a power of two");
-        PositionMap { paths, leaves }
     }
 }
 

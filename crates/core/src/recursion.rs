@@ -118,6 +118,9 @@ impl PosMapHierarchy {
     }
 
     fn insert_plb(&mut self, level: u8, block: u64) {
+        if self.plb_capacity_blocks == 0 {
+            return;
+        }
         if self.plb.len() >= self.plb_capacity_blocks {
             // Evict the least recently used entry. One access stamps every
             // level it touches with the same clock, so the key breaks ties:
@@ -173,6 +176,17 @@ mod tests {
         // The same block — and its 15 neighbours in the posmap block — hit.
         assert_eq!(h.access(4096), 0);
         assert_eq!(h.access(4097), 0);
+    }
+
+    #[test]
+    fn zero_byte_plb_never_hits() {
+        // 1 000 entries × 4 B overflow a 1 KiB on-chip posmap; 63 × 4 B fit.
+        let cfg = PlbConfig { plb_bytes: 0, onchip_posmap_bytes: 1024, entry_bytes: 4 };
+        let mut h = PosMapHierarchy::new(1_000, cfg);
+        assert_eq!(h.offchip_levels(), 1);
+        assert_eq!(h.access(7), 1);
+        assert_eq!(h.access(7), 1, "a zero-byte PLB caches nothing");
+        assert_eq!(h.plb_hit_rate(), 0.0);
     }
 
     #[test]

@@ -83,7 +83,7 @@ enum RecoveryOutcome {
 }
 
 /// Optional encrypted backing store for block contents.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct DataStore {
     cipher: BlockCipher,
     slots: Vec<SealedBlock>,
@@ -220,6 +220,52 @@ pub struct RingOram {
     /// Set when the recovery ladder requests an escalated path eviction; it
     /// runs at the next safe protocol boundary (the end of the access).
     pending_escalation: bool,
+}
+
+/// Engines compare by value: every field that carries protocol state is
+/// compared, the [`Scratch`] buffers are not (their contents never outlive
+/// an access). Two engines that ran the same history compare equal, so `==`
+/// is the differential tests' oracle for "this knob moved no protocol
+/// state" — the data store and an armed verifier included.
+impl PartialEq for RingOram {
+    fn eq(&self, other: &Self) -> bool {
+        // Destructured so a new field cannot be forgotten here.
+        let RingOram {
+            cfg,
+            geo,
+            layout,
+            posmap,
+            meta,
+            stash,
+            deadqs,
+            dynamic,
+            rng,
+            data,
+            reads_since_evict,
+            evict_counter,
+            stats,
+            remote_enabled,
+            scratch: _,
+            integrity,
+            pending_escalation,
+        } = self;
+        *cfg == other.cfg
+            && *geo == other.geo
+            && *layout == other.layout
+            && *posmap == other.posmap
+            && *meta == other.meta
+            && *stash == other.stash
+            && *deadqs == other.deadqs
+            && *dynamic == other.dynamic
+            && *rng == other.rng
+            && *data == other.data
+            && *reads_since_evict == other.reads_since_evict
+            && *evict_counter == other.evict_counter
+            && *stats == other.stats
+            && *remote_enabled == other.remote_enabled
+            && *integrity == other.integrity
+            && *pending_escalation == other.pending_escalation
+    }
 }
 
 impl RingOram {
@@ -1670,417 +1716,6 @@ impl RingOram {
     }
 }
 
-/// Snapshot serialization (see the `snapshot` module docs for the format).
-impl RingOram {
-    /// Serializes the engine's complete mutable state — position map,
-    /// bucket metadata, stash, DeadQs, statistics and RNG words — so that
-    /// [`restore`](Self::restore) followed by any access sequence behaves
-    /// bit-identically to this engine running the same sequence.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OramError::SnapshotInvalid`] when the data path is enabled
-    /// (the encrypted backing store is deliberately excluded from snapshots:
-    /// its ciphertexts and keys should not land on disk), or when the
-    /// integrity verifier is armed (shadow tag state is not serialized; arm
-    /// the verifier on the restored engine).
-    pub fn snapshot(&self) -> Result<Vec<u8>, OramError> {
-        if self.data.is_some() {
-            return Err(OramError::SnapshotInvalid {
-                reason: "data path enabled; snapshots cover metadata-only engines".to_string(),
-            });
-        }
-        if self.integrity.is_some() {
-            return Err(OramError::SnapshotInvalid {
-                reason: "integrity verifier armed; snapshot before enabling integrity".to_string(),
-            });
-        }
-        if self.dynamic.backlog() > 0 {
-            // A mid-growth tree is a torn state: some buckets' persisted
-            // images still reflect the old geometry. Drain first.
-            return Err(OramError::GrowthInProgress { backlog: self.dynamic.backlog() });
-        }
-        let mut w = crate::snapshot::Writer::new();
-        crate::snapshot::write_header(&mut w, &self.cfg);
-
-        w.bytes(&[self.reads_since_evict]);
-        w.u64(self.evict_counter);
-        for word in self.rng.state() {
-            w.u64(word);
-        }
-
-        let paths = self.posmap.raw_paths();
-        w.u64(self.geo.leaf_count());
-        w.u64(paths.len() as u64);
-        for &p in paths {
-            w.u64(p);
-        }
-
-        w.u64(self.stash.capacity() as u64);
-        w.u64(self.stash.peak() as u64);
-        let stash_blocks = self.stash.snapshot_blocks();
-        w.u64(stash_blocks.len() as u64);
-        for b in &stash_blocks {
-            w.u64(b.block);
-            w.u64(b.label.leaf());
-        }
-
-        w.u64(self.meta.len() as u64);
-        for m in self.meta.buckets() {
-            let raw = m.to_raw();
-            w.bytes(&[raw.count, raw.dynamic_s, raw.own_slots, raw.logical_slots]);
-            w.u16(raw.valid);
-            w.u16(raw.real);
-            w.u16(raw.dead);
-            w.u16(raw.allocated);
-            w.u16(raw.entries.len() as u16);
-            for e in &raw.entries {
-                w.u64(e.addr);
-                w.u64(e.label.leaf());
-                w.u8(e.ptr);
-            }
-            w.u8(raw.borrowed.len() as u8);
-            for s in &raw.borrowed {
-                w.u64(s.pack());
-            }
-        }
-
-        let first = self.deadqs.first_level();
-        let tracked = self.deadqs.tracked_levels();
-        w.bytes(&[first, tracked]);
-        w.u64(self.deadqs.capacity() as u64);
-        let (enq, deq, rej) = self.deadqs.counters();
-        w.u64(enq);
-        w.u64(deq);
-        w.u64(rej);
-        for l in first..first + tracked {
-            let level = Level(l);
-            w.u64(self.deadqs.len(level) as u64);
-            for s in self.deadqs.entries(level) {
-                w.u64(s.pack());
-            }
-        }
-
-        write_stats(&mut w, &self.stats);
-        // Growth counters travel only for growth-enabled configurations so
-        // fixed-capacity snapshots stay byte-compatible within a version.
-        if self.cfg.growth.is_some() {
-            w.u64(self.dynamic.epochs());
-            w.u64(self.dynamic.relocations());
-        }
-        Ok(crate::snapshot::seal(w))
-    }
-
-    /// Rebuilds an engine from [`snapshot`](Self::snapshot) bytes taken
-    /// under an identical configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OramError::SnapshotInvalid`] on truncated or corrupted
-    /// bytes, a format-version mismatch, or a configuration (digest)
-    /// mismatch; geometry errors propagate as from [`new`](Self::new).
-    pub fn restore(cfg: &OramConfig, bytes: &[u8]) -> Result<Self, OramError> {
-        if cfg.store_data {
-            return Err(OramError::SnapshotInvalid {
-                reason: "data path enabled; snapshots cover metadata-only engines".to_string(),
-            });
-        }
-        let body = crate::snapshot::verify_sealed(bytes)?;
-        let mut r = crate::snapshot::Reader::new(body);
-        crate::snapshot::check_header(&mut r, cfg)?;
-
-        let geo = cfg.geometry()?;
-
-        let reads_since_evict = r.u8()?;
-        let evict_counter = r.u64()?;
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = r.u64()?;
-        }
-
-        let leaves = r.u64()?;
-        if leaves != geo.leaf_count() {
-            return Err(OramError::SnapshotInvalid {
-                reason: "leaf count disagrees with geometry".to_string(),
-            });
-        }
-        let n_paths = r.len_prefix(8)?;
-        let mut paths = Vec::with_capacity(n_paths);
-        for _ in 0..n_paths {
-            paths.push(r.u64()?);
-        }
-        let posmap = PositionMap::from_raw_parts(paths, leaves);
-
-        let stash_capacity = r.u64()? as usize;
-        let stash_peak = r.u64()? as usize;
-        let n_stash = r.len_prefix(16)?;
-        let mut stash_blocks = Vec::with_capacity(n_stash);
-        for _ in 0..n_stash {
-            let block = r.u64()?;
-            let label = PathId::new(r.u64()?);
-            stash_blocks.push(StashBlock { block, label, data: [0; BLOCK_BYTES] });
-        }
-        let stash = Stash::from_snapshot(stash_capacity, stash_peak, stash_blocks);
-
-        let n_buckets = r.len_prefix(14)?;
-        if n_buckets as u64 != geo.bucket_count() {
-            return Err(OramError::SnapshotInvalid {
-                reason: "bucket count disagrees with geometry".to_string(),
-            });
-        }
-        let mut meta = MetadataStore::with_capacity(n_buckets);
-        for _ in 0..n_buckets {
-            let head = r.bytes(4)?;
-            let (count, dynamic_s, own_slots, logical_slots) = (head[0], head[1], head[2], head[3]);
-            let valid = r.u16()?;
-            let real = r.u16()?;
-            let dead = r.u16()?;
-            let allocated = r.u16()?;
-            let n_entries = usize::from(r.u16()?);
-            let mut entries = Vec::with_capacity(n_entries);
-            for _ in 0..n_entries {
-                let addr = r.u64()?;
-                let label = PathId::new(r.u64()?);
-                let ptr = r.u8()?;
-                entries.push(RealEntry { addr, label, ptr });
-            }
-            let n_borrowed = usize::from(r.u8()?);
-            let mut borrowed = Vec::with_capacity(n_borrowed);
-            for _ in 0..n_borrowed {
-                borrowed.push(aboram_tree::SlotId::unpack(r.u64()?));
-            }
-            meta.push(crate::metadata::BucketMeta::from_raw(crate::metadata::BucketMetaRaw {
-                count,
-                dynamic_s,
-                entries,
-                valid,
-                real,
-                dead,
-                allocated,
-                own_slots,
-                logical_slots,
-                borrowed,
-            })?);
-        }
-
-        let head = r.bytes(2)?;
-        let (first, tracked) = (head[0], head[1]);
-        let capacity = r.u64()? as usize;
-        let enq = r.u64()?;
-        let deq = r.u64()?;
-        let rej = r.u64()?;
-        let mut deadqs = DeadQueues::new(first + tracked, tracked, capacity);
-        for _ in 0..tracked {
-            let n = r.len_prefix(8)?;
-            for _ in 0..n {
-                deadqs.push_restored(aboram_tree::SlotId::unpack(r.u64()?));
-            }
-        }
-        deadqs.restore_counters(enq, deq, rej);
-
-        let stats = read_stats(&mut r, cfg)?;
-        let dynamic = if cfg.growth.is_some() {
-            let epochs = r.u64()?;
-            let relocations = r.u64()?;
-            DynamicTree::from_snapshot(epochs, relocations)
-        } else {
-            DynamicTree::new()
-        };
-        if r.remaining() != 0 {
-            return Err(OramError::SnapshotInvalid {
-                reason: "trailing bytes after engine body".to_string(),
-            });
-        }
-
-        // A grown engine's layout is segmented (new space appended past the
-        // construction-time high-water mark), so physical addresses differ
-        // from a fresh layout at the grown level count. Replay the growth
-        // history — `epochs` grows from `cfg.levels - epochs` base levels —
-        // to reconstruct the exact byte-for-byte address map, keeping
-        // restore-then-run cycle-identical on the DRAM twin.
-        let epochs = dynamic.epochs();
-        let layout = if epochs > 0 {
-            let base =
-                cfg.levels.checked_sub(epochs as u8).ok_or_else(|| OramError::SnapshotInvalid {
-                    reason: format!("growth epochs {epochs} exceed level count {}", cfg.levels),
-                })?;
-            let mut replay_cfg = cfg.clone();
-            replay_cfg.levels = base;
-            let mut layout = PhysicalLayout::new(&replay_cfg.geometry()?);
-            for l in (base + 1)..=cfg.levels {
-                replay_cfg.levels = l;
-                layout.grow(&replay_cfg.geometry()?)?;
-            }
-            layout
-        } else {
-            PhysicalLayout::new(&geo)
-        };
-
-        Ok(RingOram {
-            cfg: cfg.clone(),
-            geo,
-            layout,
-            posmap,
-            meta,
-            stash,
-            deadqs,
-            dynamic,
-            rng: StdRng::from_state(rng_state),
-            data: None,
-            reads_since_evict,
-            evict_counter,
-            stats,
-            remote_enabled: cfg.scheme.uses_remote_allocation(),
-            scratch: Scratch::default(),
-            integrity: None,
-            pending_escalation: false,
-        })
-    }
-}
-
-/// Serializes the full [`OramStats`] block (shared by both engines'
-/// snapshot formats).
-pub(crate) fn write_stats(w: &mut crate::snapshot::Writer, stats: &OramStats) {
-    w.u64(stats.user_accesses);
-    w.u64(stats.background_accesses);
-    w.u64(stats.evict_paths);
-    w.u64(stats.extensions_done);
-    w.u64(stats.extensions_attempted);
-    w.u64(stats.stash_hits);
-    w.u64(stats.remote_slot_reads);
-    for hist in [&stats.reshuffles, &stats.dead_blocks] {
-        let bins = hist.bins();
-        w.u64(bins.len() as u64);
-        for &b in bins {
-            w.u64(b);
-        }
-    }
-    w.u64(stats.lifetimes.len() as u64);
-    for lt in &stats.lifetimes {
-        let (count, sum, min, max) = lt.raw_parts();
-        w.u64(count);
-        w.f64_bits(sum);
-        w.f64_bits(min);
-        w.f64_bits(max);
-    }
-    match stats.death_times_sorted() {
-        None => w.u8(0),
-        Some(entries) => {
-            w.u8(1);
-            w.u64(entries.len() as u64);
-            for ((bucket, slot), time) in entries {
-                w.u64(bucket);
-                w.u8(slot);
-                w.u64(time);
-            }
-        }
-    }
-    let occupancy = stats.stash_occupancy_bins();
-    w.u64(occupancy.len() as u64);
-    for &b in occupancy {
-        w.u64(b);
-    }
-    let rec = &stats.recovery;
-    for v in [
-        rec.integrity_faults_detected,
-        rec.integrity_faults_recovered,
-        rec.integrity_retries,
-        rec.metadata_faults_detected,
-        rec.metadata_faults_recovered,
-        rec.metadata_retries,
-        rec.dropped_writes_detected,
-        rec.dropped_writes_recovered,
-        rec.write_retries,
-        rec.escalated_evictions,
-        rec.degraded_accesses,
-        rec.backoff_cycles,
-        rec.redundant_refetches,
-        rec.unrecovered_faults,
-    ] {
-        w.u64(v);
-    }
-}
-
-/// Deserializes an [`OramStats`] block written by [`write_stats`].
-pub(crate) fn read_stats(
-    r: &mut crate::snapshot::Reader<'_>,
-    cfg: &OramConfig,
-) -> Result<OramStats, OramError> {
-    use aboram_stats::{LevelHistogram, MinAvgMax, RecoveryStats};
-
-    let mut stats = OramStats::new(cfg.levels, cfg.track_lifetimes);
-    stats.user_accesses = r.u64()?;
-    stats.background_accesses = r.u64()?;
-    stats.evict_paths = r.u64()?;
-    stats.extensions_done = r.u64()?;
-    stats.extensions_attempted = r.u64()?;
-    stats.stash_hits = r.u64()?;
-    stats.remote_slot_reads = r.u64()?;
-    let mut histograms = [Vec::new(), Vec::new()];
-    for bins in &mut histograms {
-        let n = r.len_prefix(8)?;
-        bins.reserve(n);
-        for _ in 0..n {
-            bins.push(r.u64()?);
-        }
-    }
-    let [reshuffles, dead_blocks] = histograms;
-    stats.reshuffles = LevelHistogram::from_bins("earlyReshuffles", reshuffles);
-    stats.dead_blocks = LevelHistogram::from_bins("dead blocks", dead_blocks);
-    let n_lifetimes = r.len_prefix(32)?;
-    let mut lifetimes = Vec::with_capacity(n_lifetimes);
-    for _ in 0..n_lifetimes {
-        let count = r.u64()?;
-        let sum = r.f64_bits()?;
-        let min = r.f64_bits()?;
-        let max = r.f64_bits()?;
-        lifetimes.push(MinAvgMax::from_raw_parts(count, sum, min, max));
-    }
-    stats.lifetimes = lifetimes;
-    let death_times = match r.u8()? {
-        0 => None,
-        _ => {
-            let n = r.len_prefix(17)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let bucket = r.u64()?;
-                let slot = r.u8()?;
-                let time = r.u64()?;
-                entries.push(((bucket, slot), time));
-            }
-            Some(entries)
-        }
-    };
-    stats.restore_death_times(death_times);
-    let n_occ = r.len_prefix(8)?;
-    let mut occupancy = Vec::with_capacity(n_occ);
-    for _ in 0..n_occ {
-        occupancy.push(r.u64()?);
-    }
-    stats.restore_stash_occupancy(occupancy);
-    let mut rec = [0u64; 14];
-    for v in &mut rec {
-        *v = r.u64()?;
-    }
-    stats.recovery = RecoveryStats {
-        integrity_faults_detected: rec[0],
-        integrity_faults_recovered: rec[1],
-        integrity_retries: rec[2],
-        metadata_faults_detected: rec[3],
-        metadata_faults_recovered: rec[4],
-        metadata_retries: rec[5],
-        dropped_writes_detected: rec[6],
-        dropped_writes_recovered: rec[7],
-        write_retries: rec[8],
-        escalated_evictions: rec[9],
-        degraded_accesses: rec[10],
-        backoff_cycles: rec[11],
-        redundant_refetches: rec[12],
-        unrecovered_faults: rec[13],
-    };
-    Ok(stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2102,110 +1737,64 @@ mod tests {
         }
     }
 
+    /// `==` is the differential tests' state oracle, so it must see one
+    /// access, a grow, an armed verifier — and a change confined to any one
+    /// protocol state field.
     #[test]
-    fn snapshot_restore_continues_bit_identically() {
-        for scheme in [Scheme::Baseline, Scheme::Ab] {
-            let cfg = OramConfig::builder(10, scheme).seed(11).build().unwrap();
-            let mut warmed = RingOram::new(&cfg).unwrap();
-            let mut sink = CountingSink::new();
-            churn(&mut warmed, &mut sink, 500);
-
-            let bytes = warmed.snapshot().unwrap();
-            let mut restored = RingOram::restore(&cfg, &bytes).unwrap();
-            restored.validate_invariants().unwrap();
-
-            let mut sink_a = CountingSink::new();
-            let mut sink_b = CountingSink::new();
-            churn(&mut warmed, &mut sink_a, 300);
-            churn(&mut restored, &mut sink_b, 300);
-            assert_eq!(warmed.stash_len(), restored.stash_len());
-            assert_eq!(warmed.stash_peak(), restored.stash_peak());
-            assert_eq!(warmed.stats().user_accesses, restored.stats().user_accesses);
-            assert_eq!(warmed.stats().evict_paths, restored.stats().evict_paths);
-            assert_eq!(
-                warmed.stats().reshuffles.bins(),
-                restored.stats().reshuffles.bins(),
-                "{scheme:?}: diverged after restore"
-            );
-            assert_eq!(warmed.stats().dead_blocks.bins(), restored.stats().dead_blocks.bins());
-            assert_eq!(warmed.snapshot().unwrap(), restored.snapshot().unwrap());
-        }
-    }
-
-    #[test]
-    fn snapshot_written_before_the_dense_stash_is_byte_compatible() {
-        // Written by the engine whose stash was a `HashMap` scanned once per
-        // bucket: same history → same bytes, and the fixture restores,
-        // re-serializes and continues bit-identically. A deliberate
-        // `SNAPSHOT_VERSION` bump regenerates it (the recipe is this loop).
-        const FIXTURE: &[u8] = include_bytes!("../tests/fixtures/ring_ab_l8_v3.absn");
-        let cfg = OramConfig::builder(8, Scheme::Ab).seed(11).build().unwrap();
-        let mut fresh = RingOram::new(&cfg).unwrap();
+    fn equality_sees_one_access() {
+        let mut oram = engine(Scheme::Ab, 10);
         let mut sink = CountingSink::new();
-        for i in 0..404u64 {
-            let block = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % fresh.block_count();
-            fresh.access(AccessKind::Read, block, None, &mut sink).unwrap();
+        churn(&mut oram, &mut sink, 500);
+        assert!(oram.clone() == oram, "a clone compares equal");
+
+        for side in 0..2 {
+            let (mut a, mut b) = (oram.clone(), oram.clone());
+            [&mut a, &mut b][side].dummy_access(&mut sink).unwrap();
+            assert!(a != b, "one more access on side {side} went unseen");
         }
-        assert_eq!(fresh.stash_len(), 16, "the fixture's stash is not empty");
-        assert!(
-            fresh.snapshot().unwrap() == FIXTURE,
-            "the same history no longer writes the same bytes"
-        );
 
-        let mut restored = RingOram::restore(&cfg, FIXTURE).expect("a v3 snapshot restores");
-        restored.validate_invariants().unwrap();
-        assert!(restored.snapshot().unwrap() == FIXTURE);
-        churn(&mut fresh, &mut sink, 300);
-        churn(&mut restored, &mut sink, 300);
-        assert!(fresh.snapshot().unwrap() == restored.snapshot().unwrap());
-    }
+        let mut armed = oram.clone();
+        armed.enable_integrity();
+        assert!(armed != oram, "an armed verifier went unseen");
 
-    #[test]
-    fn snapshot_rejects_wrong_config_and_corruption() {
-        let cfg = OramConfig::builder(10, Scheme::Baseline).seed(11).build().unwrap();
-        let oram = RingOram::new(&cfg).unwrap();
-        let bytes = oram.snapshot().unwrap();
+        let cfg = OramConfig::builder(8, Scheme::Ab)
+            .seed(3)
+            .growth(crate::config::GrowthConfig::up_to(9))
+            .build()
+            .unwrap();
+        let fresh = RingOram::new(&cfg).unwrap();
+        let mut inserted = fresh.clone();
+        inserted.insert_block(None).unwrap();
+        assert!(inserted != fresh, "an insert went unseen");
 
-        let other = OramConfig::builder(10, Scheme::Baseline).seed(12).build().unwrap();
-        assert!(matches!(
-            RingOram::restore(&other, &bytes),
-            Err(OramError::SnapshotInvalid { .. })
-        ));
-
-        let mut corrupt = bytes.clone();
-        let mid = corrupt.len() / 2;
-        corrupt[mid] ^= 0x01;
-        assert!(matches!(
-            RingOram::restore(&cfg, &corrupt),
-            Err(OramError::SnapshotInvalid { .. })
-        ));
-
-        assert!(matches!(
-            RingOram::restore(&cfg, &bytes[..bytes.len() - 1]),
-            Err(OramError::SnapshotInvalid { .. })
-        ));
-    }
-
-    #[test]
-    fn snapshot_refused_when_data_path_enabled() {
-        let cfg = OramConfig::builder(10, Scheme::Baseline).store_data(true).build().unwrap();
-        let oram = RingOram::new(&cfg).unwrap();
-        assert!(matches!(oram.snapshot(), Err(OramError::SnapshotInvalid { .. })));
-        assert!(matches!(RingOram::restore(&cfg, &[]), Err(OramError::SnapshotInvalid { .. })));
-    }
-
-    #[test]
-    fn snapshot_round_trips_lifetime_tracking() {
-        let cfg =
-            OramConfig::builder(10, Scheme::Ab).seed(7).track_lifetimes(true).build().unwrap();
-        let mut warmed = RingOram::new(&cfg).unwrap();
-        let mut sink = CountingSink::new();
-        churn(&mut warmed, &mut sink, 500);
-        let restored = RingOram::restore(&cfg, &warmed.snapshot().unwrap()).unwrap();
-        assert_eq!(warmed.snapshot().unwrap(), restored.snapshot().unwrap());
-        for (a, b) in warmed.stats().lifetimes.iter().zip(&restored.stats().lifetimes) {
-            assert_eq!(a.count(), b.count());
-            assert_eq!(a.avg(), b.avg());
+        let leaf = BucketId::from_level_index(Level(9), 0);
+        let fields = [
+            "rng",
+            "position map",
+            "stash",
+            "metadata",
+            "DeadQs",
+            "statistics",
+            "eviction counter",
+            "pending escalation",
+        ];
+        for field in fields {
+            let mut o = oram.clone();
+            match field {
+                "rng" => drop(o.rng.gen::<u32>()),
+                "position map" => o.posmap.set_path(0, PathId::new(o.posmap.path_of(0).leaf() ^ 1)),
+                "stash" => {
+                    let label = PathId::new(0);
+                    o.stash.insert(StashBlock { block: u64::MAX, label, data: [0; BLOCK_BYTES] });
+                }
+                "metadata" => o.meta.get_mut(leaf).count += 1,
+                // A full queue counts the rejection instead: either way it moves.
+                "DeadQs" => drop(o.deadqs.enqueue(aboram_tree::SlotId::new(leaf, 0))),
+                "statistics" => o.stats.stash_hits += 1,
+                "eviction counter" => o.evict_counter += 1,
+                _ => o.pending_escalation = !o.pending_escalation,
+            }
+            assert!(o != oram, "a change to the {field} alone went unseen");
         }
     }
 
@@ -2487,45 +2076,6 @@ mod growth_tests {
         let err = oram.insert_block(None).unwrap_err();
         assert!(matches!(err, OramError::CapacityExhausted { levels: 8, max_levels: 8 }));
         assert!(matches!(oram.grow_level(), Err(OramError::CapacityExhausted { .. })));
-    }
-
-    #[test]
-    fn snapshot_refuses_mid_growth_and_succeeds_after_drain() {
-        let mut oram = growing(Scheme::Ab, 8, 10);
-        let mut sink = CountingSink::new();
-        oram.insert_block(None).unwrap();
-        let backlog = oram.growth_state().backlog();
-        assert!(backlog > 0);
-        match oram.snapshot() {
-            Err(OramError::GrowthInProgress { backlog: b }) => assert_eq!(b, backlog),
-            other => panic!("mid-growth snapshot must refuse, got {other:?}"),
-        }
-        drain(&mut oram, &mut sink);
-        let bytes = oram.snapshot().expect("post-drain snapshot succeeds");
-        let restored = RingOram::restore(oram.config(), &bytes).unwrap();
-        assert_eq!(restored.config().levels, 9);
-        assert_eq!(restored.growth_state().epochs(), 1);
-        assert_eq!(oram.snapshot().unwrap(), restored.snapshot().unwrap());
-    }
-
-    #[test]
-    fn restored_grown_engine_continues_bit_identically() {
-        let mut grown = growing(Scheme::Ab, 8, 10);
-        let mut sink = CountingSink::new();
-        grown.insert_block(None).unwrap();
-        while grown.growth_state().backlog() > 0 {
-            grown.access(AccessKind::Read, 1, None, &mut sink).unwrap();
-        }
-        let bytes = grown.snapshot().unwrap();
-        let mut restored = RingOram::restore(grown.config(), &bytes).unwrap();
-        let mut sa = CountingSink::new();
-        let mut sb = CountingSink::new();
-        for i in 0..300u64 {
-            grown.access(AccessKind::Read, i % grown.block_count(), None, &mut sa).unwrap();
-            restored.access(AccessKind::Read, i % restored.block_count(), None, &mut sb).unwrap();
-        }
-        assert_eq!(grown.snapshot().unwrap(), restored.snapshot().unwrap());
-        assert_eq!(sa.grand_total(), sb.grand_total());
     }
 
     #[test]

@@ -35,7 +35,7 @@ const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Ring ORAM's stash buffers blocks between a readPath and a later eviction.
 /// Overflow is a protocol failure; the CB baseline prevents it with
 /// background eviction above a threshold (§III-C).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stash {
     /// Dense storage: position `i` holds block `ids[i]` with `labels[i]` and
     /// `data[i]`. A removal moves the last position into the vacated one.
@@ -216,29 +216,9 @@ impl Stash {
     /// Iterates over buffered blocks in dense-position order: insertion
     /// order, except that each removal moves the then-last block into the
     /// vacated position. The order is a function of the operation history
-    /// alone, but it is *not* preserved by a snapshot round trip (which
-    /// re-inserts by ascending id), so nothing observable may depend on it.
+    /// alone, so two engines with one history hold their blocks in one order.
     pub fn iter(&self) -> impl Iterator<Item = StashBlock> + '_ {
         (0..self.ids.len()).map(|pos| self.block_at(pos))
-    }
-
-    /// Buffered blocks sorted by block id — snapshot serialization (dense
-    /// order depends on the removal history and must not leak).
-    pub(crate) fn snapshot_blocks(&self) -> Vec<StashBlock> {
-        let mut blocks: Vec<StashBlock> = self.iter().collect();
-        blocks.sort_unstable_by_key(|e| e.block);
-        blocks
-    }
-
-    /// Rebuilds a stash from snapshot parts, restoring the sticky peak
-    /// exactly (inserting alone would under-report it).
-    pub(crate) fn from_snapshot(capacity: usize, peak: usize, blocks: Vec<StashBlock>) -> Self {
-        let mut stash = Stash::new(capacity);
-        for entry in blocks {
-            stash.insert(entry);
-        }
-        stash.peak = peak.max(stash.peak);
-        stash
     }
 
     /// The eviction scan ("searches the entire stash", §III-A), once per
@@ -479,8 +459,6 @@ mod tests {
         s.remove(2);
         let order: Vec<BlockId> = s.iter().map(|e| e.block).collect();
         assert_eq!(order, vec![5, 7, 9], "the last block fills the vacated position");
-        let sorted: Vec<BlockId> = s.snapshot_blocks().iter().map(|e| e.block).collect();
-        assert_eq!(sorted, vec![5, 7, 9]);
     }
 
     #[test]
@@ -591,7 +569,6 @@ mod tests {
                 prop_assert_eq!(stash.get(id), model.get(&id).copied());
                 stash.validate().map_err(TestCaseError::fail)?;
             }
-            prop_assert_eq!(stash.snapshot_blocks(), model.values().copied().collect::<Vec<_>>());
             let mut dense: Vec<StashBlock> = stash.iter().collect();
             dense.sort_unstable_by_key(|e| e.block);
             prop_assert_eq!(dense, model.into_values().collect::<Vec<_>>());

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 /// * dead-block lifetimes per level (Fig. 12, opt-in),
 /// * S-extension success ratio (Fig. 14),
 /// * operation counts and stash pressure.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OramStats {
     levels: u8,
     /// User-visible online accesses (excludes background dummies).
@@ -166,32 +166,6 @@ impl OramStats {
         self.reshuffles.push_level();
         self.dead_blocks.push_level();
         self.lifetimes.push(MinAvgMax::new());
-    }
-
-    /// The raw stash-occupancy histogram bins — snapshot serialization.
-    pub(crate) fn stash_occupancy_bins(&self) -> &[u64] {
-        &self.stash_occupancy
-    }
-
-    /// Overwrites the stash-occupancy histogram — snapshot restore.
-    pub(crate) fn restore_stash_occupancy(&mut self, bins: Vec<u64>) {
-        self.stash_occupancy = bins;
-    }
-
-    /// Death timestamps of currently dead slots, sorted by `(bucket, slot)`
-    /// key for deterministic serialization; `None` when lifetime tracking is
-    /// off.
-    pub(crate) fn death_times_sorted(&self) -> Option<Vec<((u64, u8), u64)>> {
-        self.death_times.as_ref().map(|map| {
-            let mut entries: Vec<((u64, u8), u64)> = map.iter().map(|(k, v)| (*k, *v)).collect();
-            entries.sort_unstable();
-            entries
-        })
-    }
-
-    /// Overwrites the death-timestamp table — snapshot restore.
-    pub(crate) fn restore_death_times(&mut self, entries: Option<Vec<((u64, u8), u64)>>) {
-        self.death_times = entries.map(|list| list.into_iter().collect());
     }
 }
 

@@ -125,9 +125,9 @@ fn repeated_uninstrumented_runs_are_deterministic() {
 }
 
 /// One fixed-seed service-shaped run on a depth-4 [`TimedBackend`]: the
-/// reply stream, the engine snapshot bytes, and (when instrumented) whether
-/// the controller reported window occupancy.
-fn fixed_backend_run(instrument: bool) -> (Vec<BackendReply>, Vec<u8>, bool) {
+/// reply stream, the engine, and (when instrumented) whether the controller
+/// reported window occupancy.
+fn fixed_backend_run(instrument: bool) -> (Vec<BackendReply>, RingOram, bool) {
     if instrument {
         aboram_telemetry::install(Collector::to_shared_buffer().0);
     }
@@ -144,7 +144,7 @@ fn fixed_backend_run(instrument: bool) -> (Vec<BackendReply>, Vec<u8>, bool) {
         hists.iter().any(|h| h.name() == "pipeline.occupancy" && h.total() == 300)
             && collector.registry().counter("crypto.overlapped_blocks") > 0
     };
-    (replies, backend.engine().snapshot().unwrap(), occupancy)
+    (replies, backend.engine().clone(), occupancy)
 }
 
 /// The driver's batch, in trace records.
@@ -155,11 +155,8 @@ const BATCH: usize = 32;
 struct Outcome {
     reports: Vec<SimulationReport>,
     injected: InjectedFaults,
-    stats: String,
-    stash_peak: usize,
-    /// The engine's snapshot; one with the verifier armed has none, and its
-    /// root digest stands in.
-    state: Result<Vec<u8>, Option<u64>>,
+    /// The engine, armed verifier included.
+    engine: RingOram,
 }
 
 /// One grid cell run over traces of every length around the batch size, on
@@ -212,14 +209,7 @@ fn cell_runs(
     );
     let injected = driver.injected_faults();
     assert_eq!(faults, injected.total() > 0, "the plan injected faults");
-    let oram = driver.oram_mut();
-    Outcome {
-        reports,
-        injected,
-        stats: format!("{:?}", oram.stats()),
-        stash_peak: oram.stash_peak(),
-        state: oram.snapshot().map_err(|_| oram.integrity().map(|v| v.root_digest())),
-    }
+    Outcome { reports, injected, engine: driver.oram_mut().clone() }
 }
 
 #[test]
@@ -247,6 +237,6 @@ fn telemetry_does_not_perturb_a_pipelined_timed_backend() {
     let (plain_replies, plain_engine, _) = fixed_backend_run(false);
     let (replies, engine, occupancy) = fixed_backend_run(true);
     assert_eq!(plain_replies, replies, "an installed collector must not change any reply");
-    assert_eq!(plain_engine, engine, "nor the engine state");
+    assert!(plain_engine == engine, "nor the engine state");
     assert!(occupancy, "the controller reports occupancy and overlap for service runs too");
 }

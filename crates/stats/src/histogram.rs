@@ -80,12 +80,6 @@ impl LevelHistogram {
         self.bins.push(0);
     }
 
-    /// Rebuilds a histogram from a name and its raw bins (the inverse of
-    /// [`LevelHistogram::bins`]) — snapshot restore uses this.
-    pub fn from_bins(name: impl Into<String>, bins: Vec<u64>) -> Self {
-        LevelHistogram { name: name.into(), bins }
-    }
-
     /// Element-wise accumulation of `other` into `self` (windowed telemetry
     /// snapshots merge shards this way).
     ///
@@ -209,14 +203,6 @@ mod tests {
         let mut a = LevelHistogram::new("a", 2);
         let b = LevelHistogram::new("b", 3);
         a.merge(&b);
-    }
-
-    #[test]
-    fn from_bins_round_trip() {
-        let mut h = LevelHistogram::new("dead", 3);
-        h.add(1, 9);
-        h.add(2, 4);
-        assert_eq!(LevelHistogram::from_bins(h.name(), h.bins().to_vec()), h);
     }
 
     #[test]

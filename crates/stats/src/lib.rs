@@ -30,7 +30,7 @@ mod series;
 mod summary;
 mod table;
 
-pub use codec::{fnv1a64, ByteReader, ByteWriter, CodecError};
+pub use codec::fnv1a64;
 pub use health::HealthState;
 pub use histogram::LevelHistogram;
 pub use recovery::RecoveryStats;

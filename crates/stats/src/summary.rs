@@ -99,19 +99,6 @@ impl MinAvgMax {
         (self.count > 0).then(|| self.sum / self.count as f64)
     }
 
-    /// Decomposes the tracker into `(count, sum, min, max)` for bit-exact
-    /// serialization. The float fields are returned raw (including the
-    /// meaningless min/max of an empty tracker) so that
-    /// [`MinAvgMax::from_raw_parts`] reproduces the tracker exactly.
-    pub fn raw_parts(&self) -> (u64, f64, f64, f64) {
-        (self.count, self.sum, self.min, self.max)
-    }
-
-    /// Rebuilds a tracker from [`MinAvgMax::raw_parts`] output.
-    pub fn from_raw_parts(count: u64, sum: f64, min: f64, max: f64) -> Self {
-        MinAvgMax { count, sum, min, max }
-    }
-
     /// Merges another tracker's observations into this one.
     pub fn merge(&mut self, other: &MinAvgMax) {
         if other.count == 0 {
@@ -158,18 +145,6 @@ mod tests {
         assert_eq!(t.max(), None);
         assert_eq!(t.avg(), None);
         assert_eq!(t.count(), 0);
-    }
-
-    #[test]
-    fn raw_parts_round_trip() {
-        let mut t = MinAvgMax::new();
-        t.record(3.5);
-        t.record(-1.25);
-        let (count, sum, min, max) = t.raw_parts();
-        assert_eq!(MinAvgMax::from_raw_parts(count, sum, min, max), t);
-        let empty = MinAvgMax::new();
-        let (c, s, mn, mx) = empty.raw_parts();
-        assert_eq!(MinAvgMax::from_raw_parts(c, s, mn, mx), empty);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 
 use crate::core::{OramConfig, OramError, Scheme, SimulationReport, TimingDriver};
 use crate::dram::DramConfig;
+use crate::stats::fnv1a64;
 use crate::trace::{profiles, TraceGenerator};
 
 /// Tree levels used by every golden case (small enough that all six schemes
@@ -100,16 +101,6 @@ fn replay_trace(mut driver: TimingDriver) -> Result<SimulationReport, OramError>
     driver.run((0..GOLDEN_RECORDS).map(|_| gen.next_record()))
 }
 
-/// 64-bit FNV-1a over arbitrary bytes — dependency-free and stable.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Canonical JSON serialization of a golden case. Every field is an exact
 /// integer (floats are carried as IEEE-754 bit patterns), so byte equality
 /// of two serializations is bit equality of the underlying reports.
@@ -161,12 +152,6 @@ pub fn digest_json(name: &str, scheme: Scheme, report: &SimulationReport) -> Str
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_is_stable() {
-        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
-    }
 
     #[test]
     fn digest_changes_with_any_field() {
