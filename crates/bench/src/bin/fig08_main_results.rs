@@ -89,6 +89,7 @@ fn main() {
 
     let mut norm_by_scheme: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
     let mut frac_sums = vec![[0.0f64; 5]; schemes.len()];
+    let mut lat_sums = vec![0.0f64; schemes.len()];
     for (p, profile) in suite.iter().enumerate() {
         let mut exec = vec![0f64; schemes.len()];
         let mut bw = vec![0f64; schemes.len()];
@@ -98,6 +99,7 @@ fn main() {
             exec[k] = report.exec_cycles as f64;
             bw[k] = report.bandwidth();
             lat[k] = report.mean_online_latency();
+            lat_sums[k] += lat[k];
             for (j, op) in OramOp::ALL.into_iter().enumerate() {
                 frac_sums[k][j] += report.breakdown.fraction(op);
             }
@@ -141,7 +143,15 @@ fn main() {
     out.push('\n');
     out.push_str(&latency.to_markdown());
     out.push_str("\npaper: DR 0.75x space / +3 % time; NS 0.81x / ~0 %; AB 0.645x / +4 %; IR ~1.0x space / +4 % time.\n");
-    out.push_str("AB-CP is AB with channel-parallel issue + crypto/DRAM overlap: identical space, lower access latency.\n");
+    let at = |scheme| schemes.iter().position(|&s| s == scheme);
+    if let (Some(ab), Some(cp)) = (at(Scheme::Ab), at(Scheme::AbChannelPar)) {
+        let n = suite.len() as f64;
+        out.push_str(&abcp_relation(
+            env.levels,
+            (lat_sums[ab] / n, lat_sums[cp] / n),
+            (means[ab], means[cp]),
+        ));
+    }
     out.push_str("\nCSV (Fig. 8c):\n");
     out.push_str(&time.to_csv());
     emit("fig08_main_results.md", &out);
@@ -152,4 +162,28 @@ fn main() {
     out9.push_str("\nCSV:\n");
     out9.push_str(&bandwidth.to_csv());
     emit("fig09_bandwidth.md", &out9);
+}
+
+/// The AB-CP caption, computed from this run's numbers: how AB-CP's suite
+/// mean access latency and geomean execution time compare with AB's.
+fn abcp_relation(
+    levels: u8,
+    (lat_ab, lat_cp): (f64, f64),
+    (time_ab, time_cp): (f64, f64),
+) -> String {
+    let versus = |ab: f64, cp: f64| {
+        let pct = 100.0 * (cp / ab - 1.0);
+        match pct.partial_cmp(&0.0) {
+            Some(std::cmp::Ordering::Greater) => format!("{pct:.1} % higher than"),
+            Some(std::cmp::Ordering::Less) => format!("{:.1} % lower than", -pct),
+            _ => "equal to".to_string(),
+        }
+    };
+    format!(
+        "AB-CP is AB with channel-parallel issue + crypto/DRAM overlap: identical space; at L = \
+         {levels} its mean access latency is {} AB's ({lat_cp:.0} vs {lat_ab:.0} cycles, suite \
+         mean) and its geomean execution time is {} AB's ({time_cp:.4} vs {time_ab:.4}).\n",
+        versus(lat_ab, lat_cp),
+        versus(time_ab, time_cp),
+    )
 }

@@ -271,9 +271,10 @@ impl BucketMeta {
         self.allocated = 0;
     }
 
-    /// The `i`-th real entry, assembled from the parallel arrays.
+    /// The real entry at storage index `i` (below `entries().len()`),
+    /// assembled from the parallel arrays.
     #[inline]
-    fn entry(&self, i: usize) -> RealEntry {
+    pub fn entry_at(&self, i: usize) -> RealEntry {
         RealEntry {
             addr: self.addr[i],
             label: PathId::new(u64::from(self.label[i])),
@@ -283,13 +284,13 @@ impl BucketMeta {
 
     /// The real entries currently mapped here, by value, in storage order:
     /// [`push_entry`](Self::push_entry) appends and
-    /// [`take_entry`](Self::take_entry) moves the last entry into the hole
+    /// [`take_at`](Self::take_at) moves the last entry into the hole
     /// (`swap_remove`). The order is observable — a rebuild's read phase
     /// issues its block reads in it — so it is part of the engine's fixed
     /// point.
     #[inline]
     pub fn entries(&self) -> impl ExactSizeIterator<Item = RealEntry> + '_ {
-        (0..usize::from(self.n_entries)).map(|i| self.entry(i))
+        (0..usize::from(self.n_entries)).map(|i| self.entry_at(i))
     }
 
     /// Maps a new real entry into the bucket.
@@ -324,21 +325,22 @@ impl BucketMeta {
 
     /// Storage index of the entry for `block`, if present here.
     #[inline]
-    fn position_of(&self, block: BlockId) -> Option<usize> {
+    pub fn entry_index(&self, block: BlockId) -> Option<usize> {
         self.addr[..usize::from(self.n_entries)].iter().position(|&a| a == block)
     }
 
     /// The real entry stored for `block`, if present here.
     #[inline]
     pub fn entry_of(&self, block: BlockId) -> Option<RealEntry> {
-        self.position_of(block).map(|i| self.entry(i))
+        self.entry_index(block).map(|i| self.entry_at(i))
     }
 
-    /// Removes and returns the entry for `block`; the last entry takes its
-    /// place (see [`entries`](Self::entries) on why the order matters).
-    pub fn take_entry(&mut self, block: BlockId) -> Option<RealEntry> {
-        let i = self.position_of(block)?;
-        let e = self.entry(i);
+    /// Removes and returns the entry at storage index `i` (below
+    /// `entries().len()`); the last entry takes its place (see
+    /// [`entries`](Self::entries) on why the order matters).
+    #[inline]
+    pub fn take_at(&mut self, i: usize) -> RealEntry {
+        let e = self.entry_at(i);
         let last = usize::from(self.n_entries) - 1;
         self.addr[i] = self.addr[last];
         self.label[i] = self.label[last];
@@ -348,16 +350,17 @@ impl BucketMeta {
         self.ptr[last] = 0;
         self.n_entries -= 1;
         self.real &= !(1 << e.ptr);
-        Some(e)
+        e
     }
 
-    /// The real entry (if any) whose `ptr` is logical slot `i`.
-    pub fn entry_at_slot(&self, i: u8) -> Option<RealEntry> {
+    /// Storage index of the real entry (if any) whose `ptr` is logical slot
+    /// `i`.
+    #[inline]
+    pub fn slot_entry_index(&self, i: u8) -> Option<usize> {
         if self.real & (1 << i) == 0 {
             return None;
         }
-        let at = self.ptr[..usize::from(self.n_entries)].iter().position(|&p| p == i)?;
-        Some(self.entry(at))
+        self.ptr[..usize::from(self.n_entries)].iter().position(|&p| p == i)
     }
 
     /// Number of remote slots currently borrowed.
@@ -519,6 +522,20 @@ impl MetadataStore {
     #[inline]
     pub fn get(&self, bucket: BucketId) -> &BucketMeta {
         &self.buckets[bucket.raw() as usize]
+    }
+
+    /// Loads the leading word of every listed bucket's record in one tight
+    /// loop and discards it. The loads do not depend on each other, so
+    /// their cache misses overlap here instead of stalling, one by one, the
+    /// protocol steps that read each record first.
+    #[inline]
+    pub fn touch(&self, buckets: &[BucketId]) {
+        let mut fold = 0;
+        for &bucket in buckets {
+            let m = self.get(bucket);
+            fold ^= m.addr[0] ^ u64::from(m.count);
+        }
+        std::hint::black_box(fold);
     }
 
     /// Mutably borrow the metadata of `bucket`.
@@ -714,14 +731,18 @@ mod tests {
                             v.push_entry(e);
                         }
                     }
-                    1 => prop_assert_eq!(m.take_entry(block), v.take_entry(block)),
+                    1 => {
+                        let taken = m.entry_index(block).map(|i| m.take_at(i));
+                        prop_assert_eq!(taken, v.take_entry(block));
+                    }
                     2 => {
                         let want = v.entries.iter().find(|e| e.addr == block).copied();
                         prop_assert_eq!(m.entry_of(block), want);
                     }
                     3 => {
                         let slot = (arg % 16) as u8;
-                        prop_assert_eq!(m.entry_at_slot(slot), v.entry_at_slot(slot));
+                        let found = m.slot_entry_index(slot).map(|i| m.entry_at(i));
+                        prop_assert_eq!(found, v.entry_at_slot(slot));
                     }
                     4 => {
                         m.clear_entries();
@@ -812,7 +833,7 @@ mod tests {
         assert_eq!(m.entries().map(|e| e.addr).max(), Some(u64::MAX));
 
         let mut rebuilt = m;
-        let taken = rebuilt.take_entry(u64::MAX - 1).unwrap();
+        let taken = rebuilt.take_at(rebuilt.entry_index(u64::MAX - 1).unwrap());
         assert_eq!(rebuilt.entries().map(|e| e.ptr).collect::<Vec<_>>(), [7, 3, 5, 4]);
         let mut want = m;
         want.clear_entries();
@@ -844,14 +865,14 @@ mod tests {
             m.set_valid(i, true);
         }
         assert_eq!(m.entry_of(42).unwrap().ptr, 2);
-        assert!(m.entry_at_slot(2).is_some());
-        assert!(m.entry_at_slot(3).is_none());
+        assert_eq!(m.slot_entry_index(2), Some(0));
+        assert!(m.slot_entry_index(3).is_none());
         // Dummy candidates exclude the real slot.
         assert_eq!(m.valid_slots(true), vec![0, 1, 3]);
         assert_eq!(m.valid_slots(false), vec![0, 1, 2, 3]);
         assert_eq!(m.dummy_mask(), 0b1011);
         assert_eq!(m.valid_mask(), 0b1111);
-        assert_eq!(m.take_entry(42).unwrap().addr, 42);
+        assert_eq!(m.take_at(m.entry_index(42).unwrap()).addr, 42);
         assert!(m.entry_of(42).is_none());
         assert_eq!(m.dummy_mask(), 0b1111, "freed slot rejoins the dummy pool");
     }

@@ -12,7 +12,7 @@ use crate::error::OramError;
 use crate::fault::{FaultSite, BACKOFF_BASE_CYCLES, MAX_FAULT_RETRIES};
 use crate::posmap::PositionMap;
 use crate::sink::{MemorySink, OramOp};
-use crate::stash::{EvictionPlan, Stash, StashBlock};
+use crate::stash::{EvictionPlan, Stash};
 use crate::{BlockId, BLOCK_BYTES};
 use aboram_stats::RecoveryStats;
 use aboram_telemetry::{self as telemetry, Phase};
@@ -87,7 +87,7 @@ impl PathOram {
             geo,
             layout,
             posmap,
-            stash: Stash::new(cfg.stash_capacity),
+            stash: Stash::new(cfg.stash_capacity, cfg.levels, cfg.store_data),
             plan: EvictionPlan::default(),
             rng,
             accesses: 0,
@@ -114,7 +114,7 @@ impl PathOram {
                 }
             }
             if !placed {
-                self.stash.insert(StashBlock { block, label, data: [0; BLOCK_BYTES] });
+                self.stash.insert(block, label, &[0; BLOCK_BYTES]);
                 if self.stash.overflowed() {
                     return Err(OramError::StashOverflow { capacity: self.stash.capacity() });
                 }
@@ -287,20 +287,20 @@ impl PathOram {
             }
             let pb = &mut self.buckets[bucket.raw() as usize];
             for (b, l, d) in pb.blocks.drain(..) {
-                self.stash.insert(StashBlock { block: b, label: l, data: d });
+                self.stash.insert(b, l, &d);
             }
         }
         // (2) Remap, then serve the request from the stash (the whole path
         // was just pulled in, so the target is guaranteed to be there).
-        self.stash.relabel(block, new_label);
+        self.stash.relabel(block, label, new_label);
         let served = if self.store_data {
             let cur = self
                 .stash
-                .get(block)
+                .get(block, new_label)
                 .ok_or(OramError::Internal { context: "target block missing after path read" })?;
             let out = cur.data;
             if let Some(data) = new_data {
-                self.stash.insert(StashBlock { block, label: new_label, data });
+                self.stash.set_data(block, new_label, &data);
             }
             Some(out)
         } else {
@@ -324,7 +324,7 @@ impl PathOram {
             for &b in self.plan.picks(usize::from(level.0)) {
                 let e = self
                     .stash
-                    .remove(b)
+                    .remove(b, self.posmap.path_of(b))
                     .ok_or(OramError::Internal { context: "eviction candidate left the stash" })?;
                 self.buckets[bucket.raw() as usize].blocks.push((e.block, e.label, e.data));
             }
@@ -350,10 +350,10 @@ impl PathOram {
         if block >= self.posmap.len() {
             return false;
         }
-        if self.stash.contains(block) {
+        let label = self.posmap.path_of(block);
+        if self.stash.contains(block, label) {
             return true;
         }
-        let label = self.posmap.path_of(block);
         self.geo.path_buckets(label).any(|bucket| {
             self.buckets[bucket.raw() as usize].blocks.iter().any(|(b, ..)| *b == block)
         })

@@ -46,7 +46,7 @@ use crate::integrity::IntegrityVerifier;
 use crate::metadata::{nth_set_bit, MetadataStore, RealEntry, SlotStatus};
 use crate::posmap::PositionMap;
 use crate::sink::{MemorySink, OramOp};
-use crate::stash::{EvictionPlan, Stash, StashBlock};
+use crate::stash::{EvictionPlan, Stash};
 use crate::stats::OramStats;
 use crate::{BlockId, BLOCK_BYTES};
 use aboram_crypto::{BlockCipher, SealedBlock};
@@ -171,13 +171,15 @@ struct Scratch {
     plan: EvictionPlan,
     /// rebuild refill: the slot permutation.
     slots: Vec<u8>,
-    /// rebuild refill: (slot, block) placements for the write phase.
-    placed: Vec<(u8, StashBlock)>,
+    /// rebuild refill: (slot, payload) of each placed block, for the write
+    /// phase of an engine with a data path (never allocated without one).
+    placed: Vec<(u8, [u8; BLOCK_BYTES])>,
 }
 
 #[cfg(test)]
 impl Scratch {
-    /// Address and capacity of every scratch buffer.
+    /// Address and capacity of every scratch buffer, the placed payloads
+    /// last.
     fn buffers(&self) -> Vec<(usize, usize)> {
         use crate::buffer_of as of;
         let mut all = vec![
@@ -188,9 +190,9 @@ impl Scratch {
             of(&self.phys_slots),
             of(&self.to_stash),
             of(&self.slots),
-            of(&self.placed),
         ];
         all.extend(self.plan.buffers());
+        all.push(of(&self.placed));
         all
     }
 }
@@ -223,7 +225,7 @@ pub struct RingOram {
 }
 
 /// Engines compare by value: every field that carries protocol state is
-/// compared, the [`Scratch`] buffers are not (their contents never outlive
+/// compared, the `Scratch` buffers are not (their contents never outlive
 /// an access). Two engines that ran the same history compare equal, so `==`
 /// is the differential tests' oracle for "this knob moved no protocol
 /// state" — the data store and an armed verifier included.
@@ -282,7 +284,7 @@ impl RingOram {
         let blocks = cfg.real_block_count();
         let posmap = PositionMap::new_random(blocks, geo.leaf_count(), &mut rng);
         let mut meta = MetadataStore::new(&geo);
-        let stash = Stash::new(cfg.stash_capacity);
+        let stash = Stash::new(cfg.stash_capacity, cfg.levels, cfg.store_data);
         let deadqs = DeadQueues::new(cfg.levels, cfg.deadq_levels, cfg.deadq_capacity);
         let remote_enabled = cfg.scheme.uses_remote_allocation();
 
@@ -344,7 +346,7 @@ impl RingOram {
                 }
             }
             if !placed {
-                self.stash.insert(StashBlock { block, label, data: [0; BLOCK_BYTES] });
+                self.stash.insert(block, label, &[0; BLOCK_BYTES]);
                 if self.stash.overflowed() {
                     return Err(OramError::StashOverflow { capacity: self.stash.capacity() });
                 }
@@ -623,10 +625,10 @@ impl RingOram {
     }
 
     fn locate_level(&self, block: BlockId) -> Option<Level> {
-        if self.stash.contains(block) {
+        let label = self.posmap.path_of(block);
+        if self.stash.contains(block, label) {
             return None;
         }
-        let label = self.posmap.path_of(block);
         for bucket in self.geo.path_buckets(label) {
             let m = self.meta.get(bucket);
             if let Some(e) = m.entry_of(block) {
@@ -688,6 +690,7 @@ impl RingOram {
         let mut buckets = std::mem::take(&mut self.scratch.path_buckets);
         buckets.clear();
         buckets.extend(self.geo.path_buckets(label));
+        self.meta.touch(&buckets);
 
         // (1) Metadata access for every off-chip bucket on the path; the
         // gatherDEADs procedure piggybacks on it (§V-B2).
@@ -702,20 +705,25 @@ impl RingOram {
 
         // (2) Block access: one slot per bucket.
         let mut fetched: Option<[u8; BLOCK_BYTES]> = None;
-        let stash_hit = target.is_some_and(|b| self.stash.contains(b));
+        // The position map already holds the new label; the stash still
+        // files the target under the old one.
+        let stash_hit = target.is_some_and(|b| self.stash.contains(b, label));
         if stash_hit {
             self.stats.stash_hits += 1;
         }
         for &bucket in &buckets {
             let level = bucket.level();
             let m = self.meta.get(bucket);
-            let target_entry = if stash_hit {
-                None
-            } else {
-                target.and_then(|b| m.entry_of(b).filter(|e| m.is_valid(e.ptr)))
+            // The storage index of the target's entry, while its slot here
+            // is still valid.
+            let target_at = match target {
+                Some(b) if !stash_hit => {
+                    m.entry_index(b).filter(|&i| m.is_valid(m.entry_at(i).ptr))
+                }
+                _ => None,
             };
-            let logical = match target_entry {
-                Some(e) => e.ptr,
+            let logical = match target_at {
+                Some(i) => m.entry_at(i).ptr,
                 None => {
                     // A valid reserved dummy, else a valid green slot (CB).
                     // Selection is the nth set bit of a slot mask, which
@@ -755,18 +763,12 @@ impl RingOram {
                 self.stats.slot_died(level, phys.bucket.raw(), phys.index, now);
             }
 
-            // Handle the block the read returned.
-            let is_target = target_entry.is_some();
-            let green_entry = match target_entry {
-                Some(te) => self.meta.get_mut(bucket).take_entry(te.addr),
-                None => {
-                    let m = self.meta.get_mut(bucket);
-                    match m.entry_at_slot(logical).map(|e| e.addr) {
-                        Some(addr) => m.take_entry(addr),
-                        None => None,
-                    }
-                }
-            };
+            // Handle the block the read returned: the target's entry, else
+            // the real block (if any) in the dummy slot picked, each taken
+            // by the storage index it was found at.
+            let is_target = target_at.is_some();
+            let green_entry =
+                target_at.or_else(|| m.slot_entry_index(logical)).map(|i| m.take_at(i));
             if let Some(entry) = green_entry {
                 // Real block leaves the tree: target goes to the user and the
                 // stash; a green real block goes to the stash (§III-C).
@@ -777,22 +779,14 @@ impl RingOram {
                     if let Some(f) = &mut mutate {
                         f(&mut stored);
                     }
-                    self.stash.insert(StashBlock {
-                        block: entry.addr,
-                        label: new_label,
-                        data: stored,
-                    });
+                    self.stash.insert(entry.addr, new_label, &stored);
                 } else {
                     // The label is read from the position map, not the
                     // fetched metadata entry: the two agree whenever the
                     // entry is valid (an entry exists exactly while its
                     // block is out of the stash), and the posmap is the one
                     // that is always current mid-growth.
-                    self.stash.insert(StashBlock {
-                        block: entry.addr,
-                        label: self.posmap.path_of(entry.addr),
-                        data: plain,
-                    });
+                    self.stash.insert(entry.addr, self.posmap.path_of(entry.addr), &plain);
                 }
             }
         }
@@ -800,8 +794,8 @@ impl RingOram {
         // Target served from the stash: relabel (and fetch data) there.
         if let Some(b) = target {
             if stash_hit {
-                self.stash.relabel(b, new_label);
-                fetched = self.stash.get(b).map(|e| e.data);
+                self.stash.relabel(b, label, new_label);
+                fetched = self.stash.get(b, new_label).map(|e| e.data);
                 let stored = match (&mut mutate, new_data) {
                     // Managed read-modify-write acts on the current contents
                     // (managed accesses never carry new_data).
@@ -812,8 +806,7 @@ impl RingOram {
                     (None, d) => d,
                 };
                 if let Some(d) = stored {
-                    let label = new_label;
-                    self.stash.insert(StashBlock { block: b, label, data: d });
+                    self.stash.set_data(b, new_label, &d);
                 }
             } else if fetched.is_none() {
                 return Err(OramError::BlockOutOfRange { block: b, count: self.posmap.len() });
@@ -892,6 +885,7 @@ impl RingOram {
         let mut to_stash = std::mem::take(&mut self.scratch.to_stash);
 
         // Read phase: metadata plus Z' block reads per bucket.
+        self.meta.touch(buckets);
         for &bucket in buckets {
             self.fetch_metadata(bucket, false, sink)?;
             let z_real = self.geo.level_config(bucket.level()).z_real;
@@ -928,7 +922,7 @@ impl RingOram {
                 // Label from the posmap (identical to the stored label for
                 // a valid entry; see the readPath green-block comment).
                 let label = self.posmap.path_of(e.addr);
-                self.stash.insert(StashBlock { block: e.addr, label, data: plain });
+                self.stash.insert(e.addr, label, &plain);
             }
         }
         self.scratch.read_slots = read_slots;
@@ -955,11 +949,11 @@ impl RingOram {
                 &mut plan,
             ),
             // earlyReshuffle: the lone bucket takes blocks whose path
-            // crosses it.
-            (None, &[bucket]) => self.stash.plan_eviction(
-                1,
-                |_| usize::from(geo.level_config(bucket.level()).z_real),
-                |label| geo.bucket_is_on_path(bucket, label).then_some(0),
+            // crosses it, read from the stash bins under it.
+            (None, &[bucket]) => self.stash.plan_bucket(
+                bucket.level().0,
+                bucket.index_in_level(),
+                usize::from(geo.level_config(bucket.level()).z_real),
                 &mut plan,
             ),
             (None, _) => {
@@ -1079,22 +1073,22 @@ impl RingOram {
             let j = self.rng.gen_range(0..=i);
             slots.swap(i, j);
         }
+        // A stash label is its block's position-map label.
         let mut placed = std::mem::take(&mut self.scratch.placed);
         placed.clear();
-        for (&slot, &block) in slots.iter().zip(picks) {
+        let m = self.meta.get_mut(bucket);
+        for (&ptr, &block) in slots.iter().zip(picks) {
+            let label = self.posmap.path_of(block);
             let entry = self
                 .stash
-                .remove(block)
+                .remove(block, label)
                 .ok_or(OramError::Internal { context: "eviction candidate left the stash" })?;
-            placed.push((slot, entry));
-        }
-        self.scratch.slots = slots;
-        {
-            let m = self.meta.get_mut(bucket);
-            for (ptr, e) in &placed {
-                m.push_entry(RealEntry { addr: e.block, label: e.label, ptr: *ptr });
+            m.push_entry(RealEntry { addr: block, label, ptr });
+            if self.data.is_some() {
+                placed.push((ptr, entry.data));
             }
         }
+        self.scratch.slots = slots;
 
         // Write phase: every logical slot goes back to memory re-encrypted.
         for logical in 0..logical_slots {
@@ -1103,15 +1097,12 @@ impl RingOram {
             if self.off_chip(bucket) {
                 self.post_write(addr, op, false, bucket, sink)?;
             }
-            if self.data.is_some() {
+            if let Some(data) = &mut self.data {
                 let plain = placed
                     .iter()
                     .find(|(p, _)| *p == logical)
-                    .map(|(_, e)| e.data)
-                    .unwrap_or([0; BLOCK_BYTES]);
-                if let Some(data) = &mut self.data {
-                    data.write(addr, &plain);
-                }
+                    .map_or(&[0; BLOCK_BYTES], |(_, d)| d);
+                data.write(addr, plain);
             }
         }
         if self.off_chip(bucket) {
@@ -1478,7 +1469,7 @@ impl RingOram {
             None => PathId::new(self.rng.gen_range(0..self.geo.leaf_count())),
         };
         self.posmap.push(label);
-        self.stash.insert(StashBlock { block, label, data: [0; BLOCK_BYTES] });
+        self.stash.insert(block, label, &[0; BLOCK_BYTES]);
         if self.stash.overflowed() {
             return Err(OramError::StashOverflow { capacity: self.stash.capacity() });
         }
@@ -1533,7 +1524,7 @@ impl RingOram {
         self.posmap
             .grow_one_level(|b, leaf| extend_label(leaf, old_levels, old_levels + 1, seed, b));
         let posmap = &self.posmap;
-        self.stash.relabel_all(|b| posmap.path_of(b));
+        self.stash.relabel_all(old_levels + 1, |b| posmap.path_of(b));
 
         // The new leaf level starts freshly reshuffled: all slots valid
         // reserved dummies, exactly like `new`'s bucket init.
@@ -1583,10 +1574,10 @@ impl RingOram {
         if block >= self.posmap.len() {
             return false;
         }
-        if self.stash.contains(block) {
+        let label = self.posmap.path_of(block);
+        if self.stash.contains(block, label) {
             return true;
         }
-        let label = self.posmap.path_of(block);
         self.geo.path_buckets(label).any(|bucket| {
             let m = self.meta.get(bucket);
             m.entry_of(block).is_some_and(|e| m.is_valid(e.ptr))
@@ -1609,8 +1600,9 @@ impl RingOram {
                 self.stash.capacity()
             ));
         }
-        // (1a) The stash's index and dense storage describe one set of
-        // distinct blocks, each carrying its position-map label.
+        // (1a) The stash's bins and dense storage describe one set of
+        // distinct blocks, each carrying its position-map label — so each
+        // is filed on the bin of the label every lookup passes.
         self.stash.validate()?;
         for e in self.stash.iter() {
             if e.block >= self.posmap.len() {
@@ -1653,7 +1645,8 @@ impl RingOram {
                 occupied |= 1u64 << e.ptr;
                 // A bucket entry exists exactly while its block is out of
                 // the stash.
-                if self.stash.contains(e.addr) {
+                let mapped = (e.addr < self.posmap.len()).then(|| self.posmap.path_of(e.addr));
+                if mapped.is_some_and(|label| self.stash.contains(e.addr, label)) {
                     return Err(format!("{bucket}: block {} is also in the stash", e.addr));
                 }
             }
@@ -1783,10 +1776,7 @@ mod tests {
             match field {
                 "rng" => drop(o.rng.gen::<u32>()),
                 "position map" => o.posmap.set_path(0, PathId::new(o.posmap.path_of(0).leaf() ^ 1)),
-                "stash" => {
-                    let label = PathId::new(0);
-                    o.stash.insert(StashBlock { block: u64::MAX, label, data: [0; BLOCK_BYTES] });
-                }
+                "stash" => o.stash.insert(u64::MAX, PathId::new(0), &[0; BLOCK_BYTES]),
                 "metadata" => o.meta.get_mut(leaf).count += 1,
                 // A full queue counts the rejection instead: either way it moves.
                 "DeadQs" => drop(o.deadqs.enqueue(aboram_tree::SlotId::new(leaf, 0))),
@@ -1801,19 +1791,30 @@ mod tests {
     #[test]
     fn steady_state_access_allocates_nothing() {
         // Every per-access buffer — the engine's scratch, the eviction plan,
-        // the stash's dense arrays and its index — is the same allocation,
-        // at the same capacity, after 10 000 more accesses.
-        for scheme in [Scheme::Ab, Scheme::Baseline] {
-            let mut oram = engine(scheme, 12);
+        // the stash's dense arrays and its bins — is the same allocation, at
+        // the same capacity, after 10 000 more accesses. The payload buffers
+        // (each list's last: the refill's placed payloads, the stash's
+        // payload column) exist only with a data path; without one they are
+        // never allocated.
+        for (scheme, store_data) in
+            [(Scheme::Ab, false), (Scheme::Baseline, false), (Scheme::Ab, true)]
+        {
+            let cfg =
+                OramConfig::builder(12, scheme).seed(3).store_data(store_data).build().unwrap();
+            let mut oram = RingOram::new(&cfg).unwrap();
             let mut sink = CountingSink::new();
-            let buffers = |oram: &RingOram| {
-                let mut all = oram.scratch.buffers();
-                all.extend(oram.stash.buffers());
-                all
-            };
+            let buffers = |oram: &RingOram| [oram.scratch.buffers(), oram.stash.buffers().to_vec()];
             churn(&mut oram, &mut sink, 20_000);
             let warm = buffers(&oram);
-            assert!(warm.iter().all(|&(_, capacity)| capacity > 0), "{scheme:?}: {warm:?}");
+            for list in &warm {
+                let (&(_, payloads), rest) = list.split_last().unwrap();
+                assert!(rest.iter().all(|&(_, capacity)| capacity > 0), "{scheme:?}: {list:?}");
+                assert_eq!(
+                    payloads > 0,
+                    store_data,
+                    "{scheme:?}, data path {store_data}: {list:?}"
+                );
+            }
             churn(&mut oram, &mut sink, 10_000);
             assert_eq!(buffers(&oram), warm, "{scheme:?}: a buffer moved or grew");
             assert!(oram.stats().reshuffles.total() > 0 && oram.stats().evict_paths > 0);

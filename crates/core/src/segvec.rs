@@ -133,6 +133,10 @@ impl<T> std::ops::Index<usize> for SegmentedVector<T> {
 
     #[inline]
     fn index(&self, index: usize) -> &T {
+        // A tree that never grew holds every element in the first segment.
+        if self.segments.first().is_some_and(|first| index < first.len()) {
+            return &self.segments[0][index];
+        }
         self.get(index).expect("SegmentedVector index out of bounds")
     }
 }
@@ -140,6 +144,9 @@ impl<T> std::ops::Index<usize> for SegmentedVector<T> {
 impl<T> std::ops::IndexMut<usize> for SegmentedVector<T> {
     #[inline]
     fn index_mut(&mut self, index: usize) -> &mut T {
+        if self.segments.first().is_some_and(|first| index < first.len()) {
+            return &mut self.segments[0][index];
+        }
         self.get_mut(index).expect("SegmentedVector index out of bounds")
     }
 }
