@@ -84,7 +84,7 @@ pub use ring::{AccessKind, PayloadMutator, RingOram};
 pub use security::{attack_success_rate, SecurityReport};
 pub use segvec::SegmentedVector;
 pub use sink::{CountingSink, MemorySink, OramOp, StagedBatch, Stager};
-pub use stash::{EvictionPlan, Stash, StashBlock};
+pub use stash::{EvictionPlan, Held, Pick, Stash, StashBlock};
 pub use stats::OramStats;
 
 // Re-exported so downstream code can name the recovery counters and health

@@ -12,7 +12,7 @@ use crate::error::OramError;
 use crate::fault::{FaultSite, BACKOFF_BASE_CYCLES, MAX_FAULT_RETRIES};
 use crate::posmap::PositionMap;
 use crate::sink::{MemorySink, OramOp};
-use crate::stash::{EvictionPlan, Stash};
+use crate::stash::{EvictionPlan, Held, Stash};
 use crate::{BlockId, BLOCK_BYTES};
 use aboram_stats::RecoveryStats;
 use aboram_telemetry::{self as telemetry, Phase};
@@ -314,6 +314,7 @@ impl PathOram {
         // one pass over the stash plans every level (tier = level).
         let geo = &self.geo;
         self.stash.plan_eviction(
+            &Held::default(),
             usize::from(geo.levels()),
             |tier| usize::from(geo.level_config(Level(tier as u8)).z_real),
             |l| Some(usize::from(geo.common_prefix_levels(l, label)) - 1),
@@ -321,7 +322,8 @@ impl PathOram {
         );
         for &bucket in path.iter().rev() {
             let level = bucket.level();
-            for &b in self.plan.picks(usize::from(level.0)) {
+            for pick in self.plan.picks(usize::from(level.0)) {
+                let b = pick.block();
                 let e = self
                     .stash
                     .remove(b, self.posmap.path_of(b))

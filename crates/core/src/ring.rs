@@ -46,7 +46,7 @@ use crate::integrity::IntegrityVerifier;
 use crate::metadata::{nth_set_bit, MetadataStore, RealEntry, SlotStatus};
 use crate::posmap::PositionMap;
 use crate::sink::{MemorySink, OramOp};
-use crate::stash::{EvictionPlan, Stash};
+use crate::stash::{EvictionPlan, Held, Pick, Stash};
 use crate::stats::OramStats;
 use crate::{BlockId, BLOCK_BYTES};
 use aboram_crypto::{BlockCipher, SealedBlock};
@@ -165,9 +165,13 @@ struct Scratch {
     read_addrs: Vec<SlotAddr>,
     /// rebuild read phase: resolved physical slots for the address batch.
     phys_slots: Vec<aboram_tree::SlotId>,
-    /// rebuild read phase: valid real entries pulled to the stash.
-    to_stash: Vec<RealEntry>,
-    /// rebuild refill: which stash blocks go to which rebuilt bucket.
+    /// rebuild read phase: one bucket's valid real entries.
+    entries: Vec<RealEntry>,
+    /// rebuild: the blocks read off the rebuilt buckets, held beside the
+    /// stash until a bucket takes them or the rebuild ends.
+    held: Held,
+    /// rebuild refill: which stash or held blocks go to which rebuilt
+    /// bucket.
     plan: EvictionPlan,
     /// rebuild refill: the slot permutation.
     slots: Vec<u8>,
@@ -188,7 +192,7 @@ impl Scratch {
             of(&self.read_slots),
             of(&self.read_addrs),
             of(&self.phys_slots),
-            of(&self.to_stash),
+            of(&self.entries),
             of(&self.slots),
         ];
         all.extend(self.plan.buffers());
@@ -869,8 +873,9 @@ impl RingOram {
     }
 
     /// Shared rebuild for evictPath (whole path) and earlyReshuffle (single
-    /// bucket): read valid real blocks to the stash, then refill leaf-first
-    /// and write every logical slot back.
+    /// bucket): read the valid real blocks and hold them beside the stash,
+    /// refill leaf-first from the stash and the held blocks, write every
+    /// logical slot back, and admit the held blocks no bucket took.
     fn rebuild_buckets(
         &mut self,
         buckets: &[BucketId],
@@ -878,11 +883,30 @@ impl RingOram {
         op: OramOp,
         sink: &mut impl MemorySink,
     ) -> Result<(), OramError> {
+        let mut held = std::mem::take(&mut self.scratch.held);
+        let result = self.rebuild_held(buckets, evict_path, op, sink, &mut held);
+        // Whatever no rebuilt bucket took enters the stash once, here — after
+        // an error too, so a failed rebuild loses no block.
+        self.stash.admit(&mut held);
+        self.scratch.held = held;
+        result
+    }
+
+    /// [`rebuild_buckets`](Self::rebuild_buckets) up to the admission of
+    /// the blocks left in `held`.
+    fn rebuild_held(
+        &mut self,
+        buckets: &[BucketId],
+        evict_path: Option<PathId>,
+        op: OramOp,
+        sink: &mut impl MemorySink,
+        held: &mut Held,
+    ) -> Result<(), OramError> {
         let now = self.stats.online_accesses();
         let mut read_slots = std::mem::take(&mut self.scratch.read_slots);
         let mut read_addrs = std::mem::take(&mut self.scratch.read_addrs);
         let mut phys_slots = std::mem::take(&mut self.scratch.phys_slots);
-        let mut to_stash = std::mem::take(&mut self.scratch.to_stash);
+        let mut entries = std::mem::take(&mut self.scratch.entries);
 
         // Read phase: metadata plus Z' block reads per bucket.
         self.meta.touch(buckets);
@@ -910,47 +934,58 @@ impl RingOram {
                     telemetry::mem_read(op.phase(), bucket.level().0);
                 }
             }
-            // Pull the valid real blocks into the stash.
-            let m = self.meta.get_mut(bucket);
-            to_stash.clear();
-            to_stash.extend(m.entries().filter(|e| m.is_valid(e.ptr)));
-            // Invalid entries were already consumed; all are unmapped here.
-            m.clear_entries();
-            for e in &to_stash {
+            // Hold the valid real blocks beside the stash. Invalid entries
+            // were already consumed, so every entry is unmapped once all of
+            // them are fetched; a fetch that fails leaves the bucket's blocks
+            // in the bucket.
+            let m = self.meta.get(bucket);
+            entries.clear();
+            entries.extend(m.entries().filter(|e| m.is_valid(e.ptr)));
+            let start = held.len();
+            for e in &entries {
                 let phys = self.meta.resolve(bucket, e.ptr);
-                let plain = self.fetch_block(phys, op, false, sink)?;
+                let plain = self.fetch_block(phys, op, false, sink).inspect_err(|_| {
+                    held.truncate(start);
+                })?;
                 // Label from the posmap (identical to the stored label for
                 // a valid entry; see the readPath green-block comment).
                 let label = self.posmap.path_of(e.addr);
-                self.stash.insert(e.addr, label, &plain);
+                held.push(e.addr, label, self.data.is_some().then_some(&plain));
             }
+            self.meta.get_mut(bucket).clear_entries();
         }
         self.scratch.read_slots = read_slots;
         self.scratch.read_addrs = read_addrs;
         self.scratch.phys_slots = phys_slots;
-        self.scratch.to_stash = to_stash;
+        self.scratch.entries = entries;
         // Occupancy may transiently exceed capacity here: the read phase
-        // holds a whole path's blocks in flight. The bound is enforced at
-        // operation boundaries, after the rebuild places blocks back.
+        // holds a whole path's blocks in flight, and they count toward the
+        // stash's peak as if buffered. The bound is enforced at operation
+        // boundaries, after the rebuild places blocks back.
+        self.stash.note_held(held);
 
-        // One pass over the stash decides every bucket's refill. Nothing
-        // enters the stash from here to the last rebuild, so planning up
-        // front picks what a scan per bucket would (DESIGN.md §8). A freshly
-        // rebuilt bucket has all `Z' + S` own slots, so it holds `Z'` blocks.
+        // One pass over the stash and the held blocks decides every bucket's
+        // refill. Nothing enters either from here to the last rebuild, so
+        // planning up front picks what a scan per bucket would (DESIGN.md
+        // §8). A freshly rebuilt bucket has all `Z' + S` own slots, so it
+        // holds `Z'` blocks.
         let mut plan = std::mem::take(&mut self.scratch.plan);
         let geo = &self.geo;
         match (evict_path, buckets) {
             // evictPath: tier = level; a block sinks to the deepest bucket
             // its own path shares with the eviction path.
             (Some(path), _) => self.stash.plan_eviction(
+                held,
                 usize::from(geo.levels()),
                 |tier| usize::from(geo.level_config(Level(tier as u8)).z_real),
                 |label| Some(usize::from(geo.common_prefix_levels(label, path)) - 1),
                 &mut plan,
             ),
             // earlyReshuffle: the lone bucket takes blocks whose path
-            // crosses it, read from the stash bins under it.
+            // crosses it: the ones it held and those on the stash bins
+            // under it.
             (None, &[bucket]) => self.stash.plan_bucket(
+                held,
                 bucket.level().0,
                 bucket.index_in_level(),
                 usize::from(geo.level_config(bucket.level()).z_real),
@@ -966,18 +1001,20 @@ impl RingOram {
         debug_assert!(buckets.windows(2).all(|w| w[0].level() < w[1].level()));
         for &b in buckets.iter().rev() {
             let tier = if evict_path.is_some() { usize::from(b.level().0) } else { 0 };
-            self.rebuild_one(b, plan.picks(tier), op, sink, now)?;
+            self.rebuild_one(b, plan.picks(tier), held, op, sink, now)?;
         }
         self.scratch.plan = plan;
         Ok(())
     }
 
-    /// Rebuilds one bucket around `picks`, the stash blocks the eviction
-    /// plan chose for it (ascending ids, at most its real capacity).
+    /// Rebuilds one bucket around `picks`, the stash or held blocks the
+    /// eviction plan chose for it (ascending ids, at most its real
+    /// capacity).
     fn rebuild_one(
         &mut self,
         bucket: BucketId,
-        picks: &[BlockId],
+        picks: &[Pick],
+        held: &mut Held,
         op: OramOp,
         sink: &mut impl MemorySink,
         now: u64,
@@ -1073,19 +1110,29 @@ impl RingOram {
             let j = self.rng.gen_range(0..=i);
             slots.swap(i, j);
         }
-        // A stash label is its block's position-map label.
+        // A held block is taken by its index; a stash block is looked up
+        // under its position-map label, which is its stash label.
         let mut placed = std::mem::take(&mut self.scratch.placed);
         placed.clear();
         let m = self.meta.get_mut(bucket);
-        for (&ptr, &block) in slots.iter().zip(picks) {
-            let label = self.posmap.path_of(block);
-            let entry = self
-                .stash
-                .remove(block, label)
-                .ok_or(OramError::Internal { context: "eviction candidate left the stash" })?;
+        for (&ptr, &pick) in slots.iter().zip(picks) {
+            let (block, label, data) = match pick.held() {
+                Some(i) => {
+                    let (block, label) = held.take(i);
+                    (block, label, *held.payload(i))
+                }
+                None => {
+                    let block = pick.block();
+                    let label = self.posmap.path_of(block);
+                    let entry = self.stash.remove(block, label).ok_or(OramError::Internal {
+                        context: "eviction candidate left the stash",
+                    })?;
+                    (block, label, entry.data)
+                }
+            };
             m.push_entry(RealEntry { addr: block, label, ptr });
             if self.data.is_some() {
-                placed.push((ptr, entry.data));
+                placed.push((ptr, data));
             }
         }
         self.scratch.slots = slots;
@@ -1685,6 +1732,24 @@ impl RingOram {
                 }
             }
         }
+        // (5a) Conservation: every block is in exactly one place, the stash
+        // or one bucket's entries, and nothing is held beside the stash
+        // between operations (a rebuild admits what it held).
+        if !self.scratch.held.is_empty() {
+            return Err(format!("{} blocks held beside the stash", self.scratch.held.len()));
+        }
+        let mut places = vec![0u8; self.posmap.len() as usize];
+        let buckets = (0..self.geo.bucket_count()).map(|raw| self.meta.get(BucketId::new(raw)));
+        let bucketed = buckets.flat_map(|m| m.entries().map(|e| e.addr));
+        for block in self.stash.iter().map(|e| e.block).chain(bucketed) {
+            match places.get_mut(block as usize) {
+                Some(n) => *n = n.saturating_add(1),
+                None => return Err(format!("unmapped block {block} in the stash or a bucket")),
+            }
+        }
+        if let Some((block, &n)) = places.iter().enumerate().find(|&(_, &n)| n != 1) {
+            return Err(format!("block {block} is in {n} places (stash and buckets), not one"));
+        }
         // (6) DeadQ entries are level-consistent, in-bounds and within the
         // configured capacity. (A queued slot may be stale — its home bucket
         // can have reshuffled since — so slot *status* is validated lazily
@@ -1791,11 +1856,11 @@ mod tests {
     #[test]
     fn steady_state_access_allocates_nothing() {
         // Every per-access buffer — the engine's scratch, the eviction plan,
-        // the stash's dense arrays and its bins — is the same allocation, at
-        // the same capacity, after 10 000 more accesses. The payload buffers
-        // (each list's last: the refill's placed payloads, the stash's
-        // payload column) exist only with a data path; without one they are
-        // never allocated.
+        // the held blocks, the stash's dense arrays and its bins — is the
+        // same allocation, at the same capacity, after 10 000 more accesses.
+        // The payload buffers (each list's last: the refill's placed
+        // payloads, the held payloads, the stash's payload column) exist
+        // only with a data path; without one they are never allocated.
         for (scheme, store_data) in
             [(Scheme::Ab, false), (Scheme::Baseline, false), (Scheme::Ab, true)]
         {
@@ -1803,7 +1868,10 @@ mod tests {
                 OramConfig::builder(12, scheme).seed(3).store_data(store_data).build().unwrap();
             let mut oram = RingOram::new(&cfg).unwrap();
             let mut sink = CountingSink::new();
-            let buffers = |oram: &RingOram| [oram.scratch.buffers(), oram.stash.buffers().to_vec()];
+            let buffers = |oram: &RingOram| {
+                let scratch = &oram.scratch;
+                [scratch.buffers(), scratch.held.buffers().to_vec(), oram.stash.buffers().to_vec()]
+            };
             churn(&mut oram, &mut sink, 20_000);
             let warm = buffers(&oram);
             for list in &warm {
@@ -1819,6 +1887,129 @@ mod tests {
             assert_eq!(buffers(&oram), warm, "{scheme:?}: a buffer moved or grew");
             assert!(oram.stats().reshuffles.total() > 0 && oram.stats().evict_paths > 0);
         }
+    }
+
+    /// A counting sink that fails every data fetch of `op` from the
+    /// `clean`-th on, counted since the last read of another op (each
+    /// bucket's metadata read), while armed: with no verifier the fetch ends
+    /// in `RetriesExhausted`, from inside a rebuild's read phase.
+    struct FailRebuildReads {
+        inner: CountingSink,
+        op: OramOp,
+        clean: u32,
+        armed: bool,
+        last: Option<OramOp>,
+        polls: u32,
+    }
+
+    impl MemorySink for FailRebuildReads {
+        fn read(&mut self, addr: SlotAddr, op: OramOp, online: bool) {
+            if self.last != Some(op) {
+                self.polls = 0;
+            }
+            self.last = Some(op);
+            self.inner.read(addr, op, online);
+        }
+
+        fn write(&mut self, addr: SlotAddr, op: OramOp, online: bool) {
+            self.inner.write(addr, op, online);
+        }
+
+        fn poll_fault(&mut self, _: SlotAddr, site: FaultSite) -> Option<crate::FaultKind> {
+            if !self.armed || site != FaultSite::Data || self.last != Some(self.op) {
+                return None;
+            }
+            self.polls += 1;
+            (self.polls > self.clean).then_some(crate::FaultKind::BitFlip)
+        }
+    }
+
+    #[test]
+    fn a_rebuild_that_fails_mid_read_loses_no_block() {
+        // The first fetch of a bucket fails, or for an evictPath the second
+        // (after one block of the bucket is held; a reshuffled bucket holds
+        // one block at most): either way the blocks already held reach the
+        // stash, the failed bucket keeps its own, and every payload reads
+        // back afterwards.
+        let payload = |b: BlockId| {
+            let mut d = [0; BLOCK_BYTES];
+            d[..8].copy_from_slice(&b.to_le_bytes());
+            d
+        };
+        for (op, clean) in
+            [(OramOp::EvictPath, 0), (OramOp::EvictPath, 1), (OramOp::EarlyReshuffle, 0)]
+        {
+            let cfg = OramConfig::builder(9, Scheme::Ab).seed(5).store_data(true).build().unwrap();
+            let mut oram = RingOram::new(&cfg).unwrap();
+            let blocks = oram.block_count();
+            let mut sink = FailRebuildReads {
+                inner: CountingSink::new(),
+                op,
+                clean,
+                armed: false,
+                last: None,
+                polls: 0,
+            };
+            for b in 0..blocks {
+                oram.access(AccessKind::Write, b, Some(payload(b)), &mut sink).unwrap();
+            }
+            sink.armed = true;
+            let err = (0..blocks)
+                .find_map(|b| oram.access(AccessKind::Read, b, None, &mut sink).err())
+                .unwrap_or_else(|| panic!("{op:?}, {clean}: no rebuild read failed"));
+            assert!(matches!(err, OramError::RetriesExhausted { .. }), "{op:?}: {err:?}");
+            oram.validate_invariants().unwrap_or_else(|e| panic!("{op:?}, {clean}: {e}"));
+
+            sink.armed = false;
+            for b in (0..blocks).rev() {
+                let got = oram.access(AccessKind::Read, b, None, &mut sink).unwrap();
+                assert_eq!(got, Some(payload(b)), "{op:?}, {clean}: block {b}");
+            }
+            oram.validate_invariants().unwrap_or_else(|e| panic!("{op:?}, {clean}: {e}"));
+        }
+    }
+
+    #[test]
+    fn an_evict_path_moves_few_blocks_through_the_stash() {
+        // Before blocks were held, every block an evictPath read was
+        // inserted into the stash and every pick removed from it. Now only
+        // the stash's own picks and the read blocks no bucket took move.
+        // Counted on the benchmark's engine after its 81 920-access
+        // warm-up, each scheduled evictPath run on its own, one access early.
+        use rand::Rng;
+        let cfg = OramConfig::builder(14, Scheme::Ab).build().unwrap();
+        let mut oram = RingOram::new(&cfg).unwrap();
+        let mut sink = CountingSink::new();
+        churn(&mut oram, &mut sink, 81_920);
+        let entries_on = |oram: &RingOram, path| -> u64 {
+            oram.geo.path_buckets(path).map(|b| oram.meta.get(b).entries().len() as u64).sum()
+        };
+        let mut rng = StdRng::seed_from_u64(19);
+        let (mut evictions, mut read, mut picked, mut moved) = (0, 0, 0, 0);
+        while evictions < 200 {
+            if oram.reads_since_evict + 1 == oram.cfg.evict_rate_a {
+                let path = reverse_lex_path(oram.evict_counter, oram.geo.levels());
+                read += entries_on(&oram, path);
+                let before = crate::stash::MOVES.with(|m| m.get());
+                oram.evict_path(OramOp::EvictPath, &mut sink).unwrap();
+                moved += crate::stash::MOVES.with(|m| m.get()) - before;
+                picked += entries_on(&oram, path);
+                oram.reads_since_evict = 0;
+                evictions += 1;
+            }
+            let b = rng.gen_range(0..oram.block_count());
+            oram.access(AccessKind::Read, b, None, &mut sink).unwrap();
+        }
+        let per = |n: u64| n as f64 / f64::from(evictions);
+        println!(
+            "per evictPath: {:.1} read + {:.1} placed = {:.1} stash moves before, {:.1} now",
+            per(read),
+            per(picked),
+            per(read + picked),
+            per(moved)
+        );
+        assert!(moved * 3 < read + picked, "{moved} stash moves against {read} + {picked}");
+        oram.validate_invariants().unwrap();
     }
 
     #[test]

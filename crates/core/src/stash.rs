@@ -8,8 +8,11 @@
 //! label. A stash label always equals the block's position-map label, so
 //! every caller knows the label of the block it looks up: a lookup walks
 //! that label's bin, and an earlyReshuffle's lone bucket reads only the bins
-//! under it. See DESIGN.md §8, "Stash layout and the one-pass eviction
-//! plan".
+//! under it. A rebuild holds the blocks it reads off its own buckets beside
+//! the stash ([`Held`]) rather than in it: the plans take them as
+//! candidates next to the stash's own, and only those no rebuilt bucket
+//! takes are admitted. See DESIGN.md §8, "Stash layout and the one-pass
+//! eviction plan".
 
 use crate::{BlockId, BLOCK_BYTES};
 use aboram_telemetry as telemetry;
@@ -25,6 +28,13 @@ pub struct StashBlock {
     pub label: PathId,
     /// Block contents when the data path is enabled; zeroes otherwise.
     pub data: [u8; BLOCK_BYTES],
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Inserts plus removals on this thread, for the tests that count a
+    /// rebuild's stash traffic.
+    pub(crate) static MOVES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Label bits that choose a block's bin: 64 bins, or one per leaf on a tree
@@ -192,6 +202,8 @@ impl Stash {
     pub fn insert(&mut self, block: BlockId, label: PathId, data: &[u8; BLOCK_BYTES]) {
         debug_assert!(self.find(block, label).is_none(), "block {block} is already buffered");
         debug_assert!(self.ids.len() < NIL as usize);
+        #[cfg(test)]
+        MOVES.with(|m| m.set(m.get() + 1));
         self.ids.push(block);
         self.labels.push(label);
         if self.keep_data {
@@ -256,6 +268,8 @@ impl Stash {
     /// Removes and returns `block`, buffered under `label`.
     pub fn remove(&mut self, block: BlockId, label: PathId) -> Option<StashBlock> {
         let pos = self.find(block, label)?;
+        #[cfg(test)]
+        MOVES.with(|m| m.set(m.get() + 1));
         self.unlink(pos);
         let removed = StashBlock {
             block: self.ids.swap_remove(pos),
@@ -277,9 +291,29 @@ impl Stash {
         (0..self.ids.len()).map(|pos| self.block_at(pos))
     }
 
+    /// Counts the blocks `held` beside the stash toward its peak, as if
+    /// they were buffered: a rebuild's read phase holds them in flight.
+    pub(crate) fn note_held(&mut self, held: &Held) {
+        self.peak = self.peak.max(self.ids.len() + held.len());
+    }
+
+    /// Buffers every block of `held` no rebuilt bucket took, in the order
+    /// they were read, and empties `held`.
+    pub(crate) fn admit(&mut self, held: &mut Held) {
+        for i in 0..held.ids.len() {
+            let block = held.ids[i];
+            if block != TAKEN {
+                self.insert(block, held.labels[i], held.payload(i));
+            }
+        }
+        held.truncate(0);
+    }
+
     /// The evictPath scan ("searches the entire stash", §III-A), once per
     /// rebuild: decides which blocks go to which of `tiers` buckets.
     ///
+    /// The candidates are the stash's blocks and the blocks `held` beside it
+    /// (a rebuild's read phase; none for Path ORAM), which count as scanned.
     /// The buckets being rebuilt are numbered root-ward to leaf-ward as
     /// tiers `0..tiers` (an evictPath's levels). `deepest(label)` is the
     /// deepest tier a block with that label may live in — it may then live
@@ -287,11 +321,12 @@ impl Stash {
     /// it; `cap(tier)` is the tier's real-block capacity. Tiers are filled
     /// deepest first, each with the `cap` smallest not-yet-placed ids that
     /// may live there, which is exactly what a per-tier filter → sort →
-    /// truncate over the shrinking stash selects. The chosen ids are left in
-    /// `plan` (see [`EvictionPlan::picks`]); the stash itself is not
-    /// modified, and the plan is stale once it is.
+    /// truncate over the shrinking stash ∪ held selects. The chosen blocks
+    /// are left in `plan` (see [`EvictionPlan::picks`]); neither the stash
+    /// nor `held` is modified, and the plan is stale once either is.
     pub fn plan_eviction(
         &self,
+        held: &Held,
         tiers: usize,
         mut cap: impl FnMut(usize) -> usize,
         mut deepest: impl FnMut(PathId) -> Option<usize>,
@@ -299,21 +334,27 @@ impl Stash {
     ) {
         assert!(tiers <= usize::from(u8::MAX), "eviction over {tiers} tiers");
         telemetry::counter_add("stash.scan_passes", 1);
-        telemetry::counter_add("stash.scanned_blocks", self.labels.len() as u64);
+        telemetry::counter_add("stash.scanned_blocks", (self.labels.len() + held.len()) as u64);
 
         // The one pass over the labels: the blocks some rebuilt bucket may
         // hold, compacted (a rejected block's entry is overwritten by the
         // next one), each with its deepest tier.
-        let n = self.ids.len();
-        plan.found.resize(n, 0);
+        let n = self.ids.len() + held.len();
+        plan.found.resize(n, Pick(0));
         plan.depth.resize(n, 0);
         let mut found = 0;
-        for (&label, &block) in self.labels.iter().zip(&self.ids) {
+        let mut consider = |label, pick| {
             let tier = deepest(label);
             debug_assert!(tier.is_none_or(|t| t < tiers));
-            plan.found[found] = block;
+            plan.found[found] = pick;
             plan.depth[found] = tier.unwrap_or(0) as u8;
             found += usize::from(tier.is_some());
+        };
+        for (&label, &block) in self.labels.iter().zip(&self.ids) {
+            consider(label, Pick::stash(block));
+        }
+        for (i, &label) in held.labels.iter().enumerate() {
+            consider(label, held.pick(i));
         }
         // Group them by tier, deepest group first, so the blocks that may
         // live in tier `t` are a prefix of `plan.ids`.
@@ -327,10 +368,10 @@ impl Stash {
         for end in plan.ends.iter_mut().rev() {
             start += std::mem::replace(end, start);
         }
-        plan.ids.resize(found.len(), 0);
-        for (&tier, &block) in depth.iter().zip(found) {
+        plan.ids.resize(found.len(), Pick(0));
+        for (&tier, &pick) in depth.iter().zip(found) {
             let at = &mut plan.ends[usize::from(tier)];
-            plan.ids[*at] = block;
+            plan.ids[*at] = pick;
             *at += 1;
         }
         // Fill deepest first. `placed..ends[t]` are the unplaced blocks that
@@ -351,24 +392,33 @@ impl Stash {
 
     /// The earlyReshuffle plan: the `cap` smallest ids among the blocks the
     /// lone bucket `index` of `level` may hold — those whose label lies
-    /// under it — left in `plan` as its only tier ([`EvictionPlan::picks`]
-    /// of tier 0). Reads only the bins under the bucket: one bin, filtered,
-    /// at a level at or below the bin bits; every bin of its subtree,
-    /// unfiltered, above them. The picks are the ones
-    /// [`plan_eviction`](Self::plan_eviction) makes over one tier.
-    pub fn plan_bucket(&self, level: u8, index: u64, cap: usize, plan: &mut EvictionPlan) {
+    /// under it, in the stash or `held` beside it — left in `plan` as its
+    /// only tier ([`EvictionPlan::picks`] of tier 0). Reads only the bins
+    /// under the bucket: one bin, filtered, at a level at or below the bin
+    /// bits; every bin of its subtree, unfiltered, above them. A held block
+    /// counts as scanned where it would if it were on its bin. The picks are
+    /// the ones [`plan_eviction`](Self::plan_eviction) makes over one tier.
+    pub fn plan_bucket(
+        &self,
+        held: &Held,
+        level: u8,
+        index: u64,
+        cap: usize,
+        plan: &mut EvictionPlan,
+    ) {
         debug_assert!(level <= self.leaf_bits && index < 1 << level);
         telemetry::counter_add("stash.scan_passes", 1);
         plan.ids.clear();
         let bits = self.bin_bits();
+        let shift = self.leaf_bits - level;
         let mut scanned = 0;
-        if level >= bits {
-            let shift = self.leaf_bits - level;
-            let mut pos = self.heads[(index >> (level - bits)) as usize];
+        let lone_bin = (level >= bits).then(|| (index >> (level - bits)) as usize);
+        if let Some(bin) = lone_bin {
+            let mut pos = self.heads[bin];
             while pos != NIL {
                 let at = pos as usize;
                 if self.labels[at].leaf() >> shift == index {
-                    plan.ids.push(self.ids[at]);
+                    plan.ids.push(Pick::stash(self.ids[at]));
                 }
                 scanned += 1;
                 pos = self.links[at].next;
@@ -378,11 +428,20 @@ impl Stash {
             for &head in &self.heads[first..first + (1 << (bits - level))] {
                 let mut pos = head;
                 while pos != NIL {
-                    plan.ids.push(self.ids[pos as usize]);
+                    plan.ids.push(Pick::stash(self.ids[pos as usize]));
                     scanned += 1;
                     pos = self.links[pos as usize].next;
                 }
             }
+        }
+        // A held block is scanned where it would be if it were buffered: on
+        // the lone bin read, or, above the bin bits, under the bucket.
+        for (i, &label) in held.labels.iter().enumerate() {
+            let under = label.leaf() >> shift == index;
+            if under {
+                plan.ids.push(held.pick(i));
+            }
+            scanned += u64::from(lone_bin.map_or(under, |bin| self.bin(label) == bin));
         }
         telemetry::counter_add("stash.scanned_blocks", scanned);
         let take = cap.min(plan.ids.len());
@@ -453,11 +512,126 @@ impl Stash {
     }
 }
 
-/// Moves the `take` smallest ids of `window` to its front, in ascending
+/// A held id once a rebuilt bucket took the block.
+const TAKEN: BlockId = BlockId::MAX;
+
+/// The blocks a rebuild's read phase fetched off the buckets it rebuilds,
+/// held beside the stash instead of in it: ids and position-map labels
+/// index for index, plus a payload column only when the engine has a data
+/// path (without one, payloads read as zeroes). The plans take them as
+/// candidates next to the stash's own; a block no rebuilt bucket takes
+/// enters the stash at the end (`Stash::admit`), so the list is empty at
+/// every operation boundary. Kept in the engine's scratch so a rebuild
+/// allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct Held {
+    /// Block ids in read order; [`TAKEN`] once a bucket took the block.
+    ids: Vec<BlockId>,
+    labels: Vec<PathId>,
+    /// Index for index with `ids` when payloads are held, else empty.
+    data: Vec<[u8; BLOCK_BYTES]>,
+}
+
+impl Held {
+    /// Holds `block`, mapped to `label`, with its payload if the engine
+    /// keeps payloads. Either every block carries one or none does.
+    pub(crate) fn push(&mut self, block: BlockId, label: PathId, data: Option<&[u8; BLOCK_BYTES]>) {
+        debug_assert!(block < 1 << Pick::ID_BITS, "block {block} cannot be picked");
+        debug_assert!(self.ids.len() < usize::from(Pick::STASH), "too many held blocks");
+        debug_assert_eq!(self.data.len(), if data.is_some() { self.ids.len() } else { 0 });
+        self.ids.push(block);
+        self.labels.push(label);
+        if let Some(data) = data {
+            self.data.push(*data);
+        }
+    }
+
+    /// Number of blocks held (taken ones included).
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether nothing is held.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Forgets every block held after the first `len` — the blocks of a
+    /// bucket whose read failed, which stay in that bucket.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.ids.truncate(len);
+        self.labels.truncate(len);
+        self.data.truncate(len);
+    }
+
+    /// Takes held block `i` for a rebuilt bucket: returns its id and label
+    /// and marks it taken, so [`Stash::admit`] skips it.
+    pub(crate) fn take(&mut self, i: usize) -> (BlockId, PathId) {
+        let block = std::mem::replace(&mut self.ids[i], TAKEN);
+        debug_assert!(block != TAKEN, "held block {i} taken twice");
+        (block, self.labels[i])
+    }
+
+    /// Held block `i`'s payload (zeroes without a payload column).
+    pub(crate) fn payload(&self, i: usize) -> &[u8; BLOCK_BYTES] {
+        self.data.get(i).unwrap_or(&[0; BLOCK_BYTES])
+    }
+
+    /// Held block `i` as a plan candidate.
+    #[inline]
+    fn pick(&self, i: usize) -> Pick {
+        Pick((self.ids[i] << Pick::SOURCE_BITS) | i as u64)
+    }
+
+    /// Addresses and capacities of the held buffers, the payload column
+    /// last, for steady-state allocation checks.
+    #[cfg(test)]
+    pub(crate) fn buffers(&self) -> [(usize, usize); 3] {
+        use crate::buffer_of as of;
+        [of(&self.ids), of(&self.labels), of(&self.data)]
+    }
+}
+
+/// One block a plan chose: its id, and where it is — in the stash, or held
+/// block `i` beside it. Packed as `id << 16 | source` so picks order as
+/// their ids do (ids are distinct across the stash and the held list).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Pick(u64);
+
+impl Pick {
+    const SOURCE_BITS: u32 = 16;
+    /// The source of a stash block; a held block's is its index, below it.
+    const STASH: u16 = u16::MAX;
+    /// Ids fit in the rest: below 2^48, far above any tree's block count
+    /// (at most `Z' < 2^8` per bucket and `2^29` buckets).
+    const ID_BITS: u32 = 64 - Self::SOURCE_BITS;
+
+    #[inline]
+    fn stash(block: BlockId) -> Pick {
+        debug_assert!(block < 1 << Self::ID_BITS, "block {block} cannot be picked");
+        Pick((block << Self::SOURCE_BITS) | u64::from(Self::STASH))
+    }
+
+    /// The chosen block's id.
+    #[inline]
+    pub fn block(self) -> BlockId {
+        self.0 >> Self::SOURCE_BITS
+    }
+
+    /// The chosen block's index in the held list, or `None` for a stash
+    /// block.
+    #[inline]
+    pub fn held(self) -> Option<usize> {
+        let source = self.0 as u16;
+        (source != Self::STASH).then_some(usize::from(source))
+    }
+}
+
+/// Moves the `take` smallest picks of `window` to its front, in ascending
 /// order. A bucket takes a handful of blocks, so this keeps the best `take`
 /// seen so far sorted in place and tests every other id against the largest
 /// of them — one comparison for all but a few — instead of partitioning.
-fn smallest_to_front(window: &mut [BlockId], take: usize) {
+fn smallest_to_front(window: &mut [Pick], take: usize) {
     let (best, rest) = window.split_at_mut(take);
     let Some(last) = take.checked_sub(1) else { return };
     best.sort_unstable();
@@ -479,16 +653,16 @@ fn smallest_to_front(window: &mut [BlockId], take: usize) {
 /// nothing.
 #[derive(Debug, Clone, Default)]
 pub struct EvictionPlan {
-    /// The ids some rebuilt bucket may hold, in dense-position order (an
-    /// evictPath's plan only).
-    found: Vec<BlockId>,
+    /// The blocks some rebuilt bucket may hold, stash blocks in
+    /// dense-position order, then held ones (an evictPath's plan only).
+    found: Vec<Pick>,
     /// `found`'s deepest tiers, index for index.
     depth: Vec<u8>,
     /// Per tier: one past the last id in `ids` that may live there.
     ends: Vec<usize>,
     /// `found` grouped by tier (a lone bucket's candidates); after planning,
     /// the picks of every tier back to back from the front.
-    ids: Vec<BlockId>,
+    ids: Vec<Pick>,
     /// Per tier: one past its last pick in `ids` (its picks start where the
     /// next deeper tier's end).
     pick_ends: Vec<usize>,
@@ -496,7 +670,7 @@ pub struct EvictionPlan {
 
 impl EvictionPlan {
     /// The blocks chosen for `tier`, in ascending id order.
-    pub fn picks(&self, tier: usize) -> &[BlockId] {
+    pub fn picks(&self, tier: usize) -> &[Pick] {
         let start = self.pick_ends.get(tier + 1).copied().unwrap_or(0);
         &self.ids[start..self.pick_ends[tier]]
     }
@@ -526,6 +700,18 @@ mod tests {
 
     fn payload(id: BlockId) -> [u8; BLOCK_BYTES] {
         [id as u8; BLOCK_BYTES]
+    }
+
+    fn ids(picks: &[Pick]) -> Vec<BlockId> {
+        picks.iter().map(|p| p.block()).collect()
+    }
+
+    /// The `stash.scanned_blocks` that `f` adds.
+    fn scanned(f: impl FnOnce()) -> u64 {
+        let (collector, _) = telemetry::Collector::to_shared_buffer();
+        telemetry::install(collector);
+        f();
+        telemetry::uninstall().unwrap().registry().counter("stash.scanned_blocks")
     }
 
     #[test]
@@ -600,15 +786,43 @@ mod tests {
         for (id, leaf) in [(5, 1), (2, 1), (9, 3), (4, 1)] {
             s.insert(id, l(leaf), &payload(id));
         }
-        let mut plan = EvictionPlan::default();
+        let (mut plan, none) = (EvictionPlan::default(), Held::default());
         let leaf_level = LEVELS - 1;
-        s.plan_bucket(leaf_level, 1, 2, &mut plan);
-        assert_eq!(plan.picks(0), [2, 4]);
-        s.plan_bucket(leaf_level, 1, 8, &mut plan);
-        assert_eq!(plan.picks(0), [2, 4, 5], "filtered and sorted");
-        s.plan_bucket(0, 0, 8, &mut plan);
-        assert_eq!(plan.picks(0), [2, 4, 5, 9], "the root reads every bin");
+        s.plan_bucket(&none, leaf_level, 1, 2, &mut plan);
+        assert_eq!(ids(plan.picks(0)), [2, 4]);
+        s.plan_bucket(&none, leaf_level, 1, 8, &mut plan);
+        assert_eq!(ids(plan.picks(0)), [2, 4, 5], "filtered and sorted");
+        s.plan_bucket(&none, 0, 0, 8, &mut plan);
+        assert_eq!(ids(plan.picks(0)), [2, 4, 5, 9], "the root reads every bin");
         assert_eq!(s.len(), 4, "planning removes nothing");
+    }
+
+    #[test]
+    fn held_blocks_count_toward_the_peak_and_only_untaken_ones_are_admitted() {
+        let mut s = Stash::new(4, LEVELS, true);
+        s.insert(1, l(0), &payload(1));
+        let mut held = Held::default();
+        for id in [7, 3, 5] {
+            held.push(id, l(id * 100), Some(&payload(id)));
+        }
+        s.note_held(&held);
+        assert_eq!((s.len(), s.peak()), (1, 4), "held blocks are in flight");
+
+        let mut plan = EvictionPlan::default();
+        s.plan_bucket(&held, 0, 0, 2, &mut plan);
+        let picks = plan.picks(0).to_vec();
+        assert_eq!(ids(&picks), [1, 3]);
+        assert_eq!((picks[0].held(), picks[1].held()), (None, Some(1)), "held 3 is index 1");
+        assert_eq!(held.take(1), (3, l(300)));
+        assert_eq!(held.payload(1), &payload(3));
+
+        s.admit(&mut held);
+        assert!(held.is_empty());
+        let order: Vec<BlockId> = s.iter().map(|e| e.block).collect();
+        assert_eq!(order, [1, 7, 5], "untaken blocks enter in read order");
+        assert_eq!(s.get(5, l(500)).unwrap().data, payload(5), "with their payloads");
+        assert_eq!(s.peak(), 4);
+        s.validate().unwrap();
     }
 
     /// What the engines did before the plan existed: per tier, deepest
@@ -669,14 +883,14 @@ mod tests {
                 }
             }
             stash.validate().map_err(TestCaseError::fail)?;
-            let mut plan = EvictionPlan::default();
+            let (mut plan, none) = (EvictionPlan::default(), Held::default());
 
             // evictPath: one tier per level of the path.
             let deepest = |label| Some(usize::from(geo.common_prefix_levels(label, path)) - 1);
-            stash.plan_eviction(levels, |t| caps[t], deepest, &mut plan);
+            stash.plan_eviction(&none, levels, |t| caps[t], deepest, &mut plan);
             let want = per_level_scan(reference.clone(), caps, deepest);
             for (t, want) in want.iter().enumerate() {
-                prop_assert_eq!(plan.picks(t), &want[..], "level {} of {}", t, levels);
+                prop_assert_eq!(&ids(plan.picks(t)), want, "level {} of {}", t, levels);
             }
 
             // earlyReshuffle: the lone bucket at each level of the path, with
@@ -684,11 +898,82 @@ mod tests {
             for level in 0..levels {
                 let bucket = geo.bucket_on_path(path, Level(level as u8));
                 let on_path = |label| geo.bucket_is_on_path(bucket, label).then_some(0);
-                stash.plan_bucket(level as u8, bucket.index_in_level(), caps[level], &mut plan);
+                let index = bucket.index_in_level();
+                stash.plan_bucket(&none, level as u8, index, caps[level], &mut plan);
                 let want = per_level_scan(reference.clone(), &caps[level..=level], on_path);
-                prop_assert_eq!(plan.picks(0), &want[0][..], "bucket at level {}", level);
+                prop_assert_eq!(&ids(plan.picks(0)), &want[0], "bucket at level {}", level);
             }
             prop_assert_eq!(stash.len(), reference.len());
+        }
+
+        /// Planning over the stash and a held list picks what planning over
+        /// a stash the held blocks were admitted to picks, and scans as many
+        /// blocks: for an evictPath's plan and a lone bucket's at every level
+        /// of the path, with held lists that are empty (Path ORAM's call),
+        /// partial or everything.
+        #[test]
+        fn held_candidates_plan_as_if_admitted(
+            levels in 2usize..=16,
+            // 0: no held blocks, 1: about half held, 2: every block held.
+            held_share in 0u8..3,
+            raw_blocks in proptest::collection::vec((0u64..2_000, any::<u64>(), 0u8..3), 0..300),
+            raw_path in any::<u64>(),
+            all_caps in proptest::collection::vec(0usize..=6, 16),
+        ) {
+            let geo = TreeGeometry::uniform(levels as u8, LevelConfig::new(2, 1)).unwrap();
+            let leaves = geo.leaf_count();
+            let (path, caps) = (PathId::new(raw_path % leaves), &all_caps[..levels]);
+            let mut stash = Stash::new(300, levels as u8, false);
+            let mut held = Held::default();
+            let mut seen = std::collections::HashSet::new();
+            for &(id, raw_leaf, kind) in &raw_blocks {
+                if !seen.insert(id) {
+                    continue;
+                }
+                // Spread over the tree, near the path, or on it: held blocks
+                // come off the rebuilt buckets, so they cluster there.
+                let leaf = match kind {
+                    0 => raw_leaf % leaves,
+                    1 => (path.leaf() ^ (raw_leaf % 8)) % leaves,
+                    _ => path.leaf(),
+                };
+                if held_share == 2 || held_share == 1 && raw_leaf % 2 == 0 {
+                    held.push(id, l(leaf), None);
+                } else {
+                    stash.insert(id, l(leaf), &payload(id));
+                }
+            }
+            let mut admitted = stash.clone();
+            admitted.admit(&mut held.clone());
+            let none = Held::default();
+            let (mut plan, mut want) = (EvictionPlan::default(), EvictionPlan::default());
+            // Every pick names the block where it is.
+            let sourced = |picks: &[Pick]| {
+                picks.iter().all(|p| match p.held() {
+                    Some(i) => held.ids[i] == p.block(),
+                    None => stash.ids.contains(&p.block()),
+                })
+            };
+
+            let deepest = |label| Some(usize::from(geo.common_prefix_levels(label, path)) - 1);
+            let got = scanned(|| stash.plan_eviction(&held, levels, |t| caps[t], deepest, &mut plan));
+            let wanted =
+                scanned(|| admitted.plan_eviction(&none, levels, |t| caps[t], deepest, &mut want));
+            prop_assert_eq!(got, wanted, "evictPath scanned blocks");
+            for t in 0..levels {
+                prop_assert_eq!(ids(plan.picks(t)), ids(want.picks(t)), "level {} of {}", t, levels);
+                prop_assert!(sourced(plan.picks(t)), "level {} of {}", t, levels);
+            }
+
+            for (level, &cap) in caps.iter().enumerate() {
+                let index = geo.bucket_on_path(path, Level(level as u8)).index_in_level();
+                let got = scanned(|| stash.plan_bucket(&held, level as u8, index, cap, &mut plan));
+                let wanted =
+                    scanned(|| admitted.plan_bucket(&none, level as u8, index, cap, &mut want));
+                prop_assert_eq!(got, wanted, "bucket at level {} scanned blocks", level);
+                prop_assert_eq!(ids(plan.picks(0)), ids(want.picks(0)), "bucket at level {}", level);
+                prop_assert!(sourced(plan.picks(0)), "bucket at level {}", level);
+            }
         }
 
         /// Inserts, payload updates, removals and relabels (which move blocks
