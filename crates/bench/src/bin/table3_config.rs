@@ -4,7 +4,7 @@
 //! and how each maps to the paper's Table III.
 
 use aboram_bench::{emit, Experiment};
-use aboram_core::Scheme;
+use aboram_core::{Scheme, DEADQ_LEVELS, EVICT_RATE_A};
 use aboram_dram::DramConfig;
 
 fn main() {
@@ -33,8 +33,8 @@ fn main() {
         cfg.stash_capacity,
         cfg.treetop_levels,
         cfg.levels,
-        cfg.evict_rate_a,
-        cfg.deadq_levels,
+        EVICT_RATE_A,
+        DEADQ_LEVELS,
         cfg.deadq_capacity,
     );
     emit("table3_config.md", &out);

@@ -31,7 +31,7 @@
 use crate::config::OramConfig;
 use crate::controller::AccessController;
 use crate::error::OramError;
-use crate::ring::{AccessKind, PayloadMutator, RingOram};
+use crate::ring::{PayloadMutator, RingOram};
 use crate::sink::{CountingSink, StagedBatch, Stager};
 use crate::{BlockId, BLOCK_BYTES};
 use aboram_dram::{DramConfig, MemorySystem};
@@ -55,21 +55,9 @@ pub struct BackendReply {
 /// `start`. Implementations must be deterministic: identical call
 /// sequences produce identical replies and identical engine state.
 pub trait StorageBackend {
-    /// One user access (read, or write with `new_data`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine protocol errors.
-    fn access(
-        &mut self,
-        start: u64,
-        kind: AccessKind,
-        block: BlockId,
-        new_data: Option<[u8; BLOCK_BYTES]>,
-    ) -> Result<BackendReply, OramError>;
-
-    /// One managed access: caller-chosen remap target plus an in-stash
-    /// read-modify-write of the payload (see [`RingOram::access_managed`]).
+    /// One user access, managed: caller-chosen remap target plus an in-stash
+    /// read-modify-write of the payload (see [`RingOram::access_managed`]). A
+    /// write is an overwrite `mutate`, a read one that changes nothing.
     ///
     /// # Errors
     ///
@@ -310,16 +298,6 @@ impl TimedBackend {
 }
 
 impl StorageBackend for TimedBackend {
-    fn access(
-        &mut self,
-        start: u64,
-        kind: AccessKind,
-        block: BlockId,
-        new_data: Option<[u8; BLOCK_BYTES]>,
-    ) -> Result<BackendReply, OramError> {
-        self.timed(start, |oram, sink| oram.access(kind, block, new_data, sink))
-    }
-
     fn access_managed(
         &mut self,
         start: u64,
@@ -408,19 +386,6 @@ impl UntimedBackend {
 }
 
 impl StorageBackend for UntimedBackend {
-    fn access(
-        &mut self,
-        start: u64,
-        kind: AccessKind,
-        block: BlockId,
-        new_data: Option<[u8; BLOCK_BYTES]>,
-    ) -> Result<BackendReply, OramError> {
-        let at = start.max(self.free_at);
-        let (online0, total0) = (self.sink.online_total(), self.sink.grand_total());
-        let data = self.oram.access(kind, block, new_data, &mut self.sink)?;
-        Ok(self.finish(at, online0, total0, data))
-    }
-
     fn access_managed(
         &mut self,
         start: u64,
@@ -459,6 +424,7 @@ mod tests {
     use super::*;
     use crate::config::Scheme;
     use crate::fault::{FaultConfig, FaultInjectingSink, FaultKind, FaultPlan, FaultSite};
+    use crate::ring::AccessKind;
     use crate::sink::{MemorySink, OramOp};
     use aboram_tree::SlotAddr;
 
@@ -472,9 +438,9 @@ mod tests {
         let mut untimed = UntimedBackend::new(&cfg()).unwrap();
         let payload = [0x5A; BLOCK_BYTES];
         for backend in [&mut timed as &mut dyn StorageBackend, &mut untimed] {
-            let w = backend.access(0, AccessKind::Write, 3, Some(payload)).unwrap();
+            let w = backend.access_managed(0, 3, None, &mut |p| *p = payload).unwrap();
             assert!(w.done > 0);
-            let r = backend.access(w.done, AccessKind::Read, 3, None).unwrap();
+            let r = backend.access_managed(w.done, 3, None, &mut |_| {}).unwrap();
             assert_eq!(r.data, Some(payload));
             assert!(r.done > w.done, "the second access completes after the first");
         }
@@ -486,13 +452,13 @@ mod tests {
     #[test]
     fn managed_access_mutates_in_one_access() {
         let mut backend = UntimedBackend::new(&cfg()).unwrap();
-        backend.access(0, AccessKind::Write, 7, Some([1; BLOCK_BYTES])).unwrap();
+        backend.access_managed(0, 7, None, &mut |p| *p = [1; BLOCK_BYTES]).unwrap();
         let accesses0 = backend.engine().stats().user_accesses;
         let reply = backend.access_managed(0, 7, Some(PathId::new(0)), &mut |d| d[0] = 99).unwrap();
         assert_eq!(reply.data.unwrap()[0], 1, "managed access returns the pre-mutate payload");
         assert_eq!(backend.engine().stats().user_accesses, accesses0 + 1, "one access total");
         assert_eq!(backend.engine().position_of(7).unwrap(), PathId::new(0), "forced remap");
-        let read = backend.access(backend.free_at(), AccessKind::Read, 7, None).unwrap();
+        let read = backend.access_managed(backend.free_at(), 7, None, &mut |_| {}).unwrap();
         assert_eq!(read.data.unwrap()[0], 99, "mutation persisted");
     }
 
@@ -502,17 +468,17 @@ mod tests {
             let mut b = TimedBackend::new(&cfg(), DramConfig::default()).unwrap();
             b.set_pipeline_depth(depth);
             let payload = [0x7E; BLOCK_BYTES];
-            b.access(0, AccessKind::Write, 3, Some(payload)).unwrap();
+            b.access_managed(0, 3, None, &mut |p| *p = payload).unwrap();
             // A burst of back-to-back arrivals: queueing dominates.
             let mut sum = 0u64;
             let mut last = 0u64;
             for i in 0..24u64 {
-                let r = b.access(i, AccessKind::Read, i % 8, None).unwrap();
+                let r = b.access_managed(i, i % 8, None, &mut |_| {}).unwrap();
                 sum += r.done - i;
                 last = last.max(r.done);
             }
             assert_eq!(
-                b.access(last, AccessKind::Read, 3, None).unwrap().data,
+                b.access_managed(last, 3, None, &mut |_| {}).unwrap().data,
                 Some(payload),
                 "depth {depth}: data survives pipelining"
             );
@@ -554,9 +520,9 @@ mod tests {
                     let (block, payload) = (i % 23, [i as u8; BLOCK_BYTES]);
                     let reply = match i % 4 {
                         0 => {
-                            oram.access(AccessKind::Write, block, Some(payload), &mut stager)
+                            oram.access_managed(block, None, &mut |p| *p = payload, &mut stager)
                                 .unwrap();
-                            backend.access(arrival, AccessKind::Write, block, Some(payload))
+                            backend.access_managed(arrival, block, None, &mut |p| *p = payload)
                         }
                         1 => {
                             oram.dummy_access(&mut stager).unwrap();
@@ -568,8 +534,8 @@ mod tests {
                             backend.access_managed(arrival, block, None, &mut |d| d[0] ^= 1)
                         }
                         _ => {
-                            oram.access(AccessKind::Read, block, None, &mut stager).unwrap();
-                            backend.access(arrival, AccessKind::Read, block, None)
+                            oram.access_managed(block, None, &mut |_| {}, &mut stager).unwrap();
+                            backend.access_managed(arrival, block, None, &mut |_| {})
                         }
                     }
                     .unwrap();
@@ -597,9 +563,11 @@ mod tests {
             for i in 0..2_000u64 {
                 let before = b.ctl().requests_issued();
                 match i % 3 {
-                    0 => b.access(i * 50, AccessKind::Write, i % 23, Some([i as u8; BLOCK_BYTES])),
+                    0 => {
+                        b.access_managed(i * 50, i % 23, None, &mut |p| *p = [i as u8; BLOCK_BYTES])
+                    }
                     1 => b.dummy_access(i * 50),
-                    _ => b.access(i * 50, AccessKind::Read, i % 23, None),
+                    _ => b.access_managed(i * 50, i % 23, None, &mut |_| {}),
                 }
                 .unwrap();
                 largest = largest.max(b.ctl().requests_issued() - before);
@@ -682,7 +650,7 @@ mod tests {
             assert!(b.ctl().is_idle(), "depth {depth}: the controller is at rest");
             assert!(b.stager.is_idle(), "depth {depth}: nothing of the failed access is staged");
             let issued = b.ctl().requests_issued();
-            b.access(b.free_at(), AccessKind::Read, 3, None).expect("the next access completes");
+            b.access_managed(b.free_at(), 3, None, &mut |_| {}).expect("the next access completes");
             let mut own = CountingSink::new();
             reference.access(AccessKind::Read, 3, None, &mut own).unwrap();
             assert_eq!(b.ctl().requests_issued() - issued, own.grand_total(), "depth {depth}");
@@ -692,10 +660,10 @@ mod tests {
     #[test]
     fn controller_serializes_early_arrivals() {
         let mut backend = UntimedBackend::new(&cfg()).unwrap();
-        backend.access(0, AccessKind::Read, 1, None).unwrap();
+        backend.access_managed(0, 1, None, &mut |_| {}).unwrap();
         let busy_until = backend.free_at();
         // Arrives while the controller is busy: starts at free_at, not 1.
-        let b = backend.access(1, AccessKind::Read, 2, None).unwrap();
+        let b = backend.access_managed(1, 2, None, &mut |_| {}).unwrap();
         assert!(busy_until > 1 && b.done > busy_until);
     }
 }

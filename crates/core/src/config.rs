@@ -1,7 +1,7 @@
 //! ORAM configuration: schemes, paper presets, geometry construction.
 
 use crate::error::OramError;
-use aboram_tree::{Level, LevelConfig, TreeGeometry};
+use aboram_tree::{LevelConfig, TreeGeometry};
 use std::fmt;
 
 /// Baseline Ring ORAM bucket parameters used throughout the paper:
@@ -12,6 +12,13 @@ const CB_S: u8 = 3;
 const CB_Y: u8 = 4;
 /// DR's physical reduction `r` (§V-C1 identifies `r = 2` for this setting).
 const DR_EXTENSION: u8 = 2;
+
+/// `A`: one evictPath per `A` online accesses (Table III: 5).
+pub const EVICT_RATE_A: u8 = 5;
+/// Number of bottom levels with a DeadQ (§VIII-H: 6).
+pub const DEADQ_LEVELS: u8 = 6;
+/// Stale buckets refreshed per access while a growth backlog is pending.
+pub const RELOCS_PER_ACCESS: u8 = 4;
 
 /// Which protocol/optimization stack to run (§VII's evaluated schemes, plus
 /// the configurations the motivation and exploration figures sweep).
@@ -144,7 +151,7 @@ impl fmt::Display for Scheme {
 /// Auto-scaling parameters. When set on an [`OramConfig`], the engine may
 /// add tree levels lazily as the protected block population grows, up to
 /// `max_levels`. Growth never blocks an access: the per-bucket metadata
-/// refresh is drained incrementally, `relocs_per_access` buckets per
+/// refresh is drained incrementally, [`RELOCS_PER_ACCESS`] buckets per
 /// access (see the `growth` module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GrowthConfig {
@@ -155,15 +162,12 @@ pub struct GrowthConfig {
     /// which an insert triggers a grow. Paper-shaped default: 100 — grow
     /// only when the tree is full.
     pub util_pct: u8,
-    /// Stale buckets refreshed per access while a backlog is pending.
-    pub relocs_per_access: u8,
 }
 
 impl GrowthConfig {
-    /// Growth up to `max_levels` with the defaults: grow at 100%
-    /// utilization, refresh 4 buckets per access.
+    /// Growth up to `max_levels`, growing at 100% utilization.
     pub fn up_to(max_levels: u8) -> Self {
-        GrowthConfig { max_levels, util_pct: 100, relocs_per_access: 4 }
+        GrowthConfig { max_levels, util_pct: 100 }
     }
 }
 
@@ -174,8 +178,6 @@ pub struct OramConfig {
     pub levels: u8,
     /// Protocol/optimization stack.
     pub scheme: Scheme,
-    /// `A`: one evictPath per `A` online accesses (paper: 5).
-    pub evict_rate_a: u8,
     /// Levels (from the root) held in the on-chip treetop cache
     /// (Table III, following IR-ORAM: top 10 of 24).
     pub treetop_levels: u8,
@@ -185,8 +187,6 @@ pub struct OramConfig {
     pub bg_evict_threshold: usize,
     /// DeadQ entries per tracked level (§V-B2: 1000).
     pub deadq_capacity: usize,
-    /// Number of bottom levels with a DeadQ (§VIII-H: 6).
-    pub deadq_levels: u8,
     /// Whether to store and encrypt actual block contents (exercises the
     /// full data path; costs memory proportional to the tree).
     pub store_data: bool,
@@ -209,12 +209,10 @@ impl OramConfig {
             cfg: OramConfig {
                 levels,
                 scheme,
-                evict_rate_a: 5,
                 treetop_levels: levels.saturating_sub(14).max(1),
                 stash_capacity: 300,
                 bg_evict_threshold: 225,
                 deadq_capacity: 1000,
-                deadq_levels: 6,
                 store_data: false,
                 track_lifetimes: false,
                 seed: 0xAB0A_2023,
@@ -307,11 +305,6 @@ impl OramConfig {
     pub fn real_block_count(&self) -> u64 {
         ((1u64 << self.levels) - 1) * u64::from(Z_REAL) / 2
     }
-
-    /// First tree level with a DeadQ (bottom `deadq_levels` levels only).
-    pub fn first_deadq_level(&self) -> Level {
-        Level(self.levels.saturating_sub(self.deadq_levels))
-    }
 }
 
 /// Builder for [`OramConfig`] (see [`OramConfig::builder`]).
@@ -321,12 +314,6 @@ pub struct OramConfigBuilder {
 }
 
 impl OramConfigBuilder {
-    /// Sets the evictPath rate `A`.
-    pub fn evict_rate(mut self, a: u8) -> Self {
-        self.cfg.evict_rate_a = a;
-        self
-    }
-
     /// Sets how many top levels the treetop cache holds on chip.
     pub fn treetop_levels(mut self, n: u8) -> Self {
         self.cfg.treetop_levels = n;
@@ -343,12 +330,6 @@ impl OramConfigBuilder {
     /// Sets DeadQ capacity per level.
     pub fn deadq_capacity(mut self, entries: usize) -> Self {
         self.cfg.deadq_capacity = entries;
-        self
-    }
-
-    /// Sets how many bottom levels keep DeadQ queues.
-    pub fn deadq_levels(mut self, levels: u8) -> Self {
-        self.cfg.deadq_levels = levels;
         self
     }
 
@@ -399,12 +380,6 @@ impl OramConfigBuilder {
                 ),
             });
         }
-        if c.evict_rate_a == 0 {
-            return Err(OramError::BadParameter {
-                name: "evict_rate_a",
-                reason: "A must be at least 1".to_string(),
-            });
-        }
         if c.bg_evict_threshold >= c.stash_capacity {
             return Err(OramError::BadParameter {
                 name: "bg_evict_threshold",
@@ -432,12 +407,6 @@ impl OramConfigBuilder {
                     reason: format!("utilization trigger must be 1..=100, got {}", g.util_pct),
                 });
             }
-            if g.relocs_per_access == 0 {
-                return Err(OramError::BadParameter {
-                    name: "growth.relocs_per_access",
-                    reason: "must refresh at least 1 bucket per access".to_string(),
-                });
-            }
         }
         // Force geometry construction so invalid schemes fail here.
         self.cfg.geometry()?;
@@ -448,6 +417,7 @@ impl OramConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aboram_tree::Level;
 
     #[test]
     fn paper_presets_build() {
@@ -514,7 +484,6 @@ mod tests {
     fn builder_validation() {
         assert!(OramConfig::builder(4, Scheme::Baseline).build().is_err());
         assert!(OramConfig::builder(12, Scheme::Baseline).treetop_levels(12).build().is_err());
-        assert!(OramConfig::builder(12, Scheme::Baseline).evict_rate(0).build().is_err());
         assert!(OramConfig::builder(12, Scheme::Baseline).stash(100, 100).build().is_err());
         assert!(OramConfig::builder(12, Scheme::Baseline).stash(100, 75).build().is_ok());
     }
@@ -528,16 +497,9 @@ mod tests {
         let huge = OramConfig::builder(8, Scheme::Ab).growth(GrowthConfig::up_to(64)).build();
         assert!(matches!(huge, Err(OramError::BadParameter { name: "growth.max_levels", .. })));
         let util = OramConfig::builder(8, Scheme::Ab)
-            .growth(GrowthConfig { max_levels: 12, util_pct: 0, relocs_per_access: 4 })
+            .growth(GrowthConfig { max_levels: 12, util_pct: 0 })
             .build();
         assert!(matches!(util, Err(OramError::BadParameter { name: "growth.util_pct", .. })));
-        let relocs = OramConfig::builder(8, Scheme::Ab)
-            .growth(GrowthConfig { max_levels: 12, util_pct: 100, relocs_per_access: 0 })
-            .build();
-        assert!(matches!(
-            relocs,
-            Err(OramError::BadParameter { name: "growth.relocs_per_access", .. })
-        ));
     }
 
     /// The parameter a geometry is refused for, if the bucket record
@@ -645,14 +607,16 @@ mod tests {
 
     #[test]
     fn deadq_level_boundary() {
-        let cfg = OramConfig::paper_scale(Scheme::Ab).build().unwrap();
-        assert_eq!(cfg.first_deadq_level(), Level(18));
+        // The paper's 24-level tree keeps DeadQs on levels 18..=23.
+        let queues = crate::deadq::DeadQueues::new(24, DEADQ_LEVELS, 1000);
+        assert!(queues.tracks(Level(18)) && !queues.tracks(Level(17)));
     }
 }
 
 #[cfg(test)]
 mod drplus_tests {
     use super::*;
+    use aboram_tree::Level;
 
     #[test]
     fn drplus_keeps_baseline_space_and_extends() {

@@ -28,7 +28,7 @@ use crate::BlockId;
 /// Derives the deterministic leaf-extension bit for `block` when a tree
 /// grows from `old_levels` to `old_levels + 1` levels (splitmix64-style
 /// mix of the seed, the epoch's level count and the block id).
-pub fn growth_bit(seed: u64, old_levels: u8, block: BlockId) -> u64 {
+fn growth_bit(seed: u64, old_levels: u8, block: BlockId) -> u64 {
     let mut z = seed
         .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(old_levels)))
         .wrapping_add(0xBF58_476D_1CE4_E5B9u64.wrapping_mul(block.wrapping_add(1)));
@@ -40,7 +40,7 @@ pub fn growth_bit(seed: u64, old_levels: u8, block: BlockId) -> u64 {
 
 /// Extends a leaf label recorded when the tree had `from_levels` levels to
 /// the leaf space of `to_levels` levels by replaying every epoch's
-/// [`growth_bit`]. Identity when `from_levels == to_levels`.
+/// `growth_bit`. Identity when `from_levels == to_levels`.
 pub fn extend_label(label: u64, from_levels: u8, to_levels: u8, seed: u64, block: BlockId) -> u64 {
     debug_assert!(from_levels <= to_levels);
     let mut leaf = label;

@@ -2,8 +2,6 @@
 //!
 //! This crate implements, from scratch:
 //!
-//! * **Path ORAM** ([`PathOram`]) — the substrate protocol (§III-A), used as
-//!   the IR-ORAM reference point;
 //! * **Ring ORAM** ([`RingOram`]) — readPath / evictPath / earlyReshuffle
 //!   with the Table I bucket metadata (§III-B);
 //! * **Bucket Compaction (CB)** — green blocks, overlap `Y`, and
@@ -52,7 +50,6 @@ mod fault;
 mod growth;
 mod integrity;
 mod metadata;
-mod path_oram;
 mod posmap;
 mod recursion;
 mod ring;
@@ -66,25 +63,25 @@ pub use backend::{
     BackendReply, ReleaseHalf, StorageBackend, TimedBackend, UntimedBackend,
     UNTIMED_CYCLES_PER_TRANSFER,
 };
-pub use config::{GrowthConfig, IssueMode, OramConfig, OramConfigBuilder, Scheme};
+pub use config::{
+    GrowthConfig, IssueMode, OramConfig, OramConfigBuilder, Scheme, DEADQ_LEVELS, EVICT_RATE_A,
+    RELOCS_PER_ACCESS,
+};
 pub use deadq::{DeadQueues, DeadSlot};
 pub use driver::{BreakdownReport, SimulationReport, TimingDriver};
 pub use error::OramError;
 pub use fault::{
     ChannelStall, FaultConfig, FaultInjectingSink, FaultKind, FaultPlan, FaultSite, InjectedFaults,
-    BACKOFF_BASE_CYCLES, MAX_FAULT_RETRIES, REDUNDANT_REFETCHES,
 };
-pub use growth::{extend_label, growth_bit, DynamicTree};
+pub use growth::{extend_label, DynamicTree};
 pub use integrity::IntegrityVerifier;
-pub use metadata::{BucketMeta, MetadataLayout, MetadataStore, RealEntry, SlotStatus};
-pub use path_oram::PathOram;
+pub use metadata::{BucketMeta, MetadataLayout, RealEntry, SlotStatus};
 pub use posmap::PositionMap;
 pub use recursion::{PlbConfig, PosMapHierarchy};
 pub use ring::{AccessKind, PayloadMutator, RingOram};
 pub use security::{attack_success_rate, SecurityReport};
 pub use segvec::SegmentedVector;
 pub use sink::{CountingSink, MemorySink, OramOp, StagedBatch, Stager};
-pub use stash::{EvictionPlan, Held, Pick, Stash, StashBlock};
 pub use stats::OramStats;
 
 // Re-exported so downstream code can name the recovery counters and health

@@ -561,16 +561,6 @@ impl MetadataStore {
             meta.borrowed_slot(logical - own)
         }
     }
-
-    /// Total buckets tracked.
-    pub fn len(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Whether the store is empty (never true for a valid geometry).
-    pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
-    }
 }
 
 /// Closed-form bit widths of the Table I metadata fields.
@@ -930,7 +920,7 @@ mod tests {
     fn store_resolves_borrowed_slots() {
         let geo = TreeGeometry::uniform(4, LevelConfig::new(2, 1)).unwrap();
         let mut store = MetadataStore::new(&geo);
-        assert_eq!(store.len(), 15);
+        assert_eq!(store.buckets.len(), 15);
         let b = BucketId::from_level_index(Level(3), 2);
         let foreign = SlotId::new(BucketId::from_level_index(Level(3), 5), 1);
         {

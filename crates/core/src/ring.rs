@@ -37,7 +37,7 @@
 //! bucket's slot status at dequeue time (the status query the paper folds
 //! into the metadata access, §VI-A); stale entries are discarded.
 
-use crate::config::OramConfig;
+use crate::config::{OramConfig, DEADQ_LEVELS, EVICT_RATE_A, RELOCS_PER_ACCESS};
 use crate::deadq::DeadQueues;
 use crate::error::OramError;
 use crate::fault::{FaultSite, BACKOFF_BASE_CYCLES, MAX_FAULT_RETRIES, REDUNDANT_REFETCHES};
@@ -289,7 +289,7 @@ impl RingOram {
         let posmap = PositionMap::new_random(blocks, geo.leaf_count(), &mut rng);
         let mut meta = MetadataStore::new(&geo);
         let stash = Stash::new(cfg.stash_capacity, cfg.levels, cfg.store_data);
-        let deadqs = DeadQueues::new(cfg.levels, cfg.deadq_levels, cfg.deadq_capacity);
+        let deadqs = DeadQueues::new(cfg.levels, DEADQ_LEVELS, cfg.deadq_capacity);
         let remote_enabled = cfg.scheme.uses_remote_allocation();
 
         // Initialize every bucket to its freshly-reshuffled state.
@@ -466,41 +466,17 @@ impl RingOram {
         new_data: Option<[u8; BLOCK_BYTES]>,
         sink: &mut impl MemorySink,
     ) -> Result<Option<[u8; BLOCK_BYTES]>, OramError> {
-        if block >= self.posmap.len() {
-            return Err(OramError::BlockOutOfRange { block, count: self.posmap.len() });
-        }
         debug_assert!(
             kind == AccessKind::Write || new_data.is_none(),
             "new_data is only meaningful for writes"
         );
-        // Stall-and-drain: a controller holds new requests while the stash
-        // sits above its threshold, so one access never bursts past the
-        // hard capacity.
-        let recovery_before = self.stats.recovery;
-        self.background_evict(sink)?;
-        self.stats.user_accesses += 1;
-        let data = self.read_path(Some(block), new_data, OramOp::ReadPath, sink)?;
-        self.background_evict(sink)?;
-        // Ladder rung 3: an escalated path eviction requested mid-operation
-        // runs here, at the access boundary, where a full evictPath is
-        // protocol-safe.
-        if self.pending_escalation {
-            self.pending_escalation = false;
-            self.escalate_evictions(sink)?;
-        }
-        self.drain_growth_backlog(sink)?;
-        if self.stats.recovery != recovery_before {
-            self.stats.recovery.degraded_accesses += 1;
-        }
-        // The stash roots the digest chain: every access folds the
-        // per-level digests into the root exactly once.
-        if let Some(v) = &mut self.integrity {
-            v.fold_root();
-        }
-        let occupancy = self.stash.len();
-        self.stats.sample_stash(occupancy);
-        telemetry::gauge("stash.occupancy", occupancy as f64);
-        Ok(data)
+        // A write is an overwrite of the fetched contents.
+        let mut overwrite = |p: &mut [u8; BLOCK_BYTES]| {
+            if let Some(d) = new_data {
+                *p = d;
+            }
+        };
+        self.user_access(block, None, &mut overwrite, sink).map(Some)
     }
 
     /// Performs one dummy access: a readPath on a uniformly random path
@@ -512,8 +488,10 @@ impl RingOram {
     ///
     /// Propagates protocol errors.
     pub fn dummy_access(&mut self, sink: &mut impl MemorySink) -> Result<(), OramError> {
+        // Its own epilogue, not `user_access`'s: a dummy takes no stash
+        // sample, so the occupancy percentiles describe user accesses only.
         self.stats.user_accesses += 1;
-        self.read_path(None, None, OramOp::ReadPath, sink)?;
+        self.read_path(None, None, None, OramOp::ReadPath, sink)?;
         self.background_evict(sink)?;
         if self.pending_escalation {
             self.pending_escalation = false;
@@ -574,44 +552,20 @@ impl RingOram {
         if self.data.is_none() {
             return Err(OramError::DataPathDisabled);
         }
-        if block >= self.posmap.len() {
-            return Err(OramError::BlockOutOfRange { block, count: self.posmap.len() });
-        }
-        if let Some(p) = new_position {
-            assert!(p.leaf() < self.geo.leaf_count(), "managed remap label out of range");
-        }
-        let recovery_before = self.stats.recovery;
-        self.background_evict(sink)?;
-        self.stats.user_accesses += 1;
-        let data = self.read_path_ext(
-            Some(block),
-            None,
-            new_position,
-            Some(mutate),
-            OramOp::ReadPath,
-            sink,
-        )?;
-        self.background_evict(sink)?;
-        if self.pending_escalation {
-            self.pending_escalation = false;
-            self.escalate_evictions(sink)?;
-        }
-        self.drain_growth_backlog(sink)?;
-        if self.stats.recovery != recovery_before {
-            self.stats.recovery.degraded_accesses += 1;
-        }
-        if let Some(v) = &mut self.integrity {
-            v.fold_root();
-        }
-        let occupancy = self.stash.len();
-        self.stats.sample_stash(occupancy);
-        telemetry::gauge("stash.occupancy", occupancy as f64);
-        data.ok_or(OramError::Internal { context: "managed access returned no block" })
+        self.user_access(block, new_position, mutate, sink)
     }
 
-    /// §VI-C's measurement hook: performs one access and reports the tree
-    /// level that returned the real block (`None` for stash hits), so an
-    /// attacker's random guess can be scored.
+    /// §VI-C's measurement hook: performs one read access — the same
+    /// protocol, stash sample included, as [`access`](Self::access) with
+    /// [`AccessKind::Read`] — and reports the tree level that returned the
+    /// real block (`None` for stash hits), so an attacker's random guess can
+    /// be scored. The level is probed after the access's leading background
+    /// eviction, where the block sits when its readPath runs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OramError::BlockOutOfRange`] for invalid ids and
+    /// propagates protocol errors.
     pub fn access_observed(
         &mut self,
         block: BlockId,
@@ -621,10 +575,8 @@ impl RingOram {
             return Err(OramError::BlockOutOfRange { block, count: self.posmap.len() });
         }
         self.background_evict(sink)?;
-        self.stats.user_accesses += 1;
         let served = self.locate_level(block);
-        self.read_path(Some(block), None, OramOp::ReadPath, sink)?;
-        self.background_evict(sink)?;
+        self.user_access(block, None, &mut |_| {}, sink)?;
         Ok(served)
     }
 
@@ -644,29 +596,69 @@ impl RingOram {
         None
     }
 
-    /// One readPath (§III-B). `new_data` replaces the target's contents in
-    /// the stash (user writes) before any maintenance operation can evict
-    /// the block.
+    /// The one body of every user access: the readPath on `block` between
+    /// two background-eviction drains, then the access-boundary work —
+    /// escalation, the growth drain, the degraded count, the digest root
+    /// and the stash sample. `forced_label` and `mutate` are
+    /// [`read_path`](Self::read_path)'s. Returns the payload as fetched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `forced_label` is outside the tree's leaf range.
+    fn user_access(
+        &mut self,
+        block: BlockId,
+        forced_label: Option<PathId>,
+        mutate: &mut PayloadMutator<'_>,
+        sink: &mut impl MemorySink,
+    ) -> Result<[u8; BLOCK_BYTES], OramError> {
+        if block >= self.posmap.len() {
+            return Err(OramError::BlockOutOfRange { block, count: self.posmap.len() });
+        }
+        if let Some(p) = forced_label {
+            assert!(p.leaf() < self.geo.leaf_count(), "managed remap label out of range");
+        }
+        // Stall-and-drain: a controller holds new requests while the stash
+        // sits above its threshold, so one access never bursts past the
+        // hard capacity.
+        let recovery_before = self.stats.recovery;
+        self.background_evict(sink)?;
+        self.stats.user_accesses += 1;
+        let data =
+            self.read_path(Some(block), forced_label, Some(mutate), OramOp::ReadPath, sink)?;
+        self.background_evict(sink)?;
+        // Ladder rung 3: an escalated path eviction requested mid-operation
+        // runs here, at the access boundary, where a full evictPath is
+        // protocol-safe.
+        if self.pending_escalation {
+            self.pending_escalation = false;
+            self.escalate_evictions(sink)?;
+        }
+        self.drain_growth_backlog(sink)?;
+        if self.stats.recovery != recovery_before {
+            self.stats.recovery.degraded_accesses += 1;
+        }
+        // The stash roots the digest chain: every access folds the
+        // per-level digests into the root exactly once.
+        if let Some(v) = &mut self.integrity {
+            v.fold_root();
+        }
+        let occupancy = self.stash.len();
+        self.stats.sample_stash(occupancy);
+        telemetry::gauge("stash.occupancy", occupancy as f64);
+        data.ok_or(OramError::Internal { context: "a user access returned no block" })
+    }
+
+    /// One readPath (§III-B) on `target`'s path, or on a uniformly random
+    /// path for a dummy (`target: None`). `forced_label` remaps the target
+    /// to a caller-chosen path instead of drawing from the engine RNG, and
+    /// `mutate` rewrites the target's payload in the stash after the fetch,
+    /// before any maintenance operation can evict the block — a user write
+    /// is an overwrite, a managed access a single-access read-modify-write.
+    /// Returns the target's payload as fetched.
     fn read_path(
         &mut self,
         target: Option<BlockId>,
-        new_data: Option<[u8; BLOCK_BYTES]>,
-        op: OramOp,
-        sink: &mut impl MemorySink,
-    ) -> Result<Option<[u8; BLOCK_BYTES]>, OramError> {
-        self.read_path_ext(target, new_data, None, None, op, sink)
-    }
-
-    /// The full readPath with the managed-access extensions: `forced_label`
-    /// remaps the target to a caller-chosen path instead of drawing from
-    /// the engine RNG, and `mutate` rewrites the target's payload in the
-    /// stash after the fetch (a single-access read-modify-write). Both
-    /// default to `None` via [`read_path`](Self::read_path), and the `None`
-    /// paths are bit-identical to the pre-extension engine.
-    fn read_path_ext(
-        &mut self,
-        target: Option<BlockId>,
-        new_data: Option<[u8; BLOCK_BYTES]>,
         forced_label: Option<PathId>,
         mut mutate: Option<&mut PayloadMutator<'_>>,
         op: OramOp,
@@ -779,7 +771,7 @@ impl RingOram {
                 let plain = self.fetch_block(phys, op, true, sink)?;
                 if is_target {
                     fetched = Some(plain);
-                    let mut stored = new_data.unwrap_or(plain);
+                    let mut stored = plain;
                     if let Some(f) = &mut mutate {
                         f(&mut stored);
                     }
@@ -800,17 +792,9 @@ impl RingOram {
             if stash_hit {
                 self.stash.relabel(b, label, new_label);
                 fetched = self.stash.get(b, new_label).map(|e| e.data);
-                let stored = match (&mut mutate, new_data) {
-                    // Managed read-modify-write acts on the current contents
-                    // (managed accesses never carry new_data).
-                    (Some(f), _) => fetched.map(|mut d| {
-                        f(&mut d);
-                        d
-                    }),
-                    (None, d) => d,
-                };
-                if let Some(d) = stored {
-                    self.stash.set_data(b, new_label, &d);
+                if let (Some(f), Some(mut stored)) = (&mut mutate, fetched) {
+                    f(&mut stored);
+                    self.stash.set_data(b, new_label, &stored);
                 }
             } else if fetched.is_none() {
                 return Err(OramError::BlockOutOfRange { block: b, count: self.posmap.len() });
@@ -847,7 +831,7 @@ impl RingOram {
 
         // (4) evictPath every A accesses.
         self.reads_since_evict += 1;
-        if self.reads_since_evict >= self.cfg.evict_rate_a {
+        if self.reads_since_evict >= EVICT_RATE_A {
             self.reads_since_evict = 0;
             self.evict_path(OramOp::EvictPath, sink)?;
         }
@@ -1201,7 +1185,7 @@ impl RingOram {
             // A dummy access: a readPath on a random path (indistinguishable
             // from a real one) followed by the evictPath it is inserted to
             // provoke.
-            self.read_path(None, None, OramOp::BackgroundEvict, sink)?;
+            self.read_path(None, None, None, OramOp::BackgroundEvict, sink)?;
             self.evict_path(OramOp::BackgroundEvict, sink)?;
             guard += 1;
             if guard > 16 * u32::from(self.cfg.levels) {
@@ -1525,13 +1509,11 @@ impl RingOram {
     }
 
     /// Adds one level to the tree in place: the leaf space doubles, every
-    /// path label extends by its deterministic [`growth_bit`] replay
+    /// path label extends by its deterministic growth-bit replay
     /// ([`extend_label`]), the physical layout grows by *appending*
     /// segments (no bucket address ever moves), and every pre-existing
     /// bucket joins the relocation backlog that subsequent accesses drain
     /// incrementally — no access ever blocks on the resize.
-    ///
-    /// [`growth_bit`]: crate::growth_bit
     ///
     /// # Errors
     ///
@@ -1597,7 +1579,7 @@ impl RingOram {
         Ok(())
     }
 
-    /// Drains up to `relocs_per_access` buckets from the growth backlog:
+    /// Drains up to [`RELOCS_PER_ACCESS`] buckets from the growth backlog:
     /// each is rebuilt in place under the new geometry (an
     /// earlyReshuffle-shaped rewrite). Folded into the tail of every
     /// access so relocations are spread incrementally.
@@ -1605,8 +1587,7 @@ impl RingOram {
         if self.dynamic.backlog() == 0 {
             return Ok(());
         }
-        let quota = self.cfg.growth.map_or(0, |g| g.relocs_per_access);
-        for _ in 0..quota {
+        for _ in 0..RELOCS_PER_ACCESS {
             let Some(raw) = self.dynamic.take_next() else { break };
             let bucket = BucketId::new(raw);
             telemetry::event("growth_relocate", Phase::EarlyReshuffle, bucket.level().0, raw);
@@ -1987,7 +1968,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(19);
         let (mut evictions, mut read, mut picked, mut moved) = (0, 0, 0, 0);
         while evictions < 200 {
-            if oram.reads_since_evict + 1 == oram.cfg.evict_rate_a {
+            if oram.reads_since_evict + 1 == EVICT_RATE_A {
                 let path = reverse_lex_path(oram.evict_counter, oram.geo.levels());
                 read += entries_on(&oram, path);
                 let before = crate::stash::MOVES.with(|m| m.get());
@@ -2230,10 +2211,10 @@ mod growth_tests {
         oram.insert_block(None).unwrap();
         let backlog0 = oram.growth_state().backlog();
         oram.access(AccessKind::Read, 0, None, &mut sink).unwrap();
-        let per = u64::from(oram.config().growth.unwrap().relocs_per_access);
+        let per = u64::from(RELOCS_PER_ACCESS);
         assert!(
             oram.growth_state().backlog() + per <= backlog0 + oram.config().levels as u64,
-            "each access must retire roughly relocs_per_access buckets"
+            "each access must retire roughly RELOCS_PER_ACCESS buckets"
         );
         drain(&mut oram, &mut sink);
         assert_eq!(oram.growth_state().backlog(), 0);
@@ -2283,7 +2264,9 @@ mod growth_tests {
         for _ in 0..2 {
             oram.grow_level().unwrap();
         }
-        assert_eq!(oram.meta.len() as u64, oram.geometry().bucket_count());
+        // The grown tree's last bucket has an initialized record.
+        let last = BucketId::new(oram.geometry().bucket_count() - 1);
+        assert!(oram.meta.get(last).logical_slots > 0);
         for raw in 0..old {
             assert_eq!(address(&oram, raw), before[raw as usize], "bucket {raw} moved");
             assert_eq!(*oram.meta.get(BucketId::new(raw)), records[raw as usize]);

@@ -108,11 +108,6 @@ impl Stash {
         self.ids.len()
     }
 
-    /// Whether the stash holds no blocks.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
     /// Configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -313,7 +308,7 @@ impl Stash {
     /// rebuild: decides which blocks go to which of `tiers` buckets.
     ///
     /// The candidates are the stash's blocks and the blocks `held` beside it
-    /// (a rebuild's read phase; none for Path ORAM), which count as scanned.
+    /// (a rebuild's read phase), which count as scanned.
     /// The buckets being rebuilt are numbered root-ward to leaf-ward as
     /// tiers `0..tiers` (an evictPath's levels). `deepest(label)` is the
     /// deepest tier a block with that label may live in — it may then live
@@ -717,7 +712,7 @@ mod tests {
     #[test]
     fn insert_get_remove() {
         let mut s = Stash::new(10, LEVELS, true);
-        assert!(s.is_empty());
+        assert_eq!(s.len(), 0);
         s.insert(1, l(5), &payload(1));
         assert_eq!(s.get(1, l(5)), Some(StashBlock { block: 1, label: l(5), data: payload(1) }));
         assert!(s.get(1, l(1000)).is_none(), "a lookup walks the given label's bin only");
@@ -909,8 +904,7 @@ mod tests {
         /// Planning over the stash and a held list picks what planning over
         /// a stash the held blocks were admitted to picks, and scans as many
         /// blocks: for an evictPath's plan and a lone bucket's at every level
-        /// of the path, with held lists that are empty (Path ORAM's call),
-        /// partial or everything.
+        /// of the path, with held lists that are empty, partial or everything.
         #[test]
         fn held_candidates_plan_as_if_admitted(
             levels in 2usize..=16,

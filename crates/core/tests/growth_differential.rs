@@ -16,7 +16,7 @@
 
 use aboram_core::{
     AccessKind, CountingSink, GrowthConfig, OramConfig, RingOram, Scheme, SegmentedVector,
-    BLOCK_BYTES,
+    BLOCK_BYTES, RELOCS_PER_ACCESS,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -175,11 +175,11 @@ proptest! {
 
         let mut prev = oram.growth_state().backlog();
         prop_assert!(prev > 0, "a grow marks the pre-existing buckets stale");
-        // An access retires `relocs_per_access` buckets from the drain
+        // An access retires `RELOCS_PER_ACCESS` buckets from the drain
         // queue, plus whatever stale buckets its own path traffic happens
         // to refresh in passing (bounded by the buckets a read + evict +
         // reshuffle can touch).
-        let relocs = u64::from(cfg.growth.unwrap().relocs_per_access);
+        let relocs = u64::from(RELOCS_PER_ACCESS);
         let slack = relocs + 4 * u64::from(oram.config().levels);
         let mut i = 0u64;
         while oram.growth_state().backlog() > 0 {

@@ -39,21 +39,20 @@ fn drplus_cuts_reshuffles_below_baseline() {
     );
 }
 
-/// Ring ORAM's headline: online traffic per access is L' blocks + metadata,
-/// independent of the scheme — space optimizations must not touch it.
+/// Ring ORAM's headline: online traffic per access is one block per
+/// off-chip bucket, independent of the scheme — space optimizations must
+/// not touch it. With no background eviction, a user access's readPath
+/// costs exactly `levels − treetop_levels` block reads.
 #[test]
 fn online_cost_is_scheme_independent() {
-    let mut per_scheme = Vec::new();
-    for scheme in [Scheme::Baseline, Scheme::DR, Scheme::NS, Scheme::Ab] {
+    let schemes =
+        [Scheme::PlainRing, Scheme::Baseline, Scheme::Ir, Scheme::DR, Scheme::NS, Scheme::Ab];
+    for scheme in schemes {
         let (oram, sink) = churn(scheme, 12, 5_000);
-        let online_reads = sink.reads(OramOp::ReadPath) + sink.reads(OramOp::BackgroundEvict);
-        per_scheme.push(online_reads as f64 / oram.stats().online_accesses() as f64);
-    }
-    for pair in per_scheme.windows(2) {
-        assert!(
-            (pair[0] - pair[1]).abs() < 1e-9,
-            "online block reads per access must match across schemes: {per_scheme:?}"
-        );
+        let (stats, cfg) = (oram.stats(), oram.config());
+        assert_eq!(stats.background_accesses, 0, "{scheme}");
+        let per_access = u64::from(cfg.levels - cfg.treetop_levels);
+        assert_eq!(sink.reads(OramOp::ReadPath), stats.user_accesses * per_access, "{scheme}");
     }
 }
 

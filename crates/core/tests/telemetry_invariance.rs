@@ -12,7 +12,7 @@
 
 use aboram_core::{
     AccessKind, BackendReply, CountingSink, FaultInjectingSink, FaultPlan, InjectedFaults,
-    IssueMode, OramConfig, OramError, PathOram, PlbConfig, PosMapHierarchy, RingOram, Scheme,
+    IssueMode, OramConfig, OramError, PlbConfig, PosMapHierarchy, RingOram, Scheme,
     SimulationReport, StagedBatch, Stager, StorageBackend, TimedBackend, TimingDriver,
 };
 use aboram_dram::DramConfig;
@@ -104,17 +104,6 @@ fn the_stash_is_scanned_once_per_rebuild() {
         let scanned = collector.registry().counter("stash.scanned_blocks");
         assert!(scanned > 0 && scanned <= passes * oram.stash_peak() as u64, "{scheme}");
     }
-
-    // Path ORAM's write-back goes through the same routine: one pass per access.
-    let cfg = OramConfig::builder(10, Scheme::PlainRing).seed(77).build().unwrap();
-    let mut oram = PathOram::new(&cfg).unwrap();
-    let mut sink = CountingSink::new();
-    aboram_telemetry::install(Collector::to_shared_buffer().0);
-    for i in 0..500u64 {
-        oram.access((i * 37) % 1_000, &mut sink).unwrap();
-    }
-    let collector = aboram_telemetry::uninstall().expect("collector was installed");
-    assert_eq!(collector.registry().counter("stash.scan_passes"), oram.accesses());
 }
 
 #[test]
@@ -131,11 +120,12 @@ fn fixed_backend_run(instrument: bool) -> (Vec<BackendReply>, RingOram, bool) {
     if instrument {
         aboram_telemetry::install(Collector::to_shared_buffer().0);
     }
-    let cfg = OramConfig::builder(10, Scheme::AbChannelPar).seed(77).build().unwrap();
+    let cfg =
+        OramConfig::builder(10, Scheme::AbChannelPar).store_data(true).seed(77).build().unwrap();
     let mut backend = TimedBackend::new(&cfg, DramConfig::default()).unwrap();
     backend.set_pipeline_depth(4);
     let replies = (0..300u64)
-        .map(|i| backend.access(i * 500, AccessKind::Read, (i * 37) % 256, None).unwrap())
+        .map(|i| backend.access_managed(i * 500, (i * 37) % 256, None, &mut |_| {}).unwrap())
         .collect();
     backend.quiesce();
     let occupancy = instrument && {

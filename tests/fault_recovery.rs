@@ -6,8 +6,8 @@
 //! behaviour when injection is off.
 
 use aboram::core::{
-    CountingSink, FaultConfig, FaultInjectingSink, FaultPlan, OramConfig, PathOram, RingOram,
-    Scheme, TimingDriver,
+    CountingSink, FaultConfig, FaultInjectingSink, FaultPlan, OramConfig, RingOram, Scheme,
+    TimingDriver,
 };
 use aboram::dram::DramConfig;
 use aboram::trace::{profiles, TraceGenerator};
@@ -181,28 +181,6 @@ fn disabled_injection_is_bit_identical_to_plain_sink() {
     assert!(plain.stats().recovery.is_clean());
     assert!(wrapped.stats().recovery.is_clean());
     assert_eq!(plain.stash_len(), wrapped.stash_len());
-}
-
-#[test]
-fn path_oram_survives_the_same_chaos() {
-    let cfg = OramConfig::builder(10, Scheme::PlainRing).seed(5).build().unwrap();
-    let mut oram = PathOram::new(&cfg).unwrap();
-    let mut sink = FaultInjectingSink::with_plan(
-        CountingSink::new(),
-        FaultPlan::with_config(66, aggressive()),
-    );
-    let blocks = ((1u64 << 10) - 1) * 5 / 2;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-    for _ in 0..2_000 {
-        oram.access(rng.gen_range(0..blocks), &mut sink).unwrap();
-    }
-    for b in 0..blocks {
-        assert!(oram.check_block_reachable(b), "block {b} lost under fault injection");
-    }
-    let rec = *oram.recovery_stats();
-    assert!(rec.faults_detected() > 0, "Path ORAM saw no faults");
-    assert_eq!(rec.faults_detected(), rec.faults_recovered());
-    assert!(rec.degraded_accesses > 0);
 }
 
 /// Per-site fault detection under the integrity verifier: with exactly one

@@ -47,26 +47,3 @@ fn warmup_state_carries_into_timed_run() {
     assert_eq!(cold_report.records, warm_report.records);
     assert_eq!(warm_report.user_accesses, 400);
 }
-
-#[test]
-fn path_oram_costs_more_online_bandwidth_than_ring() {
-    use aboram::core::AccessKind;
-    use aboram::core::{CountingSink, OramOp, PathOram, RingOram};
-    let cfg = OramConfig::builder(10, Scheme::PlainRing).seed(2).build().unwrap();
-
-    let mut ring = RingOram::new(&cfg).unwrap();
-    let mut ring_sink = CountingSink::new();
-    let mut path = PathOram::new(&cfg).unwrap();
-    let mut path_sink = CountingSink::new();
-    for b in 0..200u64 {
-        ring.access(AccessKind::Read, b, None, &mut ring_sink).unwrap();
-        path.access(b, &mut path_sink).unwrap();
-    }
-    let ring_online = ring_sink.reads(OramOp::ReadPath);
-    let path_online = path_sink.reads(OramOp::ReadPath);
-    // Ring ORAM reads 1 block/bucket online; Path ORAM reads Z = 12.
-    assert!(
-        path_online > 8 * ring_online,
-        "Path ORAM online reads ({path_online}) should dwarf Ring's ({ring_online})"
-    );
-}
