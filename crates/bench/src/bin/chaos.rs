@@ -13,8 +13,8 @@
 //! Scale further with the usual `ABORAM_LEVELS` / `ABORAM_WARMUP` /
 //! `ABORAM_TIMED` environment knobs.
 
-use aboram_bench::{emit, evaluated_schemes, Experiment};
-use aboram_core::{FaultConfig, FaultPlan, TimingDriver};
+use aboram_bench::{emit, Experiment};
+use aboram_core::{FaultConfig, FaultPlan, Scheme, TimingDriver};
 use aboram_dram::DramConfig;
 use aboram_stats::Table;
 use aboram_trace::{profiles, TraceGenerator};
@@ -99,7 +99,7 @@ fn main() {
         &["scheme", "injected", "detected", "recovered", "retries", "escalations", "backoff cyc"],
     );
 
-    for scheme in evaluated_schemes() {
+    for scheme in Scheme::evaluated() {
         eprintln!("[warming {scheme}]");
         let warmed = env.warmed_oram(scheme).expect("warm-up ok");
 

@@ -5,8 +5,8 @@
 //! with the USIMM-style energy model: dynamic (activate/read/write),
 //! refresh, and footprint-proportional background energy.
 
-use aboram_bench::{emit, evaluated_schemes, CellExecutor, Experiment};
-use aboram_core::TimingDriver;
+use aboram_bench::{emit, CellExecutor, Experiment};
+use aboram_core::{Scheme, TimingDriver};
 use aboram_dram::{DramConfig, EnergyParams, EnergyReport};
 use aboram_stats::Table;
 use aboram_trace::{profiles, TraceGenerator};
@@ -25,7 +25,7 @@ fn main() {
         &["scheme", "dynamic uJ", "refresh uJ", "background uJ", "total uJ", "norm. total"],
     );
     // One warm-and-time cell per scheme, fanned out over the executor.
-    let schemes = evaluated_schemes();
+    let schemes = Scheme::evaluated();
     let energies = CellExecutor::from_env().run(schemes.clone(), |_, scheme| {
         eprintln!("[warming {scheme}]");
         let oram = env.warmed_oram(scheme).expect("warm-up ok");

@@ -8,10 +8,7 @@
 //! `ABORAM_JOBS` (cells are deterministic, so the tables are byte-identical
 //! for any jobs count).
 
-use aboram_bench::{
-    emit, env_knob, evaluated_schemes, space_report_of, telemetry_from_env, CellExecutor,
-    Experiment,
-};
+use aboram_bench::{emit, env_knob, space_report_of, telemetry_from_env, CellExecutor, Experiment};
 use aboram_core::{OramConfig, OramOp, Scheme};
 use aboram_stats::{geometric_mean, Table};
 use aboram_trace::profiles;
@@ -35,7 +32,7 @@ fn main() {
     let base_here = env.space_report(Scheme::Baseline).expect("config");
     let base_24 = OramConfig::paper_scale(Scheme::Baseline).build().expect("config");
     let base_24 = space_report_of(&base_24).expect("geometry");
-    for scheme in evaluated_schemes() {
+    for scheme in Scheme::evaluated() {
         let here = env.space_report(scheme).expect("config");
         let paper = OramConfig::paper_scale(scheme).build().expect("config");
         let paper = space_report_of(&paper).expect("geometry");
@@ -55,7 +52,7 @@ fn main() {
     let suite: Vec<_> = profiles::spec2017().into_iter().take(bench_count).collect();
     // Per-benchmark tables are one column per evaluated scheme; the header
     // follows the scheme list so new schemes (AB-CP) join automatically.
-    let schemes = evaluated_schemes();
+    let schemes = Scheme::evaluated();
     let scheme_labels: Vec<String> = schemes.iter().map(ToString::to_string).collect();
     let per_scheme_headers: Vec<&str> =
         std::iter::once("benchmark").chain(scheme_labels.iter().map(String::as_str)).collect();
@@ -71,7 +68,7 @@ fn main() {
     );
 
     let executor = CellExecutor::from_env();
-    let warmed: Vec<_> = executor.run(evaluated_schemes(), |_, scheme| {
+    let warmed: Vec<_> = executor.run(Scheme::evaluated(), |_, scheme| {
         eprintln!("[warming {scheme}]");
         (scheme, env.warmed_oram(scheme).expect("warm-up ok"))
     });

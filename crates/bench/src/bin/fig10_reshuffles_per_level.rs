@@ -4,7 +4,8 @@
 //! jumps at the two shrunken levels; AB sits between, elevated over its
 //! bottom three levels.
 
-use aboram_bench::{emit, evaluated_schemes, telemetry_from_env, ChurnKind, Experiment};
+use aboram_bench::{emit, telemetry_from_env, ChurnKind, Experiment};
+use aboram_core::Scheme;
 use aboram_stats::Table;
 
 fn main() {
@@ -21,7 +22,7 @@ fn main() {
         &header_refs,
     );
 
-    for scheme in evaluated_schemes() {
+    for scheme in Scheme::evaluated() {
         eprintln!("[running {scheme}]");
         let mut run = env.protocol_run(scheme, ChurnKind::Uniform).expect("engine builds");
         run.advance(env.protocol_accesses).expect("protocol ok");

@@ -4,9 +4,7 @@
 //! results are workload-independent; DR/AB should again land within a few
 //! percent of Baseline.
 
-use aboram_bench::{
-    emit, env_knob, evaluated_schemes, telemetry_from_env, CellExecutor, Experiment,
-};
+use aboram_bench::{emit, env_knob, telemetry_from_env, CellExecutor, Experiment};
 use aboram_core::Scheme;
 use aboram_stats::{geometric_mean, Table};
 use aboram_trace::profiles;
@@ -18,7 +16,7 @@ fn main() {
     let suite: Vec<_> = profiles::parsec().into_iter().take(bench_count).collect();
 
     let executor = CellExecutor::from_env();
-    let warmed: Vec<_> = executor.run(evaluated_schemes(), |_, scheme| {
+    let warmed: Vec<_> = executor.run(Scheme::evaluated(), |_, scheme| {
         eprintln!("[warming {scheme}]");
         (scheme, env.warmed_oram(scheme).expect("warm-up ok"))
     });
@@ -52,7 +50,7 @@ fn main() {
     let base = env.space_report(Scheme::Baseline).expect("config");
     let mut space =
         Table::new("Fig. 15 — space (workload-independent)", &["scheme", "normalized space"]);
-    for scheme in evaluated_schemes() {
+    for scheme in Scheme::evaluated() {
         let norm = env.normalized_space(scheme, &base).expect("config");
         space.row(&[&scheme.to_string()], &[norm]);
     }

@@ -315,12 +315,6 @@ pub fn emit(name: &str, content: &str) {
     }
 }
 
-/// The evaluated schemes in paper order (Fig. 8's x-axis): the paper's
-/// five plus the channel-parallel AB variant appended at the end.
-pub fn evaluated_schemes() -> Vec<Scheme> {
-    Scheme::evaluated()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,7 +346,7 @@ mod tests {
     #[test]
     fn config_builds_for_all_schemes() {
         let e = Experiment { levels: 10, warmup: 10, timed: 10, protocol_accesses: 10, seed: 1 };
-        for s in evaluated_schemes() {
+        for s in Scheme::evaluated() {
             assert!(e.config(s).is_ok());
         }
     }

@@ -179,8 +179,8 @@ impl TimedBackend {
     }
 
     /// Wraps an existing (e.g. pre-warmed) engine. The issue mode follows
-    /// the engine's scheme ([`crate::Scheme::issue_mode`]), so an
-    /// `AbChannelPar` tenant gets the channel-parallel drain end to end.
+    /// the engine's scheme (`Scheme::issue_mode`), so an `AbChannelPar`
+    /// tenant gets the channel-parallel drain end to end.
     pub fn from_oram(oram: RingOram, dram: DramConfig) -> Self {
         let ctl = AccessController::new(MemorySystem::new(dram), oram.config().scheme.issue_mode());
         let stager = ctl.stager();

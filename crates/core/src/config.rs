@@ -86,12 +86,11 @@ pub enum Scheme {
 ///
 /// Functional behavior (block contents, stash, metadata, RNG draws) is
 /// identical in both modes; only the cycle accounting differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IssueMode {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum IssueMode {
     /// Requests reach the memory system in protocol program order
     /// (root-to-leaf, metadata before slots). The crypto burst is charged
     /// serially after the last online reply.
-    #[default]
     Serial,
     /// Requests for one access are buffered and released grouped by DRAM
     /// channel (stable within each channel), so all channels start draining
@@ -120,8 +119,9 @@ impl Scheme {
         )
     }
 
-    /// How the timing path issues this scheme's bucket requests to DRAM.
-    pub fn issue_mode(&self) -> IssueMode {
+    /// How the timing path issues this scheme's bucket requests to DRAM:
+    /// the only selector of the issue order.
+    pub(crate) fn issue_mode(&self) -> IssueMode {
         match self {
             Scheme::AbChannelPar => IssueMode::ChannelParallel,
             _ => IssueMode::Serial,
@@ -158,16 +158,13 @@ pub struct GrowthConfig {
     /// Ceiling on tree levels; growth stops here and further inserts
     /// beyond capacity return [`OramError::CapacityExhausted`].
     pub max_levels: u8,
-    /// Utilization percentage (of [`OramConfig::real_block_count`]) at
-    /// which an insert triggers a grow. Paper-shaped default: 100 — grow
-    /// only when the tree is full.
-    pub util_pct: u8,
 }
 
 impl GrowthConfig {
-    /// Growth up to `max_levels`, growing at 100% utilization.
+    /// Growth up to `max_levels`. An insert grows the tree when it finds
+    /// every one of [`OramConfig::real_block_count`] blocks mapped.
     pub fn up_to(max_levels: u8) -> Self {
-        GrowthConfig { max_levels, util_pct: 100 }
+        GrowthConfig { max_levels }
     }
 }
 
@@ -401,12 +398,6 @@ impl OramConfigBuilder {
             }
             // Every level the tree may grow to must fit the bucket record.
             crate::metadata::check_record_levels("growth.max_levels", g.max_levels)?;
-            if g.util_pct == 0 || g.util_pct > 100 {
-                return Err(OramError::BadParameter {
-                    name: "growth.util_pct",
-                    reason: format!("utilization trigger must be 1..=100, got {}", g.util_pct),
-                });
-            }
         }
         // Force geometry construction so invalid schemes fail here.
         self.cfg.geometry()?;
@@ -496,10 +487,6 @@ mod tests {
         assert!(matches!(below, Err(OramError::BadParameter { name: "growth.max_levels", .. })));
         let huge = OramConfig::builder(8, Scheme::Ab).growth(GrowthConfig::up_to(64)).build();
         assert!(matches!(huge, Err(OramError::BadParameter { name: "growth.max_levels", .. })));
-        let util = OramConfig::builder(8, Scheme::Ab)
-            .growth(GrowthConfig { max_levels: 12, util_pct: 0 })
-            .build();
-        assert!(matches!(util, Err(OramError::BadParameter { name: "growth.util_pct", .. })));
     }
 
     /// The parameter a geometry is refused for, if the bucket record

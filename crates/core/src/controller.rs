@@ -82,8 +82,8 @@ impl AccessController {
     }
 
     /// A stager for this controller's geometry, issue mode and depth: the
-    /// sink its accesses are staged on. A later change of mode or depth must
-    /// be passed on with [`Stager::configure`].
+    /// sink its accesses are staged on. A later change of depth must be
+    /// passed on with [`Stager::configure`].
     pub(crate) fn stager(&self) -> Stager {
         let mut stager = Stager::new(*self.memory().config());
         stager.configure(self.issue_mode, self.depth);
@@ -106,19 +106,9 @@ impl AccessController {
         self.releaser.memory_mut()
     }
 
-    /// Overrides the issue mode.
-    pub(crate) fn set_issue_mode(&mut self, mode: IssueMode) {
-        self.issue_mode = mode;
-    }
-
-    /// The issue mode in force.
+    /// The issue mode the scheme selected.
     pub(crate) fn issue_mode(&self) -> IssueMode {
         self.issue_mode
-    }
-
-    /// Replaces the crypto latency model.
-    pub(crate) fn set_crypto_latency(&mut self, lat: CryptoLatency) {
-        self.crypto = lat;
     }
 
     /// Sets the access-pipeline depth (`0` clamps to 1). A change of depth
@@ -309,14 +299,16 @@ mod tests {
 
     fn controller(depth: u8, mode: IssueMode, crypto: CryptoLatency) -> Rig {
         let mut ctl = AccessController::new(MemorySystem::new(DramConfig::default()), mode);
-        ctl.set_crypto_latency(crypto);
+        // The tests replace the default crypto model to isolate the DRAM
+        // gates or the crypto ones.
+        ctl.crypto = crypto;
         let mut rig = Rig { stager: ctl.stager(), ctl };
         rig.set_depth(depth);
         rig
     }
 
-    /// The first `lines` 64 B lines of DRAM page `p`. Under the default
-    /// page-interleaved mapping one page is one `(channel, bank, row)`, and
+    /// The first `lines` 64 B lines of DRAM page `p`. Under the
+    /// page-interleaved map one page is one `(channel, bank, row)`, and
     /// distinct pages are distinct rows.
     fn page(p: u64, lines: u64) -> Vec<SlotAddr> {
         let row_bytes = DramConfig::default().row_bytes;

@@ -15,14 +15,13 @@
 //! with its batch and reach the collector just before the timing stage times
 //! their record (DESIGN.md §16).
 
-use crate::config::{IssueMode, OramConfig};
+use crate::config::OramConfig;
 use crate::controller::AccessController;
 use crate::error::OramError;
 use crate::fault::{FaultInjectingSink, FaultPlan, InjectedFaults};
 use crate::recursion::PosMapHierarchy;
 use crate::ring::{AccessKind, RingOram};
 use crate::sink::{OramOp, StagedBatch, Stager};
-use aboram_crypto::CryptoLatency;
 use aboram_dram::{DramConfig, MemorySystem, RobCpu};
 use aboram_stats::{HealthState, RecoveryStats};
 use aboram_telemetry::Captured;
@@ -312,25 +311,6 @@ impl TimingDriver {
         TimingDriver { engine, ctl, cpu: RobCpu::new(4, 256) }
     }
 
-    /// Passes the controller's issue mode and depth on to the stager, which
-    /// commits every access for them.
-    fn configure_stager(&mut self) {
-        self.engine.sink.inner_mut().configure(self.ctl.issue_mode(), self.ctl.depth());
-    }
-
-    /// Overrides the issue mode the scheme selected — the differential
-    /// harness uses this to run every scheme under both modes against the
-    /// same trace.
-    pub fn set_issue_mode(&mut self, mode: IssueMode) {
-        self.ctl.set_issue_mode(mode);
-        self.configure_stager();
-    }
-
-    /// The issue mode in force.
-    pub fn issue_mode(&self) -> IssueMode {
-        self.ctl.issue_mode()
-    }
-
     /// Sets the access-pipeline depth: the maximum number of concurrently
     /// in-flight accesses. Depth 1 (the default, and `0` clamps to it) is
     /// the classic serialized controller — a window of one, so an access
@@ -347,7 +327,9 @@ impl TimingDriver {
     /// (DESIGN.md §15).
     pub fn set_pipeline_depth(&mut self, depth: u8) {
         self.ctl.set_depth(depth);
-        self.configure_stager();
+        // The stager commits every access for the controller's issue mode
+        // and depth.
+        self.engine.sink.inner_mut().configure(self.ctl.issue_mode(), self.ctl.depth());
     }
 
     /// The access-pipeline depth in force.
@@ -402,12 +384,6 @@ impl TimingDriver {
     /// The recursive position-map model, if enabled.
     pub fn posmap_model(&self) -> Option<&PosMapHierarchy> {
         self.engine.posmap_model.as_ref()
-    }
-
-    /// Replaces the crypto latency model (e.g. [`CryptoLatency::free`] to
-    /// isolate DRAM effects).
-    pub fn set_crypto_latency(&mut self, lat: CryptoLatency) {
-        self.ctl.set_crypto_latency(lat);
     }
 
     /// Access to the engine (stats inspection, warm-up by protocol access).
@@ -711,33 +687,6 @@ mod tests {
         let clamped = small_run_depth(Scheme::Ab, 200, 0);
         assert_eq!(default, explicit);
         assert_eq!(default, clamped);
-    }
-
-    #[test]
-    fn issue_mode_follows_scheme_and_can_be_overridden() {
-        let cfg = OramConfig::builder(10, Scheme::AbChannelPar).seed(7).build().unwrap();
-        let mut driver = TimingDriver::new(&cfg, DramConfig::default()).unwrap();
-        assert_eq!(driver.issue_mode(), IssueMode::ChannelParallel);
-        driver.set_issue_mode(IssueMode::Serial);
-        assert_eq!(driver.issue_mode(), IssueMode::Serial);
-    }
-
-    #[test]
-    fn crypto_latency_knob_changes_time() {
-        let cfg = OramConfig::builder(10, Scheme::Baseline).seed(7).build().unwrap();
-        let profile = profiles::spec2017().into_iter().find(|p| p.name == "mcf").unwrap();
-
-        let mut fast = TimingDriver::new(&cfg, DramConfig::default()).unwrap();
-        fast.set_crypto_latency(CryptoLatency::free());
-        let mut gen = TraceGenerator::new(&profile, 3);
-        let rf = fast.run((0..200).map(|_| gen.next_record())).unwrap();
-
-        let mut slow = TimingDriver::new(&cfg, DramConfig::default()).unwrap();
-        slow.set_crypto_latency(CryptoLatency::new(400, 10));
-        let mut gen = TraceGenerator::new(&profile, 3);
-        let rs = slow.run((0..200).map(|_| gen.next_record())).unwrap();
-
-        assert!(rs.exec_cycles > rf.exec_cycles);
     }
 
     #[test]

@@ -227,11 +227,6 @@ impl<S: MemorySink> FaultInjectingSink<S> {
         self.plan = plan;
     }
 
-    /// The active plan, if any.
-    pub fn plan(&self) -> Option<&FaultPlan> {
-        self.plan.as_ref()
-    }
-
     /// The wrapped sink.
     pub fn inner(&self) -> &S {
         &self.inner
@@ -240,11 +235,6 @@ impl<S: MemorySink> FaultInjectingSink<S> {
     /// Mutable access to the wrapped sink.
     pub fn inner_mut(&mut self) -> &mut S {
         &mut self.inner
-    }
-
-    /// Unwraps the inner sink.
-    pub fn into_inner(self) -> S {
-        self.inner
     }
 
     /// Faults injected so far.

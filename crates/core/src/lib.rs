@@ -64,7 +64,7 @@ pub use backend::{
     UNTIMED_CYCLES_PER_TRANSFER,
 };
 pub use config::{
-    GrowthConfig, IssueMode, OramConfig, OramConfigBuilder, Scheme, DEADQ_LEVELS, EVICT_RATE_A,
+    GrowthConfig, OramConfig, OramConfigBuilder, Scheme, DEADQ_LEVELS, EVICT_RATE_A,
     RELOCS_PER_ACCESS,
 };
 pub use deadq::{DeadQueues, DeadSlot};

@@ -1456,19 +1456,15 @@ impl RingOram {
         self.posmap.len()
     }
 
-    /// Whether the next insert would cross the configured utilization
-    /// threshold at the current level count (and a grow is still allowed).
+    /// Whether the next insert finds the tree full at the current level
+    /// count (and a grow is still allowed).
     fn needs_grow(&self) -> bool {
         let Some(g) = self.cfg.growth else { return false };
-        if self.cfg.levels >= g.max_levels {
-            return false;
-        }
-        (self.posmap.len() + 1) * 100 > u64::from(g.util_pct) * self.cfg.real_block_count()
+        self.cfg.levels < g.max_levels && self.posmap.len() >= self.cfg.real_block_count()
     }
 
     /// Appends a new zeroed block (id = current block count), lazily
-    /// growing the tree one level first when the insert would cross the
-    /// configured utilization threshold. The insert itself is traffic-free:
+    /// growing the tree one level first when the tree is full. The insert itself is traffic-free:
     /// the block is born in the stash with the given (or a fresh random)
     /// path and reaches the tree through ordinary evictions.
     ///

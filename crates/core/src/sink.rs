@@ -22,8 +22,7 @@
 use crate::config::IssueMode;
 use crate::fault::{FaultKind, FaultSite};
 use aboram_dram::{
-    AddressMapping, DecodedAddr, DramConfig, MemOpKind, MemorySystem, Priority, RequestId,
-    RequestIdRange,
+    DecodedAddr, DramConfig, MemOpKind, MemorySystem, Priority, RequestId, RequestIdRange,
 };
 use aboram_telemetry::Phase;
 use aboram_tree::SlotAddr;
@@ -215,7 +214,7 @@ const ACCESS_REQUESTS: usize = 128;
 /// was committed with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct Layout {
-    /// Released in `(channel, bank, row)` order ([`IssueMode::ChannelParallel`])
+    /// Released in `(channel, bank, row)` order (`IssueMode::ChannelParallel`)
     /// rather than in program order.
     parallel: bool,
     /// The window can hold a later access beside this one (depth > 1): the
@@ -242,8 +241,8 @@ impl Layout {
 /// runs, on the trace driver's worker thread or inline in a
 /// [`crate::TimedBackend`] (DESIGN.md §15–16).
 ///
-/// The issue mode picks the release *order* only. [`IssueMode::Serial`]
-/// releases in program order. [`IssueMode::ChannelParallel`] groups the
+/// The issue mode picks the release *order* only. `IssueMode::Serial`
+/// releases in program order. `IssueMode::ChannelParallel` groups the
 /// access by DRAM channel and orders `(bank, row)` within each channel — the
 /// issue order a controller that sees the whole access up front would choose
 /// for row locality. The request *set* is identical (same addresses, kinds,
@@ -269,10 +268,9 @@ pub struct Stager {
     /// to. See [`location_key`](Stager::location_key).
     key_banks: u64,
     key_rows: u64,
-    /// Bytes of consecutive address space the address map decodes to one
-    /// location: a whole row under [`AddressMapping::PageInterleave`], one
-    /// 64 B line under [`AddressMapping::LineInterleave`] (whose next line is
-    /// on another channel). Such spans tile the address space from zero.
+    /// Bytes of consecutive address space the page-interleaved map decodes
+    /// to one location: a whole row. Such spans tile the address space from
+    /// zero.
     run_span: u64,
     /// The first byte of the span the last run's requests fall in: the next
     /// request extends that run, undecoded, if it falls in the same span.
@@ -361,27 +359,23 @@ fn order_runs(
 }
 
 impl Stager {
-    /// A stager for `dram`'s geometry and address map, committing for serial
+    /// A stager for `dram`'s geometry, committing for serial
     /// issue into a window of one until [`configure`](Self::configure)d. The
     /// geometry must be one [`MemorySystem::new`] accepts.
     pub(crate) fn new(dram: DramConfig) -> Self {
         let key_banks = dram.banks_per_channel();
-        // Both address maps compute `row = line / (lines per row × channels
+        // The address map computes `row = line / (lines per row × channels
         // × banks)`, rounding down at each step, so no 64-bit address decodes
         // to a row above `(u64::MAX / 64) / lines_per_row_index`.
         let lines_per_row_index =
             dram.lines_per_row().saturating_mul(u64::from(dram.channels) * key_banks);
         let key_rows = (u64::MAX / 64) / lines_per_row_index + 1;
-        let run_span = match dram.mapping {
-            AddressMapping::PageInterleave => dram.lines_per_row() * 64,
-            AddressMapping::LineInterleave => 64,
-        };
         Stager {
             dram,
             layout: Layout::default(),
             key_banks,
             key_rows,
-            run_span,
+            run_span: dram.lines_per_row() * 64,
             open_span: None,
             flags: Vec::with_capacity(4 * ACCESS_REQUESTS),
             runs: Vec::with_capacity(2 * ACCESS_REQUESTS),
@@ -1084,15 +1078,11 @@ mod tests {
         order.iter().map(enqueue).collect()
     }
 
-    /// Table III and a geometry none of whose radices is a power of two, each
-    /// under both address maps.
+    /// Table III and a geometry none of whose radices is a power of two.
     fn configs() -> impl Iterator<Item = DramConfig> {
         let table_iii = DramConfig::default();
         let odd = DramConfig { channels: 3, ranks: 3, banks: 5, row_bytes: 1536, ..table_iii };
-        [table_iii, odd].into_iter().flat_map(|geometry| {
-            [AddressMapping::PageInterleave, AddressMapping::LineInterleave]
-                .map(|mapping| DramConfig { mapping, ..geometry })
-        })
+        [table_iii, odd].into_iter()
     }
 
     /// What the open access was cut into, as `(first, len, has_write)`.
@@ -1123,26 +1113,14 @@ mod tests {
             assert_eq!(stager.location_key(run.at), run.key);
             assert!(staged[run.range()].iter().all(|&a| page.decode(a) == run.at));
         }
-
-        // Line interleave sends neighbouring lines to different channels: the
-        // memo holds one line, so only a repeat of that line extends a run.
-        let line = DramConfig { mapping: AddressMapping::LineInterleave, ..page };
-        let mut stager = Stager::new(line);
-        stager.read_batch(&bucket, OramOp::ReadPath, true);
-        assert_eq!(runs(&stager).len(), 8);
-        stager.write(bucket[7], OramOp::EvictPath, false);
-        assert_eq!(runs(&stager)[7..], [(7, 2, true)]);
-        let mut channels: Vec<_> = stager.runs[..4].iter().map(|run| run.at.channel).collect();
-        channels.dedup();
-        assert_eq!(channels.len(), 4, "neighbouring lines sit on four channels");
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// `key(a) < key(b)` exactly when the `(channel, bank, row)` tuples
-        /// order that way, for both address maps, a geometry with no
-        /// power-of-two radix, and addresses up to the top of the range.
+        /// order that way, for Table III, a geometry with no power-of-two
+        /// radix, and addresses up to the top of the range.
         #[test]
         fn location_key_orders_as_the_tuple(
             pairs in proptest::collection::vec((any::<u64>(), any::<u64>(), 0u64..4096), 1..64),
@@ -1168,8 +1146,8 @@ mod tests {
         /// completion cycle per id, the same online reads, the same
         /// statistics and a twin left in the same state (a probe burst
         /// afterwards completes at the same cycles) — under both issue modes,
-        /// for a window of one and a deeper one, over every geometry and
-        /// address map of [`configs`]. Every access is staged on another
+        /// for a window of one and a deeper one, over every geometry of
+        /// [`configs`]. Every access is staged on another
         /// thread and released on this one, as the trace driver does.
         #[test]
         fn staged_release_matches_a_one_request_at_a_time_reference(
@@ -1189,24 +1167,18 @@ mod tests {
                     .collect();
                 for (mode, depth) in modes.into_iter().flat_map(|m| [(m, 1), (m, 4)]) {
                     let list_reads = depth > 1;
-                    let (batch, merged) = std::thread::scope(|s| {
+                    let batch = std::thread::scope(|s| {
                         s.spawn(|| {
                             let mut stager = stager(cfg, mode, depth);
-                            let mut merged = false;
                             for (access, _) in &built {
                                 emit(&mut stager, access);
-                                // Under line interleave no two lines share a run.
-                                merged |= stager.runs.iter().any(|run| {
-                                    access[run.range()].windows(2).any(|w| w[0].addr / 64 != w[1].addr / 64)
-                                });
                                 stager.commit_access();
                             }
-                            (stager.batch, merged)
+                            stager.batch
                         })
                         .join()
                         .unwrap()
                     });
-                    prop_assert!(cfg.mapping == AddressMapping::PageInterleave || !merged);
                     prop_assert_eq!(batch.len(), built.len());
 
                     let mut releaser = Releaser::new(MemorySystem::new(cfg));
@@ -1329,7 +1301,7 @@ mod tests {
         /// The merged gate against brute force — "every read of the entry
         /// whose row the staged access writes" — on entries that are disjoint
         /// from, overlap, or repeat the rows written: same cycle, and the twin
-        /// left in the same state, over every geometry and address map.
+        /// left in the same state, over every geometry of [`configs`].
         #[test]
         fn merged_conflict_gate_matches_brute_force(
             first in proptest::collection::vec(arb_burst(), 0..12),
@@ -1339,7 +1311,7 @@ mod tests {
         ) {
             let mode = if parallel { IssueMode::ChannelParallel } else { IssueMode::Serial };
             for cfg in configs() {
-                // Past every row `first` can decode to, under either map.
+                // Past every row `first` can decode to.
                 let apart = if disjoint { 12 * u64::from(cfg.channels) * cfg.banks_per_channel() } else { 0 };
                 let first = build(&cfg, &first, 1, 0);
                 let second = build(&cfg, &second, 1, apart);
@@ -1366,7 +1338,7 @@ mod tests {
                     }
                 }
 
-                prop_assert_eq!(gate, want, "{:?}", cfg.mapping);
+                prop_assert_eq!(gate, want);
                 prop_assert!(!disjoint || gate == 0, "disjoint rows never gate");
                 prop_assert_eq!(merged.memory().stats(), brute.memory().stats());
                 prop_assert_eq!(

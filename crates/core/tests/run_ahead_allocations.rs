@@ -12,7 +12,7 @@
 //! this binary holds a single test: nothing else may allocate while it
 //! counts.
 
-use aboram_core::{IssueMode, OramConfig, Scheme, TimingDriver};
+use aboram_core::{OramConfig, Scheme, TimingDriver};
 use aboram_dram::DramConfig;
 use aboram_trace::{profiles, TraceGenerator, TraceRecord};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -63,10 +63,9 @@ const SLACK: u64 = 8;
 #[test]
 fn a_warm_run_ahead_driver_allocates_per_run_not_per_record() {
     let profile = profiles::spec2017().into_iter().find(|p| p.name == "mcf").unwrap();
-    for (mode, depth) in [(IssueMode::Serial, 1), (IssueMode::ChannelParallel, 4)] {
-        let cfg = OramConfig::builder(10, Scheme::Ab).seed(29).build().unwrap();
+    for (scheme, depth) in [(Scheme::Ab, 1), (Scheme::AbChannelPar, 4)] {
+        let cfg = OramConfig::builder(10, scheme).seed(29).build().unwrap();
         let mut driver = TimingDriver::new(&cfg, DramConfig::default()).unwrap();
-        driver.set_issue_mode(mode);
         driver.set_pipeline_depth(depth);
         driver.warm_up(5_000).unwrap();
         // The records exist before counting starts.
@@ -83,11 +82,11 @@ fn a_warm_run_ahead_driver_allocates_per_run_not_per_record() {
         let per_long = allocations(|| {
             driver.run(long.iter().copied()).unwrap();
         });
-        println!("{mode:?} depth {depth}: {per_short} allocations for 2 000 records, {per_long} for 20 000");
+        println!("{scheme} depth {depth}: {per_short} allocations for 2 000 records, {per_long} for 20 000");
         assert!(
             per_long <= per_short + SLACK,
-            "{mode:?} depth {depth}: {per_short} allocations for 2 000 records, {per_long} for 20 000"
+            "{scheme} depth {depth}: {per_short} allocations for 2 000 records, {per_long} for 20 000"
         );
-        assert!(per_short < 100, "{mode:?} depth {depth}: {per_short} allocations per run");
+        assert!(per_short < 100, "{scheme} depth {depth}: {per_short} allocations per run");
     }
 }

@@ -12,8 +12,8 @@
 
 use aboram_core::{
     AccessKind, BackendReply, CountingSink, FaultInjectingSink, FaultPlan, InjectedFaults,
-    IssueMode, OramConfig, OramError, PlbConfig, PosMapHierarchy, RingOram, Scheme,
-    SimulationReport, StagedBatch, Stager, StorageBackend, TimedBackend, TimingDriver,
+    OramConfig, OramError, PlbConfig, PosMapHierarchy, RingOram, Scheme, SimulationReport,
+    StagedBatch, Stager, StorageBackend, TimedBackend, TimingDriver,
 };
 use aboram_dram::DramConfig;
 use aboram_telemetry::{Captured, Collector};
@@ -150,20 +150,13 @@ struct Outcome {
 }
 
 /// One grid cell run over traces of every length around the batch size, on
-/// one driver, with or without a collector installed. The driver runs its first lengths serially into a
-/// window of one and then switches to the cell's issue mode and depth,
-/// which the stager must pick up for the accesses it stages from then on.
-fn cell_runs(
-    scheme: Scheme,
-    mode: IssueMode,
-    depth: u8,
-    faults: bool,
-    recursion: bool,
-    traced: bool,
-) -> Outcome {
+/// one driver, with or without a collector installed. The driver runs its
+/// first lengths into a window of one and then switches to the cell's
+/// depth, which the stager must pick up for the accesses it stages from
+/// then on.
+fn cell_runs(scheme: Scheme, depth: u8, faults: bool, recursion: bool, traced: bool) -> Outcome {
     let cfg = OramConfig::builder(9, scheme).seed(41).build().unwrap();
     let mut driver = TimingDriver::new(&cfg, DramConfig::default()).unwrap();
-    driver.set_issue_mode(IssueMode::Serial);
     if faults {
         driver.enable_faults(FaultPlan::new(41));
         driver.enable_integrity();
@@ -184,7 +177,6 @@ fn cell_runs(
     let mut reports = Vec::new();
     for (i, n) in [0, 1, BATCH - 1, BATCH, BATCH + 1, 1_000].into_iter().enumerate() {
         if i == 3 {
-            driver.set_issue_mode(mode);
             driver.set_pipeline_depth(depth);
         }
         reports.push(driver.run((0..n).map(|_| gen.next_record())).unwrap());
@@ -204,18 +196,15 @@ fn cell_runs(
 
 #[test]
 fn an_installed_collector_changes_no_result() {
-    for scheme in [Scheme::Baseline, Scheme::Ab] {
-        for mode in [IssueMode::Serial, IssueMode::ChannelParallel] {
-            for depth in [1, 4] {
-                for faults in [false, true] {
-                    for recursion in [false, true] {
-                        let cell =
-                            |traced| cell_runs(scheme, mode, depth, faults, recursion, traced);
-                        assert!(
-                            cell(false) == cell(true),
-                            "{scheme} {mode:?} depth {depth} faults {faults} recursion {recursion}"
-                        );
-                    }
+    for scheme in [Scheme::Baseline, Scheme::Ab, Scheme::AbChannelPar] {
+        for depth in [1, 4] {
+            for faults in [false, true] {
+                for recursion in [false, true] {
+                    let cell = |traced| cell_runs(scheme, depth, faults, recursion, traced);
+                    assert!(
+                        cell(false) == cell(true),
+                        "{scheme} depth {depth} faults {faults} recursion {recursion}"
+                    );
                 }
             }
         }

@@ -1,19 +1,5 @@
 //! DRAM organization and timing configuration.
 
-/// How physical addresses map onto (channel, rank, bank, row, column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AddressMapping {
-    /// Consecutive cache lines fill a DRAM row before moving to the next
-    /// bank (USIMM's `row:rank:bank:channel:column` scheme). Preserves
-    /// row-buffer locality for sequential bucket accesses — the default, and
-    /// the mapping under which remote allocation's locality loss is visible.
-    PageInterleave,
-    /// Consecutive cache lines round-robin across channels
-    /// (`row:column:rank:bank:channel`), maximizing channel parallelism at
-    /// the cost of row locality.
-    LineInterleave,
-}
-
 /// Row-buffer management policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PagePolicy {
@@ -37,7 +23,8 @@ pub struct DramTiming {
     pub t_rp: u64,
     /// RD-to-data (CAS latency).
     pub t_cas: u64,
-    /// Minimum row-open time before PRE (folded into conflict cost).
+    /// Minimum row-open time before PRE. Configured but not yet enforced:
+    /// no timing rule reads it.
     pub t_ras: u64,
     /// Write recovery before a PRE after a write.
     pub t_wr: u64,
@@ -87,8 +74,6 @@ pub struct DramConfig {
     pub timing: DramTiming,
     /// CPU cycles per memory-bus cycle (3.2 GHz core / 800 MHz bus = 4).
     pub cpu_clock_ratio: u64,
-    /// Address mapping scheme.
-    pub mapping: AddressMapping,
     /// Write-queue high watermark: start draining writes.
     pub write_queue_high: usize,
     /// Write-queue low watermark: stop draining writes.
@@ -111,7 +96,6 @@ impl Default for DramConfig {
             row_bytes: 8 * 1024,
             timing: DramTiming::default(),
             cpu_clock_ratio: 4,
-            mapping: AddressMapping::PageInterleave,
             write_queue_high: 48,
             write_queue_low: 16,
             page_policy: PagePolicy::Open,

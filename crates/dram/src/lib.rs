@@ -49,7 +49,7 @@ mod stats;
 mod system;
 
 pub use channel::{MemOpKind, Priority, RequestId};
-pub use config::{AddressMapping, DramConfig, DramTiming, PagePolicy};
+pub use config::{DramConfig, DramTiming, PagePolicy};
 pub use cpu::RobCpu;
 pub use energy::{EnergyParams, EnergyReport};
 pub use mapping::DecodedAddr;

@@ -1,6 +1,6 @@
 //! Physical-address decoding.
 
-use crate::config::{AddressMapping, DramConfig};
+use crate::config::DramConfig;
 
 /// A physical address decoded into DRAM coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -16,7 +16,9 @@ pub struct DecodedAddr {
 }
 
 impl DramConfig {
-    /// Decodes physical `addr` under this configuration's mapping scheme:
+    /// Decodes physical `addr` under USIMM's page-interleaved map
+    /// (`row:rank:bank:channel:column`, Table III): consecutive lines fill
+    /// a row before the next row's worth moves to the next channel. This is
     /// the location a [`crate::MemorySystem`] over it routes the address to.
     /// It needs no memory system, so an issue layer can decode, group and
     /// order an access's requests wherever it stages them.
@@ -27,24 +29,10 @@ impl DramConfig {
     /// ranks or banks, or rows shorter than one 64 B line), which would
     /// divide by zero.
     pub fn decode(&self, addr: u64) -> DecodedAddr {
-        let line = addr / 64;
-        let channels = u64::from(self.channels);
-        let banks = self.banks_per_channel();
-        let (channel, bank, row) = match self.mapping {
-            AddressMapping::PageInterleave => {
-                // row : rank : bank : channel : column — column bits lowest.
-                let (rest, _) = div_rem(line, self.lines_per_row());
-                let (rest, channel) = div_rem(rest, channels);
-                let (row, bank) = div_rem(rest, banks);
-                (channel, bank, row)
-            }
-            AddressMapping::LineInterleave => {
-                // row : column : rank : bank : channel — channel bits lowest.
-                let (rest, channel) = div_rem(line, channels);
-                let (rest, bank) = div_rem(rest, banks);
-                (channel, bank, div_rem(rest, self.lines_per_row()).0)
-            }
-        };
+        // row : rank : bank : channel : column — column bits lowest.
+        let (rest, _) = div_rem(addr / 64, self.lines_per_row());
+        let (rest, channel) = div_rem(rest, u64::from(self.channels));
+        let (row, bank) = div_rem(rest, self.banks_per_channel());
         let rank = div_rem(bank, u64::from(self.banks)).0;
         DecodedAddr { channel: channel as u8, bank: bank as u16, row, rank: rank as u8 }
     }
@@ -80,61 +68,39 @@ mod tests {
     }
 
     #[test]
-    fn line_interleave_spreads_across_channels() {
-        let cfg = DramConfig { mapping: AddressMapping::LineInterleave, ..DramConfig::default() };
-        let d0 = cfg.decode(0);
-        let d1 = cfg.decode(64);
-        assert_ne!(d0.channel, d1.channel);
-    }
-
-    #[test]
     fn decode_is_injective_over_a_region() {
         use std::collections::HashSet;
-        for mapping in [AddressMapping::PageInterleave, AddressMapping::LineInterleave] {
-            let cfg = DramConfig { mapping, ..DramConfig::default() };
-            let mut seen = HashSet::new();
-            // 1024 rows worth of lines must decode to distinct (ch, bank, row, line-in-row).
-            // We check coordinates coarsely: count distinct (channel,bank,row) buckets
-            // and confirm each holds exactly lines_per_row lines.
-            for line in 0..cfg.lines_per_row() * 1024 {
-                let d = cfg.decode(line * 64);
-                seen.insert((d.channel, d.bank, d.row, line));
-                assert!(u64::from(d.bank) < cfg.banks_per_channel());
-                assert!(d.channel < cfg.channels);
-                assert_eq!(u64::from(d.rank), u64::from(d.bank) / u64::from(cfg.banks));
-            }
+        let cfg = DramConfig::default();
+        let mut seen = HashSet::new();
+        // 1024 rows worth of lines must decode to distinct (ch, bank, row, line-in-row).
+        // We check coordinates coarsely: count distinct (channel,bank,row) buckets
+        // and confirm each holds exactly lines_per_row lines.
+        for line in 0..cfg.lines_per_row() * 1024 {
+            let d = cfg.decode(line * 64);
+            seen.insert((d.channel, d.bank, d.row, line));
+            assert!(u64::from(d.bank) < cfg.banks_per_channel());
+            assert!(d.channel < cfg.channels);
+            assert_eq!(u64::from(d.rank), u64::from(d.bank) / u64::from(cfg.banks));
         }
     }
 
     proptest::proptest! {
         /// The shift-and-mask path is the map's division formula: every
         /// field equal, for power-of-two radices (Table III) and for a
-        /// geometry with none, under both maps, up to the top of the range.
+        /// geometry with none, up to the top of the range.
         #[test]
         fn decode_is_the_division_formula(addrs in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..64)) {
             let table_iii = DramConfig::default();
             let odd = DramConfig { channels: 3, ranks: 3, banks: 5, row_bytes: 1536, ..table_iii };
             let mixed = DramConfig { channels: 2, ranks: 3, banks: 4, row_bytes: 1024, ..table_iii };
-            for geometry in [table_iii, odd, mixed] {
-                for mapping in [AddressMapping::PageInterleave, AddressMapping::LineInterleave] {
-                    let cfg = DramConfig { mapping, ..geometry };
-                    let (channels, banks) = (u64::from(cfg.channels), cfg.banks_per_channel());
-                    for addr in addrs.iter().flat_map(|&a| [a, u64::MAX - a % 4096]) {
-                        let line = addr / 64;
-                        let (channel, bank, row) = match mapping {
-                            AddressMapping::PageInterleave => {
-                                let rest = line / cfg.lines_per_row();
-                                (rest % channels, rest / channels % banks, rest / channels / banks)
-                            }
-                            AddressMapping::LineInterleave => {
-                                let rest = line / channels;
-                                (line % channels, rest % banks, rest / banks / cfg.lines_per_row())
-                            }
-                        };
-                        let rank = bank / u64::from(cfg.banks);
-                        let want = DecodedAddr { channel: channel as u8, bank: bank as u16, row, rank: rank as u8 };
-                        proptest::prop_assert_eq!(cfg.decode(addr), want, "{:#x} under {:?}", addr, cfg);
-                    }
+            for cfg in [table_iii, odd, mixed] {
+                let (channels, banks) = (u64::from(cfg.channels), cfg.banks_per_channel());
+                for addr in addrs.iter().flat_map(|&a| [a, u64::MAX - a % 4096]) {
+                    let rest = addr / 64 / cfg.lines_per_row();
+                    let (channel, bank, row) = (rest % channels, rest / channels % banks, rest / channels / banks);
+                    let rank = bank / u64::from(cfg.banks);
+                    let want = DecodedAddr { channel: channel as u8, bank: bank as u16, row, rank: rank as u8 };
+                    proptest::prop_assert_eq!(cfg.decode(addr), want, "{:#x} under {:?}", addr, cfg);
                 }
             }
         }

@@ -401,7 +401,6 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AddressMapping;
 
     #[test]
     fn retire_stops_at_the_first_unresolved_request() {
@@ -481,7 +480,7 @@ mod tests {
 
     #[test]
     fn enqueue_decoded_is_enqueue_without_the_decode() {
-        let cfg = DramConfig { mapping: AddressMapping::LineInterleave, ..DramConfig::default() };
+        let cfg = DramConfig::default();
         let (mut batch, mut single) = (MemorySystem::new(cfg), MemorySystem::new(cfg));
         assert_eq!(batch.enqueue_decoded([], 5).len(), 0, "an empty access mints no id");
         // Runs of 0–3 requests; some continue the run before them.

@@ -47,19 +47,19 @@ pub struct RecursionConfig {
     /// The chain stops once a level's block count fits this on-chip root
     /// table (the serving analogue of `PlbConfig::onchip_posmap_bytes`).
     pub root_max_entries: u64,
-    /// Scheme for the posmap trees themselves. Defaults to `Baseline`:
-    /// posmap trees are small and uniform, and the space-reduction schemes
-    /// target the big data tree.
-    pub scheme: Scheme,
     /// Seed for the per-tree engines and the position-drawing RNG.
     pub seed: u64,
 }
 
 impl Default for RecursionConfig {
     fn default() -> Self {
-        RecursionConfig { root_max_entries: 64, scheme: Scheme::Baseline, seed: 1 }
+        RecursionConfig { root_max_entries: 64, seed: 1 }
     }
 }
+
+/// Scheme of the posmap trees themselves: they are small and uniform, and
+/// the space-reduction schemes target the big data tree.
+const POSMAP_SCHEME: Scheme = Scheme::Baseline;
 
 /// Counters the service layer and the accounting cross-check consume.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -155,7 +155,7 @@ impl RecursivePosMap {
             let levels = levels_for(blocks);
             let seed = cfg.seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(k as u64));
             let tree_cfg =
-                OramConfig::builder(levels, cfg.scheme).store_data(true).seed(seed).build()?;
+                OramConfig::builder(levels, POSMAP_SCHEME).store_data(true).seed(seed).build()?;
             trees.push(make_backend(&tree_cfg)?);
         }
 

@@ -55,18 +55,13 @@ pub struct StoreConfig {
     /// Data-tree levels (the *starting* level count when auto-scaling).
     pub levels: u8,
     /// Auto-scaling ceiling: `Some(max)` lets the data tree grow lazily up
-    /// to `max` levels as inserts cross the utilization threshold; `None`
+    /// to `max` levels, one level each time an insert finds it full; `None`
     /// fixes capacity at `levels` (the classic behavior, bit-identical to
     /// pre-growth builds).
     pub max_levels: Option<u8>,
-    /// Utilization percentage at which an insert triggers a level grow
-    /// (only meaningful with `max_levels`). 100 = grow when full, the
-    /// paper-shaped default; tests lower it to force growth events early.
-    pub growth_util_pct: u8,
-    /// Data-tree scheme (any of the paper's six).
+    /// Data-tree scheme (any of the paper's six). The posmap trees always
+    /// run `Baseline`.
     pub scheme: Scheme,
-    /// Posmap-tree scheme (see [`RecursionConfig::scheme`]).
-    pub posmap_scheme: Scheme,
     /// On-chip root table bound for the recursion ladder.
     pub root_max_entries: u64,
     /// Engine and position-draw seed.
@@ -88,9 +83,7 @@ impl StoreConfig {
         StoreConfig {
             levels,
             max_levels: None,
-            growth_util_pct: 100,
             scheme,
-            posmap_scheme: Scheme::Baseline,
             root_max_entries: 64,
             seed: 2023,
             backend: BackendKind::Untimed,
@@ -219,8 +212,7 @@ impl ObliviousStore {
         let mut builder =
             OramConfig::builder(cfg.levels, cfg.scheme).store_data(true).seed(cfg.seed);
         if let Some(max) = cfg.max_levels {
-            builder = builder
-                .growth(GrowthConfig { util_pct: cfg.growth_util_pct, ..GrowthConfig::up_to(max) });
+            builder = builder.growth(GrowthConfig::up_to(max));
         }
         let data_cfg = builder.build()?;
         let data = make(&data_cfg)?;
@@ -240,7 +232,6 @@ impl ObliviousStore {
 
         let rec = RecursionConfig {
             root_max_entries: cfg.root_max_entries,
-            scheme: cfg.posmap_scheme,
             seed: cfg.seed ^ 0x00C0_FFEE_0B5C_0DE5,
         };
         let engine = data.engine();

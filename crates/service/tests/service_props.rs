@@ -4,7 +4,7 @@
 //! batching front-end — and the real recursion chain must agree with the
 //! core crate's accounting model.
 
-use aboram_core::{PlbConfig, PosMapHierarchy, Scheme};
+use aboram_core::{OramConfig, PlbConfig, PosMapHierarchy, Scheme};
 use aboram_dram::DramConfig;
 use aboram_service::{
     BackendKind, BatchConfig, BatchingFrontEnd, ObliviousStore, Request, StoreConfig,
@@ -79,8 +79,8 @@ proptest! {
 
     /// Auto-scaling stores keep agreeing with the model through level
     /// growth, under every paper scheme: preload enough distinct keys to
-    /// exhaust the starting tree and cross the (lowered) utilization
-    /// threshold twice, then replay a random interleaving.
+    /// fill the starting tree and then the grown one, then replay a random
+    /// interleaving.
     #[test]
     fn auto_scaling_store_matches_model_across_growth(
         ops in proptest::collection::vec(arb_op(), 1..30),
@@ -88,14 +88,14 @@ proptest! {
     ) {
         for scheme in SCHEMES {
             let mut cfg = StoreConfig::auto_scaling(8, 10, scheme);
-            cfg.growth_util_pct = 50;
             cfg.seed = seed;
             let mut store = ObliviousStore::new(&cfg).unwrap();
 
-            // Starting capacity plus a few: the first insert past the
-            // materialized tree grows 8 → 9, and at 50 % utilization the
-            // next insert immediately grows 9 → 10.
-            let fill = store.materialized() + 4;
+            // The 9-level capacity plus a few: the first insert past the
+            // materialized tree grows 8 → 9, the first past 9 levels' worth
+            // grows 9 → 10.
+            let nine = OramConfig::builder(9, scheme).build().unwrap().real_block_count();
+            let fill = nine + 4;
             for i in 0..fill {
                 store.put(format!("fill-{i}").as_bytes(), &i.to_le_bytes());
             }

@@ -241,6 +241,9 @@ fn cmd_serve_demo(args: &[String]) -> Result<(), String> {
         if args.iter().any(|a| a == "--timed") { 150_000 } else { 25_000 },
     )?;
     let keys: u64 = 64;
+    if batch == 0 || period == 0 {
+        return Err("--batch and --period must be nonzero".into());
+    }
 
     let mut cfg = StoreConfig::new(levels, scheme);
     if args.iter().any(|a| a == "--timed") {

@@ -82,22 +82,22 @@ fn golden_runner_is_deterministic() {
     assert_eq!(a, b);
 }
 
-/// Two traced runs on one collector: a channel-parallel AB driver at depth 4
+/// Two traced runs on one collector: an AB-CP (channel-parallel) driver at depth 4
 /// with the posmap model recursing, its windows cut every 16 records (so
 /// mid-batch), then a run on the same driver that ends in
 /// `RetriesExhausted` and dumps the ring log.
 fn telemetry_trace() -> String {
     use aboram_core::{
-        FaultConfig, FaultPlan, IssueMode, OramConfig, OramError, PlbConfig, Scheme, TimingDriver,
+        FaultConfig, FaultPlan, OramConfig, OramError, PlbConfig, Scheme, TimingDriver,
     };
     use aboram_dram::DramConfig;
     use aboram_trace::{profiles, TraceGenerator};
 
     let (collector, buf) = aboram_telemetry::Collector::to_shared_buffer();
     aboram_telemetry::install(collector.window_every(16));
-    let cfg = OramConfig::builder(10, Scheme::Ab).seed(golden::GOLDEN_SEED).build().unwrap();
+    let cfg =
+        OramConfig::builder(10, Scheme::AbChannelPar).seed(golden::GOLDEN_SEED).build().unwrap();
     let mut driver = TimingDriver::new(&cfg, DramConfig::default()).unwrap();
-    driver.set_issue_mode(IssueMode::ChannelParallel);
     driver.set_pipeline_depth(4);
     driver.enable_posmap_recursion(PlbConfig {
         plb_bytes: 1024,
