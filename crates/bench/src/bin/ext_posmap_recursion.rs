@@ -14,7 +14,7 @@
 use aboram_bench::{emit, Experiment};
 use aboram_core::{PlbConfig, PosMapHierarchy, Scheme, TimingDriver};
 use aboram_dram::DramConfig;
-use aboram_service::{ObliviousStore, StoreConfig};
+use aboram_service::{ObliviousStore, StoreConfig, ROOT_MAX_ENTRIES};
 use aboram_stats::Table;
 use aboram_trace::{profiles, TraceGenerator};
 
@@ -94,11 +94,8 @@ fn real_chain_cross_check(env: &Experiment) -> String {
         let mut store = ObliviousStore::new(&cfg).expect("store");
         let depth = store.posmap().chain_depth() as u64;
 
-        let model_cfg = PlbConfig {
-            plb_bytes: 0,
-            onchip_posmap_bytes: cfg.root_max_entries * 8,
-            entry_bytes: 8,
-        };
+        let model_cfg =
+            PlbConfig { plb_bytes: 0, onchip_posmap_bytes: ROOT_MAX_ENTRIES * 8, entry_bytes: 8 };
         let mut model = PosMapHierarchy::new(store.capacity(), model_cfg);
         assert_eq!(
             u64::from(model.offchip_levels()),

@@ -27,19 +27,17 @@
 //!
 //! `--smoke` runs a seconds-scale configuration and asserts the acceptance
 //! conditions (nonzero throughput, active recursion chain, parseable
-//! latency report) — the CI entry point. `--skew <s>` adds a fifth tenant
-//! running alpha's workload at an arbitrary Zipf exponent; `--pipeline`
-//! adds a serialized-vs-access-pipelined comparison pair on the DRAM twin
-//! (depth 4, per-slot completion stamping) and asserts the pipelined
-//! tenant's p50/p99 are never worse; `--channel-par` and `--grow` add
-//! their own comparison pairs.
+//! latency report) — the CI entry point. `--pipeline` adds a
+//! serialized-vs-access-pipelined comparison pair on the DRAM twin (depth
+//! 4, per-slot completion stamping) and `--channel-par` a serial-vs-
+//! channel-parallel one; each asserts its second tenant's p50/p99 are never
+//! worse. `--grow` adds an auto-scaling-vs-fixed-capacity pair.
 
 use aboram_bench::{derive_cell_seed, emit, CellExecutor, Experiment};
 use aboram_core::Scheme;
 use aboram_dram::DramConfig;
 use aboram_service::{
-    BackendKind, BatchConfig, BatchingFrontEnd, LatencyReport, ObliviousService, ObliviousStore,
-    Request, StoreConfig, TenantSpec,
+    BackendKind, BatchConfig, BatchingFrontEnd, LatencyReport, ObliviousStore, Request, StoreConfig,
 };
 use aboram_stats::Table;
 use aboram_trace::{KeyDist, KeySampler};
@@ -297,35 +295,82 @@ fn run_grow_tenant(auto: bool, gs: &GrowScale, seed: u64) -> (TenantResult, u64,
     (result, grows, levels)
 }
 
-/// Exercises [`ObliviousService`] directly: two tenants behind one
-/// submission surface, with a cross-tenant read proving isolation.
-fn isolation_demo(seed: u64) -> String {
-    let spec = |name: &str, salt: u64| TenantSpec {
-        name: name.to_string(),
-        store: {
-            let mut s = StoreConfig::new(8, Scheme::Ab);
-            s.seed = seed ^ salt;
-            s
-        },
-        batch: BatchConfig { batch_size: 2, period: 5_000, queue_capacity: 8, pipelined: false },
-    };
-    let mut svc = ObliviousService::new(&[spec("alpha", 1), spec("beta", 2)]).expect("service");
-    svc.submit(0, 0, Request::Put { key: b"shared-name".to_vec(), value: b"secret".to_vec() })
-        .expect("submit");
-    svc.submit(1, 0, Request::Get { key: b"shared-name".to_vec() }).expect("submit");
-    let done = svc.drain().expect("drain");
-    let beta = done.iter().find(|(t, _)| *t == 1).expect("beta completion");
-    assert_eq!(beta.1.value, None, "tenant isolation: beta must not see alpha's key");
-    format!(
-        "Isolation check ({} tenants behind one `ObliviousService`): beta's read of a key \
-         alpha wrote returned `None` — tenants share nothing, not even a tree.\n",
-        svc.tenant_count()
-    )
+/// A tenant on the cycle-accurate DRAM twin: open-loop Zipf(0.99), four
+/// arrivals per batch period.
+fn dram_tenant(
+    name: &'static str,
+    scheme: Scheme,
+    batch: BatchConfig,
+    pipeline_depth: u8,
+) -> TenantCell {
+    TenantCell {
+        name,
+        scheme,
+        dist: KeyDist::Zipf { s: 0.99 },
+        mode: Mode::Open { gap: batch.period / 4 },
+        backend: BackendKind::Timed(DramConfig::default()),
+        batch,
+        pipeline_depth,
+    }
 }
 
-/// The value following `flag`, if present (`--skew 1.2`).
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
+/// The report text of one comparison pair.
+struct PairReport {
+    heading: &'static str,
+    blurb: &'static str,
+    title: &'static str,
+    /// The table's second column: its header and each tenant's value.
+    column: (&'static str, fn(&TenantCell) -> String),
+    /// What the second tenant changes, for the assertions' messages.
+    what: &'static str,
+}
+
+/// Runs a comparison pair (`--channel-par`, `--pipeline`) on one seed, so
+/// both tenants face the same request stream, and returns its report
+/// section. Asserts that the second tenant completes as many requests as
+/// the first with p50 and p99 no worse.
+fn run_pair(
+    pair: &[TenantCell; 2],
+    scale: &Scale,
+    seed: u64,
+    executor: &CellExecutor,
+    report: &PairReport,
+) -> String {
+    let pr: Vec<TenantResult> =
+        executor.run((0..pair.len()).collect(), |i, _| run_tenant(&pair[i], scale, seed));
+    let (column, label) = report.column;
+    let mut table = Table::new(
+        report.title,
+        &["tenant", column, "reqs", "req/Mcyc", "p50", "p95", "p99", "max"],
+    );
+    for (cell, r) in pair.iter().zip(&pr) {
+        table.row(
+            &[cell.name, &label(cell)],
+            &[
+                r.completed as f64,
+                r.throughput(),
+                r.lat.p50 as f64,
+                r.lat.p95 as f64,
+                r.lat.p99 as f64,
+                r.lat.max as f64,
+            ],
+        );
+    }
+
+    let (base, other) = (&pr[0], &pr[1]);
+    let what = report.what;
+    assert_eq!(base.completed, other.completed, "{what} changed the completion count");
+    assert!(
+        other.lat.p50 <= base.lat.p50 && other.lat.p99 <= base.lat.p99,
+        "{what} must not add latency: {} p50/p99 {}/{} vs {} {}/{}",
+        pair[1].name,
+        other.lat.p50,
+        other.lat.p99,
+        pair[0].name,
+        base.lat.p50,
+        base.lat.p99
+    );
+    format!("{}{}{}", report.heading, report.blurb, table.to_markdown())
 }
 
 fn main() {
@@ -334,8 +379,6 @@ fn main() {
     let grow = args.iter().any(|a| a == "--grow");
     let channel_par = args.iter().any(|a| a == "--channel-par");
     let pipeline = args.iter().any(|a| a == "--pipeline");
-    let skew: Option<f64> = flag_value(&args, "--skew")
-        .map(|v| v.parse().expect("--skew takes a Zipf exponent, e.g. --skew 1.2"));
     let env = Experiment::from_env();
     let _telemetry = aboram_bench::telemetry_from_env();
 
@@ -357,7 +400,9 @@ fn main() {
     let batch_size = 8usize;
     let full_gap = period / batch_size as u64;
     let open = BatchConfig { batch_size, period, queue_capacity: 256, pipelined: false };
-    let mut tenants = vec![
+    let timed =
+        BatchConfig { batch_size, period: timed_period, queue_capacity: 256, pipelined: false };
+    let tenants = [
         TenantCell {
             name: "alpha",
             scheme: Scheme::Ab,
@@ -385,36 +430,8 @@ fn main() {
             batch: BatchConfig { batch_size, period, queue_capacity: 64, pipelined: false },
             pipeline_depth: 1,
         },
-        TenantCell {
-            name: "delta",
-            scheme: Scheme::Ab,
-            dist: KeyDist::Zipf { s: 0.99 },
-            mode: Mode::Open { gap: timed_period / 4 },
-            backend: BackendKind::Timed(DramConfig::default()),
-            batch: BatchConfig {
-                batch_size,
-                period: timed_period,
-                queue_capacity: 256,
-                pipelined: false,
-            },
-            pipeline_depth: 1,
-        },
+        dram_tenant("delta", Scheme::Ab, timed, 1),
     ];
-    if let Some(s) = skew {
-        // `--skew <s>`: a fifth tenant running alpha's open-loop workload
-        // at the requested Zipf exponent — the front-end's same-key
-        // coalescing (and the admission controller behind it) under a
-        // hotter or colder key distribution than the YCSB default.
-        tenants.push(TenantCell {
-            name: "skewed",
-            scheme: Scheme::Ab,
-            dist: KeyDist::Zipf { s },
-            mode: Mode::Open { gap: full_gap },
-            backend: BackendKind::Untimed,
-            batch: open,
-            pipeline_depth: 1,
-        });
-    }
 
     let executor = CellExecutor::from_env_or_args(&args);
     eprintln!("[svc_bench: {} tenants on {} worker(s)]", tenants.len(), executor.jobs());
@@ -475,8 +492,6 @@ fn main() {
         scale.levels, scale.keys, scale.requests, batch_size, period
     ));
     out.push_str(&table.to_markdown());
-    out.push('\n');
-    out.push_str(&isolation_demo(env.seed));
     out.push_str("\nRecursive position map (per tenant):\n\n");
     for (cell, r) in tenants.iter().zip(&results) {
         out.push_str(&format!(
@@ -546,153 +561,62 @@ fn main() {
     }
 
     if channel_par {
-        // Serial AB vs channel-parallel AB on the cycle-accurate DRAM twin,
-        // same seed so both tenants face an identical request stream: the
-        // only difference is the issue mode, so the latency gap is exactly
-        // what the channel-parallel drain and crypto/DRAM overlap buy
-        // end-to-end (queueing included).
-        let cp_batch =
-            BatchConfig { batch_size, period: timed_period, queue_capacity: 256, pipelined: false };
-        let pair = [
-            TenantCell {
-                name: "serial",
-                scheme: Scheme::Ab,
-                dist: KeyDist::Zipf { s: 0.99 },
-                mode: Mode::Open { gap: timed_period / 4 },
-                backend: BackendKind::Timed(DramConfig::default()),
-                batch: cp_batch,
-                pipeline_depth: 1,
-            },
-            TenantCell {
-                name: "chan-par",
-                scheme: Scheme::AbChannelPar,
-                dist: KeyDist::Zipf { s: 0.99 },
-                mode: Mode::Open { gap: timed_period / 4 },
-                backend: BackendKind::Timed(DramConfig::default()),
-                batch: cp_batch,
-                pipeline_depth: 1,
-            },
-        ];
+        // Serial AB vs channel-parallel AB: the only difference is the
+        // issue mode, so the latency gap is exactly what the
+        // channel-parallel drain and crypto/DRAM overlap buy end-to-end
+        // (queueing included).
         eprintln!("[svc_bench: --channel-par comparison pair]");
-        let seed = derive_cell_seed(env.seed, 0xC9A2);
-        let pr: Vec<TenantResult> =
-            executor.run((0..pair.len()).collect(), |i, _| run_tenant(&pair[i], &scale, seed));
-
-        let mut ct = Table::new(
-            "Serial vs channel-parallel issue — DRAM twin, latency in simulated cycles",
-            &["tenant", "scheme", "reqs", "req/Mcyc", "p50", "p95", "p99", "max"],
-        );
-        for (cell, r) in pair.iter().zip(&pr) {
-            ct.row(
-                &[cell.name, &cell.scheme.to_string()],
-                &[
-                    r.completed as f64,
-                    r.throughput(),
-                    r.lat.p50 as f64,
-                    r.lat.p95 as f64,
-                    r.lat.p99 as f64,
-                    r.lat.max as f64,
-                ],
-            );
-        }
-        out.push_str("\n## Channel-parallel issue mode (`--channel-par`)\n\n");
-        out.push_str(
-            "Both tenants run AB's protocol on the DRAM twin with the same seed and request \
-             stream; `chan-par` issues each access's requests grouped by channel and overlaps \
-             decryption with in-flight DRAM, so any latency gap is the issue mode's doing.\n\n",
-        );
-        out.push_str(&ct.to_markdown());
-
-        let (serial, cp) = (&pr[0], &pr[1]);
-        assert_eq!(serial.completed, cp.completed, "issue mode changed the completion count");
-        assert!(
-            cp.lat.p50 <= serial.lat.p50 && cp.lat.p99 <= serial.lat.p99,
-            "channel-parallel issue must not add latency: cp p50/p99 {}/{} vs serial {}/{}",
-            cp.lat.p50,
-            cp.lat.p99,
-            serial.lat.p50,
-            serial.lat.p99
-        );
+        let pair = [
+            dram_tenant("serial", Scheme::Ab, timed, 1),
+            dram_tenant("chan-par", Scheme::AbChannelPar, timed, 1),
+        ];
+        out.push_str(&run_pair(
+            &pair,
+            &scale,
+            derive_cell_seed(env.seed, 0xC9A2),
+            &executor,
+            &PairReport {
+                heading: "\n## Channel-parallel issue mode (`--channel-par`)\n\n",
+                blurb: "Both tenants run AB's protocol on the DRAM twin with the same seed and \
+                        request stream; `chan-par` issues each access's requests grouped by \
+                        channel and overlaps decryption with in-flight DRAM, so any latency gap \
+                        is the issue mode's doing.\n\n",
+                title: "Serial vs channel-parallel issue — DRAM twin, latency in simulated cycles",
+                column: ("scheme", |cell| cell.scheme.to_string()),
+                what: "channel-parallel issue",
+            },
+        ));
     }
 
     if pipeline {
-        // Serialized vs access-pipelined AB on the DRAM twin, same seed and
-        // request stream: the pipelined tenant overlaps access i+1's reads
-        // with access i's writeback drain (depth 4, DESIGN.md §15) and
-        // stamps each request with its own slot's completion rather than
-        // the flat batch end, so the latency gap is exactly what
-        // cross-access pipelining buys end-to-end.
-        let pair = [
-            TenantCell {
-                name: "serial",
-                scheme: Scheme::Ab,
-                dist: KeyDist::Zipf { s: 0.99 },
-                mode: Mode::Open { gap: timed_period / 4 },
-                backend: BackendKind::Timed(DramConfig::default()),
-                batch: BatchConfig {
-                    batch_size,
-                    period: timed_period,
-                    queue_capacity: 256,
-                    pipelined: false,
-                },
-                pipeline_depth: 1,
-            },
-            TenantCell {
-                name: "pipelined",
-                scheme: Scheme::Ab,
-                dist: KeyDist::Zipf { s: 0.99 },
-                mode: Mode::Open { gap: timed_period / 4 },
-                backend: BackendKind::Timed(DramConfig::default()),
-                batch: BatchConfig {
-                    batch_size,
-                    period: timed_period,
-                    queue_capacity: 256,
-                    pipelined: true,
-                },
-                pipeline_depth: 4,
-            },
-        ];
+        // Serialized vs access-pipelined AB: the pipelined tenant overlaps
+        // access i+1's reads with access i's writeback drain (depth 4,
+        // DESIGN.md §15) and stamps each request with its own slot's
+        // completion rather than the flat batch end, so the latency gap is
+        // exactly what cross-access pipelining buys end-to-end.
         eprintln!("[svc_bench: --pipeline comparison pair]");
-        let seed = derive_cell_seed(env.seed, 0x9199);
-        let pr: Vec<TenantResult> =
-            executor.run((0..pair.len()).collect(), |i, _| run_tenant(&pair[i], &scale, seed));
-
-        let mut pt = Table::new(
-            "Serialized vs access-pipelined execution — DRAM twin, latency in simulated cycles",
-            &["tenant", "depth", "reqs", "req/Mcyc", "p50", "p95", "p99", "max"],
-        );
-        for (cell, r) in pair.iter().zip(&pr) {
-            pt.row(
-                &[cell.name, &cell.pipeline_depth.to_string()],
-                &[
-                    r.completed as f64,
-                    r.throughput(),
-                    r.lat.p50 as f64,
-                    r.lat.p95 as f64,
-                    r.lat.p99 as f64,
-                    r.lat.max as f64,
-                ],
-            );
-        }
-        out.push_str("\n## Access pipelining (`--pipeline`)\n\n");
-        out.push_str(
-            "Both tenants run AB's protocol on the DRAM twin with the same seed and request \
-             stream; `pipelined` holds up to 4 accesses in flight (write-after-read hazards and \
-             the stash hand-off still order dependent work) and stamps per-slot completions, so \
-             any latency gap is the pipeline's doing.\n\n",
-        );
-        out.push_str(&pt.to_markdown());
-
-        let (serial, piped) = (&pr[0], &pr[1]);
-        assert_eq!(serial.completed, piped.completed, "pipelining changed the completion count");
-        assert!(
-            piped.lat.p50 <= serial.lat.p50 && piped.lat.p99 <= serial.lat.p99,
-            "pipelining must not add latency: piped p50/p99 {}/{} vs serial {}/{}",
-            piped.lat.p50,
-            piped.lat.p99,
-            serial.lat.p50,
-            serial.lat.p99
-        );
+        let pair = [
+            dram_tenant("serial", Scheme::Ab, timed, 1),
+            dram_tenant("pipelined", Scheme::Ab, BatchConfig { pipelined: true, ..timed }, 4),
+        ];
+        out.push_str(&run_pair(
+            &pair,
+            &scale,
+            derive_cell_seed(env.seed, 0x9199),
+            &executor,
+            &PairReport {
+                heading: "\n## Access pipelining (`--pipeline`)\n\n",
+                blurb: "Both tenants run AB's protocol on the DRAM twin with the same seed and \
+                        request stream; `pipelined` holds up to 4 accesses in flight \
+                        (write-after-read hazards and the stash hand-off still order dependent \
+                        work) and stamps per-slot completions, so any latency gap is the \
+                        pipeline's doing.\n\n",
+                title: "Serialized vs access-pipelined execution — DRAM twin, latency in \
+                        simulated cycles",
+                column: ("depth", |cell| cell.pipeline_depth.to_string()),
+                what: "pipelining",
+            },
+        ));
     }
 
     emit(if smoke { "svc_bench_smoke.md" } else { "svc_bench.md" }, &out);

@@ -116,11 +116,6 @@ pub trait StorageBackend {
     /// Backends without a cycle-level pipeline ignore the knob.
     fn set_pipeline_depth(&mut self, _depth: u8) {}
 
-    /// The access-pipeline depth in force (1 for unpipelined backends).
-    fn pipeline_depth(&self) -> u8 {
-        1
-    }
-
     /// The cycle-accurate backend this is, if it is one: its stage and
     /// release halves can then run apart (see [`TimedBackend`]).
     fn timed_mut(&mut self) -> Option<&mut TimedBackend> {
@@ -331,10 +326,6 @@ impl StorageBackend for TimedBackend {
         ctl.set_depth(depth);
         let (mode, depth) = (ctl.issue_mode(), ctl.depth());
         self.stager.configure(mode, depth);
-    }
-
-    fn pipeline_depth(&self) -> u8 {
-        self.ctl().depth()
     }
 
     fn timed_mut(&mut self) -> Option<&mut TimedBackend> {

@@ -332,11 +332,6 @@ impl TimingDriver {
         self.engine.sink.inner_mut().configure(self.ctl.issue_mode(), self.ctl.depth());
     }
 
-    /// The access-pipeline depth in force.
-    pub fn pipeline_depth(&self) -> u8 {
-        self.ctl.depth()
-    }
-
     /// Activates chaos testing: installs `plan`'s channel-stall schedule
     /// into the memory system and arms the engine's fault injector, so the
     /// next [`run`](Self::run) executes under the plan's fault schedule. The

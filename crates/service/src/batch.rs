@@ -524,15 +524,14 @@ mod tests {
         use aboram_dram::DramConfig;
 
         // Slots × ladder depth: 2 × 2 posmap trees, then 8 × 3.
-        for (levels, root, batch_size, depth) in [(8, 64, 2, 2), (10, 8, 8, 3)] {
+        for (levels, batch_size, depth) in [(8, 2, 2), (11, 8, 3)] {
             let mut store_cfg = StoreConfig::new(levels, Scheme::Ab);
             store_cfg.backend = BackendKind::Timed(DramConfig::default());
-            store_cfg.root_max_entries = root;
             let mut store = ObliviousStore::new(&store_cfg).unwrap();
             for k in 0..64u64 {
                 store.rmw_at(store.now(), &k.to_le_bytes(), &mut |_| Some(vec![1])).unwrap();
             }
-            store.dummy_at(store.now()).unwrap();
+            store.rmw_at(store.now(), b"absent", &mut |_| None).unwrap();
             assert_eq!(store.lane_counts().spawns, 0, "the synchronous API stays inline");
 
             let cfg =

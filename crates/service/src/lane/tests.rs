@@ -128,7 +128,6 @@ fn timed_store(case: &Case, keys: u64) -> ObliviousStore {
     };
     cfg.backend = BackendKind::Timed(DramConfig::default());
     cfg.pipeline_depth = case.depth;
-    cfg.root_max_entries = 16;
     cfg.seed = 4_242;
     let mut store = ObliviousStore::new(&cfg).unwrap();
     let fill = if case.auto_scaling { store.materialized() - keys - 6 } else { 0 };

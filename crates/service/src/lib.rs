@@ -18,11 +18,10 @@
 //!   coalesces same-key requests, pads shortfalls with dummies, and
 //!   bounces overload at submission: the timing channel is closed by
 //!   construction.
-//! * [`ObliviousService`] — multiple fully isolated tenants.
 //!
 //! Engines run behind [`aboram_core::StorageBackend`]: cycle-accurate
 //! (`TimedBackend`, the DRAM twin) or fast accounted (`UntimedBackend`),
-//! selected per tenant via [`BackendKind`].
+//! selected per store via [`BackendKind`].
 //!
 //! # Quickstart
 //!
@@ -50,6 +49,7 @@ pub use batch::{
 };
 pub use posmap::{
     BackendFactory, PosMapStats, RecursionConfig, RecursivePosMap, ENTRIES_PER_BLOCK, ENTRY_BYTES,
+    ROOT_MAX_ENTRIES,
 };
-pub use service::{percentile, LatencyReport, ObliviousService, TenantSpec};
+pub use service::{percentile, LatencyReport};
 pub use store::{BackendKind, ObliviousStore, StoreConfig, StoreStats, MAX_VALUE_BYTES};

@@ -11,7 +11,7 @@
 //!   (tree 0 = the data tree), packed [`ENTRIES_PER_BLOCK`] entries per
 //!   64 B block;
 //! * the ladder shrinks ×8 per level until the top tree's own positions
-//!   fit in a small on-chip root table (`root_max_entries`);
+//!   fit in a small on-chip root table ([`ROOT_MAX_ENTRIES`]);
 //! * every lookup walks coarsest → finest: each level fetches the child's
 //!   claimed position and — in the *same* access, via the engine's managed
 //!   read-modify-write — overwrites the entry with the child's freshly
@@ -41,19 +41,21 @@ pub const ENTRY_BYTES: usize = 8;
 /// Position entries packed into one 64 B ORAM block.
 pub const ENTRIES_PER_BLOCK: u64 = (BLOCK_BYTES / ENTRY_BYTES) as u64;
 
-/// Shape and seeding of the recursion ladder.
+/// The on-chip root table's bound: the chain stops once a level's block
+/// count fits it (the serving analogue of `PlbConfig::onchip_posmap_bytes`,
+/// at [`ENTRY_BYTES`] per entry).
+pub const ROOT_MAX_ENTRIES: u64 = 64;
+
+/// Seeding of the recursion ladder.
 #[derive(Debug, Clone)]
 pub struct RecursionConfig {
-    /// The chain stops once a level's block count fits this on-chip root
-    /// table (the serving analogue of `PlbConfig::onchip_posmap_bytes`).
-    pub root_max_entries: u64,
     /// Seed for the per-tree engines and the position-drawing RNG.
     pub seed: u64,
 }
 
 impl Default for RecursionConfig {
     fn default() -> Self {
-        RecursionConfig { root_max_entries: 64, seed: 1 }
+        RecursionConfig { seed: 1 }
     }
 }
 
@@ -144,9 +146,8 @@ impl RecursivePosMap {
         make_backend: &mut BackendFactory<'_>,
     ) -> Result<Self, OramError> {
         assert!(data_blocks > 0, "cannot build a posmap over zero blocks");
-        assert!(cfg.root_max_entries > 0, "root table must hold at least one entry");
         let mut counts = vec![data_blocks];
-        while *counts.last().unwrap() > cfg.root_max_entries {
+        while *counts.last().unwrap() > ROOT_MAX_ENTRIES {
             counts.push(counts.last().unwrap().div_ceil(ENTRIES_PER_BLOCK));
         }
 

@@ -11,15 +11,14 @@
 //! Each request is a chain of tree accesses — the posmap levels, coarsest
 //! first, then the data tree — each arriving when the previous one is done.
 //! The store's *timing lane* decides where those accesses are released.
-//! The synchronous API ([`ObliviousStore::rmw_at`], `get`, `put`,
-//! [`ObliviousStore::dummy_at`]) and an untimed store release every access
-//! inline, on the calling thread. A batch of the
-//! [`BatchingFrontEnd`](crate::BatchingFrontEnd) on a timed store lends its
-//! trees' release halves ([`ReleaseHalf`]) to a helper thread the store
-//! spawns on its first batch and joins when it drops: the calling thread
-//! stages each access and sends it over, with its tree and whether it
-//! arrives at the batch's launch or after the previous access of its chain,
-//! and the helper computes every `done`. Each tree's twin sees the same
+//! The synchronous API ([`ObliviousStore::rmw_at`], `get`, `put`) and an
+//! untimed store release every access inline, on the calling thread. A
+//! batch of the [`BatchingFrontEnd`](crate::BatchingFrontEnd) on a timed
+//! store lends its trees' release halves ([`ReleaseHalf`]) to a helper
+//! thread the store spawns on its first batch and joins when it drops: the
+//! calling thread stages each access and sends it over, with its tree and
+//! whether it arrives at the batch's launch or after the previous access of
+//! its chain, and the helper computes every `done`. Each tree's twin sees the same
 //! accesses in the same order at the same arrivals either way, so every
 //! cycle is the same. With a telemetry collector installed on the calling
 //! thread, the hooks the helper's releases fire are captured there and
@@ -62,8 +61,6 @@ pub struct StoreConfig {
     /// Data-tree scheme (any of the paper's six). The posmap trees always
     /// run `Baseline`.
     pub scheme: Scheme,
-    /// On-chip root table bound for the recursion ladder.
-    pub root_max_entries: u64,
     /// Engine and position-draw seed.
     pub seed: u64,
     /// Engine twin selection.
@@ -84,7 +81,6 @@ impl StoreConfig {
             levels,
             max_levels: None,
             scheme,
-            root_max_entries: 64,
             seed: 2023,
             backend: BackendKind::Untimed,
             pipeline_depth: 1,
@@ -230,10 +226,7 @@ impl ObliviousStore {
             None => data_blocks,
         };
 
-        let rec = RecursionConfig {
-            root_max_entries: cfg.root_max_entries,
-            seed: cfg.seed ^ 0x00C0_FFEE_0B5C_0DE5,
-        };
+        let rec = RecursionConfig { seed: cfg.seed ^ 0x00C0_FFEE_0B5C_0DE5 };
         let engine = data.engine();
         let depth = cfg.levels;
         let ground_truth = |b: BlockId| {
@@ -368,21 +361,6 @@ impl ObliviousStore {
         Ok((old?, done.expect("the slot completed")))
     }
 
-    /// One full dummy request (dummy chain walk + dummy data access) —
-    /// batch padding and miss hiding. Returns the completion clock. The
-    /// accesses are released inline, on this thread.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine protocol errors.
-    pub fn dummy_at(&mut self, start: u64) -> Result<u64, OramError> {
-        self.open_batch(start, false);
-        let staged = self.slot_dummy();
-        let done = self.close_batch().first().copied();
-        staged?;
-        Ok(done.expect("the slot completed"))
-    }
-
     /// Opens a batch of slots launching at `at`: each slot is one request's
     /// chain, its first access arriving at `at`. With `threaded`, a timed
     /// store releases the batch on its lane's helper; otherwise it releases
@@ -421,8 +399,8 @@ impl ObliviousStore {
         Ok(old)
     }
 
-    /// A slot of the open batch: one dummy request (see
-    /// [`dummy_at`](Self::dummy_at)).
+    /// A slot of the open batch: one dummy request (dummy chain walk +
+    /// dummy data access) — batch padding.
     pub(crate) fn slot_dummy(&mut self) -> Result<(), OramError> {
         self.dummy()?;
         self.slot_ends.push(self.lane.accesses() - 1);
@@ -443,6 +421,28 @@ impl ObliviousStore {
         Ok(())
     }
 
+    /// One request's chain walk for `block`: draws the block's next data
+    /// position and records it through the posmap chain, which returns the
+    /// entry it replaced. With `verify`, that claimed position is checked
+    /// against the data engine. Returns the new position.
+    fn walk_chain(
+        &mut self,
+        arrival: &mut Arrival,
+        block: BlockId,
+        verify: bool,
+    ) -> Result<PathId, OramError> {
+        let depth = self.data.engine().config().levels;
+        let new_pos = PathId::new(self.rng.gen_range(0..self.data_leaves));
+        let entry = pack_entry(depth, new_pos.leaf());
+        let claimed = self.posmap.resolve(&mut self.lane, arrival, block, entry)?;
+        if verify
+            && self.claimed_position(claimed, block) != self.data.engine().position_of(block)?
+        {
+            return Err(OramError::PosMapDiverged { tree: 0, block });
+        }
+        Ok(new_pos)
+    }
+
     fn rmw(
         &mut self,
         key: &[u8],
@@ -450,13 +450,7 @@ impl ObliviousStore {
     ) -> Result<Option<Vec<u8>>, OramError> {
         let mut arrival = Arrival::At(self.batch_at);
         if let Some(block) = self.directory.get(key).copied() {
-            let depth = self.data.engine().config().levels;
-            let new_pos = PathId::new(self.rng.gen_range(0..self.data_leaves));
-            let entry = pack_entry(depth, new_pos.leaf());
-            let claimed = self.posmap.resolve(&mut self.lane, &mut arrival, block, entry)?;
-            if self.claimed_position(claimed, block) != self.data.engine().position_of(block)? {
-                return Err(OramError::PosMapDiverged { tree: 0, block });
-            }
+            let new_pos = self.walk_chain(&mut arrival, block, true)?;
             let mut old_out: Option<Vec<u8>> = None;
             self.data_access(&mut arrival, block, new_pos, &mut |payload| {
                 let old = decode(payload);
@@ -493,19 +487,10 @@ impl ObliviousStore {
                 };
                 self.directory.insert(key.to_vec(), block);
                 self.stats.inserts += 1;
-                let depth = self.data.engine().config().levels;
-                let new_pos = PathId::new(self.rng.gen_range(0..self.data_leaves));
-                let entry = pack_entry(depth, new_pos.leaf());
-                let claimed = self.posmap.resolve(&mut self.lane, &mut arrival, block, entry)?;
                 // A freshly materialized block's chain slot still holds its
                 // construction placeholder — skip the ground-truth check on
                 // this first touch (the entry we just recorded takes over).
-                if !fresh
-                    && self.claimed_position(claimed, block)
-                        != self.data.engine().position_of(block)?
-                {
-                    return Err(OramError::PosMapDiverged { tree: 0, block });
-                }
+                let new_pos = self.walk_chain(&mut arrival, block, !fresh)?;
                 self.data_access(&mut arrival, block, new_pos, &mut |payload| {
                     encode(payload, &new);
                 })?;
@@ -597,6 +582,12 @@ mod tests {
         let hit_chain = after_hit.1.tree_accesses - before.1.tree_accesses;
         let miss_chain = after_miss.1.dummy_tree_accesses - after_hit.1.dummy_tree_accesses;
         assert_eq!(hit_chain, miss_chain, "miss pays the full chain in dummies");
+        s.put(b"fresh", b"v");
+        let after_insert = (s.stats(), s.posmap().stats());
+        assert_eq!(after_insert.0.data_accesses, after_miss.0.data_accesses + 1);
+        assert_eq!(after_insert.0.inserts, after_miss.0.inserts + 1);
+        let insert_chain = after_insert.1.tree_accesses - after_miss.1.tree_accesses;
+        assert_eq!(insert_chain, hit_chain, "an insert walks the full chain");
     }
 
     #[test]

@@ -8,6 +8,7 @@ use aboram_core::{OramConfig, PlbConfig, PosMapHierarchy, Scheme};
 use aboram_dram::DramConfig;
 use aboram_service::{
     BackendKind, BatchConfig, BatchingFrontEnd, ObliviousStore, Request, StoreConfig,
+    ROOT_MAX_ENTRIES,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -210,7 +211,7 @@ fn real_chain_matches_accounting_model() {
 
     let data_blocks = store.capacity();
     let model_cfg =
-        PlbConfig { plb_bytes: 0, onchip_posmap_bytes: cfg.root_max_entries * 8, entry_bytes: 8 };
+        PlbConfig { plb_bytes: 0, onchip_posmap_bytes: ROOT_MAX_ENTRIES * 8, entry_bytes: 8 };
     let mut model = PosMapHierarchy::new(data_blocks, model_cfg);
     assert_eq!(
         u64::from(model.offchip_levels()),

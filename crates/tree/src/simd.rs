@@ -1,6 +1,6 @@
 //! Exists only because the frozen `benchmark/src/host.rs` prints
 //! [`kernel_name`] in its host fingerprint. The metadata/address path is
-//! scalar; ROADMAP item 6 drops that field, then this module.
+//! scalar; ROADMAP's benchmark item drops that field, then this module.
 
 /// Always `"scalar"`.
 #[doc(hidden)]
