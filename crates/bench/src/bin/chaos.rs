@@ -43,7 +43,8 @@ fn parse_args() -> Args {
             }
             "--rate" => {
                 let v = take("a probability");
-                args.rate = Some(v.parse().unwrap_or_else(|_| die(&format!("bad rate {v:?}"))));
+                let rate = v.parse().ok().filter(|r: &f64| (0.0..=1.0).contains(r));
+                args.rate = Some(rate.unwrap_or_else(|| die(&format!("rate {v:?} not in [0, 1]"))));
             }
             "--telemetry" => {
                 args.telemetry = Some(take("an output path"));

@@ -414,7 +414,7 @@ impl StorageBackend for UntimedBackend {
 mod tests {
     use super::*;
     use crate::config::Scheme;
-    use crate::fault::{FaultConfig, FaultInjectingSink, FaultKind, FaultPlan, FaultSite};
+    use crate::fault::{FaultConfig, FaultInjectingSink, FaultPlan, FaultSite};
     use crate::ring::AccessKind;
     use crate::sink::{MemorySink, OramOp};
     use aboram_tree::SlotAddr;
@@ -585,7 +585,7 @@ mod tests {
             self.sink.write(addr, op, online);
         }
 
-        fn poll_fault(&mut self, _addr: SlotAddr, site: FaultSite) -> Option<FaultKind> {
+        fn poll_fault(&mut self, _addr: SlotAddr, site: FaultSite) -> bool {
             self.plan.draw(site)
         }
     }

@@ -19,10 +19,11 @@
 //! fault is detected by construction (dummy blocks, whose content is never
 //! interpreted, are not polled — a flipped dummy is harmless and
 //! unobservable); and with no plan installed the default `poll_fault`
-//! returns `None` without consuming randomness, so fault-free runs are
+//! returns `false` without consuming randomness, so fault-free runs are
 //! bit-identical to runs built without this module.
 
 use crate::sink::{MemorySink, OramOp};
+use aboram_stats::RecoveryStats;
 use aboram_tree::SlotAddr;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,20 +43,8 @@ pub const BACKOFF_BASE_CYCLES: u64 = 32;
 /// with the verifier armed climb past plain retries.
 pub const REDUNDANT_REFETCHES: u32 = 2;
 
-/// The kinds of fault the harness can inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultKind {
-    /// A bit flip in a fetched data block (fails MAC verification).
-    BitFlip,
-    /// Corruption of a fetched bucket-metadata record.
-    MetadataCorruption,
-    /// A write burst that never reached the array (bad write-CRC ack).
-    DroppedWrite,
-    /// A transient DRAM channel stall (modelled by `aboram-dram`).
-    ChannelStall,
-}
-
-/// Where a fault may be observed — the engine's verification sites.
+/// Where a fault may be observed — the engine's verification sites. A
+/// channel stall is not polled: it is scheduled into the DRAM twin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// MAC verification of a fetched data block.
@@ -124,6 +113,39 @@ pub struct FaultPlan {
     rng: StdRng,
 }
 
+impl FaultSite {
+    /// The site's recovery counters: faults detected, faults recovered and
+    /// re-issues on the retry rung.
+    pub(crate) fn counters(self, r: &mut RecoveryStats) -> (&mut u64, &mut u64, &mut u64) {
+        match self {
+            FaultSite::Data => (
+                &mut r.integrity_faults_detected,
+                &mut r.integrity_faults_recovered,
+                &mut r.integrity_retries,
+            ),
+            FaultSite::Metadata => (
+                &mut r.metadata_faults_detected,
+                &mut r.metadata_faults_recovered,
+                &mut r.metadata_retries,
+            ),
+            FaultSite::WriteAck => (
+                &mut r.dropped_writes_detected,
+                &mut r.dropped_writes_recovered,
+                &mut r.write_retries,
+            ),
+        }
+    }
+
+    /// The telemetry event a faulted poll at this site emits.
+    pub(crate) fn event(self) -> &'static str {
+        match self {
+            FaultSite::Data => "data_fault",
+            FaultSite::Metadata => "metadata_fault",
+            FaultSite::WriteAck => "write_dropped",
+        }
+    }
+}
+
 impl FaultPlan {
     /// A plan with the default fault rates.
     pub fn new(seed: u64) -> Self {
@@ -149,16 +171,16 @@ impl FaultPlan {
     /// Consumes one RNG draw per call (none when the site's rate is zero),
     /// so the fault sequence is a pure function of the seed and the
     /// engine's deterministic poll order.
-    pub fn draw(&mut self, site: FaultSite) -> Option<FaultKind> {
-        let (p, kind) = match site {
-            FaultSite::Data => (self.cfg.data_bit_flip, FaultKind::BitFlip),
-            FaultSite::Metadata => (self.cfg.metadata_corruption, FaultKind::MetadataCorruption),
-            FaultSite::WriteAck => (self.cfg.dropped_write, FaultKind::DroppedWrite),
+    pub fn draw(&mut self, site: FaultSite) -> bool {
+        let p = match site {
+            FaultSite::Data => self.cfg.data_bit_flip,
+            FaultSite::Metadata => self.cfg.metadata_corruption,
+            FaultSite::WriteAck => self.cfg.dropped_write,
         };
         if p <= 0.0 {
-            return None;
+            return false;
         }
-        self.rng.gen_bool(p.min(1.0)).then_some(kind)
+        self.rng.gen_bool(p.min(1.0))
     }
 
     /// The plan's channel-stall schedule for a memory system with
@@ -202,7 +224,7 @@ impl InjectedFaults {
 ///
 /// Reads and writes pass through unchanged; the engine's verification polls
 /// consult the installed [`FaultPlan`]. With no plan (the default), the
-/// wrapper is transparent — every poll answers `None` without touching a
+/// wrapper is transparent — every poll answers `false` without touching a
 /// random stream.
 #[derive(Debug)]
 pub struct FaultInjectingSink<S> {
@@ -260,15 +282,16 @@ impl<S: MemorySink> MemorySink for FaultInjectingSink<S> {
         self.inner.write_batch(addrs, op, online);
     }
 
-    fn poll_fault(&mut self, _addr: SlotAddr, site: FaultSite) -> Option<FaultKind> {
-        let kind = self.plan.as_mut()?.draw(site)?;
-        match kind {
-            FaultKind::BitFlip => self.injected.bit_flips += 1,
-            FaultKind::MetadataCorruption => self.injected.metadata_corruptions += 1,
-            FaultKind::DroppedWrite => self.injected.dropped_writes += 1,
-            FaultKind::ChannelStall => {}
+    fn poll_fault(&mut self, _addr: SlotAddr, site: FaultSite) -> bool {
+        let faulted = self.plan.as_mut().is_some_and(|plan| plan.draw(site));
+        if faulted {
+            *match site {
+                FaultSite::Data => &mut self.injected.bit_flips,
+                FaultSite::Metadata => &mut self.injected.metadata_corruptions,
+                FaultSite::WriteAck => &mut self.injected.dropped_writes,
+            } += 1;
         }
-        Some(kind)
+        faulted
     }
 }
 
@@ -311,9 +334,9 @@ mod tests {
             ..FaultConfig::default()
         };
         let mut plan = FaultPlan::with_config(9, cfg);
-        assert_eq!(plan.draw(FaultSite::Data), Some(FaultKind::BitFlip));
-        assert_eq!(plan.draw(FaultSite::Metadata), None, "rate 0 never faults");
-        let hits = (0..1_000).filter(|_| plan.draw(FaultSite::WriteAck).is_some()).count();
+        assert!(plan.draw(FaultSite::Data));
+        assert!(!plan.draw(FaultSite::Metadata), "rate 0 never faults");
+        let hits = (0..1_000).filter(|_| plan.draw(FaultSite::WriteAck)).count();
         assert!((300..700).contains(&hits), "rate 0.5 produced {hits}/1000 faults");
     }
 
@@ -343,7 +366,7 @@ mod tests {
         let mut sink = FaultInjectingSink::new(CountingSink::new());
         sink.read(SlotAddr(0), OramOp::ReadPath, true);
         sink.write(SlotAddr(64), OramOp::EvictPath, false);
-        assert_eq!(sink.poll_fault(SlotAddr(0), FaultSite::Data), None);
+        assert!(!sink.poll_fault(SlotAddr(0), FaultSite::Data));
         assert_eq!(sink.injected().total(), 0);
         assert_eq!(sink.inner().grand_total(), 2, "traffic passes through");
     }
@@ -358,15 +381,9 @@ mod tests {
         };
         let mut sink =
             FaultInjectingSink::with_plan(CountingSink::new(), FaultPlan::with_config(3, cfg));
-        assert_eq!(sink.poll_fault(SlotAddr(0), FaultSite::Data), Some(FaultKind::BitFlip));
-        assert_eq!(
-            sink.poll_fault(SlotAddr(0), FaultSite::Metadata),
-            Some(FaultKind::MetadataCorruption)
-        );
-        assert_eq!(
-            sink.poll_fault(SlotAddr(0), FaultSite::WriteAck),
-            Some(FaultKind::DroppedWrite)
-        );
+        for site in [FaultSite::Data, FaultSite::Metadata, FaultSite::WriteAck] {
+            assert!(sink.poll_fault(SlotAddr(0), site));
+        }
         let inj = sink.injected();
         assert_eq!(inj.bit_flips, 1);
         assert_eq!(inj.metadata_corruptions, 1);

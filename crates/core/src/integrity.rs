@@ -95,22 +95,20 @@ impl IntegrityVerifier {
         }
     }
 
-    /// Records one acknowledged write of `addr` on `level`: advances the
-    /// shadow counter and folds the new tag (re-encryption changes the tag
-    /// every epoch, exactly like the data path's counter-mode cipher).
-    pub(crate) fn record_write(&mut self, level: u8, addr: u64) {
-        let c = self.counter(addr) + 1;
-        self.counters.insert(addr, c);
-        let tag = bucket_tag(self.key, addr, c);
-        self.fold(level, tag);
-    }
-
-    /// Records a write whose acknowledgment never verified: the shadow
-    /// counter stays (memory still holds the old epoch) and the chain is
-    /// tainted at the write's level.
-    pub(crate) fn record_dropped_write(&mut self, level: u8, addr: u64) {
-        self.first_taint.get_or_insert((level, addr));
-        self.fold(level, TAINT.rotate_left(13) ^ addr);
+    /// Records one write of `addr` on `level`. An `acked` write advances
+    /// the shadow counter and folds the new tag (re-encryption changes the
+    /// tag every epoch, exactly like the data path's counter-mode cipher);
+    /// a write whose acknowledgment never verified keeps the counter
+    /// (memory still holds the old epoch) and taints the write's level.
+    pub(crate) fn record_write(&mut self, level: u8, addr: u64, acked: bool) {
+        if acked {
+            let c = self.counter(addr) + 1;
+            self.counters.insert(addr, c);
+            self.fold(level, bucket_tag(self.key, addr, c));
+        } else {
+            self.first_taint.get_or_insert((level, addr));
+            self.fold(level, TAINT.rotate_left(13) ^ addr);
+        }
     }
 
     /// Marks the subtree rooted at `bucket_raw` poisoned after the ladder's
@@ -171,7 +169,7 @@ mod tests {
             for i in 0..200u64 {
                 v.verify_fetch((i % 8) as u8, i * 64, true);
                 if i % 3 == 0 {
-                    v.record_write((i % 8) as u8, i * 64);
+                    v.record_write((i % 8) as u8, i * 64, true);
                 }
                 v.fold_root();
             }
@@ -202,7 +200,7 @@ mod tests {
     fn write_epochs_change_expected_tags() {
         let mut v = IntegrityVerifier::new(7, 4);
         let before = v.expected_tag(128);
-        v.record_write(1, 128);
+        v.record_write(1, 128, true);
         assert_ne!(before, v.expected_tag(128));
         // Other addresses are unaffected by the bump.
         assert_eq!(IntegrityVerifier::new(7, 4).expected_tag(192), v.expected_tag(192));

@@ -71,7 +71,7 @@ pub use deadq::{DeadQueues, DeadSlot};
 pub use driver::{BreakdownReport, SimulationReport, TimingDriver};
 pub use error::OramError;
 pub use fault::{
-    ChannelStall, FaultConfig, FaultInjectingSink, FaultKind, FaultPlan, FaultSite, InjectedFaults,
+    ChannelStall, FaultConfig, FaultInjectingSink, FaultPlan, FaultSite, InjectedFaults,
 };
 pub use growth::{extend_label, DynamicTree};
 pub use integrity::IntegrityVerifier;

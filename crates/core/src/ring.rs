@@ -72,16 +72,6 @@ pub enum AccessKind {
     Write,
 }
 
-/// How the recovery ladder resolved a faulted transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RecoveryOutcome {
-    /// A clean copy was confirmed (retry or redundant refetch succeeded).
-    Recovered,
-    /// The ladder's budget ran out: the subtree is poisoned and the engine
-    /// continues in a `Degraded` health state.
-    Degraded,
-}
-
 /// Optional encrypted backing store for block contents.
 #[derive(Debug, Clone, PartialEq)]
 struct DataStore {
@@ -1241,8 +1231,9 @@ impl RingOram {
         Ok(self.layout.metadata_addr(bucket)?)
     }
 
-    /// Typed recovery ladder after `site` reported a faulted transfer at
-    /// `addr` (owned by `bucket`):
+    /// Typed recovery ladder after the poll at `site` reported the
+    /// transfer at `addr` (owned by `bucket`) faulted. Counts the fault
+    /// under its site and returns whether the transfer ended clean:
     ///
     /// 1. **Bounded retry** — up to [`MAX_FAULT_RETRIES`] re-issues with
     ///    exponential backoff. Without integrity verification armed this is
@@ -1255,8 +1246,8 @@ impl RingOram {
     ///    access boundary) so the faulted region is rewritten wholesale.
     /// 4. **Graceful degradation** — the subtree under `bucket` is
     ///    poisoned, health drops to `Degraded`, and the run continues:
-    ///    never an abort.
-    fn retry_transfer(
+    ///    never an abort. The transfer ends unclean (`false`).
+    fn recover(
         &mut self,
         addr: SlotAddr,
         site: FaultSite,
@@ -1264,59 +1255,40 @@ impl RingOram {
         online: bool,
         bucket: BucketId,
         sink: &mut impl MemorySink,
-    ) -> Result<RecoveryOutcome, OramError> {
+    ) -> Result<bool, OramError> {
         let level = bucket.level().0;
+        *site.counters(&mut self.stats.recovery).0 += 1;
+        telemetry::event(site.event(), Phase::RecoveryRetry, level, addr.byte());
         telemetry::span(Phase::RecoveryRetry);
-        for attempt in 0..MAX_FAULT_RETRIES {
+        for attempt in 0..MAX_FAULT_RETRIES + REDUNDANT_REFETCHES {
+            let refetch = attempt >= MAX_FAULT_RETRIES;
+            if refetch && self.integrity.is_none() {
+                telemetry::dump_ring("retries_exhausted");
+                return Err(OramError::RetriesExhausted {
+                    address: addr.byte(),
+                    attempts: MAX_FAULT_RETRIES,
+                });
+            }
+            // The backoff climbs on past the retry rung: depth shows in cycles.
             self.stats.recovery.backoff_cycles += BACKOFF_BASE_CYCLES << attempt;
-            telemetry::event("retry", Phase::RecoveryRetry, level, u64::from(attempt));
-            match site {
-                FaultSite::Data => {
-                    self.stats.recovery.integrity_retries += 1;
-                    sink.read(addr, op, online);
-                    telemetry::mem_read(Phase::RecoveryRetry, level);
-                }
-                FaultSite::Metadata => {
-                    self.stats.recovery.metadata_retries += 1;
-                    sink.read(addr, op, online);
-                    telemetry::mem_read(Phase::RecoveryRetry, level);
-                }
-                FaultSite::WriteAck => {
-                    self.stats.recovery.write_retries += 1;
-                    sink.write(addr, op, online);
-                    telemetry::mem_write(Phase::RecoveryRetry, level);
-                }
+            if refetch {
+                self.stats.recovery.redundant_refetches += 1;
+                let extra = u64::from(attempt - MAX_FAULT_RETRIES);
+                telemetry::event("redundant_refetch", Phase::RecoveryRetry, level, extra);
+            } else {
+                *site.counters(&mut self.stats.recovery).2 += 1;
+                telemetry::event("retry", Phase::RecoveryRetry, level, u64::from(attempt));
             }
-            if sink.poll_fault(addr, site).is_none() {
-                return Ok(RecoveryOutcome::Recovered);
+            if site == FaultSite::WriteAck {
+                sink.write(addr, op, online);
+                telemetry::mem_write(Phase::RecoveryRetry, level);
+            } else {
+                sink.read(addr, op, online);
+                telemetry::mem_read(Phase::RecoveryRetry, level);
             }
-        }
-        if self.integrity.is_none() {
-            telemetry::dump_ring("retries_exhausted");
-            return Err(OramError::RetriesExhausted {
-                address: addr.byte(),
-                attempts: MAX_FAULT_RETRIES,
-            });
-        }
-        // Rung 2: fetch the redundant copy. The backoff keeps climbing past
-        // the retry rung, so ladder depth is visible in the cycle charge.
-        for extra in 0..REDUNDANT_REFETCHES {
-            self.stats.recovery.redundant_refetches += 1;
-            self.stats.recovery.backoff_cycles +=
-                BACKOFF_BASE_CYCLES << (MAX_FAULT_RETRIES + extra);
-            telemetry::event("redundant_refetch", Phase::RecoveryRetry, level, u64::from(extra));
-            match site {
-                FaultSite::Data | FaultSite::Metadata => {
-                    sink.read(addr, op, online);
-                    telemetry::mem_read(Phase::RecoveryRetry, level);
-                }
-                FaultSite::WriteAck => {
-                    sink.write(addr, op, online);
-                    telemetry::mem_write(Phase::RecoveryRetry, level);
-                }
-            }
-            if sink.poll_fault(addr, site).is_none() {
-                return Ok(RecoveryOutcome::Recovered);
+            if !sink.poll_fault(addr, site) {
+                *site.counters(&mut self.stats.recovery).1 += 1;
+                return Ok(true);
             }
         }
         // Rungs 3 + 4: rewrite the region via an escalated eviction at the
@@ -1328,7 +1300,7 @@ impl RingOram {
         }
         telemetry::event("fault_poisoned", Phase::RecoveryRetry, level, bucket.raw());
         telemetry::dump_ring("fault_poisoned");
-        Ok(RecoveryOutcome::Degraded)
+        Ok(false)
     }
 
     /// MAC-verified fetch of the data slot at `phys` (zeroes when the data
@@ -1347,18 +1319,8 @@ impl RingOram {
     ) -> Result<[u8; BLOCK_BYTES], OramError> {
         let addr = self.slot_addr(phys)?;
         if self.off_chip(phys.bucket) {
-            let mut clean = true;
-            if sink.poll_fault(addr, FaultSite::Data).is_some() {
-                self.stats.recovery.integrity_faults_detected += 1;
-                let level = phys.bucket.level().0;
-                telemetry::event("data_fault", Phase::RecoveryRetry, level, addr.byte());
-                match self.retry_transfer(addr, FaultSite::Data, op, online, phys.bucket, sink)? {
-                    RecoveryOutcome::Recovered => {
-                        self.stats.recovery.integrity_faults_recovered += 1;
-                    }
-                    RecoveryOutcome::Degraded => clean = false,
-                }
-            }
+            let clean = !sink.poll_fault(addr, FaultSite::Data)
+                || self.recover(addr, FaultSite::Data, op, online, phys.bucket, sink)?;
             if let Some(v) = &mut self.integrity {
                 v.verify_fetch(phys.bucket.level().0, addr.byte(), clean);
             }
@@ -1385,24 +1347,8 @@ impl RingOram {
         sink.read(addr, OramOp::Metadata, online);
         let level = bucket.level().0;
         telemetry::mem_read(Phase::Metadata, level);
-        let mut clean = true;
-        if sink.poll_fault(addr, FaultSite::Metadata).is_some() {
-            self.stats.recovery.metadata_faults_detected += 1;
-            telemetry::event("metadata_fault", Phase::RecoveryRetry, level, addr.byte());
-            match self.retry_transfer(
-                addr,
-                FaultSite::Metadata,
-                OramOp::Metadata,
-                online,
-                bucket,
-                sink,
-            )? {
-                RecoveryOutcome::Recovered => {
-                    self.stats.recovery.metadata_faults_recovered += 1;
-                }
-                RecoveryOutcome::Degraded => clean = false,
-            }
-        }
+        let clean = !sink.poll_fault(addr, FaultSite::Metadata)
+            || self.recover(addr, FaultSite::Metadata, OramOp::Metadata, online, bucket, sink)?;
         if let Some(v) = &mut self.integrity {
             v.verify_fetch(level, addr.byte(), clean);
         }
@@ -1424,23 +1370,10 @@ impl RingOram {
         let level = bucket.level().0;
         sink.write(addr, op, online);
         telemetry::mem_write(op.phase(), level);
-        let mut acked = true;
-        if sink.poll_fault(addr, FaultSite::WriteAck).is_some() {
-            self.stats.recovery.dropped_writes_detected += 1;
-            telemetry::event("write_dropped", Phase::RecoveryRetry, level, addr.byte());
-            match self.retry_transfer(addr, FaultSite::WriteAck, op, online, bucket, sink)? {
-                RecoveryOutcome::Recovered => {
-                    self.stats.recovery.dropped_writes_recovered += 1;
-                }
-                RecoveryOutcome::Degraded => acked = false,
-            }
-        }
+        let acked = !sink.poll_fault(addr, FaultSite::WriteAck)
+            || self.recover(addr, FaultSite::WriteAck, op, online, bucket, sink)?;
         if let Some(v) = &mut self.integrity {
-            if acked {
-                v.record_write(level, addr.byte());
-            } else {
-                v.record_dropped_write(level, addr.byte());
-            }
+            v.record_write(level, addr.byte(), acked);
         }
         Ok(())
     }
@@ -1892,12 +1825,12 @@ mod tests {
             self.inner.write(addr, op, online);
         }
 
-        fn poll_fault(&mut self, _: SlotAddr, site: FaultSite) -> Option<crate::FaultKind> {
+        fn poll_fault(&mut self, _: SlotAddr, site: FaultSite) -> bool {
             if !self.armed || site != FaultSite::Data || self.last != Some(self.op) {
-                return None;
+                return false;
             }
             self.polls += 1;
-            (self.polls > self.clean).then_some(crate::FaultKind::BitFlip)
+            self.polls > self.clean
         }
     }
 

@@ -20,7 +20,7 @@
 //! (DESIGN.md §15–16).
 
 use crate::config::IssueMode;
-use crate::fault::{FaultKind, FaultSite};
+use crate::fault::FaultSite;
 use aboram_dram::{
     DecodedAddr, DramConfig, MemOpKind, MemorySystem, Priority, RequestId, RequestIdRange,
 };
@@ -119,8 +119,8 @@ pub trait MemorySink {
     /// [`crate::FaultInjectingSink`] answers from its fault plan. The
     /// default — used by every ordinary sink — reports no fault without
     /// consuming any randomness, keeping fault-free runs bit-identical.
-    fn poll_fault(&mut self, _addr: SlotAddr, _site: FaultSite) -> Option<FaultKind> {
-        None
+    fn poll_fault(&mut self, _addr: SlotAddr, _site: FaultSite) -> bool {
+        false
     }
 }
 

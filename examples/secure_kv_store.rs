@@ -1,99 +1,66 @@
-//! An oblivious key-value store built on the AB-ORAM public API — the kind
-//! of secure-cloud-storage deployment the paper's introduction motivates.
+//! An oblivious key-value store on the AB-ORAM service layer — the kind of
+//! secure-cloud-storage deployment the paper's introduction motivates.
 //!
-//! The store hashes string keys onto ORAM blocks and serves gets/puts
-//! through full ORAM accesses, so a bus-level observer learns nothing about
-//! which records are hot. The demo also runs the attacker experiment of
-//! §VI-C against the store's own access stream.
+//! [`ObliviousStore`] resolves every key through a recursive position map
+//! and serves it with one data-tree access. A get that hits, a get that
+//! misses and a put each cost one chain walk plus one data access (a miss
+//! pays them in dummies), so a bus-level observer learns neither which
+//! records are hot nor whether a request hit, missed or wrote. The demo
+//! prints each request kind's access counts to show the equal cost, then
+//! runs the attacker experiment of §VI-C against the data tree's
+//! configuration.
 //!
 //! Run with: `cargo run --release --example secure_kv_store`
 
-use aboram::core::{BlockId, CountingSink, OramConfig, OramError, RingOram, Scheme};
-use std::collections::HashMap;
+use aboram::core::{OramConfig, OramError, Scheme};
+use aboram::service::{ObliviousStore, StoreConfig};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// A tiny oblivious KV store: fixed-size 56-byte values, open addressing
-/// over ORAM blocks (an 8-byte fingerprint disambiguates collisions).
-struct ObliviousKv {
-    oram: RingOram,
-    sink: CountingSink,
-    capacity: u64,
-}
-
-impl ObliviousKv {
-    fn new(levels: u8) -> Result<Self, OramError> {
-        let cfg = OramConfig::builder(levels, Scheme::Ab).store_data(true).seed(7).build()?;
-        let capacity = cfg.real_block_count();
-        Ok(ObliviousKv { oram: RingOram::new(&cfg)?, sink: CountingSink::new(), capacity })
-    }
-
-    fn slot_of(&self, key: &str, probe: u64) -> (BlockId, u64) {
-        // FNV-1a fingerprint; probe sequence advances on collision.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in key.bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-        h = h.wrapping_add(probe.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        ((h >> 8) % self.capacity, h | 1)
-    }
-
-    fn put(&mut self, key: &str, value: &[u8]) -> Result<(), OramError> {
-        assert!(value.len() <= 56, "demo values are at most 56 bytes");
-        for probe in 0..8 {
-            let (block, fp) = self.slot_of(key, probe);
-            let current = self.oram.read(block, &mut self.sink)?;
-            let slot_fp = u64::from_le_bytes(current[..8].try_into().expect("8 bytes"));
-            if slot_fp == 0 || slot_fp == fp {
-                let mut data = [0u8; 64];
-                data[..8].copy_from_slice(&fp.to_le_bytes());
-                data[8..8 + value.len()].copy_from_slice(value);
-                return self.oram.write(block, data, &mut self.sink);
-            }
-        }
-        panic!("open addressing exhausted (demo store overfull)");
-    }
-
-    fn get(&mut self, key: &str) -> Result<Option<Vec<u8>>, OramError> {
-        for probe in 0..8 {
-            let (block, fp) = self.slot_of(key, probe);
-            let data = self.oram.read(block, &mut self.sink)?;
-            let slot_fp = u64::from_le_bytes(data[..8].try_into().expect("8 bytes"));
-            if slot_fp == fp {
-                let value: Vec<u8> = data[8..].iter().copied().take_while(|&b| b != 0).collect();
-                return Ok(Some(value));
-            }
-            if slot_fp == 0 {
-                return Ok(None);
-            }
-        }
-        Ok(None)
-    }
+/// Data-tree and posmap-tree accesses, real and dummy, performed so far.
+fn accesses(kv: &ObliviousStore) -> (u64, u64) {
+    let (s, p) = (kv.stats(), kv.posmap().stats());
+    (s.data_accesses + s.dummy_data_accesses, p.tree_accesses + p.dummy_tree_accesses)
 }
 
 fn main() -> Result<(), OramError> {
-    let mut kv = ObliviousKv::new(12)?;
-    println!("oblivious KV store over AB-ORAM ({} blocks)\n", kv.capacity);
+    let mut kv = ObliviousStore::new(&StoreConfig::new(12, Scheme::Ab))?;
+    println!(
+        "oblivious KV store over AB-ORAM ({} keys, position-map chain depth {})\n",
+        kv.capacity(),
+        kv.posmap().chain_depth()
+    );
+
+    // Each request kind → the set of distinct (data-tree, posmap) access
+    // counts its requests cost.
+    let mut costs: BTreeMap<&str, BTreeSet<(u64, u64)>> = BTreeMap::new();
+    let mut record =
+        |kv: &mut ObliviousStore, kind, request: &mut dyn FnMut(&mut ObliviousStore)| {
+            let (data0, posmap0) = accesses(kv);
+            request(kv);
+            let (data1, posmap1) = accesses(kv);
+            costs.entry(kind).or_default().insert((data1 - data0, posmap1 - posmap0));
+        };
 
     // A mock user table.
     let mut reference = HashMap::new();
     for i in 0..64 {
         let key = format!("user:{i:04}");
         let value = format!("name=user{i};plan={}", if i % 3 == 0 { "pro" } else { "free" });
-        kv.put(&key, value.as_bytes())?;
+        record(&mut kv, "put (insert)", &mut |kv| kv.put(key.as_bytes(), value.as_bytes()));
         reference.insert(key, value);
     }
 
-    // Point lookups — including misses — all shaped identically on the bus.
-    let mut hits = 0;
-    let mut misses = 0;
+    // Point lookups, hits and misses, then overwrites.
+    let (mut hits, mut misses) = (0, 0);
     for i in 0..80 {
         let key = format!("user:{i:04}");
-        match kv.get(&key)? {
+        let mut found = None;
+        let kind = if i < 64 { "get (hit)" } else { "get (miss)" };
+        record(&mut kv, kind, &mut |kv| found = kv.get(key.as_bytes()));
+        match found {
             Some(v) => {
-                assert_eq!(
-                    v,
-                    reference.get(&key).expect("tracked key").as_bytes(),
-                    "store must return what was put"
-                );
+                let expected = reference.get(&key).expect("tracked key").as_bytes();
+                assert_eq!(v, expected, "store must return what was put");
                 hits += 1;
             }
             None => {
@@ -102,14 +69,25 @@ fn main() -> Result<(), OramError> {
             }
         }
     }
-    println!("lookups: {hits} hits, {misses} misses (all verified)");
+    for i in (0..64).step_by(8) {
+        let key = format!("user:{i:04}");
+        record(&mut kv, "put (overwrite)", &mut |kv| kv.put(key.as_bytes(), b"plan=closed"));
+    }
+    println!("lookups: {hits} hits, {misses} misses (all verified)\n");
 
-    let s = kv.oram.stats();
-    println!("\nORAM work performed for the workload:");
+    println!("accesses per request (data tree, position-map trees):");
+    for (kind, set) in &costs {
+        println!("  {kind:<16}: {set:?}");
+    }
+    let all: BTreeSet<_> = costs.values().flatten().collect();
+    assert_eq!(all.len(), 1, "every request must cost the same accesses");
+
+    let s = kv.data_engine().stats();
+    println!("\nORAM work performed in the data tree:");
     println!("  online accesses : {}", s.user_accesses);
     println!("  evictPaths      : {}", s.evict_paths);
     println!("  earlyReshuffles : {}", s.reshuffles.total());
-    println!("  stash peak      : {}", kv.oram.stash_peak());
+    println!("  stash peak      : {}", kv.data_engine().stash_peak());
 
     // §VI-C attacker check against this deployment's configuration: a
     // bus observer guessing which returned block is real succeeds ~1/L.

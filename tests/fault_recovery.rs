@@ -184,15 +184,22 @@ fn disabled_injection_is_bit_identical_to_plain_sink() {
 }
 
 /// Per-site fault detection under the integrity verifier: with exactly one
-/// site faulting at a moderate rate, every fault is detected, recovered on
-/// the retry rung, and the stash-rooted digest chain still matches a
-/// fault-free run bit-for-bit (recovered faults leave no trace).
+/// site faulting at a moderate rate, every fault is detected, counted under
+/// that site alone, recovered on the retry rung, and the stash-rooted
+/// digest chain still matches a fault-free run bit-for-bit (recovered
+/// faults leave no trace).
 #[test]
 fn integrity_recovers_each_fault_site_bit_exactly() {
+    let only = |data_bit_flip, metadata_corruption, dropped_write| FaultConfig {
+        data_bit_flip,
+        metadata_corruption,
+        dropped_write,
+        ..FaultConfig::default()
+    };
     let site_configs = [
-        ("data", FaultConfig { data_bit_flip: 0.02, ..FaultConfig::default() }),
-        ("metadata", FaultConfig { metadata_corruption: 0.02, ..FaultConfig::default() }),
-        ("write-ack", FaultConfig { dropped_write: 0.02, ..FaultConfig::default() }),
+        ("data", only(0.02, 0.0, 0.0)),
+        ("metadata", only(0.0, 0.02, 0.0)),
+        ("write-ack", only(0.0, 0.0, 0.02)),
     ];
     let cfg = OramConfig::builder(9, Scheme::Ab).store_data(true).seed(17).build().unwrap();
     let blocks = cfg.real_block_count();
@@ -212,19 +219,32 @@ fn integrity_recovers_each_fault_site_bit_exactly() {
             }
         }
         let root = oram.integrity().unwrap().root_digest();
-        (root, oram.stats().recovery, oram.health(), sink.injected().total())
+        let (r, inj) = (oram.stats().recovery, sink.injected());
+        // Faults detected, recovered, retried and injected, per site in
+        // `site_configs` order.
+        let counts = [
+            [r.integrity_faults_detected, r.metadata_faults_detected, r.dropped_writes_detected],
+            [r.integrity_faults_recovered, r.metadata_faults_recovered, r.dropped_writes_recovered],
+            [r.integrity_retries, r.metadata_retries, r.write_retries],
+            [inj.bit_flips, inj.metadata_corruptions, inj.dropped_writes],
+        ];
+        (root, r, oram.health(), counts)
     };
 
-    let (clean_root, clean_rec, clean_health, clean_injected) = run(None);
+    let (clean_root, clean_rec, clean_health, clean_counts) = run(None);
     assert!(clean_rec.is_clean());
     assert!(clean_health.is_healthy());
-    assert_eq!(clean_injected, 0);
+    assert_eq!(clean_counts, [[0; 3]; 4]);
 
-    for (site, fc) in site_configs {
-        let (root, rec, health, injected) = run(Some(FaultPlan::with_config(404, fc)));
-        assert!(injected > 0, "{site}: schedule injected nothing");
-        assert!(rec.faults_detected() > 0, "{site}: no faults detected");
-        assert_eq!(rec.faults_detected(), rec.faults_recovered(), "{site}: unrecovered faults");
+    for (i, (site, fc)) in site_configs.into_iter().enumerate() {
+        let (root, rec, health, counts) = run(Some(FaultPlan::with_config(404, fc)));
+        let [detected, recovered, retries, injected] = counts.map(|c| c[i]);
+        assert!(injected > 0 && detected > 0, "{site}: no fault injected or detected");
+        assert_eq!(detected, recovered, "{site}: unrecovered faults");
+        assert!(retries >= detected, "{site}: a fault recovered without a retry");
+        for j in (0..3).filter(|&j| j != i) {
+            assert_eq!(counts.map(|c| c[j]), [0; 4], "{site}: a fault was counted under site {j}");
+        }
         assert_eq!(rec.unrecovered_faults, 0, "{site}: ladder should not exhaust at 2%");
         assert!(health.is_healthy(), "{site}: recovered faults must not degrade health");
         assert_eq!(root, clean_root, "{site}: recovered faults must leave no digest trace");
