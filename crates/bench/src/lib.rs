@@ -59,13 +59,18 @@ impl Experiment {
     /// Reads the environment, falling back to laptop-scale defaults. A knob
     /// that is set but does not parse (or does not fit its type — levels
     /// are a `u8`) is refused: one line naming the variable and the text,
-    /// exit code 2.
+    /// exit code 2. So is a level count the engine refuses (below 8, or
+    /// deeper than its bucket record addresses): one line naming the
+    /// variable and the engine's reason, exit code 2.
     pub fn from_env() -> Self {
         let levels: u8 = env_knob("ABORAM_LEVELS", 18);
+        if let Err(e) = OramConfig::builder(levels, Scheme::Ab).build() {
+            eprintln!("error: ABORAM_LEVELS={levels} refused: {e}");
+            std::process::exit(2);
+        }
         // Two full reverse-lexicographic eviction sweeps (A accesses per
-        // evictPath) — enough for the dead-block census to stabilize. (A
-        // level count the shift cannot take is refused by `config`.)
-        let leaves = 1u64.checked_shl(u32::from(levels.saturating_sub(1))).unwrap_or(0);
+        // evictPath) — enough for the dead-block census to stabilize.
+        let leaves = 1u64 << (levels - 1);
         Experiment {
             levels,
             warmup: env_knob("ABORAM_WARMUP", 2 * leaves * 5),

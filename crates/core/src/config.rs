@@ -230,7 +230,7 @@ impl OramConfig {
     /// Returns the geometry error for an invalid tree, and
     /// [`OramError::BadParameter`] for one whose buckets the engine's
     /// fixed-size bucket record ([`BucketMeta`](crate::BucketMeta)) cannot
-    /// hold: more than 5 real or 8 borrowed entries per bucket, more than 16
+    /// hold: more than 5 real or 2 borrowed entries per bucket, more than 16
     /// logical slots (`Z + r`), or more than 28 levels.
     /// Every engine geometry — construction and each grown level — is
     /// derived here, so the refusal covers them all.
@@ -507,10 +507,10 @@ mod tests {
     }
 
     #[test]
-    fn more_than_eight_borrowed_slots_per_bucket_is_refused() {
+    fn more_than_two_borrowed_slots_per_bucket_is_refused() {
         let dr = LevelConfig::new(5, 1);
-        assert_eq!(record_refusal(8, dr.with_dynamic_extension(8)), None);
-        assert_eq!(record_refusal(8, dr.with_dynamic_extension(9)), Some("dynamic_s_extension"));
+        assert_eq!(record_refusal(8, dr.with_dynamic_extension(2)), None);
+        assert_eq!(record_refusal(8, dr.with_dynamic_extension(3)), Some("dynamic_s_extension"));
     }
 
     #[test]
@@ -561,6 +561,42 @@ mod tests {
                 let built = OramConfig::builder(levels, scheme).build();
                 assert!(built.is_ok(), "{scheme} at L = {levels}: {built:?}");
             }
+        }
+    }
+
+    /// The record refuses no configuration the engine can reach: every
+    /// scheme, at every `bottom_levels` (1 to L) and `shrink` (0 to S),
+    /// builds and passes `check_record_capacity` (the last step of
+    /// `geometry`) from the smallest tree to the deepest the record
+    /// addresses, and the largest extension any of them configures is
+    /// exactly the record's borrowed capacity.
+    #[test]
+    fn every_scheme_fits_the_record_up_to_the_deepest_tree() {
+        for levels in [8, 14, 24, 28] {
+            let mut schemes = vec![
+                Scheme::PlainRing,
+                Scheme::Baseline,
+                Scheme::Ir,
+                Scheme::Ab,
+                Scheme::AbChannelPar,
+            ];
+            for bottom_levels in 1..=levels {
+                schemes.extend([
+                    Scheme::Dr { bottom_levels },
+                    Scheme::RingShrink { bottom_levels },
+                    Scheme::DrPlus { bottom_levels },
+                ]);
+                schemes.extend((0..=CB_S).map(|shrink| Scheme::Ns { bottom_levels, shrink }));
+            }
+            let widest = schemes.into_iter().map(|scheme| {
+                let geo = OramConfig::builder(levels, scheme)
+                    .build()
+                    .and_then(|cfg| cfg.geometry())
+                    .unwrap_or_else(|e| panic!("{scheme} at L = {levels}: {e}"));
+                (0..levels).map(|l| geo.level_config(Level(l)).dynamic_s_extension).max()
+            });
+            let max = crate::BucketMeta::MAX_BORROWED as u8;
+            assert_eq!(widest.max().flatten(), Some(max), "L = {levels}");
         }
     }
 

@@ -4,11 +4,13 @@
 //!
 //! A bucket is one fixed-size plain record, [`BucketMeta`], with no heap
 //! behind it — the in-memory counterpart of the paper's single 64 B
-//! metadata block (DESIGN.md §8 "The bucket record" has the byte table).
-//! Real entries are inline parallel arrays sized to `Z' = 5` (`addr` as
-//! `u64`, `label` as 32 bits, `ptr` as a byte), borrowed remote slots are
-//! packed to 32 bits each (`bucket << 4 | index`, capacity 8 ≥ Table I's
-//! `R = 6`), and slot validity, real-block occupancy and the slot-status
+//! metadata block, and exactly 64 bytes itself (DESIGN.md §8 "The bucket
+//! record" has the byte table). Real entries are inline parallel arrays
+//! sized to `Z' = 5`: `addr` as a `u32` block id, and one `u32` word holding
+//! the entry's leaf `label` (bits 0–27) and its logical slot `ptr` (bits
+//! 28–31). Borrowed remote slots are packed to 32 bits each (`bucket << 4 |
+//! index`, capacity 2, the largest `dynamic_s_extension` any scheme
+//! configures), and slot validity, real-block occupancy and the slot-status
 //! lifecycle are four `u16` bitset words (16 logical slots per bucket). The
 //! mask accessors widen to `u64` so mask combining and [`nth_set_bit`]
 //! selection stay single register ops. All records of a tree live
@@ -84,15 +86,16 @@ pub fn nth_set_bit(mut mask: u64, n: usize) -> u8 {
 ///
 /// Unused array elements are kept zero, so two records describing the same
 /// bucket state are equal byte for byte (`==` is the derived field
-/// comparison). `#[repr(C)]` fixes the field order — the words a readPath
-/// touches (`addr`, the masks, the counters, `ptr`) come first and share the
-/// record's leading 59 bytes — at natural (8-byte) alignment; DESIGN.md §8
+/// comparison). `#[repr(C)]` fixes the field order — the words every
+/// readPath touches (`addr`, the masks, the counters) come first, in the
+/// record's leading 34 bytes — at natural (4-byte) alignment; DESIGN.md §8
 /// records why the record must not be over-aligned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[repr(C)]
 pub struct BucketMeta {
-    /// `addr` of each real entry (first `n_entries` live).
-    addr: [BlockId; Self::MAX_REAL],
+    /// `addr` of each real entry (first `n_entries` live): block ids stay
+    /// below `real_block_count(MAX_LEVELS)` < 2³².
+    addr: [u32; Self::MAX_REAL],
     /// Validity bitmap over logical slots.
     valid: u16,
     /// Occupancy bitmap: bit `i` set iff some entry's `ptr == i`.
@@ -113,10 +116,9 @@ pub struct BucketMeta {
     n_entries: u8,
     /// Remote slots currently borrowed (≤ `R`).
     n_borrowed: u8,
-    /// `ptr` of each real entry: its logical slot.
-    ptr: [u8; Self::MAX_REAL],
-    /// `label` of each real entry: the leaf index, 32 bits.
-    label: [u32; Self::MAX_REAL],
+    /// `label | ptr << 28` of each real entry: its leaf index (below 2²⁷
+    /// at `MAX_LEVELS`) and its logical slot (below `MAX_SLOTS`).
+    slot: [u32; Self::MAX_REAL],
     /// Remote physical slots backing logical slots `own_slots..` — the
     /// paper's `remoteAddr`/`remoteInd` pairs, packed `bucket << 4 | index`.
     /// Remote slots hold reserved dummies only; real blocks always live in
@@ -125,20 +127,28 @@ pub struct BucketMeta {
     borrowed: [u32; Self::MAX_BORROWED],
 }
 
-// The record is the engine's per-bucket memory cost; keep it within two
-// cache lines (it is 112 bytes at the capacities below).
-const _: () = assert!(std::mem::size_of::<BucketMeta>() <= 128);
-const _: () = assert!(std::mem::align_of::<BucketMeta>() == 8);
+// The record is the engine's per-bucket memory cost: the paper's one 64 B
+// metadata block, at natural alignment (DESIGN.md §8 on why not `align(64)`).
+const _: () = assert!(std::mem::size_of::<BucketMeta>() == 64);
+const _: () = assert!(std::mem::align_of::<BucketMeta>() == 4);
+
+/// Bit position of `ptr` in an entry's `slot` word; `label` is the bits below.
+const PTR_SHIFT: u32 = 28;
+/// The `label` bits of an entry's `slot` word.
+const LABEL_MASK: u32 = (1 << PTR_SHIFT) - 1;
 
 impl BucketMeta {
     /// Real entries one record holds — the paper's `Z' = 5`.
     pub const MAX_REAL: usize = 5;
-    /// Borrowed remote slots one record holds (Table I provisions `R = 6`).
-    pub const MAX_BORROWED: usize = 8;
+    /// Borrowed remote slots one record holds: the largest
+    /// `dynamic_s_extension` any [`Scheme`](crate::Scheme) configures (the
+    /// Table-I bit accounting, [`MetadataLayout`], provisions `R = 6`).
+    pub const MAX_BORROWED: usize = 2;
     /// Logical slots (own + borrowed) the 16-bit mask words cover.
     pub const MAX_SLOTS: u8 = 16;
-    /// Deepest tree whose bucket ids fit a packed borrowed slot (28 bits)
-    /// and whose leaf indices fit a 32-bit label.
+    /// Deepest tree whose bucket ids fit a packed borrowed slot (28 bits),
+    /// whose leaf indices fit an entry's 28 `label` bits and whose block ids
+    /// fit a 32-bit `addr`.
     pub const MAX_LEVELS: u8 = 28;
 
     /// Whether `slot` fits the 32-bit packing `bucket << 4 | index`.
@@ -275,10 +285,11 @@ impl BucketMeta {
     /// assembled from the parallel arrays.
     #[inline]
     pub fn entry_at(&self, i: usize) -> RealEntry {
+        let slot = self.slot[i];
         RealEntry {
-            addr: self.addr[i],
-            label: PathId::new(u64::from(self.label[i])),
-            ptr: self.ptr[i],
+            addr: BlockId::from(self.addr[i]),
+            label: PathId::new(u64::from(slot & LABEL_MASK)),
+            ptr: (slot >> PTR_SHIFT) as u8,
         }
     }
 
@@ -304,11 +315,12 @@ impl BucketMeta {
     #[inline]
     pub fn push_entry(&mut self, e: RealEntry) {
         debug_assert!(self.real & (1 << e.ptr) == 0, "slot {} double-mapped", e.ptr);
-        debug_assert!(e.label.leaf() <= u64::from(u32::MAX), "label {} exceeds 32 bits", e.label);
+        debug_assert!(e.addr <= u64::from(u32::MAX), "block {} exceeds 32 bits", e.addr);
+        debug_assert!(e.label.leaf() <= u64::from(LABEL_MASK), "label {} exceeds 28 bits", e.label);
+        debug_assert!(e.ptr < Self::MAX_SLOTS, "ptr {} exceeds 4 bits", e.ptr);
         let i = usize::from(self.n_entries);
-        self.addr[i] = e.addr;
-        self.label[i] = e.label.leaf() as u32;
-        self.ptr[i] = e.ptr;
+        self.addr[i] = e.addr as u32;
+        self.slot[i] = e.label.leaf() as u32 | u32::from(e.ptr) << PTR_SHIFT;
         self.n_entries += 1;
         self.real |= 1 << e.ptr;
     }
@@ -317,8 +329,7 @@ impl BucketMeta {
     #[inline]
     pub fn clear_entries(&mut self) {
         self.addr = [0; Self::MAX_REAL];
-        self.label = [0; Self::MAX_REAL];
-        self.ptr = [0; Self::MAX_REAL];
+        self.slot = [0; Self::MAX_REAL];
         self.n_entries = 0;
         self.real = 0;
     }
@@ -326,7 +337,7 @@ impl BucketMeta {
     /// Storage index of the entry for `block`, if present here.
     #[inline]
     pub fn entry_index(&self, block: BlockId) -> Option<usize> {
-        self.addr[..usize::from(self.n_entries)].iter().position(|&a| a == block)
+        self.addr[..usize::from(self.n_entries)].iter().position(|&a| BlockId::from(a) == block)
     }
 
     /// The real entry stored for `block`, if present here.
@@ -343,11 +354,9 @@ impl BucketMeta {
         let e = self.entry_at(i);
         let last = usize::from(self.n_entries) - 1;
         self.addr[i] = self.addr[last];
-        self.label[i] = self.label[last];
-        self.ptr[i] = self.ptr[last];
+        self.slot[i] = self.slot[last];
         self.addr[last] = 0;
-        self.label[last] = 0;
-        self.ptr[last] = 0;
+        self.slot[last] = 0;
         self.n_entries -= 1;
         self.real &= !(1 << e.ptr);
         e
@@ -360,7 +369,9 @@ impl BucketMeta {
         if self.real & (1 << i) == 0 {
             return None;
         }
-        self.ptr[..usize::from(self.n_entries)].iter().position(|&p| p == i)
+        self.slot[..usize::from(self.n_entries)]
+            .iter()
+            .position(|&w| w >> PTR_SHIFT == u32::from(i))
     }
 
     /// Number of remote slots currently borrowed.
@@ -441,9 +452,9 @@ impl BucketMeta {
 /// cannot hold: more than [`BucketMeta::MAX_REAL`] real or
 /// [`BucketMeta::MAX_BORROWED`] borrowed entries per bucket, more than
 /// [`BucketMeta::MAX_SLOTS`] logical slots (`Z + r`), or more than
-/// [`BucketMeta::MAX_LEVELS`] levels (bucket ids must stay below 2²⁸ and
-/// leaf indices below 2³²). Called wherever an engine geometry is derived,
-/// so the record's array bounds are never met on the access path.
+/// [`BucketMeta::MAX_LEVELS`] levels (bucket ids and leaf indices must stay
+/// below 2²⁸, block ids below 2³²). Called wherever an engine geometry is
+/// derived, so the record's array bounds are never met on the access path.
 ///
 /// # Errors
 ///
@@ -479,8 +490,8 @@ pub(crate) fn check_record_levels(name: &'static str, levels: u8) -> Result<(), 
         return Err(OramError::BadParameter {
             name,
             reason: format!(
-                "{levels} levels exceed the {} the bucket record addresses (bucket ids are 28 \
-                 bits, labels 32)",
+                "{levels} levels exceed the {} the bucket record addresses (bucket ids and \
+                 labels are 28 bits, block ids 32)",
                 BucketMeta::MAX_LEVELS
             ),
         });
@@ -533,7 +544,7 @@ impl MetadataStore {
         let mut fold = 0;
         for &bucket in buckets {
             let m = self.get(bucket);
-            fold ^= m.addr[0] ^ u64::from(m.count);
+            fold ^= m.addr[0] ^ u32::from(m.count);
         }
         std::hint::black_box(fold);
     }
@@ -715,7 +726,8 @@ mod tests {
                         let full = v.entries.len() == BucketMeta::MAX_REAL;
                         if !full && free != 0 && m.entry_of(block).is_none() {
                             let n = (arg >> 8) as usize % free.count_ones() as usize;
-                            let label = PathId::new(arg >> 16 & u64::from(u32::MAX));
+                            // Leaves stay below 2²⁷ at `MAX_LEVELS`.
+                            let label = PathId::new(arg >> 16 & ((1 << 27) - 1));
                             let e = RealEntry { addr: block, label, ptr: nth_set_bit(free, n) };
                             m.push_entry(e);
                             v.push_entry(e);
@@ -797,18 +809,31 @@ mod tests {
         }
     }
 
-    /// A record at every capacity limit at once — 5 entries, 8 borrowed, 16
-    /// logical slots, the widest bucket id and label — reads every field
-    /// back unchanged, and a removal leaves no stale bytes behind (`==`
-    /// compares every array element, used or not).
+    /// A record at every capacity limit at once — 5 entries, 2 borrowed, 16
+    /// logical slots, and the widest block id and leaf an accepted geometry
+    /// produces (a `MAX_LEVELS`-level tree) — reads every field back
+    /// unchanged, and a removal leaves no stale bytes behind (`==` compares
+    /// every array element, used or not).
     #[test]
     fn a_full_record_holds_every_limit() {
-        let mut m = BucketMeta::new(8);
-        for i in 0..5u8 {
-            let label = PathId::new(u64::from(u32::MAX - u32::from(i)));
-            m.push_entry(RealEntry { addr: u64::MAX - u64::from(i), label, ptr: 7 - i });
+        let deepest =
+            crate::OramConfig::builder(BucketMeta::MAX_LEVELS, crate::Scheme::Ab).build().unwrap();
+        let top_block = deepest.real_block_count() - 1;
+        let top_leaf = deepest.geometry().unwrap().leaf_count() - 1;
+        assert_eq!((top_block, top_leaf), (671_088_636, (1 << 27) - 1));
+
+        let mut m = BucketMeta::new(14);
+        let pushed: Vec<RealEntry> = (0..5u8)
+            .map(|i| RealEntry {
+                addr: top_block - u64::from(i),
+                label: PathId::new(top_leaf - u64::from(i)),
+                ptr: 13 - i,
+            })
+            .collect();
+        for &e in &pushed {
+            m.push_entry(e);
         }
-        for i in 0..8u8 {
+        for i in 0..2u8 {
             m.push_borrowed(SlotId::new(BucketId::new((1 << 28) - 1 - u64::from(i)), 15 - i));
         }
         m.logical_slots = 16;
@@ -818,13 +843,13 @@ mod tests {
         m.count = 9;
         m.dynamic_s = 11;
         assert_eq!(m.valid_mask(), 0xffff);
-        assert_eq!(m.borrowed_slot(7), SlotId::new(BucketId::new((1 << 28) - 8), 8));
-        assert_eq!(m.entries().map(|e| e.label.leaf()).max(), Some(u64::from(u32::MAX)));
-        assert_eq!(m.entries().map(|e| e.addr).max(), Some(u64::MAX));
+        assert_eq!(m.borrowed_slot(1), SlotId::new(BucketId::new((1 << 28) - 2), 14));
+        assert_eq!(m.entries().collect::<Vec<_>>(), pushed);
+        assert_eq!(m.slot_entry_index(9), Some(4));
 
         let mut rebuilt = m;
-        let taken = rebuilt.take_at(rebuilt.entry_index(u64::MAX - 1).unwrap());
-        assert_eq!(rebuilt.entries().map(|e| e.ptr).collect::<Vec<_>>(), [7, 3, 5, 4]);
+        let taken = rebuilt.take_at(rebuilt.entry_index(top_block - 1).unwrap());
+        assert_eq!(rebuilt.entries().map(|e| e.ptr).collect::<Vec<_>>(), [13, 9, 11, 10]);
         let mut want = m;
         want.clear_entries();
         for e in m.entries().filter(|e| e.addr != taken.addr) {

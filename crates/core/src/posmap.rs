@@ -11,18 +11,26 @@ use rand::Rng;
 /// (Table III: 64 KB PLB + 512 KB PosMap, recursively stored); position-map
 /// accesses are on-chip and generate no DRAM traffic in the paper's model,
 /// so this simulation keeps the whole map in memory and charges no cycles.
+/// A leaf index takes 4 bytes: the engine's deepest tree
+/// ([`BucketMeta::MAX_LEVELS`](crate::BucketMeta::MAX_LEVELS) levels) has
+/// 2²⁷ leaves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PositionMap {
-    paths: Vec<u64>,
+    paths: Vec<u32>,
     leaves: u64,
 }
 
 impl PositionMap {
     /// Creates a map for `blocks` blocks over `leaves` leaves, assigning
     /// every block an independent uniformly random path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `leaves` is not a power of two or not at most 2³².
     pub fn new_random(blocks: u64, leaves: u64, rng: &mut StdRng) -> Self {
         assert!(leaves.is_power_of_two(), "leaf count must be a power of two");
-        let paths = (0..blocks).map(|_| rng.gen_range(0..leaves)).collect();
+        assert!(leaves <= 1 << u32::BITS, "leaf indices must fit 32 bits");
+        let paths = (0..blocks).map(|_| rng.gen_range(0..leaves) as u32).collect();
         PositionMap { paths, leaves }
     }
 
@@ -42,14 +50,14 @@ impl PositionMap {
     ///
     /// Panics if `block` is out of range (validated at the engine boundary).
     pub fn path_of(&self, block: BlockId) -> PathId {
-        PathId::new(self.paths[block as usize])
+        PathId::new(u64::from(self.paths[block as usize]))
     }
 
     /// Remaps `block` to a fresh uniformly random path and returns it
     /// (the *block remap* step of every ORAM access).
     pub fn remap(&mut self, block: BlockId, rng: &mut StdRng) -> PathId {
         let new = rng.gen_range(0..self.leaves);
-        self.paths[block as usize] = new;
+        self.paths[block as usize] = new as u32;
         PathId::new(new)
     }
 
@@ -63,7 +71,7 @@ impl PositionMap {
     /// boundary).
     pub(crate) fn set_path(&mut self, block: BlockId, path: PathId) {
         assert!(path.leaf() < self.leaves, "path label out of range");
-        self.paths[block as usize] = path.leaf();
+        self.paths[block as usize] = path.leaf() as u32;
     }
 
     /// Number of leaves paths may point at.
@@ -77,8 +85,9 @@ impl PositionMap {
     pub(crate) fn grow_one_level<F: Fn(BlockId, u64) -> u64>(&mut self, extend: F) {
         let new_leaves = self.leaves * 2;
         for (b, p) in self.paths.iter_mut().enumerate() {
-            *p = extend(b as u64, *p);
-            debug_assert!(*p < new_leaves, "relabel escaped the new leaf space");
+            let leaf = extend(b as u64, u64::from(*p));
+            debug_assert!(leaf < new_leaves, "relabel escaped the new leaf space");
+            *p = leaf as u32;
         }
         self.leaves = new_leaves;
     }
@@ -91,7 +100,7 @@ impl PositionMap {
     /// Panics if `path` is out of the leaf range.
     pub(crate) fn push(&mut self, path: PathId) {
         assert!(path.leaf() < self.leaves, "path label out of range");
-        self.paths.push(path.leaf());
+        self.paths.push(path.leaf() as u32);
     }
 }
 

@@ -11,7 +11,7 @@ use aboram_core::{AccessKind, BucketMeta, CountingSink, OramConfig, RingOram, Sc
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-const _: () = assert!(std::mem::size_of::<BucketMeta>() <= 128);
+const _: () = assert!(std::mem::size_of::<BucketMeta>() == 64);
 
 thread_local! {
     /// Whether this thread's allocations are being counted.
@@ -103,10 +103,10 @@ fn live_allocations_do_not_depend_on_the_bucket_count() {
     );
     assert!(large_allocs < 128, "{large_allocs} live allocations at L = 14");
 
-    // Per added bucket: one record plus the position map's share (2.5
-    // blocks × 8 B); the `Vec`-backed bucket cost about 340 B.
+    // Per added bucket: one 64 B record plus the position map's share (2.5
+    // blocks × 4 B), ≈ 74 B; the `Vec`-backed bucket cost about 340 B.
     let per_bucket = (large_bytes - small_bytes) / (large_buckets - small_buckets);
-    assert!(per_bucket <= 144, "{per_bucket} live bytes per added bucket");
+    assert!(per_bucket <= 80, "{per_bucket} live bytes per added bucket");
     assert!(
         per_bucket >= std::mem::size_of::<BucketMeta>() as i64,
         "{per_bucket}: census is blind"
