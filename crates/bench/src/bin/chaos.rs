@@ -13,7 +13,7 @@
 //! Scale further with the usual `ABORAM_LEVELS` / `ABORAM_WARMUP` /
 //! `ABORAM_TIMED` environment knobs.
 
-use aboram_bench::{emit, Experiment};
+use aboram_bench::{emit, refuse, Experiment};
 use aboram_core::{FaultConfig, FaultPlan, Scheme, TimingDriver};
 use aboram_dram::DramConfig;
 use aboram_stats::Table;
@@ -31,36 +31,33 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut take =
-            |what: &str| it.next().unwrap_or_else(|| die(&format!("{flag} needs {what}")));
+            |what: &str| it.next().unwrap_or_else(|| refuse(format!("{flag} needs {what}")));
         match flag.as_str() {
             "--faults" => {
                 let v = take("a seed");
-                args.fault_seed = v.parse().unwrap_or_else(|_| die(&format!("bad seed {v:?}")));
+                args.fault_seed = v.parse().unwrap_or_else(|_| refuse(format!("bad seed {v:?}")));
             }
             "--records" => {
                 let v = take("a count");
-                args.records = Some(v.parse().unwrap_or_else(|_| die(&format!("bad count {v:?}"))));
+                args.records =
+                    Some(v.parse().unwrap_or_else(|_| refuse(format!("bad count {v:?}"))));
             }
             "--rate" => {
                 let v = take("a probability");
                 let rate = v.parse().ok().filter(|r: &f64| (0.0..=1.0).contains(r));
-                args.rate = Some(rate.unwrap_or_else(|| die(&format!("rate {v:?} not in [0, 1]"))));
+                args.rate =
+                    Some(rate.unwrap_or_else(|| refuse(format!("rate {v:?} not in [0, 1]"))));
             }
             "--telemetry" => {
                 args.telemetry = Some(take("an output path"));
             }
-            "--help" | "-h" => {
-                die("usage: chaos --faults <seed> [--records <n>] [--rate <p>] [--telemetry <out>]")
-            }
-            other => die(&format!("unknown flag {other:?}")),
+            "--help" | "-h" => refuse(
+                "usage: chaos --faults <seed> [--records <n>] [--rate <p>] [--telemetry <out>]",
+            ),
+            other => refuse(format!("unknown flag {other:?}")),
         }
     }
     args
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2)
 }
 
 fn main() {
@@ -70,7 +67,7 @@ fn main() {
             eprintln!("[telemetry trace -> {path}]");
             Some(
                 aboram_telemetry::install_to_path(std::path::Path::new(path))
-                    .unwrap_or_else(|e| die(&format!("{path}: {e}"))),
+                    .unwrap_or_else(|e| refuse(format!("{path}: {e}"))),
             )
         }
         None => aboram_bench::telemetry_from_env(),
@@ -116,10 +113,10 @@ fn main() {
         };
 
         let (clean, _) =
-            run(None).unwrap_or_else(|e| die(&format!("{scheme}: fault-free run failed: {e}")));
+            run(None).unwrap_or_else(|e| refuse(format!("{scheme}: fault-free run failed: {e}")));
         let (faulted, injected) = match run(Some(FaultPlan::with_config(args.fault_seed, fc))) {
             Ok(r) => r,
-            Err(e) => die(&format!(
+            Err(e) => refuse(format!(
                 "{scheme}: fault plan (seed {}, rate {:?}) is unsurvivable: {e}\n\
                  lower --rate: each retry must succeed with probability 1-p",
                 args.fault_seed, args.rate

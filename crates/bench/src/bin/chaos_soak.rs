@@ -26,7 +26,7 @@
 //! cargo run --release -p aboram-bench --bin chaos_soak -- --jobs 4 --ledger out.jsonl
 //! ```
 
-use aboram_bench::{derive_cell_seed, emit, CellExecutor};
+use aboram_bench::{derive_cell_seed, emit, refuse, CellExecutor};
 use aboram_core::{
     AccessKind, CountingSink, FaultConfig, FaultInjectingSink, FaultPlan, HealthState, OramConfig,
     OramError, RecoveryStats, RingOram, Scheme, BLOCK_BYTES,
@@ -305,28 +305,23 @@ fn parse_args(args: &[String]) -> Args {
             "--smoke" => out.smoke = true,
             "--seed" => {
                 i += 1;
-                let v = args.get(i).unwrap_or_else(|| die("--seed needs a value"));
-                out.seed = v.parse().unwrap_or_else(|_| die(&format!("bad seed {v:?}")));
+                let v = args.get(i).unwrap_or_else(|| refuse("--seed needs a value"));
+                out.seed = v.parse().unwrap_or_else(|_| refuse(format!("bad seed {v:?}")));
             }
             "--ledger" => {
                 i += 1;
                 out.ledger =
-                    args.get(i).unwrap_or_else(|| die("--ledger needs a path")).to_string();
+                    args.get(i).unwrap_or_else(|| refuse("--ledger needs a path")).to_string();
             }
             "--jobs" => i += 1, // consumed by CellExecutor::from_env_or_args
-            "--help" | "-h" => {
-                die("usage: chaos_soak [--smoke] [--seed <n>] [--jobs <n>] [--ledger <out.jsonl>]")
-            }
-            other => die(&format!("unknown flag {other:?}")),
+            "--help" | "-h" => refuse(
+                "usage: chaos_soak [--smoke] [--seed <n>] [--jobs <n>] [--ledger <out.jsonl>]",
+            ),
+            other => refuse(format!("unknown flag {other:?}")),
         }
         i += 1;
     }
     out
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2)
 }
 
 fn main() {

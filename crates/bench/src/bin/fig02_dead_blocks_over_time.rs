@@ -1,60 +1,3 @@
-//! Fig. 2 — dead blocks over time.
-//!
-//! Tracks the total number of dead blocks in the ORAM tree as online
-//! accesses proceed, for three individual benchmarks (mcf, lbm, xz) and the
-//! average of the whole SPEC-like suite, on the plain Ring ORAM setting the
-//! paper's motivation section uses. The paper's curve rises quickly and
-//! stabilizes (~18 % of tree space for the 24-level, Z = 12 tree).
-
-use aboram_bench::{emit, telemetry_from_env, ChurnKind, Experiment};
-use aboram_core::Scheme;
-use aboram_stats::TimeSeries;
-use aboram_trace::profiles;
-
 fn main() {
-    let env = Experiment::from_env();
-    let _telemetry = telemetry_from_env();
-    // The motivational study uses the plain Ring ORAM tree (Z = 12, S = 7).
-    let cfg = env.config(Scheme::PlainRing).expect("valid config");
-    let total_accesses = env.protocol_accesses;
-    let samples = 40u64;
-    let sample_every = (total_accesses / samples).max(1);
-
-    let mut all_series: Vec<TimeSeries> = Vec::new();
-    let suite = profiles::spec2017();
-    for profile in &suite {
-        let mut run =
-            env.protocol_run(Scheme::PlainRing, ChurnKind::Trace(profile)).expect("engine builds");
-        let mut series = TimeSeries::new(profile.name, "online accesses", "dead blocks");
-        run.advance_with(total_accesses, |i, oram| {
-            if i % sample_every == 0 {
-                series
-                    .push(oram.stats().online_accesses() as f64, oram.stats().dead_total() as f64);
-            }
-        })
-        .expect("protocol ok");
-        all_series.push(series);
-    }
-    let average = TimeSeries::average("average", &all_series);
-
-    let mut out = String::from("# Fig. 2 — dead blocks over time\n\n");
-    out.push_str(&format!(
-        "tree: {} levels (plain Ring ORAM, Z = 12); total slots = {}\n\n",
-        env.levels,
-        cfg.geometry().expect("geometry").total_slots()
-    ));
-    for name in ["mcf", "lbm", "xz"] {
-        let s = all_series.iter().find(|s| s.name() == name).expect("benchmark in suite");
-        out.push_str(&format!("## {name}\n\n{}\n", s.to_csv()));
-    }
-    out.push_str(&format!("## average (all {} benchmarks)\n\n{}\n", suite.len(), average.to_csv()));
-
-    let stable = average.tail_mean(5).unwrap_or(0.0);
-    let fraction = stable / cfg.geometry().expect("geometry").total_slots() as f64;
-    out.push_str(&format!(
-        "\nstabilized dead blocks: {:.0} ({:.1} % of tree slots; paper: ~18 % at L = 24)\n",
-        stable,
-        100.0 * fraction
-    ));
-    emit("fig02_dead_blocks_over_time.md", &out);
+    aboram_bench::study_main(&aboram_bench::studies::protocol::FIG02_DEAD_BLOCKS_OVER_TIME);
 }

@@ -1,55 +1,3 @@
-//! Fig. 3 — dead blocks across the tree levels.
-//!
-//! After a long run, reports the number of dead blocks at each level (bars)
-//! alongside the number of buckets at that level (line). The paper finds
-//! ~2.1 dead blocks per bucket at the last level of the plain Ring ORAM
-//! tree.
-
-use aboram_bench::{emit, telemetry_from_env, ChurnKind, Experiment};
-use aboram_core::Scheme;
-use aboram_stats::{LevelHistogram, Table};
-use aboram_trace::profiles;
-
 fn main() {
-    let env = Experiment::from_env();
-    let _telemetry = telemetry_from_env();
-    let cfg = env.config(Scheme::PlainRing).expect("valid config");
-
-    // Average the per-level census over a few representative benchmarks.
-    // The 50/50 trace/uniform mix covers the whole block space like the
-    // paper's 400 M-access run.
-    let suite = profiles::spec2017();
-    let picks = ["mcf", "lbm", "xz", "x264"];
-    let mut histograms: Vec<LevelHistogram> = Vec::new();
-    for name in picks {
-        let profile = suite.iter().find(|p| p.name == name).expect("benchmark");
-        let mut run =
-            env.protocol_run(Scheme::PlainRing, ChurnKind::Mixed(profile)).expect("engine builds");
-        run.advance(env.protocol_accesses).expect("protocol ok");
-        histograms.push(run.oram.stats().dead_blocks.clone());
-    }
-    let sum = LevelHistogram::sum("dead blocks", &histograms);
-
-    let geo = cfg.geometry().expect("geometry");
-    let mut table = Table::new(
-        "Fig. 3 — dead blocks per level (suite average)",
-        &["level", "dead blocks", "buckets", "dead per bucket"],
-    );
-    for l in 0..env.levels {
-        let dead = sum.get(l) as f64 / histograms.len() as f64;
-        let buckets = geo.buckets_at_level(aboram_tree::Level(l)) as f64;
-        table.row(&[&format!("L{l}")], &[dead, buckets, dead / buckets]);
-    }
-    let mut out = String::from("# Fig. 3 — dead blocks across the levels\n\n");
-    out.push_str(&table.to_markdown());
-    let leaf = env.levels - 1;
-    out.push_str(&format!(
-        "\nlast level: {:.2} dead blocks per bucket (paper: ~2.1 at L = 24, Z = 12)\n",
-        sum.get(leaf) as f64
-            / histograms.len() as f64
-            / geo.buckets_at_level(aboram_tree::Level(leaf)) as f64
-    ));
-    out.push_str("\nCSV:\n");
-    out.push_str(&table.to_csv());
-    emit("fig03_dead_blocks_per_level.md", &out);
+    aboram_bench::study_main(&aboram_bench::studies::protocol::FIG03_DEAD_BLOCKS_PER_LEVEL);
 }

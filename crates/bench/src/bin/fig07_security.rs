@@ -1,49 +1,3 @@
-//! Fig. 7 — empirical security analysis (§VI-C).
-//!
-//! For every benchmark, measures the success rate of an attacker who
-//! observes each readPath and guesses uniformly which of the L returned
-//! blocks is the real one, under Baseline and AB-ORAM. Both must track the
-//! ideal rate 1/L (the paper reports 0.041665 vs 0.041670 at L = 24).
-
-use aboram_bench::{emit, Experiment};
-use aboram_core::{attack_success_rate, Scheme};
-use aboram_stats::Table;
-use aboram_trace::profiles;
-
 fn main() {
-    let env = Experiment::from_env();
-    let accesses = env.protocol_accesses / 4;
-    let mut table = Table::new(
-        "Fig. 7 — attacker success rate per benchmark",
-        &["benchmark", "Baseline", "AB-ORAM"],
-    );
-    let mut sums = [0.0f64; 2];
-    let suite = profiles::spec2017();
-    for (i, profile) in suite.iter().enumerate() {
-        let mut rates = [0.0f64; 2];
-        for (k, scheme) in [Scheme::Baseline, Scheme::Ab].into_iter().enumerate() {
-            let cfg = aboram_core::OramConfig::builder(env.levels, scheme)
-                .seed(env.seed.wrapping_add(i as u64))
-                .build()
-                .expect("valid config");
-            let report = attack_success_rate(&cfg, accesses).expect("experiment runs");
-            rates[k] = report.success_rate();
-            sums[k] += rates[k];
-        }
-        table.row(&[profile.name], &[rates[0], rates[1]]);
-    }
-    let n = suite.len() as f64;
-    table.row(&["average"], &[sums[0] / n, sums[1] / n]);
-
-    let mut out = String::from("# Fig. 7 — empirical security analysis\n\n");
-    out.push_str(&format!(
-        "tree: {} levels; {} observed accesses per cell; ideal rate 1/L = {:.6}\n\n",
-        env.levels,
-        accesses,
-        1.0 / f64::from(env.levels)
-    ));
-    out.push_str(&table.to_markdown());
-    out.push_str("\nCSV:\n");
-    out.push_str(&table.to_csv());
-    emit("fig07_security.md", &out);
+    aboram_bench::study_main(&aboram_bench::studies::protocol::FIG07_SECURITY);
 }

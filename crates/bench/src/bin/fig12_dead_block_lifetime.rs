@@ -1,53 +1,3 @@
-//! Fig. 12 — dead-block lifetime across tree levels.
-//!
-//! Runs the Baseline with lifetime tracking enabled and reports the
-//! min / average / max lifetime (in online accesses) of dead blocks per
-//! level. Paper shape: near-zero lifetimes above the bottom six levels,
-//! orders-of-magnitude larger averages close to the leaves — the
-//! observation motivating per-level DeadQ queues.
-
-use aboram_bench::{emit, telemetry_from_env, ChurnKind, Experiment};
-use aboram_core::{OramConfig, Scheme};
-use aboram_stats::Table;
-
 fn main() {
-    let env = Experiment::from_env();
-    let _telemetry = telemetry_from_env();
-    let cfg = OramConfig::builder(env.levels, Scheme::Baseline)
-        .seed(env.seed)
-        .track_lifetimes(true)
-        .build()
-        .expect("config");
-    let accesses = env.protocol_accesses.max(env.warmup);
-    eprintln!("[running {} accesses with lifetime tracking]", accesses);
-    let mut run = env.protocol_run_with(cfg, ChurnKind::Uniform).expect("engine builds");
-    run.advance(accesses).expect("protocol ok");
-    let oram = &run.oram;
-
-    let mut table = Table::new(
-        "Fig. 12 — dead-block lifetime per level (online accesses)",
-        &["level", "min", "avg", "max", "samples"],
-    );
-    for l in 0..env.levels {
-        let t = &oram.stats().lifetimes[l as usize];
-        table.row(
-            &[&format!("L{l}")],
-            &[
-                t.min().unwrap_or(0.0),
-                t.avg().unwrap_or(0.0),
-                t.max().unwrap_or(0.0),
-                t.count() as f64,
-            ],
-        );
-    }
-    let mut out = String::from("# Fig. 12 — dead-block lifetime analysis\n\n");
-    out.push_str(&format!(
-        "tree: {} levels, {} accesses, Baseline scheme\n\n",
-        env.levels, accesses
-    ));
-    out.push_str(&table.to_markdown());
-    out.push_str("\npaper shape: levels near the root reclaim almost immediately; average lifetime grows orders of magnitude toward the leaves.\n");
-    out.push_str("\nCSV:\n");
-    out.push_str(&table.to_csv());
-    emit("fig12_dead_block_lifetime.md", &out);
+    aboram_bench::study_main(&aboram_bench::studies::protocol::FIG12_DEAD_BLOCK_LIFETIME);
 }

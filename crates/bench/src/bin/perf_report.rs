@@ -19,7 +19,7 @@
 //! collapsed-stack format (`scheme;L<level>;<phase> <bus-cycles>`), ready
 //! for `inferno-flamegraph`, `flamegraph.pl` or a speedscope import.
 
-use aboram_bench::emit;
+use aboram_bench::{emit, refuse};
 use aboram_telemetry::{fold_flamegraph, parse_trace, render_report, RunTrace};
 use std::io::BufReader;
 
@@ -37,19 +37,14 @@ fn main() {
         })
         .collect();
     if paths.is_empty() || paths.iter().any(|p| p == "--help" || p == "-h") {
-        eprintln!("usage: perf_report [--flamegraph] <trace.jsonl> [more traces ...]");
-        std::process::exit(2);
+        refuse("usage: perf_report [--flamegraph] <trace.jsonl> [more traces ...]");
     }
     let mut runs: Vec<RunTrace> = Vec::new();
     for path in &paths {
-        let file = std::fs::File::open(path).unwrap_or_else(|e| {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(2);
-        });
-        let parsed = parse_trace(BufReader::new(file)).unwrap_or_else(|e| {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(2);
-        });
+        let file =
+            std::fs::File::open(path).unwrap_or_else(|e| refuse(format!("error: {path}: {e}")));
+        let parsed = parse_trace(BufReader::new(file))
+            .unwrap_or_else(|e| refuse(format!("error: {path}: {e}")));
         eprintln!("[{path}: {} run(s)]", parsed.len());
         runs.extend(parsed);
     }

@@ -1,53 +1,3 @@
-//! Table I + §VIII-H — bucket metadata layout and storage overhead.
-//!
-//! Prints the bit width of every metadata field for Ring ORAM and AB-ORAM
-//! at the paper's parameters, verifies both fit a 64 B metadata block with
-//! `R = 6`, and reports the on-chip DeadQ footprint (paper: 21 KB).
-
-use aboram_bench::emit;
-use aboram_core::{DeadQueues, MetadataLayout};
-use aboram_stats::Table;
-use aboram_tree::{Level, LevelConfig, TreeGeometry};
-
 fn main() {
-    // Paper parameters: plain Ring ORAM typical setting at L = 24, R = 6.
-    let geo = TreeGeometry::uniform(24, LevelConfig::new(5, 7)).expect("geometry");
-    let layout = MetadataLayout::for_geometry(&geo, Level(23), 6);
-
-    let mut table = Table::new(
-        "Table I — bucket metadata widths (bits), L = 24, Z' = 5, Z = 12, R = 6",
-        &["field", "Ring ORAM", "AB-ORAM extra"],
-    );
-    let log = |v: u64| (64 - (v.max(2) - 1).leading_zeros()) as f64;
-    let zr = 5.0;
-    let z = 12.0;
-    table.row(&["count"], &[log(7), 0.0]);
-    table.row(&["addr"], &[zr * log(layout.n_block), 0.0]);
-    table.row(&["label"], &[zr * 25.0, 0.0]);
-    table.row(&["ptr"], &[zr * log(12), 0.0]);
-    table.row(&["valid"], &[z, 0.0]);
-    table.row(&["remote"], &[0.0, 6.0]);
-    table.row(&["remoteAddr"], &[0.0, 6.0 * log(layout.n_bucket)]);
-    table.row(&["remoteInd"], &[0.0, 6.0 * log(12)]);
-    table.row(&["dynamicS"], &[0.0, log(7)]);
-    table.row(&["status"], &[0.0, z * 2.0]);
-    table.row(&["TOTAL"], &[layout.ring_bits() as f64, layout.aboram_extra_bits() as f64]);
-
-    let ring_bytes = layout.ring_bits() as f64 / 8.0;
-    let extra_bytes = layout.aboram_extra_bits() as f64 / 8.0;
-    let deadq = DeadQueues::new(24, 6, 1000);
-
-    let mut out = String::from("# Table I — metadata organization\n\n");
-    out.push_str(&table.to_markdown());
-    out.push_str(&format!(
-        "\n§VIII-H storage overhead check:\n\
-         - Ring ORAM metadata : {ring_bytes:.1} B   (paper: ~33 B)\n\
-         - AB-ORAM additions  : {extra_bytes:.1} B   (paper: ≤28 B with R = 6)\n\
-         - total              : {:.1} B of a 64 B metadata block -> fits: {}\n\
-         - on-chip DeadQ      : {:.1} KB for 6 levels x 1000 entries (paper: 21 KB)\n",
-        ring_bytes + extra_bytes,
-        (ring_bytes + extra_bytes) <= 64.0,
-        deadq.onchip_bytes() as f64 / 1024.0,
-    ));
-    emit("table1_metadata.md", &out);
+    aboram_bench::study_main(&aboram_bench::studies::tables::TABLE1_METADATA);
 }

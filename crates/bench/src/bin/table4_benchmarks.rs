@@ -1,37 +1,3 @@
-//! Table IV — the evaluated benchmarks and their read/write MPKI.
-//!
-//! Generates each synthetic benchmark's trace and measures its MPKI,
-//! verifying the generators are calibrated to the paper's Table IV.
-
-use aboram_bench::{emit, CellExecutor, Experiment};
-use aboram_stats::Table;
-use aboram_trace::{profiles, MpkiMeter, TraceGenerator};
-
 fn main() {
-    let env = Experiment::from_env();
-    let records = 100_000;
-    let mut table = Table::new(
-        "Table IV — benchmark MPKI: paper vs generated",
-        &["benchmark", "paper read", "gen read", "paper write", "gen write"],
-    );
-    let meters = CellExecutor::from_env().run(profiles::spec2017(), |_, profile| {
-        let mut gen = TraceGenerator::new(&profile, env.seed);
-        let mut meter = MpkiMeter::new();
-        for _ in 0..records {
-            meter.observe(&gen.next_record());
-        }
-        (profile, meter)
-    });
-    for (profile, meter) in meters {
-        table.row(
-            &[profile.name],
-            &[profile.read_mpki, meter.read_mpki(), profile.write_mpki, meter.write_mpki()],
-        );
-    }
-    let mut out = String::from("# Table IV — evaluated benchmarks\n\n");
-    out.push_str(&format!("{} records generated per benchmark\n\n", records));
-    out.push_str(&table.to_markdown());
-    out.push_str("\nCSV:\n");
-    out.push_str(&table.to_csv());
-    emit("table4_benchmarks.md", &out);
+    aboram_bench::study_main(&aboram_bench::studies::tables::TABLE4_BENCHMARKS);
 }

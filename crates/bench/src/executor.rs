@@ -23,22 +23,17 @@
 //!
 //! Workers claim cells in grid order through one atomic cursor, so a
 //! single-worker executor walks the grid exactly like a sequential loop.
-//! Claim order never touches results: they are keyed by grid position, so
-//! any jobs count produces byte-identical output.
-//!
-//! The worker count follows the `run_all` convention: `ABORAM_JOBS` (or a
-//! `--jobs N` flag where a binary accepts one), defaulting to the machine's
-//! available parallelism and clamped to it — oversubscription cannot speed
-//! up CPU-bound cells and only distorts wall-clock timings. A failed
-//! `available_parallelism` probe logs the fallback to one worker once
-//! instead of silently serializing.
+//! The worker count is `ABORAM_JOBS` (or a `--jobs N` flag where a binary
+//! accepts one), defaulting to the machine's available parallelism and
+//! clamped to it — oversubscription cannot speed up CPU-bound cells and
+//! only distorts wall-clock timings.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, Once};
 
-/// Resolves the default worker count, logging (once per process) when the
-/// parallelism probe fails and the pool falls back to a single worker.
-pub fn default_jobs() -> usize {
+/// The machine's available parallelism, logging (once per process) when the
+/// probe fails and the pool falls back to a single worker.
+fn default_jobs() -> usize {
     static WARN_ONCE: Once = Once::new();
     match std::thread::available_parallelism() {
         Ok(n) => n.get(),
@@ -54,21 +49,8 @@ pub fn default_jobs() -> usize {
     }
 }
 
-/// Reads the worker count from `ABORAM_JOBS`, falling back to
-/// [`default_jobs`] when it is unset or zero. An unparsable value is
-/// refused like every scale knob (see `Experiment::from_env`), and requests
-/// beyond the machine's available parallelism are clamped: simulation
-/// cells are CPU-bound, so oversubscribing physical cores cannot finish a
-/// grid sooner — it only inflates per-cell wall-clock time.
-pub fn jobs_from_env() -> usize {
-    match crate::env_knob("ABORAM_JOBS", 0usize) {
-        0 => default_jobs(),
-        n => clamp_jobs(n),
-    }
-}
-
-/// Clamps a requested worker count to available parallelism (see
-/// [`jobs_from_env`]). When the probe fails the request is honoured as-is.
+/// Clamps a requested worker count to available parallelism. When the
+/// probe fails the request is honoured as-is.
 fn clamp_jobs(requested: usize) -> usize {
     match std::thread::available_parallelism() {
         Ok(cap) => requested.clamp(1, cap.get()),
@@ -104,15 +86,21 @@ impl CellExecutor {
         CellExecutor { jobs: jobs.max(1) }
     }
 
-    /// An executor sized by `ABORAM_JOBS` / available parallelism.
+    /// An executor sized by `ABORAM_JOBS`: unset or zero is the machine's
+    /// available parallelism, an unparsable value is refused like every
+    /// scale knob (see `Experiment::from_env`), and a larger request is
+    /// clamped to available parallelism.
     pub fn from_env() -> Self {
-        Self::with_jobs(jobs_from_env())
+        match crate::env_knob("ABORAM_JOBS", 0usize) {
+            0 => Self::with_jobs(default_jobs()),
+            n => Self::with_jobs(clamp_jobs(n)),
+        }
     }
 
     /// Like [`CellExecutor::from_env`], but a `--jobs N` pair in `args`
     /// takes precedence over the environment. The flag is clamped to
-    /// available parallelism and refused when unparsable, like `ABORAM_JOBS`
-    /// (see [`jobs_from_env`]); `--jobs 0` defers to the environment.
+    /// available parallelism and refused when unparsable, like `ABORAM_JOBS`;
+    /// `--jobs 0` defers to the environment.
     pub fn from_env_or_args(args: &[String]) -> Self {
         let flag = args.iter().position(|a| a == "--jobs").map(|i| {
             let text = args.get(i + 1).map_or("", String::as_str);
@@ -155,56 +143,42 @@ impl CellExecutor {
         type ResultSlot<R> = Mutex<Option<(R, Option<String>)>>;
         let results: Vec<ResultSlot<R>> = (0..n).map(|_| Mutex::new(None)).collect();
 
+        // The scope joins every worker and re-raises a cell's panic.
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let cell = slots[i]
+                        .lock()
+                        .expect("cell slot lock")
+                        .take()
+                        .expect("cell claimed exactly once");
+                    let buf = traced.then(|| {
+                        let (collector, buf) = aboram_telemetry::Collector::to_shared_buffer();
+                        aboram_telemetry::install(collector);
+                        buf
+                    });
+                    let result = f(i, cell);
+                    let trace = buf.map(|b| {
+                        if let Some(mut c) = aboram_telemetry::uninstall() {
+                            let _ = c.flush();
                         }
-                        let cell = slots[i]
-                            .lock()
-                            .expect("cell slot lock")
-                            .take()
-                            .expect("cell claimed exactly once");
-                        let buf = traced.then(|| {
-                            let (collector, buf) = aboram_telemetry::Collector::to_shared_buffer();
-                            aboram_telemetry::install(collector);
-                            buf
-                        });
-                        let result = f(i, cell);
-                        let trace = buf.map(|b| {
-                            if let Some(mut c) = aboram_telemetry::uninstall() {
-                                let _ = c.flush();
-                            }
-                            b.take()
-                        });
-                        *results[i].lock().expect("result slot lock") = Some((result, trace));
-                    })
-                })
-                .collect();
-            for handle in handles {
-                if let Err(panic) = handle.join() {
-                    std::panic::resume_unwind(panic);
-                }
+                        b.take()
+                    });
+                    *results[i].lock().expect("result slot lock") = Some((result, trace));
+                });
             }
         });
 
-        let mut out = Vec::with_capacity(n);
-        let mut traces = Vec::with_capacity(if traced { n } else { 0 });
-        for slot in results {
-            let (result, trace) =
-                slot.into_inner().expect("result slot lock").expect("every cell ran");
-            out.push(result);
-            if traced {
-                traces.push(trace);
-            }
-        }
+        let (out, traces): (Vec<R>, Vec<Option<String>>) = results
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("result slot lock").expect("every cell ran"))
+            .unzip();
         if let Some(mut collector) = caller_collector {
-            for text in traces.into_iter().flatten() {
-                collector.append_raw(&text);
-            }
+            traces.iter().flatten().for_each(|text| collector.append_raw(text));
             let _ = collector.flush();
             aboram_telemetry::install(collector);
         }

@@ -1,12 +1,14 @@
-//! Shared harness for the paper-figure experiment binaries.
+//! Shared harness for the paper-figure experiments.
 //!
-//! Every binary in `src/bin/` regenerates one figure or table of the AB-ORAM
-//! paper (see DESIGN.md's per-experiment index). This library holds the
-//! common machinery: the experiment environment (tree size, warm-up length,
-//! timed-window length — all overridable via `ABORAM_*` environment
-//! variables), per-benchmark timed runs, protocol-level runs, and output
-//! helpers that write both human-readable markdown and machine-readable CSV
-//! under `results/`.
+//! Every figure, table, ablation and extension of the AB-ORAM evaluation is
+//! a [`Study`] under [`studies`] (see DESIGN.md's per-experiment index): the
+//! timed windows it needs and a render that turns them into its `results/`
+//! files. Each binary in `src/bin/` runs one study; `run_all` runs them all
+//! in one process, warming each configuration once. This library also holds
+//! the common machinery: the experiment environment (tree size, warm-up
+//! length, timed-window length — all overridable via `ABORAM_*` environment
+//! variables), protocol-level runs, and output helpers that write both
+//! human-readable markdown and machine-readable CSV under `results/`.
 //!
 //! # Scaling
 //!
@@ -21,14 +23,15 @@
 #![warn(missing_docs)]
 
 mod executor;
+pub mod studies;
+mod study;
 
-pub use executor::{default_jobs, derive_cell_seed, jobs_from_env, CellExecutor};
-
-use aboram_core::{
-    AccessKind, CountingSink, OramConfig, OramError, RingOram, Scheme, SimulationReport,
-    TimingDriver,
+pub use executor::{derive_cell_seed, CellExecutor};
+pub use study::{
+    measure, run_studies, study_main, Measured, Measurements, Rendered, Study, Window,
 };
-use aboram_dram::DramConfig;
+
+use aboram_core::{AccessKind, CountingSink, OramConfig, OramError, RingOram, Scheme};
 use aboram_telemetry::TelemetryGuard;
 use aboram_trace::{BenchmarkProfile, TraceGenerator};
 use aboram_tree::SpaceReport;
@@ -65,8 +68,7 @@ impl Experiment {
     pub fn from_env() -> Self {
         let levels: u8 = env_knob("ABORAM_LEVELS", 18);
         if let Err(e) = OramConfig::builder(levels, Scheme::Ab).build() {
-            eprintln!("error: ABORAM_LEVELS={levels} refused: {e}");
-            std::process::exit(2);
+            refuse(format!("error: ABORAM_LEVELS={levels} refused: {e}"));
         }
         // Two full reverse-lexicographic eviction sweeps (A accesses per
         // evictPath) — enough for the dead-block census to stabilize.
@@ -97,58 +99,13 @@ impl Experiment {
     }
 
     /// Builds and warms an engine for `scheme` with `warmup` uniform random
-    /// reads (the §VII warm-up phase). A binary that needs the same warmed
-    /// engine in several cells warms it once and `clone()`s it.
+    /// reads (the §VII warm-up phase; [`RingOram::warm_up`] under this
+    /// harness's salt). The study runner warms each configuration once and
+    /// `clone()`s it into that configuration's timed windows.
     pub fn warmed_oram(&self, scheme: Scheme) -> Result<RingOram, OramError> {
-        let cfg = self.config(scheme)?;
-        let mut oram = RingOram::new(&cfg)?;
-        let mut sink = CountingSink::new();
-        // Distinct from the engine seed, so the warm-up stream and the
-        // engine's internal randomness stay independent.
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0xaaaa);
-        let blocks = cfg.real_block_count();
-        for _ in 0..self.warmup {
-            oram.access(AccessKind::Read, rng.gen_range(0..blocks), None, &mut sink)?;
-        }
+        let mut oram = RingOram::new(&self.config(scheme)?)?;
+        oram.warm_up(self.warmup, 0xaaaa)?;
         Ok(oram)
-    }
-
-    /// Runs one benchmark's timed window against a pre-warmed engine and
-    /// returns the cycle-level report.
-    pub fn timed_run(
-        &self,
-        oram: RingOram,
-        profile: &BenchmarkProfile,
-    ) -> Result<SimulationReport, OramError> {
-        let driver = TimingDriver::from_oram(oram, DramConfig::default());
-        self.timed_run_on(driver, profile)
-    }
-
-    /// Runs one benchmark's timed window on an already-built driver (the
-    /// [`Experiment::warmed_driver`] path).
-    pub fn timed_run_on(
-        &self,
-        mut driver: TimingDriver,
-        profile: &BenchmarkProfile,
-    ) -> Result<SimulationReport, OramError> {
-        let mut gen = TraceGenerator::new(profile, self.seed);
-        driver.run((0..self.timed).map(|_| gen.next_record()))
-    }
-
-    /// Builds a [`TimingDriver`] with a fresh DRAM twin over
-    /// [`Experiment::warmed_oram`]'s engine.
-    pub fn warmed_driver(&self, scheme: Scheme) -> Result<TimingDriver, OramError> {
-        Ok(TimingDriver::from_oram(self.warmed_oram(scheme)?, DramConfig::default()))
-    }
-
-    /// Warm-up plus one timed benchmark window in a single call — the
-    /// baseline-then-sweep pattern every timing figure repeats.
-    pub fn warmed_timed(
-        &self,
-        scheme: Scheme,
-        profile: &BenchmarkProfile,
-    ) -> Result<SimulationReport, OramError> {
-        self.timed_run_on(self.warmed_driver(scheme)?, profile)
     }
 
     /// Builds a protocol-mode study cell for `scheme`: a fresh engine, a
@@ -167,7 +124,7 @@ impl Experiment {
         let oram = RingOram::new(&cfg)?;
         let blocks = cfg.real_block_count();
         let source = BlockSource::new(churn, cfg.seed);
-        Ok(ProtocolRun { cfg, oram, sink: CountingSink::new(), source, blocks })
+        Ok(ProtocolRun { oram, sink: CountingSink::new(), source, blocks })
     }
 }
 
@@ -232,8 +189,6 @@ impl BlockSource {
 /// afterwards.
 #[derive(Debug)]
 pub struct ProtocolRun {
-    /// The configuration the engine was built from.
-    pub cfg: OramConfig,
     /// The engine under study.
     pub oram: RingOram,
     /// The protocol-mode traffic sink.
@@ -289,13 +244,17 @@ fn parse_knob<T: FromStr>(name: &str, text: &str) -> Result<T, String> {
         .map_err(|_| format!("{name}={text:?} is not a valid {}", std::any::type_name::<T>()))
 }
 
+/// The one refusal path of every binary here: prints `msg` as one stderr
+/// line and exits with code 2.
+pub fn refuse(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
 /// The value of scale knob `name` given as `text`, or a one-line refusal
 /// with exit code 2 when it does not parse.
 pub(crate) fn knob_or_refuse<T: FromStr>(name: &str, text: &str) -> T {
-    parse_knob(name, text).unwrap_or_else(|refusal| {
-        eprintln!("error: {refusal}");
-        std::process::exit(2)
-    })
+    parse_knob(name, text).unwrap_or_else(|refusal| refuse(format!("error: {refusal}")))
 }
 
 /// Reads scale knob `name`: `default` when unset, the parsed value when
@@ -323,6 +282,10 @@ pub fn emit(name: &str, content: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aboram_core::{PlbConfig, PosMapHierarchy, TimingDriver};
+    use aboram_dram::DramConfig;
+    use aboram_trace::profiles;
+    use aboram_tree::PhysicalLayout;
 
     #[test]
     fn env_defaults() {
@@ -363,26 +326,64 @@ mod tests {
         assert_eq!(oram.stats().user_accesses, 500);
     }
 
-    /// The `ablation_dram_priority` / Fig. 8 shape: one warmed engine cloned
-    /// into several cells stands in for one warm-up per cell.
+    /// The runner's oracle: warm per window, time the window on the warmed
+    /// engine.
+    fn warmed_per_window(env: &Experiment, window: &Window) -> Measured {
+        let oram = env.warmed_oram(window.scheme).unwrap();
+        let extension_ratio = oram.stats().extension_ratio();
+        let footprint_bytes = PhysicalLayout::new(oram.geometry()).total_bytes();
+        let mut driver = TimingDriver::from_oram(oram, window.dram);
+        if let Some(plb) = window.plb {
+            driver.enable_posmap_recursion(plb);
+        }
+        let mut gen = TraceGenerator::new(&window.profile, env.seed);
+        let report = driver.run((0..env.timed).map(|_| gen.next_record())).unwrap();
+        Measured {
+            report,
+            memory: driver.memory_stats().clone(),
+            plb_hit_rate: driver.posmap_model().map(PosMapHierarchy::plb_hit_rate),
+            extension_ratio,
+            footprint_bytes,
+        }
+    }
+
+    /// A window list with duplicates over three schemes: three warm-ups,
+    /// every window equal to warming per window, and the same measurements
+    /// on one worker and on four.
     #[test]
     fn warm_once_and_clone_equals_warming_per_cell() {
         let e = Experiment { levels: 10, warmup: 1_500, timed: 150, protocol_accesses: 0, seed: 3 };
-        let profile = aboram_trace::profiles::spec2017().into_iter().next().unwrap();
-        for scheme in [Scheme::Baseline, Scheme::Ab] {
-            let warmed = e.warmed_oram(scheme).unwrap();
-            let cloned = CellExecutor::with_jobs(2).run(vec![(); 2], |_, ()| {
-                let oram = warmed.clone();
-                (oram.clone(), e.timed_run(oram, &profile).unwrap())
-            });
-            for (state, report) in cloned {
-                let fresh = e.warmed_oram(scheme).unwrap();
-                assert!(state == fresh, "{scheme}: warmed state differs");
-                assert_eq!(report, e.timed_run(fresh, &profile).unwrap(), "{scheme}");
-            }
-            // A cell's timed window ran on its clone, not on the original.
-            assert_eq!(warmed.stats().user_accesses, e.warmup);
+        let suite: Vec<_> = profiles::spec2017().into_iter().take(2).collect();
+        let plb = PlbConfig { plb_bytes: 1024, onchip_posmap_bytes: 4096, entry_bytes: 4 };
+        let unprioritized = DramConfig { ignore_priority: true, ..DramConfig::default() };
+        let windows = vec![
+            Window::new(Scheme::Baseline, &suite[0]),
+            Window::new(Scheme::Ab, &suite[0]),
+            Window { plb: Some(plb), ..Window::new(Scheme::Ab, &suite[1]) },
+            Window::new(Scheme::Baseline, &suite[0]),
+            Window::new(Scheme::DR, &suite[1]),
+            Window { dram: unprioritized, ..Window::new(Scheme::Baseline, &suite[1]) },
+            Window::new(Scheme::Ab, &suite[0]),
+        ];
+        let sequential = measure(&e, &CellExecutor::with_jobs(1), &windows).unwrap();
+        assert_eq!(sequential.warm_ups, 3);
+        assert_eq!(sequential.windows.len(), 5, "duplicates run once");
+        for window in &windows {
+            assert_eq!(sequential.get(window), &warmed_per_window(&e, window), "{window:?}");
         }
+        assert!(sequential.get(&windows[2]).plb_hit_rate.is_some());
+        let parallel = measure(&e, &CellExecutor::with_jobs(4), &windows).unwrap();
+        for window in &windows {
+            assert_eq!(parallel.get(window), sequential.get(window), "jobs=4: {window:?}");
+        }
+    }
+
+    #[test]
+    fn a_failing_scheme_is_an_error_not_a_panic() {
+        let e = Experiment { levels: 4, warmup: 10, timed: 10, protocol_accesses: 0, seed: 3 };
+        let profile = profiles::spec2017().into_iter().next().unwrap();
+        let windows = [Window::new(Scheme::Ab, &profile)];
+        assert!(measure(&e, &CellExecutor::with_jobs(2), &windows).is_err());
     }
 
     #[test]

@@ -1,98 +1,74 @@
-//! Differential checks for the parallel cell executor: the jobs count must
-//! never move a single bit of any observable output. A fig08-shaped
-//! (profile × scheme) grid is run at `jobs=1` and `jobs=4` and the
-//! assembled result table, the telemetry JSONL trace and the golden-case
-//! digests are compared byte for byte.
+//! Differential checks for the parallel cell executor and the study runner
+//! on it: the jobs count must never move a single bit of any observable
+//! output. A fig08-shaped (profile × scheme) window list is measured at
+//! `jobs=1` and `jobs=4` and the assembled result table, the telemetry JSONL
+//! trace and the golden-case digests are compared byte for byte.
 
-use aboram_bench::{CellExecutor, Experiment};
+use aboram_bench::{measure, CellExecutor, Experiment, Window};
 use aboram_core::Scheme;
 use aboram_telemetry::Collector;
 use aboram_trace::profiles;
 use std::path::Path;
 
-/// Runs a small fig08-shaped grid (2 profiles × 3 schemes, warmed + timed)
-/// on `jobs` workers and returns the assembled table plus the telemetry
-/// trace the run produced.
-fn fig08_shaped_grid(jobs: usize) -> (String, String) {
+/// Measures `windows` on `jobs` workers and returns the table of their
+/// execution cycles plus the telemetry trace the runs produced.
+fn measured_grid(env: &Experiment, windows: &[Window], jobs: usize) -> (String, String) {
+    let (collector, buf) = Collector::to_shared_buffer();
+    aboram_telemetry::install(collector);
+    let measured = measure(env, &CellExecutor::with_jobs(jobs), windows).expect("windows run");
+    let mut c = aboram_telemetry::uninstall().expect("collector still installed");
+    c.flush().expect("flush");
+    let mut table = String::from("| benchmark | scheme | exec cycles |\n|---|---|---|\n");
+    for w in windows {
+        let cycles = measured.get(w).report.exec_cycles;
+        table.push_str(&format!("| {} | {} | {cycles} |\n", w.profile.name, w.scheme));
+    }
+    assert_eq!(buf.contents().matches("\"run\"").count(), measured.windows.len());
+    (table, buf.take())
+}
+
+/// A small fig08-shaped window list (2 profiles × 3 schemes) at jobs 1 and 4.
+#[test]
+fn jobs_count_never_moves_a_bit_in_tables_or_telemetry() {
     let env =
         Experiment { levels: 10, warmup: 1_500, timed: 200, protocol_accesses: 0, seed: 0xD1FF };
     let suite: Vec<_> = profiles::spec2017().into_iter().take(2).collect();
     let schemes = [Scheme::Baseline, Scheme::DR, Scheme::Ab];
-
-    let (collector, buf) = Collector::to_shared_buffer();
-    aboram_telemetry::install(collector);
-    let grid: Vec<(usize, usize)> =
-        (0..suite.len()).flat_map(|p| (0..schemes.len()).map(move |k| (p, k))).collect();
-    let cycles = CellExecutor::with_jobs(jobs).run(grid, |_, (p, k)| {
-        env.warmed_timed(schemes[k], &suite[p]).expect("timed run ok").exec_cycles
-    });
-    let mut c = aboram_telemetry::uninstall().expect("collector still installed");
-    c.flush().expect("flush");
-
-    let mut table = String::from("| benchmark | scheme | exec cycles |\n|---|---|---|\n");
-    for (p, profile) in suite.iter().enumerate() {
-        for (k, scheme) in schemes.iter().enumerate() {
-            table.push_str(&format!(
-                "| {} | {scheme} | {} |\n",
-                profile.name,
-                cycles[p * schemes.len() + k]
-            ));
-        }
-    }
-    (table, buf.take())
-}
-
-#[test]
-fn jobs_count_never_moves_a_bit_in_tables_or_telemetry() {
-    let (table_seq, trace_seq) = fig08_shaped_grid(1);
-    assert!(table_seq.lines().count() > 2, "grid produced rows:\n{table_seq}");
+    let windows: Vec<Window> =
+        suite.iter().flat_map(|p| schemes.map(|s| Window::new(s, p))).collect();
+    let (table_seq, trace_seq) = measured_grid(&env, &windows, 1);
     assert!(trace_seq.contains("\"run\""), "telemetry captured runs:\n{trace_seq}");
-
-    let (table_par, trace_par) = fig08_shaped_grid(4);
+    let (table_par, trace_par) = measured_grid(&env, &windows, 4);
     assert_eq!(table_seq, table_par, "result table depends on jobs count");
     assert_eq!(trace_seq, trace_par, "telemetry trace depends on jobs count");
 }
 
-/// Runs a deliberately lopsided (scheme × record-count) grid and returns the
-/// assembled table plus the telemetry trace. Cell costs span an order of
-/// magnitude, so at `jobs > 1` cells finish far out of claim order — which
-/// must still never reorder (or change) a byte of output.
-fn lopsided_grid(jobs: usize) -> (String, String) {
-    let base =
-        Experiment { levels: 10, warmup: 1_000, timed: 0, protocol_accesses: 0, seed: 0x3E16 };
-    let profile = profiles::spec2017().into_iter().next().expect("profile");
-    let grid: Vec<(Scheme, u64)> = vec![
-        (Scheme::Baseline, 40),
-        (Scheme::Ab, 400),
-        (Scheme::DR, 150),
-        (Scheme::Ab, 40),
-        (Scheme::Baseline, 250),
-        (Scheme::Ir, 90),
-    ];
-
-    let (collector, buf) = Collector::to_shared_buffer();
-    aboram_telemetry::install(collector);
-    let cycles = CellExecutor::with_jobs(jobs).run(grid.clone(), |_, (scheme, records)| {
-        let env = Experiment { timed: records as usize, ..base };
-        env.warmed_timed(scheme, &profile).expect("timed run ok").exec_cycles
-    });
-    let mut c = aboram_telemetry::uninstall().expect("collector still installed");
-    c.flush().expect("flush");
-
-    let mut table = String::from("| scheme | records | exec cycles |\n|---|---|---|\n");
-    for ((scheme, records), cycles) in grid.iter().zip(&cycles) {
-        table.push_str(&format!("| {scheme} | {records} | {cycles} |\n"));
-    }
-    (table, buf.take())
-}
-
+/// A deliberately lopsided window list — one scheme with four windows and a
+/// duplicate, others with one or two. Cell costs differ by a factor of four,
+/// so at `jobs > 1` cells finish out of claim order — which must still never
+/// reorder (or change) a byte of output.
 #[test]
 fn lopsided_grid_is_byte_identical_at_jobs_1_3_8() {
-    let (table_seq, trace_seq) = lopsided_grid(1);
-    assert!(table_seq.lines().count() > 2, "grid produced rows:\n{table_seq}");
-    assert!(trace_seq.contains("\"run\""), "telemetry captured runs:\n{trace_seq}");
+    let env =
+        Experiment { levels: 10, warmup: 1_000, timed: 150, protocol_accesses: 0, seed: 0x3E16 };
+    let p: Vec<_> = profiles::spec2017().into_iter().take(4).collect();
+    let windows: Vec<Window> = [
+        (Scheme::Baseline, 0),
+        (Scheme::Ab, 0),
+        (Scheme::Ab, 1),
+        (Scheme::DR, 1),
+        (Scheme::Ab, 2),
+        (Scheme::Ab, 0),
+        (Scheme::Baseline, 2),
+        (Scheme::Ab, 3),
+        (Scheme::Ir, 3),
+    ]
+    .map(|(s, i)| Window::new(s, &p[i]))
+    .into();
+    let (table_seq, trace_seq) = measured_grid(&env, &windows, 1);
+    assert_eq!(trace_seq.matches("\"run\"").count(), 8, "one run per distinct window");
     for jobs in [3, 8] {
-        let (table, trace) = lopsided_grid(jobs);
+        let (table, trace) = measured_grid(&env, &windows, jobs);
         assert_eq!(table_seq, table, "jobs={jobs}: result table depends on jobs count");
         assert_eq!(trace_seq, trace, "jobs={jobs}: telemetry trace depends on jobs count");
     }

@@ -1,9 +1,9 @@
-//! End-to-end check of the perf-report pipeline (DESIGN.md §7): run a
+//! End-to-end check of the perf-report pipeline (DESIGN.md §7): measure a
 //! plain Ring and an AB-ORAM timed window with a collector installed,
 //! parse the JSONL it wrote, and verify the per-phase cycle attribution
 //! sums to the DRAM-reported bus total within 1 % for every run.
 
-use aboram_bench::Experiment;
+use aboram_bench::{measure, CellExecutor, Experiment, Window};
 use aboram_core::Scheme;
 use aboram_telemetry::{parse_trace, render_report, Collector, Phase};
 use std::io::BufReader;
@@ -15,9 +15,8 @@ fn phase_attribution_matches_bus_total_within_one_percent() {
 
     let (collector, buf) = Collector::to_shared_buffer();
     aboram_telemetry::install(collector);
-    for scheme in [Scheme::PlainRing, Scheme::Ab] {
-        env.warmed_timed(scheme, &profile).expect("timed run ok");
-    }
+    let windows = [Window::new(Scheme::PlainRing, &profile), Window::new(Scheme::Ab, &profile)];
+    measure(&env, &CellExecutor::with_jobs(2), &windows).expect("timed windows run");
     let mut c = aboram_telemetry::uninstall().expect("collector was installed");
     c.flush().unwrap();
 

@@ -392,25 +392,13 @@ impl TimingDriver {
         self.ctl.memory().stats()
     }
 
-    /// Warms the ORAM protocol state with `accesses` uniform random
-    /// accesses that generate no timed memory traffic — the paper's §VII
-    /// methodology (38 M of 40 M trace records warm the tree before the
-    /// timed window).
+    /// [`RingOram::warm_up`] under this driver's salt: no timed traffic.
     ///
     /// # Errors
     ///
     /// Propagates protocol errors (stash overflow).
     pub fn warm_up(&mut self, accesses: u64) -> Result<(), OramError> {
-        use rand::{Rng, SeedableRng};
-        let oram = &mut self.engine.oram;
-        let mut sink = crate::sink::CountingSink::new();
-        let blocks = oram.block_count();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(oram.config().seed ^ 0x3aa3_5717);
-        for _ in 0..accesses {
-            let block = rng.gen_range(0..blocks);
-            oram.access(AccessKind::Read, block, None, &mut sink)?;
-        }
-        Ok(())
+        self.engine.oram.warm_up(accesses, 0x3aa3_5717)
     }
 
     /// The executor: the engine stage on a scoped worker thread, the timing

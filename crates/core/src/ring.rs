@@ -469,6 +469,23 @@ impl RingOram {
         self.user_access(block, None, &mut overwrite, sink).map(Some)
     }
 
+    /// Warms the protocol state with `accesses` uniform random reads into a
+    /// counting sink — the paper's §VII warm-up phase — drawn from a stream
+    /// seeded with the engine's seed XOR `salt`, each caller's own.
+    ///
+    /// # Errors
+    ///
+    /// Propagates protocol errors (stash overflow).
+    pub fn warm_up(&mut self, accesses: u64, salt: u64) -> Result<(), OramError> {
+        let mut sink = crate::sink::CountingSink::new();
+        let blocks = self.block_count();
+        let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ salt);
+        for _ in 0..accesses {
+            self.access(AccessKind::Read, rng.gen_range(0..blocks), None, &mut sink)?;
+        }
+        Ok(())
+    }
+
     /// Performs one dummy access: a readPath on a uniformly random path
     /// that returns no block. Indistinguishable from a real access on the
     /// bus; used to model recursive position-map fetches and available for
