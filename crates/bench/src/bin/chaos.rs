@@ -13,7 +13,7 @@
 //! Scale further with the usual `ABORAM_LEVELS` / `ABORAM_WARMUP` /
 //! `ABORAM_TIMED` environment knobs.
 
-use aboram_bench::{emit, refuse, Experiment};
+use aboram_bench::{emit, fail, refuse, Experiment};
 use aboram_core::{FaultConfig, FaultPlan, Scheme, TimingDriver};
 use aboram_dram::DramConfig;
 use aboram_stats::Table;
@@ -99,7 +99,7 @@ fn main() {
 
     for scheme in Scheme::evaluated() {
         eprintln!("[warming {scheme}]");
-        let warmed = env.warmed_oram(scheme).expect("warm-up ok");
+        let warmed = env.warmed_oram(scheme).unwrap_or_else(|e| fail("chaos", e));
 
         let run = |plan: Option<FaultPlan>| {
             let mut driver = TimingDriver::from_oram(warmed.clone(), DramConfig::default());

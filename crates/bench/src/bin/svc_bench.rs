@@ -33,11 +33,12 @@
 //! channel-parallel one; each asserts its second tenant's p50/p99 are never
 //! worse. `--grow` adds an auto-scaling-vs-fixed-capacity pair.
 
-use aboram_bench::{derive_cell_seed, emit, CellExecutor, Experiment};
-use aboram_core::Scheme;
+use aboram_bench::{derive_cell_seed, emit, fail, CellExecutor, Experiment};
+use aboram_core::{OramError, Scheme};
 use aboram_dram::DramConfig;
 use aboram_service::{
-    BackendKind, BatchConfig, BatchingFrontEnd, LatencyReport, ObliviousStore, Request, StoreConfig,
+    BackendKind, BatchConfig, BatchingFrontEnd, Completion, LatencyReport, ObliviousStore, Request,
+    StoreConfig,
 };
 use aboram_stats::Table;
 use aboram_trace::{KeyDist, KeySampler};
@@ -118,82 +119,78 @@ fn next_request(sampler: &KeySampler, rng: &mut StdRng, seq: u64) -> Request {
     }
 }
 
-/// Runs one tenant cell to completion. Deterministic in `(cell, scale,
-/// seed)`: all clocks are simulated and the RNG is seeded per cell.
-fn run_tenant(cell: &TenantCell, scale: &Scale, seed: u64) -> TenantResult {
-    let mut cfg = StoreConfig::new(scale.levels, cell.scheme);
-    cfg.seed = seed;
-    cfg.backend = cell.backend;
-    cfg.pipeline_depth = cell.pipeline_depth;
-    let store = ObliviousStore::new(&cfg).expect("store construction");
-    let mut fe = BatchingFrontEnd::new(store, cell.batch);
-
-    // Pre-load the working set so the measured window serves mostly hits,
-    // then bring the fixed schedule live.
-    for k in 0..scale.keys {
-        fe.store_mut().put(&key_of(k), format!("v{k}").as_bytes());
+/// One tenant's run: a store built from `cfg` behind a `batch` front end,
+/// pre-loaded with keys `0..preload` so the measured window serves mostly
+/// hits, then `requests` requests drawn from `next_request` (given each
+/// one's sequence number) under `mode`, then drained. Deterministic in its
+/// arguments: all clocks are simulated. Returns the result and the front end.
+fn run_load(
+    cfg: &StoreConfig,
+    batch: BatchConfig,
+    preload: u64,
+    mode: Mode,
+    requests: u64,
+    mut next_request: impl FnMut(u64) -> Request,
+) -> Result<(TenantResult, BatchingFrontEnd), OramError> {
+    let mut fe = BatchingFrontEnd::new(ObliviousStore::new(cfg)?, batch);
+    for k in 0..preload {
+        let store = fe.store_mut();
+        let value = format!("v{k}").into_bytes();
+        store.rmw_at(store.now(), &key_of(k), &mut |_| Some(value.clone()))?;
     }
-    let live_at = fe.store().now();
-    fe.activate_at(live_at);
+    // Bring the fixed schedule live.
+    fe.activate_at(fe.store().now());
     let start = fe.next_launch();
 
-    let sampler = KeySampler::new(cell.dist, scale.keys);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x10AD_10AD_10AD_10AD);
-    let mut latencies: Vec<u64> = Vec::with_capacity(scale.requests as usize);
+    let mut latencies: Vec<u64> = Vec::with_capacity(requests as usize);
     let mut last_done = start;
-    let collect =
-        |done: Vec<aboram_service::Completion>, latencies: &mut Vec<u64>, last_done: &mut u64| {
-            for c in done {
-                latencies.push(c.latency());
-                *last_done = (*last_done).max(c.done);
-            }
-        };
-
-    match cell.mode {
+    let mut collect = |done: Vec<Completion>| {
+        for c in done {
+            latencies.push(c.latency());
+            last_done = last_done.max(c.done);
+        }
+    };
+    match mode {
         Mode::Open { gap } => {
-            for i in 0..scale.requests {
+            for i in 0..requests {
                 let now = start + i * gap;
                 // Open loop: rejections are the admission controller doing
                 // its job under overload, not an error.
-                let _ = fe.submit(now, next_request(&sampler, &mut rng, i));
-                let done = fe.advance_to(now).expect("batch schedule");
-                collect(done, &mut latencies, &mut last_done);
+                let _ = fe.submit(now, next_request(i));
+                collect(fe.advance_to(now)?);
             }
         }
         Mode::Closed { window } => {
             assert!(
-                window <= cell.batch.queue_capacity,
+                window <= batch.queue_capacity,
                 "a closed loop never outruns its own admission control"
             );
             let mut submitted = 0u64;
-            while submitted < scale.requests.min(window as u64) {
-                fe.submit(start, next_request(&sampler, &mut rng, submitted))
-                    .expect("window fits the queue");
+            while submitted < requests.min(window as u64) {
+                fe.submit(start, next_request(submitted)).expect("window fits the queue");
                 submitted += 1;
             }
             let mut now = start;
-            while submitted < scale.requests {
-                now += cell.batch.period;
-                let done = fe.advance_to(now).expect("batch schedule");
+            while submitted < requests {
+                now += batch.period;
+                let done = fe.advance_to(now)?;
                 for c in &done {
                     // Each completion immediately triggers the next request.
-                    if submitted < scale.requests {
-                        fe.submit(c.done, next_request(&sampler, &mut rng, submitted))
-                            .expect("window fits the queue");
+                    if submitted < requests {
+                        fe.submit(c.done, next_request(submitted)).expect("window fits the queue");
                         submitted += 1;
                     }
                 }
-                collect(done, &mut latencies, &mut last_done);
+                collect(done);
             }
         }
     }
-    let done = fe.drain().expect("end-of-run drain");
-    collect(done, &mut latencies, &mut last_done);
+    collect(fe.drain()?);
 
     let stats = fe.stats();
     let posmap = fe.store().posmap();
     let pm_stats = posmap.stats();
-    TenantResult {
+    let result = TenantResult {
         completed: latencies.len() as u64,
         rejected: stats.rejected,
         coalesced: stats.coalesced,
@@ -204,7 +201,21 @@ fn run_tenant(cell: &TenantCell, scale: &Scale, seed: u64) -> TenantResult {
         verified: pm_stats.verified_entries,
         elapsed: last_done.saturating_sub(start).max(1),
         lat: LatencyReport::from_latencies(latencies).expect("completions exist"),
-    }
+    };
+    Ok((result, fe))
+}
+
+/// Runs one tenant cell to completion. Deterministic in `(cell, scale,
+/// seed)`: all clocks are simulated and the RNG is seeded per cell.
+fn run_tenant(cell: &TenantCell, scale: &Scale, seed: u64) -> Result<TenantResult, OramError> {
+    let mut cfg = StoreConfig::new(scale.levels, cell.scheme);
+    cfg.seed = seed;
+    cfg.backend = cell.backend;
+    cfg.pipeline_depth = cell.pipeline_depth;
+    let sampler = KeySampler::new(cell.dist, scale.keys);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x10AD_10AD_10AD_10AD);
+    let next = |seq| next_request(&sampler, &mut rng, seq);
+    Ok(run_load(&cfg, cell.batch, scale.keys, cell.mode, scale.requests, next)?.0)
 }
 
 /// Growth-comparison scale (`--grow`).
@@ -226,34 +237,24 @@ struct GrowScale {
 /// otherwise the store is born at the final capacity.
 ///
 /// Returns the tenant result plus `(level grows, final data-tree levels)`.
-fn run_grow_tenant(auto: bool, gs: &GrowScale, seed: u64) -> (TenantResult, u64, u8) {
+fn run_grow_tenant(
+    auto: bool,
+    gs: &GrowScale,
+    seed: u64,
+) -> Result<(TenantResult, u64, u8), OramError> {
     let mut cfg = if auto {
         StoreConfig::auto_scaling(gs.start_levels, gs.max_levels, Scheme::Ab)
     } else {
         StoreConfig::new(gs.max_levels, Scheme::Ab)
     };
     cfg.seed = seed;
-    let store = ObliviousStore::new(&cfg).expect("store construction");
     let batch =
         BatchConfig { batch_size: 8, period: 25_000, queue_capacity: 256, pipelined: false };
-    let mut fe = BatchingFrontEnd::new(store, batch);
-
-    for k in 0..gs.preload {
-        fe.store_mut().put(&key_of(k), format!("v{k}").as_bytes());
-    }
-    let live_at = fe.store().now();
-    fe.activate_at(live_at);
-    let start = fe.next_launch();
-
-    let gap = batch.period / batch.batch_size as u64;
+    let mode = Mode::Open { gap: batch.period / batch.batch_size as u64 };
     let mut rng = StdRng::seed_from_u64(seed ^ 0x6B0B_6B0B_6B0B_6B0B);
-    let requests = (gs.target_keys - gs.preload) * 2;
-    let mut latencies: Vec<u64> = Vec::with_capacity(requests as usize);
-    let mut last_done = start;
     let mut next_key = gs.preload;
-    for i in 0..requests {
-        let now = start + i * gap;
-        let req = if i % 2 == 0 && next_key < gs.target_keys {
+    let next = |i: u64| {
+        if i.is_multiple_of(2) && next_key < gs.target_keys {
             // Fresh key: exercises the insert path (and, on the auto
             // tenant, the growth trigger).
             let key = key_of(next_key);
@@ -261,38 +262,12 @@ fn run_grow_tenant(auto: bool, gs: &GrowScale, seed: u64) -> (TenantResult, u64,
             Request::Put { key, value: format!("v{i}").into_bytes() }
         } else {
             Request::Get { key: key_of(rng.gen_range(0..next_key)) }
-        };
-        // Open loop: rejections are admission control, not an error.
-        let _ = fe.submit(now, req);
-        let done = fe.advance_to(now).expect("batch schedule");
-        for c in done {
-            latencies.push(c.latency());
-            last_done = last_done.max(c.done);
         }
-    }
-    for c in fe.drain().expect("end-of-run drain") {
-        latencies.push(c.latency());
-        last_done = last_done.max(c.done);
-    }
-
-    let stats = fe.stats();
-    let posmap = fe.store().posmap();
-    let pm_stats = posmap.stats();
-    let grows = pm_stats.level_grows;
-    let levels = fe.store().data_engine().config().levels;
-    let result = TenantResult {
-        completed: latencies.len() as u64,
-        rejected: stats.rejected,
-        coalesced: stats.coalesced,
-        batches: stats.batches,
-        chain_depth: posmap.chain_depth(),
-        ladder: posmap.level_counts().to_vec(),
-        tree_accesses: pm_stats.tree_accesses,
-        verified: pm_stats.verified_entries,
-        elapsed: last_done.saturating_sub(start).max(1),
-        lat: LatencyReport::from_latencies(latencies).expect("completions exist"),
     };
-    (result, grows, levels)
+    let requests = (gs.target_keys - gs.preload) * 2;
+    let (result, fe) = run_load(&cfg, batch, gs.preload, mode, requests, next)?;
+    let grows = fe.store().posmap().stats().level_grows;
+    Ok((result, grows, fe.store().data_engine().config().levels))
 }
 
 /// A tenant on the cycle-accurate DRAM twin: open-loop Zipf(0.99), four
@@ -336,8 +311,8 @@ fn run_pair(
     executor: &CellExecutor,
     report: &PairReport,
 ) -> String {
-    let pr: Vec<TenantResult> =
-        executor.run((0..pair.len()).collect(), |i, _| run_tenant(&pair[i], scale, seed));
+    let pr = executor.run((0..pair.len()).collect(), |i, _| run_tenant(&pair[i], scale, seed));
+    let pr: Vec<TenantResult> = pr.into_iter().collect::<Result<_, _>>().unwrap_or_else(failed);
     let (column, label) = report.column;
     let mut table = Table::new(
         report.title,
@@ -371,6 +346,11 @@ fn run_pair(
         base.lat.p99
     );
     format!("{}{}{}", report.heading, report.blurb, table.to_markdown())
+}
+
+/// This binary's one failure path (see [`fail`]).
+fn failed<T>(e: OramError) -> T {
+    fail("svc_bench", e)
 }
 
 fn main() {
@@ -435,11 +415,13 @@ fn main() {
 
     let executor = CellExecutor::from_env_or_args(&args);
     eprintln!("[svc_bench: {} tenants on {} worker(s)]", tenants.len(), executor.jobs());
-    let results: Vec<TenantResult> = executor.run((0..tenants.len()).collect(), |i, _| {
-        let r = run_tenant(&tenants[i], &scale, derive_cell_seed(env.seed, i as u64));
+    let results = executor.run((0..tenants.len()).collect(), |i, _| {
+        let r = run_tenant(&tenants[i], &scale, derive_cell_seed(env.seed, i as u64))?;
         eprintln!("[{} done: {} completions]", tenants[i].name, r.completed);
-        r
+        Ok(r)
     });
+    let results: Vec<TenantResult> =
+        results.into_iter().collect::<Result<_, _>>().unwrap_or_else(failed);
 
     let mut table = Table::new(
         "Service-layer load benchmark — latency in simulated cycles",
@@ -515,11 +497,13 @@ fn main() {
             GrowScale { start_levels: 9, max_levels: 15, preload: 1024, target_keys: 1 << 16 }
         };
         eprintln!("[svc_bench: --grow comparison pair]");
-        let pair: Vec<(TenantResult, u64, u8)> = executor.run(vec![true, false], |_, auto| {
-            let r = run_grow_tenant(auto, &gs, derive_cell_seed(env.seed, 0x6B0B));
+        let pair = executor.run(vec![true, false], |_, auto| {
+            let r = run_grow_tenant(auto, &gs, derive_cell_seed(env.seed, 0x6B0B))?;
             eprintln!("[grow tenant auto={auto} done: {} completions]", r.0.completed);
-            r
+            Ok(r)
         });
+        let pair: Vec<(TenantResult, u64, u8)> =
+            pair.into_iter().collect::<Result<_, _>>().unwrap_or_else(failed);
         let (g, g_grows, g_levels) = &pair[0];
         let (f, _, f_levels) = &pair[1];
 

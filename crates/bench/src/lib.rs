@@ -251,6 +251,14 @@ pub fn refuse(msg: impl std::fmt::Display) -> ! {
     std::process::exit(2)
 }
 
+/// The one failure path of a binary here whose run fails: prints `error:
+/// <who>: <error>` as one stderr line, as a failed study does, and exits with
+/// code 1.
+pub fn fail(who: &str, error: impl std::fmt::Display) -> ! {
+    eprintln!("error: {who}: {error}");
+    std::process::exit(1)
+}
+
 /// The value of scale knob `name` given as `text`, or a one-line refusal
 /// with exit code 2 when it does not parse.
 pub(crate) fn knob_or_refuse<T: FromStr>(name: &str, text: &str) -> T {

@@ -16,8 +16,7 @@
 //!   [`TimedBackend::stage_managed`] / [`TimedBackend::stage_dummy`] and
 //!   releases through a lent [`ReleaseHalf`] — the same two halves, so the
 //!   same cycles. The service's store releases its batches that way, on a
-//!   helper thread. A half lent from a thread with telemetry on captures
-//!   the hooks its releases fire and replays them there when it returns.
+//!   [`crate::Lane`]'s helper thread.
 //! * [`UntimedBackend`] runs the identical protocol over a
 //!   [`CountingSink`] and charges a fixed cost per 64 B transfer — orders
 //!   of magnitude faster, with the same access *pattern* and the same
@@ -32,10 +31,9 @@ use crate::config::OramConfig;
 use crate::controller::AccessController;
 use crate::error::OramError;
 use crate::ring::{PayloadMutator, RingOram};
-use crate::sink::{CountingSink, StagedBatch, Stager};
+use crate::sink::{CountingSink, StagedAccess, StagedBatch, Stager};
 use crate::{BlockId, BLOCK_BYTES};
 use aboram_dram::{DramConfig, MemorySystem};
-use aboram_telemetry::Captured;
 use aboram_tree::PathId;
 
 /// Timing outcome of one backend access.
@@ -149,17 +147,13 @@ pub struct TimedBackend {
 #[derive(Debug)]
 pub struct ReleaseHalf {
     ctl: AccessController,
-    /// While lent from a thread with telemetry on: the hooks its releases
-    /// fired, replayed there when it returns.
-    hooks: Option<Captured>,
 }
 
 impl ReleaseHalf {
-    /// Releases the one access in `staged`, staged by the backend this half
-    /// belongs to, which arrived at cycle `arrival`: returns its `done`.
-    pub fn finish(&mut self, arrival: u64, staged: &StagedBatch) -> u64 {
-        debug_assert_eq!(staged.len(), 1, "one access per release");
-        aboram_telemetry::capture(self.hooks.as_mut(), || self.ctl.finish(arrival, staged.get(0)).1)
+    /// Releases `access`, staged by the backend this half belongs to, which
+    /// arrived at cycle `arrival`: returns its `done`.
+    pub fn finish(&mut self, arrival: u64, access: StagedAccess<'_>) -> u64 {
+        self.ctl.finish(arrival, access).1
     }
 }
 
@@ -179,7 +173,7 @@ impl TimedBackend {
     pub fn from_oram(oram: RingOram, dram: DramConfig) -> Self {
         let ctl = AccessController::new(MemorySystem::new(dram), oram.config().scheme.issue_mode());
         let stager = ctl.stager();
-        TimedBackend { oram, stager, release: Some(ReleaseHalf { ctl, hooks: None }) }
+        TimedBackend { oram, stager, release: Some(ReleaseHalf { ctl }) }
     }
 
     fn ctl(&self) -> &AccessController {
@@ -203,26 +197,18 @@ impl TimedBackend {
 
     /// Lends out the release half. Until it is
     /// [`return`](Self::return_release)ed only the stage half may run: the
-    /// `stage_*` methods and the engine accessors. With telemetry on this
-    /// thread, the half captures the hooks its releases fire, wherever they
-    /// run.
+    /// `stage_*` methods and the engine accessors.
     ///
     /// # Panics
     ///
     /// Panics if it is lent out already.
     pub fn lend_release(&mut self) -> ReleaseHalf {
-        let mut release = self.release.take().expect("the release half is lent out");
-        release.hooks = aboram_telemetry::enabled().then(Captured::default);
-        release
+        self.release.take().expect("the release half is lent out")
     }
 
-    /// Takes back the release half [`lend_release`](Self::lend_release) lent,
-    /// replaying on this thread the hooks its releases fired.
-    pub fn return_release(&mut self, mut release: ReleaseHalf) {
+    /// Takes back the release half [`lend_release`](Self::lend_release) lent.
+    pub fn return_release(&mut self, release: ReleaseHalf) {
         debug_assert!(self.release.is_none(), "a second release half");
-        if let Some(mut hooks) = release.hooks.take() {
-            hooks.replay();
-        }
         self.release = Some(release);
     }
 
@@ -286,7 +272,7 @@ impl TimedBackend {
         let data = self.stage(access)?;
         let release = self.release.as_mut().expect("the release half is lent out");
         let staged = self.stager.batch_mut();
-        let done = release.finish(arrival, staged);
+        let done = release.finish(arrival, staged.get(0));
         staged.clear();
         Ok(BackendReply { data, done })
     }

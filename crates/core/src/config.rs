@@ -544,26 +544,6 @@ mod tests {
         );
     }
 
-    /// Every scheme the figure bins construct (`aboram-bench`'s `suite.rs`
-    /// sweeps plus the presets) fits the record at the smallest, the
-    /// benchmark's and the paper's level count.
-    #[test]
-    fn every_figure_scheme_fits_the_bucket_record() {
-        let mut schemes = Scheme::evaluated();
-        schemes.extend([Scheme::PlainRing, Scheme::DrPlus { bottom_levels: 6 }]);
-        schemes.extend((1..=7).map(|x| Scheme::RingShrink { bottom_levels: x }));
-        schemes.extend((1..=6).map(|bottom| Scheme::Dr { bottom_levels: bottom }));
-        for y in 1..=3 {
-            schemes.extend((1..=3).map(|x| Scheme::Ns { bottom_levels: y, shrink: x }));
-        }
-        for scheme in schemes {
-            for levels in [8, 14, 24] {
-                let built = OramConfig::builder(levels, scheme).build();
-                assert!(built.is_ok(), "{scheme} at L = {levels}: {built:?}");
-            }
-        }
-    }
-
     /// The record refuses no configuration the engine can reach: every
     /// scheme, at every `bottom_levels` (1 to L) and `shrink` (0 to S),
     /// builds and passes `check_record_capacity` (the last step of

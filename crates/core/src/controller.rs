@@ -2,9 +2,10 @@
 //! may issue.
 //!
 //! The paper's methodology (§VII) has a single ORAM controller between the
-//! core and DRAM. [`AccessController`] is that controller: it owns the
-//! release half of the timed path (and through it the DRAM twin), the
-//! crypto-latency model, the access-pipeline depth and the in-flight window.
+//! core and DRAM. [`AccessController`] is that controller and the whole
+//! release half of the timed path: it owns the release clock, the DRAM twin,
+//! the crypto-latency model, the access-pipeline depth and the in-flight
+//! window.
 //! [`crate::TimingDriver`] feeds it trace records from a ROB core and
 //! [`crate::TimedBackend`] feeds it service requests; neither keeps issue
 //! state of its own.
@@ -35,15 +36,19 @@
 //! is therefore bounded by depth × access size.
 
 use crate::config::IssueMode;
-use crate::sink::{InflightAccess, Layout, Releaser, StagedAccess, Stager};
+use crate::sink::{Layout, StagedAccess, Stager};
 use aboram_crypto::CryptoLatency;
-use aboram_dram::MemorySystem;
+use aboram_dram::{MemorySystem, RequestId, RequestIdRange};
 use std::collections::VecDeque;
 
 /// See the module docs.
 #[derive(Debug)]
 pub(crate) struct AccessController {
-    releaser: Releaser,
+    memory: MemorySystem,
+    /// The release clock: the start cycle of the most recent access.
+    now: u64,
+    /// Read lists of resolved window entries, kept for the next release.
+    spare: Vec<Vec<(u64, u32)>>,
     issue_mode: IssueMode,
     crypto: CryptoLatency,
     /// Maximum concurrently in-flight accesses; 1 = the classic serialized
@@ -65,11 +70,70 @@ pub(crate) struct AccessController {
     completions: Vec<u64>,
 }
 
+/// One access in the controller's in-flight window: its requests' ids
+/// (contiguous, so `first id + len`) and — when a later access can enter the
+/// window beside it — its *reads* as `(location key, position in ids)` in
+/// ascending key order: the locations a later access's writeback must not
+/// overwrite before they are served (write-after-read, the one DRAM-level
+/// hazard the window has to order explicitly; see [`conflict_gate`]).
+#[derive(Debug)]
+pub(crate) struct InflightAccess {
+    pub(crate) ids: RequestIdRange,
+    pub(crate) reads: Vec<(u64, u32)>,
+}
+
+/// The id of the request at position `pos` of a released batch.
+fn id_at(ids: &RequestIdRange, pos: usize) -> RequestId {
+    ids.clone().nth(pos).expect("one id per request of the batch")
+}
+
+/// The earliest cycle at which `access` may issue without overwriting a
+/// location an access in `window` has not finished reading: the latest
+/// completion, in `memory`, over exactly the entries' reads in the
+/// `(channel, bank, row)` rows the access writes (zero when disjoint, or
+/// when nothing is in flight). Both sides are in ascending key order, so one
+/// merge per entry finds them.
+///
+/// Write-after-read is the one DRAM-level hazard the window orders
+/// explicitly. Read-after-write needs no gate — a read of a location
+/// with a pending writeback is served from the controller's write
+/// queue (and the protocol state it would observe is already on chip:
+/// the stash hand-off gate runs strictly later than the forwarding
+/// point). Write-after-write needs none either: per-bank queues serve
+/// same-row writes in arrival order. Gating on the conflicting
+/// access's *writes* would instead re-serialize the controller — every
+/// pair of paths shares rows near the root, and offline writebacks are
+/// deprioritized to the end of the drain.
+pub(crate) fn conflict_gate<'a>(
+    memory: &mut MemorySystem,
+    window: impl IntoIterator<Item = &'a InflightAccess>,
+    access: &StagedAccess<'_>,
+) -> u64 {
+    let (writes, mut gate) = (access.write_keys, 0);
+    for entry in window {
+        let mut w = 0;
+        for &(key, pos) in &entry.reads {
+            while w < writes.len() && writes[w] < key {
+                w += 1;
+            }
+            if w == writes.len() {
+                break;
+            }
+            if writes[w] == key {
+                gate = gate.max(memory.completion_time(id_at(&entry.ids, pos as usize)));
+            }
+        }
+    }
+    gate
+}
+
 impl AccessController {
     /// A depth-1 controller over `memory` with the default crypto model.
     pub(crate) fn new(memory: MemorySystem, issue_mode: IssueMode) -> Self {
         AccessController {
-            releaser: Releaser::new(memory),
+            memory,
+            now: 0,
+            spare: Vec::new(),
             issue_mode,
             crypto: CryptoLatency::default(),
             depth: 1,
@@ -92,7 +156,7 @@ impl AccessController {
 
     /// The DRAM twin.
     pub(crate) fn memory(&self) -> &MemorySystem {
-        self.releaser.memory()
+        &self.memory
     }
 
     /// Requests handed to the DRAM twin so far: serviced plus queued.
@@ -103,7 +167,7 @@ impl AccessController {
 
     /// Mutable DRAM twin (stall injection, final drain).
     pub(crate) fn memory_mut(&mut self) -> &mut MemorySystem {
-        self.releaser.memory_mut()
+        &mut self.memory
     }
 
     /// The issue mode the scheme selected.
@@ -136,7 +200,13 @@ impl AccessController {
     /// The release clock: the start cycle of the most recent access.
     #[cfg(test)]
     pub(crate) fn now(&self) -> u64 {
-        self.releaser.now()
+        self.now
+    }
+
+    /// The online-read completion cycles the last release left.
+    #[cfg(test)]
+    pub(crate) fn completions(&self) -> &[u64] {
+        &self.completions
     }
 
     /// Whether nothing is undrained or in flight (true after
@@ -196,31 +266,30 @@ impl AccessController {
             Layout::of(self.issue_mode, self.depth),
             "an access staged for another issue mode or depth"
         );
-        let releaser = &mut self.releaser;
         let mut start = (arrival, "controller.gate.arrival");
         let mut hold = |until: u64, gate: &'static str| {
             if until > start.0 {
                 start = (until, gate);
             }
         };
-        hold(releaser.now(), "controller.gate.monotone_start");
+        hold(self.now, "controller.gate.monotone_start");
         hold(self.prev_online_done, "controller.gate.stash_hand_off");
         hold(self.free_at, "controller.gate.floor");
         // Window overflow: the oldest in-flight access must fully complete
         // before a (depth+1)-th access may enter.
         while self.window.len() >= usize::from(self.depth) {
             let oldest = self.window.pop_front().expect("non-empty window");
-            hold(releaser.resolve_inflight(oldest), "controller.gate.window_overflow");
+            hold(self.resolve_inflight(oldest), "controller.gate.window_overflow");
         }
         // The accesses that left the window are resolved and nothing holds
         // their ids any more: end their per-request state in the DRAM twin.
         let oldest_live = self.window.iter().find_map(|e| e.ids.clone().next());
-        let memory = releaser.memory_mut();
+        let memory = &mut self.memory;
         memory.retire(oldest_live.unwrap_or_else(|| memory.next_request_id()));
         // Write-after-read: this access's writebacks must not land in a
         // `(channel, bank, row)` an in-flight access has not finished
-        // reading. RAW and WAW need no gate (see `Releaser::conflict_gate`).
-        hold(releaser.conflict_gate(&self.window, &access), "controller.gate.war_conflict");
+        // reading. RAW and WAW need no gate (see [`conflict_gate`]).
+        hold(conflict_gate(memory, &self.window, &access), "controller.gate.war_conflict");
         // Crypto idle: with nothing in flight there is no carry to thread
         // through, so the access waits for the pipeline to idle instead.
         if self.window.is_empty() {
@@ -228,8 +297,49 @@ impl AccessController {
         }
         let (start, gate) = start;
         aboram_telemetry::counter_add(gate, 1);
-        self.window.push_back(releaser.release_at(start, access, &mut self.completions));
+        let entry = self.release_at(start, access);
+        self.window.push_back(entry);
         start
+    }
+
+    /// The one hand-off to the memory system: moves the clock to `cycle`,
+    /// releases `access` as one batch arriving at that cycle, and returns it
+    /// as a window entry. [`release`](Self::release) resolves the access's
+    /// dependency gates against its staged footprint, and only then knows
+    /// the arrival cycle. `cycle` must be ≥ the last timestamp (the memory
+    /// model's non-decreasing contract).
+    ///
+    /// `completions` is overwritten with the completion cycle of each online
+    /// read (unordered): [`finish`](Self::finish) charges the crypto burst
+    /// after the latest one (serial issue) or folds them through
+    /// [`CryptoLatency::overlapped_exit_from`] (channel-parallel issue).
+    ///
+    /// The caller owns the entry's requests from here on: it resolves them
+    /// ([`resolve_inflight`](Self::resolve_inflight)) and retires them from
+    /// the memory system once the access leaves its window.
+    pub(crate) fn release_at(&mut self, cycle: u64, access: StagedAccess<'_>) -> InflightAccess {
+        debug_assert!(cycle >= self.now, "release_at must not move the clock backwards");
+        self.now = cycle;
+        let ids = self.memory.enqueue_decoded(access.requests(), cycle);
+        self.completions.clear();
+        for &pos in access.online {
+            self.completions.push(self.memory.completion_time(id_at(&ids, pos as usize)));
+        }
+        let mut reads = self.spare.pop().unwrap_or_default();
+        reads.extend_from_slice(access.reads);
+        InflightAccess { ids, reads }
+    }
+
+    /// Resolves an in-flight access to its full completion cycle — the
+    /// latest completion over all of its requests, reads and writebacks
+    /// alike. Forcing the lazy completion times here is what makes the
+    /// window-overflow gate a true dependency. The entry's read list is kept
+    /// for the next release, so a steady window allocates nothing.
+    pub(crate) fn resolve_inflight(&mut self, mut entry: InflightAccess) -> u64 {
+        let done = entry.ids.map(|id| self.memory.completion_time(id)).max().unwrap_or(0);
+        entry.reads.clear();
+        self.spare.push(entry.reads);
+        done
     }
 
     /// Resolves every in-flight access, folds the completions into
@@ -239,7 +349,7 @@ impl AccessController {
     pub(crate) fn quiesce(&mut self) -> u64 {
         let mut free = self.free_at.max(self.prev_online_done).max(self.crypto_exit);
         while let Some(entry) = self.window.pop_front() {
-            free = free.max(self.releaser.resolve_inflight(entry));
+            free = free.max(self.resolve_inflight(entry));
         }
         let memory = self.memory_mut();
         memory.retire(memory.next_request_id());
@@ -253,6 +363,7 @@ impl AccessController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer_of;
     use crate::sink::{MemorySink, OramOp};
     use aboram_dram::{DramConfig, MemOpKind, Priority};
     use aboram_telemetry::Collector;
@@ -456,11 +567,18 @@ mod tests {
     fn steady_state_pipelined_access_allocates_nothing() {
         // Every buffer on the staged path — the stager's staging scratch and
         // staged batch, the read lists circulating between the window and
-        // the release half's spares, the controller's own scratch — is the
+        // the controller's spares, the controller's own scratch — is the
         // same allocation, at the same capacity, after 1 000 more accesses.
         let buffers = |rig: &Rig| {
             let mut all = rig.stager.buffers();
-            all.extend(rig.ctl.releaser.buffers(rig.window.iter()));
+            let mut lists: Vec<_> = rig
+                .spare
+                .iter()
+                .chain(rig.window.iter().map(|e| &e.reads))
+                .map(buffer_of)
+                .collect();
+            lists.sort_unstable();
+            all.extend(lists);
             all.push((rig.completions.as_ptr() as usize, rig.completions.capacity()));
             all.push((0, rig.window.capacity()));
             all

@@ -11,26 +11,25 @@
 //! record and stages the requests it emits — decoded, row-run and in release
 //! order; the *timing stage* gates and releases each staged access through
 //! the controller and times it. No cycle reaches the engine stage, so it runs
-//! ahead on a second thread; the telemetry hooks it fires there travel back
-//! with its batch and reach the collector just before the timing stage times
-//! their record (DESIGN.md §16).
+//! on the calling thread, ahead of the timing stage, which runs on the
+//! driver's [`Lane`]: the driver lends the lane its controller, core and run
+//! totals for the run (DESIGN.md §16).
 
 use crate::config::OramConfig;
 use crate::controller::AccessController;
 use crate::error::OramError;
 use crate::fault::{FaultInjectingSink, FaultPlan, InjectedFaults};
+use crate::lane::{Lane, Message, Release};
 use crate::recursion::PosMapHierarchy;
 use crate::ring::{AccessKind, RingOram};
-use crate::sink::{OramOp, StagedBatch, Stager};
+use crate::sink::{OramOp, StagedAccess, Stager};
 use aboram_dram::{DramConfig, MemorySystem, RobCpu};
 use aboram_stats::{HealthState, RecoveryStats};
-use aboram_telemetry::Captured;
 use aboram_trace::{MemOp, TraceRecord};
-use std::sync::mpsc;
 
-/// Trace records per batch the run-ahead engine stage hands the timing
-/// stage. Two batches circulate, so the engine is at most two batches ahead.
-const BATCH: usize = 32;
+/// Trace records per message the engine stage sends the lane. At most two
+/// are out at once, so the engine is at most 64 records ahead.
+const MESSAGE: usize = 32;
 
 /// Bus-cycle attribution per protocol operation (Fig. 8c's stacked bars).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -169,9 +168,9 @@ impl SimulationReport {
 #[derive(Debug)]
 pub struct TimingDriver {
     engine: Engine,
-    /// The ORAM controller: decides when each access issues and completes.
-    ctl: AccessController,
-    cpu: RobCpu,
+    /// The timing stage's state; on the lane's helper during a run.
+    timing: Option<Timing>,
+    lane: Lane<Timing>,
 }
 
 /// The engine stage: the protocol and all it consults, writing to a
@@ -187,51 +186,32 @@ struct Engine {
     sink: FaultInjectingSink<Stager>,
 }
 
-/// Trace records on their way through the two stages, with the accesses the
-/// engine staged for them. Batches are refilled, never reallocated, once
-/// warm.
-#[derive(Debug, Default)]
-struct Batch {
-    records: Vec<TraceRecord>,
-    /// One committed access per record the engine completed.
-    staged: StagedBatch,
-    /// The engine error that ended the batch, at record `staged.len()`.
-    error: Option<OramError>,
-    /// With telemetry on the calling thread: the hooks the engine fired
-    /// staging the batch, each record's beginning at its `record_mark`.
-    hooks: Option<Captured>,
-}
-
-impl Batch {
-    /// Empties the batch and refills it with up to `len` records; false
-    /// when the trace had none left.
-    fn refill(&mut self, trace: &mut impl Iterator<Item = TraceRecord>, len: usize) -> bool {
-        self.staged.clear();
-        self.records.clear();
-        self.records.extend(trace.take(len));
-        !self.records.is_empty()
-    }
-}
+/// A record's job on the lane: its instruction gap and its op.
+type Job = (u32, MemOp);
 
 impl Engine {
-    /// Runs `batch`'s accesses in trace order, staging each one and
-    /// capturing its hooks into the batch's. An error ends the batch: the
-    /// stager abandons the failing access at its boundary, so the timing
-    /// stage never sees a partial access.
-    fn stage(&mut self, batch: &mut Batch, block_count: u64) {
-        let Batch { records, staged, error, hooks } = batch;
-        std::mem::swap(self.sink.inner_mut().batch_mut(), staged);
-        aboram_telemetry::capture(hooks.as_mut(), || {
-            for rec in records.iter() {
+    /// Stages `records`' accesses into `msg` in trace order, one access per
+    /// record. An error ends the staging: the stager abandons the failing
+    /// access at its boundary, so the timing stage never sees a partial
+    /// access, but its hooks stay in the message.
+    fn stage(
+        &mut self,
+        msg: &mut Message<Job>,
+        records: impl Iterator<Item = TraceRecord>,
+        block_count: u64,
+    ) -> Result<(), OramError> {
+        for rec in records {
+            msg.stage((rec.inst_gap, rec.op), |staged| {
                 aboram_telemetry::record_mark();
-                let result = self.access(rec, block_count);
-                if let Err(e) = self.sink.inner_mut().end_access(result) {
-                    *error = Some(e);
-                    break;
-                }
-            }
-        });
-        std::mem::swap(self.sink.inner_mut().batch_mut(), staged);
+                std::mem::swap(self.sink.inner_mut().batch_mut(), staged);
+                let result = self.access(&rec, block_count);
+                let stager = self.sink.inner_mut();
+                let result = stager.end_access(result);
+                std::mem::swap(stager.batch_mut(), staged);
+                result
+            })?;
+        }
+        Ok(())
     }
 
     /// One trace record's protocol work: every LLC miss (read or writeback)
@@ -265,28 +245,31 @@ struct Totals {
     response_latency_cycles: u64,
 }
 
-/// The timing stage: takes each access `batch` staged through the core and
-/// the controller's gates and release, and adds it to `totals`. Each
-/// record's engine hooks are replayed just before it is timed, so the
-/// collector sees one thread's order: record *i*'s engine hooks, then its
-/// timing hooks, then record *i + 1*'s. A failed record's hooks come last.
-fn time(ctl: &mut AccessController, cpu: &mut RobCpu, batch: &mut Batch, totals: &mut Totals) {
-    for (rec, access) in batch.records.iter().zip(batch.staged.iter()) {
-        if let Some(hooks) = &mut batch.hooks {
-            hooks.replay_record();
+/// The timing stage: the core, the controller and the run's totals.
+#[derive(Debug)]
+struct Timing {
+    /// The ORAM controller: decides when each access issues and completes.
+    ctl: AccessController,
+    cpu: RobCpu,
+    totals: Totals,
+}
+
+impl Release for Timing {
+    type Job = Job;
+
+    /// Takes a record's staged access through the core and the controller's
+    /// gates and release, and adds it to the totals.
+    fn release(&mut self, &(gap, op): &Job, access: StagedAccess<'_>) {
+        let issue = self.cpu.issue_op(gap);
+        let (start, done) = self.ctl.finish(issue, access);
+        if op == MemOp::Read {
+            self.cpu.complete_read_at(done);
         }
-        let issue = cpu.issue_op(rec.inst_gap);
-        let (start, done) = ctl.finish(issue, access);
-        if rec.op == MemOp::Read {
-            cpu.complete_read_at(done);
-        }
+        let totals = &mut self.totals;
         totals.records += 1;
-        totals.instructions += u64::from(rec.inst_gap) + 1;
+        totals.instructions += u64::from(gap) + 1;
         totals.online_latency_cycles += done.saturating_sub(start);
         totals.response_latency_cycles += done.saturating_sub(issue);
-    }
-    if let Some(hooks) = &mut batch.hooks {
-        hooks.replay();
     }
 }
 
@@ -308,7 +291,17 @@ impl TimingDriver {
         let ctl = AccessController::new(MemorySystem::new(dram), oram.config().scheme.issue_mode());
         let engine =
             Engine { oram, posmap_model: None, sink: FaultInjectingSink::new(ctl.stager()) };
-        TimingDriver { engine, ctl, cpu: RobCpu::new(4, 256) }
+        let timing = Timing { ctl, cpu: RobCpu::new(4, 256), totals: Totals::default() };
+        TimingDriver { engine, timing: Some(timing), lane: Lane::default() }
+    }
+
+    /// The timing stage, home between runs.
+    fn timing(&self) -> &Timing {
+        self.timing.as_ref().expect("the timing stage is lent only during a run")
+    }
+
+    fn ctl_mut(&mut self) -> &mut AccessController {
+        &mut self.timing.as_mut().expect("the timing stage is lent only during a run").ctl
     }
 
     /// Sets the access-pipeline depth: the maximum number of concurrently
@@ -326,10 +319,12 @@ impl TimingDriver {
     /// already public — and changing the depth quiesces the window first
     /// (DESIGN.md §15).
     pub fn set_pipeline_depth(&mut self, depth: u8) {
-        self.ctl.set_depth(depth);
+        let ctl = self.ctl_mut();
+        ctl.set_depth(depth);
+        let (mode, depth) = (ctl.issue_mode(), ctl.depth());
         // The stager commits every access for the controller's issue mode
         // and depth.
-        self.engine.sink.inner_mut().configure(self.ctl.issue_mode(), self.ctl.depth());
+        self.engine.sink.inner_mut().configure(mode, depth);
     }
 
     /// Activates chaos testing: installs `plan`'s channel-stall schedule
@@ -338,9 +333,9 @@ impl TimingDriver {
     /// resulting [`SimulationReport::recovery`] block quantifies the
     /// degraded-mode overhead.
     pub fn enable_faults(&mut self, plan: FaultPlan) {
-        let channels = usize::from(self.ctl.memory().config().channels);
-        for s in plan.stall_schedule(channels) {
-            self.ctl.memory_mut().inject_channel_stall(s.channel, s.at, s.duration);
+        let memory = self.ctl_mut().memory_mut();
+        for s in plan.stall_schedule(usize::from(memory.config().channels)) {
+            memory.inject_channel_stall(s.channel, s.at, s.duration);
         }
         self.engine.sink.set_plan(Some(plan));
     }
@@ -389,7 +384,7 @@ impl TimingDriver {
     /// The underlying memory system's statistics (final after
     /// [`run`](Self::run) returns; used e.g. by the energy model).
     pub fn memory_stats(&self) -> &aboram_dram::MemoryStats {
-        self.ctl.memory().stats()
+        self.timing().ctl.memory().stats()
     }
 
     /// [`RingOram::warm_up`] under this driver's salt: no timed traffic.
@@ -401,67 +396,37 @@ impl TimingDriver {
         self.engine.oram.warm_up(accesses, 0x3aa3_5717)
     }
 
-    /// The executor: the engine stage on a scoped worker thread, the timing
-    /// stage and the trace here. Two batches circulate through two bounded
-    /// channels, so the engine stages one batch while this thread times the
-    /// other. With telemetry on here, each batch carries the hooks the
-    /// engine fired back with it. An engine error ends its batch: the
-    /// accesses before it are timed, then the error is returned.
-    fn run_ahead(
+    /// Stages `trace` on this thread, 32 records a message with at most two
+    /// messages out, while the lane's helper releases them under the open
+    /// run. An engine error ends the staging; the message holding the
+    /// accesses before it is still sent.
+    fn stage_run(
         &mut self,
         trace: &mut impl Iterator<Item = TraceRecord>,
         block_count: u64,
-    ) -> Result<Totals, OramError> {
-        let TimingDriver { engine, ctl, cpu } = self;
-        std::thread::scope(|s| {
-            let (to_engine, engine_rx) = mpsc::sync_channel::<Batch>(2);
-            let (to_timing, timing_rx) = mpsc::sync_channel::<Batch>(2);
-            s.spawn(move || {
-                for mut batch in engine_rx {
-                    engine.stage(&mut batch, block_count);
-                    let failed = batch.error.is_some();
-                    if to_timing.send(batch).is_err() || failed {
-                        break;
-                    }
-                }
-            });
-            // The staging buffers are allocated here, at a capacity that holds
-            // a batch of the benchmark's accesses, so the worker seldom grows
-            // one.
-            let mut in_flight = 0;
-            let traced = aboram_telemetry::enabled();
-            for _ in 0..2 {
-                let staged = StagedBatch::with_capacity(BATCH);
-                let hooks = traced.then(Captured::default);
-                let mut batch = Batch { staged, hooks, ..Batch::default() };
-                if batch.refill(trace, BATCH) && to_engine.send(batch).is_ok() {
-                    in_flight += 1;
-                }
+    ) -> Result<(), OramError> {
+        loop {
+            let mut msg = if self.lane.out() < 2 { self.lane.message() } else { self.lane.spent() };
+            let staged = self.engine.stage(&mut msg, trace.take(MESSAGE), block_count);
+            let more = staged.is_ok() && msg.len() == MESSAGE;
+            self.lane.send(msg);
+            if !more {
+                return staged;
             }
-            let mut totals = Totals::default();
-            while in_flight > 0 {
-                // Fails only if the worker panicked: the scope re-raises it.
-                let Ok(mut batch) = timing_rx.recv() else { break };
-                in_flight -= 1;
-                time(ctl, cpu, &mut batch, &mut totals);
-                if let Some(e) = batch.error.take() {
-                    return Err(e);
-                }
-                if batch.refill(trace, BATCH) && to_engine.send(batch).is_ok() {
-                    in_flight += 1;
-                }
-            }
-            Ok(totals)
-        })
+        }
     }
 
     /// Runs the trace to completion and reports results. The engine stage
-    /// runs ahead of the timing stage on a second thread.
+    /// runs here, ahead of the timing stage on the lane's helper thread.
     ///
     /// # Errors
     ///
     /// Propagates ORAM protocol errors (overflow, integrity). The accesses
     /// before the failing one are timed; the failing one is not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lane's helper panicked.
     pub fn run(
         &mut self,
         trace: impl IntoIterator<Item = TraceRecord>,
@@ -474,7 +439,7 @@ impl TimingDriver {
         // CPU cycles) lets the perf-report pipeline turn request counts into
         // exact bus-cycle attributions.
         {
-            let dram_cfg = self.ctl.memory().config();
+            let dram_cfg = self.timing().ctl.memory().config();
             let burst_cpu = dram_cfg.to_cpu_cycles(dram_cfg.timing.burst);
             let cfg = self.engine.oram.config();
             aboram_telemetry::begin_run(&cfg.scheme.to_string(), cfg.levels, burst_cpu);
@@ -482,13 +447,13 @@ impl TimingDriver {
         // Bus cycles already attributed before this run (driver reuse): the
         // end-of-run telemetry summary reports the delta.
         let bus0: u64 = {
-            let mem = self.ctl.memory().stats();
+            let mem = self.timing().ctl.memory().stats();
             OramOp::ALL.iter().map(|op| mem.bus_cycles_for_tag(op.tag())).sum()
         };
         // Per-channel/per-bank occupancy already accumulated before this run
         // (driver reuse): end-of-run histograms report the delta.
         let (ch_req0, ch_bus0, bank_req0) = {
-            let mem = self.ctl.memory().stats();
+            let mem = self.timing().ctl.memory().stats();
             (
                 mem.requests_by_channel().to_vec(),
                 mem.bus_cycles_by_channel().to_vec(),
@@ -507,13 +472,19 @@ impl TimingDriver {
             )
         };
         let mut trace = trace.into_iter().fuse();
-        let totals = self.run_ahead(&mut trace, block_count)?;
+        let timing = self.timing.take().expect("the timing stage is lent only during a run");
+        self.lane.open(timing);
+        let staged = self.stage_run(&mut trace, block_count);
+        let mut timing = self.lane.close();
+        let totals = std::mem::take(&mut timing.totals);
+        let Timing { ctl, cpu, .. } = self.timing.insert(timing);
+        staged?;
 
         // The controller is free once every in-flight access's maintenance
         // traffic has been serviced.
-        let exec_cycles = self.cpu.finish().max(self.ctl.quiesce());
-        self.ctl.memory_mut().drain();
-        let mem = self.ctl.memory().stats();
+        let exec_cycles = cpu.finish().max(ctl.quiesce());
+        ctl.memory_mut().drain();
+        let mem = ctl.memory().stats();
         let mut breakdown = BreakdownReport::default();
         for op in OramOp::ALL {
             breakdown.bus_cycles[op.tag() as usize] = mem.bus_cycles_for_tag(op.tag());
@@ -686,18 +657,17 @@ mod tests {
             d.set_pipeline_depth(depth);
             let mut gen = TraceGenerator::new(&profile, 5);
             let blocks = d.engine.oram.block_count();
-            let (mut batch, mut totals) = (Batch::default(), Totals::default());
+            let mut msg = Message::default();
             let mut largest = 0u64;
             for i in 0..5_000 {
-                let before = d.ctl.requests_issued();
-                // One record through both stages, so the twin is observed
-                // between records.
-                batch.refill(&mut std::iter::once(gen.next_record()), 1);
-                d.engine.stage(&mut batch, blocks);
-                time(&mut d.ctl, &mut d.cpu, &mut batch, &mut totals);
-                assert!(batch.error.is_none());
-                largest = largest.max(d.ctl.requests_issued() - before);
-                let tracked = d.ctl.memory().tracked_requests() as u64;
+                let before = d.timing().ctl.requests_issued();
+                // One record through both stages, both on this thread, so the
+                // twin is observed between records.
+                d.engine.stage(&mut msg, std::iter::once(gen.next_record()), blocks).unwrap();
+                msg.release(d.timing.as_mut().unwrap());
+                let ctl = &d.timing().ctl;
+                largest = largest.max(ctl.requests_issued() - before);
+                let tracked = ctl.memory().tracked_requests() as u64;
                 assert!(
                     tracked <= u64::from(depth) * largest,
                     "{scheme:?} depth {depth} record {i}: {tracked} live slots, largest access {largest}"
@@ -708,7 +678,11 @@ mod tests {
             // after 10× the traffic.
             for records in [100, 1_000] {
                 d.run((0..records).map(|_| gen.next_record())).unwrap();
-                assert_eq!(d.ctl.memory().tracked_requests(), 0, "{scheme:?} depth {depth}");
+                assert_eq!(
+                    d.timing().ctl.memory().tracked_requests(),
+                    0,
+                    "{scheme:?} depth {depth}"
+                );
             }
         }
     }
@@ -757,24 +731,26 @@ mod tests {
                 }
             });
             let failing = failing.expect("the plan exhausts a retry");
-            assert!(failing > BATCH, "the failure is past the first batch");
+            assert!(failing > MESSAGE, "the failure is past the first message");
 
             let (collector, trace) = aboram_telemetry::Collector::to_shared_buffer();
             if traced {
                 aboram_telemetry::install(collector);
             }
             assert!(d.run(records.iter().copied()).is_err());
-            assert_eq!(d.ctl.requests_issued(), earlier, "the twin saw the earlier accesses only");
-            d.ctl.quiesce();
-            assert!(d.ctl.is_idle(), "depth {depth}: the controller is at rest");
+            let ctl = d.ctl_mut();
+            assert_eq!(ctl.requests_issued(), earlier, "the twin saw the earlier accesses only");
+            ctl.quiesce();
+            assert!(ctl.is_idle(), "depth {depth}: the controller is at rest");
             let stager = d.engine.sink.inner();
             assert!(stager.is_idle(), "depth {depth}: nothing of the failed access is staged");
             let next = records[failing + 1];
-            let issued = d.ctl.requests_issued();
+            let issued = d.timing().ctl.requests_issued();
             d.run([next]).expect("the next access completes");
             let (ok, own) = emit(&next);
             assert!(ok);
-            assert_eq!(d.ctl.requests_issued() - issued, own, "it releases only its own requests");
+            let released = d.timing().ctl.requests_issued() - issued;
+            assert_eq!(released, own, "it releases only its own requests");
             if traced {
                 aboram_telemetry::uninstall();
                 assert!(trace.contents().contains("retries_exhausted"), "the ring was dumped");

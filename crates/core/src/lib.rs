@@ -49,12 +49,12 @@ mod error;
 mod fault;
 mod growth;
 mod integrity;
+mod lane;
 mod metadata;
 mod posmap;
 mod recursion;
 mod ring;
 mod security;
-mod segvec;
 mod sink;
 mod stash;
 mod stats;
@@ -75,13 +75,13 @@ pub use fault::{
 };
 pub use growth::{extend_label, DynamicTree};
 pub use integrity::IntegrityVerifier;
+pub use lane::{Lane, LaneCounts, Message, Release};
 pub use metadata::{BucketMeta, MetadataLayout, RealEntry, SlotStatus};
 pub use posmap::PositionMap;
 pub use recursion::{PlbConfig, PosMapHierarchy};
 pub use ring::{AccessKind, PayloadMutator, RingOram};
 pub use security::{attack_success_rate, SecurityReport};
-pub use segvec::SegmentedVector;
-pub use sink::{CountingSink, MemorySink, OramOp, StagedBatch, Stager};
+pub use sink::{CountingSink, MemorySink, OramOp, StagedAccess, StagedBatch, Stager};
 pub use stats::OramStats;
 
 // Re-exported so downstream code can name the recovery counters and health

@@ -14,8 +14,8 @@
 //! lifecycle are four `u16` bitset words (16 logical slots per bucket). The
 //! mask accessors widen to `u64` so mask combining and [`nth_set_bit`]
 //! selection stay single register ops. All records of a tree live
-//! contiguously in a [`SegmentedVector`]: construction is one allocation, not
-//! two per bucket, and a grown level appends records without moving any.
+//! contiguously in one `Vec`: construction is one allocation, not two per
+//! bucket, and a grown level reserves exactly its own records.
 //!
 //! What the record cannot hold is refused when the engine is configured
 //! (`check_record_capacity`, called from
@@ -23,7 +23,6 @@
 //! [`OramError::BadParameter`] — never a panic on the access path.
 
 use crate::error::OramError;
-use crate::segvec::SegmentedVector;
 use crate::BlockId;
 use aboram_tree::{BucketId, Level, PathId, SlotId, TreeGeometry};
 
@@ -501,32 +500,33 @@ pub(crate) fn check_record_levels(name: &'static str, levels: u8) -> Result<(), 
 
 /// All bucket metadata plus resolution of logical slots to physical slots.
 ///
-/// The records live contiguously in a [`SegmentedVector`]: the initial tree
-/// is one allocation, and an auto-scaling tree appends the new level's
-/// records in a fresh segment without moving (or reallocating) any existing
-/// one — record addresses stay stable across growth.
+/// The records live contiguously in one `Vec`, in heap order: the initial
+/// tree is one allocation, and an auto-scaling tree's grown level appends its
+/// records. What must not move on growth is a bucket's *simulated* address,
+/// which `PhysicalLayout::grow` keeps; the host copy a grow may make of the
+/// records is a few dozen bytes per bucket.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetadataStore {
-    buckets: SegmentedVector<BucketMeta>,
+    buckets: Vec<BucketMeta>,
 }
 
 impl MetadataStore {
-    /// Initializes metadata for every bucket of `geometry`; the first
-    /// segment holds them all.
+    /// Initializes metadata for every bucket of `geometry`, in one
+    /// allocation of exactly that many records.
     pub fn new(geometry: &TreeGeometry) -> Self {
-        let base = (geometry.bucket_count() as usize).next_power_of_two().max(1);
-        let mut store = MetadataStore { buckets: SegmentedVector::new(base) };
-        for raw in 0..geometry.bucket_count() {
-            let level = BucketId::new(raw).level();
-            store.push(BucketMeta::new(geometry.level_config(level).z_total()));
-        }
-        store
+        let count = geometry.bucket_count();
+        let mut buckets = Vec::with_capacity(count as usize);
+        buckets.extend((0..count).map(|raw| {
+            BucketMeta::new(geometry.level_config(BucketId::new(raw).level()).z_total())
+        }));
+        MetadataStore { buckets }
     }
 
-    /// Appends metadata for one new bucket, in heap order (construction, a
-    /// grown level). Existing records never move.
-    pub(crate) fn push(&mut self, meta: BucketMeta) {
-        self.buckets.push(meta);
+    /// Appends `count` copies of `meta`, a grown level's records, reserving
+    /// exactly them.
+    pub(crate) fn append_level(&mut self, meta: BucketMeta, count: usize) {
+        self.buckets.reserve_exact(count);
+        self.buckets.resize(self.buckets.len() + count, meta);
     }
 
     /// Borrow the metadata of `bucket`.

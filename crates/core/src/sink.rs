@@ -9,21 +9,16 @@
 //! * [`Stager`] — cycle-level runs backed by the `aboram-dram` memory
 //!   system, producing execution times, breakdowns and bandwidth.
 //!
-//! The cycle-level path has two halves, split where the clock enters. The
-//! [`Stager`] is timing-free: it decodes, row-runs and orders each access
-//! the engine emits and commits it, at the access boundary, into a
-//! [`StagedBatch`] — on whichever thread runs the engine. The release half
-//! ([`Releaser`], owned by [`crate::controller::AccessController`]) holds the
-//! clock and the DRAM twin: it merges a staged access's write footprint
-//! against the in-flight window (the WAR gate), hands the access to the twin
-//! in one `enqueue_decoded`, and queries its online reads' completions
-//! (DESIGN.md §15–16).
+//! The cycle-level path has two halves, split where the clock enters. This
+//! module is the stage half: the [`Stager`] is timing-free — it decodes,
+//! row-runs and orders each access the engine emits and commits it, at the
+//! access boundary, into a [`StagedBatch`], on whichever thread runs the
+//! engine. The release half is the [`AccessController`](crate::controller),
+//! which holds the clock and the DRAM twin (DESIGN.md §15–16).
 
 use crate::config::IssueMode;
 use crate::fault::FaultSite;
-use aboram_dram::{
-    DecodedAddr, DramConfig, MemOpKind, MemorySystem, Priority, RequestId, RequestIdRange,
-};
+use aboram_dram::{DecodedAddr, DramConfig, MemOpKind, Priority};
 use aboram_telemetry::Phase;
 use aboram_tree::SlotAddr;
 
@@ -202,11 +197,9 @@ const TAG: u8 = 7;
 const WRITE: u8 = 1 << 3;
 const ONLINE: u8 = 1 << 4;
 
-/// Requests one access is sized for: a [`StagedBatch`] reserves this many
-/// per access, and a [`Stager`]'s scratch four times as many, for the
-/// largest accesses (an eviction with reshuffles). The benchmark's accesses
-/// average ≈ 90 requests in ≈ 45 row runs. Both are reserved where they are
-/// built, so the engine's thread seldom grows — and fragments — them.
+/// Requests one access is sized for: a [`Stager`]'s scratch reserves four
+/// times as many, for the largest accesses (an eviction with reshuffles).
+/// The benchmark's accesses average ≈ 90 requests in ≈ 45 row runs.
 const ACCESS_REQUESTS: usize = 128;
 
 /// How a [`Stager`] commits an access, fixed by the controller's issue mode
@@ -238,7 +231,7 @@ impl Layout {
 /// reaches DRAM. Nothing the stager computes depends on a cycle: only on
 /// the request stream, the address map, the issue mode and whether the
 /// in-flight window is deeper than one. So it runs wherever the engine
-/// runs, on the trace driver's worker thread or inline in a
+/// runs, ahead of the release on the [`crate::Lane`] or inline in a
 /// [`crate::TimedBackend`] (DESIGN.md §15–16).
 ///
 /// The issue mode picks the release *order* only. `IssueMode::Serial`
@@ -571,20 +564,6 @@ struct Ends {
 type StagedRun = (DecodedAddr, u32);
 
 impl StagedBatch {
-    /// An empty batch with room for `accesses` accesses of
-    /// [`ACCESS_REQUESTS`] requests before any buffer grows.
-    pub(crate) fn with_capacity(accesses: usize) -> Self {
-        let requests = accesses * ACCESS_REQUESTS;
-        StagedBatch {
-            ends: Vec::with_capacity(accesses),
-            runs: Vec::with_capacity(requests / 2),
-            flags: Vec::with_capacity(requests),
-            online: Vec::with_capacity(requests / 4),
-            write_keys: Vec::with_capacity(requests / 4),
-            reads: Vec::with_capacity(requests / 2),
-        }
-    }
-
     /// Committed accesses.
     pub fn len(&self) -> usize {
         self.ends.len()
@@ -618,30 +597,25 @@ impl StagedBatch {
             reads: &self.reads[from.reads..to.reads],
         }
     }
-
-    /// The committed accesses, in commit order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = StagedAccess<'_>> {
-        (0..self.len()).map(|i| self.get(i))
-    }
 }
 
-/// One committed access, as its release reads it.
+/// One committed access of a [`StagedBatch`], as its release reads it.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct StagedAccess<'a> {
+pub struct StagedAccess<'a> {
     pub(crate) layout: Layout,
     runs: &'a [StagedRun],
     flags: &'a [u8],
     /// Release positions of the online reads.
-    online: &'a [u32],
+    pub(crate) online: &'a [u32],
     /// The distinct location keys the access writes, ascending.
-    write_keys: &'a [u64],
+    pub(crate) write_keys: &'a [u64],
     /// `(location key, release position)` of every read, ascending.
-    reads: &'a [(u64, u32)],
+    pub(crate) reads: &'a [(u64, u32)],
 }
 
 impl<'a> StagedAccess<'a> {
     /// The requests in release order, as `enqueue_decoded` takes them.
-    fn requests(self) -> Requests<'a> {
+    pub(crate) fn requests(self) -> Requests<'a> {
         let at = DecodedAddr { channel: 0, bank: 0, row: 0, rank: 0 };
         Requests { runs: self.runs.iter(), flags: self.flags, left: 0, at }
     }
@@ -650,7 +624,7 @@ impl<'a> StagedAccess<'a> {
 /// A staged access's requests in release order, as `(kind, location,
 /// priority, tag, count)`: each stretch of equal flag bytes inside a row
 /// run — `count` requests alike, which the twin queues as one.
-struct Requests<'a> {
+pub(crate) struct Requests<'a> {
     runs: std::slice::Iter<'a, StagedRun>,
     /// The flag bytes not yet handed out.
     flags: &'a [u8],
@@ -678,152 +652,13 @@ impl Iterator for Requests<'_> {
     }
 }
 
-/// The release half of the timed path, owned by the access controller: the
-/// DRAM twin, the clock, and the read lists of resolved window entries,
-/// kept for the next release.
-#[derive(Debug)]
-pub(crate) struct Releaser {
-    memory: MemorySystem,
-    now: u64,
-    spare: Vec<Vec<(u64, u32)>>,
-}
-
-/// One access in the controller's in-flight window: its requests' ids
-/// (contiguous, so `first id + len`) and — when a later access can enter the
-/// window beside it — its *reads* as `(location key, position in ids)` in
-/// ascending key order: the locations a later access's writeback must not
-/// overwrite before they are served (write-after-read, the one DRAM-level
-/// hazard the window has to order explicitly; see
-/// [`Releaser::conflict_gate`]).
-#[derive(Debug)]
-pub(crate) struct InflightAccess {
-    pub(crate) ids: RequestIdRange,
-    pub(crate) reads: Vec<(u64, u32)>,
-}
-
-/// The id of the request at position `pos` of a released batch.
-fn id_at(ids: &RequestIdRange, pos: usize) -> RequestId {
-    ids.clone().nth(pos).expect("one id per request of the batch")
-}
-
-impl Releaser {
-    /// Wraps a memory system.
-    pub(crate) fn new(memory: MemorySystem) -> Self {
-        Releaser { memory, now: 0, spare: Vec::new() }
-    }
-
-    /// The one hand-off to the memory system: moves the clock to `cycle`,
-    /// releases `access` as one batch arriving at that cycle, and returns it
-    /// as a window entry. The controller resolves the access's dependency
-    /// gates against its staged footprint, and only then knows the arrival
-    /// cycle. `cycle` must be ≥ the last timestamp (the memory model's
-    /// non-decreasing contract).
-    ///
-    /// `online_done` is overwritten with the completion cycle of each online
-    /// read (unordered): the controller charges the crypto burst after the
-    /// latest one (serial issue) or folds them through
-    /// [`aboram_crypto::CryptoLatency::overlapped_exit_from`]
-    /// (channel-parallel issue).
-    ///
-    /// The controller owns the entry's requests from here on: it resolves
-    /// them ([`resolve_inflight`](Releaser::resolve_inflight)) and retires
-    /// them from the memory system once the access leaves its window.
-    pub(crate) fn release_at(
-        &mut self,
-        cycle: u64,
-        access: StagedAccess<'_>,
-        online_done: &mut Vec<u64>,
-    ) -> InflightAccess {
-        debug_assert!(cycle >= self.now, "release_at must not move the clock backwards");
-        self.now = cycle;
-        let ids = self.memory.enqueue_decoded(access.requests(), cycle);
-        online_done.clear();
-        for &pos in access.online {
-            online_done.push(self.memory.completion_time(id_at(&ids, pos as usize)));
-        }
-        let mut reads = self.spare.pop().unwrap_or_default();
-        reads.extend_from_slice(access.reads);
-        InflightAccess { ids, reads }
-    }
-
-    /// Resolves an in-flight access to its full completion cycle — the
-    /// latest completion over all of its requests, reads and writebacks
-    /// alike. Forcing the lazy completion times here is what makes the
-    /// window-overflow gate a true dependency. The entry's read list is kept
-    /// for the next release, so a steady window allocates nothing.
-    pub(crate) fn resolve_inflight(&mut self, mut entry: InflightAccess) -> u64 {
-        let done = entry.ids.map(|id| self.memory.completion_time(id)).max().unwrap_or(0);
-        entry.reads.clear();
-        self.spare.push(entry.reads);
-        done
-    }
-
-    /// The earliest cycle at which `access` may issue without overwriting a
-    /// location an access in `window` has not finished reading: the latest
-    /// completion over exactly the entries' reads in the `(channel, bank,
-    /// row)` rows the access writes (zero when disjoint, or when nothing is
-    /// in flight). Both sides are in ascending key order, so one merge per
-    /// entry finds them.
-    ///
-    /// Write-after-read is the one DRAM-level hazard the window orders
-    /// explicitly. Read-after-write needs no gate — a read of a location
-    /// with a pending writeback is served from the controller's write
-    /// queue (and the protocol state it would observe is already on chip:
-    /// the stash hand-off gate runs strictly later than the forwarding
-    /// point). Write-after-write needs none either: per-bank queues serve
-    /// same-row writes in arrival order. Gating on the conflicting
-    /// access's *writes* would instead re-serialize the controller — every
-    /// pair of paths shares rows near the root, and offline writebacks are
-    /// deprioritized to the end of the drain.
-    pub(crate) fn conflict_gate<'a>(
-        &mut self,
-        window: impl IntoIterator<Item = &'a InflightAccess>,
-        access: &StagedAccess<'_>,
-    ) -> u64 {
-        let (writes, mut gate) = (access.write_keys, 0);
-        for entry in window {
-            let mut w = 0;
-            for &(key, pos) in &entry.reads {
-                while w < writes.len() && writes[w] < key {
-                    w += 1;
-                }
-                if w == writes.len() {
-                    break;
-                }
-                if writes[w] == key {
-                    let read = id_at(&entry.ids, pos as usize);
-                    gate = gate.max(self.memory.completion_time(read));
-                }
-            }
-        }
-        gate
-    }
-
-    /// The arrival cycle of the most recent release.
-    pub(crate) fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// The underlying memory system (stats, drain).
-    pub(crate) fn memory(&self) -> &MemorySystem {
-        &self.memory
-    }
-
-    /// Mutable access to the underlying memory system.
-    pub(crate) fn memory_mut(&mut self) -> &mut MemorySystem {
-        &mut self.memory
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer_of as buffer;
+    use crate::controller::{conflict_gate, AccessController, InflightAccess};
+    use aboram_dram::{MemorySystem, RequestId};
     use proptest::prelude::*;
-
-    /// Address and capacity of a buffer.
-    fn buffer<T>(v: &Vec<T>) -> (usize, usize) {
-        (v.as_ptr() as usize, v.capacity())
-    }
 
     impl Stager {
         /// Address and capacity of every buffer the stager reuses: the open
@@ -859,21 +694,6 @@ mod tests {
         }
     }
 
-    impl Releaser {
-        /// Address and capacity of every read list the release half
-        /// circulates — its spares and the `in_window` ones a controller
-        /// holds — sorted. Stable once a run is warm.
-        pub(crate) fn buffers<'a>(
-            &'a self,
-            in_window: impl Iterator<Item = &'a InflightAccess>,
-        ) -> Vec<(usize, usize)> {
-            let mut lists: Vec<_> =
-                self.spare.iter().chain(in_window.map(|e| &e.reads)).map(buffer).collect();
-            lists.sort_unstable();
-            lists
-        }
-    }
-
     /// A stager over `cfg` committing for `mode` and `depth`.
     fn stager(cfg: DramConfig, mode: IssueMode, depth: u8) -> Stager {
         let mut stager = Stager::new(cfg);
@@ -881,21 +701,16 @@ mod tests {
         stager
     }
 
-    /// That stager and a release half over the same geometry: the two halves
-    /// a controller pairs.
-    fn halves(cfg: DramConfig, mode: IssueMode, depth: u8) -> (Stager, Releaser) {
-        (stager(cfg, mode, depth), Releaser::new(MemorySystem::new(cfg)))
+    /// That stager and a controller over the same geometry: the stage half
+    /// and the release half.
+    fn halves(cfg: DramConfig, mode: IssueMode, depth: u8) -> (Stager, AccessController) {
+        (stager(cfg, mode, depth), AccessController::new(MemorySystem::new(cfg), mode))
     }
 
-    /// Commits the staged access and releases it at `cycle`.
-    fn release(
-        stager: &mut Stager,
-        releaser: &mut Releaser,
-        cycle: u64,
-        online_done: &mut Vec<u64>,
-    ) -> InflightAccess {
+    /// Commits the staged access and releases it at `cycle`, ungated.
+    fn release(stager: &mut Stager, ctl: &mut AccessController, cycle: u64) -> InflightAccess {
         stager.commit_access();
-        let entry = releaser.release_at(cycle, stager.batch.get(0), online_done);
+        let entry = ctl.release_at(cycle, stager.batch.get(0));
         stager.batch.clear();
         entry
     }
@@ -921,9 +736,9 @@ mod tests {
         s.write(SlotAddr(128), OramOp::EvictPath, false);
         s.commit_access();
         assert_eq!(r.memory().pending(), 0, "nothing reaches DRAM before the release");
-        let mut online = vec![7];
-        let entry = r.release_at(100, s.batch.get(0), &mut online);
+        let entry = r.release_at(100, s.batch.get(0));
         assert_eq!((r.now(), entry.ids.len()), (100, 3));
+        let online = r.completions();
         assert!(online.len() == 1 && online[0] > 100, "the one online read's reply: {online:?}");
         r.memory_mut().drain();
         assert_eq!(r.memory().stats().total_requests(), 3);
@@ -943,8 +758,8 @@ mod tests {
             assert!(!s.is_idle(), "requests stay staged until the boundary");
             // The latest online completion exists in both modes (values may
             // differ; the request set may be serviced in a different order).
-            let mut times = Vec::new();
-            let entry = release(&mut s, &mut r, 10, &mut times);
+            let entry = release(&mut s, &mut r, 10);
+            let times = r.completions();
             assert!(s.is_idle());
             assert_eq!(times.len(), 32);
             assert!(times.iter().max().copied().unwrap_or(0) > 10);
@@ -968,7 +783,7 @@ mod tests {
     #[test]
     fn each_request_is_recorded_once_and_retired_by_its_owner() {
         // One owner: a release hands every id to the window entry, the
-        // release half keeps none, and the entry's holder ends the requests'
+        // controller keeps none, and the entry's holder ends the requests'
         // life in the twin once it resolved them.
         let addrs: Vec<SlotAddr> = (0..6).map(|i| SlotAddr(i * 4096)).collect();
         let (mut stager, mut r) = halves(DramConfig::default(), IssueMode::Serial, 4);
@@ -977,10 +792,9 @@ mod tests {
         stager.write_batch(&addrs[4..], OramOp::EvictPath, false);
         stager.commit_access();
         assert_eq!(r.memory().tracked_requests(), 0, "staged, not yet DRAM's");
-        let mut online = Vec::new();
-        let entry = r.release_at(10, stager.batch.get(0), &mut online);
+        let entry = r.release_at(10, stager.batch.get(0));
         stager.batch.clear();
-        assert!(entry.ids.len() == 6 && entry.reads.len() == 4 && online.len() == 2);
+        assert!(entry.ids.len() == 6 && entry.reads.len() == 4 && r.completions().len() == 2);
         assert_eq!(r.memory().tracked_requests(), 6);
 
         let next = r.memory().next_request_id();
@@ -994,8 +808,8 @@ mod tests {
         // are handed over all the same.
         stager.configure(IssueMode::Serial, 1);
         stager.read_batch(&addrs, OramOp::ReadPath, true);
-        let unlisted = release(&mut stager, &mut r, 20, &mut online);
-        assert!(unlisted.ids.len() == 6 && unlisted.reads.is_empty() && online.len() == 6);
+        let unlisted = release(&mut stager, &mut r, 20);
+        assert!(unlisted.ids.len() == 6 && unlisted.reads.is_empty() && r.completions().len() == 6);
     }
 
     /// One request of a hand-built access.
@@ -1148,7 +962,7 @@ mod tests {
         /// afterwards completes at the same cycles) — under both issue modes,
         /// for a window of one and a deeper one, over every geometry of
         /// [`configs`]. Every access is staged on another
-        /// thread and released on this one, as the trace driver does.
+        /// thread and released on this one, as the lane splits them.
         #[test]
         fn staged_release_matches_a_one_request_at_a_time_reference(
             accesses in proptest::collection::vec(
@@ -1181,10 +995,11 @@ mod tests {
                     });
                     prop_assert_eq!(batch.len(), built.len());
 
-                    let mut releaser = Releaser::new(MemorySystem::new(cfg));
+                    let mut releaser = AccessController::new(MemorySystem::new(cfg), mode);
                     let mut reference = MemorySystem::new(cfg);
                     let mut now = 0;
-                    for ((access, gap), staged) in built.iter().zip(batch.iter()) {
+                    for (i, (access, gap)) in built.iter().enumerate() {
+                        let staged = batch.get(i);
                         now += gap;
                         let order = reference_order(&cfg, access, mode);
                         let want = reference_release(&mut reference, &order, now);
@@ -1201,8 +1016,8 @@ mod tests {
                         let distinct = staged.runs.windows(2).all(|w| w[0].0 != w[1].0);
                         prop_assert!(mode == IssueMode::Serial || distinct);
 
-                        let mut online_done = Vec::new();
-                        let entry = releaser.release_at(now, staged, &mut online_done);
+                        let entry = releaser.release_at(now, staged);
+                        let mut online_done = releaser.completions().to_vec();
                         let ids: Vec<_> = entry.ids.clone().collect();
                         prop_assert_eq!(&ids, &want, "{:?} depth {}", mode, depth);
                         // The window entry lists exactly the reads, by
@@ -1318,14 +1133,14 @@ mod tests {
                 let mk = || {
                     let (mut stager, mut releaser) = halves(cfg, mode, 4);
                     emit(&mut stager, &first);
-                    let entry = release(&mut stager, &mut releaser, 100, &mut Vec::new());
+                    let entry = release(&mut stager, &mut releaser, 100);
                     emit(&mut stager, &second);
                     stager.commit_access();
                     (stager, releaser, entry)
                 };
 
                 let (stager, mut merged, entry) = mk();
-                let gate = merged.conflict_gate([&entry], &stager.batch.get(0));
+                let gate = conflict_gate(merged.memory_mut(), [&entry], &stager.batch.get(0));
 
                 let (_, mut brute, entry) = mk();
                 let mem = brute.memory_mut();

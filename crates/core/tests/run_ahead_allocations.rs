@@ -1,14 +1,13 @@
 //! The run-ahead path allocates per run, not per record (DESIGN.md §16,
 //! "What crosses the thread"): a process-wide counting `#[global_allocator]`
-//! counts every allocation both stages make — the engine and stager on the
-//! worker thread, the release half and the DRAM twin on this one — while a
+//! counts every allocation both stages make — the engine and stager on this
+//! thread, the core, controller and DRAM twin on the lane's helper — while a
 //! warm `TimingDriver` runs 2 000 and then 20 000 records. The two counts
-//! must agree within a small constant: the worker thread, the two channels
-//! and the two batches each run allocates, plus the odd batch buffer an
-//! unusually large access grows. One allocation per record would put them
-//! 18 000 apart.
+//! must agree within a small constant: what each run allocates, plus the
+//! odd message buffer an unusually large access grows. One allocation per
+//! record would put them 18 000 apart.
 //!
-//! The counter is process-wide because the worker is another thread, so
+//! The counter is process-wide because the helper is another thread, so
 //! this binary holds a single test: nothing else may allocate while it
 //! counts.
 
@@ -56,7 +55,7 @@ fn allocations(run: impl FnOnce()) -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst) - before
 }
 
-/// How far apart the two runs' counts may be: a few batch buffers growing
+/// How far apart the two runs' counts may be: a few message buffers growing
 /// for an access larger than the shorter run met.
 const SLACK: u64 = 8;
 

@@ -5,28 +5,35 @@
 //! hooks are pure branch-not-taken overhead. The same holds for the service
 //! path: a pipelined [`TimedBackend`] replies identically either way.
 //!
-//! The driver has one executor either way: the engine stage runs ahead on a
-//! worker thread, which captures its hooks into each batch for the timing
-//! stage to replay (DESIGN.md §16). The grid below holds a traced driver to
-//! an untraced one's results.
+//! The driver has one executor either way: the engine stage runs ahead on
+//! the calling thread, which captures its hooks into each message for the
+//! lane's helper to replay before the release hooks it fires, and the spent
+//! message carries them all back (DESIGN.md §16). The grid below holds a
+//! traced driver to an untraced one's results.
 
 use aboram_core::{
-    AccessKind, BackendReply, CountingSink, FaultInjectingSink, FaultPlan, InjectedFaults,
-    OramConfig, OramError, PlbConfig, PosMapHierarchy, RingOram, Scheme, SimulationReport,
-    StagedBatch, Stager, StorageBackend, TimedBackend, TimingDriver,
+    AccessKind, BackendReply, CountingSink, FaultInjectingSink, FaultPlan, InjectedFaults, Message,
+    OramConfig, OramError, PlbConfig, PosMapHierarchy, ReleaseHalf, RingOram, Scheme,
+    SimulationReport, StagedBatch, Stager, StorageBackend, TimedBackend, TimingDriver,
 };
-use aboram_dram::DramConfig;
+use aboram_dram::{DramConfig, MemorySystem, RobCpu};
 use aboram_telemetry::{Captured, Collector};
-use aboram_trace::{profiles, TraceGenerator, TraceRecord};
+use aboram_trace::{profiles, MemOp, TraceGenerator, TraceRecord};
 
-/// Everything that crosses to the engine thread, and the staged accesses
-/// and captured hooks that cross back, is `Send`.
+/// Everything that crosses to the lane's helper — the driver's core and
+/// controller (its DRAM twin), a store's release halves, the messages of
+/// staged accesses with their jobs and captured hooks — and what comes back,
+/// is `Send`; and a driver, engine and all, may move between threads.
 const _: () = {
     const fn send<T: Send>() {}
     send::<TimingDriver>();
     send::<RingOram>();
     send::<PosMapHierarchy>();
     send::<FaultInjectingSink<Stager>>();
+    send::<RobCpu>();
+    send::<MemorySystem>();
+    send::<ReleaseHalf>();
+    send::<Message<(u32, MemOp)>>();
     send::<StagedBatch>();
     send::<TraceRecord>();
     send::<OramError>();

@@ -532,7 +532,7 @@ mod tests {
                 store.rmw_at(store.now(), &k.to_le_bytes(), &mut |_| Some(vec![1])).unwrap();
             }
             store.rmw_at(store.now(), b"absent", &mut |_| None).unwrap();
-            assert_eq!(store.lane_counts().spawns, 0, "the synchronous API stays inline");
+            assert_eq!(store.lane_counts().lane.spawns, 0, "the synchronous API stays inline");
 
             let cfg =
                 BatchConfig { batch_size, period: 4_000, queue_capacity: 64, pipelined: false };
@@ -546,11 +546,11 @@ mod tests {
             }
             let counts = fe.store().lane_counts();
             assert_eq!(fe.store().posmap().chain_depth(), depth);
-            assert_eq!(counts.spawns, 1, "one helper for the store's lifetime");
+            assert_eq!(counts.lane.spawns, 1, "one helper for the store's lifetime");
             assert_eq!(counts.threaded_batches, batches, "every batch ran on the helper");
-            assert_eq!(counts.waits, batches, "one blocking wait per batch, whatever its size");
+            assert_eq!(counts.lane.waits, batches, "one wait per batch, whatever its size");
 
-            let helper = counts.helper_alive;
+            let helper = counts.lane.helper_alive;
             assert!(helper.upgrade().is_some(), "the helper lives while the store does");
             drop(fe);
             assert!(helper.upgrade().is_none(), "dropping the store joins its helper");

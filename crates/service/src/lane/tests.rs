@@ -1,11 +1,12 @@
-//! The lane's two executors agree, and telemetry changes neither. A timed
-//! store releases a front-end batch's tree accesses on its lane's helper
-//! thread, or — with [`ObliviousStore::release_inline`] — each one inline
-//! (DESIGN.md §12). Both run the same stage and release halves in the same
-//! per-tree order, so every completion, counter, DRAM statistic and engine
-//! state must be identical. A collector on the calling thread must see the
-//! same registry from either executor, the helper's hooks replayed at each
-//! batch's close, and must change no result.
+//! A batch released on the lane's helper equals one released in place, and
+//! telemetry changes neither. A timed store releases a front-end batch's
+//! tree accesses on its lane's helper thread, or — with
+//! [`ObliviousStore::release_inline`] — each one inline (DESIGN.md §16).
+//! Both run the same stage and release halves in the same per-tree order, so
+//! every completion, counter, DRAM statistic and engine state must be
+//! identical. A collector on the calling thread must see the same registry
+//! either way, the helper's hooks carried back with each spent message, and
+//! must change no result.
 
 use crate::{
     BackendKind, BatchConfig, BatchingFrontEnd, Completion, FrontEndStats, ObliviousStore,

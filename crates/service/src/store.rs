@@ -14,15 +14,14 @@
 //! The synchronous API ([`ObliviousStore::rmw_at`], `get`, `put`) and an
 //! untimed store release every access inline, on the calling thread. A
 //! batch of the [`BatchingFrontEnd`](crate::BatchingFrontEnd) on a timed
-//! store lends its trees' release halves ([`ReleaseHalf`]) to a helper
-//! thread the store spawns on its first batch and joins when it drops: the
-//! calling thread stages each access and sends it over, with its tree and
-//! whether it arrives at the batch's launch or after the previous access of
-//! its chain, and the helper computes every `done`. Each tree's twin sees the same
-//! accesses in the same order at the same arrivals either way, so every
-//! cycle is the same. With a telemetry collector installed on the calling
-//! thread, the hooks the helper's releases fire are captured there and
-//! replayed into it when the batch closes.
+//! store lends its trees' release halves ([`ReleaseHalf`]) to the helper
+//! thread of its [`Lane`](aboram_core::Lane), spawned on its first batch and
+//! joined when the store drops: the calling thread stages each access and
+//! sends it over, with its tree and whether it arrives at the batch's launch
+//! or after the previous access of its chain, and the helper computes every
+//! `done`. Each tree's twin sees the same accesses in the same order at the
+//! same arrivals either way, so every cycle is the same, and the hooks the
+//! helper's releases fire reach a collector on the calling thread too.
 
 use crate::lane::{Arrival, Lane, Op};
 use crate::posmap::{RecursionConfig, RecursivePosMap};
