@@ -10,10 +10,11 @@ use aboram_tree::Level;
 /// Fig. 2 — dead blocks over time.
 ///
 /// Tracks the total number of dead blocks in the ORAM tree as online
-/// accesses proceed, for three individual benchmarks (mcf, lbm, xz) and the
-/// average of the whole SPEC-like suite, on the plain Ring ORAM setting the
-/// paper's motivation section uses. The paper's curve rises quickly and
-/// stabilizes (~18 % of tree space for the 24-level, Z = 12 tree).
+/// accesses proceed, for the three benchmarks the paper plots
+/// ([`profiles::fig2_benchmarks`]: mcf, lbm, xz) and the average of the
+/// whole SPEC-like suite, on the plain Ring ORAM setting the paper's
+/// motivation section uses. The paper's curve rises quickly and stabilizes
+/// (~18 % of tree space for the 24-level, Z = 12 tree).
 pub const FIG02_DEAD_BLOCKS_OVER_TIME: Study =
     Study { name: "fig02_dead_blocks_over_time", windows: |_| Vec::new(), render: fig02 };
 
@@ -44,7 +45,7 @@ fn fig02(env: &Experiment, _: &CellExecutor, _: &Measurements) -> Rendered {
         "tree: {} levels (plain Ring ORAM, Z = 12); total slots = {total_slots}\n\n",
         env.levels
     ));
-    for name in ["mcf", "lbm", "xz"] {
+    for name in profiles::fig2_benchmarks() {
         let s = all_series.iter().find(|s| s.name() == name).expect("benchmark in suite");
         out.push_str(&format!("## {name}\n\n{}\n", s.to_csv()));
     }

@@ -21,12 +21,12 @@ pub const FIG04_MOTIVATION_TRADEOFF: Study = Study {
     render: fig04,
 };
 
-/// The plain Ring ORAM baseline, every L-x shrink, and the channel-parallel
-/// AB reference point: where the paper's full design lands on the same axes.
+/// The plain Ring ORAM baseline, every L-x shrink, and the paper's AB
+/// reference point: where its full design lands on the same axes.
 fn fig04_schemes() -> Vec<Scheme> {
     std::iter::once(Scheme::PlainRing)
         .chain((1..=7u8).map(|x| Scheme::RingShrink { bottom_levels: x }))
-        .chain(std::iter::once(Scheme::AbChannelPar))
+        .chain(std::iter::once(Scheme::Ab))
         .collect()
 }
 
@@ -200,11 +200,11 @@ pub const FIG11_DR_SENSITIVITY: Study = Study {
 };
 
 /// The baseline, DR with 6..1 bottom levels (table order), and the
-/// channel-parallel AB reference point.
+/// paper's AB reference point.
 fn fig11_schemes() -> Vec<Scheme> {
     std::iter::once(Scheme::Baseline)
         .chain((1..=6u8).rev().map(|bottom| Scheme::Dr { bottom_levels: bottom }))
-        .chain(std::iter::once(Scheme::AbChannelPar))
+        .chain(std::iter::once(Scheme::Ab))
         .collect()
 }
 
@@ -245,14 +245,11 @@ pub const FIG13_NS_EXPLORATION: Study = Study {
 };
 
 /// The baseline, the full Ly-Sx sweep in table order, and the
-/// channel-parallel AB reference point.
+/// paper's AB reference point.
 fn fig13_schemes() -> Vec<Scheme> {
     let sweep =
         (1..=3u8).flat_map(|y| (1..=3u8).map(move |x| Scheme::Ns { bottom_levels: y, shrink: x }));
-    std::iter::once(Scheme::Baseline)
-        .chain(sweep)
-        .chain(std::iter::once(Scheme::AbChannelPar))
-        .collect()
+    std::iter::once(Scheme::Baseline).chain(sweep).chain(std::iter::once(Scheme::Ab)).collect()
 }
 
 fn fig13(env: &Experiment, _: &CellExecutor, measured: &Measurements) -> Rendered {
@@ -335,7 +332,7 @@ fn first_benches(suite: Vec<BenchmarkProfile>) -> Vec<BenchmarkProfile> {
 }
 
 /// The rows Figs. 4, 11 and 13 share, for every scheme after the first: its
-/// `label` ("AB-CP (ref)" for the AB reference point), then space and mcf
+/// `label` ("AB (ref)" for the paper's AB reference point), then space and mcf
 /// execution time, both normalized to the first scheme's, and the warmed
 /// engine's extension ratio.
 fn normalized_to_first(
@@ -353,8 +350,7 @@ fn normalized_to_first(
             let m = measured.get(&Window::new(scheme, &mcf));
             let time = m.report.exec_cycles as f64 / base_cycles;
             let space = env.normalized_space(scheme, &base_space)?;
-            let label =
-                if scheme == Scheme::AbChannelPar { "AB-CP (ref)".into() } else { label(scheme) };
+            let label = if scheme == Scheme::Ab { "AB (ref)".into() } else { label(scheme) };
             Ok((label, [space, time, m.extension_ratio]))
         })
         .collect()

@@ -4,11 +4,12 @@
 //! without caring whether time is simulated cycle-accurately or just
 //! accounted. [`StorageBackend`] is that seam: the engine plus a clock.
 //!
-//! * [`TimedBackend`] is the cycle-accurate twin — the same stager and
-//!   access controller (DRAM twin, crypto model, in-flight window) as
-//!   [`crate::TimingDriver`], minus the trace-driven CPU: the caller supplies
-//!   request arrival times and reads back completion times, so a load
-//!   generator measures real queueing latency on the simulated memory system.
+//! * [`TimedBackend`] is the cycle-accurate twin and the one timed engine:
+//!   the engine, its stager and the access controller (DRAM twin, crypto
+//!   model, in-flight window). [`crate::TimingDriver`] is this backend plus a
+//!   trace-driven core; here the caller supplies request arrival times and
+//!   reads back completion times, so a load generator measures real queueing
+//!   latency on the simulated memory system.
 //!   Each access has a *stage* half (the engine's protocol work, committed
 //!   by the stager) and a *release* half (the controller's gates and the
 //!   DRAM twin, which fix its `done`); the [`StorageBackend`] methods run
@@ -16,7 +17,7 @@
 //!   [`TimedBackend::stage_managed`] / [`TimedBackend::stage_dummy`] and
 //!   releases through a lent [`ReleaseHalf`] — the same two halves, so the
 //!   same cycles. The service's store releases its batches that way, on a
-//!   [`crate::Lane`]'s helper thread.
+//!   [`crate::Lane`]'s helper thread, and so does the trace driver's run.
 //! * [`UntimedBackend`] runs the identical protocol over a
 //!   [`CountingSink`] and charges a fixed cost per 64 B transfer — orders
 //!   of magnitude faster, with the same access *pattern* and the same
@@ -30,6 +31,7 @@
 use crate::config::OramConfig;
 use crate::controller::AccessController;
 use crate::error::OramError;
+use crate::fault::{FaultInjectingSink, FaultPlan, InjectedFaults};
 use crate::ring::{PayloadMutator, RingOram};
 use crate::sink::{CountingSink, StagedAccess, StagedBatch, Stager};
 use crate::{BlockId, BLOCK_BYTES};
@@ -135,11 +137,15 @@ pub trait StorageBackend {
 #[derive(Debug)]
 pub struct TimedBackend {
     oram: RingOram,
-    /// The engine's sink: each access is staged here.
-    stager: Stager,
+    /// The engine's sink: each access is staged on the stager, and a fault
+    /// poll is answered by the fault plan, if one is armed.
+    sink: Sink,
     /// The release half; `None` while it is lent out.
     release: Option<ReleaseHalf>,
 }
+
+/// The sink a [`TimedBackend`]'s engine writes to.
+pub(crate) type Sink = FaultInjectingSink<Stager>;
 
 /// A [`TimedBackend`]'s release half: its access controller, with the DRAM
 /// twin and the in-flight window. It holds no reference to the engine, so
@@ -151,9 +157,10 @@ pub struct ReleaseHalf {
 
 impl ReleaseHalf {
     /// Releases `access`, staged by the backend this half belongs to, which
-    /// arrived at cycle `arrival`: returns its `done`.
-    pub fn finish(&mut self, arrival: u64, access: StagedAccess<'_>) -> u64 {
-        self.ctl.finish(arrival, access).1
+    /// arrived at cycle `arrival`: returns the cycle it started and its
+    /// `done`.
+    pub fn finish(&mut self, arrival: u64, access: StagedAccess<'_>) -> (u64, u64) {
+        self.ctl.finish(arrival, access)
     }
 }
 
@@ -172,8 +179,11 @@ impl TimedBackend {
     /// tenant gets the channel-parallel drain end to end.
     pub fn from_oram(oram: RingOram, dram: DramConfig) -> Self {
         let ctl = AccessController::new(MemorySystem::new(dram), oram.config().scheme.issue_mode());
-        let stager = ctl.stager();
-        TimedBackend { oram, stager, release: Some(ReleaseHalf { ctl }) }
+        let release = Some(ReleaseHalf { ctl });
+        let mut backend = TimedBackend { oram, sink: Sink::new(Stager::new(dram)), release };
+        // Configures the stager for the controller's issue mode.
+        backend.set_pipeline_depth(1);
+        backend
     }
 
     fn ctl(&self) -> &AccessController {
@@ -182,6 +192,21 @@ impl TimedBackend {
 
     fn ctl_mut(&mut self) -> &mut AccessController {
         &mut self.release.as_mut().expect("the release half is lent out").ctl
+    }
+
+    /// Arms `plan`: installs its channel-stall schedule into the DRAM twin
+    /// and lets it answer the engine's fault polls from the next access on.
+    pub(crate) fn enable_faults(&mut self, plan: FaultPlan) {
+        let memory = self.ctl_mut().memory_mut();
+        for s in plan.stall_schedule(usize::from(memory.config().channels)) {
+            memory.inject_channel_stall(s.channel, s.at, s.duration);
+        }
+        self.sink.set_plan(Some(plan));
+    }
+
+    /// Faults the armed plan has injected so far (zero without one).
+    pub(crate) fn injected_faults(&self) -> InjectedFaults {
+        self.sink.injected()
     }
 
     /// Resolves every in-flight access, folds the completions into
@@ -240,26 +265,26 @@ impl TimedBackend {
         self.stage_into(staged, |oram, sink| oram.dummy_access(sink).map(drop))
     }
 
-    /// The stage half: runs one engine access on the stager and commits it
+    /// The stage half: runs one engine access on the sink and commits it
     /// to the stager's batch. An access the engine fails part-way through is
     /// abandoned at the stager's boundary: no release ever sees it.
     fn stage<T>(
         &mut self,
-        access: impl FnOnce(&mut RingOram, &mut Stager) -> Result<T, OramError>,
+        access: impl FnOnce(&mut RingOram, &mut Sink) -> Result<T, OramError>,
     ) -> Result<T, OramError> {
-        let result = access(&mut self.oram, &mut self.stager);
-        self.stager.end_access(result)
+        let result = access(&mut self.oram, &mut self.sink);
+        self.sink.inner_mut().end_access(result)
     }
 
     /// [`stage`](Self::stage), committing to `staged` instead.
-    fn stage_into<T>(
+    pub(crate) fn stage_into<T>(
         &mut self,
         staged: &mut StagedBatch,
-        access: impl FnOnce(&mut RingOram, &mut Stager) -> Result<T, OramError>,
+        access: impl FnOnce(&mut RingOram, &mut Sink) -> Result<T, OramError>,
     ) -> Result<T, OramError> {
-        std::mem::swap(self.stager.batch_mut(), staged);
+        std::mem::swap(self.sink.inner_mut().batch_mut(), staged);
         let result = self.stage(access);
-        std::mem::swap(self.stager.batch_mut(), staged);
+        std::mem::swap(self.sink.inner_mut().batch_mut(), staged);
         result
     }
 
@@ -267,14 +292,27 @@ impl TimedBackend {
     fn timed(
         &mut self,
         arrival: u64,
-        access: impl FnOnce(&mut RingOram, &mut Stager) -> Result<Option<[u8; BLOCK_BYTES]>, OramError>,
+        access: impl FnOnce(&mut RingOram, &mut Sink) -> Result<Option<[u8; BLOCK_BYTES]>, OramError>,
     ) -> Result<BackendReply, OramError> {
         let data = self.stage(access)?;
         let release = self.release.as_mut().expect("the release half is lent out");
-        let staged = self.stager.batch_mut();
-        let done = release.finish(arrival, staged.get(0));
+        let staged = self.sink.inner_mut().batch_mut();
+        let (_, done) = release.finish(arrival, staged.get(0));
         staged.clear();
         Ok(BackendReply { data, done })
+    }
+
+    /// Whether nothing is in flight on the controller and nothing of an
+    /// access is staged part-way.
+    #[cfg(test)]
+    pub(crate) fn is_idle(&self) -> bool {
+        self.ctl().is_idle() && self.sink.inner().is_idle()
+    }
+
+    /// Requests handed to the DRAM twin so far.
+    #[cfg(test)]
+    pub(crate) fn requests_issued(&self) -> u64 {
+        self.ctl().requests_issued()
     }
 }
 
@@ -311,7 +349,9 @@ impl StorageBackend for TimedBackend {
         let ctl = self.ctl_mut();
         ctl.set_depth(depth);
         let (mode, depth) = (ctl.issue_mode(), ctl.depth());
-        self.stager.configure(mode, depth);
+        // The stager commits every access for the controller's issue mode
+        // and depth.
+        self.sink.inner_mut().configure(mode, depth);
     }
 
     fn timed_mut(&mut self) -> Option<&mut TimedBackend> {
@@ -400,10 +440,8 @@ impl StorageBackend for UntimedBackend {
 mod tests {
     use super::*;
     use crate::config::Scheme;
-    use crate::fault::{FaultConfig, FaultInjectingSink, FaultPlan, FaultSite};
+    use crate::fault::FaultConfig;
     use crate::ring::AccessKind;
-    use crate::sink::{MemorySink, OramOp};
-    use aboram_tree::SlotAddr;
 
     fn cfg() -> OramConfig {
         OramConfig::builder(8, Scheme::Ab).store_data(true).seed(5).build().unwrap()
@@ -483,7 +521,8 @@ mod tests {
                     MemorySystem::new(DramConfig::default()),
                     scheme.issue_mode(),
                 );
-                let mut stager = bare.stager();
+                // Configured at the first depth below, before its first use.
+                let mut stager = Stager::new(DramConfig::default());
                 let mut backend = TimedBackend::new(&cfg, DramConfig::default()).unwrap();
                 for i in 0..192u64 {
                     if i % 64 == 0 {
@@ -533,12 +572,18 @@ mod tests {
 
     #[test]
     fn timed_backend_keeps_dram_request_state_bounded() {
-        for depth in [1u8, 4] {
-            let mut b = TimedBackend::new(&cfg(), DramConfig::default()).unwrap();
+        for (scheme, depth) in [
+            (Scheme::Ab, 1u8),
+            (Scheme::AbChannelPar, 1),
+            (Scheme::Ab, 4),
+            (Scheme::AbChannelPar, 4),
+        ] {
+            let cfg = OramConfig::builder(8, scheme).store_data(true).seed(5).build().unwrap();
+            let mut b = TimedBackend::new(&cfg, DramConfig::default()).unwrap();
             b.set_pipeline_depth(depth);
             let mut largest = 0u64;
             for i in 0..2_000u64 {
-                let before = b.ctl().requests_issued();
+                let before = b.requests_issued();
                 match i % 3 {
                     0 => {
                         b.access_managed(i * 50, i % 23, None, &mut |p| *p = [i as u8; BLOCK_BYTES])
@@ -547,32 +592,15 @@ mod tests {
                     _ => b.access_managed(i * 50, i % 23, None, &mut |_| {}),
                 }
                 .unwrap();
-                largest = largest.max(b.ctl().requests_issued() - before);
-                let tracked = b.ctl().memory().tracked_requests() as u64;
-                assert!(tracked <= u64::from(depth) * largest, "depth {depth} access {i}");
+                largest = largest.max(b.requests_issued() - before);
+                let tracked = b.memory().tracked_requests() as u64;
+                assert!(
+                    tracked <= u64::from(depth) * largest,
+                    "{scheme:?} depth {depth} access {i}"
+                );
             }
             b.quiesce();
-            assert_eq!(b.ctl().memory().tracked_requests(), 0, "depth {depth}");
-        }
-    }
-
-    /// The stager with a fault plan answering the engine's polls.
-    struct Flaky<'a> {
-        sink: &'a mut Stager,
-        plan: &'a mut FaultPlan,
-    }
-
-    impl MemorySink for Flaky<'_> {
-        fn read(&mut self, addr: SlotAddr, op: OramOp, online: bool) {
-            self.sink.read(addr, op, online);
-        }
-
-        fn write(&mut self, addr: SlotAddr, op: OramOp, online: bool) {
-            self.sink.write(addr, op, online);
-        }
-
-        fn poll_fault(&mut self, _addr: SlotAddr, site: FaultSite) -> bool {
-            self.plan.draw(site)
+            assert_eq!(b.memory().tracked_requests(), 0, "{scheme:?} depth {depth}");
         }
     }
 
@@ -590,24 +618,18 @@ mod tests {
         for depth in [1u8, 4] {
             let mut b = TimedBackend::new(&cfg(), DramConfig::default()).unwrap();
             b.set_pipeline_depth(depth);
+            b.enable_faults(FaultPlan::with_config(5, flips));
             let mut reference = b.engine().clone();
             let mut counted = FaultInjectingSink::with_plan(
                 CountingSink::new(),
                 FaultPlan::with_config(5, flips),
             );
-            let mut plan = FaultPlan::with_config(5, flips);
             let mut earlier = 0;
             let failing = (0..200u64).find(|&i| {
                 let before = counted.inner().grand_total();
                 let want = reference.access(AccessKind::Read, i % 23, None, &mut counted);
-                let got = b.timed(i * 50, |oram, sink| {
-                    oram.access(
-                        AccessKind::Read,
-                        i % 23,
-                        None,
-                        &mut Flaky { sink, plan: &mut plan },
-                    )
-                });
+                let got =
+                    b.timed(i * 50, |oram, sink| oram.access(AccessKind::Read, i % 23, None, sink));
                 assert_eq!(want.is_ok(), got.is_ok(), "access {i}");
                 let emitted = counted.inner().grand_total() - before;
                 if want.is_ok() {
@@ -618,19 +640,15 @@ mod tests {
                 want.is_err()
             });
             assert!(failing.expect("the plan exhausts a retry") > 0);
-            assert_eq!(
-                b.ctl().requests_issued(),
-                earlier,
-                "the twin saw the earlier accesses only"
-            );
+            assert_eq!(b.requests_issued(), earlier, "the twin saw the earlier accesses only");
+            assert_eq!(b.injected_faults(), counted.injected(), "depth {depth}");
             b.quiesce();
-            assert!(b.ctl().is_idle(), "depth {depth}: the controller is at rest");
-            assert!(b.stager.is_idle(), "depth {depth}: nothing of the failed access is staged");
-            let issued = b.ctl().requests_issued();
+            assert!(b.is_idle(), "depth {depth}: nothing in flight, nothing staged");
+            let (issued, counted0) = (b.requests_issued(), counted.inner().grand_total());
             b.access_managed(b.free_at(), 3, None, &mut |_| {}).expect("the next access completes");
-            let mut own = CountingSink::new();
-            reference.access(AccessKind::Read, 3, None, &mut own).unwrap();
-            assert_eq!(b.ctl().requests_issued() - issued, own.grand_total(), "depth {depth}");
+            reference.access(AccessKind::Read, 3, None, &mut counted).unwrap();
+            let own = counted.inner().grand_total() - counted0;
+            assert_eq!(b.requests_issued() - issued, own, "depth {depth}");
         }
     }
 

@@ -6,12 +6,13 @@
 //! release half of the timed path: it owns the release clock, the DRAM twin,
 //! the crypto-latency model, the access-pipeline depth and the in-flight
 //! window.
-//! [`crate::TimingDriver`] feeds it trace records from a ROB core and
-//! [`crate::TimedBackend`] feeds it service requests; neither keeps issue
-//! state of its own.
+//! [`crate::TimedBackend`] owns it, and with it the one stager kept
+//! configured alike; the backend's callers — the service's store, and
+//! [`crate::TimingDriver`], which is the backend plus a ROB core — keep no
+//! issue state of their own.
 //!
-//! One access is engine call(s) on a [`Stager`] configured for this
-//! controller ([`stager`](AccessController::stager)), which decode, row-run
+//! One access is engine call(s) on a [`Stager`](crate::Stager) configured
+//! for this controller's issue mode and depth, which decode, row-run
 //! and order its requests and commit them at the access boundary, then
 //! `finish(arrival, access)`, which releases the staged access and returns
 //! `(start, done)`: the cycle the access's requests reached DRAM and the
@@ -36,7 +37,7 @@
 //! is therefore bounded by depth × access size.
 
 use crate::config::IssueMode;
-use crate::sink::{Layout, StagedAccess, Stager};
+use crate::sink::{Layout, StagedAccess};
 use aboram_crypto::CryptoLatency;
 use aboram_dram::{MemorySystem, RequestId, RequestIdRange};
 use std::collections::VecDeque;
@@ -143,15 +144,6 @@ impl AccessController {
             crypto_exit: 0,
             completions: Vec::new(),
         }
-    }
-
-    /// A stager for this controller's geometry, issue mode and depth: the
-    /// sink its accesses are staged on. A later change of depth must be
-    /// passed on with [`Stager::configure`].
-    pub(crate) fn stager(&self) -> Stager {
-        let mut stager = Stager::new(*self.memory().config());
-        stager.configure(self.issue_mode, self.depth);
-        stager
     }
 
     /// The DRAM twin.
@@ -364,7 +356,7 @@ impl AccessController {
 mod tests {
     use super::*;
     use crate::buffer_of;
-    use crate::sink::{MemorySink, OramOp};
+    use crate::sink::{MemorySink, OramOp, Stager};
     use aboram_dram::{DramConfig, MemOpKind, Priority};
     use aboram_telemetry::Collector;
     use aboram_tree::SlotAddr;
@@ -413,7 +405,8 @@ mod tests {
         // The tests replace the default crypto model to isolate the DRAM
         // gates or the crypto ones.
         ctl.crypto = crypto;
-        let mut rig = Rig { stager: ctl.stager(), ctl };
+        // `set_depth` configures the stager for the controller.
+        let mut rig = Rig { stager: Stager::new(*ctl.memory().config()), ctl };
         rig.set_depth(depth);
         rig
     }

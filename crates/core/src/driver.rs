@@ -7,23 +7,26 @@
 //! everything. Execution time, the Fig. 8c operation breakdown and the
 //! Fig. 9 bandwidth numbers all come from here.
 //!
-//! A run has two stages. The *engine stage* runs the protocol on each
-//! record and stages the requests it emits — decoded, row-run and in release
-//! order; the *timing stage* gates and releases each staged access through
-//! the controller and times it. No cycle reaches the engine stage, so it runs
-//! on the calling thread, ahead of the timing stage, which runs on the
-//! driver's [`Lane`]: the driver lends the lane its controller, core and run
-//! totals for the run (DESIGN.md §16).
+//! The driver is a [`TimedBackend`] — the engine, its stager and the
+//! controller, the timed engine the service's store runs on too — plus the
+//! core. A run has two stages. The *engine stage* runs the protocol on each
+//! record and stages the requests it emits through the backend — decoded,
+//! row-run and in release order; the *timing stage* gates and releases each
+//! staged access through the backend's [`ReleaseHalf`] and times it. No
+//! cycle reaches the engine stage, so it runs on the calling thread, ahead of
+//! the timing stage, which runs on the driver's [`Lane`]: the driver lends
+//! the lane the release half, the core and the run totals for the run
+//! (DESIGN.md §16).
 
+use crate::backend::{ReleaseHalf, StorageBackend, TimedBackend};
 use crate::config::OramConfig;
-use crate::controller::AccessController;
 use crate::error::OramError;
-use crate::fault::{FaultInjectingSink, FaultPlan, InjectedFaults};
+use crate::fault::{FaultPlan, InjectedFaults};
 use crate::lane::{Lane, Message, Release};
 use crate::recursion::PosMapHierarchy;
 use crate::ring::{AccessKind, RingOram};
-use crate::sink::{OramOp, StagedAccess, Stager};
-use aboram_dram::{DramConfig, MemorySystem, RobCpu};
+use crate::sink::{OramOp, StagedAccess};
+use aboram_dram::{DramConfig, RobCpu};
 use aboram_stats::{HealthState, RecoveryStats};
 use aboram_trace::{MemOp, TraceRecord};
 
@@ -148,7 +151,9 @@ impl SimulationReport {
 }
 
 /// Drives an LLC-miss trace through a [`RingOram`] engine over the
-/// cycle-level memory system.
+/// cycle-level memory system: a [`TimedBackend`] — the engine, its stager
+/// and its controller — plus the trace-driven core that fixes when each
+/// access arrives.
 ///
 /// # Example
 ///
@@ -167,74 +172,18 @@ impl SimulationReport {
 /// ```
 #[derive(Debug)]
 pub struct TimingDriver {
-    engine: Engine,
-    /// The timing stage's state; on the lane's helper during a run.
-    timing: Option<Timing>,
-    lane: Lane<Timing>,
-}
-
-/// The engine stage: the protocol and all it consults, writing to a
-/// stager. Nothing here reads a cycle.
-#[derive(Debug)]
-struct Engine {
-    oram: RingOram,
+    /// The engine stage and, between runs, the release half.
+    backend: TimedBackend,
+    /// The core; on the lane's helper, with the release half, during a run.
+    cpu: Option<RobCpu>,
     /// Optional recursive position-map model (extension study; the paper
     /// keeps the posmap fully on-chip).
     posmap_model: Option<PosMapHierarchy>,
-    /// The fault plan's injector over the stager: a fault poll is answered
-    /// here, where the engine asks it.
-    sink: FaultInjectingSink<Stager>,
+    lane: Lane<Timing>,
 }
 
 /// A record's job on the lane: its instruction gap and its op.
 type Job = (u32, MemOp);
-
-impl Engine {
-    /// Stages `records`' accesses into `msg` in trace order, one access per
-    /// record. An error ends the staging: the stager abandons the failing
-    /// access at its boundary, so the timing stage never sees a partial
-    /// access, but its hooks stay in the message.
-    fn stage(
-        &mut self,
-        msg: &mut Message<Job>,
-        records: impl Iterator<Item = TraceRecord>,
-        block_count: u64,
-    ) -> Result<(), OramError> {
-        for rec in records {
-            msg.stage((rec.inst_gap, rec.op), |staged| {
-                aboram_telemetry::record_mark();
-                std::mem::swap(self.sink.inner_mut().batch_mut(), staged);
-                let result = self.access(&rec, block_count);
-                let stager = self.sink.inner_mut();
-                let result = stager.end_access(result);
-                std::mem::swap(stager.batch_mut(), staged);
-                result
-            })?;
-        }
-        Ok(())
-    }
-
-    /// One trace record's protocol work: every LLC miss (read or writeback)
-    /// is one ORAM access.
-    fn access(&mut self, rec: &TraceRecord, block_count: u64) -> Result<(), OramError> {
-        let block = (rec.addr / 64) % block_count;
-        let kind = match rec.op {
-            MemOp::Read => AccessKind::Read,
-            MemOp::Write => AccessKind::Write,
-        };
-        // Recursive position-map fetches (extension study) precede the data
-        // access: each PLB miss is one more full access, timed with it and
-        // released under the same start cycle (a serial release preserves
-        // their parent→child program order).
-        if let Some(model) = &mut self.posmap_model {
-            for _ in 0..model.access(block) {
-                self.oram.dummy_access(&mut self.sink)?;
-            }
-        }
-        self.oram.access(kind, block, None, &mut self.sink)?;
-        Ok(())
-    }
-}
 
 /// What the timing stage sums over a run.
 #[derive(Debug, Default)]
@@ -245,11 +194,11 @@ struct Totals {
     response_latency_cycles: u64,
 }
 
-/// The timing stage: the core, the controller and the run's totals.
+/// The timing stage, lent to the lane for a run: the backend's release
+/// half, the core and the run's totals.
 #[derive(Debug)]
 struct Timing {
-    /// The ORAM controller: decides when each access issues and completes.
-    ctl: AccessController,
+    release: ReleaseHalf,
     cpu: RobCpu,
     totals: Totals,
 }
@@ -261,7 +210,7 @@ impl Release for Timing {
     /// gates and release, and adds it to the totals.
     fn release(&mut self, &(gap, op): &Job, access: StagedAccess<'_>) {
         let issue = self.cpu.issue_op(gap);
-        let (start, done) = self.ctl.finish(issue, access);
+        let (start, done) = self.release.finish(issue, access);
         if op == MemOp::Read {
             self.cpu.complete_read_at(done);
         }
@@ -288,20 +237,12 @@ impl TimingDriver {
     /// parameter sweep warm the protocol state once and reuse it across
     /// timed runs.
     pub fn from_oram(oram: RingOram, dram: DramConfig) -> Self {
-        let ctl = AccessController::new(MemorySystem::new(dram), oram.config().scheme.issue_mode());
-        let engine =
-            Engine { oram, posmap_model: None, sink: FaultInjectingSink::new(ctl.stager()) };
-        let timing = Timing { ctl, cpu: RobCpu::new(4, 256), totals: Totals::default() };
-        TimingDriver { engine, timing: Some(timing), lane: Lane::default() }
-    }
-
-    /// The timing stage, home between runs.
-    fn timing(&self) -> &Timing {
-        self.timing.as_ref().expect("the timing stage is lent only during a run")
-    }
-
-    fn ctl_mut(&mut self) -> &mut AccessController {
-        &mut self.timing.as_mut().expect("the timing stage is lent only during a run").ctl
+        TimingDriver {
+            backend: TimedBackend::from_oram(oram, dram),
+            cpu: Some(RobCpu::new(4, 256)),
+            posmap_model: None,
+            lane: Lane::default(),
+        }
     }
 
     /// Sets the access-pipeline depth: the maximum number of concurrently
@@ -319,12 +260,7 @@ impl TimingDriver {
     /// already public — and changing the depth quiesces the window first
     /// (DESIGN.md §15).
     pub fn set_pipeline_depth(&mut self, depth: u8) {
-        let ctl = self.ctl_mut();
-        ctl.set_depth(depth);
-        let (mode, depth) = (ctl.issue_mode(), ctl.depth());
-        // The stager commits every access for the controller's issue mode
-        // and depth.
-        self.engine.sink.inner_mut().configure(mode, depth);
+        self.backend.set_pipeline_depth(depth);
     }
 
     /// Activates chaos testing: installs `plan`'s channel-stall schedule
@@ -333,17 +269,13 @@ impl TimingDriver {
     /// resulting [`SimulationReport::recovery`] block quantifies the
     /// degraded-mode overhead.
     pub fn enable_faults(&mut self, plan: FaultPlan) {
-        let memory = self.ctl_mut().memory_mut();
-        for s in plan.stall_schedule(usize::from(memory.config().channels)) {
-            memory.inject_channel_stall(s.channel, s.at, s.duration);
-        }
-        self.engine.sink.set_plan(Some(plan));
+        self.backend.enable_faults(plan);
     }
 
     /// Faults the injector has introduced so far (zero without
     /// [`enable_faults`](Self::enable_faults)).
     pub fn injected_faults(&self) -> InjectedFaults {
-        self.engine.sink.injected()
+        self.backend.injected_faults()
     }
 
     /// Arms integrity verification on the engine: per-bucket MAC tags are
@@ -354,37 +286,37 @@ impl TimingDriver {
     /// Idempotent; a fault-free verified run is bit-identical to an
     /// unverified one.
     pub fn enable_integrity(&mut self) {
-        self.engine.oram.enable_integrity();
+        self.oram_mut().enable_integrity();
     }
 
     /// Engine health: `Degraded` once any fault exhausts the recovery
     /// ladder under integrity verification, `Healthy` otherwise.
     pub fn health(&self) -> HealthState {
-        self.engine.oram.health()
+        self.backend.engine().health()
     }
 
     /// Enables the recursive position-map extension: PLB misses charge
     /// additional (dummy) ORAM accesses, quantifying the cost the paper's
     /// on-chip-posmap assumption hides.
     pub fn enable_posmap_recursion(&mut self, cfg: crate::recursion::PlbConfig) {
-        let blocks = self.engine.oram.config().real_block_count();
-        self.engine.posmap_model = Some(PosMapHierarchy::new(blocks, cfg));
+        let blocks = self.backend.engine().config().real_block_count();
+        self.posmap_model = Some(PosMapHierarchy::new(blocks, cfg));
     }
 
     /// The recursive position-map model, if enabled.
     pub fn posmap_model(&self) -> Option<&PosMapHierarchy> {
-        self.engine.posmap_model.as_ref()
+        self.posmap_model.as_ref()
     }
 
     /// Access to the engine (stats inspection, warm-up by protocol access).
     pub fn oram_mut(&mut self) -> &mut RingOram {
-        &mut self.engine.oram
+        self.backend.engine_mut()
     }
 
     /// The underlying memory system's statistics (final after
     /// [`run`](Self::run) returns; used e.g. by the energy model).
     pub fn memory_stats(&self) -> &aboram_dram::MemoryStats {
-        self.timing().ctl.memory().stats()
+        self.backend.memory().stats()
     }
 
     /// [`RingOram::warm_up`] under this driver's salt: no timed traffic.
@@ -393,7 +325,44 @@ impl TimingDriver {
     ///
     /// Propagates protocol errors (stash overflow).
     pub fn warm_up(&mut self, accesses: u64) -> Result<(), OramError> {
-        self.engine.oram.warm_up(accesses, 0x3aa3_5717)
+        self.oram_mut().warm_up(accesses, 0x3aa3_5717)
+    }
+
+    /// Stages `records`' accesses into `msg` in trace order, one access per
+    /// record. An error ends the staging: the stager abandons the failing
+    /// access at its boundary, so the timing stage never sees a partial
+    /// access, but its hooks stay in the message.
+    fn stage(
+        &mut self,
+        msg: &mut Message<Job>,
+        records: impl Iterator<Item = TraceRecord>,
+        block_count: u64,
+    ) -> Result<(), OramError> {
+        let TimingDriver { backend, posmap_model, .. } = self;
+        for rec in records {
+            let block = (rec.addr / 64) % block_count;
+            let kind = match rec.op {
+                MemOp::Read => AccessKind::Read,
+                MemOp::Write => AccessKind::Write,
+            };
+            msg.stage((rec.inst_gap, rec.op), |staged| {
+                aboram_telemetry::record_mark();
+                // Every LLC miss (read or writeback) is one ORAM access.
+                // Recursive position-map fetches (extension study) precede
+                // it: each PLB miss is one more full access, timed with it
+                // and released under the same start cycle (a serial release
+                // preserves their parent→child program order).
+                backend.stage_into(staged, |oram, sink| {
+                    if let Some(model) = posmap_model {
+                        for _ in 0..model.access(block) {
+                            oram.dummy_access(sink)?;
+                        }
+                    }
+                    oram.access(kind, block, None, sink).map(drop)
+                })
+            })?;
+        }
+        Ok(())
     }
 
     /// Stages `trace` on this thread, 32 records a message with at most two
@@ -407,7 +376,7 @@ impl TimingDriver {
     ) -> Result<(), OramError> {
         loop {
             let mut msg = if self.lane.out() < 2 { self.lane.message() } else { self.lane.spent() };
-            let staged = self.engine.stage(&mut msg, trace.take(MESSAGE), block_count);
+            let staged = self.stage(&mut msg, trace.take(MESSAGE), block_count);
             let more = staged.is_ok() && msg.len() == MESSAGE;
             self.lane.send(msg);
             if !more {
@@ -434,26 +403,26 @@ impl TimingDriver {
         // Populated blocks, not tree capacity: identical for fixed-capacity
         // engines (fully materialized at construction), and the only valid
         // address range for a partially filled auto-scaling tree.
-        let block_count = self.engine.oram.block_count();
+        let block_count = self.backend.engine().block_count();
         // Telemetry run header: the constant per-request bus occupancy (in
         // CPU cycles) lets the perf-report pipeline turn request counts into
         // exact bus-cycle attributions.
         {
-            let dram_cfg = self.timing().ctl.memory().config();
+            let dram_cfg = self.backend.memory().config();
             let burst_cpu = dram_cfg.to_cpu_cycles(dram_cfg.timing.burst);
-            let cfg = self.engine.oram.config();
+            let cfg = self.backend.engine().config();
             aboram_telemetry::begin_run(&cfg.scheme.to_string(), cfg.levels, burst_cpu);
         }
         // Bus cycles already attributed before this run (driver reuse): the
         // end-of-run telemetry summary reports the delta.
         let bus0: u64 = {
-            let mem = self.timing().ctl.memory().stats();
+            let mem = self.memory_stats();
             OramOp::ALL.iter().map(|op| mem.bus_cycles_for_tag(op.tag())).sum()
         };
         // Per-channel/per-bank occupancy already accumulated before this run
         // (driver reuse): end-of-run histograms report the delta.
         let (ch_req0, ch_bus0, bank_req0) = {
-            let mem = self.timing().ctl.memory().stats();
+            let mem = self.memory_stats();
             (
                 mem.requests_by_channel().to_vec(),
                 mem.bus_cycles_by_channel().to_vec(),
@@ -462,7 +431,7 @@ impl TimingDriver {
         };
         // Snapshot so the report covers the timed window only, not warm-up.
         let (users0, bg0, evicts0, resh0, recovery0) = {
-            let s = self.engine.oram.stats();
+            let s = self.backend.engine().stats();
             (
                 s.user_accesses,
                 s.background_accesses,
@@ -472,19 +441,19 @@ impl TimingDriver {
             )
         };
         let mut trace = trace.into_iter().fuse();
-        let timing = self.timing.take().expect("the timing stage is lent only during a run");
-        self.lane.open(timing);
+        let release = self.backend.lend_release();
+        let cpu = self.cpu.take().expect("the core is lent only during a run");
+        self.lane.open(Timing { release, cpu, totals: Totals::default() });
         let staged = self.stage_run(&mut trace, block_count);
-        let mut timing = self.lane.close();
-        let totals = std::mem::take(&mut timing.totals);
-        let Timing { ctl, cpu, .. } = self.timing.insert(timing);
+        let Timing { release, cpu, totals } = self.lane.close();
+        self.backend.return_release(release);
+        let cpu = self.cpu.insert(cpu);
         staged?;
 
         // The controller is free once every in-flight access's maintenance
-        // traffic has been serviced.
-        let exec_cycles = cpu.finish().max(ctl.quiesce());
-        ctl.memory_mut().drain();
-        let mem = ctl.memory().stats();
+        // traffic has been serviced; quiescing services every request.
+        let exec_cycles = cpu.finish().max(self.backend.quiesce());
+        let mem = self.backend.memory().stats();
         let mut breakdown = BreakdownReport::default();
         for op in OramOp::ALL {
             breakdown.bus_cycles[op.tag() as usize] = mem.bus_cycles_for_tag(op.tag());
@@ -505,7 +474,7 @@ impl TimingDriver {
         emit_delta("dram.channel_bus_cycles", mem.bus_cycles_by_channel(), &ch_bus0);
         emit_delta("dram.bank_requests", mem.requests_by_bank(), &bank_req0);
         aboram_telemetry::end_run(exec_cycles, breakdown.total() - bus0);
-        let oram = &self.engine.oram;
+        let oram = self.backend.engine();
         let s = oram.stats();
         Ok(SimulationReport {
             records: totals.records,
@@ -656,33 +625,12 @@ mod tests {
             let mut d = TimingDriver::new(&cfg, DramConfig::default()).unwrap();
             d.set_pipeline_depth(depth);
             let mut gen = TraceGenerator::new(&profile, 5);
-            let blocks = d.engine.oram.block_count();
-            let mut msg = Message::default();
-            let mut largest = 0u64;
-            for i in 0..5_000 {
-                let before = d.timing().ctl.requests_issued();
-                // One record through both stages, both on this thread, so the
-                // twin is observed between records.
-                d.engine.stage(&mut msg, std::iter::once(gen.next_record()), blocks).unwrap();
-                msg.release(d.timing.as_mut().unwrap());
-                let ctl = &d.timing().ctl;
-                largest = largest.max(ctl.requests_issued() - before);
-                let tracked = ctl.memory().tracked_requests() as u64;
-                assert!(
-                    tracked <= u64::from(depth) * largest,
-                    "{scheme:?} depth {depth} record {i}: {tracked} live slots, largest access {largest}"
-                );
-            }
-
-            // `run` ends quiesced: no slot survives it, after 100 records or
-            // after 10× the traffic.
+            // No DRAM request slot survives a run, after 100 records or after
+            // 10× the traffic.
             for records in [100, 1_000] {
                 d.run((0..records).map(|_| gen.next_record())).unwrap();
-                assert_eq!(
-                    d.timing().ctl.memory().tracked_requests(),
-                    0,
-                    "{scheme:?} depth {depth}"
-                );
+                let tracked = d.backend.memory().tracked_requests();
+                assert_eq!(tracked, 0, "{scheme:?} depth {depth}");
             }
         }
     }
@@ -709,10 +657,11 @@ mod tests {
             let mut d = TimingDriver::new(&cfg, DramConfig::default()).unwrap();
             d.set_pipeline_depth(depth);
             d.enable_faults(plan());
-            let blocks = d.engine.oram.block_count();
+            let blocks = d.oram_mut().block_count();
             // The same engine and poll stream over a counting sink.
-            let mut reference = d.engine.oram.clone();
-            let mut counted = FaultInjectingSink::with_plan(crate::CountingSink::new(), plan());
+            let mut reference = d.oram_mut().clone();
+            let mut counted =
+                crate::FaultInjectingSink::with_plan(crate::CountingSink::new(), plan());
             let mut emit = |rec: &TraceRecord| {
                 let before = counted.inner().grand_total();
                 let kind = if rec.op == MemOp::Read { AccessKind::Read } else { AccessKind::Write };
@@ -738,18 +687,16 @@ mod tests {
                 aboram_telemetry::install(collector);
             }
             assert!(d.run(records.iter().copied()).is_err());
-            let ctl = d.ctl_mut();
-            assert_eq!(ctl.requests_issued(), earlier, "the twin saw the earlier accesses only");
-            ctl.quiesce();
-            assert!(ctl.is_idle(), "depth {depth}: the controller is at rest");
-            let stager = d.engine.sink.inner();
-            assert!(stager.is_idle(), "depth {depth}: nothing of the failed access is staged");
+            let b = &mut d.backend;
+            assert_eq!(b.requests_issued(), earlier, "the twin saw the earlier accesses only");
+            b.quiesce();
+            assert!(b.is_idle(), "depth {depth}: nothing in flight, nothing staged");
             let next = records[failing + 1];
-            let issued = d.timing().ctl.requests_issued();
+            let issued = d.backend.requests_issued();
             d.run([next]).expect("the next access completes");
             let (ok, own) = emit(&next);
             assert!(ok);
-            let released = d.timing().ctl.requests_issued() - issued;
+            let released = d.backend.requests_issued() - issued;
             assert_eq!(released, own, "it releases only its own requests");
             if traced {
                 aboram_telemetry::uninstall();

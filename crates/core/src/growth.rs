@@ -113,12 +113,6 @@ impl DynamicTree {
         self.relocations
     }
 
-    /// Whether `raw` is still awaiting its post-grow refresh.
-    pub fn is_stale(&self, raw: u64) -> bool {
-        let (w, b) = ((raw / 64) as usize, raw % 64);
-        self.stale.get(w).is_some_and(|word| word & (1u64 << b) != 0)
-    }
-
     /// Clears `raw` from the backlog if present; returns whether it was
     /// set. Called by the ordinary rebuild path, which refreshes the
     /// bucket as a side effect.
@@ -205,7 +199,7 @@ mod tests {
         let mut dt = DynamicTree::new();
         dt.begin_epoch(130);
         assert_eq!(dt.backlog(), 130);
-        assert!(dt.is_stale(0) && dt.is_stale(129) && !dt.is_stale(130));
+        assert!(!dt.clear_if_stale(130), "past the epoch's buckets");
         // Ordinary rebuild clears a few for free.
         assert!(dt.clear_if_stale(5));
         assert!(!dt.clear_if_stale(5), "second clear is a no-op");

@@ -423,12 +423,6 @@ impl BucketMeta {
         self.n_borrowed = 0;
     }
 
-    /// Logical slots that are valid, optionally excluding real-block slots.
-    pub fn valid_slots(&self, exclude_real: bool) -> Vec<u8> {
-        let mask = if exclude_real { self.dummy_mask() } else { self.valid_mask() };
-        (0..self.logical_slots).filter(|&i| mask & (1 << i) != 0).collect()
-    }
-
     /// readPath budget left before an earlyReshuffle is due, under a
     /// sustained budget of `budget` accesses.
     #[inline]
@@ -883,8 +877,6 @@ mod tests {
         assert_eq!(m.slot_entry_index(2), Some(0));
         assert!(m.slot_entry_index(3).is_none());
         // Dummy candidates exclude the real slot.
-        assert_eq!(m.valid_slots(true), vec![0, 1, 3]);
-        assert_eq!(m.valid_slots(false), vec![0, 1, 2, 3]);
         assert_eq!(m.dummy_mask(), 0b1011);
         assert_eq!(m.valid_mask(), 0b1111);
         assert_eq!(m.take_at(m.entry_index(42).unwrap()).addr, 42);

@@ -81,7 +81,7 @@ impl Release for Releases {
     /// the chain's last `done`.
     fn release(&mut self, &(tree, arrival): &(usize, Arrival), access: StagedAccess<'_>) {
         let start = arrival.cycle(self.last_done);
-        self.last_done = self.halves[tree].finish(start, access);
+        self.last_done = self.halves[tree].finish(start, access).1;
         self.dones.push(self.last_done);
     }
 }

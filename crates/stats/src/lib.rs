@@ -35,5 +35,5 @@ pub use health::HealthState;
 pub use histogram::LevelHistogram;
 pub use recovery::RecoveryStats;
 pub use series::TimeSeries;
-pub use summary::{arithmetic_mean, geometric_mean, normalize, MinAvgMax};
+pub use summary::{arithmetic_mean, geometric_mean, MinAvgMax};
 pub use table::Table;

@@ -26,16 +26,6 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// Divides every value by `baseline` (the paper's "normalized over Baseline").
-///
-/// # Panics
-///
-/// Panics if `baseline` is zero.
-pub fn normalize(values: &[f64], baseline: f64) -> Vec<f64> {
-    assert!(baseline != 0.0, "cannot normalize to a zero baseline");
-    values.iter().map(|v| v / baseline).collect()
-}
-
 /// Streaming min/avg/max tracker (Fig. 12's three lifetime lines).
 ///
 /// # Example
@@ -125,17 +115,6 @@ mod tests {
         assert_eq!(arithmetic_mean(&[1.0, 3.0]), 2.0);
         assert_eq!(geometric_mean(&[]), 0.0);
         assert!((geometric_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalize_divides() {
-        assert_eq!(normalize(&[2.0, 4.0], 2.0), vec![1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero baseline")]
-    fn normalize_rejects_zero() {
-        let _ = normalize(&[1.0], 0.0);
     }
 
     #[test]
