@@ -43,6 +43,7 @@
 mod backend;
 mod config;
 mod controller;
+mod datastore;
 mod deadq;
 mod driver;
 mod error;

@@ -38,6 +38,7 @@
 //! into the metadata access, §VI-A); stale entries are discarded.
 
 use crate::config::{OramConfig, DEADQ_LEVELS, EVICT_RATE_A, RELOCS_PER_ACCESS};
+use crate::datastore::DataStore;
 use crate::deadq::DeadQueues;
 use crate::error::OramError;
 use crate::fault::{FaultSite, BACKOFF_BASE_CYCLES, MAX_FAULT_RETRIES, REDUNDANT_REFETCHES};
@@ -49,7 +50,6 @@ use crate::sink::{MemorySink, OramOp};
 use crate::stash::{EvictionPlan, Held, Pick, Stash};
 use crate::stats::OramStats;
 use crate::{BlockId, BLOCK_BYTES};
-use aboram_crypto::{BlockCipher, SealedBlock};
 use aboram_stats::HealthState;
 use aboram_telemetry::{self as telemetry, Phase};
 use aboram_tree::{
@@ -70,69 +70,6 @@ pub enum AccessKind {
     Read,
     /// Overwrite a block's contents.
     Write,
-}
-
-/// Optional encrypted backing store for block contents.
-#[derive(Debug, Clone, PartialEq)]
-struct DataStore {
-    cipher: BlockCipher,
-    slots: Vec<SealedBlock>,
-    counters: Vec<u64>,
-}
-
-impl DataStore {
-    fn new(layout: &PhysicalLayout, seed: u64) -> Self {
-        let n = (layout.data_bytes() / BLOCK_BYTES as u64) as usize;
-        let mut key = [0u8; 32];
-        key[..8].copy_from_slice(&seed.to_le_bytes());
-        key[8..16].copy_from_slice(&(!seed).to_le_bytes());
-        let cipher = BlockCipher::new(key);
-        let mut store =
-            DataStore { cipher, slots: vec![SealedBlock::default(); n], counters: vec![0; n] };
-        let zero = [0u8; BLOCK_BYTES];
-        for i in 0..n {
-            store.write_index(i, &zero);
-        }
-        store
-    }
-
-    fn index(addr: SlotAddr) -> usize {
-        (addr.byte() / BLOCK_BYTES as u64) as usize
-    }
-
-    fn write(&mut self, addr: SlotAddr, plain: &[u8; BLOCK_BYTES]) {
-        self.write_index(Self::index(addr), plain);
-    }
-
-    fn write_index(&mut self, i: usize, plain: &[u8; BLOCK_BYTES]) {
-        self.counters[i] += 1;
-        self.slots[i] = self.cipher.seal(plain, i as u64 * BLOCK_BYTES as u64, self.counters[i]);
-    }
-
-    fn read(&self, addr: SlotAddr) -> Result<[u8; BLOCK_BYTES], OramError> {
-        let i = Self::index(addr);
-        self.cipher
-            .open(&self.slots[i], i as u64 * BLOCK_BYTES as u64, self.counters[i])
-            .map_err(|e| OramError::DataIntegrity { address: e.address })
-    }
-
-    /// Extends the store to cover a grown layout. Growth extents live past
-    /// the old high-water mark, so the index space now spans the whole
-    /// byte range; the gap indexes (metadata bytes) stay zero-sealed and
-    /// unused.
-    fn grow_to(&mut self, layout: &PhysicalLayout) {
-        let n = (layout.total_bytes() / BLOCK_BYTES as u64) as usize;
-        if n <= self.slots.len() {
-            return;
-        }
-        let old = self.slots.len();
-        self.slots.resize(n, SealedBlock::default());
-        self.counters.resize(n, 0);
-        let zero = [0u8; BLOCK_BYTES];
-        for i in old..n {
-            self.write_index(i, &zero);
-        }
-    }
 }
 
 /// Per-access scratch buffers, held on the engine so the hot path reuses
@@ -1128,7 +1065,10 @@ impl RingOram {
         }
         self.scratch.slots = slots;
 
-        // Write phase: every logical slot goes back to memory re-encrypted.
+        // Write phase: every logical slot goes back to memory re-encrypted,
+        // a placed block's payload in its slot and the zero block elsewhere.
+        placed.sort_unstable_by_key(|&(ptr, _)| ptr);
+        let mut payloads = placed.iter().peekable();
         for logical in 0..logical_slots {
             let phys = self.meta.resolve(bucket, logical);
             let addr = self.slot_addr(phys)?;
@@ -1136,11 +1076,10 @@ impl RingOram {
                 self.post_write(addr, op, false, bucket, sink)?;
             }
             if let Some(data) = &mut self.data {
-                let plain = placed
-                    .iter()
-                    .find(|(p, _)| *p == logical)
+                let plain = payloads
+                    .next_if(|(ptr, _)| *ptr == logical)
                     .map_or(&[0; BLOCK_BYTES], |(_, d)| d);
-                data.write(addr, plain);
+                self.stats.blocks_sealed += u64::from(data.write(addr, plain));
             }
         }
         if self.off_chip(bucket) {
@@ -1343,7 +1282,10 @@ impl RingOram {
             }
         }
         match &self.data {
-            Some(ds) => ds.read(addr),
+            Some(ds) => {
+                self.stats.blocks_opened += 1;
+                ds.read(addr)
+            }
             None => Ok([0; BLOCK_BYTES]),
         }
     }
@@ -1538,6 +1480,12 @@ impl RingOram {
             self.rebuild_buckets(&[bucket], None, OramOp::EarlyReshuffle, sink)?;
         }
         Ok(())
+    }
+
+    /// The data path, when the engine has one.
+    #[cfg(test)]
+    pub(crate) fn data_store(&self) -> Option<&DataStore> {
+        self.data.as_ref()
     }
 
     /// Verifies the core invariant: every mapped block is findable on its
@@ -1935,6 +1883,41 @@ mod tests {
         );
         assert!(moved * 3 < read + picked, "{moved} stash moves against {read} + {picked}");
         oram.validate_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_rebuild_seals_only_the_non_zero_blocks_it_places() {
+        // Every block written, odd ones non-zero and even ones all-zero: an
+        // evictPath seals exactly the odd blocks it places on its path and
+        // nothing for the even ones or the dummies around them.
+        let cfg = OramConfig::builder(8, Scheme::Ab).seed(3).store_data(true).build().unwrap();
+        let mut oram = RingOram::new(&cfg).unwrap();
+        let mut sink = CountingSink::new();
+        for b in 0..oram.block_count() {
+            let fill = if b % 2 == 1 { b as u8 | 1 } else { 0 };
+            oram.write(b, [fill; BLOCK_BYTES], &mut sink).unwrap();
+        }
+        let (mut sealed, mut slots) = (0, 0);
+        for _ in 0..50 {
+            let path = reverse_lex_path(oram.evict_counter, oram.geo.levels());
+            let before = oram.stats().blocks_sealed;
+            oram.evict_path(OramOp::EvictPath, &mut sink).unwrap();
+            let placed_odd: u64 = oram
+                .geo
+                .path_buckets(path)
+                .map(|b| oram.meta.get(b).entries().filter(|e| e.addr % 2 == 1).count() as u64)
+                .sum();
+            let rewritten: u64 = oram
+                .geo
+                .path_buckets(path)
+                .map(|b| u64::from(oram.meta.get(b).logical_slots))
+                .sum();
+            assert_eq!(oram.stats().blocks_sealed - before, placed_odd);
+            sealed += placed_odd;
+            slots += rewritten;
+        }
+        assert!(sealed > 0 && sealed * 4 < slots, "{sealed} seals for {slots} rewritten slots");
+        oram.data_store().unwrap().assert_matches_oracle();
     }
 
     #[test]

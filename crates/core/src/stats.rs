@@ -44,6 +44,12 @@ pub struct OramStats {
     stash_occupancy: Vec<u64>,
     /// Fault-recovery counters (all zero unless fault injection is active).
     pub recovery: RecoveryStats,
+    /// Blocks the data path sealed into memory: one per rebuilt slot whose
+    /// plaintext is not the zero block (dummies and zero blocks keep no
+    /// bytes, so they cost no seal).
+    pub blocks_sealed: u64,
+    /// Blocks the data path verified and decrypted: one per block fetch.
+    pub blocks_opened: u64,
 }
 
 impl OramStats {
@@ -64,6 +70,8 @@ impl OramStats {
             remote_slot_reads: 0,
             stash_occupancy: vec![0; 1024],
             recovery: RecoveryStats::new(),
+            blocks_sealed: 0,
+            blocks_opened: 0,
         }
     }
 

@@ -562,6 +562,23 @@ mod tests {
     }
 
     #[test]
+    fn an_all_zero_value_reads_back() {
+        // An empty value encodes as the all-zero block, which the data path
+        // keeps as a counter alone; a zero-filled value is a length and
+        // zeros. Both read back after their blocks were evicted and rebuilt.
+        let mut s = store(8, Scheme::Ab);
+        s.put(b"empty", b"");
+        s.put(b"zeros", &[0; MAX_VALUE_BYTES]);
+        for i in 0..300u32 {
+            s.put(&i.to_le_bytes(), &i.to_le_bytes());
+        }
+        assert!(s.data_engine().stats().evict_paths > 50);
+        assert_eq!(s.get(b"empty").as_deref(), Some(b"".as_slice()));
+        assert_eq!(s.get(b"zeros").as_deref(), Some([0; MAX_VALUE_BYTES].as_slice()));
+        assert_eq!(s.get(&7u32.to_le_bytes()).as_deref(), Some(7u32.to_le_bytes().as_slice()));
+    }
+
+    #[test]
     fn miss_costs_the_same_bus_pattern_as_a_hit() {
         let mut s = store(8, Scheme::Baseline);
         s.put(b"k", b"v");
