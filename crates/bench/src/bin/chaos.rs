@@ -99,7 +99,8 @@ fn main() {
 
     for scheme in Scheme::evaluated() {
         eprintln!("[warming {scheme}]");
-        let warmed = env.warmed_oram(scheme).unwrap_or_else(|e| fail("chaos", e));
+        let warmed =
+            env.warm(scheme).and_then(|cell| cell.build()).unwrap_or_else(|e| fail("chaos", e));
 
         let run = |plan: Option<FaultPlan>| {
             let mut driver = TimingDriver::from_oram(warmed.clone(), DramConfig::default());

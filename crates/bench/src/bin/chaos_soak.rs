@@ -29,7 +29,7 @@
 use aboram_bench::{derive_cell_seed, emit, refuse, CellExecutor};
 use aboram_core::{
     AccessKind, CountingSink, FaultConfig, FaultInjectingSink, FaultPlan, HealthState, OramConfig,
-    OramError, RecoveryStats, RingOram, Scheme, BLOCK_BYTES,
+    OramError, RecoveryStats, Scheme, BLOCK_BYTES,
 };
 use aboram_stats::{fnv1a64, Table};
 use rand::rngs::StdRng;
@@ -135,7 +135,7 @@ fn drive(
     access_seed: u64,
     plan: Option<FaultPlan>,
 ) -> Result<RunDigest, OramError> {
-    let mut oram = RingOram::new(cfg)?;
+    let mut oram = aboram_bench::Cell::cold(cfg.clone()).build()?;
     oram.enable_integrity();
     let mut sink = FaultInjectingSink::new(CountingSink::new());
     sink.set_plan(plan);

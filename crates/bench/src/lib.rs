@@ -2,12 +2,12 @@
 //!
 //! Every figure, table, ablation and extension of the AB-ORAM evaluation is
 //! a [`Study`] under [`studies`] (see DESIGN.md's per-experiment index): the
-//! timed windows it needs and a render that turns them into its `results/`
-//! files. Each binary in `src/bin/` runs one study; `run_all` runs them all
-//! in one process, warming each configuration once. This library also holds
-//! the common machinery: the experiment environment (tree size, warm-up
-//! length, timed-window length — all overridable via `ABORAM_*` environment
-//! variables), protocol-level runs, and output helpers that write both
+//! windows it needs, timed or churn, and a render that turns them into its
+//! `results/` files. Each binary in `src/bin/` runs one study; `run_all` runs
+//! them all in one process, building each engine configuration once. This
+//! library also holds the common machinery: the experiment environment (tree
+//! size, warm-up length, timed-window length — all overridable via
+//! `ABORAM_*` environment variables) and output helpers that write both
 //! human-readable markdown and machine-readable CSV under `results/`.
 //!
 //! # Scaling
@@ -28,15 +28,13 @@ mod study;
 
 pub use executor::{derive_cell_seed, CellExecutor};
 pub use study::{
-    measure, run_studies, study_main, Measured, Measurements, Rendered, Study, Window,
+    measure, run_studies, study_main, Cell, Churn, Churned, Measured, Measurements, Rendered, Run,
+    Study, Window,
 };
 
-use aboram_core::{AccessKind, CountingSink, OramConfig, OramError, RingOram, Scheme};
+use aboram_core::{OramConfig, OramError, Scheme};
 use aboram_telemetry::TelemetryGuard;
-use aboram_trace::{BenchmarkProfile, TraceGenerator};
 use aboram_tree::SpaceReport;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
@@ -98,33 +96,10 @@ impl Experiment {
         Ok(self.space_report(scheme)?.normalized_to(base))
     }
 
-    /// Builds and warms an engine for `scheme` with `warmup` uniform random
-    /// reads (the §VII warm-up phase; [`RingOram::warm_up`] under this
-    /// harness's salt). The study runner warms each configuration once and
-    /// `clone()`s it into that configuration's timed windows.
-    pub fn warmed_oram(&self, scheme: Scheme) -> Result<RingOram, OramError> {
-        let mut oram = RingOram::new(&self.config(scheme)?)?;
-        oram.warm_up(self.warmup, 0xaaaa)?;
-        Ok(oram)
-    }
-
-    /// Builds a protocol-mode study cell for `scheme`: a fresh engine, a
-    /// counting sink, and a churn source, ready to [`ProtocolRun::advance`].
-    pub fn protocol_run(&self, scheme: Scheme, churn: ChurnKind) -> Result<ProtocolRun, OramError> {
-        self.protocol_run_with(self.config(scheme)?, churn)
-    }
-
-    /// Like [`Experiment::protocol_run`] but with a caller-built config
-    /// (lifetime tracking, DeadQ capacity and similar ablation knobs).
-    pub fn protocol_run_with(
-        &self,
-        cfg: OramConfig,
-        churn: ChurnKind,
-    ) -> Result<ProtocolRun, OramError> {
-        let oram = RingOram::new(&cfg)?;
-        let blocks = cfg.real_block_count();
-        let source = BlockSource::new(churn, cfg.seed);
-        Ok(ProtocolRun { oram, sink: CountingSink::new(), source, blocks })
+    /// The warm cell of `scheme` at this scale: its configuration after
+    /// `warmup` uniform random reads. Every timed window runs on one.
+    pub fn warm(&self, scheme: Scheme) -> Result<Cell, OramError> {
+        Ok(Cell { config: self.config(scheme)?, warmup: self.warmup })
     }
 }
 
@@ -132,91 +107,6 @@ impl Experiment {
 /// figure compares scales other than the experiment default, e.g. L = 24).
 pub fn space_report_of(cfg: &OramConfig) -> Result<SpaceReport, OramError> {
     Ok(cfg.geometry()?.space_report(cfg.real_block_count()))
-}
-
-/// How a protocol-mode churn loop picks the next block to touch.
-#[derive(Debug, Clone, Copy)]
-pub enum ChurnKind<'a> {
-    /// Uniform random blocks (the warm-up/census pattern of Fig. 10/12).
-    Uniform,
-    /// Trace-driven: cache lines of a synthetic benchmark (Fig. 2/14).
-    Trace(&'a BenchmarkProfile),
-    /// 50/50 mix of trace-driven and uniform touches so a census covers the
-    /// whole block space like the paper's 400 M-access runs (Fig. 3).
-    Mixed(&'a BenchmarkProfile),
-}
-
-#[derive(Debug)]
-enum BlockSource {
-    Uniform(StdRng),
-    Trace(TraceGenerator),
-    Mixed(TraceGenerator, StdRng),
-}
-
-impl BlockSource {
-    fn new(kind: ChurnKind, seed: u64) -> Self {
-        match kind {
-            ChurnKind::Uniform => BlockSource::Uniform(StdRng::seed_from_u64(seed)),
-            ChurnKind::Trace(p) => BlockSource::Trace(TraceGenerator::new(p, seed)),
-            ChurnKind::Mixed(p) => {
-                BlockSource::Mixed(TraceGenerator::new(p, seed), StdRng::seed_from_u64(seed))
-            }
-        }
-    }
-
-    fn next_block(&mut self, blocks: u64) -> u64 {
-        match self {
-            BlockSource::Uniform(rng) => rng.gen_range(0..blocks),
-            BlockSource::Trace(gen) => (gen.next_record().addr / 64) % blocks,
-            BlockSource::Mixed(gen, rng) => {
-                // Draw the trace record unconditionally so the generator
-                // stream stays aligned with the coin flips.
-                let rec = gen.next_record();
-                if rng.gen_bool(0.5) {
-                    (rec.addr / 64) % blocks
-                } else {
-                    rng.gen_range(0..blocks)
-                }
-            }
-        }
-    }
-}
-
-/// A protocol-mode study in flight: engine, sink, and churn source.
-///
-/// Produced by [`Experiment::protocol_run`]; drive it with
-/// [`advance`](ProtocolRun::advance) and read `oram.stats()` / `sink`
-/// afterwards.
-#[derive(Debug)]
-pub struct ProtocolRun {
-    /// The engine under study.
-    pub oram: RingOram,
-    /// The protocol-mode traffic sink.
-    pub sink: CountingSink,
-    source: BlockSource,
-    blocks: u64,
-}
-
-impl ProtocolRun {
-    /// Performs `n` online read accesses.
-    pub fn advance(&mut self, n: u64) -> Result<(), OramError> {
-        self.advance_with(n, |_, _| {})
-    }
-
-    /// Performs `n` online read accesses, calling `observe(i, &engine)`
-    /// after each (for time-series sampling).
-    pub fn advance_with(
-        &mut self,
-        n: u64,
-        mut observe: impl FnMut(u64, &RingOram),
-    ) -> Result<(), OramError> {
-        for i in 0..n {
-            let block = self.source.next_block(self.blocks);
-            self.oram.access(AccessKind::Read, block, None, &mut self.sink)?;
-            observe(i, &self.oram);
-        }
-        Ok(())
-    }
 }
 
 /// Installs a JSONL telemetry collector when `ABORAM_TELEMETRY` names an
@@ -290,10 +180,14 @@ pub fn emit(name: &str, content: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aboram_core::{PlbConfig, PosMapHierarchy, TimingDriver};
+    use aboram_core::{
+        AccessKind, CountingSink, PlbConfig, PosMapHierarchy, RingOram, TimingDriver,
+    };
     use aboram_dram::DramConfig;
-    use aboram_trace::profiles;
+    use aboram_trace::{profiles, TraceGenerator};
     use aboram_tree::PhysicalLayout;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn env_defaults() {
@@ -330,21 +224,28 @@ mod tests {
     #[test]
     fn warmed_oram_runs() {
         let e = Experiment { levels: 10, warmup: 500, timed: 10, protocol_accesses: 10, seed: 1 };
-        let oram = e.warmed_oram(Scheme::Ab).unwrap();
+        let oram = e.warm(Scheme::Ab).unwrap().build().unwrap();
         assert_eq!(oram.stats().user_accesses, 500);
     }
 
-    /// The runner's oracle: warm per window, time the window on the warmed
-    /// engine.
-    fn warmed_per_window(env: &Experiment, window: &Window) -> Measured {
-        let oram = env.warmed_oram(window.scheme).unwrap();
+    /// The oracles' engine: built and warmed by hand, per window.
+    fn built_by_hand(cell: &Cell) -> RingOram {
+        let mut oram = RingOram::new(&cell.config).unwrap();
+        oram.warm_up(cell.warmup, 0xaaaa).unwrap();
+        oram
+    }
+
+    /// The runner's oracle for a timed window.
+    fn timed_per_window(env: &Experiment, cell: &Cell, run: &Run) -> Measured {
+        let Run::Timed { profile, dram, plb } = run else { unreachable!("a timed run") };
+        let oram = built_by_hand(cell);
         let extension_ratio = oram.stats().extension_ratio();
         let footprint_bytes = PhysicalLayout::new(oram.geometry()).total_bytes();
-        let mut driver = TimingDriver::from_oram(oram, window.dram);
-        if let Some(plb) = window.plb {
+        let mut driver = TimingDriver::from_oram(oram, *dram);
+        if let Some(plb) = *plb {
             driver.enable_posmap_recursion(plb);
         }
-        let mut gen = TraceGenerator::new(&window.profile, env.seed);
+        let mut gen = TraceGenerator::new(profile, env.seed);
         let report = driver.run((0..env.timed).map(|_| gen.next_record())).unwrap();
         Measured {
             report,
@@ -355,42 +256,110 @@ mod tests {
         }
     }
 
-    /// A window list with duplicates over three schemes: three warm-ups,
-    /// every window equal to warming per window, and the same measurements
-    /// on one worker and on four.
+    /// The runner's oracle for a churn window: reads the blocks the churn
+    /// picks, one source per kind.
+    fn churned_per_window(cell: &Cell, run: &Run) -> Churned {
+        let Run::Churn { churn, accesses } = run else { unreachable!("a churn run") };
+        let (seed, blocks) = (cell.config.seed, cell.config.real_block_count());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut gen = match churn {
+            Churn::Uniform => None,
+            Churn::Trace(p) | Churn::Mixed(p) => Some(TraceGenerator::new(p, seed)),
+        };
+        let mut next_block = || match (churn, gen.as_mut().map(|g| g.next_record().addr / 64)) {
+            (Churn::Trace(_), Some(line)) => line % blocks,
+            (Churn::Mixed(_), Some(line)) if rng.gen_bool(0.5) => line % blocks,
+            _ => rng.gen_range(0..blocks),
+        };
+        let mut oram = built_by_hand(cell);
+        let (start, mut sink, mut dead_samples) =
+            (oram.stats().clone(), CountingSink::new(), vec![]);
+        let every = (accesses / 40).max(1);
+        for i in 0..*accesses {
+            oram.access(AccessKind::Read, next_block(), None, &mut sink).unwrap();
+            if i % every == 0 {
+                dead_samples.push((oram.stats().online_accesses(), oram.stats().dead_total()));
+            }
+        }
+        Churned {
+            start,
+            end: oram.stats().clone(),
+            sink,
+            stash_peak: oram.stash_peak(),
+            deadq_rejected: oram.deadqs().total_rejected(),
+            dead_samples,
+        }
+    }
+
+    /// A window list with duplicates over timed and churn windows — uniform,
+    /// trace and mixed churn on warm and cold cells, one with lifetime
+    /// tracking: one engine per distinct cell, every window equal to
+    /// building and advancing an engine per window, and the same
+    /// measurements on one worker and on four.
     #[test]
     fn warm_once_and_clone_equals_warming_per_cell() {
         let e = Experiment { levels: 10, warmup: 1_500, timed: 150, protocol_accesses: 0, seed: 3 };
         let suite: Vec<_> = profiles::spec2017().into_iter().take(2).collect();
         let plb = PlbConfig { plb_bytes: 1024, onchip_posmap_bytes: 4096, entry_bytes: 4 };
         let unprioritized = DramConfig { ignore_priority: true, ..DramConfig::default() };
+        let warm = |s| e.warm(s).unwrap();
+        let cold = |s| Cell::cold(e.config(s).unwrap());
+        let lifetimes = OramConfig::builder(e.levels, Scheme::Baseline)
+            .seed(e.seed)
+            .track_lifetimes(true)
+            .build()
+            .unwrap();
+        let timed = |s, dram, plb| Window {
+            cell: warm(s),
+            run: Run::Timed { profile: suite[1].clone(), dram, plb },
+        };
         let windows = vec![
-            Window::new(Scheme::Baseline, &suite[0]),
-            Window::new(Scheme::Ab, &suite[0]),
-            Window { plb: Some(plb), ..Window::new(Scheme::Ab, &suite[1]) },
-            Window::new(Scheme::Baseline, &suite[0]),
-            Window::new(Scheme::DR, &suite[1]),
-            Window { dram: unprioritized, ..Window::new(Scheme::Baseline, &suite[1]) },
-            Window::new(Scheme::Ab, &suite[0]),
+            Window::timed(warm(Scheme::Baseline), &suite[0]),
+            Window::timed(warm(Scheme::Ab), &suite[0]),
+            timed(Scheme::Ab, DramConfig::default(), Some(plb)),
+            Window::churn(warm(Scheme::Ab), Churn::Uniform, 700),
+            Window::timed(warm(Scheme::Baseline), &suite[0]),
+            Window::churn(cold(Scheme::Ab), Churn::Trace(suite[0].clone()), 600),
+            Window::timed(warm(Scheme::DR), &suite[1]),
+            timed(Scheme::Baseline, unprioritized, None),
+            Window::churn(warm(Scheme::PlainRing), Churn::Mixed(suite[1].clone()), 500),
+            Window::churn(cold(Scheme::PlainRing), Churn::Mixed(suite[1].clone()), 500),
+            Window::churn(Cell { warmup: 800, ..Cell::cold(lifetimes) }, Churn::Uniform, 900),
+            Window::timed(warm(Scheme::Ab), &suite[0]),
+            Window::churn(cold(Scheme::Ab), Churn::Trace(suite[0].clone()), 600),
         ];
         let sequential = measure(&e, &CellExecutor::with_jobs(1), &windows).unwrap();
-        assert_eq!(sequential.warm_ups, 3);
-        assert_eq!(sequential.windows.len(), 5, "duplicates run once");
+        assert_eq!(sequential.warm_ups, 5, "Baseline, AB, DR, PlainRing, lifetime-tracked");
+        assert_eq!(sequential.timed.len() + sequential.churned.len(), 10, "duplicates run once");
         for window in &windows {
-            assert_eq!(sequential.get(window), &warmed_per_window(&e, window), "{window:?}");
+            let (cell, run) = (&window.cell, &window.run);
+            match run {
+                Run::Timed { .. } => {
+                    assert_eq!(sequential.get(window), &timed_per_window(&e, cell, run), "{run:?}");
+                }
+                Run::Churn { .. } => {
+                    assert!(
+                        sequential.churned(window) == &churned_per_window(cell, run),
+                        "{run:?}"
+                    );
+                }
+            }
         }
         assert!(sequential.get(&windows[2]).plb_hit_rate.is_some());
+        let tracked = sequential.churned(&windows[10]);
+        assert!(tracked.end.lifetimes.iter().any(|t| t.count() > 0), "lifetimes tracked");
         let parallel = measure(&e, &CellExecutor::with_jobs(4), &windows).unwrap();
-        for window in &windows {
-            assert_eq!(parallel.get(window), sequential.get(window), "jobs=4: {window:?}");
-        }
+        assert_eq!(parallel.timed, sequential.timed, "jobs=4 timed otherwise");
+        assert!(parallel.churned == sequential.churned, "jobs=4 churned otherwise");
     }
 
     #[test]
     fn a_failing_scheme_is_an_error_not_a_panic() {
-        let e = Experiment { levels: 4, warmup: 10, timed: 10, protocol_accesses: 0, seed: 3 };
+        let e = Experiment { levels: 10, warmup: 10, timed: 10, protocol_accesses: 0, seed: 3 };
         let profile = profiles::spec2017().into_iter().next().unwrap();
-        let windows = [Window::new(Scheme::Ab, &profile)];
+        // A configuration the engine refuses (too few levels for AB).
+        let refused = OramConfig { levels: 4, ..e.config(Scheme::Ab).unwrap() };
+        let windows = [Window::timed(Cell { warmup: 10, ..Cell::cold(refused) }, &profile)];
         assert!(measure(&e, &CellExecutor::with_jobs(2), &windows).is_err());
     }
 
@@ -403,35 +372,5 @@ mod tests {
         assert_eq!(e.space_report(Scheme::Ab).unwrap().total_bytes(), direct.total_bytes());
         let norm = e.normalized_space(Scheme::Ab, &base).unwrap();
         assert!(norm > 0.0 && norm < 1.0, "AB must save space over Baseline, got {norm}");
-    }
-
-    #[test]
-    fn protocol_run_advances_all_churn_kinds() {
-        let e = Experiment { levels: 10, warmup: 10, timed: 10, protocol_accesses: 10, seed: 7 };
-        let profile = aboram_trace::profiles::spec2017().into_iter().next().unwrap();
-        for kind in [ChurnKind::Uniform, ChurnKind::Trace(&profile), ChurnKind::Mixed(&profile)] {
-            let mut run = e.protocol_run(Scheme::Ab, kind).unwrap();
-            let mut seen = 0;
-            run.advance_with(50, |_, oram| {
-                seen += 1;
-                assert!(oram.stats().user_accesses <= 50);
-            })
-            .unwrap();
-            assert_eq!(seen, 50);
-            assert_eq!(run.oram.stats().user_accesses, 50);
-            assert!(run.sink.grand_total() > 0);
-        }
-    }
-
-    #[test]
-    fn protocol_run_is_deterministic_per_seed() {
-        let e = Experiment { levels: 10, warmup: 10, timed: 10, protocol_accesses: 10, seed: 9 };
-        let census = |seed: u64| {
-            let e = Experiment { seed, ..e };
-            let mut run = e.protocol_run(Scheme::Baseline, ChurnKind::Uniform).unwrap();
-            run.advance(200).unwrap();
-            run.oram.stats().dead_total()
-        };
-        assert_eq!(census(9), census(9), "same seed must reproduce the same census");
     }
 }

@@ -1,10 +1,8 @@
 //! The ablations and extensions beyond the paper.
 
 use super::{mcf, mcf_windows};
-use crate::{CellExecutor, ChurnKind, Experiment, Measurements, Rendered, Study, Window};
-use aboram_core::{
-    CountingSink, OramConfig, OramError, OramOp, PlbConfig, PosMapHierarchy, RingOram, Scheme,
-};
+use crate::{Cell, Churn, Experiment, Measurements, Rendered, Run, Study, Window};
+use aboram_core::{OramConfig, OramError, OramOp, PlbConfig, PosMapHierarchy, Scheme};
 use aboram_dram::{DramConfig, EnergyParams, EnergyReport};
 use aboram_service::{ObliviousStore, StoreConfig, ROOT_MAX_ENTRIES};
 use aboram_stats::Table;
@@ -15,89 +13,100 @@ use aboram_stats::Table;
 /// 2. Treetop cache depth — how much traffic does the on-chip top save?
 /// 3. Background-eviction threshold — stash pressure vs dummy-access cost.
 ///
-/// Each sweep runs the protocol at a fixed scale and reports the metric the
-/// decision trades against. Sweep points are independent cells and fan out
-/// over the `CellExecutor` (`ABORAM_JOBS`).
-pub const ABLATION_SWEEPS: Study =
-    Study { name: "ablation_sweeps", windows: |_| Vec::new(), render: sweeps };
+/// Each sweep point is a cold cell churned by uniform reads at a fixed
+/// scale, and the table reports the metric the decision trades against.
+pub const ABLATION_SWEEPS: Study = Study {
+    name: "ablation_sweeps",
+    windows: |env| Ok(sweep_windows(env)?.concat()),
+    render: sweeps,
+};
 
-fn sweeps(env: &Experiment, executor: &CellExecutor, _: &Measurements) -> Rendered {
+/// The DeadQ capacities swept.
+const DEADQ_CAPACITIES: [usize; 5] = [16, 64, 256, 1000, 4096];
+/// The background-eviction thresholds swept (stash capacity 300).
+const BG_THRESHOLDS: [usize; 5] = [150, 200, 225, 250, 275];
+/// §V-C1 strategy (1) vs strategy (2): DR+ extends beyond the baseline for
+/// performance instead of saving space; AB's cell also gives the traffic mix.
+const STRATEGIES: [Scheme; 4] =
+    [Scheme::Baseline, Scheme::DR, Scheme::DrPlus { bottom_levels: 6 }, Scheme::Ab];
+
+/// The treetop depths swept that fit the tree.
+fn treetops(env: &Experiment) -> Vec<u8> {
+    [1u8, 2, 4, 6, 8].into_iter().filter(|&t| t < env.levels).collect()
+}
+
+/// The windows of the four sweeps, one list per table: a uniform churn on
+/// a cold cell per sweep point.
+fn sweep_windows(env: &Experiment) -> Result<[Vec<Window>; 4], OramError> {
     let accesses = env.protocol_accesses / 2;
     let ab = || OramConfig::builder(env.levels, Scheme::Ab).seed(env.seed);
-    // A sweep's points are independent protocol cells: fan them out, then
-    // fill the table from the ordered results.
-    let run = |cfgs: Vec<Result<OramConfig, OramError>>, n: u64| {
-        let cfgs = cfgs.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let cells = executor.run(cfgs, |_, cfg| {
-            let mut run = env.protocol_run_with(cfg, ChurnKind::Uniform)?;
-            run.advance(n)?;
-            Ok((run.oram, run.sink))
-        });
-        cells.into_iter().collect::<Result<Vec<(RingOram, CountingSink)>, OramError>>()
+    let churns = |cfgs: Vec<Result<OramConfig, OramError>>, n| {
+        let churn = |cfg| Window::churn(Cell::cold(cfg), Churn::Uniform, n);
+        cfgs.into_iter().map(|cfg| cfg.map(churn)).collect::<Result<Vec<_>, _>>()
     };
+    Ok([
+        churns(DEADQ_CAPACITIES.map(|cap| ab().deadq_capacity(cap).build()).into(), accesses)?,
+        churns(
+            treetops(env).iter().map(|&t| ab().treetop_levels(t).build()).collect(),
+            accesses / 2,
+        )?,
+        churns(BG_THRESHOLDS.map(|th| ab().stash(300, th).build()).into(), accesses / 2)?,
+        churns(STRATEGIES.map(|scheme| env.config(scheme)).into(), accesses / 2)?,
+    ])
+}
+
+fn sweeps(env: &Experiment, measured: &Measurements) -> Rendered {
+    let [deadq, treetop, threshold, strategy] =
+        sweep_windows(env)?.map(|ws| ws.iter().map(|w| measured.churned(w)).collect::<Vec<_>>());
 
     // 1. DeadQ capacity.
-    let deadq_caps = [16usize, 64, 256, 1000, 4096];
     let mut q = Table::new(
         "DeadQ capacity vs AB extension ratio",
         &["capacity", "extension ratio", "rejected enqueues"],
     );
-    let cells = run(deadq_caps.map(|cap| ab().deadq_capacity(cap).build()).into(), accesses)?;
-    for (cap, (oram, _)) in deadq_caps.iter().zip(&cells) {
-        let rejected = oram.deadqs().total_rejected() as f64;
-        q.row(&[&cap.to_string()], &[oram.stats().extension_ratio(), rejected]);
+    for (cap, c) in DEADQ_CAPACITIES.iter().zip(&deadq) {
+        q.row(&[&cap.to_string()], &[c.end.extension_ratio(), c.deadq_rejected as f64]);
     }
 
     // 2. Treetop depth.
-    let treetops: Vec<u8> = [1u8, 2, 4, 6, 8].into_iter().filter(|&t| t < env.levels).collect();
     let mut t = Table::new(
         "Treetop cache depth vs off-chip traffic (AB)",
         &["cached levels", "off-chip accesses per user access"],
     );
-    let cells =
-        run(treetops.iter().map(|&top| ab().treetop_levels(top).build()).collect(), accesses / 2)?;
-    for (top, (oram, sink)) in treetops.iter().zip(&cells) {
-        let per_access = sink.grand_total() as f64 / oram.stats().online_accesses() as f64;
+    for (top, c) in treetops(env).iter().zip(&treetop) {
+        let per_access = c.sink.grand_total() as f64 / c.end.online_accesses() as f64;
         t.row(&[&top.to_string()], &[per_access]);
     }
 
     // 3. Background-eviction threshold.
-    let thresholds = [150usize, 200, 225, 250, 275];
     let mut g = Table::new(
         "Background-eviction threshold vs dummy accesses and stash peak (AB)",
         &["threshold", "bg accesses per 1k user", "stash peak"],
     );
-    let cells = run(thresholds.map(|th| ab().stash(300, th).build()).into(), accesses / 2)?;
-    for (threshold, (oram, _)) in thresholds.iter().zip(&cells) {
-        let bg_rate =
-            1000.0 * oram.stats().background_accesses as f64 / oram.stats().user_accesses as f64;
-        g.row(&[&threshold.to_string()], &[bg_rate, oram.stash_peak() as f64]);
+    for (threshold, c) in BG_THRESHOLDS.iter().zip(&threshold) {
+        let bg_rate = 1000.0 * c.end.background_accesses as f64 / c.end.user_accesses as f64;
+        g.row(&[&threshold.to_string()], &[bg_rate, c.stash_peak as f64]);
     }
 
-    // 4. §V-C1 strategy (1) vs strategy (2): DR+ extends beyond the
-    // baseline for performance instead of saving space. 5. The AB traffic
-    // mix for context, from the last cell.
-    let strategies =
-        [Scheme::Baseline, Scheme::DR, Scheme::DrPlus { bottom_levels: 6 }, Scheme::Ab];
+    // 4. The DR strategies. 5. The AB traffic mix for context, from the
+    // last cell.
     let mut s1 = Table::new(
         "DR strategies: (1) extend beyond baseline (DR+) vs (2) shrink-and-recover (DR)",
         &["scheme", "normalized space", "reshuffles per 1k accesses", "extension ratio"],
     );
     let base_space = env.space_report(Scheme::Baseline)?;
-    let cells = run(strategies.map(|scheme| env.config(scheme)).into(), accesses / 2)?;
-    for (&scheme, (oram, _)) in strategies.iter().zip(&cells).take(3) {
+    for (&scheme, c) in STRATEGIES.iter().zip(&strategy).take(3) {
         let space = env.normalized_space(scheme, &base_space)?;
-        let resh =
-            1000.0 * oram.stats().reshuffles.total() as f64 / oram.stats().online_accesses() as f64;
-        s1.row(&[&scheme.to_string()], &[space, resh, oram.stats().extension_ratio()]);
+        let resh = 1000.0 * c.end.reshuffles.total() as f64 / c.end.online_accesses() as f64;
+        s1.row(&[&scheme.to_string()], &[space, resh, c.end.extension_ratio()]);
     }
-    let (oram, sink) = &cells[3];
+    let ab = strategy[3];
     let mut m = Table::new(
         "AB traffic mix at default parameters",
         &["operation", "accesses per user access"],
     );
     for op in OramOp::ALL {
-        m.row(&[op.name()], &[sink.total(op) as f64 / oram.stats().user_accesses as f64]);
+        m.row(&[op.name()], &[ab.sink.total(op) as f64 / ab.end.user_accesses as f64]);
     }
 
     let tables = [q, t, g, s1, m].map(|table| table.to_markdown());
@@ -116,25 +125,30 @@ pub const ABLATION_DRAM_PRIORITY: Study =
 /// The schemes of the priority and position-map extensions.
 const BASELINE_AND_AB: [Scheme; 2] = [Scheme::Baseline, Scheme::Ab];
 
-/// The mcf window of `scheme` with or without the priority classes.
-fn priority_window(scheme: Scheme, ignore_priority: bool) -> Window {
-    let dram = DramConfig { ignore_priority, ..DramConfig::default() };
-    Window { dram, ..Window::new(scheme, &mcf()) }
+/// The mcf window of `scheme` with the given DRAM twin and posmap model.
+fn mcf_window(
+    env: &Experiment,
+    scheme: Scheme,
+    dram: DramConfig,
+    plb: Option<PlbConfig>,
+) -> Result<Window, OramError> {
+    Ok(Window { cell: env.warm(scheme)?, run: Run::Timed { profile: mcf(), dram, plb } })
 }
 
-fn priority_windows(_: &Experiment) -> Vec<Window> {
-    let modes = |s| [false, true].map(|ignore| priority_window(s, ignore));
+/// The mcf window of each scheme with, then without, the priority classes.
+fn priority_windows(env: &Experiment) -> Result<Vec<Window>, OramError> {
+    let dram = |ignore_priority| DramConfig { ignore_priority, ..DramConfig::default() };
+    let modes = |s| [false, true].map(|ignore| mcf_window(env, s, dram(ignore), None));
     BASELINE_AND_AB.into_iter().flat_map(modes).collect()
 }
 
-fn priority(env: &Experiment, _: &CellExecutor, measured: &Measurements) -> Rendered {
+fn priority(env: &Experiment, measured: &Measurements) -> Rendered {
     let mut table = Table::new(
         "DRAM priority ablation — execution time with vs without online priority",
         &["scheme", "with priority (Mcycles)", "without (Mcycles)", "slowdown from removing"],
     );
-    for scheme in BASELINE_AND_AB {
-        let [with, without] = [false, true]
-            .map(|ignore| measured.get(&priority_window(scheme, ignore)).report.exec_cycles);
+    for (scheme, pair) in BASELINE_AND_AB.iter().zip(priority_windows(env)?.chunks(2)) {
+        let [with, without] = [0, 1].map(|i| measured.get(&pair[i]).report.exec_cycles);
         table.row(
             &[&scheme.to_string()],
             &[with as f64 / 1e6, without as f64 / 1e6, without as f64 / with as f64],
@@ -182,23 +196,19 @@ fn posmap_models() -> [(&'static str, Option<PlbConfig>); 3] {
     ]
 }
 
-fn posmap_windows(_: &Experiment) -> Vec<Window> {
-    let mcf = mcf();
-    BASELINE_AND_AB
-        .into_iter()
-        .flat_map(|s| posmap_models().map(|(_, plb)| Window { plb, ..Window::new(s, &mcf) }))
-        .collect()
+fn posmap_windows(env: &Experiment) -> Result<Vec<Window>, OramError> {
+    let models = |s| posmap_models().map(|(_, plb)| mcf_window(env, s, DramConfig::default(), plb));
+    BASELINE_AND_AB.into_iter().flat_map(models).collect()
 }
 
-fn posmap(env: &Experiment, _: &CellExecutor, measured: &Measurements) -> Rendered {
-    let mcf = mcf();
+fn posmap(env: &Experiment, measured: &Measurements) -> Rendered {
     let mut table = Table::new(
         "Recursive position-map extension — execution time vs on-chip budget",
         &["scheme", "posmap model", "exec Mcycles", "accesses per user access", "PLB hit %"],
     );
     for scheme in BASELINE_AND_AB {
         for (label, plb) in posmap_models() {
-            let m = measured.get(&Window { plb, ..Window::new(scheme, &mcf) });
+            let m = measured.get(&mcf_window(env, scheme, DramConfig::default(), plb)?);
             let report = &m.report;
             let row = match m.plb_hit_rate {
                 None => [report.exec_cycles as f64 / 1e6, 1.0, 100.0],
@@ -289,10 +299,13 @@ fn real_chain_cross_check(env: &Experiment) -> Result<String, OramError> {
 /// tree means fewer powered devices. This study combines the timing runs
 /// with the USIMM-style energy model: dynamic (activate/read/write),
 /// refresh, and footprint-proportional background energy.
-pub const EXT_ENERGY: Study =
-    Study { name: "ext_energy", windows: |_| mcf_windows(Scheme::evaluated()), render: energy };
+pub const EXT_ENERGY: Study = Study {
+    name: "ext_energy",
+    windows: |env| mcf_windows(env, &Scheme::evaluated()),
+    render: energy,
+};
 
-fn energy(env: &Experiment, _: &CellExecutor, measured: &Measurements) -> Rendered {
+fn energy(env: &Experiment, measured: &Measurements) -> Rendered {
     let params = EnergyParams::default();
     let dram = DramConfig::default();
     let refi_cycles = dram.timing.t_refi * dram.cpu_clock_ratio;
@@ -302,7 +315,7 @@ fn energy(env: &Experiment, _: &CellExecutor, measured: &Measurements) -> Render
         "DRAM energy per scheme (mcf timed window)",
         &["scheme", "dynamic uJ", "refresh uJ", "background uJ", "total uJ", "norm. total"],
     );
-    let energies: Vec<(Scheme, EnergyReport)> = mcf_windows(Scheme::evaluated())
+    let energies: Vec<(Scheme, EnergyReport)> = mcf_windows(env, &Scheme::evaluated())?
         .iter()
         .map(|window| {
             let m = measured.get(window);
@@ -314,7 +327,7 @@ fn energy(env: &Experiment, _: &CellExecutor, measured: &Measurements) -> Render
                 refi_cycles,
                 ranks,
             );
-            (window.scheme, energy)
+            (window.cell.config.scheme, energy)
         })
         .collect();
     let base_total = energies[0].1.total_nj();

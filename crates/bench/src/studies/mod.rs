@@ -5,12 +5,12 @@
 //!
 //! [`ALL`] lists them in `run_all`'s order: tables and closed forms first,
 //! then the protocol studies, the timing studies, the ablations and the
-//! extensions. Their timed windows are measured as one union (each
-//! configuration warmed once), so the order decides which scheme is warmed
+//! extensions. Their windows are measured as one union (each engine
+//! configuration built once), so the order decides which cell is built
 //! first, never a result.
 
-use crate::{Study, Window};
-use aboram_core::Scheme;
+use crate::{Experiment, Study, Window};
+use aboram_core::{OramError, Scheme};
 use aboram_stats::Table;
 use aboram_trace::{profiles, BenchmarkProfile};
 
@@ -46,10 +46,20 @@ fn mcf() -> BenchmarkProfile {
     profiles::spec2017().into_iter().find(|p| p.name == "mcf").expect("mcf is a SPEC profile")
 }
 
+/// The common timed window of every (benchmark × scheme), on each
+/// scheme's warm cell.
+fn timed_windows(
+    env: &Experiment,
+    suite: &[BenchmarkProfile],
+    schemes: &[Scheme],
+) -> Result<Vec<Window>, OramError> {
+    let cells = schemes.iter().map(|&s| env.warm(s)).collect::<Result<Vec<_>, _>>()?;
+    Ok(suite.iter().flat_map(|p| cells.iter().map(|c| Window::timed(c.clone(), p))).collect())
+}
+
 /// One mcf window per scheme.
-fn mcf_windows(schemes: Vec<Scheme>) -> Vec<Window> {
-    let mcf = mcf();
-    schemes.into_iter().map(|scheme| Window::new(scheme, &mcf)).collect()
+fn mcf_windows(env: &Experiment, schemes: &[Scheme]) -> Result<Vec<Window>, OramError> {
+    timed_windows(env, &[mcf()], schemes)
 }
 
 /// `table` as markdown, then `note`, then the table again as CSV: the tail

@@ -1,10 +1,12 @@
 //! The protocol-level (untimed) studies: Figs. 2, 3, 7, 10, 12 and 14.
+//! All but Fig. 7 read churn windows: Fig. 2 plots the transient of a cold
+//! engine, the others describe the steady state of a warm one.
 
 use super::markdown_and_csv;
-use crate::{CellExecutor, ChurnKind, Experiment, Measurements, Rendered, Study};
+use crate::{Cell, Churn, Churned, Experiment, Measurements, Rendered, Study, Window};
 use aboram_core::{attack_success_rate, OramConfig, OramError, Scheme};
 use aboram_stats::{LevelHistogram, Table, TimeSeries};
-use aboram_trace::profiles;
+use aboram_trace::{profiles, BenchmarkProfile};
 use aboram_tree::Level;
 
 /// Fig. 2 — dead blocks over time.
@@ -16,26 +18,26 @@ use aboram_tree::Level;
 /// motivation section uses. The paper's curve rises quickly and stabilizes
 /// (~18 % of tree space for the 24-level, Z = 12 tree).
 pub const FIG02_DEAD_BLOCKS_OVER_TIME: Study =
-    Study { name: "fig02_dead_blocks_over_time", windows: |_| Vec::new(), render: fig02 };
+    Study { name: "fig02_dead_blocks_over_time", windows: fig02_windows, render: fig02 };
 
-fn fig02(env: &Experiment, _: &CellExecutor, _: &Measurements) -> Rendered {
+/// One trace churn per benchmark on a cold plain Ring ORAM engine.
+fn fig02_windows(env: &Experiment) -> Result<Vec<Window>, OramError> {
+    let cell = Cell::cold(env.config(Scheme::PlainRing)?);
+    let window = |p| Window::churn(cell.clone(), Churn::Trace(p), env.protocol_accesses);
+    Ok(profiles::spec2017().into_iter().map(window).collect())
+}
+
+fn fig02(env: &Experiment, measured: &Measurements) -> Rendered {
     // The motivational study uses the plain Ring ORAM tree (Z = 12, S = 7).
     let total_slots = env.config(Scheme::PlainRing)?.geometry()?.total_slots();
-    let total_accesses = env.protocol_accesses;
-    let samples = 40u64;
-    let sample_every = (total_accesses / samples).max(1);
-
-    let mut all_series: Vec<TimeSeries> = Vec::new();
     let suite = profiles::spec2017();
-    for profile in &suite {
-        let mut run = env.protocol_run(Scheme::PlainRing, ChurnKind::Trace(profile))?;
+    let windows = fig02_windows(env)?;
+    let mut all_series: Vec<TimeSeries> = Vec::new();
+    for (profile, window) in suite.iter().zip(&windows) {
         let mut series = TimeSeries::new(profile.name, "online accesses", "dead blocks");
-        run.advance_with(total_accesses, |i, oram| {
-            if i % sample_every == 0 {
-                series
-                    .push(oram.stats().online_accesses() as f64, oram.stats().dead_total() as f64);
-            }
-        })?;
+        for &(online, dead) in &measured.churned(window).dead_samples {
+            series.push(online as f64, dead as f64);
+        }
         all_series.push(series);
     }
     let average = TimeSeries::average("average", &all_series);
@@ -66,23 +68,26 @@ fn fig02(env: &Experiment, _: &CellExecutor, _: &Measurements) -> Rendered {
 /// ~2.1 dead blocks per bucket at the last level of the plain Ring ORAM
 /// tree.
 pub const FIG03_DEAD_BLOCKS_PER_LEVEL: Study =
-    Study { name: "fig03_dead_blocks_per_level", windows: |_| Vec::new(), render: fig03 };
+    Study { name: "fig03_dead_blocks_per_level", windows: fig03_windows, render: fig03 };
 
-fn fig03(env: &Experiment, _: &CellExecutor, _: &Measurements) -> Rendered {
-    let geo = env.config(Scheme::PlainRing)?.geometry()?;
-
-    // Average the per-level census over a few representative benchmarks.
-    // The 50/50 trace/uniform mix covers the whole block space like the
-    // paper's 400 M-access run.
+/// A mixed churn per representative benchmark on the warm plain Ring ORAM
+/// engine: the 50/50 trace/uniform mix covers the whole block space like
+/// the paper's 400 M-access run.
+fn fig03_windows(env: &Experiment) -> Result<Vec<Window>, OramError> {
+    let cell = env.warm(Scheme::PlainRing)?;
     let suite = profiles::spec2017();
-    let picks = ["mcf", "lbm", "xz", "x264"];
-    let mut histograms: Vec<LevelHistogram> = Vec::new();
-    for name in picks {
+    let window = |name| {
         let profile = suite.iter().find(|p| p.name == name).expect("benchmark");
-        let mut run = env.protocol_run(Scheme::PlainRing, ChurnKind::Mixed(profile))?;
-        run.advance(env.protocol_accesses)?;
-        histograms.push(run.oram.stats().dead_blocks.clone());
-    }
+        Window::churn(cell.clone(), Churn::Mixed(profile.clone()), env.protocol_accesses)
+    };
+    Ok(["mcf", "lbm", "xz", "x264"].map(window).into())
+}
+
+fn fig03(env: &Experiment, measured: &Measurements) -> Rendered {
+    let geo = env.config(Scheme::PlainRing)?.geometry()?;
+    // Average the per-level census at the end of each window.
+    let histograms: Vec<LevelHistogram> =
+        fig03_windows(env)?.iter().map(|w| measured.churned(w).end.dead_blocks.clone()).collect();
     let sum = LevelHistogram::sum("dead blocks", &histograms);
 
     let mut table = Table::new(
@@ -99,8 +104,14 @@ fn fig03(env: &Experiment, _: &CellExecutor, _: &Measurements) -> Rendered {
         sum.get(leaf) as f64 / histograms.len() as f64 / geo.buckets_at_level(Level(leaf)) as f64;
     let note =
         format!("\nlast level: {last:.2} dead blocks per bucket (paper: ~2.1 at L = 24, Z = 12)\n");
-    let out =
-        format!("# Fig. 3 — dead blocks across the levels\n\n{}", markdown_and_csv(&table, &note));
+    let out = format!(
+        "# Fig. 3 — dead blocks across the levels\n\ntree: {} levels (plain Ring ORAM), warmed by \
+         {} uniform reads; census after {} mixed reads per benchmark\n\n{}",
+        env.levels,
+        env.warmup,
+        env.protocol_accesses,
+        markdown_and_csv(&table, &note)
+    );
     Ok(vec![("fig03_dead_blocks_per_level.md", out)])
 }
 
@@ -111,9 +122,9 @@ fn fig03(env: &Experiment, _: &CellExecutor, _: &Measurements) -> Rendered {
 /// blocks is the real one, under Baseline and AB-ORAM. Both must track the
 /// ideal rate 1/L (the paper reports 0.041665 vs 0.041670 at L = 24).
 pub const FIG07_SECURITY: Study =
-    Study { name: "fig07_security", windows: |_| Vec::new(), render: fig07 };
+    Study { name: "fig07_security", windows: |_| Ok(Vec::new()), render: fig07 };
 
-fn fig07(env: &Experiment, _: &CellExecutor, _: &Measurements) -> Rendered {
+fn fig07(env: &Experiment, _: &Measurements) -> Rendered {
     let accesses = env.protocol_accesses / 4;
     let mut table = Table::new(
         "Fig. 7 — attacker success rate per benchmark",
@@ -151,9 +162,21 @@ fn fig07(env: &Experiment, _: &CellExecutor, _: &Measurements) -> Rendered {
 /// jumps at the two shrunken levels; AB sits between, elevated over its
 /// bottom three levels.
 pub const FIG10_RESHUFFLES_PER_LEVEL: Study =
-    Study { name: "fig10_reshuffles_per_level", windows: |_| Vec::new(), render: fig10 };
+    Study { name: "fig10_reshuffles_per_level", windows: fig10_windows, render: fig10 };
 
-fn fig10(env: &Experiment, _: &CellExecutor, _: &Measurements) -> Rendered {
+/// The schemes of Fig. 10: the evaluated ones but AB-CP, which runs AB's
+/// protocol and RNG stream and so reshuffles exactly as AB does.
+fn fig10_schemes() -> Vec<Scheme> {
+    Scheme::evaluated().into_iter().filter(|&s| s != Scheme::AbChannelPar).collect()
+}
+
+/// A uniform churn on each scheme's warm engine.
+fn fig10_windows(env: &Experiment) -> Result<Vec<Window>, OramError> {
+    let window = |s| Ok(Window::churn(env.warm(s)?, Churn::Uniform, env.protocol_accesses));
+    fig10_schemes().into_iter().map(window).collect()
+}
+
+fn fig10(env: &Experiment, measured: &Measurements) -> Rendered {
     let show_levels = 8.min(env.levels);
     let shown = (env.levels - show_levels)..env.levels;
     let headers: Vec<String> = shown.clone().map(|l| format!("L{l}")).collect();
@@ -164,20 +187,19 @@ fn fig10(env: &Experiment, _: &CellExecutor, _: &Measurements) -> Rendered {
         &header_refs,
     );
 
-    for scheme in Scheme::evaluated() {
-        eprintln!("[running {scheme}]");
-        let mut run = env.protocol_run(scheme, ChurnKind::Uniform)?;
-        run.advance(env.protocol_accesses)?;
-        let r = &run.oram.stats().reshuffles;
+    for (scheme, window) in fig10_schemes().into_iter().zip(fig10_windows(env)?) {
+        let c = measured.churned(&window);
+        let r = c.end.reshuffles.delta(&c.start.reshuffles);
         let row: Vec<f64> = shown.clone().map(|l| r.get(l) as f64).collect();
         table.row(&[&scheme.to_string()], &row);
     }
 
     let note = "\npaper shape: DR ~= Baseline; NS spikes at its two shrunken levels; AB elevated on its bottom three.\n";
     let out = format!(
-        "# Fig. 10 — reshuffles across the levels\n\ntree: {} levels; bottom {show_levels} levels \
-         shown\n\n{}",
+        "# Fig. 10 — reshuffles across the levels\n\ntree: {} levels, each scheme warmed by {} \
+         uniform reads; bottom {show_levels} levels shown\n\n{}",
         env.levels,
+        env.warmup,
         markdown_and_csv(&table, note)
     );
     Ok(vec![("fig10_reshuffles_per_level.md", out)])
@@ -191,32 +213,36 @@ fn fig10(env: &Experiment, _: &CellExecutor, _: &Measurements) -> Rendered {
 /// orders-of-magnitude larger averages close to the leaves — the
 /// observation motivating per-level DeadQ queues.
 pub const FIG12_DEAD_BLOCK_LIFETIME: Study =
-    Study { name: "fig12_dead_block_lifetime", windows: |_| Vec::new(), render: fig12 };
+    Study { name: "fig12_dead_block_lifetime", windows: fig12_windows, render: fig12 };
 
-fn fig12(env: &Experiment, _: &CellExecutor, _: &Measurements) -> Rendered {
-    let cfg = OramConfig::builder(env.levels, Scheme::Baseline)
+/// A uniform churn on the warm, lifetime-tracked Baseline engine.
+fn fig12_windows(env: &Experiment) -> Result<Vec<Window>, OramError> {
+    let config = OramConfig::builder(env.levels, Scheme::Baseline)
         .seed(env.seed)
         .track_lifetimes(true)
         .build()?;
-    let accesses = env.protocol_accesses.max(env.warmup);
-    eprintln!("[running {} accesses with lifetime tracking]", accesses);
-    let mut run = env.protocol_run_with(cfg, ChurnKind::Uniform)?;
-    run.advance(accesses)?;
-    let oram = &run.oram;
+    let cell = Cell { config, warmup: env.warmup };
+    Ok(vec![Window::churn(cell, Churn::Uniform, env.protocol_accesses)])
+}
 
+fn fig12(env: &Experiment, measured: &Measurements) -> Rendered {
+    let stats = &measured.churned(&fig12_windows(env)?[0]).end;
     let mut table = Table::new(
         "Fig. 12 — dead-block lifetime per level (online accesses)",
         &["level", "min", "avg", "max", "samples"],
     );
-    for (l, t) in oram.stats().lifetimes.iter().enumerate().take(env.levels.into()) {
+    for (l, t) in stats.lifetimes.iter().enumerate().take(env.levels.into()) {
         let [min, avg, max] = [t.min(), t.avg(), t.max()].map(|v| v.unwrap_or(0.0));
         table.row(&[&format!("L{l}")], &[min, avg, max, t.count() as f64]);
     }
     let note = "\npaper shape: levels near the root reclaim almost immediately; average lifetime grows orders of magnitude toward the leaves.\n";
     let out = format!(
         "# Fig. 12 — dead-block lifetime analysis\n\n\
-         tree: {} levels, {accesses} accesses, Baseline scheme\n\n{}",
+         tree: {} levels, Baseline scheme; every reclaim over the {} warm-up and {} window \
+         accesses (uniform reads)\n\n{}",
         env.levels,
+        env.warmup,
+        env.protocol_accesses,
         markdown_and_csv(&table, note)
     );
     Ok(vec![("fig12_dead_block_lifetime.md", out)])
@@ -229,33 +255,30 @@ fn fig12(env: &Experiment, _: &CellExecutor, _: &Measurements) -> Rendered {
 /// benchmark. The paper measures ~100 % for DR and ~74 % for AB, and notes
 /// the ratio is application-independent.
 pub const FIG14_EXTENSION_RATIO: Study =
-    Study { name: "fig14_extension_ratio", windows: |_| Vec::new(), render: fig14 };
+    Study { name: "fig14_extension_ratio", windows: fig14_windows, render: fig14 };
 
-fn fig14(env: &Experiment, executor: &CellExecutor, _: &Measurements) -> Rendered {
+/// A trace churn per (benchmark × scheme) on the warm DR and AB engines,
+/// benchmark-major.
+fn fig14_windows(env: &Experiment) -> Result<Vec<Window>, OramError> {
+    let cells = [env.warm(Scheme::DR)?, env.warm(Scheme::Ab)?];
+    let windows = |p: BenchmarkProfile| {
+        cells.clone().map(|c| Window::churn(c, Churn::Trace(p.clone()), env.protocol_accesses))
+    };
+    Ok(profiles::spec2017().into_iter().flat_map(windows).collect())
+}
+
+fn fig14(env: &Experiment, measured: &Measurements) -> Rendered {
     let mut table = Table::new("Fig. 14 — S-extension success ratio", &["benchmark", "DR", "AB"]);
-    let suite: Vec<_> = profiles::spec2017();
-    // Every (benchmark × scheme) cell builds its own engine from its own
-    // seed: fan them all out, then assemble the table from the ordered
-    // results.
-    let schemes = [Scheme::DR, Scheme::Ab];
-    let grid: Vec<(usize, Scheme)> =
-        (0..suite.len()).flat_map(|p| schemes.map(|scheme| (p, scheme))).collect();
-    let cells = executor.run(grid, |_, (p, scheme)| {
-        eprintln!("[benchmark {} / {scheme}]", suite[p].name);
-        let mut run = env.protocol_run(scheme, ChurnKind::Trace(&suite[p]))?;
-        // Warm up so the DeadQ economy reaches steady state, then measure
-        // the extension ratio over the steady window only.
-        run.advance(env.warmup.min(env.protocol_accesses))?;
-        let (att0, done0) =
-            (run.oram.stats().extensions_attempted, run.oram.stats().extensions_done);
-        run.advance(env.protocol_accesses)?;
-        let att = run.oram.stats().extensions_attempted - att0;
-        let done = run.oram.stats().extensions_done - done0;
-        Ok(if att == 0 { 0.0 } else { done as f64 / att as f64 })
-    });
-    let cells = cells.into_iter().collect::<Result<Vec<f64>, OramError>>()?;
+    let suite = profiles::spec2017();
+    // The extension ratio over each window only.
+    let ratio = |w: &Window| {
+        let Churned { start, end, .. } = measured.churned(w);
+        let attempted = end.extensions_attempted - start.extensions_attempted;
+        (end.extensions_done - start.extensions_done) as f64 / attempted.max(1) as f64
+    };
+    let cells: Vec<f64> = fig14_windows(env)?.iter().map(ratio).collect();
     let mut sums = [0.0f64; 2];
-    for (profile, ratios) in suite.iter().zip(cells.chunks(schemes.len())) {
+    for (profile, ratios) in suite.iter().zip(cells.chunks(2)) {
         for (sum, ratio) in sums.iter_mut().zip(ratios) {
             *sum += ratio;
         }
@@ -266,8 +289,10 @@ fn fig14(env: &Experiment, executor: &CellExecutor, _: &Measurements) -> Rendere
 
     let note = "\npaper: DR extends nearly all allocations; AB reaches ~74 %; both application-independent.\n";
     let out = format!(
-        "# Fig. 14 — extension-ratio analysis\n\ntree: {} levels; {} accesses per cell\n\n{}",
+        "# Fig. 14 — extension-ratio analysis\n\ntree: {} levels, each scheme warmed by {} uniform \
+         reads; ratio over {} trace reads per cell\n\n{}",
         env.levels,
+        env.warmup,
         env.protocol_accesses,
         markdown_and_csv(&table, note)
     );

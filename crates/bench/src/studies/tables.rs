@@ -1,7 +1,7 @@
 //! Tables I, III and IV: closed forms, the configuration, and the trace calibration.
 
 use super::markdown_and_csv;
-use crate::{CellExecutor, Experiment, Measurements, Rendered, Study};
+use crate::{Experiment, Measurements, Rendered, Study};
 use aboram_core::{DeadQueues, MetadataLayout, Scheme, DEADQ_LEVELS, EVICT_RATE_A};
 use aboram_dram::DramConfig;
 use aboram_stats::Table;
@@ -14,9 +14,9 @@ use aboram_tree::{Level, LevelConfig, TreeGeometry};
 /// at the paper's parameters, verifies both fit a 64 B metadata block with
 /// `R = 6`, and reports the on-chip DeadQ footprint (paper: 21 KB).
 pub const TABLE1_METADATA: Study =
-    Study { name: "table1_metadata", windows: |_| Vec::new(), render: table1 };
+    Study { name: "table1_metadata", windows: |_| Ok(Vec::new()), render: table1 };
 
-fn table1(_: &Experiment, _: &CellExecutor, _: &Measurements) -> Rendered {
+fn table1(_: &Experiment, _: &Measurements) -> Rendered {
     // Paper parameters: plain Ring ORAM typical setting at L = 24, R = 6.
     let geo = TreeGeometry::uniform(24, LevelConfig::new(5, 7))?;
     let layout = MetadataLayout::for_geometry(&geo, Level(23), 6);
@@ -64,9 +64,9 @@ fn table1(_: &Experiment, _: &CellExecutor, _: &Measurements) -> Rendered {
 /// Prints the processor, DRAM and ORAM parameters this reproduction uses
 /// and how each maps to the paper's Table III.
 pub const TABLE3_CONFIG: Study =
-    Study { name: "table3_config", windows: |_| Vec::new(), render: table3 };
+    Study { name: "table3_config", windows: |_| Ok(Vec::new()), render: table3 };
 
-fn table3(env: &Experiment, _: &CellExecutor, _: &Measurements) -> Rendered {
+fn table3(env: &Experiment, _: &Measurements) -> Rendered {
     let dram = DramConfig::default();
     let cfg = env.config(Scheme::Baseline)?;
 
@@ -103,23 +103,20 @@ fn table3(env: &Experiment, _: &CellExecutor, _: &Measurements) -> Rendered {
 /// Generates each synthetic benchmark's trace and measures its MPKI,
 /// verifying the generators are calibrated to the paper's Table IV.
 pub const TABLE4_BENCHMARKS: Study =
-    Study { name: "table4_benchmarks", windows: |_| Vec::new(), render: table4 };
+    Study { name: "table4_benchmarks", windows: |_| Ok(Vec::new()), render: table4 };
 
-fn table4(env: &Experiment, executor: &CellExecutor, _: &Measurements) -> Rendered {
+fn table4(env: &Experiment, _: &Measurements) -> Rendered {
     let records = 100_000;
     let mut table = Table::new(
         "Table IV — benchmark MPKI: paper vs generated",
         &["benchmark", "paper read", "gen read", "paper write", "gen write"],
     );
-    let meters = executor.run(profiles::spec2017(), |_, profile| {
+    for profile in profiles::spec2017() {
         let mut gen = TraceGenerator::new(&profile, env.seed);
         let mut meter = MpkiMeter::new();
         for _ in 0..records {
             meter.observe(&gen.next_record());
         }
-        (profile, meter)
-    });
-    for (profile, meter) in meters {
         table.row(
             &[profile.name],
             &[profile.read_mpki, meter.read_mpki(), profile.write_mpki, meter.write_mpki()],

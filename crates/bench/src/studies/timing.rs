@@ -1,9 +1,7 @@
 //! The timed studies of §VII: Figs. 4, 8 (with 9), 11, 13 and 15.
 
-use super::{markdown_and_csv, mcf, mcf_windows};
-use crate::{
-    env_knob, space_report_of, CellExecutor, Experiment, Measurements, Rendered, Study, Window,
-};
+use super::{markdown_and_csv, mcf, mcf_windows, timed_windows};
+use crate::{env_knob, space_report_of, Experiment, Measurements, Rendered, Study, Window};
 use aboram_core::{OramConfig, OramError, OramOp, Scheme};
 use aboram_stats::{geometric_mean, Table};
 use aboram_trace::{profiles, BenchmarkProfile};
@@ -17,7 +15,7 @@ use aboram_trace::{profiles, BenchmarkProfile};
 /// percent and grows roughly linearly with `x`.
 pub const FIG04_MOTIVATION_TRADEOFF: Study = Study {
     name: "fig04_motivation_tradeoff",
-    windows: |_| mcf_windows(fig04_schemes()),
+    windows: |env| mcf_windows(env, &fig04_schemes()),
     render: fig04,
 };
 
@@ -30,7 +28,7 @@ fn fig04_schemes() -> Vec<Scheme> {
         .collect()
 }
 
-fn fig04(env: &Experiment, _: &CellExecutor, measured: &Measurements) -> Rendered {
+fn fig04(env: &Experiment, measured: &Measurements) -> Rendered {
     let mut table = Table::new(
         "Fig. 4 — space and slowdown for L-x (plain Ring ORAM, S -> S-3 on last x levels)",
         &["config", "normalized space", "slowdown"],
@@ -57,16 +55,13 @@ fn fig04(env: &Experiment, _: &CellExecutor, measured: &Measurements) -> Rendere
 ///
 /// Scale with `ABORAM_LEVELS`, `ABORAM_WARMUP`, `ABORAM_TIMED`; restrict the
 /// benchmark list with `ABORAM_BENCHES=<n>`.
-pub const FIG08_MAIN_RESULTS: Study =
-    Study { name: "fig08_main_results", windows: fig08_windows, render: fig08 };
+pub const FIG08_MAIN_RESULTS: Study = Study {
+    name: "fig08_main_results",
+    windows: |env| timed_windows(env, &first_benches(profiles::spec2017()), &Scheme::evaluated()),
+    render: fig08,
+};
 
-/// Every (benchmark × evaluated scheme) window.
-fn fig08_windows(_: &Experiment) -> Vec<Window> {
-    let suite = first_benches(profiles::spec2017());
-    suite.iter().flat_map(|p| Scheme::evaluated().into_iter().map(|s| Window::new(s, p))).collect()
-}
-
-fn fig08(env: &Experiment, _: &CellExecutor, measured: &Measurements) -> Rendered {
+fn fig08(env: &Experiment, measured: &Measurements) -> Rendered {
     // ---- Fig. 8a / 8b: closed-form space, at this scale and at L = 24.
     let mut space = Table::new(
         "Fig. 8a/8b — normalized space and utilization",
@@ -195,7 +190,7 @@ fn abcp_relation(
 /// participate, while execution time stays near Baseline.
 pub const FIG11_DR_SENSITIVITY: Study = Study {
     name: "fig11_dr_sensitivity",
-    windows: |_| mcf_windows(fig11_schemes()),
+    windows: |env| mcf_windows(env, &fig11_schemes()),
     render: fig11,
 };
 
@@ -208,7 +203,7 @@ fn fig11_schemes() -> Vec<Scheme> {
         .collect()
 }
 
-fn fig11(env: &Experiment, _: &CellExecutor, measured: &Measurements) -> Rendered {
+fn fig11(env: &Experiment, measured: &Measurements) -> Rendered {
     let mut table = Table::new(
         "Fig. 11 — DR sensitivity to the number of participating bottom levels",
         &["config", "normalized space", "normalized time", "extension ratio"],
@@ -240,7 +235,7 @@ fn fig11(env: &Experiment, _: &CellExecutor, measured: &Measurements) -> Rendere
 /// degrade performance sharply.
 pub const FIG13_NS_EXPLORATION: Study = Study {
     name: "fig13_ns_exploration",
-    windows: |_| mcf_windows(fig13_schemes()),
+    windows: |env| mcf_windows(env, &fig13_schemes()),
     render: fig13,
 };
 
@@ -252,7 +247,7 @@ fn fig13_schemes() -> Vec<Scheme> {
     std::iter::once(Scheme::Baseline).chain(sweep).chain(std::iter::once(Scheme::Ab)).collect()
 }
 
-fn fig13(env: &Experiment, _: &CellExecutor, measured: &Measurements) -> Rendered {
+fn fig13(env: &Experiment, measured: &Measurements) -> Rendered {
     let mut table = Table::new(
         "Fig. 13 — NS exploration (Ly-Sx on the CB baseline)",
         &["config", "normalized space", "normalized time"],
@@ -279,16 +274,13 @@ fn fig13(env: &Experiment, _: &CellExecutor, measured: &Measurements) -> Rendere
 /// Repeats the main performance experiment with the PARSEC suite. Space
 /// results are workload-independent; DR/AB should again land within a few
 /// percent of Baseline.
-pub const FIG15_PARSEC: Study =
-    Study { name: "fig15_parsec", windows: fig15_windows, render: fig15 };
+pub const FIG15_PARSEC: Study = Study {
+    name: "fig15_parsec",
+    windows: |env| timed_windows(env, &first_benches(profiles::parsec()), &Scheme::evaluated()),
+    render: fig15,
+};
 
-/// Every (benchmark × evaluated scheme) window.
-fn fig15_windows(_: &Experiment) -> Vec<Window> {
-    let suite = first_benches(profiles::parsec());
-    suite.iter().flat_map(|p| Scheme::evaluated().into_iter().map(|s| Window::new(s, p))).collect()
-}
-
-fn fig15(env: &Experiment, _: &CellExecutor, measured: &Measurements) -> Rendered {
+fn fig15(env: &Experiment, measured: &Measurements) -> Rendered {
     let suite = first_benches(profiles::parsec());
     let schemes = Scheme::evaluated();
     let scheme_labels: Vec<String> = schemes.iter().map(ToString::to_string).collect();
@@ -347,7 +339,7 @@ fn normalized_to_first(
     schemes[1..]
         .iter()
         .map(|&scheme| {
-            let m = measured.get(&Window::new(scheme, &mcf));
+            let m = measured.get(&Window::timed(env.warm(scheme)?, &mcf));
             let time = m.report.exec_cycles as f64 / base_cycles;
             let space = env.normalized_space(scheme, &base_space)?;
             let label = if scheme == Scheme::Ab { "AB (ref)".into() } else { label(scheme) };

@@ -4,7 +4,7 @@
 //! `jobs=1` and `jobs=4` and the assembled result table, the telemetry JSONL
 //! trace and the golden-case digests are compared byte for byte.
 
-use aboram_bench::{measure, CellExecutor, Experiment, Window};
+use aboram_bench::{measure, CellExecutor, Experiment, Run, Window};
 use aboram_core::Scheme;
 use aboram_telemetry::Collector;
 use aboram_trace::profiles;
@@ -21,9 +21,10 @@ fn measured_grid(env: &Experiment, windows: &[Window], jobs: usize) -> (String, 
     let mut table = String::from("| benchmark | scheme | exec cycles |\n|---|---|---|\n");
     for w in windows {
         let cycles = measured.get(w).report.exec_cycles;
-        table.push_str(&format!("| {} | {} | {cycles} |\n", w.profile.name, w.scheme));
+        let Run::Timed { profile, .. } = &w.run else { unreachable!("timed windows only") };
+        table.push_str(&format!("| {} | {} | {cycles} |\n", profile.name, w.cell.config.scheme));
     }
-    assert_eq!(buf.contents().matches("\"run\"").count(), measured.windows.len());
+    assert_eq!(buf.contents().matches("\"run\"").count(), measured.timed.len());
     (table, buf.take())
 }
 
@@ -34,8 +35,10 @@ fn jobs_count_never_moves_a_bit_in_tables_or_telemetry() {
         Experiment { levels: 10, warmup: 1_500, timed: 200, protocol_accesses: 0, seed: 0xD1FF };
     let suite: Vec<_> = profiles::spec2017().into_iter().take(2).collect();
     let schemes = [Scheme::Baseline, Scheme::DR, Scheme::Ab];
-    let windows: Vec<Window> =
-        suite.iter().flat_map(|p| schemes.map(|s| Window::new(s, p))).collect();
+    let windows: Vec<Window> = suite
+        .iter()
+        .flat_map(|p| schemes.map(|s| Window::timed(env.warm(s).unwrap(), p)))
+        .collect();
     let (table_seq, trace_seq) = measured_grid(&env, &windows, 1);
     assert!(trace_seq.contains("\"run\""), "telemetry captured runs:\n{trace_seq}");
     let (table_par, trace_par) = measured_grid(&env, &windows, 4);
@@ -63,7 +66,7 @@ fn lopsided_grid_is_byte_identical_at_jobs_1_3_8() {
         (Scheme::Ab, 3),
         (Scheme::Ir, 3),
     ]
-    .map(|(s, i)| Window::new(s, &p[i]))
+    .map(|(s, i)| Window::timed(env.warm(s).unwrap(), &p[i]))
     .into();
     let (table_seq, trace_seq) = measured_grid(&env, &windows, 1);
     assert_eq!(trace_seq.matches("\"run\"").count(), 8, "one run per distinct window");

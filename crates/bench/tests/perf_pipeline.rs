@@ -15,7 +15,8 @@ fn phase_attribution_matches_bus_total_within_one_percent() {
 
     let (collector, buf) = Collector::to_shared_buffer();
     aboram_telemetry::install(collector);
-    let windows = [Window::new(Scheme::PlainRing, &profile), Window::new(Scheme::Ab, &profile)];
+    let windows =
+        [Scheme::PlainRing, Scheme::Ab].map(|s| Window::timed(env.warm(s).unwrap(), &profile));
     measure(&env, &CellExecutor::with_jobs(2), &windows).expect("timed windows run");
     let mut c = aboram_telemetry::uninstall().expect("collector was installed");
     c.flush().unwrap();

@@ -9,10 +9,12 @@
 //! costs [`SLOT_BYTES`] per slot plus one [`SealedBlock`] per
 //! non-zero block — not a sealed block per slot.
 //!
-//! A slot without bytes still reads as authenticated ciphertext: the read
-//! seals the zero block under the slot's address and counter, then opens
-//! it, so every read verifies a tag and every `(address, counter)` nonce,
-//! ciphertext and tag is the one an eager store would hold (DESIGN.md §12).
+//! A read of a slot without bytes returns the zero block: nothing left the
+//! program, so there is no tag to verify. Only a read of stored bytes
+//! opens them and checks their tag. What memory holds is still the eager
+//! store's image: materialised, a slot without bytes is the zero block
+//! sealed under its address and counter, the `(address, counter)` nonce,
+//! ciphertext and tag an eager store would hold (DESIGN.md §12).
 
 use crate::error::OramError;
 use crate::BLOCK_BYTES;
@@ -112,13 +114,18 @@ impl DataStore {
         true
     }
 
-    /// Verifies and decrypts the slot at `addr`.
+    /// The plaintext of the slot at `addr`: the zero block for a slot
+    /// without bytes, its sealed bytes verified and decrypted otherwise.
     pub(crate) fn read(&self, addr: SlotAddr) -> Result<[u8; BLOCK_BYTES], OramError> {
         let i = index(addr);
-        let plain = self
-            .cipher
-            .open(&self.sealed(i), address(i), self.slots[i].counter)
-            .map_err(|e| OramError::DataIntegrity { address: e.address });
+        let Slot { counter, bytes } = self.slots[i];
+        let plain = if bytes == NO_BYTES {
+            Ok(ZERO)
+        } else {
+            self.cipher
+                .open(&self.pool[bytes as usize], address(i), counter)
+                .map_err(|e| OramError::DataIntegrity { address: e.address })
+        };
         #[cfg(test)]
         assert_eq!(plain, self.oracle.read(addr), "slot {i} reads unlike the eager store");
         plain

@@ -3,11 +3,15 @@
 //! protocol regression that would silently change a figure fails CI.
 
 use aboram::core::{AccessKind, CountingSink, OramConfig, RingOram, Scheme};
+use aboram::stats::LevelHistogram;
 use rand::{Rng, SeedableRng};
 
-fn run_protocol(scheme: Scheme, levels: u8, accesses: u64) -> RingOram {
+/// Builds an engine, warms it by `warmup` uniform reads
+/// ([`RingOram::warm_up`]), then runs `accesses` more.
+fn run_warm(scheme: Scheme, levels: u8, warmup: u64, accesses: u64) -> RingOram {
     let cfg = OramConfig::builder(levels, scheme).seed(42).build().unwrap();
     let mut oram = RingOram::new(&cfg).unwrap();
+    oram.warm_up(warmup, 0xaaaa).unwrap();
     let mut sink = CountingSink::new();
     let blocks = cfg.real_block_count();
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
@@ -37,37 +41,61 @@ fn fig8_space_numbers() {
     assert!((ab_util - 0.485).abs() < 0.002, "AB utilization ~48.5 %");
 }
 
-/// Fig. 10 shape: DR's reshuffle count stays near Baseline; NS's jumps at
-/// its two shrunken levels; AB's is elevated on its bottom three.
+/// The harness's default warm-up: two reverse-lexicographic eviction sweeps
+/// of the leaf level (A = 5 accesses per evictPath).
+fn warmup(levels: u8) -> u64 {
+    2 * 5 * (1 << (levels - 1))
+}
+
+/// The engine's reshuffles per level over `accesses` reads after the
+/// default warm-up, not counting the warm-up's own.
+fn window_reshuffles(scheme: Scheme, levels: u8, accesses: u64, warm: u64) -> LevelHistogram {
+    let start = run_warm(scheme, levels, warm, 0).stats().reshuffles.clone();
+    run_warm(scheme, levels, warm, accesses).stats().reshuffles.delta(&start)
+}
+
+/// A steady-state Baseline reshuffles its leaf level as often as level
+/// L − 3: within 5 %. A cold engine's leaf buckets are still filling, so
+/// its leaf count lags (2 549 against 2 829 at L = 12, 60 000 reads; warm,
+/// 2 845 against 2 839).
+fn baseline_is_flat(reshuffles: &LevelHistogram, levels: u8) -> bool {
+    let (leaf, upper) = (reshuffles.get(levels - 1) as f64, reshuffles.get(levels - 3) as f64);
+    (leaf - upper).abs() < 0.05 * upper
+}
+
+/// Fig. 10 shape, on warm engines: Baseline is flat across the bottom
+/// levels; DR's reshuffle count stays near Baseline; NS's jumps at its two
+/// shrunken levels; AB's is elevated on its bottom three.
 #[test]
 fn fig10_reshuffle_shape() {
     let levels = 12u8;
     let accesses = 60_000;
-    let base = run_protocol(Scheme::Baseline, levels, accesses);
-    let dr = run_protocol(Scheme::DR, levels, accesses);
-    let ns = run_protocol(Scheme::NS, levels, accesses);
+    let window = |scheme| window_reshuffles(scheme, levels, accesses, warmup(levels));
+    let (base, dr, ns) = (window(Scheme::Baseline), window(Scheme::DR), window(Scheme::NS));
 
-    let leaf = levels - 1;
-    let b = base.stats().reshuffles.get(leaf) as f64;
-    let d = dr.stats().reshuffles.get(leaf) as f64;
-    let n = ns.stats().reshuffles.get(leaf) as f64;
+    assert!(baseline_is_flat(&base, levels), "warm Baseline not flat: {:?}", base.bins());
+    let cold = window_reshuffles(Scheme::Baseline, levels, accesses, 0);
+    assert!(!baseline_is_flat(&cold, levels), "the bound cannot tell cold from warm");
+    let [b, d, n] = [&base, &dr, &ns].map(|r| r.get(levels - 1) as f64);
     assert!(d < 1.5 * b, "DR leaf reshuffles ({d}) should stay near Baseline ({b})");
     assert!(n > 1.8 * b, "NS leaf reshuffles ({n}) should spike vs Baseline ({b})");
     // NS's untouched levels stay near Baseline.
     let untouched = levels - 3;
-    let b_u = base.stats().reshuffles.get(untouched) as f64;
-    let n_u = ns.stats().reshuffles.get(untouched) as f64;
+    let b_u = base.get(untouched) as f64;
+    let n_u = ns.get(untouched) as f64;
     assert!((n_u - b_u).abs() < 0.3 * b_u, "NS untouched level near Baseline");
 }
 
-/// Fig. 14: DR extends nearly all refreshes; AB extends a clear majority
-/// but fewer than DR (paper: ~100 % vs 74 %).
+/// Fig. 14, on warm engines: DR extends nearly all refreshes; AB extends a
+/// clear majority but fewer than DR (paper: ~100 % vs 74 %).
 #[test]
 fn fig14_extension_ordering() {
-    let dr = run_protocol(Scheme::DR, 12, 80_000);
-    let ab = run_protocol(Scheme::Ab, 12, 80_000);
-    let dr_ratio = dr.stats().extension_ratio();
-    let ab_ratio = ab.stats().extension_ratio();
+    let ratio = |scheme| {
+        let [start, end] = [0, 80_000].map(|n| run_warm(scheme, 12, warmup(12), n).stats().clone());
+        let done = end.extensions_done - start.extensions_done;
+        done as f64 / (end.extensions_attempted - start.extensions_attempted) as f64
+    };
+    let (dr_ratio, ab_ratio) = (ratio(Scheme::DR), ratio(Scheme::Ab));
     assert!(dr_ratio > 0.85, "DR extension ratio {dr_ratio}");
     assert!(ab_ratio > 0.55, "AB extension ratio {ab_ratio}");
     assert!(dr_ratio > ab_ratio, "DR must extend more often than AB");
@@ -77,18 +105,8 @@ fn fig14_extension_ordering() {
 /// concentrates at the bottom levels.
 #[test]
 fn fig2_fig3_dead_block_shape() {
-    let cfg = OramConfig::builder(12, Scheme::PlainRing).seed(42).build().unwrap();
-    let mut oram = RingOram::new(&cfg).unwrap();
-    let mut sink = CountingSink::new();
-    let blocks = cfg.real_block_count();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let mut mid = 0;
-    for i in 0..120_000u64 {
-        oram.access(AccessKind::Read, rng.gen_range(0..blocks), None, &mut sink).unwrap();
-        if i == 60_000 {
-            mid = oram.stats().dead_total();
-        }
-    }
+    let mid = run_warm(Scheme::PlainRing, 12, 0, 60_001).stats().dead_total();
+    let oram = run_warm(Scheme::PlainRing, 12, 0, 120_000);
     let end = oram.stats().dead_total();
     assert!(mid > 0);
     let growth = (end as f64 - mid as f64).abs() / mid as f64;
